@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet fmt build test race bench bench-baseline coverage integration
+.PHONY: check lint vet fmt build test race bench bench-baseline bench-check coverage integration
 
 # The full verification gate: lint (gofmt + vet + staticcheck when
 # installed), build, the plain test suite, and the race-detector pass (which
@@ -60,12 +60,17 @@ bench:
 # at it.
 bench-baseline:
 	( $(GO) test -run xxx \
-		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead' \
+		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$' \
 		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ; \
 	  $(GO) test -run xxx \
 		-bench 'ProfileWarm|SubclusterColdBoot|SubclusterWarmRead|SwarmFlashCrowd|DedupManifestBuild|DedupMaterialize|DedupDeltaTransfer' \
 		-benchmem -benchtime 2s -cpu 4 . ) \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr10.json
+
+# bench-check vets, builds and tests the bench/ module, which the root ./...
+# skips (it is a module of its own): its test is bench/e2e's quick pass.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 coverage:
 	$(GO) test -coverprofile=coverage.out ./...

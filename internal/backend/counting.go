@@ -14,6 +14,7 @@ type Counters struct {
 	WriteBytes   atomic.Int64
 	SyncOps      atomic.Int64
 	TruncateOps  atomic.Int64
+	SizeOps      atomic.Int64
 	MaxReadSize  atomic.Int64
 	MaxWriteSize atomic.Int64
 }
@@ -26,6 +27,7 @@ func (c *Counters) Reset() {
 	c.WriteBytes.Store(0)
 	c.SyncOps.Store(0)
 	c.TruncateOps.Store(0)
+	c.SizeOps.Store(0)
 	c.MaxReadSize.Store(0)
 	c.MaxWriteSize.Store(0)
 }
@@ -77,8 +79,11 @@ func (f *CountingFile) WriteAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// Size forwards to the wrapped file.
-func (f *CountingFile) Size() (int64, error) { return f.inner.Size() }
+// Size counts and forwards.
+func (f *CountingFile) Size() (int64, error) {
+	f.c.SizeOps.Add(1)
+	return f.inner.Size()
+}
 
 // Truncate counts and forwards.
 func (f *CountingFile) Truncate(n int64) error {

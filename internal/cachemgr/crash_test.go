@@ -166,8 +166,19 @@ func TestRecoveryDropsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the published file: smash the L1 table area with garbage.
+	// Corrupt the published file: smash the L1 table with garbage (found
+	// through the header, so the test does not depend on the fill layout).
 	path := filepath.Join(dir, key)
+	rf, err := backend.OpenOSFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := qcow.Open(rf, qcow.OpenOpts{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1Off := int64(pub.Header().L1TableOffset)
+	pub.Close() //nolint:errcheck // read-only
 	if err := os.Chmod(path, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +186,11 @@ func TestRecoveryDropsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	junk := make([]byte, 4096)
+	junk := make([]byte, 256)
 	for i := range junk {
 		junk[i] = 0xff
 	}
-	if _, err := f.WriteAt(junk, 1<<16); err != nil {
+	if _, err := f.WriteAt(junk, l1Off); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -1,19 +1,26 @@
 package qcow
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 
 	"vmicache/internal/backend"
 )
 
+// maxCheckErrors caps CheckResult.Errors: Check gates every publication of a
+// peer-fetched container, so a file with N bad entries must not make it
+// format N strings.
+const maxCheckErrors = 64
+
 // CheckResult summarises a consistency pass over an image, in the spirit of
 // `qemu-img check`.
 type CheckResult struct {
 	// Errors are fatal inconsistencies (entries pointing outside the
-	// file, refcount mismatches on referenced clusters).
-	Errors []string
+	// file, refcount mismatches on referenced clusters): the first
+	// maxCheckErrors of them; ErrorsOmitted counts the rest.
+	Errors        []string
+	ErrorsOmitted int
 	// Leaks are clusters with a refcount but no referencing structure.
 	Leaks int
 	// AllocatedClusters counts reachable clusters of any kind.
@@ -28,6 +35,14 @@ type CheckResult struct {
 // OK reports whether the image is consistent (leaks allowed).
 func (r *CheckResult) OK() bool { return len(r.Errors) == 0 }
 
+func (r *CheckResult) errorf(format string, args ...any) {
+	if len(r.Errors) < maxCheckErrors {
+		r.Errors = append(r.Errors, fmt.Sprintf(format, args...))
+	} else {
+		r.ErrorsOmitted++
+	}
+}
+
 // String renders the result in a human-readable form.
 func (r *CheckResult) String() string {
 	var b strings.Builder
@@ -39,14 +54,19 @@ func (r *CheckResult) String() string {
 		}
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%d errors:\n", len(r.Errors))
+	fmt.Fprintf(&b, "%d errors:\n", len(r.Errors)+r.ErrorsOmitted)
 	for _, e := range r.Errors {
 		fmt.Fprintf(&b, "  %s\n", e)
+	}
+	if r.ErrorsOmitted > 0 {
+		fmt.Fprintf(&b, "  ... and %d more\n", r.ErrorsOmitted)
 	}
 	return b.String()
 }
 
-// Check walks all metadata and cross-validates it against the refcounts.
+// Check walks all metadata and cross-validates it against the refcounts. It
+// does I/O by the block — each L2 table and each refcount block is read once
+// — and tallies the expected counts in a slice the refcount table bounds.
 func (img *Image) Check() (*CheckResult, error) {
 	img.mu.RLock()
 	defer img.mu.RUnlock()
@@ -58,39 +78,46 @@ func (img *Image) Check() (*CheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	totalClusters := ceilDiv(fileSize, img.ly.clusterSize)
-	expected := make(map[int64]int64) // cluster -> expected refcount
+	cs, rbe := img.ly.clusterSize, img.ly.refBlockEnts
+	totalClusters := ceilDiv(fileSize, cs)
+	// Every allocated cluster has a refcount, so a valid file is never
+	// longer than its refcount table can index. The table was read from
+	// the file; the length is only a number, and is not allocated for.
+	if indexable := int64(len(img.refTable)) * rbe; totalClusters > indexable {
+		res.errorf("file holds %d clusters, the refcount table indexes %d", totalClusters, indexable)
+		return res, nil
+	}
+	expected := make([]uint32, totalClusters) // cluster -> expected refcount
 
-	ref := func(off int64, what string) {
-		if off%img.ly.clusterSize != 0 {
-			res.Errors = append(res.Errors, fmt.Sprintf("%s at %#x is not cluster aligned", what, off))
-			return
+	// ref tallies one reference to the cluster at off; a non-empty return
+	// says why it could not, for the caller to report.
+	ref := func(off int64) string {
+		if off%cs != 0 {
+			return "is not cluster aligned"
 		}
-		c := off / img.ly.clusterSize
-		if c >= totalClusters {
-			res.Errors = append(res.Errors, fmt.Sprintf("%s at %#x lies beyond end of file", what, off))
-			return
+		if off/cs >= totalClusters {
+			return "lies beyond end of file"
 		}
-		expected[c]++
+		expected[off/cs]++
+		return ""
+	}
+	refMeta := func(off int64, what string, i int64) {
+		if bad := ref(off); bad != "" {
+			res.errorf("%s %d at %#x %s", what, i, off, bad)
+		}
 	}
 
-	// Header cluster.
-	ref(0, "header")
-	// Refcount table clusters.
+	refMeta(0, "header cluster", 0)
 	for i := int64(0); i < int64(img.hdr.RefTableClusters); i++ {
-		ref(int64(img.hdr.RefTableOffset)+i*img.ly.clusterSize, "refcount table")
+		refMeta(int64(img.hdr.RefTableOffset)+i*cs, "refcount table cluster", i)
 	}
-	// Refcount blocks.
 	for i, e := range img.refTable {
-		off := int64(e & entryOffsetMask)
-		if off != 0 {
-			ref(off, fmt.Sprintf("refcount block %d", i))
+		if off := int64(e & entryOffsetMask); off != 0 {
+			refMeta(off, "refcount block", int64(i))
 		}
 	}
-	// L1 table clusters.
-	l1Clusters := ceilDiv(int64(img.hdr.L1Size)*l1EntrySize, img.ly.clusterSize)
-	for i := int64(0); i < l1Clusters; i++ {
-		ref(int64(img.hdr.L1TableOffset)+i*img.ly.clusterSize, "L1 table")
+	for i := int64(0); i < ceilDiv(int64(img.hdr.L1Size)*l1EntrySize, cs); i++ {
+		refMeta(int64(img.hdr.L1TableOffset)+i*cs, "L1 table cluster", i)
 	}
 	// L2 tables and data clusters.
 	for l1i, l1e := range img.l1 {
@@ -98,7 +125,7 @@ func (img *Image) Check() (*CheckResult, error) {
 		if l2Off == 0 {
 			continue
 		}
-		ref(l2Off, fmt.Sprintf("L2 table (L1[%d])", l1i))
+		refMeta(l2Off, "L2 table of L1 slot", int64(l1i))
 		t, err := img.loadL2(l2Off)
 		if err != nil {
 			return nil, err
@@ -108,21 +135,16 @@ func (img *Image) Check() (*CheckResult, error) {
 			if dOff == 0 {
 				continue
 			}
-			if e&entryCompressed != 0 {
-				// Compressed blobs pack several per cluster; the
-				// cluster's refcount counts its live blobs.
-				c := dOff / img.ly.clusterSize
-				if c >= totalClusters {
-					res.Errors = append(res.Errors,
-						fmt.Sprintf("compressed blob (L1[%d] L2[%d]) at %#x beyond end of file", l1i, l2i, dOff))
-				} else {
-					expected[c]++
-				}
-				res.DataClusters++
-				continue
-			}
-			ref(dOff, fmt.Sprintf("data cluster (L1[%d] L2[%d])", l1i, l2i))
 			res.DataClusters++
+			what, c := "data cluster", dOff
+			if e&entryCompressed != 0 {
+				// Compressed blobs pack several per cluster at 512 B
+				// alignment; the cluster's refcount counts its live blobs.
+				what, c = "compressed blob", dOff&^(cs-1)
+			}
+			if bad := ref(c); bad != "" {
+				res.errorf("%s (L1[%d] L2[%d]) at %#x %s", what, l1i, l2i, dOff, bad)
+			}
 		}
 	}
 	// Sub-cluster bitmap table: account its clusters and verify the
@@ -132,10 +154,11 @@ func (img *Image) Check() (*CheckResult, error) {
 	// bits, or bits beyond the virtual size.
 	if s := img.sub; s != nil {
 		for i := int64(0); i < subTableClusters(img.ly, int64(img.hdr.Size)); i++ {
-			ref(s.tableOff+i*img.ly.clusterSize, "subcluster table")
+			refMeta(s.tableOff+i*cs, "subcluster table cluster", i)
 		}
+		rl := runLookup{img: img}
 		for vc := int64(0); vc < s.clusters; vc++ {
-			m, err := img.lookup(vc)
+			m, err := rl.lookup(vc)
 			if err != nil {
 				return nil, err
 			}
@@ -143,39 +166,43 @@ func (img *Image) Check() (*CheckResult, error) {
 			full := s.fullMask(vc)
 			switch {
 			case w&^full != 0:
-				res.Errors = append(res.Errors,
-					fmt.Sprintf("cluster %d: subcluster bits %#x beyond the virtual size", vc, w&^full))
+				res.errorf("cluster %d: subcluster bits %#x beyond the virtual size", vc, w&^full)
 			case m.dataOff == 0 || m.compressed:
 				if w != 0 {
-					res.Errors = append(res.Errors,
-						fmt.Sprintf("cluster %d: subcluster bits %#x on an unallocated cluster (torn fill)", vc, w))
+					res.errorf("cluster %d: subcluster bits %#x on an unallocated cluster (torn fill)", vc, w)
 				}
 			default:
 				if w == 0 {
-					res.Errors = append(res.Errors,
-						fmt.Sprintf("cluster %d: allocated raw with no subcluster bits (torn fill)", vc))
+					res.errorf("cluster %d: allocated raw with no subcluster bits (torn fill)", vc)
 				} else if w != full {
 					res.PartialClusters++
 				}
 			}
 		}
 	}
-	res.AllocatedClusters = int64(len(expected))
 
-	// Compare against stored refcounts over the whole file.
-	for c := int64(0); c < totalClusters; c++ {
-		got, err := img.refcount(c)
-		if err != nil {
+	// Compare against the stored refcounts, one read per refcount block.
+	// An absent block counts 0 for all its clusters.
+	blk := make([]byte, cs)
+	for lo := int64(0); lo < totalClusters; lo += rbe {
+		n := minI64(rbe, totalClusters-lo)
+		stored := blk[:n*refcountEntrySz]
+		if off := int64(img.refTable[lo/rbe] & entryOffsetMask); off == 0 {
+			clear(stored)
+		} else if err := backend.ReadFull(img.f, stored, off); err != nil {
 			return nil, err
 		}
-		want := expected[c]
-		switch {
-		case int64(got) == want:
-		case want == 0 && got > 0:
-			res.Leaks++
-		default:
-			res.Errors = append(res.Errors,
-				fmt.Sprintf("cluster %d: refcount %d, expected %d", c, got, want))
+		for i := int64(0); i < n; i++ {
+			got, want := uint32(binary.BigEndian.Uint16(stored[i*refcountEntrySz:])), expected[lo+i]
+			switch {
+			case want > 0:
+				res.AllocatedClusters++
+				if got != want {
+					res.errorf("cluster %d: refcount %d, expected %d", lo+i, got, want)
+				}
+			case got > 0:
+				res.Leaks++
+			}
 		}
 	}
 	return res, nil
@@ -332,14 +359,4 @@ func (in Info) String() string {
 	fmt.Fprintf(&b, "data clusters: %d\n", in.DataClusters)
 	fmt.Fprintf(&b, "l2 cache:     hits=%d misses=%d\n", in.L2CacheHits, in.L2CacheMisses)
 	return b.String()
-}
-
-// sortedKeys is a test helper shared by check-related tests.
-func sortedKeys(m map[int64]int64) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

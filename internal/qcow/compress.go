@@ -145,8 +145,9 @@ func (img *Image) allocBlobSpaceLocked(n int64) (int64, error) {
 			return off, nil
 		}
 	}
-	// Open a fresh cluster (refcount 1 = this first blob).
-	off, err := img.allocCluster(false)
+	// Open a fresh cluster (refcount 1 = this first blob), zeroed so the
+	// container stays cluster-aligned while blobs fill it.
+	off, err := img.allocCluster(true)
 	if err != nil {
 		return 0, err
 	}

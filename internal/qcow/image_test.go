@@ -620,11 +620,3 @@ func TestRandomOpsMatchReference(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedKeysHelper(t *testing.T) {
-	m := map[int64]int64{3: 1, 1: 1, 2: 1}
-	ks := sortedKeys(m)
-	if len(ks) != 3 || ks[0] != 1 || ks[2] != 3 {
-		t.Fatalf("sortedKeys = %v", ks)
-	}
-}

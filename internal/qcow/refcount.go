@@ -75,9 +75,7 @@ func (img *Image) setRefcount(c int64, v uint16) error {
 
 // writeRefTableEntry persists one refcount-table slot.
 func (img *Image) writeRefTableEntry(idx int64) error {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], img.refTable[idx])
-	return backend.WriteFull(img.f, b[:], int64(img.hdr.RefTableOffset)+idx*refTableEntrySz)
+	return img.writeSlots(int64(img.hdr.RefTableOffset)+idx*refTableEntrySz, img.refTable[idx:idx+1])
 }
 
 // growRefTable relocates the refcount table to the end of the file with room
@@ -135,9 +133,12 @@ func (img *Image) rewriteHeader() error {
 	return backend.WriteFull(img.f, buf, 0)
 }
 
-// allocCluster returns the physical offset of a fresh, refcounted cluster.
-// When zeroed is true the cluster contents are zero-filled (needed for
-// metadata; data clusters are always fully overwritten by their writer).
+// allocCluster returns the physical offset of a fresh, refcounted cluster for
+// the single-cluster writers (copy-on-write, compressed import, L2 tables);
+// copy-on-read fills allocate a run at a time through commitRun. When zeroed
+// is true the cluster is zero-filled (metadata, and blob clusters that fill
+// up piecemeal); otherwise the caller overwrites the whole cluster, which
+// also extends the container over it.
 func (img *Image) allocCluster(zeroed bool) (int64, error) {
 	c := img.nextFree
 	img.nextFree++
@@ -149,25 +150,11 @@ func (img *Image) allocCluster(zeroed bool) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-	} else if err := img.ensureFileSize(off + img.ly.clusterSize); err != nil {
-		return 0, err
 	}
 	if err := img.setRefcount(c, 1); err != nil {
 		return 0, err
 	}
 	return off, nil
-}
-
-// ensureFileSize grows the container to at least n bytes.
-func (img *Image) ensureFileSize(n int64) error {
-	sz, err := img.f.Size()
-	if err != nil {
-		return err
-	}
-	if sz < n {
-		return img.f.Truncate(n)
-	}
-	return nil
 }
 
 // clustersNeededFor computes exactly how many clusters an allocation of

@@ -142,12 +142,19 @@ func (s *subState) or(vc int64, bits uint64) uint64 {
 	}
 }
 
+// set installs the word of a cluster a run commit just bound (its bits are
+// already durable) and derives the full bit.
+func (s *subState) set(vc int64, w uint64) {
+	s.words[vc].Store(w)
+	if w == s.fullMask(vc) {
+		s.setFullBit(vc)
+	}
+}
+
 // persistWord write-throughs one cluster's word to the on-disk table.
 // Caller holds img.mu exclusively (same discipline as writeL2Entry).
 func (img *Image) persistSubWord(vc int64, w uint64) error {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], w)
-	return backend.WriteFull(img.f, b[:], img.sub.tableOff+vc*8)
+	return img.writeSlots(img.sub.tableOff+vc*8, []uint64{w})
 }
 
 // publishSubBits merges freshly filled bits under the write lock: memory,
@@ -316,14 +323,6 @@ func (img *Image) subLeadFill(f *fill, vc int64, required uint64, backing BlockS
 	}
 	img.stats.FillLatency.Observe(time.Since(start).Nanoseconds())
 	// f.fetched stays 0: the fill was in place, so waiters re-translate.
-}
-
-// subMarkFull publishes a freshly written whole cluster (prefetch fills and
-// the completer's final state). Caller holds img.mu exclusively and has the
-// cluster's data fully on disk.
-func (img *Image) subMarkFull(vc int64) error {
-	_, err := img.publishSubBits(vc, img.sub.fullMask(vc))
-	return err
 }
 
 // SubclusterState summarises the bitmap for Info and qimg.

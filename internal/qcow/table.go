@@ -176,18 +176,24 @@ func (img *Image) loadL2(off int64) ([]uint64, error) {
 	return t, nil
 }
 
+// writeSlots writes consecutive big-endian 8-byte table slots (L1, L2,
+// refcount table, sub-cluster words) at off.
+func (img *Image) writeSlots(off int64, vals []uint64) error {
+	b := make([]byte, len(vals)*8)
+	for i, v := range vals {
+		binary.BigEndian.PutUint64(b[i*8:], v)
+	}
+	return backend.WriteFull(img.f, b, off)
+}
+
 // writeL1Entry persists one L1 slot (write-through).
 func (img *Image) writeL1Entry(idx int64) error {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], img.l1[idx])
-	return backend.WriteFull(img.f, b[:], int64(img.hdr.L1TableOffset)+idx*l1EntrySize)
+	return img.writeSlots(int64(img.hdr.L1TableOffset)+idx*l1EntrySize, img.l1[idx:idx+1])
 }
 
 // writeL2Entry persists one slot of the L2 table at l2Off (write-through).
 func (img *Image) writeL2Entry(l2Off int64, idx int64, val uint64) error {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], val)
-	return backend.WriteFull(img.f, b[:], l2Off+idx*l2EntrySize)
+	return img.writeSlots(l2Off+idx*l2EntrySize, []uint64{val})
 }
 
 // mapping is the result of translating a virtual cluster index.
