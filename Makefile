@@ -52,7 +52,9 @@ bench:
 # batched data-path benchmarks (LargeWarmRead, ContendedWarmRead) and the
 # mmap warm-read mode (WarmReadMmap); 'ServerRead' covers the 4K round trip,
 # the large vectored transfers, the sendfile-vs-copy matrix
-# (ServerReadZeroCopy), and the 64-way contended serve (ContendedServerRead).
+# (ServerReadZeroCopy), and the 64-way contended serve (ContendedServerRead);
+# 'NBDReplay' is internal/nbd's boot replay, direct vs through loopback NBD
+# (the microbenchmark behind bench/e2e's nbd_boot).
 # -cpu 4 pins GOMAXPROCS so benchmark names (and the stripped-suffix keys
 # benchjson compares on) are machine-independent; -benchtime 2s keeps
 # run-to-run noise well under the 20% regression gate. After refreshing,
@@ -60,8 +62,8 @@ bench:
 # at it.
 bench-baseline:
 	( $(GO) test -run xxx \
-		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$' \
-		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ; \
+		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay' \
+		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ./internal/nbd/ ; \
 	  $(GO) test -run xxx \
 		-bench 'ProfileWarm|SubclusterColdBoot|SubclusterWarmRead|SwarmFlashCrowd|DedupManifestBuild|DedupMaterialize|DedupDeltaTransfer' \
 		-benchmem -benchtime 2s -cpu 4 . ) \

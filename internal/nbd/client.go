@@ -1,6 +1,7 @@
 package nbd
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,16 +10,32 @@ import (
 	"sync"
 )
 
-// Client is a minimal fixed-newstyle NBD client, used by tests and examples
-// to drive the server the way a hypervisor would.
+// Client is a minimal fixed-newstyle NBD client, used by tests, examples and
+// the end-to-end benchmark to drive the server the way a hypervisor would:
+// one request in flight. Each request leaves in one write (header and write
+// payload vectored), replies arrive through one small buffered reader, and a
+// read's payload lands in the caller's buffer — the steady state allocates
+// nothing.
+// Once the reply stream cannot be trusted the client is broken for good.
 type Client struct {
 	mu       sync.Mutex
 	conn     net.Conn
+	br       *bufio.Reader
 	size     int64
 	readOnly bool
 	handle   uint64
-	closed   bool
+	broken   error // sticky: closed, transport error or malformed reply
+
+	// Request scratch, guarded by mu (fields so nothing escapes per call).
+	hdr [28]byte
+	arr [2][]byte
+	wip net.Buffers
 }
+
+// clientBufSize holds a reply header plus a 4 KiB read payload, so a small
+// read is one receive; a longer payload's remainder bypasses the buffer and
+// is received straight into the caller's.
+const clientBufSize = 16 + 4<<10
 
 // clientErrs maps NBD error numbers to errors.
 var clientErrs = map[uint32]error{
@@ -43,7 +60,7 @@ func Dial(addr, export string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn}
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, clientBufSize)}
 	if err := c.handshake(export); err != nil {
 		conn.Close() //nolint:errcheck
 		return nil, err
@@ -54,7 +71,7 @@ func Dial(addr, export string) (*Client, error) {
 func (c *Client) handshake(export string) error {
 	be := binary.BigEndian
 	var greet [18]byte
-	if _, err := io.ReadFull(c.conn, greet[:]); err != nil {
+	if _, err := io.ReadFull(c.br, greet[:]); err != nil {
 		return err
 	}
 	if be.Uint64(greet[0:]) != nbdMagic || be.Uint64(greet[8:]) != optMagic {
@@ -64,23 +81,19 @@ func (c *Client) handshake(export string) error {
 	if serverFlags&flagFixedNewstyle == 0 {
 		return errors.New("nbd: server is not fixed-newstyle")
 	}
-	// Echo NO_ZEROES so the export reply is compact.
-	var cflags [4]byte
-	be.PutUint32(cflags[:], flagNoZeroes)
-	if _, err := c.conn.Write(cflags[:]); err != nil {
-		return err
-	}
-	// NBD_OPT_EXPORT_NAME.
-	opt := make([]byte, 16+len(export))
-	be.PutUint64(opt[0:], optMagic)
-	be.PutUint32(opt[8:], optExportName)
-	be.PutUint32(opt[12:], uint32(len(export)))
-	copy(opt[16:], export)
+	// Client flags (echo NO_ZEROES so the export reply is compact) and
+	// NBD_OPT_EXPORT_NAME, in one write.
+	opt := make([]byte, 20+len(export))
+	be.PutUint32(opt[0:], flagNoZeroes)
+	be.PutUint64(opt[4:], optMagic)
+	be.PutUint32(opt[12:], optExportName)
+	be.PutUint32(opt[16:], uint32(len(export)))
+	copy(opt[20:], export)
 	if _, err := c.conn.Write(opt); err != nil {
 		return err
 	}
 	var info [10]byte
-	if _, err := io.ReadFull(c.conn, info[:]); err != nil {
+	if _, err := io.ReadFull(c.br, info[:]); err != nil {
 		return fmt.Errorf("nbd: export %q rejected: %w", export, err)
 	}
 	c.size = int64(be.Uint64(info[0:]))
@@ -95,91 +108,97 @@ func (c *Client) Size() int64 { return c.size }
 // ReadOnly reports whether the export rejects writes.
 func (c *Client) ReadOnly() bool { return c.readOnly }
 
-// request performs one synchronous command round trip.
-func (c *Client) request(cmd uint16, off uint64, length uint32, payload []byte) ([]byte, error) {
+// fail marks the client broken: the reply stream is lost or out of step, so
+// every later call returns the same error instead of parsing leftovers.
+func (c *Client) fail(err error) error {
+	c.broken = fmt.Errorf("nbd: connection broken: %w", err)
+	return c.broken
+}
+
+// roundTrip performs one synchronous command over len(p) bytes at off: p is
+// the payload sent by a write and the buffer filled by a read.
+func (c *Client) roundTrip(cmd uint16, off uint64, p []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errors.New("nbd: client closed")
+	if c.broken != nil {
+		return c.broken
 	}
 	be := binary.BigEndian
 	c.handle++
-	var hdr [28]byte
-	be.PutUint32(hdr[0:], requestMagic)
-	be.PutUint16(hdr[6:], cmd)
-	be.PutUint64(hdr[8:], c.handle)
-	be.PutUint64(hdr[16:], off)
-	be.PutUint32(hdr[24:], length)
-	if _, err := c.conn.Write(hdr[:]); err != nil {
-		return nil, err
+	be.PutUint32(c.hdr[0:], requestMagic)
+	be.PutUint16(c.hdr[6:], cmd)
+	be.PutUint64(c.hdr[8:], c.handle)
+	be.PutUint64(c.hdr[16:], off)
+	be.PutUint32(c.hdr[24:], uint32(len(p)))
+	var err error
+	if cmd == cmdWrite {
+		c.arr[0], c.arr[1] = c.hdr[:], p
+		c.wip = c.arr[:]
+		_, err = c.wip.WriteTo(c.conn)
+		c.arr[1] = nil // do not pin the caller's buffer
+	} else {
+		_, err = c.conn.Write(c.hdr[:])
 	}
-	if len(payload) > 0 {
-		if _, err := c.conn.Write(payload); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return c.fail(err)
 	}
 	if cmd == cmdDisc {
-		return nil, nil // no reply for disconnect
+		return nil // no reply for disconnect
 	}
-	var rep [16]byte
-	if _, err := io.ReadFull(c.conn, rep[:]); err != nil {
-		return nil, err
+	rep, err := c.br.Peek(16)
+	if err != nil {
+		return c.fail(err)
 	}
-	if be.Uint32(rep[0:]) != simpleReplyMagic {
-		return nil, errors.New("nbd: bad reply magic")
-	}
-	if be.Uint64(rep[8:]) != c.handle {
-		return nil, errors.New("nbd: reply handle mismatch")
-	}
-	if err := nbdError(be.Uint32(rep[4:])); err != nil {
-		return nil, err
+	magic, code, handle := be.Uint32(rep[0:]), be.Uint32(rep[4:]), be.Uint64(rep[8:])
+	c.br.Discard(16) //nolint:errcheck // just peeked
+	switch {
+	case magic != simpleReplyMagic:
+		return c.fail(errors.New("bad reply magic"))
+	case handle != c.handle:
+		return c.fail(errors.New("reply handle mismatch"))
+	case code != 0:
+		return nbdError(code) // the server's verdict; the stream is intact
 	}
 	if cmd == cmdRead {
-		buf := make([]byte, length)
-		if _, err := io.ReadFull(c.conn, buf); err != nil {
-			return nil, err
+		if _, err := io.ReadFull(c.br, p); err != nil {
+			return c.fail(err)
 		}
-		return buf, nil
 	}
-	return nil, nil
+	return nil
+}
+
+// span issues cmd over [off, off+len(p)) in requests the server accepts.
+func (c *Client) span(cmd uint16, p []byte, off int64) (int, error) {
+	if off < 0 || off+int64(len(p)) > c.size {
+		return 0, errors.New("nbd: request out of range")
+	}
+	for n := 0; n < len(p); {
+		chunk := p[n:min(len(p), n+maxRequestLen)]
+		if err := c.roundTrip(cmd, uint64(off)+uint64(n), chunk); err != nil {
+			return n, err
+		}
+		n += len(chunk)
+	}
+	return len(p), nil
 }
 
 // ReadAt implements io.ReaderAt against the export.
-func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > c.size {
-		return 0, errors.New("nbd: read out of range")
-	}
-	buf, err := c.request(cmdRead, uint64(off), uint32(len(p)), nil)
-	if err != nil {
-		return 0, err
-	}
-	copy(p, buf)
-	return len(p), nil
-}
+func (c *Client) ReadAt(p []byte, off int64) (int, error) { return c.span(cmdRead, p, off) }
 
 // WriteAt implements io.WriterAt against the export.
-func (c *Client) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > c.size {
-		return 0, errors.New("nbd: write out of range")
-	}
-	if _, err := c.request(cmdWrite, uint64(off), uint32(len(p)), p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
+func (c *Client) WriteAt(p []byte, off int64) (int, error) { return c.span(cmdWrite, p, off) }
 
 // Sync issues NBD_CMD_FLUSH.
-func (c *Client) Sync() error {
-	_, err := c.request(cmdFlush, 0, 0, nil)
-	return err
-}
+func (c *Client) Sync() error { return c.roundTrip(cmdFlush, 0, nil) }
 
 // Close disconnects cleanly.
 func (c *Client) Close() error {
-	c.request(cmdDisc, 0, 0, nil) //nolint:errcheck // best-effort goodbye
+	c.roundTrip(cmdDisc, 0, nil) //nolint:errcheck // best-effort goodbye
 	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.broken == nil {
+		c.broken = errors.New("nbd: client closed")
+	}
 	return c.conn.Close()
 }
 
@@ -196,14 +215,10 @@ func List(addr string) ([]string, error) {
 	if _, err := io.ReadFull(conn, greet[:]); err != nil {
 		return nil, err
 	}
-	var cflags [4]byte
-	be.PutUint32(cflags[:], flagNoZeroes)
-	if _, err := conn.Write(cflags[:]); err != nil {
-		return nil, err
-	}
-	var opt [16]byte
-	be.PutUint64(opt[0:], optMagic)
-	be.PutUint32(opt[8:], optList)
+	var opt [20]byte // client flags + NBD_OPT_LIST, one write
+	be.PutUint32(opt[0:], flagNoZeroes)
+	be.PutUint64(opt[4:], optMagic)
+	be.PutUint32(opt[12:], optList)
 	if _, err := conn.Write(opt[:]); err != nil {
 		return nil, err
 	}

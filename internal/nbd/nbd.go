@@ -7,6 +7,7 @@
 package nbd
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -85,8 +86,9 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	logf     func(format string, args ...any)
 
-	// activeReqs counts dispatched device requests still in flight, so
-	// Shutdown can drain them before tearing connections down.
+	// activeReqs counts device requests still executing, on a connection's
+	// own goroutine or a dispatched one, so Shutdown can drain them before
+	// tearing connections down.
 	activeReqs atomic.Int64
 
 	// bufPool recycles transmission payload buffers (read replies and
@@ -116,7 +118,7 @@ type Server struct {
 	ZeroCopySegments  atomic.Int64
 	ZeroCopyFallbacks atomic.Int64
 
-	// latency records per-request dispatch-to-reply durations (ns).
+	// latency records per-request device-call-to-reply durations (ns).
 	latency metrics.AtomicHistogram
 }
 
@@ -133,9 +135,9 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 	r.CounterFunc("vmicache_nbd_bytes_written_total",
 		"Bytes applied from NBD clients by write commands.", labels, s.BytesWritten.Load)
 	r.GaugeFunc("vmicache_nbd_active_requests",
-		"Device requests currently dispatched.", labels, s.activeReqs.Load)
+		"Device requests currently executing.", labels, s.activeReqs.Load)
 	r.RegisterHistogram("vmicache_nbd_request_ns",
-		"NBD request duration, dispatch through reply.", labels, &s.latency)
+		"NBD request duration, device call through reply.", labels, &s.latency)
 	r.CounterFunc("vmicache_nbd_zerocopy_bytes_total",
 		"Read bytes served via the sendfile extent path.", labels, s.ZeroCopyBytes.Load)
 	r.CounterFunc("vmicache_nbd_zerocopy_segments_total",
@@ -147,6 +149,11 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 // maxConcurrentPerConn bounds how many in-flight requests one connection may
 // have dispatched at once.
 const maxConcurrentPerConn = 16
+
+// connBufSize sizes a connection's request reader: a request header plus a
+// 4 KiB write payload arrive in one receive; a longer payload's remainder is
+// read straight into its pooled buffer.
+const connBufSize = 28 + 4<<10
 
 // maxPooledBuf caps the size of payload buffers kept in the pool: typical
 // guest I/O is well under 1 MiB, and pooling the occasional maxRequestLen
@@ -338,14 +345,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	exp, noZeroes, err := s.handshake(conn)
+	// One buffered reader for the whole connection: a client's handshake
+	// (flags + option in one write) and each request cost one receive.
+	br := bufio.NewReaderSize(conn, connBufSize)
+	exp, err := s.handshake(conn, br)
 	if err != nil {
 		if !errors.Is(err, io.EOF) && !errors.Is(err, errAborted) {
 			s.logf("nbd: handshake: %v", err)
 		}
 		return
 	}
-	if err := s.transmission(conn, exp, noZeroes); err != nil && !errors.Is(err, io.EOF) {
+	// net.ErrClosed is our own Close/Shutdown (or a failed reply, already
+	// logged) cutting the read short, not something the peer did.
+	if err := s.transmission(conn, br, exp); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 		s.logf("nbd: transmission: %v", err)
 	}
 }
@@ -354,37 +366,37 @@ var errAborted = errors.New("nbd: client aborted negotiation")
 
 // handshake performs the fixed-newstyle negotiation and returns the chosen
 // export.
-func (s *Server) handshake(conn net.Conn) (Export, bool, error) {
+func (s *Server) handshake(conn net.Conn, br *bufio.Reader) (Export, error) {
 	be := binary.BigEndian
 	var greet [18]byte
 	be.PutUint64(greet[0:], nbdMagic)
 	be.PutUint64(greet[8:], optMagic)
 	be.PutUint16(greet[16:], flagFixedNewstyle|flagNoZeroes)
 	if _, err := conn.Write(greet[:]); err != nil {
-		return Export{}, false, err
+		return Export{}, err
 	}
 	var cflags [4]byte
-	if _, err := io.ReadFull(conn, cflags[:]); err != nil {
-		return Export{}, false, err
+	if _, err := io.ReadFull(br, cflags[:]); err != nil {
+		return Export{}, err
 	}
 	noZeroes := be.Uint32(cflags[:])&flagNoZeroes != 0
 
 	for {
 		var hdr [16]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return Export{}, false, err
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return Export{}, err
 		}
 		if be.Uint64(hdr[0:]) != optMagic {
-			return Export{}, false, fmt.Errorf("nbd: bad option magic %#x", be.Uint64(hdr[0:]))
+			return Export{}, fmt.Errorf("nbd: bad option magic %#x", be.Uint64(hdr[0:]))
 		}
 		opt := be.Uint32(hdr[8:])
 		length := be.Uint32(hdr[12:])
 		if length > 4096 {
-			return Export{}, false, fmt.Errorf("nbd: oversized option (%d bytes)", length)
+			return Export{}, fmt.Errorf("nbd: oversized option (%d bytes)", length)
 		}
 		data := make([]byte, length)
-		if _, err := io.ReadFull(conn, data); err != nil {
-			return Export{}, false, err
+		if _, err := io.ReadFull(br, data); err != nil {
+			return Export{}, err
 		}
 
 		switch opt {
@@ -396,7 +408,7 @@ func (s *Server) handshake(conn net.Conn) (Export, bool, error) {
 			if !ok {
 				// EXPORT_NAME has no error reply; the server
 				// must drop the connection.
-				return Export{}, false, fmt.Errorf("nbd: unknown export %q", name)
+				return Export{}, fmt.Errorf("nbd: unknown export %q", name)
 			}
 			tflags := uint16(transmissionFlagHasFlags | transmissionFlagSendFlush)
 			if exp.ReadOnly {
@@ -409,13 +421,13 @@ func (s *Server) handshake(conn net.Conn) (Export, bool, error) {
 				reply = append(reply, make([]byte, 124)...)
 			}
 			if _, err := conn.Write(reply); err != nil {
-				return Export{}, false, err
+				return Export{}, err
 			}
-			return exp, noZeroes, nil
+			return exp, nil
 
 		case optAbort:
 			s.optReply(conn, opt, repAck, nil) //nolint:errcheck // client is leaving
-			return Export{}, false, errAborted
+			return Export{}, errAborted
 
 		case optList:
 			for _, name := range s.exportNames() {
@@ -423,16 +435,16 @@ func (s *Server) handshake(conn net.Conn) (Export, bool, error) {
 				be.PutUint32(payload, uint32(len(name)))
 				copy(payload[4:], name)
 				if err := s.optReply(conn, opt, repServer, payload); err != nil {
-					return Export{}, false, err
+					return Export{}, err
 				}
 			}
 			if err := s.optReply(conn, opt, repAck, nil); err != nil {
-				return Export{}, false, err
+				return Export{}, err
 			}
 
 		default:
 			if err := s.optReply(conn, opt, repErrUnsup|repFlagError, nil); err != nil {
-				return Export{}, false, err
+				return Export{}, err
 			}
 		}
 	}
@@ -455,26 +467,32 @@ func (s *Server) optReply(conn net.Conn, opt, typ uint32, payload []byte) error 
 	return nil
 }
 
-// transmission runs the I/O phase until disconnect. Requests are dispatched
-// concurrently (bounded per connection): request headers — and write
-// payloads, which share the stream — are read sequentially, but device I/O
-// and replies overlap, so a parallel guest (or a pipelined client) is not
-// serialised by a slow read. Replies identify their request by NBD handle;
+// transmission runs the I/O phase until disconnect. Requests — and write
+// payloads, which share the stream — are parsed sequentially off one buffered
+// reader. A lone request (nothing dispatched on this connection, nothing
+// buffered behind it) is a guest with one request in flight: its Read or
+// Write runs right here and the reply leaves from this goroutine. Anything
+// else — a second request already waiting (the guest is pipelining) or any
+// Flush (an fsync must not stall the requests behind it) — is dispatched to a
+// goroutine, bounded per connection, so device I/O and replies overlap and
+// may complete out of order. Replies identify their request by NBD handle;
 // the reply header and read payload leave in ONE vectored write under a
 // per-connection write mutex — no payload copy, no second syscall.
-func (s *Server) transmission(conn net.Conn, exp Export, _ bool) error {
+func (s *Server) transmission(conn net.Conn, br *bufio.Reader, exp Export) error {
 	be := binary.BigEndian
 	var wmu sync.Mutex
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	sem := make(chan struct{}, maxConcurrentPerConn)
 
 	// Per-connection reply scratch, guarded by wmu and recycled across
 	// connections (the same lifetime discipline as rblock's replyWriter
 	// buffers): a churn of short-lived guest attaches allocates no reply
-	// scratch in steady state.
+	// scratch in steady state. Deferred before wg.Wait so it runs after it:
+	// dispatched requests still replying at disconnect own the scratch.
 	rs := getReplyScratch()
 	defer putReplyScratch(rs)
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	sem := make(chan struct{}, maxConcurrentPerConn)
 
 	// zcSrc is non-nil when reads may try the sendfile extent path: the
 	// export must be immutable (frozen cluster mappings are what make the
@@ -506,11 +524,23 @@ func (s *Server) transmission(conn net.Conn, exp Export, _ bool) error {
 		}
 	}
 
-	// replyExtents writes a successful read reply whose payload is pushed by
-	// sendfile from the exported container extents — no user-space copy. The
-	// whole sequence holds wmu: NBD simple replies are not resumable, so a
-	// mid-payload failure can only end in connection teardown anyway.
-	replyExtents := func(handle uint64, exts []zerocopy.FileExtent) {
+	// replyExtents answers a read by sendfile from the container extents the
+	// export names for it — no user-space copy — or reports false and the
+	// caller copies. The whole send holds wmu: NBD simple replies are not
+	// resumable, so a mid-payload failure can only end in connection teardown
+	// anyway.
+	replyExtents := func(handle, offset uint64, length uint32) bool {
+		ep := getExtents()
+		exts, ok := zcSrc.PlainExtents(int64(offset), int64(length), (*ep)[:0])
+		*ep = exts
+		defer putExtents(ep)
+		if !ok {
+			s.ZeroCopyFallbacks.Add(1)
+			return false
+		}
+		s.count(cmdRead, length)
+		s.ZeroCopyBytes.Add(int64(length))
+		s.ZeroCopySegments.Add(int64(len(exts)))
 		wmu.Lock()
 		be.PutUint32(rs.hdr[0:], simpleReplyMagic)
 		be.PutUint32(rs.hdr[4:], 0)
@@ -527,26 +557,47 @@ func (s *Server) transmission(conn net.Conn, exp Export, _ bool) error {
 			s.logf("nbd: zero-copy reply: %v", err)
 			conn.Close() //nolint:errcheck
 		}
+		return true
 	}
-	dispatch := func(fn func()) {
-		sem <- struct{}{}
-		wg.Add(1)
-		s.activeReqs.Add(1)
-		go func() {
-			start := time.Now()
-			defer func() {
-				s.latency.Observe(time.Since(start).Nanoseconds())
-				s.activeReqs.Add(-1)
-				<-sem
-				wg.Done()
-			}()
-			fn()
+
+	// serve executes one validated request against the device and replies,
+	// on this goroutine or a dispatched one. bp is a write's payload.
+	serve := func(cmd uint16, handle, offset uint64, length uint32, bp *[]byte) {
+		start := time.Now()
+		defer func() {
+			s.latency.Observe(time.Since(start).Nanoseconds())
+			s.activeReqs.Add(-1)
 		}()
+		if cmd == cmdRead && zcSrc != nil && length > 0 && replyExtents(handle, offset, length) {
+			return
+		}
+		var err error
+		var payload []byte
+		switch cmd {
+		case cmdRead:
+			bp = s.getBuf(length)
+			payload = *bp
+			_, err = exp.Device.ReadAt(payload, int64(offset))
+		case cmdWrite:
+			_, err = exp.Device.WriteAt(*bp, int64(offset))
+		case cmdFlush:
+			err = exp.Device.Sync()
+		}
+		if err != nil {
+			s.count(cmd, 0)
+			reply(handle, nbdEIO, nil)
+		} else {
+			s.count(cmd, length)
+			reply(handle, 0, payload)
+		}
+		if bp != nil {
+			s.putBuf(bp) // reply copied a read's payload onto the wire
+		}
 	}
 
 	var hdr [28]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return err
 		}
 		if be.Uint32(hdr[0:]) != requestMagic {
@@ -561,88 +612,73 @@ func (s *Server) transmission(conn net.Conn, exp Export, _ bool) error {
 		}
 
 		switch cmd {
-		case cmdRead:
-			dispatch(func() {
-				inRange := int64(offset)+int64(length) <= exp.Device.Size()
-				if zcSrc != nil && inRange && length > 0 {
-					ep := getExtents()
-					exts, ok := zcSrc.PlainExtents(int64(offset), int64(length), (*ep)[:0])
-					if ok {
-						s.ReadOps.Add(1)
-						s.BytesRead.Add(int64(length))
-						s.ZeroCopyBytes.Add(int64(length))
-						s.ZeroCopySegments.Add(int64(len(exts)))
-						replyExtents(handle, exts)
-						*ep = exts
-						putExtents(ep)
-						return
-					}
-					*ep = exts
-					putExtents(ep)
-					s.ZeroCopyFallbacks.Add(1)
-				}
-				bp := s.getBuf(length)
-				buf := *bp
-				var nbdErr uint32
-				if !inRange {
-					nbdErr = nbdEINVAL
-				} else if _, err := exp.Device.ReadAt(buf, int64(offset)); err != nil {
-					nbdErr = nbdEIO
-				}
-				s.ReadOps.Add(1)
-				if nbdErr != 0 {
-					buf = nil
-				}
-				s.BytesRead.Add(int64(len(buf)))
-				reply(handle, nbdErr, buf)
-				s.putBuf(bp) // reply copied the payload onto the wire
-			})
-
-		case cmdWrite:
-			bp := s.getBuf(length)
-			if _, err := io.ReadFull(conn, *bp); err != nil {
-				s.putBuf(bp)
-				return err
-			}
-			dispatch(func() {
-				buf := *bp
-				var nbdErr uint32
-				switch {
-				case exp.ReadOnly:
-					nbdErr = nbdEPERM
-				case int64(offset)+int64(length) > exp.Device.Size():
-					nbdErr = nbdEINVAL
-				default:
-					if _, err := exp.Device.WriteAt(buf, int64(offset)); err != nil {
-						nbdErr = nbdEIO
-					} else {
-						s.BytesWritten.Add(int64(len(buf)))
-					}
-				}
-				s.WriteOps.Add(1)
-				reply(handle, nbdErr, nil)
-				s.putBuf(bp)
-			})
-
-		case cmdFlush:
-			dispatch(func() {
-				var nbdErr uint32
-				if err := exp.Device.Sync(); err != nil {
-					nbdErr = nbdEIO
-				}
-				s.FlushOps.Add(1)
-				reply(handle, nbdErr, nil)
-			})
-
 		case cmdDisc:
 			return nil
-
 		case cmdTrim:
 			// Discard is advisory; acknowledge without action.
 			reply(handle, 0, nil)
-
-		default:
-			reply(handle, nbdEINVAL, nil)
+			continue
 		}
+
+		// Requests refused without touching the device are answered from
+		// here, before any length-sized buffer exists: a peer cannot make
+		// the server allocate for a request it will not execute.
+		var refuse uint32
+		size := uint64(exp.Device.Size())
+		switch {
+		case cmd != cmdRead && cmd != cmdWrite && cmd != cmdFlush:
+			refuse = nbdEINVAL
+		case cmd == cmdWrite && exp.ReadOnly:
+			refuse = nbdEPERM
+		case cmd != cmdFlush && (offset > size || uint64(length) > size-offset):
+			refuse = nbdEINVAL
+		}
+		if refuse != 0 {
+			if cmd == cmdWrite { // keep the stream in sync: skip the payload
+				if _, err := br.Discard(int(length)); err != nil {
+					return err
+				}
+			}
+			s.count(cmd, 0)
+			reply(handle, refuse, nil)
+			continue
+		}
+		var bp *[]byte
+		if cmd == cmdWrite {
+			bp = s.getBuf(length)
+			if _, err := io.ReadFull(br, *bp); err != nil {
+				s.putBuf(bp)
+				return err
+			}
+		}
+
+		s.activeReqs.Add(1)
+		if cmd != cmdFlush && len(sem) == 0 && br.Buffered() == 0 {
+			serve(cmd, handle, offset, length, bp)
+			continue
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() {
+				<-sem
+				wg.Done()
+			}()
+			serve(cmd, handle, offset, length, bp)
+		}()
+	}
+}
+
+// count records one handled command and the payload bytes it moved.
+func (s *Server) count(cmd uint16, moved uint32) {
+	switch cmd {
+	case cmdRead:
+		s.ReadOps.Add(1)
+		s.BytesRead.Add(int64(moved))
+	case cmdWrite:
+		s.WriteOps.Add(1)
+		s.BytesWritten.Add(int64(moved))
+	case cmdFlush:
+		s.FlushOps.Add(1)
 	}
 }
