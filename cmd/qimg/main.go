@@ -545,13 +545,14 @@ func cmdConvert(args []string) error {
 }
 
 // cmdDedup either inspects an on-disk dedup store (-store; run it offline —
-// opening the store sweeps orphaned blobs, which would race a live daemon)
+// opening the store unlinks dead packs, compacts packs more than half dead
+// and imports a pre-pack blobs/ tree, all of which would race a live daemon)
 // or chunks the listed files in memory and reports how much they would share
 // in one: the what-if tool for sizing a dedup deployment.
 func cmdDedup(args []string) error {
 	fs := flag.NewFlagSet("dedup", flag.ExitOnError)
 	dir := fs.String("C", ".", "working directory")
-	storeDir := fs.String("store", "", "dedup store directory to inspect (e.g. <cachedir>/dedup)")
+	storeDir := fs.String("store", "", "dedup store directory to inspect offline (e.g. <cachedir>/dedup); reclaims dead packs")
 	jobs := fs.Int("j", 0, "chunk hash parallelism (0 = GOMAXPROCS, 1 = serial)")
 	fs.Parse(args) //nolint:errcheck
 	workers := *jobs
@@ -576,10 +577,10 @@ func cmdDedup(args []string) error {
 				name, len(m.Entries), float64(m.Length)/1e6, m.Checksum[:8])
 		}
 		st := s.Stats()
-		fmt.Printf("store: %d manifests, %d blobs; %.1f MB logical, %.1f MB unique raw, %.1f MB on disk (%.1f MB shared away)\n",
-			st.Manifests, st.Blobs, float64(st.LogicalBytes)/1e6, float64(st.UniqueRawBytes)/1e6,
+		fmt.Printf("store: %d manifests, %d blobs in %d packs; %.1f MB logical, %.1f MB unique raw, %.1f MB on disk (%.1f MB shared away)\n",
+			st.Manifests, st.Blobs, st.Packs, float64(st.LogicalBytes)/1e6, float64(st.UniqueRawBytes)/1e6,
 			float64(st.UniqueCompBytes)/1e6, float64(st.SharedBytes)/1e6)
-		return nil
+		return s.Close()
 	}
 
 	if fs.NArg() == 0 {

@@ -119,8 +119,8 @@ type Config struct {
 	// caches share chunk storage, evicted caches rehydrate from local
 	// blobs without touching the network, and peer warms become
 	// manifest-first — only chunks this pool does not already hold move,
-	// compressed. The blob tree's physical bytes are charged against
-	// Budget once, however many caches share them.
+	// compressed. The store's physical bytes (its pack files) are charged
+	// against Budget once, however many caches share them.
 	Dedup bool
 
 	// DedupWorkers is the chunk hash/compress/decompress parallelism of
@@ -246,6 +246,7 @@ type counters struct {
 	dedupReusedBytes   atomic.Int64
 	dedupChunkBatches  atomic.Int64 // vectored chunk-fetch round trips
 	dedupBatchedChunks atomic.Int64 // chunks that arrived via those batches
+	dedupImageHashes   atomic.Int64 // whole-image SHA-256 passes: materialize, confirm, build
 
 	// dedupBuildDuration and dedupMaterializeDuration record the wall time
 	// (ns) of manifest builds and image materializations — the two ends of
@@ -283,6 +284,7 @@ type Stats struct {
 	DedupDeltaWarms   int64 // caches warmed manifest-first from peers
 	DedupDeltaBytes   int64 // compressed bytes actually moved by delta warms
 	DedupReusedBytes  int64 // raw bytes delta warms reused from local blobs
+	DedupImageHashes  int64 // whole-image SHA-256 passes the dedup tier ran
 	Dedup             dedup.StoreStats
 
 	SwarmWarms         int64 // caches warmed through chunk-level swarm fetch
@@ -523,6 +525,9 @@ func (m *Manager) registerMetrics(r *metrics.Registry) {
 		r.CounterFunc("vmicache_dedup_chunk_batch_chunks_total",
 			"Chunks that arrived through vectored batch fetches.", l,
 			s.dedupBatchedChunks.Load)
+		r.CounterFunc("vmicache_dedup_image_hashes_total",
+			"Whole-image SHA-256 passes run by the dedup tier (materialize, confirm, build).", l,
+			s.dedupImageHashes.Load)
 		r.RegisterHistogram("vmicache_dedup_build_duration_ns",
 			"Wall time of chunk-manifest builds (publication pipeline).", l,
 			&s.dedupBuildDuration)
@@ -539,7 +544,7 @@ func (m *Manager) registerMetrics(r *metrics.Registry) {
 			"Sum of manifest lengths (bytes the caches would use unshared).", l,
 			func() int64 { return m.dstore.Stats().LogicalBytes })
 		r.GaugeFunc("vmicache_dedup_unique_bytes",
-			"Compressed bytes the blob tree actually occupies.", l,
+			"Bytes the blob store's packs occupy on disk.", l,
 			m.dstore.UniqueCompBytes)
 		r.GaugeFunc("vmicache_dedup_shared_bytes",
 			"Logical bytes deduplicated away by chunk sharing.", l,
@@ -808,6 +813,7 @@ func (m *Manager) Stats() Stats {
 		DedupDeltaWarms:   m.stats.dedupDeltaWarms.Load(),
 		DedupDeltaBytes:   m.stats.dedupDeltaBytes.Load(),
 		DedupReusedBytes:  m.stats.dedupReusedBytes.Load(),
+		DedupImageHashes:  m.stats.dedupImageHashes.Load(),
 		Dedup:             m.DedupStats(),
 
 		SwarmWarms:         m.stats.swarmWarms.Load(),
@@ -862,8 +868,15 @@ func (m *Manager) Close() error {
 		}
 	}
 
+	var err error
 	if exp != nil {
-		return exp.Shutdown(shutdownDrain)
+		err = exp.Shutdown(shutdownDrain)
 	}
-	return nil
+	// After the exporter has drained: peers read chunks out of the packs.
+	if m.dstore != nil {
+		if cerr := m.dstore.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

@@ -34,7 +34,7 @@ const (
 )
 
 // openDedup attaches the blob store when Config.Dedup is set; called by
-// New after recovery so the startup orphan sweep sees the final manifest
+// New after recovery so the store's opening reclaim sees the final manifest
 // set.
 func (m *Manager) openDedup() error {
 	if !m.cfg.Dedup {
@@ -49,7 +49,8 @@ func (m *Manager) openDedup() error {
 	return nil
 }
 
-// dedupReserve charges the blob tree's physical bytes against the pool
+// dedupReserve charges the blob store's physical bytes — its pack files,
+// dead records included until reclaim returns them — against the pool
 // budget. The blob store holds each unique chunk once however many caches
 // (pinned or not) reference it, so this is exactly the charge-once
 // accounting — summing per-cache manifest sizes would double-count every
@@ -63,7 +64,7 @@ func (m *Manager) dedupReserve() {
 	}
 	capacity := m.pool.Capacity()
 	for {
-		// Shed manifests of non-resident caches while the blob tree would
+		// Shed manifests of non-resident caches while the packs would
 		// not fit beside the resident files — shedding first, so the
 		// reservation never evicts a live cache to keep blobs of a dead
 		// one.
@@ -92,12 +93,18 @@ func (m *Manager) dedupReserve() {
 }
 
 // dedupPublish derives (or confirms) the chunk manifest of a
-// just-published cache file. When the committed manifest's checksum
-// already matches the file — a rehydration or delta warm committed it
-// before the qcow verification — only the cheap whole-file hash runs.
-// Manifest failures are logged, not fatal: the cache file serves fine
-// without its dedup tier.
-func (m *Manager) dedupPublish(key, pubPath string) error {
+// just-published cache file. A file materialized from the manifest that is
+// committed under key (from: a rehydration or delta warm) was already hashed
+// against it on the way to disk and has not been written since, so there is
+// nothing to do. Any other file that meets a committed manifest of its size
+// is confirmed by the cheap whole-file hash before the chunking pipeline is
+// paid for. Manifest failures are logged, not fatal: the cache file serves
+// fine without its dedup tier.
+func (m *Manager) dedupPublish(key, pubPath string, from *dedup.Manifest) error {
+	if have, ok := m.dstore.Manifest(key); ok && from != nil && have.Checksum == from.Checksum {
+		m.dstore.Drop(key + retiredSuffix) //nolint:errcheck // may not exist
+		return nil
+	}
 	f, err := os.Open(pubPath)
 	if err != nil {
 		return err
@@ -108,6 +115,7 @@ func (m *Manager) dedupPublish(key, pubPath string) error {
 		return err
 	}
 	if have, ok := m.dstore.Manifest(key); ok && have.Length == fi.Size() {
+		m.stats.dedupImageHashes.Add(1)
 		if sum, err := fileChecksum(f, fi.Size()); err == nil && sum == have.Checksum {
 			m.dstore.Drop(key + retiredSuffix) //nolint:errcheck // may not exist
 			return nil
@@ -116,6 +124,7 @@ func (m *Manager) dedupPublish(key, pubPath string) error {
 	var held []dedup.Key
 	defer func() { m.dstore.Release(held) }()
 	start := time.Now()
+	m.stats.dedupImageHashes.Add(1)
 	// The pipeline's workers compress each chunk into its wire blob, so
 	// the store lands bytes as-is (PutBuilt) instead of re-deflating.
 	man, err := dedup.BuildParallel(f, fi.Size(),
@@ -170,13 +179,13 @@ func fileChecksum(f *os.File, size int64) (dedup.Key, error) {
 
 // rehydrate rebuilds the cache file for key from locally-held blobs — the
 // zero-network path for a cache whose file was evicted while its manifest
-// survived. Reports whether the temp file was materialized; on blob
-// corruption the manifest is dropped so the warm falls through to the
-// network paths instead of retrying a poisoned rebuild.
-func (m *Manager) rehydrate(key, tmpName string) bool {
+// survived. Returns the manifest the temp file was materialized from, nil
+// if it was not; on blob corruption the manifest is dropped so the warm
+// falls through to the network paths instead of retrying a poisoned rebuild.
+func (m *Manager) rehydrate(key, tmpName string) *dedup.Manifest {
 	man, ok := m.dstore.Manifest(key)
 	if !ok {
-		return false
+		return nil
 	}
 	var held []dedup.Key
 	defer func() { m.dstore.Release(held) }()
@@ -184,7 +193,7 @@ func (m *Manager) rehydrate(key, tmpName string) bool {
 		if !m.dstore.Stage(e.Hash) {
 			m.logf("cachemgr: rehydrating %s: blob missing; dropping manifest", key)
 			m.dstore.Drop(key) //nolint:errcheck // best-effort cleanup
-			return false
+			return nil
 		}
 		held = append(held, e.Hash)
 	}
@@ -192,9 +201,9 @@ func (m *Manager) rehydrate(key, tmpName string) bool {
 		m.logf("cachemgr: rehydrating %s: %v; dropping manifest", key, err)
 		m.store.Remove(tmpName) //nolint:errcheck // partial materialization
 		m.dstore.Drop(key)      //nolint:errcheck // best-effort cleanup
-		return false
+		return nil
 	}
-	return true
+	return man
 }
 
 // materialize writes a manifest's content into tmpName from the blob
@@ -206,6 +215,7 @@ func (m *Manager) materialize(tmpName string, man *dedup.Manifest) error {
 		return err
 	}
 	start := time.Now()
+	m.stats.dedupImageHashes.Add(1)
 	if err := dedup.Materialize(f, man, m.dstore, m.dedupWorkers()); err != nil {
 		f.Close() //nolint:errcheck // already failing
 		return err
@@ -229,12 +239,11 @@ func (m *Manager) materialize(tmpName string, man *dedup.Manifest) error {
 // rarest-first partial maps the spread is plain round-robin with
 // reassignment on failure). The blobs and manifest commit before the qcow
 // verification so a publish failure still leaves the chunks shared.
-func (m *Manager) deltaWarm(key, tmpName string) (wire, reused int64, err error) {
+func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, wire, reused int64, err error) {
 	type holder struct {
 		addr string
 		c    *rblock.Client
 	}
-	var man *dedup.Manifest
 	var holders []holder
 	defer func() {
 		for _, h := range holders {
@@ -267,7 +276,7 @@ func (m *Manager) deltaWarm(key, tmpName string) (wire, reused int64, err error)
 		holders = append(holders, holder{addr: addr, c: c})
 	}
 	if man == nil {
-		return 0, 0, fmt.Errorf("cachemgr: no peer advertises a manifest for %s", key)
+		return nil, 0, 0, fmt.Errorf("cachemgr: no peer advertises a manifest for %s", key)
 	}
 
 	// Stage what is already here; collect what must move.
@@ -403,22 +412,22 @@ func (m *Manager) deltaWarm(key, tmpName string) (wire, reused int64, err error)
 	wg.Wait()
 	close(errs)
 	if err := <-errs; err != nil {
-		return wireBytes.Load(), reused, err
+		return nil, wireBytes.Load(), reused, err
 	}
 	wire = wireBytes.Load()
 
 	if err := m.materialize(tmpName, man); err != nil {
-		return wire, reused, err
+		return nil, wire, reused, err
 	}
 	// Blobs and manifest are content-verified already; commit them before
 	// the qcow publication so even a verification failure leaves the
 	// chunks shared for the next attempt.
 	if err := m.dstore.Commit(key, man); err != nil {
-		return wire, reused, err
+		return nil, wire, reused, err
 	}
 	m.dstore.Drop(key + retiredSuffix) //nolint:errcheck // may not exist
 	committed = true
-	return wire, reused, nil
+	return man, wire, reused, nil
 }
 
 // Invalidate drops the published cache and manifest for a rebuilt base

@@ -63,12 +63,12 @@ func bootAndCheck(t *testing.T, m *cachemgr.Manager, s *storageNode, base, vmID 
 	}
 }
 
-// blobTreeBytes walks <dir>/dedup/blobs and sums file sizes — the ground
+// blobTreeBytes walks <dir>/dedup/packs and sums file sizes — the ground
 // truth the pool reservation must match.
 func blobTreeBytes(t *testing.T, dir string) int64 {
 	t.Helper()
 	var total int64
-	err := filepath.WalkDir(filepath.Join(dir, "dedup", "blobs"), func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(filepath.Join(dir, "dedup", "packs"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -163,6 +163,9 @@ func TestDedupRehydrate(t *testing.T) {
 	if st.ColdWarms != 0 || st.PeerFetches != 0 || st.DedupDeltaWarms != 0 {
 		t.Fatalf("rehydration touched the network: %+v", st)
 	}
+	if st.DedupImageHashes != 1 {
+		t.Fatalf("rehydration hashed the whole image %d times, want 1", st.DedupImageHashes)
+	}
 }
 
 // TestDedupRehydrateCorruptBlob poisons a blob under a surviving manifest:
@@ -188,23 +191,17 @@ func TestDedupRehydrateCorruptBlob(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, key)); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte mid-payload in some blob.
-	var victim string
-	err := filepath.WalkDir(filepath.Join(dir, "dedup", "blobs"), func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && victim == "" {
-			victim = path
-		}
-		return err
-	})
-	if err != nil || victim == "" {
-		t.Fatalf("no blob to corrupt: %v", err)
+	// Flip a byte in the middle of the pack: inside some blob's record.
+	packs, err := filepath.Glob(filepath.Join(dir, "dedup", "packs", "*.pk"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("want one pack to corrupt, found %v (%v)", packs, err)
 	}
-	b, err := os.ReadFile(victim)
+	b, err := os.ReadFile(packs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[8+(len(b)-8)/2] ^= 0xFF
-	if err := os.WriteFile(victim, b, 0o644); err != nil {
+	b[len(b)/2] ^= 0xFF
+	if err := os.WriteFile(packs[0], b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

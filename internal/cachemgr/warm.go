@@ -8,6 +8,7 @@ import (
 	"vmicache/internal/backend"
 	"vmicache/internal/boot"
 	"vmicache/internal/core"
+	"vmicache/internal/dedup"
 	"vmicache/internal/qcow"
 	"vmicache/internal/rblock"
 )
@@ -28,8 +29,8 @@ func (m *Manager) warm(base, key string) error {
 	if m.dstore != nil {
 		// Cheapest first: an evicted cache whose manifest survived rebuilds
 		// from local blobs without touching the network.
-		if m.rehydrate(key, tmpName) {
-			if err := m.publish(key); err == nil {
+		if man := m.rehydrate(key, tmpName); man != nil {
+			if err := m.publish(key, man); err == nil {
 				m.stats.dedupRehydrations.Add(1)
 				m.logf("cachemgr: rehydrated %s from local chunks", key)
 				return nil
@@ -41,9 +42,9 @@ func (m *Manager) warm(base, key string) error {
 		// Manifest-first peer transfer: fetch only the chunks this pool
 		// does not already hold, from any peer advertising the manifest.
 		if len(m.cfg.Peers) > 0 {
-			wire, reused, err := m.deltaWarm(key, tmpName)
+			man, wire, reused, err := m.deltaWarm(key, tmpName)
 			if err == nil {
-				if err = m.publish(key); err == nil {
+				if err = m.publish(key, man); err == nil {
 					m.stats.dedupDeltaWarms.Add(1)
 					m.stats.dedupDeltaBytes.Add(wire)
 					m.stats.dedupReusedBytes.Add(reused)
@@ -62,7 +63,7 @@ func (m *Manager) warm(base, key string) error {
 	if m.cfg.SwarmEnabled {
 		counts, err := m.swarmWarm(base, key, tmpName)
 		if err == nil {
-			if err = m.publish(key); err == nil {
+			if err = m.publish(key, nil); err == nil {
 				m.stats.swarmWarms.Add(1)
 				m.logf("cachemgr: swarm-warmed %s: %d chunks from peers (%.1f MB), %d from storage (%.1f MB), %d reassigned",
 					key, counts.ChunksPeer, float64(counts.BytesPeer)/1e6,
@@ -81,7 +82,7 @@ func (m *Manager) warm(base, key string) error {
 		n, err := m.fetchFromPeer(peer, key, tmpName)
 		m.notePeer(peer, n, err)
 		if err == nil {
-			if err = m.publish(key); err == nil {
+			if err = m.publish(key, nil); err == nil {
 				m.stats.peerFetches.Add(1)
 				m.stats.peerFetchBytes.Add(n)
 				m.logf("cachemgr: pulled %s (%d bytes) from peer %s", key, n, peer)
@@ -103,7 +104,7 @@ func (m *Manager) warm(base, key string) error {
 		// served, because attach only consults published names.
 		return err
 	}
-	if err := m.publish(key); err != nil {
+	if err := m.publish(key, nil); err != nil {
 		return err
 	}
 	m.stats.coldWarms.Add(1)
@@ -226,19 +227,26 @@ func (m *Manager) warmWrap(_ core.Locator, f backend.File, depth int) backend.Fi
 // and sync the directory so the rename is durable. Only then does the cache
 // enter the pool and become attachable. A crash anywhere before the rename
 // leaves only a temp file, which recovery discards.
-func (m *Manager) publish(key string) error {
+//
+// from is non-nil when the temp was materialized from that manifest: its
+// bytes were hashed against the manifest's checksum as they were written and
+// the file was fsynced, so it is verified read-only — nothing may write into
+// a file whose checksum has been taken — and the checksum is not taken again.
+func (m *Manager) publish(key string, from *dedup.Manifest) error {
 	tmpPath := filepath.Join(m.dir, key+tmpSuffix)
 	pubPath := filepath.Join(m.dir, key)
 
-	f, err := backend.OpenOSFile(tmpPath, false)
+	readOnly := from != nil
+	f, err := backend.OpenOSFile(tmpPath, readOnly)
 	if err != nil {
 		return err
 	}
-	img, err := qcow.OpenVerified(f, qcow.OpenOpts{})
+	img, err := qcow.OpenVerified(f, qcow.OpenOpts{ReadOnly: readOnly})
 	if err != nil {
 		return fmt.Errorf("cachemgr: verifying %s: %w", key, err) // f closed by OpenVerified
 	}
-	// Close syncs the cache-used header field and fsyncs the container.
+	// Close of a writable image syncs the cache-used header field and
+	// fsyncs the container.
 	if err := img.Close(); err != nil {
 		return err
 	}
@@ -268,7 +276,7 @@ func (m *Manager) publish(key string) error {
 	if m.dstore != nil {
 		// Derive (or confirm) the chunk manifest. Non-fatal: the published
 		// cache serves fine without its dedup tier.
-		if err := m.dedupPublish(key, pubPath); err != nil {
+		if err := m.dedupPublish(key, pubPath, from); err != nil {
 			m.logf("cachemgr: dedup manifest for %s: %v", key, err)
 		}
 		m.dedupReserve()

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // BlobStore is the per-pool content-addressed store behind cachemgr's
@@ -23,41 +22,55 @@ import (
 //
 // Layout under the root directory:
 //
-//	blobs/<hh>/<64-hex>.z   8-byte big-endian raw length + flate stream
+//	packs/<seq>.pk          append-only blob records (pack.go)
 //	manifests/<name>.vmm    Manifest.Encode bytes
 //
-// Crash ordering mirrors cachemgr publication: every blob of a manifest is
-// durable before the manifest itself commits (tmp → fsync → rename → dir
-// fsync). Blob landings themselves are group-committed: Put writes and
-// renames the blob visible without fsync, recording it dirty, and Commit
-// flushes every dirty blob file and touched blob directory in one batch
-// before the manifest file commits — one fsync window per publication
-// instead of one per chunk. A crash in between leaves orphan blobs —
-// referenced by no manifest — which Open's startup sweep deletes,
-// alongside stray *.tmp files from either stage.
+// A blob lands as one record appended to the active pack — one write under
+// the store lock, no fsync — and is read back with one pread on the pack's
+// held descriptor. Crash ordering mirrors cachemgr publication: Commit
+// flushes the packs (one fsync of the active pack, one of the directory
+// when the pack is new) before the manifest file commits (tmp → fsync →
+// rename → dir fsync), so every blob a manifest names is durable before the
+// manifest is. A crash in between leaves records no manifest references;
+// Open does not index them, and the space goes when their pack does.
+//
+// Only the process that created a pack appends to it. Every pack found at
+// Open is sealed: read, or unlinked once dead, never written or truncated.
+// Dead space comes back by two rules (reclaimLocked): a pack with no live
+// record is unlinked, a pack more than half dead is copied forward.
 type BlobStore struct {
 	dir string
 
 	mu        sync.Mutex
+	closed    bool
 	refs      map[Key]int // manifest references
 	staged    map[Key]int // in-flight publications holding the blob pre-Commit
-	blobs     map[Key]blobInfo
+	blobs     map[Key]blobLoc
 	manifests map[string]*Manifest
 	logical   int64 // sum of manifest lengths
 
-	// dirty tracks blob files written but not yet fsynced, and the blob
-	// subdirectories their renames dirtied. flushMu serialises flushes so
-	// a Commit never proceeds while another flush that snapshotted its
-	// blobs is still in flight.
-	dirty     map[string]struct{}
-	dirtyDirs map[string]struct{}
-	flushMu   sync.Mutex
+	packs    []*pack // every pack on disk, oldest first
+	active   *pack   // the one this process appends to; nil until the first put
+	nextSeq  uint64
+	physical int64  // sum of pack sizes: what the store costs on disk
+	dirDirty bool   // a pack was created since the directory's last fsync
+	recBuf   []byte // record assembly scratch: header + blob leave in one write
+
+	writes, syncs atomic.Int64
+
+	// sync is (*os.File).Sync; tests swap it to inject flush failures.
+	sync func(*os.File) error
 }
 
-type blobInfo struct {
-	rawLen  int64
-	compLen int64
+// blobLoc is where a blob's record sits.
+type blobLoc struct {
+	p       *pack
+	off     int64 // of the record header
+	wireLen uint32
+	rawLen  uint32
 }
+
+func (l blobLoc) recLen() int64 { return recHdrLen + int64(l.wireLen) }
 
 // ErrCorruptBlob reports a blob whose decompressed content fails its hash.
 var ErrCorruptBlob = errors.New("dedup: corrupt blob")
@@ -65,26 +78,28 @@ var ErrCorruptBlob = errors.New("dedup: corrupt blob")
 // ErrNoBlob reports a blob absent from the store.
 var ErrNoBlob = errors.New("dedup: no such blob")
 
+// ErrClosed reports a call on a store after Close.
+var ErrClosed = errors.New("dedup: store closed")
+
 const (
-	blobSuffix     = ".z"
 	manifestSuffix = ".vmm"
 	blobHdrLen     = 8
 )
 
 // OpenBlobStore opens (creating if needed) the store rooted at dir,
-// rebuilds refcounts from the manifests on disk, and sweeps orphan blobs
-// and temp files left by a crash between blob and manifest commit.
+// rebuilds refcounts from the manifests on disk and the blob index from the
+// packs, imports a pre-pack blob tree if one is there, and reclaims packs
+// that a crash or a past eviction left mostly or wholly dead.
 func OpenBlobStore(dir string) (*BlobStore, error) {
 	s := &BlobStore{
 		dir:       dir,
 		refs:      make(map[Key]int),
 		staged:    make(map[Key]int),
-		blobs:     make(map[Key]blobInfo),
+		blobs:     make(map[Key]blobLoc),
 		manifests: make(map[string]*Manifest),
-		dirty:     make(map[string]struct{}),
-		dirtyDirs: make(map[string]struct{}),
+		sync:      (*os.File).Sync,
 	}
-	for _, d := range []string{s.blobDir(), s.manifestDir()} {
+	for _, d := range []string{s.packDir(), s.manifestDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, err
 		}
@@ -108,70 +123,25 @@ func OpenBlobStore(dir string) (*BlobStore, error) {
 		m, err := DecodeManifest(b)
 		if err != nil {
 			// A torn or stale manifest is dropped, never served; its
-			// blobs become orphans and the sweep below reclaims them.
+			// blobs become dead records and reclaim takes them.
 			os.Remove(path) //nolint:errcheck // corrupt entry, best effort
 			continue
 		}
 		s.indexManifest(strings.TrimSuffix(name, manifestSuffix), m)
 	}
-	// Sweep the blob tree: index live blobs, delete orphans and temps.
-	err = filepath.WalkDir(s.blobDir(), func(path string, de os.DirEntry, err error) error {
-		if err != nil || de.IsDir() {
-			return err
-		}
-		key, ok := parseBlobName(de.Name())
-		if !ok || s.refs[key] == 0 {
-			os.Remove(path) //nolint:errcheck // orphan/temp, best effort
-			return nil
-		}
-		info, err := de.Info()
-		if err != nil {
-			return err
-		}
-		raw, rerr := readBlobRawLen(path)
-		if rerr != nil {
-			raw = 0 // unreadable header; kept only because referenced
-		}
-		s.blobs[key] = blobInfo{rawLen: raw, compLen: info.Size()}
-		return nil
-	})
+	err = s.openPacks()
+	if err == nil {
+		err = s.importLegacy()
+	}
 	if err != nil {
+		s.Close() //nolint:errcheck // already failing
 		return nil, err
 	}
+	s.reclaimLocked()
 	return s, nil
 }
 
-func (s *BlobStore) blobDir() string     { return filepath.Join(s.dir, "blobs") }
 func (s *BlobStore) manifestDir() string { return filepath.Join(s.dir, "manifests") }
-
-func (s *BlobStore) blobPath(k Key) string {
-	h := hex.EncodeToString(k[:])
-	return filepath.Join(s.blobDir(), h[:2], h+blobSuffix)
-}
-
-func parseBlobName(name string) (Key, bool) {
-	if !strings.HasSuffix(name, blobSuffix) {
-		return Key{}, false
-	}
-	b, err := hex.DecodeString(strings.TrimSuffix(name, blobSuffix))
-	if err != nil || len(b) != sha256.Size {
-		return Key{}, false
-	}
-	return Key(b), true
-}
-
-func readBlobRawLen(path string) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close() //nolint:errcheck // read-only handle
-	var hdr [blobHdrLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, err
-	}
-	return int64(binary.BigEndian.Uint64(hdr[:])), nil
-}
 
 // indexManifest records m under name, bumping blob refcounts. Caller holds
 // the lock (or is still single-threaded in Open).
@@ -183,20 +153,45 @@ func (s *BlobStore) indexManifest(name string, m *Manifest) {
 	}
 }
 
-// gcLocked deletes blob k from disk and the index once nothing holds it:
-// no manifest reference and no in-flight publication stage. Caller holds
-// the lock — the file removal rides along so a racing Put of the same hash
-// cannot interleave between the index delete and the unlink.
+func (s *BlobStore) indexLocked(k Key, loc blobLoc) {
+	s.blobs[k] = loc
+	loc.p.live += loc.recLen()
+}
+
+// gcLocked drops blob k from the index once nothing holds it: no manifest
+// reference and no in-flight publication stage. Its record turns into dead
+// space; the caller runs reclaimLocked when it is done killing.
 func (s *BlobStore) gcLocked(k Key) {
 	if s.refs[k] > 0 || s.staged[k] > 0 {
 		return
 	}
 	delete(s.refs, k)
 	delete(s.staged, k)
-	delete(s.blobs, k)
-	path := s.blobPath(k)
-	delete(s.dirty, path)
-	os.Remove(path) //nolint:errcheck // zero-ref GC, best effort
+	if loc, ok := s.blobs[k]; ok {
+		delete(s.blobs, k)
+		loc.p.live -= loc.recLen()
+	}
+}
+
+// Close releases the pack descriptors. It is idempotent, and the store is
+// unusable afterwards: blobs read as ErrClosed, nothing can be put, staged
+// or committed; Stats keeps describing what is on disk. Unflushed records
+// need no flush — no manifest names them.
+func (s *BlobStore) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	var err error
+	for _, p := range s.packs {
+		if cerr := p.f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	s.packs, s.active = nil, nil // the index stays: Stats still describes the store
+	return err
 }
 
 // Has reports whether the store holds a blob for k (referenced or staged).
@@ -207,28 +202,23 @@ func (s *BlobStore) Has(k Key) bool {
 	return ok
 }
 
-// Put stages the blob for k (raw chunk bytes): compress, write tmp, fsync,
-// rename — skipped entirely when the blob already exists, which is the
+// Put stages the blob for k (raw chunk bytes): compress and append to the
+// active pack — skipped entirely when the blob already exists, which is the
 // dedup. A successful Put takes one stage hold on k that pins it against
 // GC until the publisher calls Release, closing the window where a racing
 // eviction could free a chunk between a publisher's existence check and
 // its manifest commit. Callers record each held key and Release them all
 // (after Commit, or on failure) — typically in a defer.
 func (s *BlobStore) Put(k Key, raw []byte) error {
-	s.mu.Lock()
-	s.staged[k]++
-	_, ok := s.blobs[k]
-	s.mu.Unlock()
-	if ok {
+	if s.Stage(k) {
 		return nil
 	}
 	buf := compBufPool.Get().(*bytes.Buffer)
 	defer compBufPool.Put(buf)
 	if err := encodeWireBlob(buf, raw); err != nil {
-		s.unstage(k)
 		return err
 	}
-	return s.finishPut(k, buf.Bytes(), int64(len(raw)))
+	return s.land(k, buf.Bytes())
 }
 
 // PutBuilt stages an already-encoded wire blob the caller itself produced
@@ -240,106 +230,61 @@ func (s *BlobStore) PutBuilt(k Key, comp []byte, rawLen int64) error {
 	if len(comp) < blobHdrLen || int64(binary.BigEndian.Uint64(comp[:blobHdrLen])) != rawLen {
 		return fmt.Errorf("%w: %s: bad frame", ErrCorruptBlob, k)
 	}
-	s.mu.Lock()
-	s.staged[k]++
-	_, ok := s.blobs[k]
-	s.mu.Unlock()
-	if ok {
-		return nil
-	}
-	return s.finishPut(k, comp, rawLen)
+	return s.land(k, comp)
 }
 
 // PutCompressed stages an already-compressed wire blob (an OpChunk reply):
-// the blob is decoded and hash-verified first, so a corrupt transfer
-// surfaces as ErrCorruptBlob and never lands on disk. Takes a stage hold
-// exactly like Put.
+// the blob is decoded and hash-verified first, in a pooled buffer, so a
+// corrupt transfer surfaces as ErrCorruptBlob and never lands on disk.
+// Takes a stage hold exactly like Put.
 func (s *BlobStore) PutCompressed(k Key, comp []byte) error {
-	raw, err := DecodeBlob(k, comp)
+	rawLen, err := blobRawLen(k, comp)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.staged[k]++
-	_, ok := s.blobs[k]
-	s.mu.Unlock()
-	if ok {
-		return nil
+	if rawLen <= MaxChunk {
+		buf := chunkBufPool.Get().(*[]byte)
+		err = decodeInto((*buf)[:rawLen], k, comp)
+		chunkBufPool.Put(buf)
+	} else {
+		err = decodeInto(make([]byte, rawLen), k, comp)
 	}
-	return s.finishPut(k, comp, int64(len(raw)))
+	if err != nil {
+		return err
+	}
+	return s.land(k, comp)
 }
 
-// finishPut writes the compressed bytes to disk and indexes the blob. The
-// blob is renamed visible without fsync — it is recorded dirty and flushed
-// in the next Commit's group fsync, preserving blobs-before-manifest crash
-// ordering at one fsync batch per publication. The caller already holds a
-// stage on k; on error the stage is released.
-func (s *BlobStore) finishPut(k Key, comp []byte, rawLen int64) error {
-	path := s.blobPath(k)
-	dir := filepath.Dir(path)
-	err := os.MkdirAll(dir, 0o755)
-	if err == nil {
-		err = writeFileNoSync(path, comp)
-	}
-	if err != nil {
-		s.unstage(k)
-		return err
-	}
+// land takes a stage hold on k and, unless the store already holds the
+// blob, appends wire as its record. Check and append share one critical
+// section, so racing writers of one hash leave one record.
+func (s *BlobStore) land(k Key, wire []byte) error {
 	s.mu.Lock()
-	// A concurrent writer of the same hash wrote identical content, so
-	// last rename wins harmlessly.
-	s.blobs[k] = blobInfo{rawLen: rawLen, compLen: int64(len(comp))}
-	s.dirty[path] = struct{}{}
-	s.dirtyDirs[dir] = struct{}{}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if _, ok := s.blobs[k]; !ok {
+		loc, err := s.writeRecordLocked(k, wire)
+		if err != nil {
+			return err
+		}
+		s.indexLocked(k, loc)
+	}
+	s.staged[k]++
 	return nil
 }
 
-// Flush makes every blob landed so far durable: one fsync per dirty blob
-// file, then one per touched blob subdirectory. Commit calls it before the
+// Flush makes every blob landed so far durable. Commit calls it before the
 // manifest file commits; exposed for callers that need durability without
 // a manifest (none in-tree today, tests aside).
 func (s *BlobStore) Flush() error {
-	// Serialise flushes: a Commit must not race past a concurrent flush
-	// that snapshotted (but has not yet synced) the blobs it depends on.
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
 	s.mu.Lock()
-	if len(s.dirty) == 0 && len(s.dirtyDirs) == 0 {
-		s.mu.Unlock()
-		return nil
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	files := make([]string, 0, len(s.dirty))
-	for p := range s.dirty {
-		files = append(files, p)
-	}
-	dirs := make([]string, 0, len(s.dirtyDirs))
-	for d := range s.dirtyDirs {
-		dirs = append(dirs, d)
-	}
-	s.dirty = make(map[string]struct{})
-	s.dirtyDirs = make(map[string]struct{})
-	s.mu.Unlock()
-	for _, p := range files {
-		f, err := os.Open(p)
-		if errors.Is(err, os.ErrNotExist) {
-			continue // GC'd between snapshot and sync
-		}
-		if err != nil {
-			return err
-		}
-		err = f.Sync()
-		f.Close() //nolint:errcheck // read-only handle
-		if err != nil {
-			return err
-		}
-	}
-	for _, d := range dirs {
-		if err := syncDir(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.flushLocked()
 }
 
 // Stage takes a stage hold on k if its blob is present, reporting whether
@@ -348,20 +293,11 @@ func (s *BlobStore) Flush() error {
 func (s *BlobStore) Stage(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.blobs[k]; !ok {
+	if _, ok := s.blobs[k]; !ok || s.closed {
 		return false
 	}
 	s.staged[k]++
 	return true
-}
-
-func (s *BlobStore) unstage(k Key) {
-	s.mu.Lock()
-	if s.staged[k] > 0 {
-		s.staged[k]--
-	}
-	s.gcLocked(k)
-	s.mu.Unlock()
 }
 
 // Release drops the stage holds a publication took via Put/PutCompressed/
@@ -376,79 +312,124 @@ func (s *BlobStore) Release(held []Key) {
 		}
 		s.gcLocked(k)
 	}
+	s.reclaimLocked()
+}
+
+// syncFile fsyncs f, counted in StoreStats.Syncs.
+func (s *BlobStore) syncFile(f *os.File) error {
+	s.syncs.Add(1)
+	return s.sync(f)
+}
+
+// syncDir fsyncs a directory so a create or rename within it is durable.
+func (s *BlobStore) syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() //nolint:errcheck // read-only handle
+	return s.syncFile(d)
 }
 
 // commitFile writes data as path atomically and durably: unique tmp in the
 // same directory (concurrent writers of one path must not share a temp),
 // fsync, rename.
-func commitFile(path string, data []byte) error {
-	return writeFile(path, data, true)
-}
-
-// writeFileNoSync writes data as path atomically but defers durability:
-// the rename makes the content visible, the caller batches the fsync
-// later (the blob group-commit path).
-func writeFileNoSync(path string, data []byte) error {
-	return writeFile(path, data, false)
-}
-
-func writeFile(path string, data []byte, durable bool) error {
+func (s *BlobStore) commitFile(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()      //nolint:errcheck // already failing
-		os.Remove(tmp) //nolint:errcheck // best effort
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = s.syncFile(f)
 	}
-	if durable {
-		if err := f.Sync(); err != nil {
-			f.Close()      //nolint:errcheck // already failing
-			os.Remove(tmp) //nolint:errcheck // best effort
-			return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck // best effort
+	}
+	return err
+}
+
+// readWire preads blob k's wire bytes into buf, grown when too small. A
+// pack can be retired between the lookup and the read — its blobs moved by
+// a copy-forward, or died — which the read sees as os.ErrClosed: look again.
+func (s *BlobStore) readWire(k Key, buf []byte) ([]byte, error) {
+	for {
+		s.mu.Lock()
+		loc, ok := s.blobs[k]
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			return nil, ErrClosed
 		}
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNoBlob, k)
+		}
+		if cap(buf) < int(loc.wireLen) {
+			buf = make([]byte, loc.wireLen)
+		}
+		buf = buf[:loc.wireLen]
+		_, err := loc.p.f.ReadAt(buf, loc.off+recHdrLen)
+		if errors.Is(err, os.ErrClosed) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: reading %s: %v", ErrCorruptBlob, k, packName(loc.p.seq), err)
+		}
+		return buf, nil
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best effort
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // ReadCompressed returns the on-disk (compressed, length-framed) bytes of
 // blob k and its raw length — the wire representation OpChunk ships.
 func (s *BlobStore) ReadCompressed(k Key) (comp []byte, rawLen int64, err error) {
-	b, err := os.ReadFile(s.blobPath(k))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNoBlob, k)
-	}
+	comp, err = s.readWire(k, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(b) < blobHdrLen {
-		return nil, 0, fmt.Errorf("%w: %s: truncated header", ErrCorruptBlob, k)
+	return comp, int64(binary.BigEndian.Uint64(comp[:blobHdrLen])), nil
+}
+
+// blobRawLen parses and bounds the raw length a wire blob is framed with.
+func blobRawLen(k Key, comp []byte) (int64, error) {
+	if len(comp) < blobHdrLen {
+		return 0, fmt.Errorf("%w: %s: truncated header", ErrCorruptBlob, k)
 	}
-	return b, int64(binary.BigEndian.Uint64(b[:blobHdrLen])), nil
+	rawLen := int64(binary.BigEndian.Uint64(comp[:blobHdrLen]))
+	if rawLen < 0 || rawLen > MaxChunk*2 {
+		return 0, fmt.Errorf("%w: %s: raw length %d", ErrCorruptBlob, k, rawLen)
+	}
+	return rawLen, nil
+}
+
+// decodeInto inflates wire blob comp into raw — sized by the caller to the
+// framed length — and verifies the content hashes to k.
+func decodeInto(raw []byte, k Key, comp []byte) error {
+	if err := inflateInto(raw, comp[blobHdrLen:]); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorruptBlob, k, err)
+	}
+	if sha256.Sum256(raw) != [sha256.Size]byte(k) {
+		return fmt.Errorf("%w: %s: hash mismatch", ErrCorruptBlob, k)
+	}
+	return nil
 }
 
 // DecodeBlob inflates a wire/disk blob and verifies the content hashes to
 // k — the corrupt-blob (and corrupt-transfer) detection path.
 func DecodeBlob(k Key, comp []byte) ([]byte, error) {
-	if len(comp) < blobHdrLen {
-		return nil, fmt.Errorf("%w: %s: truncated header", ErrCorruptBlob, k)
-	}
-	rawLen := int64(binary.BigEndian.Uint64(comp[:blobHdrLen]))
-	if rawLen < 0 || rawLen > MaxChunk*2 {
-		return nil, fmt.Errorf("%w: %s: raw length %d", ErrCorruptBlob, k, rawLen)
+	rawLen, err := blobRawLen(k, comp)
+	if err != nil {
+		return nil, err
 	}
 	raw := make([]byte, rawLen)
-	if err := inflateInto(raw, comp[blobHdrLen:]); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptBlob, k, err)
-	}
-	if sha256.Sum256(raw) != [sha256.Size]byte(k) {
-		return nil, fmt.Errorf("%w: %s: hash mismatch", ErrCorruptBlob, k)
+	if err := decodeInto(raw, k, comp); err != nil {
+		return nil, err
 	}
 	return raw, nil
 }
@@ -462,10 +443,10 @@ func (s *BlobStore) ReadBlob(k Key) ([]byte, error) {
 	return DecodeBlob(k, comp)
 }
 
-// Commit publishes m under name: the manifest file commits (tmp → fsync →
-// rename → dir fsync) and refcounts shift atomically — replacing an
-// existing manifest of the same name (checksum invalidation) unrefs the
-// old chunk set and deletes blobs that drop to zero. Every blob m
+// Commit publishes m under name: the packs flush, the manifest file commits
+// (tmp → fsync → rename → dir fsync) and refcounts shift atomically —
+// replacing an existing manifest of the same name (checksum invalidation)
+// unrefs the old chunk set and frees blobs that drop to zero. Every blob m
 // references must already be Put.
 func (s *BlobStore) Commit(name string, m *Manifest) error {
 	if strings.ContainsAny(name, "/\\") {
@@ -477,10 +458,10 @@ func (s *BlobStore) Commit(name string, m *Manifest) error {
 		return err
 	}
 	path := filepath.Join(s.manifestDir(), name+manifestSuffix)
-	if err := commitFile(path, m.Encode()); err != nil {
+	if err := s.commitFile(path, m.Encode()); err != nil {
 		return err
 	}
-	if err := syncDir(s.manifestDir()); err != nil {
+	if err := s.syncDir(s.manifestDir()); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -488,39 +469,44 @@ func (s *BlobStore) Commit(name string, m *Manifest) error {
 	// Ref the new chunk set before unreffing the old so chunks shared
 	// across versions never transit zero (and never get GC'd).
 	old := s.manifests[name]
-	s.manifests[name] = m
-	s.logical += m.Length
-	for _, e := range m.Entries {
-		s.refs[e.Hash]++
-	}
+	s.indexManifest(name, m)
 	if old != nil {
-		s.logical -= old.Length
-		for _, e := range old.Entries {
-			s.refs[e.Hash]--
-			s.gcLocked(e.Hash)
-		}
+		s.unrefLocked(old)
 	}
 	return nil
 }
 
-// Drop removes name's manifest (cache eviction / invalidation), deleting
-// blobs whose refcount reaches zero. Unknown names are a no-op.
-func (s *BlobStore) Drop(name string) error {
-	path := filepath.Join(s.manifestDir(), name+manifestSuffix)
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.manifests[name]
-	if !ok {
-		return nil
-	}
-	delete(s.manifests, name)
+// unrefLocked takes a manifest's references back, freeing what drops to
+// zero.
+func (s *BlobStore) unrefLocked(m *Manifest) {
 	s.logical -= m.Length
 	for _, e := range m.Entries {
 		s.refs[e.Hash]--
 		s.gcLocked(e.Hash)
+	}
+	s.reclaimLocked()
+}
+
+// Drop removes name's manifest (cache eviction / invalidation), freeing
+// blobs whose refcount reaches zero. The removal is made durable before any
+// pack is unlinked on its account, so a crash cannot bring the manifest
+// back without its chunks. Unknown names are a no-op.
+func (s *BlobStore) Drop(name string) error {
+	if _, ok := s.Manifest(name); !ok {
+		return nil
+	}
+	path := filepath.Join(s.manifestDir(), name+manifestSuffix)
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if err := s.syncDir(s.manifestDir()); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.manifests[name]; ok {
+		delete(s.manifests, name)
+		s.unrefLocked(m)
 	}
 	return nil
 }
@@ -548,10 +534,13 @@ func (s *BlobStore) ManifestNames() []string {
 type StoreStats struct {
 	Manifests       int
 	Blobs           int
+	Packs           int
 	LogicalBytes    int64 // sum of manifest lengths
 	UniqueRawBytes  int64 // raw bytes held once per distinct chunk
-	UniqueCompBytes int64 // compressed bytes actually on disk
+	UniqueCompBytes int64 // bytes the packs occupy on disk, dead records included
 	SharedBytes     int64 // logical bytes served by a chunk referenced >1×
+	Writes          int64 // records appended to packs since Open
+	Syncs           int64 // fsyncs issued since Open: packs, manifests, directories
 }
 
 // Stats snapshots the store.
@@ -559,39 +548,29 @@ func (s *BlobStore) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Manifests:    len(s.manifests),
-		Blobs:        len(s.blobs),
-		LogicalBytes: s.logical,
+		Manifests:       len(s.manifests),
+		Blobs:           len(s.blobs),
+		Packs:           len(s.packs),
+		LogicalBytes:    s.logical,
+		UniqueCompBytes: s.physical,
+		Writes:          s.writes.Load(),
+		Syncs:           s.syncs.Load(),
 	}
-	for k, info := range s.blobs {
-		st.UniqueRawBytes += info.rawLen
-		st.UniqueCompBytes += info.compLen
+	for k, loc := range s.blobs {
+		st.UniqueRawBytes += int64(loc.rawLen)
 		if n := s.refs[k]; n > 1 {
-			st.SharedBytes += int64(n-1) * info.rawLen
+			st.SharedBytes += int64(n-1) * int64(loc.rawLen)
 		}
 	}
 	return st
 }
 
-// UniqueCompBytes reports the physical disk bytes the blob tree holds —
-// the figure cachemgr charges against its pool budget (once per unique
-// chunk, however many caches share it).
+// UniqueCompBytes reports the physical disk bytes the packs hold — the
+// figure cachemgr charges against its pool budget (once per unique chunk,
+// however many caches share it, plus whatever dead space reclaim has not
+// yet returned).
 func (s *BlobStore) UniqueCompBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n int64
-	for _, info := range s.blobs {
-		n += info.compLen
-	}
-	return n
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close() //nolint:errcheck // read-only handle
-	return d.Sync()
+	return s.physical
 }

@@ -48,6 +48,60 @@ func readImage(t *testing.T, s *BlobStore, m *Manifest) []byte {
 	return out
 }
 
+// blobFile reports where blob k's wire bytes sit: the pack file and the
+// offset of the payload inside it. Tests use it to damage a blob behind the
+// store's back.
+func blobFile(t testing.TB, s *BlobStore, k Key) (path string, off int64, wireLen int) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	loc, ok := s.blobs[k]
+	if !ok {
+		t.Fatalf("blob %v not in the store", k)
+	}
+	return filepath.Join(s.packDir(), packName(loc.p.seq)), loc.off + recHdrLen, int(loc.wireLen)
+}
+
+// corruptBlob flips one byte in the middle of blob k's compressed payload
+// on disk (the trailing bytes are only the flate end marker, which a
+// length-bounded read never re-checks).
+func corruptBlob(t testing.TB, s *BlobStore, k Key) {
+	t.Helper()
+	path, off, n := blobFile(t, s, k)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // test scratch
+	at := off + blobHdrLen + int64(n-blobHdrLen)/2
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// packBytes sums the sizes of the files under the store's packs directory.
+func packBytes(t testing.TB, dir string) int64 {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, packDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, de := range ents {
+		fi, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	return total
+}
+
 func TestBlobStoreRoundTrip(t *testing.T) {
 	s, err := OpenBlobStore(t.TempDir())
 	if err != nil {
@@ -96,11 +150,11 @@ func TestBlobStoreSiblingSharing(t *testing.T) {
 	if got := readImage(t, s, m1); !bytes.Equal(got, v1) {
 		t.Fatal("v1 damaged by dropping v2")
 	}
-	// Dropping v1 too must empty the blob tree.
+	// Dropping v1 too must empty the store, on disk as well.
 	if err := s.Drop("v1"); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Blobs != 0 || st.LogicalBytes != 0 {
+	if st := s.Stats(); st.Blobs != 0 || st.LogicalBytes != 0 || st.UniqueCompBytes != 0 || packBytes(t, s.dir) != 0 {
 		t.Fatalf("store not empty after dropping all: %+v", st)
 	}
 }
@@ -135,8 +189,8 @@ func TestCommitReplaceSharedChunks(t *testing.T) {
 		if s.Has(e.Hash) {
 			t.Fatalf("old-only chunk %v survived replacement", e.Hash)
 		}
-		if _, err := os.Stat(s.blobPath(e.Hash)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("old-only blob file survived: %v", err)
+		if _, _, err := s.ReadCompressed(e.Hash); !errors.Is(err, ErrNoBlob) {
+			t.Fatalf("old-only blob still served: %v", err)
 		}
 	}
 	if st := s.Stats(); st.Manifests != 1 || st.LogicalBytes != int64(len(v2)) {
@@ -153,18 +207,7 @@ func TestCorruptBlobDetection(t *testing.T) {
 	m := putImage(t, s, "img", data)
 	k := m.Entries[0].Hash
 
-	// Flip a byte in the middle of the compressed payload on disk (the
-	// trailing bytes are only the flate end marker, which a length-bounded
-	// read never re-checks).
-	path := s.blobPath(k)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[blobHdrLen+(len(b)-blobHdrLen)/2] ^= 0xFF
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptBlob(t, s, k)
 	if _, err := s.ReadBlob(k); !errors.Is(err, ErrCorruptBlob) {
 		t.Fatalf("corrupt payload: err = %v", err)
 	}
@@ -190,9 +233,10 @@ func TestCorruptBlobDetection(t *testing.T) {
 	}
 }
 
-// TestOpenSweepsOrphans simulates a crash between blob commit and manifest
-// commit: reopened stores must delete unreferenced blobs and temp files
-// but keep everything a manifest references.
+// TestOpenSweepsOrphans simulates a crash between blob landing and manifest
+// commit: a reopened store must neither index nor serve the unreferenced
+// records, must unlink a pack that holds nothing else, must delete stray
+// and torn files, and must keep everything a manifest references.
 func TestOpenSweepsOrphans(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenBlobStore(dir)
@@ -202,7 +246,9 @@ func TestOpenSweepsOrphans(t *testing.T) {
 	data := randBytes(6, 1<<20)
 	m := putImage(t, s, "live", data)
 
-	// Orphans: blobs with no manifest (the crash window) + a stray tmp.
+	// Orphans: a blob with no manifest (the crash window) behind the live
+	// image's records, a stray tmp, a torn manifest, a stranger among the
+	// packs.
 	orphan := randBytes(7, 8<<10)
 	ok := Key(sha256.Sum256(orphan))
 	if err := s.Put(ok, orphan); err != nil {
@@ -216,6 +262,10 @@ func TestOpenSweepsOrphans(t *testing.T) {
 	if err := os.WriteFile(torn, []byte("garbage manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	stray := filepath.Join(dir, packDirName, "00000001.pk.tmp")
+	if err := os.WriteFile(stray, []byte("stranger"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := OpenBlobStore(dir)
 	if err != nil {
@@ -224,10 +274,10 @@ func TestOpenSweepsOrphans(t *testing.T) {
 	if s2.Has(ok) {
 		t.Fatal("orphan blob survived reopen")
 	}
-	if _, err := os.Stat(s.blobPath(ok)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("orphan blob file survived sweep")
+	if _, _, err := s2.ReadCompressed(ok); !errors.Is(err, ErrNoBlob) {
+		t.Fatalf("orphan blob served after reopen: %v", err)
 	}
-	for _, p := range []string{tmp, torn} {
+	for _, p := range []string{tmp, torn, stray} {
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("%s survived sweep", p)
 		}
@@ -238,6 +288,26 @@ func TestOpenSweepsOrphans(t *testing.T) {
 	}
 	if got := readImage(t, s2, m2); !bytes.Equal(got, data) {
 		t.Fatal("live image damaged by sweep")
+	}
+
+	// A second crashed publication lands in a pack of its own (the first is
+	// sealed now): with nothing live in it, the next open unlinks the file.
+	if err := s2.Put(ok, orphan); err != nil {
+		t.Fatal(err)
+	}
+	orphanPack, _, _ := blobFile(t, s2, ok)
+	s3, err := OpenBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphanPack); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("pack of orphans survived sweep: %v", err)
+	}
+	if st := s3.Stats(); st.Packs != 1 || st.UniqueCompBytes != packBytes(t, dir) {
+		t.Fatalf("after sweep: %+v, %d bytes of packs on disk", st, packBytes(t, dir))
+	}
+	if got := readImage(t, s3, m2); !bytes.Equal(got, data) {
+		t.Fatal("live image damaged by the pack sweep")
 	}
 }
 

@@ -88,6 +88,11 @@ var (
 		return &b
 	}}
 	compBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	// wireBufPool holds the compressed side of a chunk being decoded.
+	wireBufPool = sync.Pool{New: func() any {
+		b := make([]byte, MaxChunk)
+		return &b
+	}}
 )
 
 // chunker pulls content-defined chunks out of r through a pooled sliding
@@ -447,7 +452,14 @@ func materializeSerial(w io.WriterAt, man *Manifest, src *BlobStore) error {
 // hash against the entry. The caller owns the returned buffer and recycles
 // it into chunkBufPool.
 func decodeChunk(src *BlobStore, e Entry) (*[]byte, error) {
-	comp, rawLen, err := src.ReadCompressed(e.Hash)
+	wb := wireBufPool.Get().(*[]byte)
+	defer wireBufPool.Put(wb)
+	comp, err := src.readWire(e.Hash, *wb)
+	if err != nil {
+		return nil, err
+	}
+	*wb = comp[:cap(comp)] // keep a buffer readWire had to grow
+	rawLen, err := blobRawLen(e.Hash, comp)
 	if err != nil {
 		return nil, err
 	}
@@ -455,14 +467,9 @@ func decodeChunk(src *BlobStore, e Entry) (*[]byte, error) {
 		return nil, fmt.Errorf("dedup: blob %v: %d bytes, manifest says %d", e.Hash, rawLen, e.Len)
 	}
 	buf := chunkBufPool.Get().(*[]byte)
-	raw := (*buf)[:e.Len]
-	if err := inflateInto(raw, comp[blobHdrLen:]); err != nil {
+	if err := decodeInto((*buf)[:e.Len], e.Hash, comp); err != nil {
 		chunkBufPool.Put(buf)
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptBlob, e.Hash, err)
-	}
-	if Key(sha256.Sum256(raw)) != e.Hash {
-		chunkBufPool.Put(buf)
-		return nil, fmt.Errorf("%w: %s: hash mismatch", ErrCorruptBlob, e.Hash)
+		return nil, err
 	}
 	return buf, nil
 }

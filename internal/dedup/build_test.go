@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
@@ -286,15 +285,7 @@ func TestMaterializeDetectsCorruption(t *testing.T) {
 	}
 	m := buildInto(t, s, "img", data, 4)
 	victim := m.Entries[len(m.Entries)/2].Hash
-	path := s.blobPath(victim)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[blobHdrLen+len(b)/2] ^= 0xFF
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptBlob(t, s, victim)
 	for _, workers := range []int{1, 4} {
 		out := backend.NewMemFileSize(m.Length)
 		if err := Materialize(out, m, s, workers); err == nil {
@@ -303,9 +294,10 @@ func TestMaterializeDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestFlushGroupCommit checks the fsync batching bookkeeping: landings
-// accumulate in the dirty set, Commit's flush drains it, and a second flush
-// is a no-op.
+// TestFlushGroupCommit checks the fsync batching: landings are appends with
+// no fsync, Commit makes them durable with one fsync of the pack and one of
+// its directory before the manifest's own two, and a second flush is a
+// no-op.
 func TestFlushGroupCommit(t *testing.T) {
 	s, err := OpenBlobStore(t.TempDir())
 	if err != nil {
@@ -324,24 +316,38 @@ func TestFlushGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	dirty := len(s.dirty)
-	s.mu.Unlock()
-	if dirty != len(held) {
-		t.Fatalf("dirty = %d files, landed %d blobs", dirty, len(held))
+	unsynced := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var n int64
+		for _, p := range s.packs {
+			n += p.size - p.synced
+		}
+		return n
+	}
+	st := s.Stats()
+	if st.Syncs != 0 || st.Writes != int64(st.Blobs) || st.Blobs == 0 {
+		t.Fatalf("before commit: %d fsyncs, %d writes for %d blobs", st.Syncs, st.Writes, st.Blobs)
+	}
+	if unsynced() != st.UniqueCompBytes {
+		t.Fatalf("unsynced = %d bytes, landed %d", unsynced(), st.UniqueCompBytes)
 	}
 	if err := s.Commit("img", m); err != nil {
 		t.Fatal(err)
 	}
 	s.Release(held)
-	s.mu.Lock()
-	dirty, dirs := len(s.dirty), len(s.dirtyDirs)
-	s.mu.Unlock()
-	if dirty != 0 || dirs != 0 {
-		t.Fatalf("dirty set not drained by Commit: %d files, %d dirs", dirty, dirs)
+	// Pack, pack directory, manifest file, manifest directory.
+	if got := s.Stats().Syncs; got != 4 {
+		t.Fatalf("commit of %d blobs issued %d fsyncs, want 4", st.Blobs, got)
+	}
+	if n := unsynced(); n != 0 {
+		t.Fatalf("%d bytes still unsynced after Commit", n)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatalf("idempotent flush: %v", err)
+	}
+	if got := s.Stats().Syncs; got != 4 {
+		t.Fatalf("clean flush issued fsyncs: %d", got)
 	}
 	// Reopen: the committed image survives and materializes.
 	s2, err := OpenBlobStore(s.dir)
