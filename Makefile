@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet fmt build test race bench bench-baseline bench-check coverage integration
+.PHONY: check lint vet fmt build test race fuzz bench bench-baseline bench-check coverage integration
 
 # The full verification gate: lint (gofmt + vet + staticcheck when
 # installed), build, the plain test suite, and the race-detector pass (which
@@ -34,6 +34,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
+# `make test` already replays): the decoders a crash (pack records) or a peer
+# (chunk manifests) can feed arbitrary bytes. One target per invocation is a
+# `go test -fuzz` rule.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzPackScan -fuzztime $(FUZZTIME) ./internal/dedup
+	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) ./internal/dedup
 
 # integration launches real rblockd + vmicached processes on loopback ports
 # and drives a multi-node provisioning round end to end (cold warm with

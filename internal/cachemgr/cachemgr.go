@@ -249,10 +249,14 @@ type counters struct {
 	dedupImageHashes   atomic.Int64 // whole-image SHA-256 passes: materialize, confirm, build
 
 	// dedupBuildDuration and dedupMaterializeDuration record the wall time
-	// (ns) of manifest builds and image materializations — the two ends of
-	// the parallel dedup pipeline.
+	// (ns) of manifest builds and image materializations (create → checksum
+	// verified) — the two ends of the parallel dedup pipeline. dedupDeltaStall
+	// is the part of a delta warm's materialization its in-order writer spent
+	// waiting for chunks still on the wire: near the whole duration the warm
+	// was network-bound, near zero CPU-bound.
 	dedupBuildDuration       metrics.AtomicHistogram
 	dedupMaterializeDuration metrics.AtomicHistogram
+	dedupDeltaStall          metrics.AtomicHistogram
 
 	swarmWarms         atomic.Int64
 	swarmChunksPeer    atomic.Int64
@@ -534,6 +538,9 @@ func (m *Manager) registerMetrics(r *metrics.Registry) {
 		r.RegisterHistogram("vmicache_dedup_materialize_duration_ns",
 			"Wall time of image materializations from blobs (rehydrate/delta).", l,
 			&s.dedupMaterializeDuration)
+		r.RegisterHistogram("vmicache_dedup_delta_stall_ns",
+			"Time a delta warm's in-order writer waited for chunks not yet fetched.", l,
+			&s.dedupDeltaStall)
 		r.GaugeFunc("vmicache_dedup_manifests",
 			"Chunk manifests held by the blob store.", l,
 			func() int64 { return int64(m.dstore.Stats().Manifests) })

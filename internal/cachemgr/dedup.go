@@ -197,38 +197,67 @@ func (m *Manager) rehydrate(key, tmpName string) *dedup.Manifest {
 		}
 		held = append(held, e.Hash)
 	}
-	if err := m.materialize(tmpName, man); err != nil {
+	if _, err := m.materialize(tmpName, man, nil, nil, func() error { return nil }); err != nil {
 		m.logf("cachemgr: rehydrating %s: %v; dropping manifest", key, err)
-		m.store.Remove(tmpName) //nolint:errcheck // partial materialization
-		m.dstore.Drop(key)      //nolint:errcheck // best-effort cleanup
+		m.dstore.Drop(key) //nolint:errcheck // best-effort cleanup
 		return nil
 	}
 	return man
 }
 
-// materialize writes a manifest's content into tmpName from the blob
-// store through the parallel decode pipeline (every chunk and the whole
-// image hash-verified).
-func (m *Manager) materialize(tmpName string, man *dedup.Manifest) error {
+// deltaHandoffBudget bounds the verified chunk bytes a delta warm keeps for
+// its writer when the fetch runs ahead of it: 64 pooled MaxChunk buffers. A
+// variable only so a test can force the decode-from-store path.
+var deltaHandoffBudget int64 = 8 << 20
+
+// deltaStats is what one delta warm moved and where its time went: fetch and
+// stall overlap materialize (create → checksum verified); sync follows it.
+type deltaStats struct {
+	wire, reused                    int64
+	fetch, stall, materialize, sync time.Duration
+}
+
+// materialize streams man's content into tmpName through dedup's pipeline
+// (every chunk and the whole image hash-verified). fetch, when set, runs
+// meanwhile, delivering the missing chunks, and returns once its workers
+// have. When the last byte is written the image fsync and commit (the store's
+// Commit of man, in a delta warm) run side by side: Commit's flush holds the
+// store lock, so it may only start after the last decode, and both are done
+// before the caller can publish. A failure removes the temp.
+func (m *Manager) materialize(tmpName string, man *dedup.Manifest, missing []dedup.Key,
+	fetch func(*dedup.Materializer), commit func() error) (st deltaStats, err error) {
 	f, err := m.store.Create(tmpName)
 	if err != nil {
-		return err
+		return st, err
 	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			m.store.Remove(tmpName) //nolint:errcheck // partial materialization
+		}
+	}()
 	start := time.Now()
 	m.stats.dedupImageHashes.Add(1)
-	if err := dedup.Materialize(f, man, m.dstore, m.dedupWorkers()); err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return err
+	mat := dedup.StartMaterialize(f, man, m.dstore, m.dedupWorkers(), missing, deltaHandoffBudget)
+	if fetch != nil {
+		fetch(mat)
+		st.fetch = time.Since(start)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return err
+	if st.stall, err = mat.Wait(); err != nil {
+		return st, err
 	}
-	if err := f.Close(); err != nil {
-		return err
+	st.materialize = time.Since(start)
+	m.stats.dedupMaterializeDuration.Observe(st.materialize.Nanoseconds())
+	committed := make(chan error, 1)
+	go func() { committed <- commit() }()
+	err = f.Sync()
+	if cerr := <-committed; err == nil {
+		err = cerr
 	}
-	m.stats.dedupMaterializeDuration.Observe(time.Since(start).Nanoseconds())
-	return nil
+	st.sync = time.Since(start) - st.materialize
+	return st, err
 }
 
 // deltaWarm is the manifest-first peer transfer: poll the configured peers
@@ -237,9 +266,12 @@ func (m *Manager) materialize(tmpName string, man *dedup.Manifest) error {
 // compressed, spreading the fetches over every peer that advertises the
 // manifest (each holder has every chunk, so unlike the swarm's
 // rarest-first partial maps the spread is plain round-robin with
-// reassignment on failure). The blobs and manifest commit before the qcow
-// verification so a publish failure still leaves the chunks shared.
-func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, wire, reused int64, err error) {
+// reassignment on failure). The image materializes while the fetch runs:
+// chunks already here are decoded as the missing ones arrive, and an arrival
+// is handed to the writer as verified (materialize). The blobs and manifest
+// commit before the qcow verification so a publish failure still leaves the
+// chunks shared.
+func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaStats, err error) {
 	type holder struct {
 		addr string
 		c    *rblock.Client
@@ -276,21 +308,21 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, wire, reu
 		holders = append(holders, holder{addr: addr, c: c})
 	}
 	if man == nil {
-		return nil, 0, 0, fmt.Errorf("cachemgr: no peer advertises a manifest for %s", key)
+		return nil, st, fmt.Errorf("cachemgr: no peer advertises a manifest for %s", key)
+	}
+	if capacity := m.pool.Capacity(); capacity > 0 && man.Length > capacity {
+		return nil, st, fmt.Errorf("cachemgr: %s (%d bytes) exceeds the node cache budget (%d)", key, man.Length, capacity)
 	}
 
-	// Stage what is already here; collect what must move.
+	// Stage what is already here; collect what must move. The holds — and
+	// those of chunks that land after a failure — go once the fetch workers
+	// have all returned, which materialize waits for.
 	var held []dedup.Key
-	committed := false
-	defer func() {
-		m.dstore.Release(held)
-		if !committed {
-			m.store.Remove(tmpName) //nolint:errcheck // failed transfer
-		}
-	}()
+	defer func() { m.dstore.Release(held) }()
 	var heldMu sync.Mutex
 	seen := make(map[dedup.Key]bool, len(man.Entries))
 	var missing []dedup.Key
+	var reused int64
 	for _, e := range man.Entries {
 		if seen[e.Hash] {
 			continue
@@ -309,9 +341,10 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, wire, reu
 	// round-robin across the manifest holders and reassigning on failure.
 	// Batch size adapts to the missing set so small deltas still use every
 	// worker, while large ones amortise a round trip over up to 32 chunks
-	// (≈4 MiB of max-size blobs, inside the frame cap). A shared cancel
-	// flag checked in the claim loop tears the pool down promptly after
-	// the first failure instead of letting the survivors drain the cursor.
+	// (≈4 MiB of max-size blobs, inside the frame cap). The materializer's
+	// stop flag, checked in the claim loop, tears the pool down promptly
+	// after the first failure — a fetch's or the writer's — instead of
+	// letting the survivors drain the cursor.
 	workers := m.cfg.SwarmWorkers
 	if workers <= 0 {
 		workers = 4
@@ -328,13 +361,11 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, wire, reu
 	}
 	var next atomic.Int64
 	var wireBytes atomic.Int64
-	var canceled atomic.Bool
-	errs := make(chan error, workers)
 
 	// landRun fetches the head of run from one holder and lands what came
 	// back, returning how many chunks it covered. fatal marks errors no
 	// other holder can fix (a corrupt transfer, local store failure).
-	landRun := func(h holder, run []dedup.Key) (served int, fatal bool, err error) {
+	landRun := func(mat *dedup.Materializer, h holder, run []dedup.Key) (served int, fatal bool, err error) {
 		hashes := make([][rblock.HashLen]byte, len(run))
 		for j, k := range run {
 			hashes[j] = [rblock.HashLen]byte(k)
@@ -361,10 +392,10 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, wire, reu
 			m.stats.dedupBatchedChunks.Add(int64(len(blobs)))
 		}
 		for j, comp := range blobs {
-			// PutCompressed hash-verifies before landing on disk, so a
-			// corrupt transfer dies here, and takes the stage hold that
-			// keeps the chunk alive until release.
-			if perr := m.dstore.PutCompressed(run[j], comp); perr != nil {
+			// Deliver hash-verifies before landing on disk, so a corrupt
+			// transfer dies here, takes the stage hold that keeps the chunk
+			// alive until release, and hands the bytes to the writer.
+			if perr := mat.Deliver(run[j], comp); perr != nil {
 				return j, true, perr
 			}
 			heldMu.Lock()
@@ -375,59 +406,53 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, wire, reu
 		return len(blobs), false, nil
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !canceled.Load() {
-				i := int(next.Add(int64(batch))) - batch
-				if i >= len(missing) {
-					return
-				}
-				end := i + batch
-				if end > len(missing) {
-					end = len(missing)
-				}
-				run := missing[i:end]
-				pos, fails := 0, 0
-				for pos < len(run) && !canceled.Load() {
-					h := holders[(i/batch+pos+fails)%len(holders)]
-					served, fatal, ferr := landRun(h, run[pos:])
-					pos += served
-					if ferr == nil {
-						fails = 0
-						continue
-					}
-					fails++
-					if fatal || fails >= len(holders) {
-						canceled.Store(true)
-						errs <- fmt.Errorf("cachemgr: chunk %v: %w", run[pos], ferr)
+	fetch := func(mat *dedup.Materializer) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !mat.Stopped() {
+					i := int(next.Add(int64(batch))) - batch
+					if i >= len(missing) {
 						return
 					}
+					end := i + batch
+					if end > len(missing) {
+						end = len(missing)
+					}
+					run := missing[i:end]
+					pos, fails := 0, 0
+					for pos < len(run) && !mat.Stopped() {
+						h := holders[(i/batch+pos+fails)%len(holders)]
+						served, fatal, ferr := landRun(mat, h, run[pos:])
+						pos += served
+						if ferr == nil {
+							fails = 0
+							continue
+						}
+						fails++
+						if fatal || fails >= len(holders) {
+							mat.Abort(fmt.Errorf("cachemgr: chunk %v: %w", run[pos], ferr))
+							return
+						}
+					}
 				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, wireBytes.Load(), reused, err
+	// Blobs are content-verified as they land and the image against the
+	// manifest as it is written; committing both before the qcow publication
+	// leaves the chunks shared for the next attempt even if that fails.
+	st, err = m.materialize(tmpName, man, missing, fetch, func() error { return m.dstore.Commit(key, man) })
+	st.wire, st.reused = wireBytes.Load(), reused
+	if err != nil {
+		return nil, st, err
 	}
-	wire = wireBytes.Load()
-
-	if err := m.materialize(tmpName, man); err != nil {
-		return nil, wire, reused, err
-	}
-	// Blobs and manifest are content-verified already; commit them before
-	// the qcow publication so even a verification failure leaves the
-	// chunks shared for the next attempt.
-	if err := m.dstore.Commit(key, man); err != nil {
-		return nil, wire, reused, err
-	}
+	m.stats.dedupDeltaStall.Observe(st.stall.Nanoseconds())
 	m.dstore.Drop(key + retiredSuffix) //nolint:errcheck // may not exist
-	committed = true
-	return man, wire, reused, nil
+	return man, st, nil
 }
 
 // Invalidate drops the published cache and manifest for a rebuilt base

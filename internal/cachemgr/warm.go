@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"vmicache/internal/backend"
 	"vmicache/internal/boot"
@@ -42,14 +43,17 @@ func (m *Manager) warm(base, key string) error {
 		// Manifest-first peer transfer: fetch only the chunks this pool
 		// does not already hold, from any peer advertising the manifest.
 		if len(m.cfg.Peers) > 0 {
-			man, wire, reused, err := m.deltaWarm(key, tmpName)
+			man, st, err := m.deltaWarm(key, tmpName)
 			if err == nil {
 				if err = m.publish(key, man); err == nil {
 					m.stats.dedupDeltaWarms.Add(1)
-					m.stats.dedupDeltaBytes.Add(wire)
-					m.stats.dedupReusedBytes.Add(reused)
-					m.logf("cachemgr: delta-warmed %s: %.1f MB over the wire, %.1f MB reused locally",
-						key, float64(wire)/1e6, float64(reused)/1e6)
+					m.stats.dedupDeltaBytes.Add(st.wire)
+					m.stats.dedupReusedBytes.Add(st.reused)
+					ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+					m.logf("cachemgr: delta-warmed %s: %.1f MB over the wire, %.1f MB reused locally "+
+						"(fetch %.1f ms, writer stalled %.1f ms, materialize %.1f ms, sync+commit %.1f ms)",
+						key, float64(st.wire)/1e6, float64(st.reused)/1e6,
+						ms(st.fetch), ms(st.stall), ms(st.materialize), ms(st.sync))
 					return nil
 				}
 				m.logf("cachemgr: delta warm of %s failed verification: %v", key, err)

@@ -56,7 +56,7 @@ type BlobStore struct {
 	dirDirty bool   // a pack was created since the directory's last fsync
 	recBuf   []byte // record assembly scratch: header + blob leave in one write
 
-	writes, syncs atomic.Int64
+	writes, syncs, decodes atomic.Int64
 
 	// sync is (*os.File).Sync; tests swap it to inject flush failures.
 	sync func(*os.File) error
@@ -238,21 +238,37 @@ func (s *BlobStore) PutBuilt(k Key, comp []byte, rawLen int64) error {
 // corrupt transfer surfaces as ErrCorruptBlob and never lands on disk.
 // Takes a stage hold exactly like Put.
 func (s *BlobStore) PutCompressed(k Key, comp []byte) error {
+	raw, _, err := s.putVerified(k, comp)
+	if raw != nil {
+		chunkBufPool.Put(raw)
+	}
+	return err
+}
+
+// putVerified is PutCompressed for a caller that wants the chunk as well: on
+// success the pooled buffer the blob was verified in comes back, the chunk
+// being (*raw)[:n], for the caller to recycle into chunkBufPool. raw is nil
+// for an oversized frame, which no manifest entry can name.
+func (s *BlobStore) putVerified(k Key, comp []byte) (raw *[]byte, n int, err error) {
 	rawLen, err := blobRawLen(k, comp)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
+	s.decodes.Add(1)
 	if rawLen <= MaxChunk {
-		buf := chunkBufPool.Get().(*[]byte)
-		err = decodeInto((*buf)[:rawLen], k, comp)
-		chunkBufPool.Put(buf)
+		raw = chunkBufPool.Get().(*[]byte)
+		err = decodeInto((*raw)[:rawLen], k, comp)
 	} else {
 		err = decodeInto(make([]byte, rawLen), k, comp)
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.land(k, comp)
 	}
-	return s.land(k, comp)
+	if err != nil && raw != nil {
+		chunkBufPool.Put(raw)
+		raw = nil
+	}
+	return raw, int(rawLen), err
 }
 
 // land takes a stage hold on k and, unless the store already holds the
@@ -541,6 +557,8 @@ type StoreStats struct {
 	SharedBytes     int64 // logical bytes served by a chunk referenced >1×
 	Writes          int64 // records appended to packs since Open
 	Syncs           int64 // fsyncs issued since Open: packs, manifests, directories
+	Decodes         int64 // blobs inflated + hashed since Open: arrivals verified, chunks materialized
+	Staged          int   // blobs an in-flight publication holds
 }
 
 // Stats snapshots the store.
@@ -555,6 +573,12 @@ func (s *BlobStore) Stats() StoreStats {
 		UniqueCompBytes: s.physical,
 		Writes:          s.writes.Load(),
 		Syncs:           s.syncs.Load(),
+		Decodes:         s.decodes.Load(),
+	}
+	for _, n := range s.staged {
+		if n > 0 {
+			st.Staged++
+		}
 	}
 	for k, loc := range s.blobs {
 		st.UniqueRawBytes += int64(loc.rawLen)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"vmicache/internal/backend"
 )
@@ -33,9 +34,10 @@ import (
 // stage — the cutter's gear hash or the committer's whole-image SHA —
 // with per-chunk hashing and compression spread across the pool.
 //
-// Materialize is the mirror image for reads: workers decode and verify
-// blobs concurrently while the ordered committer writes them out and
-// re-derives the whole-image checksum.
+// Materializer is the mirror image for reads: workers decode and verify
+// blobs concurrently while the ordered writer puts them out and re-derives
+// the whole-image checksum — and, in a delta warm, while the chunks the
+// store lacks are still arriving.
 
 // BuildOpts tunes BuildParallel.
 type BuildOpts struct {
@@ -337,39 +339,162 @@ func buildSerial(r io.ReaderAt, length int64, compress bool, emit func(e Entry, 
 	return m, nil
 }
 
-// matJob is one chunk moving through the materialize pipeline.
+// matJob is one manifest entry in the materialize pipeline: a chunk the store
+// holds is decoded by a worker, which closes done; a chunk still on the wire
+// waits on pc for the fetcher instead.
 type matJob struct {
 	e    Entry
-	raw  *[]byte // pooled; decoded chunk is (*raw)[:e.Len]
+	raw  *[]byte // pooled; the chunk is (*raw)[:e.Len]
 	err  error
 	done chan struct{}
+	pc   *pendChunk
 }
 
-// Materialize writes man's content into w from src's blobs, decoding and
-// hash-verifying up to workers chunks concurrently while the calling
-// goroutine writes them out in order and re-derives the whole-image
-// checksum. workers <= 1 decodes serially. Every chunk is verified against
-// its entry hash and the finished image against man.Checksum, exactly like
-// the serial path.
-func Materialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int) error {
-	if workers <= 1 {
-		return materializeSerial(w, man, src)
-	}
-	inflight := workers * 2
-	work := make(chan *matJob, inflight)
-	order := make(chan *matJob, inflight*2)
-	var stop atomic.Bool
+// pendChunk is a chunk the store lacked at the start. ready closes once its
+// blob has landed; the rest is guarded by Materializer.mu.
+type pendChunk struct {
+	ready   chan struct{}
+	arrived bool
+	raw     *[]byte // what Deliver verified, (*raw)[:n], until the writer takes it
+	n       int
+}
 
+// writeBufPool holds the 1 MiB windows the writer fills: a 9 MB image is nine
+// container writes and nine hash updates.
+var writeBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1<<20)
+	return &b
+}}
+
+// A Materializer writes a manifest's image into w, if need be while some of
+// its chunks are still being fetched. Workers inflate and hash-verify the
+// chunks the store holds; the fetcher passes each missing one to Deliver,
+// which verifies and lands it and keeps the verified bytes; one in-order
+// writer coalesces both kinds into 1 MiB writes and derives the whole-image
+// checksum. Every chunk is checked against its entry's hash and length, and
+// the image against man.Checksum, once.
+type Materializer struct {
+	w    io.WriterAt
+	man  *Manifest
+	src  *BlobStore
+	pend map[Key]*pendChunk // fixed at start
+
+	stop     atomic.Bool
+	quit     chan struct{} // closed with stop: wakes a writer stalled on a pendChunk
+	finished chan struct{}
+	stall    time.Duration // the writer's wait for arrivals; read after finished
+
+	mu     sync.Mutex
+	err    error // the first failure
+	budget int64 // hand-off bytes Deliver may still keep
+}
+
+// StartMaterialize starts the pipeline with workers decoders. pending names
+// the chunks src lacks: the caller Delivers each, or Aborts. budget bounds
+// the verified bytes kept for the writer when the fetch runs ahead of it.
+func StartMaterialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int, pending []Key, budget int64) *Materializer {
+	p := &Materializer{w: w, man: man, src: src, budget: budget, pend: make(map[Key]*pendChunk, len(pending)),
+		quit: make(chan struct{}), finished: make(chan struct{})}
+	for _, k := range pending {
+		p.pend[k] = &pendChunk{ready: make(chan struct{})}
+	}
+	go p.run(max(workers, 1))
+	return p
+}
+
+// Materialize writes man's content into w from src's blobs: the pipeline
+// with nothing pending.
+func Materialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int) error {
+	_, err := StartMaterialize(w, man, src, workers, nil, 0).Wait()
+	return err
+}
+
+// Wait returns when the image is written and verified, or the pipeline has
+// failed and its pooled buffers are home, with the time the writer stalled.
+func (p *Materializer) Wait() (stall time.Duration, err error) {
+	<-p.finished
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stall, p.err
+}
+
+// Abort fails the pipeline: from outside when the fetch died, from within on
+// a bad chunk or write. Wait reports the first error.
+func (p *Materializer) Abort(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err == nil {
+		p.err = err
+		p.stop.Store(true)
+		close(p.quit)
+	}
+}
+
+// Stopped reports whether the pipeline has failed; fetch workers poll it.
+func (p *Materializer) Stopped() bool { return p.stop.Load() }
+
+// Deliver lands a fetched chunk exactly like PutCompressed — inflated and
+// hash-verified before the blob reaches the store, stage hold taken — and
+// keeps the verified bytes for the writer, so the chunk is inflated and
+// hashed once. Over budget the buffer is recycled and the chunk is decoded
+// from the store when its turn comes: same bytes, same checks.
+func (p *Materializer) Deliver(k Key, comp []byte) error {
+	raw, n, err := p.src.putVerified(k, comp)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	pc := p.pend[k]
+	if pc != nil && pc.arrived {
+		pc = nil // a second copy: landed, nobody waits for it
+	}
+	if pc != nil {
+		pc.arrived = true
+		if raw != nil && p.budget >= MaxChunk {
+			p.budget -= MaxChunk
+			pc.raw, pc.n, raw = raw, n, nil
+		}
+		close(pc.ready)
+	}
+	p.mu.Unlock()
+	if raw != nil {
+		chunkBufPool.Put(raw)
+	}
+	return nil
+}
+
+// parked returns k's pendChunk while the writer may have to wait for it or
+// take its bytes. Once the chunk has landed and its bytes are gone — over
+// budget, or an earlier offset took them — it is a stored chunk like any other.
+func (p *Materializer) parked(k Key) *pendChunk {
+	pc := p.pend[k]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pc != nil && pc.arrived && pc.raw == nil {
+		return nil
+	}
+	return pc
+}
+
+func (p *Materializer) run(workers int) {
+	defer close(p.finished)
+	// Two bounded queues, as in BuildParallel: work feeds whichever decoder
+	// is free, order restores manifest order at the writer. A parked entry
+	// goes to order only: it waits on the fetcher, not on a decoder. order
+	// is deep — over a window of average chunks, at most 8 MiB of pooled
+	// buffers — so decoders keep going while the writer hashes and writes.
+	work := make(chan *matJob, workers*2)
+	order := make(chan *matJob, 64)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for job := range work {
-				if stop.Load() {
+				if p.Stopped() {
 					job.err = errPipelineCanceled
 				} else {
-					job.raw, job.err = decodeChunk(src, job.e)
+					job.raw, job.err = decodeChunk(p.src, job.e)
 				}
 				close(job.done)
 			}
@@ -378,73 +503,102 @@ func Materialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int) erro
 	go func() {
 		defer close(work)
 		defer close(order)
-		for _, e := range man.Entries {
-			if stop.Load() {
+		for _, e := range p.man.Entries {
+			if p.Stopped() {
 				return
 			}
-			job := &matJob{e: e, done: make(chan struct{})}
-			work <- job
+			job := &matJob{e: e, pc: p.parked(e.Hash)}
+			if job.pc == nil {
+				job.done = make(chan struct{})
+				work <- job
+			}
 			order <- job
 		}
 	}()
 
+	// The writer. After a failure it keeps draining, so every pooled buffer
+	// comes home and the dispatcher and decoders shut down.
 	whole := sha256.New()
-	var off int64
-	var firstErr error
+	wb := writeBufPool.Get().(*[]byte)
+	defer writeBufPool.Put(wb)
+	buf, off := (*wb)[:0], int64(0)
+	hint, _ := p.w.(interface{ StartWriteback(off, n int64) })
+	flush := func() {
+		if err := backend.WriteFull(p.w, buf, off); err != nil {
+			p.Abort(err)
+		}
+		if hint != nil {
+			hint.StartWriteback(off, int64(len(buf))) // the closing fsync finds the window on its way
+		}
+		whole.Write(buf) //nolint:errcheck // hash writes cannot fail
+		off += int64(len(buf))
+		buf = buf[:0]
+	}
 	for job := range order {
-		<-job.done
-		if firstErr == nil {
-			if job.err != nil {
-				firstErr = job.err
-				stop.Store(true)
-			} else {
-				raw := (*job.raw)[:job.e.Len]
-				if err := backend.WriteFull(w, raw, off); err != nil {
-					firstErr = err
-					stop.Store(true)
-				} else {
-					whole.Write(raw) //nolint:errcheck // hash writes cannot fail
-					off += int64(len(raw))
-				}
+		raw, err := p.chunk(job)
+		if err != nil {
+			p.Abort(err)
+		} else if !p.Stopped() {
+			if len(buf)+len(raw) > cap(buf) {
+				flush()
 			}
+			buf = append(buf, raw...)
 		}
 		if job.raw != nil {
 			chunkBufPool.Put(job.raw)
 		}
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	if !p.Stopped() {
+		flush()
 	}
-	if sum := Key(whole.Sum(nil)); sum != man.Checksum {
-		return fmt.Errorf("dedup: materialized image fails manifest checksum")
+	if !p.Stopped() && Key(whole.Sum(nil)) != p.man.Checksum {
+		p.Abort(fmt.Errorf("dedup: materialized image fails manifest checksum"))
 	}
-	return nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.budget = 0 // a chunk delivered from here on is landed, not kept
+	for _, pc := range p.pend {
+		if pc.raw != nil {
+			chunkBufPool.Put(pc.raw)
+			pc.raw = nil
+		}
+	}
 }
 
-func materializeSerial(w io.WriterAt, man *Manifest, src *BlobStore) error {
-	whole := sha256.New()
-	var off int64
-	for _, e := range man.Entries {
-		rawBuf, err := decodeChunk(src, e)
-		if err != nil {
-			return err
+// chunk returns job's verified bytes, waiting for its decoder or — timed as
+// stall — for the fetcher.
+func (p *Materializer) chunk(job *matJob) ([]byte, error) {
+	if pc := job.pc; pc == nil {
+		<-job.done
+	} else {
+		select {
+		case <-pc.ready:
+		default:
+			t0 := time.Now()
+			select {
+			case <-pc.ready:
+			case <-p.quit:
+				return nil, errPipelineCanceled
+			}
+			p.stall += time.Since(t0)
 		}
-		raw := (*rawBuf)[:e.Len]
-		err = backend.WriteFull(w, raw, off)
-		if err == nil {
-			whole.Write(raw) //nolint:errcheck // hash writes cannot fail
-			off += int64(len(raw))
+		p.mu.Lock()
+		job.raw, pc.raw = pc.raw, nil
+		if job.raw != nil {
+			p.budget += MaxChunk
 		}
-		chunkBufPool.Put(rawBuf)
-		if err != nil {
-			return err
+		p.mu.Unlock()
+		if job.raw == nil { // over budget, or an earlier offset took the bytes
+			job.raw, job.err = decodeChunk(p.src, job.e)
+		} else if pc.n != int(job.e.Len) {
+			job.err = fmt.Errorf("dedup: blob %v: %d bytes, manifest says %d", job.e.Hash, pc.n, job.e.Len)
 		}
 	}
-	if sum := Key(whole.Sum(nil)); sum != man.Checksum {
-		return fmt.Errorf("dedup: materialized image fails manifest checksum")
+	if job.err != nil {
+		return nil, job.err
 	}
-	return nil
+	return (*job.raw)[:job.e.Len], nil
 }
 
 // decodeChunk reads entry e's blob and inflates it into a pooled buffer,
@@ -454,6 +608,7 @@ func materializeSerial(w io.WriterAt, man *Manifest, src *BlobStore) error {
 func decodeChunk(src *BlobStore, e Entry) (*[]byte, error) {
 	wb := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(wb)
+	src.decodes.Add(1)
 	comp, err := src.readWire(e.Hash, *wb)
 	if err != nil {
 		return nil, err

@@ -249,9 +249,54 @@ func buildInto(t testing.TB, s *BlobStore, name string, data []byte, workers int
 	return m
 }
 
-// TestMaterializeParallelMatchesSerial checks that the parallel decode
-// pipeline reproduces the image byte-for-byte at several worker counts and
-// verifies the whole-image checksum.
+// distinctKeys lists m's chunk hashes once each, in manifest order — the
+// order a delta warm requests them in.
+func distinctKeys(m *Manifest) []Key {
+	seen := make(map[Key]bool)
+	var keys []Key
+	for _, e := range m.Entries {
+		if !seen[e.Hash] {
+			seen[e.Hash] = true
+			keys = append(keys, e.Hash)
+		}
+	}
+	return keys
+}
+
+// streamInto materializes m into a fresh mem file from dst while a fetcher
+// goroutine delivers the pending chunks out of from, and returns the image
+// and the pipeline's verdict. Every delivered chunk's stage hold is released.
+func streamInto(t testing.TB, m *Manifest, dst, from *BlobStore, workers int, pending []Key, budget int64) ([]byte, error) {
+	t.Helper()
+	out := backend.NewMemFileSize(m.Length)
+	p := StartMaterialize(out, m, dst, workers, pending, budget)
+	for _, k := range pending {
+		comp, _, err := from.ReadCompressed(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Deliver(k, comp); err != nil {
+			p.Abort(err)
+			break
+		}
+		defer dst.Release([]Key{k})
+	}
+	if _, err := p.Wait(); err != nil {
+		return nil, err
+	}
+	got := make([]byte, m.Length)
+	if err := backend.ReadFull(out, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	return got, nil
+}
+
+// TestMaterializeParallelMatchesSerial checks that the one materialize
+// pipeline reproduces the image byte-for-byte and verifies the whole-image
+// checksum at workers 1, 2 and 8, with nothing pending (a rehydration) and
+// with everything pending (a delta warm into an empty store, every chunk
+// handed over by the fetcher) — and that each chunk is inflated once either
+// way.
 func TestMaterializeParallelMatchesSerial(t *testing.T) {
 	data := testImages(t)["random"]
 	s, err := OpenBlobStore(t.TempDir())
@@ -259,18 +304,131 @@ func TestMaterializeParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := buildInto(t, s, "img", data, 4)
-	for _, workers := range []int{1, 2, 4, 8} {
-		out := backend.NewMemFileSize(m.Length)
-		if err := Materialize(out, m, s, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, workers := range []int{1, 2, 8} {
+		for _, allPending := range []bool{false, true} {
+			dst, pending := s, []Key(nil)
+			if allPending {
+				if dst, err = OpenBlobStore(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				pending = distinctKeys(m)
+			}
+			before := dst.Stats().Decodes
+			got, err := streamInto(t, m, dst, s, workers, pending, 1<<30)
+			if err != nil {
+				t.Fatalf("workers=%d pending=%v: %v", workers, allPending, err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("workers=%d pending=%v: materialized bytes differ", workers, allPending)
+			}
+			if n := dst.Stats().Decodes - before; n != int64(len(m.Entries)) {
+				t.Fatalf("workers=%d pending=%v: %d decodes for %d entries", workers, allPending, n, len(m.Entries))
+			}
+			if st := dst.Stats(); st.Staged != 0 {
+				t.Fatalf("workers=%d pending=%v: %d stage holds left", workers, allPending, st.Staged)
+			}
 		}
-		got := make([]byte, len(data))
-		if err := backend.ReadFull(out, got, 0); err != nil {
+	}
+}
+
+// TestMaterializeStreamed drives the hand-off's corners through one image
+// whose manifest names the same missing chunk at several offsets.
+func TestMaterializeStreamed(t *testing.T) {
+	block := randBytes(7, 3*MaxChunk)
+	var data []byte
+	for i := 0; i < 4; i++ {
+		data = append(data, randBytes(int64(20+i), 200<<10)...)
+		data = append(data, block...)
+	}
+	src, err := OpenBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := buildInto(t, src, "img", data, 2)
+	keys := distinctKeys(m)
+	if len(keys) == len(m.Entries) {
+		t.Fatal("image has no repeated chunk")
+	}
+	empty := func() *BlobStore {
+		s, err := OpenBlobStore(t.TempDir())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("workers=%d: materialized bytes differ", workers)
+		return s
+	}
+
+	// A repeated missing chunk arrives once; its first offset takes the
+	// handed-over bytes, the others read the landed blob back.
+	dst := empty()
+	got, err := streamInto(t, m, dst, src, 2, keys, 1<<30)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("repeated chunks: err %v, equal %v", err, bytes.Equal(got, data))
+	}
+	if n := dst.Stats().Decodes; n != int64(len(m.Entries)) {
+		t.Fatalf("%d decodes for %d chunks at %d offsets", n, len(keys), len(m.Entries))
+	}
+
+	// No budget: nothing is handed over, every chunk is verified on arrival
+	// and decoded again from the store — the same image.
+	dst = empty()
+	got, err = streamInto(t, m, dst, src, 2, keys, 0)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("zero budget: err %v, equal %v", err, bytes.Equal(got, data))
+	}
+	if n := dst.Stats().Decodes; n != int64(len(keys)+len(m.Entries)) {
+		t.Fatalf("zero budget: %d decodes, want %d arrivals + %d entries", n, len(keys), len(m.Entries))
+	}
+
+	// A manifest whose checksum does not describe its chunks fails at the
+	// end, whoever supplied the chunks.
+	lying := *m
+	lying.Checksum[0] ^= 1
+	if _, err := streamInto(t, &lying, empty(), src, 2, keys, 1<<30); err == nil {
+		t.Fatal("lying checksum materialized")
+	}
+
+	// An entry length the chunk does not have is caught on the hand-off path
+	// as it is on the decode path.
+	short := *m
+	short.Entries = append([]Entry(nil), m.Entries...)
+	short.Entries[1].Len--
+	short.Length--
+	for _, budget := range []int64{1 << 30, 0} {
+		if _, err := streamInto(t, &short, empty(), src, 2, keys, budget); err == nil {
+			t.Fatalf("budget %d: wrong entry length materialized", budget)
 		}
+	}
+
+	// Abort from the fetcher wakes a writer stalled on a chunk that will
+	// never come; a corrupt arrival never lands and a late one is not kept.
+	dst = empty()
+	p := StartMaterialize(backend.NewMemFileSize(m.Length), m, dst, 2, keys, 1<<30)
+	comp, _, err := src.ReadCompressed(keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), comp...)
+	bad[len(bad)/2] ^= 0xFF
+	if err := p.Deliver(keys[0], bad); !errors.Is(err, ErrCorruptBlob) {
+		t.Fatalf("corrupt arrival: %v", err)
+	}
+	if dst.Has(keys[0]) {
+		t.Fatal("corrupt arrival landed")
+	}
+	boom := errors.New("peer died")
+	p.Abort(boom)
+	if _, err := p.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("Wait after Abort: %v", err)
+	}
+	if !p.Stopped() {
+		t.Fatal("aborted pipeline not stopped")
+	}
+	if err := p.Deliver(keys[0], comp); err != nil || !dst.Has(keys[0]) {
+		t.Fatalf("late arrival: err %v, landed %v", err, dst.Has(keys[0]))
+	}
+	dst.Release(keys[:1])
+	if st := dst.Stats(); st.Staged != 0 || st.Blobs != 0 {
+		t.Fatalf("aborted warm left %d holds, %d blobs", st.Staged, st.Blobs)
 	}
 }
 

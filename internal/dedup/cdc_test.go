@@ -3,6 +3,8 @@ package dedup
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -159,14 +161,79 @@ func TestDecodeManifestRejectsGarbage(t *testing.T) {
 		"short":      func(b []byte) []byte { return b[:3] },
 		"magic":      func(b []byte) []byte { b[0] ^= 0xFF; return b },
 		"version":    func(b []byte) []byte { b[4] = 99; return b },
+		"reserved":   func(b []byte) []byte { b[6] = 1; return b },
 		"truncated":  func(b []byte) []byte { return b[:len(b)-1] },
 		"length-sum": func(b []byte) []byte { b[15] ^= 1; return b },
+		// Entry lengths no cutter produces; the header length agrees with
+		// them, so only the per-entry bound can refuse.
+		"empty-chunk": func(b []byte) []byte { b[15], b[manifestHdrLen+3] = 0, 0; return b },
+		"oversized-chunk": func(b []byte) []byte {
+			binary.BigEndian.PutUint64(b[8:], MaxChunk+1)
+			binary.BigEndian.PutUint32(b[manifestHdrLen:], MaxChunk+1)
+			return b
+		},
 	} {
 		b := mutate(append([]byte{}, good...))
-		if _, err := DecodeManifest(b); err == nil {
-			t.Errorf("%s: decode accepted corrupt manifest", name)
+		if _, err := DecodeManifest(b); !errors.Is(err, ErrBadManifest) {
+			t.Errorf("%s: decode of a corrupt manifest: %v", name, err)
 		}
 	}
+}
+
+// FuzzDecodeManifest feeds the manifest decoder — the first thing a delta
+// warm parses from a peer — arbitrary bytes. It must not panic, must not
+// allocate beyond what the input's own length pays for, and whatever it
+// accepts must be a manifest of producible chunks that encodes back to the
+// input byte for byte.
+func FuzzDecodeManifest(f *testing.F) {
+	ent := func(n uint32, fill byte) Entry {
+		return Entry{Hash: Key(bytes.Repeat([]byte{fill}, sha256.Size)), Len: n}
+	}
+	// Small seeds (≈ 100 B), as FuzzPackScan learned: every interesting
+	// input is minimized byte by byte.
+	zero := (&Manifest{Checksum: Key(sha256.Sum256(nil))}).Encode()
+	one := (&Manifest{Entries: []Entry{ent(5, 1)}, Length: 5}).Encode()
+	three := (&Manifest{Entries: []Entry{ent(MinChunk, 1), ent(MaxChunk, 2), ent(1, 1)}, Length: MinChunk + MaxChunk + 1}).Encode()
+	f.Add(zero)
+	f.Add(one)
+	f.Add(three)
+	f.Add(one[:manifestHdrLen-5])            // truncated header
+	f.Add(three[:len(three)-manifestEntLen]) // count says three, two follow
+	wrongSum := append([]byte{}, three...)
+	wrongSum[15]++ // header length one more than the entries' sum
+	f.Add(wrongSum)
+	huge := append([]byte{}, one...)
+	copy(huge[manifestHdrLen:], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // a 4 GiB chunk
+	f.Add(huge)
+	many := append([]byte{}, zero...)
+	copy(many[manifestHdrLen-4:], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 Gi entries in 52 bytes
+	f.Add(many)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeManifest(data)
+		if err != nil {
+			if m != nil || !errors.Is(err, ErrBadManifest) {
+				t.Fatalf("rejected with manifest %v, error %v", m != nil, err)
+			}
+			return
+		}
+		if manifestHdrLen+len(m.Entries)*manifestEntLen != len(data) {
+			t.Fatalf("%d entries decoded from %d bytes", len(m.Entries), len(data))
+		}
+		var sum int64
+		for i, e := range m.Entries {
+			if e.Len == 0 || e.Len > MaxChunk {
+				t.Fatalf("entry %d: accepted a %d byte chunk", i, e.Len)
+			}
+			sum += int64(e.Len)
+		}
+		if sum != m.Length {
+			t.Fatalf("entries sum to %d, length %d", sum, m.Length)
+		}
+		if !bytes.Equal(m.Encode(), data) {
+			t.Fatal("accepted manifest does not re-encode to its input")
+		}
+	})
 }
 
 func TestMissing(t *testing.T) {

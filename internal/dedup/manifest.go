@@ -56,7 +56,9 @@ func (m *Manifest) Encode() []byte {
 }
 
 // DecodeManifest parses an encoded manifest, validating magic, version,
-// entry count, and that entry lengths sum to the header length.
+// entry count, that every entry is a chunk the cutter could have produced
+// (1..MaxChunk bytes — pooled MaxChunk buffers are sized from these lengths),
+// and that entry lengths sum to the header length.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	if len(b) < manifestHdrLen {
 		return nil, fmt.Errorf("%w: %d byte header", ErrBadManifest, len(b))
@@ -64,8 +66,8 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if binary.BigEndian.Uint32(b[0:]) != manifestMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadManifest)
 	}
-	if b[4] != manifestVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadManifest, b[4])
+	if b[4] != manifestVersion || b[5]|b[6]|b[7] != 0 { // version, then three reserved zeros
+		return nil, fmt.Errorf("%w: version % x", ErrBadManifest, b[4:8])
 	}
 	m := &Manifest{Length: int64(binary.BigEndian.Uint64(b[8:]))}
 	copy(m.Checksum[:], b[16:])
@@ -79,6 +81,9 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	for i := range m.Entries {
 		m.Entries[i].Len = binary.BigEndian.Uint32(b[off:])
 		copy(m.Entries[i].Hash[:], b[off+4:])
+		if n := m.Entries[i].Len; n == 0 || n > MaxChunk {
+			return nil, fmt.Errorf("%w: entry %d names a %d byte chunk", ErrBadManifest, i, n)
+		}
 		sum += int64(m.Entries[i].Len)
 		off += manifestEntLen
 	}
