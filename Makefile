@@ -36,13 +36,14 @@ race:
 	$(GO) test -race ./...
 
 # fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
-# `make test` already replays): the decoders a crash (pack records) or a peer
-# (chunk manifests) can feed arbitrary bytes. One target per invocation is a
+# `make test` already replays): the decoders a crash (pack records), a peer
+# (chunk manifests) or any container (qcow headers) can feed arbitrary bytes. One target per invocation is a
 # `go test -fuzz` rule.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPackScan -fuzztime $(FUZZTIME) ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) ./internal/dedup
+	$(GO) test -run '^$$' -fuzz FuzzHeader -fuzztime $(FUZZTIME) ./internal/qcow
 
 # integration launches real rblockd + vmicached processes on loopback ports
 # and drives a multi-node provisioning round end to end (cold warm with

@@ -1,6 +1,8 @@
 package cachemgr_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -150,68 +152,82 @@ func TestFailedWarmRetriesInPlace(t *testing.T) {
 }
 
 // TestRecoveryDropsCorrupt: a published cache whose contents were torn after
-// the fact (bit rot, torn rename) is dropped at startup, not served.
+// the fact (bit rot, torn rename) is dropped at startup, not served. Two
+// damages: a smashed L1 table, and a refcount table moved past the end of the
+// file — which a read-only open no longer reads, but verification does.
 func TestRecoveryDropsCorrupt(t *testing.T) {
-	s := newStorageNode(t)
-	s.addBase(t, "base.img", mb, 44)
-	dir := t.TempDir()
-	m1 := newManager(t, s, func(c *cachemgr.Config) { c.Dir = dir })
-	lease, err := m1.Acquire("base.img")
-	if err != nil {
-		t.Fatal(err)
+	damages := []struct {
+		name string
+		// at returns the bytes to write and where, found through the
+		// header so the test does not depend on the fill layout.
+		at func(h qcow.Header, size int64) (int64, []byte)
+	}{
+		{"L1 table smashed", func(h qcow.Header, _ int64) (int64, []byte) {
+			return int64(h.L1TableOffset), bytes.Repeat([]byte{0xff}, 256)
+		}},
+		{"refcount table past EOF", func(_ qcow.Header, size int64) (int64, []byte) {
+			return 48, binary.BigEndian.AppendUint64(nil, uint64(size+64<<10)) // Header.RefTableOffset
+		}},
 	}
-	key := lease.Key()
-	lease.Release()
-	if err := m1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, dmg := range damages {
+		t.Run(dmg.name, func(t *testing.T) {
+			s := newStorageNode(t)
+			s.addBase(t, "base.img", mb, 44)
+			dir := t.TempDir()
+			m1 := newManager(t, s, func(c *cachemgr.Config) { c.Dir = dir })
+			lease, err := m1.Acquire("base.img")
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := lease.Key()
+			lease.Release()
+			if err := m1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Corrupt the published file: smash the L1 table with garbage (found
-	// through the header, so the test does not depend on the fill layout).
-	path := filepath.Join(dir, key)
-	rf, err := backend.OpenOSFile(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := qcow.Open(rf, qcow.OpenOpts{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1Off := int64(pub.Header().L1TableOffset)
-	pub.Close() //nolint:errcheck // read-only
-	if err := os.Chmod(path, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	junk := make([]byte, 256)
-	for i := range junk {
-		junk[i] = 0xff
-	}
-	if _, err := f.WriteAt(junk, l1Off); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, key)
+			rf, err := backend.OpenOSFile(path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pub, err := qcow.Open(rf, qcow.OpenOpts{ReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			size, _ := rf.Size()
+			off, b := dmg.at(pub.Header(), size)
+			pub.Close() //nolint:errcheck // read-only
+			if err := os.Chmod(path, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	m2 := newManager(t, s, func(c *cachemgr.Config) { c.Dir = dir })
-	st := m2.Stats()
-	if st.DroppedCorrupt != 1 || st.Resident != 0 {
-		t.Fatalf("after corruption: dropped=%d resident=%d, want 1, 0", st.DroppedCorrupt, st.Resident)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt cache still on disk (err=%v)", err)
-	}
-	// The manager recovers by re-warming from storage.
-	lease, err = m2.Acquire("base.img")
-	if err != nil {
-		t.Fatalf("re-warm after dropping corrupt cache: %v", err)
-	}
-	lease.Release()
-	if n := checkPublished(t, dir); n != 1 {
-		t.Fatalf("%d published caches after re-warm, want 1", n)
+			m2 := newManager(t, s, func(c *cachemgr.Config) { c.Dir = dir })
+			st := m2.Stats()
+			if st.DroppedCorrupt != 1 || st.Resident != 0 {
+				t.Fatalf("after corruption: dropped=%d resident=%d, want 1, 0", st.DroppedCorrupt, st.Resident)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("corrupt cache still on disk (err=%v)", err)
+			}
+			// The manager recovers by re-warming from storage.
+			lease, err = m2.Acquire("base.img")
+			if err != nil {
+				t.Fatalf("re-warm after dropping corrupt cache: %v", err)
+			}
+			lease.Release()
+			if n := checkPublished(t, dir); n != 1 {
+				t.Fatalf("%d published caches after re-warm, want 1", n)
+			}
+		})
 	}
 }

@@ -129,7 +129,8 @@ func backingName(ns *Namespace, from, to Locator) string {
 	return to.String()
 }
 
-// VirtualSizeOf reads an image's virtual size without keeping it open.
+// VirtualSizeOf reads an image's virtual size from its header alone: no
+// table is loaded, and the handle is closed on return.
 func VirtualSizeOf(ns *Namespace, loc Locator) (int64, error) {
 	st, err := ns.Store(loc.Store)
 	if err != nil {
@@ -140,17 +141,14 @@ func VirtualSizeOf(ns *Namespace, loc Locator) (int64, error) {
 		return 0, err
 	}
 	defer f.Close() //nolint:errcheck // read-only handle
-	img, err := qcow.Open(f, qcow.OpenOpts{ReadOnly: true})
+	hdr, err := qcow.ReadHeader(f)
+	if errors.Is(err, qcow.ErrBadMagic) {
+		return f.Size() // raw image: virtual size == file size
+	}
 	if err != nil {
-		if errors.Is(err, qcow.ErrBadMagic) {
-			return f.Size() // raw image: virtual size == file size
-		}
 		return 0, err
 	}
-	sz := img.Size()
-	// The image does not own the handle here; drop our view without
-	// closing the container twice.
-	return sz, nil
+	return int64(hdr.Size), nil
 }
 
 // Span is a byte range of guest reads used to warm a cache.

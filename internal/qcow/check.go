@@ -78,12 +78,21 @@ func (img *Image) Check() (*CheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A read-only image keeps no refcount table (only allocation needs
+	// one), so Check reads its own; nothing on the image is written under
+	// the shared lock.
+	refTable := img.refTable
+	if img.ro {
+		if refTable, err = readRefTable(img.f, img.hdr, img.ly, fileSize); err != nil {
+			return nil, err
+		}
+	}
 	cs, rbe := img.ly.clusterSize, img.ly.refBlockEnts
 	totalClusters := ceilDiv(fileSize, cs)
 	// Every allocated cluster has a refcount, so a valid file is never
 	// longer than its refcount table can index. The table was read from
 	// the file; the length is only a number, and is not allocated for.
-	if indexable := int64(len(img.refTable)) * rbe; totalClusters > indexable {
+	if indexable := int64(len(refTable)) * rbe; totalClusters > indexable {
 		res.errorf("file holds %d clusters, the refcount table indexes %d", totalClusters, indexable)
 		return res, nil
 	}
@@ -111,7 +120,7 @@ func (img *Image) Check() (*CheckResult, error) {
 	for i := int64(0); i < int64(img.hdr.RefTableClusters); i++ {
 		refMeta(int64(img.hdr.RefTableOffset)+i*cs, "refcount table cluster", i)
 	}
-	for i, e := range img.refTable {
+	for i, e := range refTable {
 		if off := int64(e & entryOffsetMask); off != 0 {
 			refMeta(off, "refcount block", int64(i))
 		}
@@ -187,7 +196,7 @@ func (img *Image) Check() (*CheckResult, error) {
 	for lo := int64(0); lo < totalClusters; lo += rbe {
 		n := minI64(rbe, totalClusters-lo)
 		stored := blk[:n*refcountEntrySz]
-		if off := int64(img.refTable[lo/rbe] & entryOffsetMask); off == 0 {
+		if off := int64(refTable[lo/rbe] & entryOffsetMask); off == 0 {
 			clear(stored)
 		} else if err := backend.ReadFull(img.f, stored, off); err != nil {
 			return nil, err

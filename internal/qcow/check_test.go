@@ -1,8 +1,12 @@
 package qcow
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"vmicache/internal/backend"
@@ -11,11 +15,16 @@ import (
 // checkReference is the per-cluster Check this package shipped before the
 // by-the-block rewrite — a map of expected counts and one two-byte read per
 // cluster — kept as the oracle the rewrite's verdicts are compared against.
-// It returns its error count, not the strings.
+// It returns its error count, not the strings. It reads the refcount table
+// itself, as a read-only image holds none.
 func checkReference(t *testing.T, img *Image) (errs int, res CheckResult) {
 	t.Helper()
 	cs := img.ly.clusterSize
 	fileSize, err := img.f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refTable, err := readRefTable(img.f, img.hdr, img.ly, fileSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +42,7 @@ func checkReference(t *testing.T, img *Image) (errs int, res CheckResult) {
 	for i := int64(0); i < int64(img.hdr.RefTableClusters); i++ {
 		ref(int64(img.hdr.RefTableOffset) + i*cs)
 	}
-	for _, e := range img.refTable {
+	for _, e := range refTable {
 		if off := int64(e & entryOffsetMask); off != 0 {
 			ref(off)
 		}
@@ -91,10 +100,16 @@ func checkReference(t *testing.T, img *Image) (errs int, res CheckResult) {
 		}
 	}
 	res.AllocatedClusters = int64(len(expected))
+	rbe := img.ly.refBlockEnts
 	for c := int64(0); c < totalClusters; c++ {
-		got, err := img.refcount(c)
-		if err != nil {
-			t.Fatal(err)
+		var got uint16
+		if rb := c / rbe; rb < int64(len(refTable)) && refTable[rb]&entryOffsetMask != 0 {
+			var b [refcountEntrySz]byte
+			off := int64(refTable[rb]&entryOffsetMask) + c%rbe*refcountEntrySz
+			if err := backend.ReadFull(img.f, b[:], off); err != nil {
+				t.Fatal(err)
+			}
+			got = binary.BigEndian.Uint16(b[:])
 		}
 		switch want := expected[c]; {
 		case int64(got) == want:
@@ -218,25 +233,36 @@ func TestCheckVerdictEquivalence(t *testing.T) {
 			if tc.damage != nil {
 				tc.damage(t, mem, g)
 			}
-			img, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: true})
-			if err != nil {
-				t.Fatal(err)
+			// A read-only open reads the refcount table in Check, a
+			// writable one at open: the verdicts must not differ.
+			var byMode [2]*CheckResult
+			for i, ro := range []bool{true, false} {
+				img, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: ro})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := img.Check()
+				if err != nil {
+					t.Fatal(err)
+				}
+				refErrs, ref := checkReference(t, img)
+				if err := img.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got.OK() != tc.wantOK || got.Leaks != tc.wantLeaks {
+					t.Errorf("read-only=%v: verdict ok=%v leaks=%d, want ok=%v leaks=%d: %s", ro, got.OK(), got.Leaks, tc.wantOK, tc.wantLeaks, got)
+				}
+				if n := len(got.Errors) + got.ErrorsOmitted; n != refErrs {
+					t.Errorf("read-only=%v: %d errors, the per-cluster check found %d: %s", ro, n, refErrs, got)
+				}
+				if got.Leaks != ref.Leaks || got.AllocatedClusters != ref.AllocatedClusters ||
+					got.DataClusters != ref.DataClusters || got.PartialClusters != ref.PartialClusters {
+					t.Errorf("read-only=%v: tallies %+v, the per-cluster check had %+v", ro, *got, ref)
+				}
+				byMode[i] = got
 			}
-			defer img.Close() //nolint:errcheck // read-only
-			got, err := img.Check()
-			if err != nil {
-				t.Fatal(err)
-			}
-			refErrs, ref := checkReference(t, img)
-			if got.OK() != tc.wantOK || got.Leaks != tc.wantLeaks {
-				t.Errorf("verdict ok=%v leaks=%d, want ok=%v leaks=%d: %s", got.OK(), got.Leaks, tc.wantOK, tc.wantLeaks, got)
-			}
-			if n := len(got.Errors) + got.ErrorsOmitted; n != refErrs {
-				t.Errorf("%d errors, the per-cluster check found %d: %s", n, refErrs, got)
-			}
-			if got.Leaks != ref.Leaks || got.AllocatedClusters != ref.AllocatedClusters ||
-				got.DataClusters != ref.DataClusters || got.PartialClusters != ref.PartialClusters {
-				t.Errorf("tallies %+v, the per-cluster check had %+v", *got, ref)
+			if !reflect.DeepEqual(byMode[0], byMode[1]) {
+				t.Errorf("read-only open: %+v, writable open: %+v", *byMode[0], *byMode[1])
 			}
 		})
 	}
@@ -268,15 +294,29 @@ func TestCheckBoundedOnHostileInput(t *testing.T) {
 			put64(t, mem, int64(e&entryOffsetMask)+i*l2EntrySize, uint64(1)<<40|entryCopied)
 		}
 	}
-	re, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
+	// checkBoth runs Check on a read-only and on a writable open and
+	// requires the same result from both.
+	checkBoth := func() *CheckResult {
+		t.Helper()
+		var byMode [2]*CheckResult
+		for i, ro := range []bool{true, false} {
+			re, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: ro})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if byMode[i], err = re.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(byMode[0], byMode[1]) {
+			t.Fatalf("read-only open: %+v, writable open: %+v", *byMode[0], *byMode[1])
+		}
+		return byMode[0]
 	}
-	res, err := re.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	re.Close() //nolint:errcheck // read-only
+	res := checkBoth()
 	if len(res.Errors) != maxCheckErrors || res.ErrorsOmitted < 512-maxCheckErrors {
 		t.Fatalf("%d errors kept, %d omitted; want the cap of %d and the rest counted",
 			len(res.Errors), res.ErrorsOmitted, maxCheckErrors)
@@ -284,8 +324,10 @@ func TestCheckBoundedOnHostileInput(t *testing.T) {
 	if s := res.String(); !strings.Contains(s, "more") || strings.Count(s, "\n") > maxCheckErrors+2 {
 		t.Fatalf("capped result renders as %d lines", strings.Count(s, "\n"))
 	}
-	if _, err := OpenVerified(backend.NopClose(mem), OpenOpts{ReadOnly: true}); err == nil {
-		t.Fatal("OpenVerified accepted the damaged container")
+	for _, ro := range []bool{true, false} {
+		if _, err := OpenVerified(backend.NopClose(mem), OpenOpts{ReadOnly: ro}); err == nil {
+			t.Fatalf("OpenVerified (read-only=%v) accepted the damaged container", ro)
+		}
 	}
 
 	// A length the refcount table cannot index is rejected, not allocated
@@ -293,16 +335,101 @@ func TestCheckBoundedOnHostileInput(t *testing.T) {
 	if err := mem.Truncate(1 << 50); err != nil {
 		t.Fatal(err)
 	}
-	re, err = Open(backend.NopClose(mem), OpenOpts{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close() //nolint:errcheck // read-only
-	res, err = re.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK() || !strings.Contains(res.Errors[0], "refcount table indexes") {
+	if res := checkBoth(); res.OK() || !strings.Contains(res.Errors[0], "refcount table indexes") {
 		t.Fatalf("oversized container not rejected: %s", res)
 	}
+}
+
+// patternImage returns a closed 1 MiB standalone image (4 KiB clusters)
+// holding patSource's bytes, and those bytes.
+func patternImage(t *testing.T) (*backend.MemFile, []byte) {
+	t.Helper()
+	const size = 1 << 20
+	mem := backend.NewMemFile()
+	img, err := Create(backend.NopClose(mem), CreateOpts{Size: size, ClusterBits: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, size)
+	if _, err := (patSource{n: size}).ReadAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.WriteFull(img, want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := img.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return mem, want
+}
+
+// TestReadOnlyOpenSkipsRefcountTable: reads never consult refcounts, so a
+// read-only open no longer loads the refcount table — an image whose table
+// points past the end of the file opens read-only and serves correct
+// bytes. Everything that does need the table still refuses it: a writable
+// open, and OpenVerified in either mode (the publication and recovery gate).
+func TestReadOnlyOpenSkipsRefcountTable(t *testing.T) {
+	mem, want := patternImage(t)
+	sz, _ := mem.Size()
+	put64(t, mem, 48, uint64(sz+64*4096)) // Header.RefTableOffset
+	img, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: true})
+	if err != nil {
+		t.Fatalf("read-only open: %v", err)
+	}
+	got := make([]byte, len(want))
+	if err := backend.ReadFull(img, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("read-only image served wrong bytes")
+	}
+	if _, err := img.Check(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Check on the damaged table: %v, want ErrCorrupt", err)
+	}
+	if err := img.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(backend.NopClose(mem), OpenOpts{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("writable open: %v, want ErrCorrupt", err)
+	}
+	for _, ro := range []bool{true, false} {
+		if _, err := OpenVerified(backend.NopClose(mem), OpenOpts{ReadOnly: ro}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("OpenVerified (read-only=%v): %v, want ErrCorrupt", ro, err)
+		}
+	}
+}
+
+// TestConcurrentCheckAndRead runs Check beside guest reads on one read-only
+// image: Check reads its own refcount table and writes nothing on the image
+// under the shared lock (run with -race).
+func TestConcurrentCheckAndRead(t *testing.T) {
+	mem, want := patternImage(t)
+	img, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer img.Close() //nolint:errcheck // read-only
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, 8192)
+			for i := 0; i < 20; i++ {
+				if w%2 == 0 {
+					if res, err := img.Check(); err != nil || !res.OK() {
+						t.Errorf("Check: %v %v", err, res)
+						return
+					}
+					continue
+				}
+				off := int64((i*37+w)%120) * 8192
+				if err := backend.ReadFull(img, buf, off); err != nil || !bytes.Equal(buf, want[off:off+8192]) {
+					t.Errorf("read at %d: %v", off, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -2,7 +2,10 @@ package qcow
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+
+	"vmicache/internal/backend"
 )
 
 // Header is the decoded fixed header plus the extensions this implementation
@@ -116,10 +119,70 @@ func (h *Header) encode(clusterSize int64) ([]byte, error) {
 	return padded, nil
 }
 
-// decodeHeader parses a header cluster.
-func decodeHeader(buf []byte) (*Header, error) {
+// headerProbe is how much of the file one header read takes: the smallest
+// cluster, so no image pays more bytes for its header than its first cluster,
+// yet it holds the fixed header, this package's extensions and a backing name
+// of up to ~350 bytes, so an open reads the header once at any cluster size.
+const headerProbe = 1 << MinClusterBits
+
+// errPastProbe is decodeHeader's verdict on a probe that ends before the
+// extension list or the backing name does: decode the whole first cluster.
+var errPastProbe = errors.New("qcow: header reaches past the probe")
+
+// ReadHeader decodes the header of the image in f and loads no table: all a
+// caller that needs only the virtual size or the geometry has to pay.
+func ReadHeader(f backend.File) (*Header, error) {
+	sz, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	return readHeader(f, sz, headerProbe)
+}
+
+// readHeader reads the header of a file of sz bytes with one read of
+// min(probe, sz) bytes, of which only the first cluster is decoded, and reads
+// the whole first cluster only when the extensions or the backing name run
+// past the probe. Either way the verdict is decodeHeader's on the first
+// cluster; probe is a parameter so tests can force the fallback.
+func readHeader(f backend.File, sz, probe int64) (*Header, error) {
+	if sz < headerLength {
+		return nil, ErrBadHeader
+	}
+	buf := make([]byte, min(max(probe, headerLength), sz))
+	if err := backend.ReadFull(f, buf, 0); err != nil {
+		return nil, err
+	}
+	if binary.BigEndian.Uint32(buf[0:]) != Magic {
+		return nil, ErrBadMagic
+	}
+	cb := binary.BigEndian.Uint32(buf[20:])
+	if cb < MinClusterBits || cb > MaxClusterBits {
+		return nil, ErrBadClusterBits
+	}
+	first := min(int64(1)<<cb, sz)
+	if int64(len(buf)) >= first {
+		return decodeHeader(buf[:first], false)
+	}
+	if h, err := decodeHeader(buf, true); !errors.Is(err, errPastProbe) {
+		return h, err
+	}
+	buf = make([]byte, first)
+	if err := backend.ReadFull(f, buf, 0); err != nil {
+		return nil, err
+	}
+	return decodeHeader(buf, false)
+}
+
+// decodeHeader parses a header cluster. With prefix set, buf is only the
+// start of the first cluster, and every verdict that depends on bytes past
+// it is errPastProbe instead.
+func decodeHeader(buf []byte, prefix bool) (*Header, error) {
 	if len(buf) < headerLength {
 		return nil, ErrBadHeader
+	}
+	short := ErrBadHeader
+	if prefix {
+		short = errPastProbe
 	}
 	be := binary.BigEndian
 	h := &Header{
@@ -164,9 +227,16 @@ func decodeHeader(buf []byte) (*Header, error) {
 	// Walk extensions. When opening a QCOW2 image, "it is checked against
 	// our new caching extension. If the extension is detected ... the
 	// image is treated as a cache image" (§4.3). Unknown extensions are
-	// skipped for backward compatibility.
+	// skipped for backward compatibility. A list the cluster ends inside
+	// ends there.
 	pos := int(h.HeaderLength)
-	for pos+8 <= len(buf) {
+	for {
+		if pos+8 > len(buf) {
+			if prefix {
+				return nil, errPastProbe
+			}
+			break
+		}
 		typ := be.Uint32(buf[pos:])
 		length := int(be.Uint32(buf[pos+4:]))
 		pos += 8
@@ -174,7 +244,7 @@ func decodeHeader(buf []byte) (*Header, error) {
 			break
 		}
 		if pos+length > len(buf) {
-			return nil, ErrBadHeader
+			return nil, short
 		}
 		if typ == extCache && length == 16 {
 			h.HasCacheExt = true
@@ -203,13 +273,14 @@ func decodeHeader(buf []byte) (*Header, error) {
 		}
 	}
 
-	if h.BackingFileOffset != 0 {
-		off := int(h.BackingFileOffset)
-		end := off + int(h.BackingFileSize)
-		if off < headerLength || end > len(buf) {
+	if off := h.BackingFileOffset; off != 0 {
+		if off < headerLength {
 			return nil, ErrBadHeader
 		}
-		h.BackingFile = string(buf[off:end])
+		if off > uint64(len(buf)) || uint64(h.BackingFileSize) > uint64(len(buf))-off {
+			return nil, short
+		}
+		h.BackingFile = string(buf[off : off+uint64(h.BackingFileSize)])
 	}
 	return h, nil
 }

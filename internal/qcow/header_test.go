@@ -1,8 +1,10 @@
 package qcow
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,7 +35,7 @@ func TestHeaderEncodeDecodeRoundTrip(t *testing.T) {
 	if len(buf) != 4096 {
 		t.Fatalf("encoded length %d", len(buf))
 	}
-	got, err := decodeHeader(buf)
+	got, err := decodeHeader(buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestHeaderQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeHeader(buf)
+		got, err := decodeHeader(buf, false)
 		if err != nil {
 			return false
 		}
@@ -178,4 +180,80 @@ func TestOpenTruncatedImage(t *testing.T) {
 	if _, err := Open(f3, OpenOpts{}); err == nil {
 		t.Fatal("stub image opened")
 	}
+}
+
+// wholeClusterHeader is the decode Open did before the probe: check the
+// magic and cluster bits of the fixed header, then decode the whole first
+// cluster. FuzzHeader holds readHeader to its verdicts.
+func wholeClusterHeader(data []byte) (*Header, error) {
+	if len(data) < headerLength {
+		return nil, ErrBadHeader
+	}
+	if binary.BigEndian.Uint32(data[0:]) != Magic {
+		return nil, ErrBadMagic
+	}
+	cb := binary.BigEndian.Uint32(data[20:])
+	if cb < MinClusterBits || cb > MaxClusterBits {
+		return nil, ErrBadClusterBits
+	}
+	return decodeHeader(data[:min(int64(1)<<cb, int64(len(data)))], false)
+}
+
+// FuzzHeader is differential: reading the header with a probe (and the
+// fallback to the whole first cluster) must reach the verdict decoding the
+// whole first cluster does — the same Header or the same error — in at most
+// two reads, one when the file fits in the probe. The probe size is
+// an input, so seeds of a couple of hundred bytes reach the fallback.
+func FuzzHeader(f *testing.F) {
+	enc := func(h Header, cs int64) []byte {
+		h.Magic, h.Version, h.RefcountOrder = Magic, Version, refcountOrder
+		b, err := h.encode(cs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	cache := enc(Header{ClusterBits: 9, Size: 1 << 20, HasCacheExt: true, CacheQuota: 1 << 20, BackingFile: "nfs:base.img"}, 512)
+	sub := enc(Header{ClusterBits: 16, Size: 1 << 20, HasCacheExt: true, CacheQuota: 1 << 20,
+		HasSubExt: true, SubBits: subBitsFor(16), SubTableOffset: 1 << 16, IncompatFeatures: IncompatSubclusters,
+		BackingFile: "b"}, 64<<10)
+	plain := enc(Header{ClusterBits: 12, Size: 1 << 20}, 4096)
+	f.Add(cache[:200], uint16(120))  // extensions end past the probe
+	f.Add(cache[:200], uint16(4096)) // one read covers the file
+	f.Add(cache[:200], uint16(140))  // backing name past the probe
+	f.Add(cache[:140], uint16(104))  // backing name cut by the end of the file
+	f.Add(sub[:220], uint16(150))    // sub-cluster extension past the probe
+	f.Add(sub[:120], uint16(0))      // probe clamped to the fixed header
+	f.Add(plain[:112], uint16(112))  // end marker exactly at the probe
+	f.Add(plain[:200], uint16(0))    // no extensions, no backing name
+	long := append([]byte{}, plain[:240]...)
+	binary.BigEndian.PutUint32(long[104:], 0x7a7a7a7a) // an unknown extension...
+	binary.BigEndian.PutUint32(long[108:], 100)        // ...of 100 bytes
+	f.Add(long, uint16(160))
+	wrap := append([]byte{}, plain[:200]...)
+	binary.BigEndian.PutUint64(wrap[8:], 1<<63-1) // offset + length overflows an int
+	binary.BigEndian.PutUint32(wrap[16:], 5)
+	f.Add(wrap, uint16(0))
+	f.Add([]byte("QFI\xfb not a header at all, and shorter than the fixed one"), uint16(64))
+
+	f.Fuzz(func(t *testing.T, data []byte, probe uint16) {
+		want, wantErr := wholeClusterHeader(data)
+		mem := backend.NewMemFile()
+		if err := backend.WriteFull(mem, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		reads := 0
+		hf := backend.NewHookFile(mem)
+		hf.OnRead = func(int64, int) { reads++ }
+		got, err := readHeader(hf, int64(len(data)), int64(probe))
+		switch {
+		case (err == nil) != (wantErr == nil), err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("probe %d: error %v, whole cluster: %v", probe, err, wantErr)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("probe %d: %+v, whole cluster: %+v", probe, got, want)
+		}
+		if fits := len(data) <= max(int(probe), headerLength); reads > 2 || fits && reads > 1 {
+			t.Fatalf("%d reads of a %d byte file with a %d byte probe", reads, len(data), probe)
+		}
+	})
 }

@@ -165,7 +165,8 @@ type Image struct {
 
 	// l1 is the in-memory L1 table (write-through).
 	l1 []uint64
-	// refTable is the in-memory refcount table (write-through).
+	// refTable is the in-memory refcount table (write-through); nil on a
+	// read-only image, which never allocates.
 	refTable []uint64
 	// l2c caches recently used L2 tables.
 	l2c *l2Cache
@@ -355,33 +356,10 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sz < headerLength {
-		return nil, ErrBadHeader
-	}
-	// The cluster size is inside the header: probe the fixed header
-	// first, then read exactly the first cluster, which holds the
-	// extensions and backing name. (Keeping this read small matters when
-	// the container sits behind a counted or remote medium.)
-	var fixed [headerLength]byte
-	if err := backend.ReadFull(f, fixed[:], 0); err != nil {
-		return nil, err
-	}
-	if binary.BigEndian.Uint32(fixed[0:]) != Magic {
-		return nil, ErrBadMagic
-	}
-	cb := binary.BigEndian.Uint32(fixed[20:])
-	if cb < MinClusterBits || cb > MaxClusterBits {
-		return nil, ErrBadClusterBits
-	}
-	probe := int64(1) << cb
-	if probe > sz {
-		probe = sz
-	}
-	buf := make([]byte, probe)
-	if err := backend.ReadFull(f, buf, 0); err != nil {
-		return nil, err
-	}
-	hdr, err := decodeHeader(buf)
+	// One probe-sized read decodes the header (readHeader). Keeping the
+	// open's reads few and small matters when the container sits behind a
+	// counted or remote medium.
+	hdr, err := readHeader(f, sz, headerProbe)
 	if err != nil {
 		return nil, err
 	}
@@ -411,15 +389,12 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 	for i := range img.l1 {
 		img.l1[i] = binary.BigEndian.Uint64(l1buf[i*8:])
 	}
-	// Load refcount table.
-	rtBytes := int64(hdr.RefTableClusters) * ly.clusterSize
-	img.refTable = make([]uint64, rtBytes/refTableEntrySz)
-	rtbuf := make([]byte, rtBytes)
-	if err := backend.ReadFull(f, rtbuf, int64(hdr.RefTableOffset)); err != nil {
-		return nil, fmt.Errorf("qcow: reading refcount table: %w", err)
-	}
-	for i := range img.refTable {
-		img.refTable[i] = binary.BigEndian.Uint64(rtbuf[i*8:])
+	// Only a writable image allocates, so only it needs the refcount table
+	// in memory; Check reads its own copy.
+	if !img.ro {
+		if img.refTable, err = readRefTable(f, hdr, ly, sz); err != nil {
+			return nil, err
+		}
 	}
 	if hdr.HasSubExt {
 		img.sub = newSubState(hdr, ly)

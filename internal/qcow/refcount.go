@@ -14,7 +14,26 @@ import (
 // `qimg check` uses them to validate images and the cache-quota computation
 // must account metadata clusters precisely.
 
-// refcount reads the refcount of cluster c.
+// readRefTable loads the refcount table of a file of sz bytes. Its length is
+// a header field, so it is bounded by the file before it is allocated for.
+func readRefTable(f backend.File, hdr *Header, ly layout, sz int64) ([]uint64, error) {
+	n := int64(hdr.RefTableClusters) * ly.clusterSize
+	if hdr.RefTableOffset > uint64(sz) || uint64(n) > uint64(sz)-hdr.RefTableOffset {
+		return nil, fmt.Errorf("%w: refcount table beyond end of file", ErrCorrupt)
+	}
+	buf := make([]byte, n)
+	if err := backend.ReadFull(f, buf, int64(hdr.RefTableOffset)); err != nil {
+		return nil, fmt.Errorf("qcow: reading refcount table: %w", err)
+	}
+	t := make([]uint64, n/refTableEntrySz)
+	for i := range t {
+		t[i] = binary.BigEndian.Uint64(buf[i*refTableEntrySz:])
+	}
+	return t, nil
+}
+
+// refcount reads the refcount of cluster c (writable images only: a
+// read-only image holds no refcount table).
 func (img *Image) refcount(c int64) (uint16, error) {
 	rbIdx := c / img.ly.refBlockEnts
 	if rbIdx >= int64(len(img.refTable)) {

@@ -86,9 +86,10 @@ type mmapRegion struct {
 }
 
 // EnableMmap maps the container read-only and switches warm raw reads to
-// copy-from-mapping; the metadata tables (L1, refcount, allocated L2 tables
+// copy-from-mapping; the metadata tables reads walk (L1, allocated L2 tables
 // and the sub-cluster bitmap) are madvise(WILLNEED)-prefaulted so the first
-// boot does not fault them one page at a time. Only read-only images
+// boot does not fault them one page at a time. The refcount table is not:
+// no read consults it, and Check reads it with pread. Only read-only images
 // qualify (a growing container would need remaps), and the container must
 // be os-backed; elsewhere zerocopy.ErrUnsupported is returned and the
 // caller keeps the pread path.
@@ -109,8 +110,7 @@ func (img *Image) EnableMmap() error {
 		return err
 	}
 	// Pre-fault the metadata working set; advisory, so errors are ignored.
-	zerocopy.AdviseWillNeed(m, int64(img.hdr.L1TableOffset), int64(img.hdr.L1Size)*l1EntrySize)                   //nolint:errcheck
-	zerocopy.AdviseWillNeed(m, int64(img.hdr.RefTableOffset), int64(img.hdr.RefTableClusters)*img.ly.clusterSize) //nolint:errcheck
+	zerocopy.AdviseWillNeed(m, int64(img.hdr.L1TableOffset), int64(img.hdr.L1Size)*l1EntrySize) //nolint:errcheck
 	img.mu.RLock()
 	if img.sub != nil {
 		zerocopy.AdviseWillNeed(m, img.sub.tableOff, img.sub.clusters*8) //nolint:errcheck
