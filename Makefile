@@ -64,7 +64,10 @@ bench:
 # the large vectored transfers, the sendfile-vs-copy matrix
 # (ServerReadZeroCopy), and the 64-way contended serve (ContendedServerRead);
 # 'NBDReplay' is internal/nbd's boot replay, direct vs through loopback NBD
-# (the microbenchmark behind bench/e2e's nbd_boot).
+# (the microbenchmark behind bench/e2e's nbd_boot); 'WarmAttach' is
+# internal/cachemgr's Boot → profile replay → Close on a warm node over
+# loopback rblock (the one behind warm_boot: allocs, L2 tables decoded and
+# storage-node requests per op).
 # -cpu 4 pins GOMAXPROCS so benchmark names (and the stripped-suffix keys
 # benchjson compares on) are machine-independent; -benchtime 2s keeps
 # run-to-run noise well under the 20% regression gate. After refreshing,
@@ -72,8 +75,8 @@ bench:
 # at it.
 bench-baseline:
 	( $(GO) test -run xxx \
-		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay' \
-		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ./internal/nbd/ ; \
+		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay|WarmAttach' \
+		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ./internal/nbd/ ./internal/cachemgr/ ; \
 	  $(GO) test -run xxx \
 		-bench 'ProfileWarm|SubclusterColdBoot|SubclusterWarmRead|SwarmFlashCrowd|DedupManifestBuild|DedupMaterialize|DedupDeltaTransfer' \
 		-benchmem -benchtime 2s -cpu 4 . ) \

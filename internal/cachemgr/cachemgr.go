@@ -370,6 +370,8 @@ type Manager struct {
 	warming  map[string]*warmState
 	closed   bool
 	exporter *rblock.Server
+	// tables holds each resident published cache's shared table set (admit).
+	tables map[string]*qcow.Tables
 
 	// peerSem bounds concurrently served peer-transfer opens.
 	peerSem chan struct{}
@@ -437,12 +439,14 @@ func New(cfg Config) (*Manager, error) {
 		ns:           ns,
 		pool:         core.NewPool(cfg.Budget),
 		warming:      make(map[string]*warmState),
+		tables:       make(map[string]*qcow.Tables),
 		peerSem:      make(chan struct{}, peerSlots),
 		swarmExports: make(map[string]*swarmExport),
 		swarmLive:    make(map[*swarm.Session]struct{}),
 		peerDetail:   make(map[string]*PeerDetail),
 	}
 	m.pool.OnEvict = func(name string, size int64) {
+		m.swapTables(name, nil)
 		m.closeSwarmExport(name)
 		if err := os.Remove(filepath.Join(m.dir, name)); err != nil {
 			m.logf("cachemgr: evicting %s: %v", name, err)
@@ -640,13 +644,38 @@ func (m *Manager) recover() error {
 	}
 	sort.Slice(pubs, func(i, j int) bool { return pubs[i].mtime.Before(pubs[j].mtime) })
 	for _, p := range pubs {
-		if _, ok := m.pool.Add(p.name, p.size); !ok {
+		if _, ok := m.admit(p.name, p.size); !ok {
 			// Larger than the whole budget: cannot be kept.
 			os.Remove(filepath.Join(m.dir, p.name)) //nolint:errcheck // best-effort drop
 			m.logf("cachemgr: dropped %s (%d bytes exceeds budget %d)", p.name, p.size, m.cfg.Budget)
 		}
 	}
 	return nil
+}
+
+// admit pools a published cache under a fresh table set, installed first.
+func (m *Manager) admit(key string, size int64) (evicted []string, ok bool) {
+	m.swapTables(key, qcow.NewTables())
+	if evicted, ok = m.pool.Add(key, size); !ok {
+		m.swapTables(key, nil)
+	}
+	return evicted, ok
+}
+
+// swapTables installs t as key's set (nil forgets it) and retires the old
+// one; a leaving cache drops its set before its file is removed.
+func (m *Manager) swapTables(key string, t *qcow.Tables) {
+	m.mu.Lock()
+	old := m.tables[key]
+	if t != nil {
+		m.tables[key] = t
+	} else {
+		delete(m.tables, key)
+	}
+	m.mu.Unlock()
+	if old != nil {
+		old.Retire()
+	}
 }
 
 // verifyPublished runs the full consistency check on a published cache.
@@ -690,10 +719,10 @@ func sanitize(s string) string {
 // Lease pins a published cache for one boot session; the cache cannot be
 // evicted until every lease on it is released.
 type Lease struct {
-	m    *Manager
-	key  string
-	base string
-	once sync.Once
+	m      *Manager
+	key    string
+	tables *qcow.Tables // the pinned cache's shared table set
+	once   sync.Once
 }
 
 // Key reports the published cache name the lease pins.
@@ -727,9 +756,10 @@ func (m *Manager) Acquire(base string) (*Lease, error) {
 			continue // published by the warmer; attach on the next pass
 		}
 		if m.pool.Lookup(key) && m.pool.Pin(key) {
+			lease := &Lease{m: m, key: key, tables: m.tables[key]}
 			m.mu.Unlock()
 			m.stats.attaches.Add(1)
-			return &Lease{m: m, key: key, base: base}, nil
+			return lease, nil
 		}
 		if attempt >= 3 {
 			m.mu.Unlock()
@@ -789,7 +819,7 @@ func (m *Manager) Boot(base, vmID string) (*Session, error) {
 	// BackingReadOnly: the published cache is immutable — attach without
 	// the §4.3 read-write probe, which its file permissions would reject.
 	chain, err := core.OpenChain(m.ns, core.Locator{Store: scratchName, Name: cowName},
-		core.ChainOpts{BackingReadOnly: true, MmapWarm: m.cfg.MmapWarm})
+		core.ChainOpts{BackingReadOnly: true, MmapWarm: m.cfg.MmapWarm, Tables: lease.tables})
 	if err != nil {
 		m.scratch.Remove(cowName) //nolint:errcheck // unwinding
 		lease.Release()
@@ -862,6 +892,7 @@ func (m *Manager) Close() error {
 	}
 	m.closed = true
 	exp := m.exporter
+	clear(m.tables)
 	m.mu.Unlock()
 
 	// Close any published caches held open for chunk-wise serving.

@@ -28,7 +28,7 @@ type storageNode struct {
 	patterns map[string][]byte
 }
 
-func newStorageNode(t *testing.T) *storageNode {
+func newStorageNode(t testing.TB) *storageNode {
 	t.Helper()
 	store := backend.NewMemStore()
 	srv := rblock.NewServer(store, rblock.ServerOpts{})

@@ -474,6 +474,7 @@ func (m *Manager) Invalidate(base string) error {
 		<-ws.done // let the in-flight warm settle; its output is stale
 	}
 	if m.pool.Remove(key) {
+		m.swapTables(key, nil)
 		m.closeSwarmExport(key)
 		if err := os.Remove(filepath.Join(m.dir, key)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err

@@ -267,7 +267,7 @@ func (m *Manager) publish(key string, from *dedup.Manifest) error {
 	if err != nil {
 		return err
 	}
-	evicted, ok := m.pool.Add(key, fi.Size())
+	evicted, ok := m.admit(key, fi.Size())
 	if !ok {
 		os.Remove(pubPath) //nolint:errcheck // cannot keep it anyway
 		return fmt.Errorf("cachemgr: %s (%d bytes) exceeds the node cache budget (%d)",

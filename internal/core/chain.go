@@ -98,6 +98,10 @@ type ChainOpts struct {
 	// mmap) silently keep the pread path.
 	MmapWarm bool
 
+	// Tables is the shared table set of the image below the top, taken when
+	// it opens read-only (cachemgr passes a published cache's set).
+	Tables *qcow.Tables
+
 	// WrapFile, when non-nil, wraps each opened container before the
 	// image is parsed. The cluster simulator uses this to attach traffic
 	// accounting and simulated-time costs per medium.
@@ -151,7 +155,7 @@ func (c *Chain) WriteAt(p []byte, off int64) (int, error) { return c.Top().Write
 // Size reports the virtual disk size.
 func (c *Chain) Size() int64 { return c.Top().Size() }
 
-// Sync flushes every image in the chain.
+// Sync flushes the chain; only writable images flush anything (Image.Sync).
 func (c *Chain) Sync() error {
 	for _, img := range c.Images {
 		if err := img.Sync(); err != nil && !errors.Is(err, qcow.ErrClosed) {
@@ -218,7 +222,11 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 		if opts.WrapFile != nil {
 			f = opts.WrapFile(cur, f, depth)
 		}
-		img, err := qcow.Open(f, qcow.OpenOpts{ReadOnly: ro})
+		var tables *qcow.Tables
+		if depth == 1 {
+			tables = opts.Tables
+		}
+		img, err := qcow.Open(f, qcow.OpenOpts{ReadOnly: ro, Tables: tables})
 		if errors.Is(err, qcow.ErrBadMagic) && depth > 0 {
 			// Raw base image at the end of the chain.
 			sz, szErr := f.Size()
@@ -254,7 +262,7 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 			if opts.WrapFile != nil {
 				f = opts.WrapFile(cur, f, depth)
 			}
-			img, err = qcow.Open(f, qcow.OpenOpts{ReadOnly: true})
+			img, err = qcow.Open(f, qcow.OpenOpts{ReadOnly: true, Tables: tables})
 			if err != nil {
 				f.Close() //nolint:errcheck
 				c.Close() //nolint:errcheck

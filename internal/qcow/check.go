@@ -224,6 +224,7 @@ func (img *Image) Check() (*CheckResult, error) {
 // OpenVerified succeeds on the warmed temp file, so a partially-written or
 // torn container can never be served.
 func OpenVerified(f backend.File, opts OpenOpts) (*Image, error) {
+	opts.Tables = nil
 	img, err := Open(f, opts)
 	if err != nil {
 		return nil, err

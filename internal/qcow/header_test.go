@@ -129,6 +129,15 @@ func TestOpenHostileHeaders(t *testing.T) {
 	if err := mk(func(b []byte) { b[47] = 0x13 }); err == nil {
 		t.Fatal("misaligned L1 accepted")
 	}
+	// An L1 the file cannot hold is refused before its 2^32-1 entries (a
+	// 32 GiB table, 64 GiB with its read buffer) are allocated; so is an
+	// aligned L1 offset past the end of the file.
+	if err := mk(func(b []byte) { binary.BigEndian.PutUint32(b[36:], 1<<32-1) }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("L1 size past end of file: %v", err)
+	}
+	if err := mk(func(b []byte) { binary.BigEndian.PutUint64(b[40:], 1<<40) }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("L1 offset past end of file: %v", err)
+	}
 }
 
 // Hostile input: random bytes never crash Open.
@@ -235,6 +244,10 @@ func FuzzHeader(f *testing.F) {
 	binary.BigEndian.PutUint32(wrap[16:], 5)
 	f.Add(wrap, uint16(0))
 	f.Add([]byte("QFI\xfb not a header at all, and shorter than the fixed one"), uint16(64))
+	hugeL1 := append([]byte{}, plain[:200]...)
+	binary.BigEndian.PutUint32(hugeL1[36:], 1<<32-1) // an L1 far past the end of the file
+	binary.BigEndian.PutUint64(hugeL1[40:], 4096)
+	f.Add(hugeL1, uint16(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, probe uint16) {
 		want, wantErr := wholeClusterHeader(data)
@@ -254,6 +267,20 @@ func FuzzHeader(f *testing.F) {
 		}
 		if fits := len(data) <= max(int(probe), headerLength); reads > 2 || fits && reads > 1 {
 			t.Fatalf("%d reads of a %d byte file with a %d byte probe", reads, len(data), probe)
+		}
+		// Open sizes its tables from header fields; whatever they claim, it
+		// allocates no more than the file holds and accepts only an L1
+		// that lies inside the file.
+		if err != nil {
+			return
+		}
+		img, err := Open(mem, OpenOpts{ReadOnly: true})
+		if err != nil {
+			return
+		}
+		defer img.Close() //nolint:errcheck // read-only
+		if !within(got.L1TableOffset, uint64(got.L1Size)*l1EntrySize, int64(len(data))) {
+			t.Fatalf("opened with L1 %d×8 B at %d in a %d byte file", got.L1Size, got.L1TableOffset, len(data))
 		}
 	})
 }

@@ -39,7 +39,7 @@ type Stats struct {
 	CowFillBytes atomic.Int64
 
 	// L2CacheHits/L2CacheMisses count L2-table translations served from
-	// the in-memory L2 cache vs decoded from the container.
+	// the in-memory L2 cache vs not (decoded here or by a concurrent miss).
 	L2CacheHits   atomic.Int64
 	L2CacheMisses atomic.Int64
 
@@ -123,6 +123,10 @@ type CreateOpts struct {
 type OpenOpts struct {
 	// ReadOnly rejects all mutations, including cache fills.
 	ReadOnly bool
+
+	// Tables is the table set the read-only opens of an immutable file share
+	// (see Tables); writable opens and OpenVerified ignore it.
+	Tables *Tables
 }
 
 // Image is an open image file. Methods are safe for concurrent use by
@@ -168,7 +172,7 @@ type Image struct {
 	// refTable is the in-memory refcount table (write-through); nil on a
 	// read-only image, which never allocates.
 	refTable []uint64
-	// l2c caches recently used L2 tables.
+	// l2c caches recently used L2 tables; l1 and l2c may be a shared set's.
 	l2c *l2Cache
 	// nextFree is the next unallocated cluster index (bump allocator).
 	nextFree int64
@@ -373,21 +377,21 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 		hdr:      hdr,
 		ly:       ly,
 		ro:       opts.ReadOnly,
-		l2c:      newL2Cache(defaultL2CacheTables(ly)),
 		nextFree: ceilDiv(sz, ly.clusterSize),
 		isCache:  hdr.IsCache(),
 		quota:    int64(hdr.CacheQuota),
 	}
-	// Load L1.
-	img.l1 = make([]uint64, hdr.L1Size)
-	l1buf := make([]byte, int64(hdr.L1Size)*l1EntrySize)
-	if len(l1buf) > 0 {
-		if err := backend.ReadFull(f, l1buf, int64(hdr.L1TableOffset)); err != nil {
-			return nil, fmt.Errorf("qcow: reading L1 table: %w", err)
+	shared := false
+	if opts.ReadOnly && opts.Tables != nil {
+		if shared, err = opts.Tables.attach(img, sz); err != nil {
+			return nil, err
 		}
 	}
-	for i := range img.l1 {
-		img.l1[i] = binary.BigEndian.Uint64(l1buf[i*8:])
+	if !shared {
+		img.l2c = newL2Cache(defaultL2CacheTables(ly))
+		if img.l1, err = readL1(f, hdr, sz); err != nil {
+			return nil, err
+		}
 	}
 	// Only a writable image allocates, so only it needs the refcount table
 	// in memory; Check reads its own copy.
@@ -397,10 +401,11 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 		}
 	}
 	if hdr.HasSubExt {
-		img.sub = newSubState(hdr, ly)
-		if img.sub.tableOff+img.sub.clusters*8 > sz {
+		// Bound the bitmap (a word per virtual cluster) before sizing it.
+		if hdr.Size > 1<<62 || !within(hdr.SubTableOffset, uint64(ly.clustersFor(int64(hdr.Size)))*8, sz) {
 			return nil, fmt.Errorf("%w: subcluster table beyond end of file", ErrCorrupt)
 		}
+		img.sub = newSubState(hdr, ly)
 		if err := img.sub.load(f); err != nil {
 			return nil, fmt.Errorf("qcow: reading subcluster table: %w", err)
 		}
@@ -412,6 +417,28 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 		img.cacheFull = true
 	}
 	return img, nil
+}
+
+// readL1 reads the L1 table, refusing one the file cannot hold unallocated.
+func readL1(f backend.File, hdr *Header, sz int64) ([]uint64, error) {
+	n := uint64(hdr.L1Size) * l1EntrySize
+	if !within(hdr.L1TableOffset, n, sz) {
+		return nil, fmt.Errorf("%w: L1 table beyond end of file", ErrCorrupt)
+	}
+	buf := make([]byte, n)
+	if err := backend.ReadFull(f, buf, int64(hdr.L1TableOffset)); err != nil {
+		return nil, fmt.Errorf("qcow: reading L1 table: %w", err)
+	}
+	l1 := make([]uint64, hdr.L1Size)
+	for i := range l1 {
+		l1[i] = binary.BigEndian.Uint64(buf[i*8:])
+	}
+	return l1, nil
+}
+
+// within reports whether n bytes at off fit a file of sz bytes, overflow-safe.
+func within(off, n uint64, sz int64) bool {
+	return off <= uint64(sz) && n <= uint64(sz)-off
 }
 
 // Header returns a copy of the decoded header.
@@ -483,17 +510,19 @@ func (img *Image) syncCacheUsed() error {
 	return backend.WriteFull(img.f, b[:], img.hdr.cacheExtFileOffset()+8)
 }
 
-// Sync flushes metadata and the container.
+// Sync flushes metadata and the container. A read-only image wrote nothing and
+// flushes nothing: a published cache was synced before its rename.
 func (img *Image) Sync() error {
 	img.mu.Lock()
 	defer img.mu.Unlock()
 	if img.closed {
 		return ErrClosed
 	}
-	if !img.ro {
-		if err := img.syncCacheUsed(); err != nil {
-			return err
-		}
+	if img.ro {
+		return nil
+	}
+	if err := img.syncCacheUsed(); err != nil {
+		return err
 	}
 	return img.f.Sync()
 }

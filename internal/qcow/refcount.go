@@ -18,7 +18,7 @@ import (
 // a header field, so it is bounded by the file before it is allocated for.
 func readRefTable(f backend.File, hdr *Header, ly layout, sz int64) ([]uint64, error) {
 	n := int64(hdr.RefTableClusters) * ly.clusterSize
-	if hdr.RefTableOffset > uint64(sz) || uint64(n) > uint64(sz)-hdr.RefTableOffset {
+	if !within(hdr.RefTableOffset, uint64(n), sz) {
 		return nil, fmt.Errorf("%w: refcount table beyond end of file", ErrCorrupt)
 	}
 	buf := make([]byte, n)

@@ -2,6 +2,7 @@ package qcow
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -52,8 +53,17 @@ type l2Shard struct {
 	head *l2Entry // most recent
 	tail *l2Entry // least recent
 
+	loading map[int64]*l2Load // in-flight decodes (get); nil until a miss
+
 	hits   atomic.Int64
 	misses atomic.Int64
+}
+
+// l2Load is one in-flight decode; table and err are set when done closes.
+type l2Load struct {
+	done  chan struct{}
+	table []uint64
+	err   error
 }
 
 type l2Entry struct {
@@ -83,20 +93,40 @@ func (c *l2Cache) shard(off int64) *l2Shard {
 	return &c.shards[(h>>56)&(l2ShardCount-1)]
 }
 
-func (c *l2Cache) get(off int64) ([]uint64, bool) {
+// get returns the cached table at off or, on a miss, the table's in-flight
+// load; lead reports that the caller claimed it and must finish it.
+func (c *l2Cache) get(off int64) (t []uint64, ld *l2Load, lead bool) {
 	s := c.shard(off)
 	s.mu.Lock()
-	e, ok := s.m[off]
-	if !ok {
+	if e, ok := s.m[off]; ok {
+		s.moveToFront(e)
+		t = e.table
 		s.mu.Unlock()
-		s.misses.Add(1)
-		return nil, false
+		s.hits.Add(1)
+		return t, nil, false
 	}
-	s.moveToFront(e)
-	t := e.table
+	if ld = s.loading[off]; ld == nil {
+		if s.loading == nil {
+			s.loading = make(map[int64]*l2Load)
+		}
+		ld, lead = &l2Load{done: make(chan struct{})}, true
+		s.loading[off] = ld
+	}
 	s.mu.Unlock()
-	s.hits.Add(1)
-	return t, true
+	s.misses.Add(1)
+	return nil, ld, lead
+}
+
+// finish caches a claimed load's table and releases its waiters.
+func (c *l2Cache) finish(off int64, ld *l2Load) {
+	if ld.err == nil {
+		c.put(off, ld.table)
+	}
+	s := c.shard(off)
+	s.mu.Lock()
+	delete(s.loading, off)
+	s.mu.Unlock()
+	close(ld.done)
 }
 
 func (c *l2Cache) put(off int64, table []uint64) {
@@ -152,28 +182,73 @@ func (s *l2Shard) moveToFront(e *l2Entry) {
 	s.pushFront(e)
 }
 
+// Tables is the L1 and decoded L2 tables of one immutable image file, shared
+// by its read-only opens: the first fills the L1, later ones read only the
+// header. Hand a set only to opens of that file; Retire it before it changes.
+type Tables struct {
+	mu      sync.Mutex
+	hdr     *Header // the header of the filling open; nil while empty
+	l1      []uint64
+	l2c     *l2Cache
+	retired atomic.Bool
+}
+
+// NewTables returns an empty set; the first open that takes it fills it.
+func NewTables() *Tables { return &Tables{} }
+
+// Retire makes later opens ignore the set; images using it keep it.
+func (t *Tables) Retire() { t.retired.Store(true) }
+
+// attach points a read-only image at the set, filling the set from img's
+// container first if it is empty; false means retired: img reads its own.
+func (t *Tables) attach(img *Image, sz int64) (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.retired.Load() {
+		return false, nil
+	}
+	if t.hdr == nil {
+		l1, err := readL1(img.f, img.hdr, sz)
+		if err != nil {
+			return false, err
+		}
+		t.hdr, t.l1, t.l2c = img.hdr, l1, newL2Cache(defaultL2CacheTables(img.ly))
+	} else if *t.hdr != *img.hdr {
+		return false, fmt.Errorf("%w: shared tables belong to another image", ErrCorrupt)
+	}
+	img.l1, img.l2c = t.l1, t.l2c
+	return true, nil
+}
+
 // loadL2 returns the decoded L2 table stored at file offset off. Concurrent
-// misses on the same table may decode it twice; the copies are identical
-// (L2 tables only change under the exclusive image lock) and the cache keeps
-// whichever was put last.
+// misses on one table read and decode it once: the first claims the load,
+// the others wait for its table. A waiter whose leader failed — possibly on
+// another image's container, when the cache is shared — loads it itself.
 func (img *Image) loadL2(off int64) ([]uint64, error) {
-	if t, ok := img.l2c.get(off); ok {
-		img.stats.L2CacheHits.Add(1)
-		return t, nil
-	}
-	img.stats.L2CacheMisses.Add(1)
-	buf := img.cbuf.get(int(img.ly.clusterSize))
-	if err := backend.ReadFull(img.f, buf, off); err != nil {
+	for {
+		t, ld, lead := img.l2c.get(off)
+		if t != nil {
+			img.stats.L2CacheHits.Add(1)
+			return t, nil
+		}
+		img.stats.L2CacheMisses.Add(1)
+		if !lead {
+			if <-ld.done; ld.err != nil {
+				continue
+			}
+			return ld.table, nil
+		}
+		buf := img.cbuf.get(int(img.ly.clusterSize))
+		if ld.err = backend.ReadFull(img.f, buf, off); ld.err == nil {
+			ld.table = make([]uint64, img.ly.l2Entries)
+			for i := range ld.table {
+				ld.table[i] = binary.BigEndian.Uint64(buf[i*8:])
+			}
+		}
 		img.cbuf.put(buf)
-		return nil, err
+		img.l2c.finish(off, ld)
+		return ld.table, ld.err
 	}
-	t := make([]uint64, img.ly.l2Entries)
-	for i := range t {
-		t[i] = binary.BigEndian.Uint64(buf[i*8:])
-	}
-	img.cbuf.put(buf)
-	img.l2c.put(off, t)
-	return t, nil
 }
 
 // writeSlots writes consecutive big-endian 8-byte table slots (L1, L2,
