@@ -67,7 +67,9 @@ bench:
 # (the microbenchmark behind bench/e2e's nbd_boot); 'WarmAttach' is
 # internal/cachemgr's Boot → profile replay → Close on a warm node over
 # loopback rblock (the one behind warm_boot: allocs, L2 tables decoded and
-# storage-node requests per op).
+# storage-node requests per op); 'PeerPull' is internal/cachemgr's fresh
+# node pulling a centos-warmed cache wholesale from a peer Manager, then
+# Boot → Close (the one behind peer_warm: allocs and bytes per op).
 # -cpu 4 pins GOMAXPROCS so benchmark names (and the stripped-suffix keys
 # benchjson compares on) are machine-independent; -benchtime 2s keeps
 # run-to-run noise well under the 20% regression gate. After refreshing,
@@ -75,7 +77,7 @@ bench:
 # at it.
 bench-baseline:
 	( $(GO) test -run xxx \
-		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay|WarmAttach' \
+		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay|WarmAttach|PeerPull' \
 		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ./internal/nbd/ ./internal/cachemgr/ ; \
 	  $(GO) test -run xxx \
 		-bench 'ProfileWarm|SubclusterColdBoot|SubclusterWarmRead|SwarmFlashCrowd|DedupManifestBuild|DedupMaterialize|DedupDeltaTransfer' \

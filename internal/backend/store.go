@@ -3,10 +3,12 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Store is a named collection of block files: the paper's media. A compute
@@ -180,43 +182,94 @@ func (s *DirStore) Stat(name string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// CopyFile copies a whole file between stores (used for cache transfers to
-// the storage node's memory, Fig. 13). Returns the number of bytes copied.
+// The copy loop keeps four 1 MiB windows in flight: the jumbo segments an
+// rblock client sizes its receive buffer for on a zero-copy open.
+const copyWindow, copyInFlight = 1 << 20, 4
+
+var copyBufPool = sync.Pool{New: func() any { b := make([]byte, copyWindow); return &b }}
+
+// ErrTooLarge is returned by StreamFile for a source above its limit.
+var ErrTooLarge = errors.New("backend: source exceeds the copy limit")
+
+// CopyFile copies a whole file between stores and fsyncs the copy (cache
+// transfers to the storage node's memory, Fig. 13). Returns bytes copied.
 func CopyFile(dst Store, dstName string, src Store, srcName string) (int64, error) {
+	return copyFile(dst, dstName, src, srcName, 0, true)
+}
+
+// StreamFile is CopyFile for a caller that makes the copy durable itself: it
+// does not fsync, and a source above limit bytes (when limit > 0) is refused
+// with ErrTooLarge before dstName is created.
+func StreamFile(dst Store, dstName string, src Store, srcName string, limit int64) (int64, error) {
+	return copyFile(dst, dstName, src, srcName, limit, false)
+}
+
+func copyFile(dst Store, dstName string, src Store, srcName string, limit int64, durable bool) (int64, error) {
 	in, err := src.Open(srcName, true)
 	if err != nil {
 		return 0, err
 	}
 	defer in.Close() //nolint:errcheck // read-only handle
+	size, err := in.Size()
+	if err != nil {
+		return 0, err
+	}
+	if limit > 0 && size > limit {
+		return 0, fmt.Errorf("%w: %s is %d bytes, the limit %d", ErrTooLarge, srcName, size, limit)
+	}
 	out, err := dst.Create(dstName)
 	if err != nil {
 		return 0, err
 	}
-	size, err := in.Size()
+	copied, err := copyWindows(out, in, size)
+	if err == nil && durable {
+		err = out.Sync()
+	}
 	if err != nil {
-		out.Close() //nolint:errcheck
-		return 0, err
-	}
-	buf := make([]byte, 1<<20)
-	var copied int64
-	for copied < size {
-		n := int64(len(buf))
-		if size-copied < n {
-			n = size - copied
-		}
-		if err := ReadFull(in, buf[:n], copied); err != nil {
-			out.Close() //nolint:errcheck
-			return copied, err
-		}
-		if err := WriteFull(out, buf[:n], copied); err != nil {
-			out.Close() //nolint:errcheck
-			return copied, err
-		}
-		copied += n
-	}
-	if err := out.Sync(); err != nil {
-		out.Close() //nolint:errcheck
+		out.Close() //nolint:errcheck // already failing
 		return copied, err
 	}
 	return copied, out.Close()
+}
+
+// copyWindows copies size bytes of in to out and reports the bytes written.
+// Each worker reads the next window into its pooled buffer, writes it at its
+// offset as it lands and starts its writeback, so a closing fsync finds the
+// file on its way to disk. After the first error no worker takes a window.
+func copyWindows(out File, in io.ReaderAt, size int64) (int64, error) {
+	hint, _ := out.(interface{ StartWriteback(off, n int64) })
+	workers := min(copyInFlight, (size+copyWindow-1)/copyWindow)
+	errs := make(chan error, workers)
+	var next, copied atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(int(workers))
+	for range workers {
+		go func() {
+			defer wg.Done()
+			bp := copyBufPool.Get().(*[]byte)
+			defer copyBufPool.Put(bp)
+			for len(errs) == 0 {
+				off := next.Add(copyWindow) - copyWindow
+				if off >= size {
+					return
+				}
+				buf := (*bp)[:min(copyWindow, size-off)]
+				err := ReadFull(in, buf, off)
+				if err == nil {
+					err = WriteFull(out, buf, off)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if hint != nil {
+					hint.StartWriteback(off, int64(len(buf)))
+				}
+				copied.Add(int64(len(buf)))
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return copied.Load(), <-errs // nil when no worker failed
 }

@@ -3,7 +3,12 @@ package backend
 import (
 	"bytes"
 	"errors"
+	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMemStoreLifecycle(t *testing.T) {
@@ -139,6 +144,138 @@ func TestCopyFileBetweenStores(t *testing.T) {
 	// Missing source fails cleanly.
 	if _, err := CopyFile(dst, "nope", src, "ghost"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("copy missing: %v", err)
+	}
+}
+
+// syncCountStore counts the Syncs made on the files it creates.
+type syncCountStore struct {
+	*MemStore
+	syncs atomic.Int64
+}
+
+func (s *syncCountStore) Create(name string) (File, error) {
+	f, err := s.MemStore.Create(name)
+	return syncCountFile{File: f, n: &s.syncs}, err
+}
+
+type syncCountFile struct {
+	File
+	n *atomic.Int64
+}
+
+func (f syncCountFile) Sync() error { f.n.Add(1); return f.File.Sync() }
+
+// TestStreamFileLeavesDurabilityToCaller: CopyFile ends in one fsync,
+// StreamFile in none, and StreamFile refuses a source above its limit before
+// the destination exists.
+func TestStreamFileLeavesDurabilityToCaller(t *testing.T) {
+	src := NewMemStore()
+	f, _ := src.Create("img")
+	payload := bytes.Repeat([]byte{7}, 2*copyWindow+5)
+	if err := WriteFull(f, payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	dst := &syncCountStore{MemStore: NewMemStore()}
+	if _, err := CopyFile(dst, "copied", src, "img"); err != nil || dst.syncs.Load() != 1 {
+		t.Fatalf("CopyFile: %v, %d syncs, want 1", err, dst.syncs.Load())
+	}
+	if n, err := StreamFile(dst, "streamed", src, "img", int64(len(payload))); err != nil || n != int64(len(payload)) {
+		t.Fatalf("StreamFile: %d bytes, %v", n, err)
+	}
+	if dst.syncs.Load() != 1 {
+		t.Fatalf("StreamFile synced its copy")
+	}
+	if _, err := StreamFile(dst, "big", src, "img", int64(len(payload))-1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("over the limit: %v, want ErrTooLarge", err)
+	}
+	if _, err := dst.Stat("big"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("a refused copy created its destination: %v", err)
+	}
+}
+
+// barrierReader holds each read until want reads have been in flight at once
+// (or two seconds passed), so a copy that keeps fewer windows in flight
+// cannot reach the peak.
+type barrierReader struct {
+	io.ReaderAt
+	want     int
+	mu       sync.Mutex
+	inFlight int
+	peak     int
+}
+
+func (r *barrierReader) ReadAt(p []byte, off int64) (int, error) {
+	r.mu.Lock()
+	r.inFlight++
+	r.peak = max(r.peak, r.inFlight)
+	deadline := time.Now().Add(2 * time.Second)
+	for r.peak < r.want && time.Now().Before(deadline) {
+		r.mu.Unlock()
+		time.Sleep(time.Millisecond)
+		r.mu.Lock()
+	}
+	r.inFlight--
+	r.mu.Unlock()
+	return r.ReaderAt.ReadAt(p, off)
+}
+
+// TestCopyWindowsInFlight: the copy keeps copyInFlight windows on the wire at
+// once and writes each at its own offset, whatever order they land in.
+func TestCopyWindowsInFlight(t *testing.T) {
+	payload := make([]byte, 9*copyWindow+123)
+	for i := range payload {
+		payload[i] = byte(i / 4099)
+	}
+	src := NewMemFileSize(int64(len(payload)))
+	if err := WriteFull(src, payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	r := &barrierReader{ReaderAt: src, want: copyInFlight}
+	out := NewMemFile()
+	n, err := copyWindows(out, r, int64(len(payload)))
+	if err != nil || n != int64(len(payload)) {
+		t.Fatalf("copied %d of %d: %v", n, len(payload), err)
+	}
+	if r.peak != copyInFlight {
+		t.Fatalf("peak windows in flight = %d, want %d", r.peak, copyInFlight)
+	}
+	got := make([]byte, len(payload))
+	if err := ReadFull(out, got, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("copy differs from its source (%v)", err)
+	}
+}
+
+// failingReader counts the reads issued through it and fails every one after
+// the first ok.
+type failingReader struct {
+	io.ReaderAt
+	ok int64
+	n  atomic.Int64
+}
+
+func (r *failingReader) ReadAt(p []byte, off int64) (int, error) {
+	if r.n.Add(1) > r.ok {
+		return 0, ErrInjected
+	}
+	return r.ReaderAt.ReadAt(p, off)
+}
+
+// TestCopyWindowsFailureStops: after the first failed read no worker takes
+// another window — at most one failing read per worker follows the five that
+// succeed — the error is the injected one, and no worker outlives the copy.
+func TestCopyWindowsFailureStops(t *testing.T) {
+	const windows = 32
+	src := &failingReader{ReaderAt: NewMemFileSize(windows * copyWindow), ok: 5}
+	before := runtime.NumGoroutine()
+	_, err := copyWindows(NewMemFile(), src, windows*copyWindow)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("copy error %v, want the injected fault", err)
+	}
+	if reads := src.n.Load(); reads > 5+copyInFlight {
+		t.Fatalf("%d windows read after a fault armed at the 6th, want at most %d", reads, 5+copyInFlight)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after a failed copy, %d before", after, before)
 	}
 }
 

@@ -732,7 +732,21 @@ func (l *Lease) Key() string { return l.key }
 func (l *Lease) Locator() core.Locator { return core.Locator{Store: storeName, Name: l.key} }
 
 // Release unpins the cache. Releasing twice is a no-op.
-func (l *Lease) Release() { l.once.Do(func() { l.m.pool.Unpin(l.key) }) }
+func (l *Lease) Release() { l.release() }
+
+// release unpins the cache unless Invalidate removed it under the lease (a
+// pinned cache is never evicted), and reports whether it did. The lease's
+// table set names the instance its pin belongs to.
+func (l *Lease) release() (invalidated bool) {
+	l.once.Do(func() {
+		l.m.mu.Lock()
+		defer l.m.mu.Unlock()
+		if invalidated = l.m.tables[l.key] != l.tables; !invalidated {
+			l.m.pool.Unpin(l.key)
+		}
+	})
+	return invalidated
+}
 
 // Acquire returns a lease on the warm cache for base, warming it first if
 // needed. Concurrent calls for the same base perform exactly one warm: the
@@ -774,15 +788,20 @@ func (m *Manager) Acquire(base string) (*Lease, error) {
 		if ws.err == nil {
 			m.stats.warmDuration.Observe(time.Since(warmStart).Nanoseconds())
 		}
-		m.mu.Lock()
-		delete(m.warming, key)
-		m.mu.Unlock()
-		close(ws.done)
+		m.settle(key, ws)
 		if ws.err != nil {
 			m.stats.warmFailures.Add(1)
 			return nil, ws.err
 		}
 	}
+}
+
+// settle ends ws's hold on key's warm slot and wakes its waiters.
+func (m *Manager) settle(key string, ws *warmState) {
+	m.mu.Lock()
+	delete(m.warming, key)
+	m.mu.Unlock()
+	close(ws.done)
 }
 
 // Session is one VM boot attached to a shared cache: a private CoW image
@@ -799,21 +818,33 @@ type Session struct {
 }
 
 // Boot acquires the warm cache for base and opens a boot session on it.
-// vmID distinguishes concurrent sessions for the same base.
+// vmID distinguishes concurrent sessions for the same base. A cache
+// invalidated between the Acquire and the attach is acquired once more.
 func (m *Manager) Boot(base, vmID string) (*Session, error) {
-	lease, err := m.Acquire(base)
-	if err != nil {
-		return nil, err
+	for retried := false; ; retried = true {
+		lease, err := m.Acquire(base)
+		if err != nil {
+			return nil, err
+		}
+		sess, err := m.attach(lease, vmID)
+		if err == nil {
+			return sess, nil
+		}
+		if !lease.release() || retried {
+			return nil, err
+		}
 	}
+}
+
+// attach opens a boot session on the leased cache.
+func (m *Manager) attach(lease *Lease, vmID string) (*Session, error) {
 	cacheLoc := lease.Locator()
 	size, err := core.VirtualSizeOf(m.ns, cacheLoc)
 	if err != nil {
-		lease.Release()
 		return nil, err
 	}
 	cowName := sanitize(vmID) + "-" + lease.key + ".cow"
 	if err := core.CreateCoW(m.ns, core.Locator{Store: scratchName, Name: cowName}, cacheLoc, size, 0); err != nil {
-		lease.Release()
 		return nil, err
 	}
 	// BackingReadOnly: the published cache is immutable — attach without
@@ -822,7 +853,6 @@ func (m *Manager) Boot(base, vmID string) (*Session, error) {
 		core.ChainOpts{BackingReadOnly: true, MmapWarm: m.cfg.MmapWarm, Tables: lease.tables})
 	if err != nil {
 		m.scratch.Remove(cowName) //nolint:errcheck // unwinding
-		lease.Release()
 		return nil, err
 	}
 	return &Session{Chain: chain, m: m, lease: lease, cowName: cowName}, nil

@@ -460,19 +460,24 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 // the rebuilt image publishes, so the re-publication stores only the
 // chunks that actually changed. Sessions already attached keep serving the
 // old bytes through their open handles; new Acquires warm the rebuilt
-// base from source.
+// base from source. Invalidate holds the key's warm slot while it works, so
+// no warm can publish under the key until the old cache is gone.
 func (m *Manager) Invalidate(base string) error {
 	key := m.KeyFor(base)
 	m.mu.Lock()
+	for ws := m.warming[key]; ws != nil && !m.closed; ws = m.warming[key] {
+		m.mu.Unlock()
+		<-ws.done // let the in-flight warm settle; its output is stale
+		m.mu.Lock()
+	}
 	if m.closed {
 		m.mu.Unlock()
 		return ErrClosed
 	}
-	ws := m.warming[key]
+	hold := &warmState{done: make(chan struct{})}
+	m.warming[key] = hold
 	m.mu.Unlock()
-	if ws != nil {
-		<-ws.done // let the in-flight warm settle; its output is stale
-	}
+	defer m.settle(key, hold)
 	if m.pool.Remove(key) {
 		m.swapTables(key, nil)
 		m.closeSwarmExport(key)

@@ -14,6 +14,26 @@ func SetDeltaHandoffBudget(t *testing.T, n int64) {
 	t.Cleanup(func() { deltaHandoffBudget = old })
 }
 
+// SetOpenTemp wraps how publish opens a temp for one test: wrap sees the
+// path and the mode of each open and may replace the file it returns.
+func SetOpenTemp(t *testing.T, wrap func(path string, readOnly bool, f backend.File) backend.File) {
+	old := openTemp
+	openTemp = func(path string, readOnly bool) (backend.File, error) {
+		f, err := old(path, readOnly)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(path, readOnly, f), nil
+	}
+	t.Cleanup(func() { openTemp = old })
+}
+
+// PullFromPeer runs only the wholesale pull of key from the peer at addr into
+// key's temp file, leaving it unpublished.
+func (m *Manager) PullFromPeer(addr, key string) (int64, error) {
+	return m.fetchFromPeer(addr, key, key+tmpSuffix)
+}
+
 // WrapLocalStores re-registers the cache directory and the CoW scratch under
 // their namespace names wrapped by wrap, so a test sees every container a
 // session opens from them. Call it before the sessions it observes.

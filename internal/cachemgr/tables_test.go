@@ -271,11 +271,77 @@ func republishedReads(t *testing.T, m *cachemgr.Manager, base string, want []byt
 	}
 }
 
+// invalidatingStore runs hit before the first open of key: an Invalidate
+// landing between a Boot's Acquire and its attach.
+type invalidatingStore struct {
+	backend.Store
+	key  string
+	once *sync.Once
+	hit  func()
+}
+
+func (s invalidatingStore) Open(name string, readOnly bool) (backend.File, error) {
+	if name == s.key {
+		s.once.Do(s.hit)
+	}
+	return s.Store.Open(name, readOnly)
+}
+
+// TestBootSurvivesInvalidate invalidates the cache a Boot has just leased,
+// before the Boot opens it: the Boot acquires again — re-warming the cache —
+// and reads the right bytes, and the stale lease's release leaves the new
+// cache's pins alone.
+func TestBootSurvivesInvalidate(t *testing.T) {
+	s := newStorageNode(t)
+	s.addBase(t, "a.img", mb, 1)
+	m := newManager(t, s, func(cfg *cachemgr.Config) { cfg.Budget = 3 * mb / 2 }) // one cache
+	key := m.KeyFor("a.img")
+	lease, err := m.Acquire("a.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease.Release()
+	var invalidated error
+	m.WrapLocalStores(func(st backend.Store) backend.Store {
+		return invalidatingStore{Store: st, key: key, once: new(sync.Once),
+			hit: func() { invalidated = m.Invalidate("a.img") }}
+	})
+	sess, err := m.Boot("a.img", "vm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if invalidated != nil {
+		t.Fatal(invalidated)
+	}
+	readAll(t, sess, s.patterns["a.img"])
+	if cw := m.Stats().ColdWarms; cw != 2 {
+		t.Fatalf("%d cold warms, want the first and the re-warm", cw)
+	}
+	checkTableSets(t, m)
+	// The session's pin holds the re-published cache against eviction.
+	s.addBase(t, "b.img", mb, 2)
+	other, err := m.Acquire("b.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Release()
+	if _, resident := m.TableSets(); !slices.Contains(resident, key) {
+		t.Fatalf("the leased cache was evicted: resident %v", resident)
+	}
+	readAll(t, sess, s.patterns["a.img"])
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkTableSets(t, m)
+}
+
 // TestTableSetsUnderChurn runs rounds of eight sessions replaying against
-// one cache while another goroutine evicts it by publishing a second base,
-// and evicts it again between rounds, so every round re-publishes it: each
-// session reads the right bytes through whichever set it attached with, and
-// the manager holds sets only for resident caches (run with -race -count 5).
+// one cache while one goroutine evicts it by publishing a second base and
+// another invalidates it, and evicts it again between rounds, so every round
+// re-publishes it: each session reads the right bytes through whichever set
+// it attached with — a Boot whose cache is invalidated under its lease
+// acquires again — and the manager holds sets only for resident caches (run
+// with -race -count 5).
 func TestTableSetsUnderChurn(t *testing.T) {
 	s := newStorageNode(t)
 	s.addBase(t, "a.img", mb, 1)
@@ -295,11 +361,17 @@ func TestTableSetsUnderChurn(t *testing.T) {
 	const workers, rounds = 8, 4
 	for r := 0; r < rounds; r++ {
 		var wg sync.WaitGroup
-		errs := make(chan error, workers+1)
-		wg.Add(workers + 1)
+		errs := make(chan error, workers+2)
+		wg.Add(workers + 2)
 		go func() {
 			defer wg.Done()
 			if err := evictA(); err != nil {
+				errs <- err
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := m.Invalidate("a.img"); err != nil {
 				errs <- err
 			}
 		}()
@@ -314,6 +386,11 @@ func TestTableSetsUnderChurn(t *testing.T) {
 		wg.Wait()
 		close(errs)
 		for err := range errs {
+			t.Fatal(err)
+		}
+		// The invalidation may have come last: publish a again so that
+		// evictA evicts it.
+		if err := replayOnce(m, "a.img", fmt.Sprintf("vm%d-last", r), want); err != nil {
 			t.Fatal(err)
 		}
 		if err := evictA(); err != nil { // no session holds a now

@@ -1,6 +1,7 @@
 package cachemgr
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,10 +117,12 @@ func (m *Manager) warm(base, key string) error {
 	return nil
 }
 
-// fetchFromPeer copies the published cache key from a peer manager's rblock
-// export into the local temp file. Returns bytes transferred. Dialing retries
-// with capped exponential backoff: a peer restarting or still binding its
-// listener is a transient, not a reason to burn the whole attempt.
+// fetchFromPeer streams the published cache key from a peer manager's rblock
+// export into the local temp file, leaving its fsync to publish. Returns bytes
+// transferred. A cache the peer says exceeds the node's whole budget is
+// refused before the temp exists. Dialing retries with capped exponential
+// backoff: a peer restarting or still binding its listener is a transient,
+// not a reason to burn the whole attempt.
 func (m *Manager) fetchFromPeer(addr, key, tmpName string) (int64, error) {
 	c, err := rblock.DialRetry(addr, 0, 3, rblock.DefaultBackoff, nil)
 	if err != nil {
@@ -127,7 +130,7 @@ func (m *Manager) fetchFromPeer(addr, key, tmpName string) (int64, error) {
 	}
 	defer c.Close() //nolint:errcheck // transfer already finished or failed
 	c.SetTimeout(m.cfg.PeerTimeout)
-	return backend.CopyFile(m.store, tmpName, rblock.RemoteStore{C: c}, key)
+	return backend.StreamFile(m.store, tmpName, rblock.RemoteStore{C: c}, key, m.pool.Capacity())
 }
 
 // corWarm creates a cache image in the temp file, chains it to the storage
@@ -226,32 +229,38 @@ func (m *Manager) warmWrap(_ core.Locator, f backend.File, depth int) backend.Fi
 	return f
 }
 
+// openTemp opens a warmed temp for publish; tests swap it to watch or fault it.
+var openTemp = func(path string, ro bool) (backend.File, error) { return backend.OpenOSFile(path, ro) }
+
 // publish is the crash-safe commit point: verify the warmed temp with a full
-// qcow.Check, sync it, mark it immutable, rename it into the published name,
-// and sync the directory so the rename is durable. Only then does the cache
-// enter the pool and become attachable. A crash anywhere before the rename
-// leaves only a temp file, which recovery discards.
+// qcow.Check while its fsync runs, and only when both succeeded mark it
+// immutable, rename it into the published name, and sync the directory so
+// the rename is durable. Only then does the cache enter the pool and become
+// attachable. A crash anywhere before the rename leaves only a temp file,
+// which recovery discards.
 //
-// from is non-nil when the temp was materialized from that manifest: its
-// bytes were hashed against the manifest's checksum as they were written and
-// the file was fsynced, so it is verified read-only — nothing may write into
-// a file whose checksum has been taken — and the checksum is not taken again.
+// Every temp is verified read-only: a chain's Close stamped copy-on-read and
+// swarm temps, a peer copy carries the peer's stamp, and a temp materialized
+// from a manifest (from non-nil) was hashed against its checksum as it was
+// written — the checksum is not taken again.
 func (m *Manager) publish(key string, from *dedup.Manifest) error {
 	tmpPath := filepath.Join(m.dir, key+tmpSuffix)
 	pubPath := filepath.Join(m.dir, key)
 
-	readOnly := from != nil
-	f, err := backend.OpenOSFile(tmpPath, readOnly)
+	f, err := openTemp(tmpPath, true)
 	if err != nil {
 		return err
 	}
-	img, err := qcow.OpenVerified(f, qcow.OpenOpts{ReadOnly: readOnly})
+	synced := make(chan error, 1)
+	go func() { synced <- f.Sync() }()
+	// The image's Close leaves f open for the fsync; f closes after both.
+	img, err := qcow.OpenVerified(backend.NopClose(f), qcow.OpenOpts{ReadOnly: true})
 	if err != nil {
-		return fmt.Errorf("cachemgr: verifying %s: %w", key, err) // f closed by OpenVerified
+		err = fmt.Errorf("cachemgr: verifying %s: %w", key, err)
+	} else {
+		img.Close() //nolint:errcheck // read-only: releases nothing but f, closed below
 	}
-	// Close of a writable image syncs the cache-used header field and
-	// fsyncs the container.
-	if err := img.Close(); err != nil {
+	if err := errors.Join(err, <-synced, f.Close()); err != nil {
 		return err
 	}
 	if err := os.Chmod(tmpPath, 0o444); err != nil {

@@ -276,6 +276,7 @@ func (c *Client) readLoop(br *bufio.Reader) {
 			if _, err := io.ReadFull(br, resp.payload); err != nil {
 				putFrame(resp)
 				c.fail(err)
+				close(pr.ch) // no longer pending, so fail did not release it
 				return
 			}
 		}

@@ -188,6 +188,49 @@ func TestClientTimeoutBreaksClient(t *testing.T) {
 	}
 }
 
+// TestTornReplyBreaksClient: a server that dies part-way through a reply's
+// payload fails the request it was answering at once — the waiter whose
+// header had arrived is released like every other — instead of leaving it
+// blocked with no deadline left to fire.
+func TestTornReplyBreaksClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close() //nolint:errcheck
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close() //nolint:errcheck
+		req, err := readFrame(conn, nil, make([]byte, frameHeaderLen))
+		if err != nil {
+			return
+		}
+		reply := &frame{op: req.op | replyFlag, id: req.id, payload: make([]byte, 4096)}
+		hdr := make([]byte, frameHeaderLen)
+		encodeFrameHeader(hdr, reply)
+		conn.Write(append(hdr, reply.payload[:100]...)) //nolint:errcheck // then die
+	}()
+	c, err := Dial(ln.Addr().String(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	c.SetTimeout(0) // no deadline: only the torn reply can end the wait
+	done := make(chan error, 1)
+	go func() { _, err := c.Open("disk.img", true); done <- err }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClientBroken) {
+			t.Fatalf("open answered by a torn reply: %v, want ErrClientBroken", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request answered by a torn reply never returned")
+	}
+}
+
 // TestOutOfOrderCompletion checks that responses demultiplex by id: a slow
 // large read issued first does not block a small read issued second.
 func TestOutOfOrderCompletion(t *testing.T) {
