@@ -59,15 +59,18 @@ bench:
 # bench-baseline regenerates the committed CI baseline from the data-path
 # microbenchmarks plus the prefetch/prewarm pipeline, sub-cluster cold-boot,
 # and swarm flash-crowd benchmarks. The 'WarmRead' pattern also matches the
-# batched data-path benchmarks (LargeWarmRead, ContendedWarmRead) and the
-# mmap warm-read mode (WarmReadMmap); 'ServerRead' covers the 4K round trip,
+# batched data-path benchmarks (LargeWarmRead, ContendedWarmRead) and pread
+# vs the table set's mapping (WarmReadMmap); 'Translate512' is a 64 KiB and
+# a 1 MiB warm read over 512 B clusters through a set-mapped image (the
+# translate loop + mapped copy of warm_boot); 'ServerRead' covers the 4K round trip,
 # the large vectored transfers, the sendfile-vs-copy matrix
 # (ServerReadZeroCopy), and the 64-way contended serve (ContendedServerRead);
 # 'NBDReplay' is internal/nbd's boot replay, direct vs through loopback NBD
 # (the microbenchmark behind bench/e2e's nbd_boot); 'WarmAttach' is
 # internal/cachemgr's Boot → profile replay → Close on a warm node over
 # loopback rblock (the one behind warm_boot: allocs, L2 tables decoded and
-# storage-node requests per op); 'PeerPull' is internal/cachemgr's fresh
+# storage-node requests per op; WarmAttachPair runs two sessions per op, as
+# warm_boot's two clients do); 'PeerPull' is internal/cachemgr's fresh
 # node pulling a centos-warmed cache wholesale from a peer Manager, then
 # Boot → Close (the one behind peer_warm: allocs and bytes per op).
 # -cpu 4 pins GOMAXPROCS so benchmark names (and the stripped-suffix keys
@@ -77,7 +80,7 @@ bench:
 # at it.
 bench-baseline:
 	( $(GO) test -run xxx \
-		-bench 'WarmRead|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay|WarmAttach|PeerPull' \
+		-bench 'WarmRead|Translate512|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay|WarmAttach|PeerPull' \
 		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ./internal/nbd/ ./internal/cachemgr/ ; \
 	  $(GO) test -run xxx \
 		-bench 'ProfileWarm|SubclusterColdBoot|SubclusterWarmRead|SwarmFlashCrowd|DedupManifestBuild|DedupMaterialize|DedupDeltaTransfer' \

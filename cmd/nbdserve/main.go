@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	nbdserve [-addr HOST:PORT] [-C dir] [-ro] [-zerocopy] [-mmap-warm]
+//	nbdserve [-addr HOST:PORT] [-C dir] [-ro] [-zerocopy]
 //	         [-metrics-addr HOST:PORT] [-pprof-mutex-frac N]
 //	         [-pprof-block-rate NS] IMAGE [IMAGE...]
 //
@@ -46,7 +46,6 @@ func main() {
 	dir := fs.String("C", ".", "working directory holding the images")
 	ro := fs.Bool("ro", false, "export read-only")
 	zeroCopy := fs.Bool("zerocopy", true, "serve raw warm reads of read-only exports via sendfile(2) (Linux; other platforms fall back to copying)")
-	mmapWarm := fs.Bool("mmap-warm", false, "mmap image containers so warm reads copy from the mapping instead of issuing preads")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
 	mutexFrac := fs.Int("pprof-mutex-frac", 0, "mutex contention sampling fraction (runtime.SetMutexProfileFraction); 0 disables")
@@ -85,7 +84,7 @@ func main() {
 	var chains []*core.Chain
 	for _, name := range fs.Args() {
 		c, err := core.OpenChain(ns, core.Locator{Store: "dir", Name: name},
-			core.ChainOpts{TopReadOnly: *ro, MmapWarm: *mmapWarm})
+			core.ChainOpts{TopReadOnly: *ro})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nbdserve: opening %s: %v\n", name, err)
 			os.Exit(1)

@@ -29,8 +29,6 @@
 //	-pprof-block-rate NS  sample blocking events slower than NS ns (0 = off)
 //	-zerocopy        serve peer transfers of published caches via sendfile(2)
 //	                 (default on; Linux only, elsewhere it copies)
-//	-mmap-warm       mmap published caches on boot attach: warm reads copy
-//	                 from the mapping instead of issuing preads
 //	-dedup           keep a content-addressed chunk store; peer warms become
 //	                 manifest-first and move only the chunks this node lacks
 //	-dedup-jobs N    dedup pipeline parallelism: chunk hash/compress workers
@@ -88,7 +86,6 @@ func main() {
 	dedupOn := fs.Bool("dedup", false, "keep a content-addressed chunk store: sibling caches share storage, peer warms move only missing chunks")
 	dedupJobs := fs.Int("dedup-jobs", 0, "dedup pipeline parallelism for chunk hash/compress work (0 = GOMAXPROCS, 1 = serial)")
 	zeroCopy := fs.Bool("zerocopy", true, "serve peer transfers of published caches via sendfile(2) (Linux; other platforms fall back to copying)")
-	mmapWarm := fs.Bool("mmap-warm", false, "mmap published caches on boot attach so warm reads copy from the mapping instead of issuing preads")
 	swarmOn := fs.Bool("swarm", false, "warm cold caches via chunk-level swarm transfer from peers")
 	tracker := fs.String("tracker", "", "swarm announce tracker base URL, e.g. http://10.0.0.1:9091")
 	trackerListen := fs.String("tracker-listen", "", "also host the swarm announce tracker over HTTP on this address")
@@ -178,7 +175,6 @@ func main() {
 		Dedup:          *dedupOn,
 		DedupWorkers:   *dedupJobs,
 		ZeroCopy:       *zeroCopy,
-		MmapWarm:       *mmapWarm,
 		SwarmEnabled:   *swarmOn,
 		SwarmSelf:      *swarmSelf,
 		SwarmTracker:   announcer,

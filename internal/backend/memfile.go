@@ -21,6 +21,26 @@ type MemFile struct {
 
 const memChunkSize = 64 << 10
 
+// chunkPool recycles the chunks of memory files nothing can read any more
+// (closed, truncated away, or a MemStore file unnamed with its last handle
+// closed), so short-lived files — a boot session's CoW scratch — stop
+// allocating and zeroing a fresh 64 KiB per chunk they touch.
+var chunkPool sync.Pool
+
+// newChunk returns a chunk for a write; clean asks for zeros, which a write
+// that covers the whole chunk does not need.
+func newChunk(clean bool) []byte {
+	if p, _ := chunkPool.Get().(*[memChunkSize]byte); p != nil {
+		if clean {
+			clear(p[:])
+		}
+		return p[:]
+	}
+	return make([]byte, memChunkSize)
+}
+
+func recycleChunk(c []byte) { chunkPool.Put((*[memChunkSize]byte)(c)) }
+
 // NewMemFile returns an empty memory file.
 func NewMemFile() *MemFile {
 	return &MemFile{chunks: make(map[int64][]byte)}
@@ -91,7 +111,7 @@ func (f *MemFile) WriteAt(p []byte, off int64) (int, error) {
 		}
 		chunk, ok := f.chunks[ci]
 		if !ok {
-			chunk = make([]byte, memChunkSize)
+			chunk = newChunk(want < memChunkSize)
 			f.chunks[ci] = chunk
 		}
 		copy(chunk[co:], p[written:written+want])
@@ -127,9 +147,10 @@ func (f *MemFile) Truncate(n int64) error {
 		// Drop chunks wholly past the new end and zero the tail of the
 		// boundary chunk so a later re-grow reads zeros.
 		lastChunk := n / memChunkSize
-		for ci := range f.chunks {
+		for ci, chunk := range f.chunks {
 			if ci > lastChunk {
 				delete(f.chunks, ci)
+				recycleChunk(chunk)
 			}
 		}
 		if chunk, ok := f.chunks[lastChunk]; ok {
@@ -158,6 +179,9 @@ func (f *MemFile) Close() error {
 		return ErrClosed
 	}
 	f.closed = true
+	for _, chunk := range f.chunks {
+		recycleChunk(chunk)
+	}
 	f.chunks = nil
 	return nil
 }

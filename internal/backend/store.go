@@ -35,15 +35,18 @@ type Store interface {
 var ErrNotExist = errors.New("backend: file does not exist")
 
 // MemStore is an in-memory Store: the tmpfs / RAM medium. All handles to a
-// name share the same MemFile; handle Close is a no-op so sharing is safe.
+// name share the same MemFile. A file's storage is released (its chunks
+// recycled) once it has left the store — removed, or replaced by Create —
+// and its last handle has closed; until then every handle keeps working.
 type MemStore struct {
 	mu    sync.Mutex
 	files map[string]*MemFile
+	open  map[*MemFile]int // open handles per file, named or not
 }
 
 // NewMemStore returns an empty memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{files: make(map[string]*MemFile)}
+	return &MemStore{files: make(map[string]*MemFile), open: make(map[*MemFile]int)}
 }
 
 // Open returns a shared handle to the named file.
@@ -55,18 +58,19 @@ func (s *MemStore) Open(name string, readOnly bool) (File, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
 	if readOnly {
-		return &roFile{noCloseFile{f}}, nil
+		return &roFile{s.handleLocked(name, f)}, nil
 	}
-	return noCloseFile{f}, nil
+	return s.handleLocked(name, f), nil
 }
 
 // Create installs a fresh file under name.
 func (s *MemStore) Create(name string) (File, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.unnameLocked(name)
 	f := NewMemFile()
 	s.files[name] = f
-	return noCloseFile{f}, nil
+	return s.handleLocked(name, f), nil
 }
 
 // Remove deletes the named file.
@@ -76,7 +80,50 @@ func (s *MemStore) Remove(name string) error {
 	if _, ok := s.files[name]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	delete(s.files, name)
+	s.unnameLocked(name)
+	return nil
+}
+
+// unnameLocked takes name's file (if any) out of the store, releasing it
+// when no handle is open on it.
+func (s *MemStore) unnameLocked(name string) {
+	if f, ok := s.files[name]; ok {
+		delete(s.files, name)
+		if s.open[f] == 0 {
+			f.Close() //nolint:errcheck // unreachable now
+		}
+	}
+}
+
+func (s *MemStore) handleLocked(name string, f *MemFile) *memHandle {
+	s.open[f]++
+	return &memHandle{MemFile: f, s: s, name: name}
+}
+
+// memHandle is one open handle on a MemStore file. Closing it closes the
+// file only when it was the file's last handle and the file has left the
+// store; closing twice is a no-op.
+type memHandle struct {
+	*MemFile
+	s      *MemStore
+	name   string
+	closed atomic.Bool
+}
+
+func (h *memHandle) Close() error {
+	if h.closed.Swap(true) {
+		return nil
+	}
+	s := h.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.open[h.MemFile]--; s.open[h.MemFile] > 0 {
+		return nil
+	}
+	delete(s.open, h.MemFile)
+	if s.files[h.name] != h.MemFile {
+		h.MemFile.Close() //nolint:errcheck // its last handle is gone
+	}
 	return nil
 }
 
@@ -115,11 +162,6 @@ func (s *MemStore) TotalBytes() int64 {
 	}
 	return total
 }
-
-// noCloseFile shares an underlying file between handles; Close is a no-op.
-type noCloseFile struct{ File }
-
-func (noCloseFile) Close() error { return nil }
 
 // roFile rejects mutation.
 type roFile struct{ File }

@@ -290,3 +290,137 @@ func TestNopClose(t *testing.T) {
 		t.Fatalf("underlying closed: %v", err)
 	}
 }
+
+// TestMemStoreRemovedFileKeepsHandles: a file removed (or replaced by Create)
+// while handles are open keeps serving them its bytes; only when its last
+// handle closes is its storage released. A named file outlives its handles.
+func TestMemStoreRemovedFileKeepsHandles(t *testing.T) {
+	s := NewMemStore()
+	pat := bytes.Repeat([]byte("scratch!"), 3*memChunkSize/8)
+	w, err := s.Create("cow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFull(w, pat, 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Open("cow", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsPat := func(name string, f File) {
+		t.Helper()
+		got := make([]byte, len(pat))
+		if err := ReadFull(f, got, 0); err != nil || !bytes.Equal(got, pat) {
+			t.Fatalf("%s: %v or wrong bytes", name, err)
+		}
+	}
+	if err := s.Remove("cow"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Stat("cow"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("stat after remove: %v", err)
+	}
+	readsPat("writer after remove", w)
+	readsPat("reader after remove", r)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil { // twice is a no-op
+		t.Fatal(err)
+	}
+	readsPat("reader after the writer closed", r)
+	if err := WriteFull(w, pat[:8], 0); err != nil {
+		t.Fatalf("a closed handle of a file with another open handle: %v", err)
+	}
+	mf := r.(*roFile).File.(*memHandle).MemFile
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mf.AllocatedBytes(); n != 0 {
+		t.Fatalf("removed file with no handle still holds %d bytes", n)
+	}
+	if _, err := r.ReadAt(make([]byte, 8), 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read of a released file: %v, want ErrClosed", err)
+	}
+
+	// Replaced by Create while open: the old handle keeps the old bytes.
+	old, err := s.Create("img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFull(old, pat, 0); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := s.Create("img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsPat("replaced file", old)
+	if sz, _ := fresh.Size(); sz != 0 {
+		t.Fatalf("fresh file has %d bytes", sz)
+	}
+	if err := WriteFull(fresh, pat, 0); err != nil {
+		t.Fatal(err)
+	}
+	old.Close()   //nolint:errcheck // test
+	fresh.Close() //nolint:errcheck // test
+
+	// A named file keeps its bytes with every handle closed.
+	again, err := s.Open("img", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close() //nolint:errcheck // test
+	readsPat("named file reopened", again)
+}
+
+// TestMemFileChunkReuse: a chunk recycled from a closed file reads zeros
+// wherever a later partial write did not land, and a write covering a whole
+// recycled chunk reads back exactly.
+func TestMemFileChunkReuse(t *testing.T) {
+	dirty := bytes.Repeat([]byte{0xa5}, memChunkSize)
+	whole := bytes.Repeat([]byte{0x3c}, memChunkSize)
+	reused := 0
+	for i := 0; i < 200 && reused < 5; i++ {
+		old := NewMemFile()
+		if err := WriteFull(old, dirty, 0); err != nil {
+			t.Fatal(err)
+		}
+		chunk := &old.chunks[0][0]
+		old.Close() //nolint:errcheck // recycles the chunk
+
+		f := NewMemFile()
+		if err := WriteFull(f, []byte("partial"), 100); err != nil {
+			t.Fatal(err)
+		}
+		if &f.chunks[0][0] == chunk {
+			reused++
+		}
+		if err := f.Truncate(memChunkSize); err != nil { // read the whole chunk
+			t.Fatal(err)
+		}
+		got := make([]byte, memChunkSize)
+		if err := ReadFull(f, got, 0); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, memChunkSize)
+		copy(want[100:], "partial")
+		if !bytes.Equal(got, want) {
+			t.Fatal("a recycled chunk kept bytes no write put there")
+		}
+		f.Close() //nolint:errcheck // recycles again
+
+		g := NewMemFile()
+		if err := WriteFull(g, whole, memChunkSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := ReadFull(g, got, memChunkSize); err != nil || !bytes.Equal(got, whole) {
+			t.Fatalf("whole-chunk write: %v or wrong bytes", err)
+		}
+		g.Close() //nolint:errcheck // test
+	}
+	if reused == 0 {
+		t.Fatal("no chunk was ever recycled")
+	}
+}

@@ -207,12 +207,6 @@ type Config struct {
 	// assemble bytes — keep the copy path per request.
 	ZeroCopy bool
 
-	// MmapWarm maps published caches' containers on attach so warm reads
-	// copy from the mapping instead of issuing a pread each; trades address
-	// space for syscalls on read-heavy boot storms. Writable images and
-	// non-os-backed containers silently keep the pread path.
-	MmapWarm bool
-
 	// Logf, when non-nil, receives lifecycle events.
 	Logf func(format string, args ...any)
 
@@ -836,12 +830,17 @@ func (m *Manager) Boot(base, vmID string) (*Session, error) {
 	}
 }
 
-// attach opens a boot session on the leased cache.
+// attach opens a boot session on the leased cache. The CoW top is sized from
+// the cache's table set; only the set's first attach reads the cache header
+// for it.
 func (m *Manager) attach(lease *Lease, vmID string) (*Session, error) {
 	cacheLoc := lease.Locator()
-	size, err := core.VirtualSizeOf(m.ns, cacheLoc)
-	if err != nil {
-		return nil, err
+	size, ok := lease.tables.VirtualSize()
+	if !ok {
+		var err error
+		if size, err = core.VirtualSizeOf(m.ns, cacheLoc); err != nil {
+			return nil, err
+		}
 	}
 	cowName := sanitize(vmID) + "-" + lease.key + ".cow"
 	if err := core.CreateCoW(m.ns, core.Locator{Store: scratchName, Name: cowName}, cacheLoc, size, 0); err != nil {
@@ -850,7 +849,7 @@ func (m *Manager) attach(lease *Lease, vmID string) (*Session, error) {
 	// BackingReadOnly: the published cache is immutable — attach without
 	// the §4.3 read-write probe, which its file permissions would reject.
 	chain, err := core.OpenChain(m.ns, core.Locator{Store: scratchName, Name: cowName},
-		core.ChainOpts{BackingReadOnly: true, MmapWarm: m.cfg.MmapWarm, Tables: lease.tables})
+		core.ChainOpts{BackingReadOnly: true, Tables: lease.tables})
 	if err != nil {
 		m.scratch.Remove(cowName) //nolint:errcheck // unwinding
 		return nil, err
@@ -922,8 +921,13 @@ func (m *Manager) Close() error {
 	}
 	m.closed = true
 	exp := m.exporter
-	clear(m.tables)
+	sets := m.tables
+	m.tables = make(map[string]*qcow.Tables)
 	m.mu.Unlock()
+	// Retired, a set unmaps its file once its last session has closed.
+	for _, t := range sets {
+		t.Retire()
+	}
 
 	// Close any published caches held open for chunk-wise serving.
 	m.swarmMu.Lock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmicache/internal/backend"
+	"vmicache/internal/qcow"
 )
 
 // SetDeltaHandoffBudget swaps the delta warm's hand-off budget for one test.
@@ -55,3 +56,9 @@ func (m *Manager) TableSets() (sets, resident []string) {
 	slices.Sort(resident)
 	return sets, resident
 }
+
+// TableSet reports the table set the session's lease carried to its attach.
+func (s *Session) TableSet() *qcow.Tables { return s.lease.tables }
+
+// TableSet reports the table set of the cache instance the lease pins.
+func (l *Lease) TableSet() *qcow.Tables { return l.tables }

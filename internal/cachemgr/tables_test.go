@@ -6,12 +6,14 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vmicache/internal/backend"
 	"vmicache/internal/boot"
 	"vmicache/internal/cachemgr"
 	"vmicache/internal/core"
+	"vmicache/internal/qcow"
 	"vmicache/internal/rblock"
 )
 
@@ -108,8 +110,8 @@ func readAll(t *testing.T, sess *cachemgr.Session, want []byte) {
 // TestWarmAttachBudget pins what a second session of a published cache costs
 // beyond its data reads. The first session filled the cache's shared table
 // set, so the second reads nothing of the cache's metadata but the header
-// probe — once to size its CoW top, once to open — and its replay, which
-// touches every L2 table, decodes none. A guest flush syncs the CoW top and
+// probe of its open — its CoW top is sized from the set — and its replay,
+// which touches every L2 table, decodes none. A guest flush syncs the CoW top and
 // nothing below it: no fsync of the cache, no OpSync to the storage node,
 // whose base sees only the attach's open, stat, two reads and the close.
 func TestWarmAttachBudget(t *testing.T) {
@@ -141,7 +143,7 @@ func TestWarmAttachBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := []string{"open", "stat", "read 512@0", "close", "open", "stat", "read 512@0"}
+	probe := []string{"open", "stat", "read 512@0"}
 	if ops := log.take(key); !slices.Equal(ops, probe) {
 		t.Errorf("attach did %v to the cache, want %v", ops, probe)
 	}
@@ -339,15 +341,19 @@ func TestBootSurvivesInvalidate(t *testing.T) {
 // one cache while one goroutine evicts it by publishing a second base and
 // another invalidates it, and evicts it again between rounds, so every round
 // re-publishes it: each session reads the right bytes through whichever set
-// it attached with — a Boot whose cache is invalidated under its lease
-// acquires again — and the manager holds sets only for resident caches (run
-// with -race -count 5).
+// it attached with — copying them from that set's mapping — and a Boot whose
+// cache is invalidated under its lease acquires again. The manager holds sets
+// only for resident caches, and once every session and the manager have
+// closed, each set a session read through mapped its file exactly once and
+// unmapped it once, and the sets leases only pinned never mapped (run with
+// -race -count 5).
 func TestTableSetsUnderChurn(t *testing.T) {
 	s := newStorageNode(t)
 	s.addBase(t, "a.img", mb, 1)
 	s.addBase(t, "b.img", mb, 2)
 	want := s.patterns["a.img"]
 	m := newManager(t, s, func(cfg *cachemgr.Config) { cfg.Budget = 3 * mb / 2 }) // one cache
+	sets := &setLog{read: map[*qcow.Tables]bool{}, pinned: map[*qcow.Tables]bool{}}
 	// evictA publishes b, which evicts a unless a session holds it, and
 	// invalidates b so that the next call publishes it again.
 	evictA := func() error {
@@ -355,6 +361,7 @@ func TestTableSetsUnderChurn(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		sets.add(sets.pinned, lease.TableSet())
 		lease.Release()
 		return m.Invalidate("b.img")
 	}
@@ -378,7 +385,7 @@ func TestTableSetsUnderChurn(t *testing.T) {
 		for w := 0; w < workers; w++ {
 			go func(vm string) {
 				defer wg.Done()
-				if err := replayOnce(m, "a.img", vm, want); err != nil {
+				if err := replayOnce(m, "a.img", vm, want, sets); err != nil {
 					errs <- err
 				}
 			}(fmt.Sprintf("vm%d-%d", r, w))
@@ -390,7 +397,7 @@ func TestTableSetsUnderChurn(t *testing.T) {
 		}
 		// The invalidation may have come last: publish a again so that
 		// evictA evicts it.
-		if err := replayOnce(m, "a.img", fmt.Sprintf("vm%d-last", r), want); err != nil {
+		if err := replayOnce(m, "a.img", fmt.Sprintf("vm%d-last", r), want, sets); err != nil {
 			t.Fatal(err)
 		}
 		if err := evictA(); err != nil { // no session holds a now
@@ -401,16 +408,48 @@ func TestTableSetsUnderChurn(t *testing.T) {
 	if ev := m.Stats().Evictions; ev < rounds {
 		t.Fatalf("%d evictions over %d rounds", ev, rounds)
 	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sets.read) < rounds {
+		t.Fatalf("sessions read through %d sets over %d rounds", len(sets.read), rounds)
+	}
+	for set := range sets.read {
+		if maps, unmaps := set.Mappings(); maps != 1 || unmaps != 1 {
+			t.Errorf("a set sessions read through: %d maps, %d unmaps; want 1, 1", maps, unmaps)
+		}
+	}
+	for set := range sets.pinned {
+		if maps, unmaps := set.Mappings(); maps != 0 || unmaps != 0 {
+			t.Errorf("a set only leased: %d maps, %d unmaps; want 0, 0", maps, unmaps)
+		}
+	}
+}
+
+// setLog collects table sets by how they were used.
+type setLog struct {
+	mu           sync.Mutex
+	read, pinned map[*qcow.Tables]bool
+}
+
+func (l *setLog) add(to map[*qcow.Tables]bool, set *qcow.Tables) {
+	l.mu.Lock()
+	to[set] = true
+	l.mu.Unlock()
 }
 
 // replayOnce boots one session of base, reads its whole disk against want
-// and closes it.
-func replayOnce(m *cachemgr.Manager, base, vm string, want []byte) error {
+// and closes it. With sets non-nil it records the set the session read
+// through the mapping of.
+func replayOnce(m *cachemgr.Manager, base, vm string, want []byte, sets *setLog) error {
 	sess, err := m.Boot(base, vm)
 	if err != nil {
 		return err
 	}
 	err = readBack(sess, want)
+	if sets != nil && sess.Chain.CacheImage().Stats().MmapReads.Load() > 0 {
+		sets.add(sets.read, sess.TableSet())
+	}
 	if cerr := sess.Close(); err == nil {
 		err = cerr
 	}
@@ -422,7 +461,13 @@ func replayOnce(m *cachemgr.Manager, base, vm string, want []byte) error {
 // a node whose cache was warmed with the centos profile, and per op a Boot,
 // a replay of the profile scaled to the base, and a Close. It reports the
 // L2 tables decoded and the storage-node requests per op beside allocs/op.
-func BenchmarkWarmAttach(b *testing.B) {
+func BenchmarkWarmAttach(b *testing.B) { benchWarmAttach(b, 1) }
+
+// BenchmarkWarmAttachPair is BenchmarkWarmAttach with two sessions booting
+// and replaying side by side per op — warm_boot's two clients on one cache.
+func BenchmarkWarmAttachPair(b *testing.B) { benchWarmAttach(b, 2) }
+
+func benchWarmAttach(b *testing.B, sessions int) {
 	s := newStorageNode(b)
 	const base, size = "base.img", 1 << 30
 	if err := core.CreateBase(core.NewNamespace("s", s.store), core.Locator{Store: "s", Name: base},
@@ -450,25 +495,35 @@ func BenchmarkWarmAttach(b *testing.B) {
 	p.ImageSize = size
 	w := boot.Generate(p)
 
-	var l2Misses int64
+	var l2Misses atomic.Int64
+	session := func(vm string) error {
+		sess, err := m.Boot(base, vm)
+		if err != nil {
+			return err
+		}
+		if _, err := boot.Replay(w, sess.Chain, boot.ReplayOpts{}); err != nil {
+			sess.Close() //nolint:errcheck // already failing
+			return err
+		}
+		for _, img := range sess.Chain.Images {
+			l2Misses.Add(img.Stats().L2CacheMisses.Load())
+		}
+		return sess.Close()
+	}
 	reqs := client.Stats().Requests
+	errs := make(chan error, sessions)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess, err := m.Boot(base, "vm")
-		if err != nil {
-			b.Fatal(err)
+		for v := 0; v < sessions; v++ {
+			go func(vm string) { errs <- session(vm) }(fmt.Sprintf("vm%d", v))
 		}
-		if _, err := boot.Replay(w, sess.Chain, boot.ReplayOpts{}); err != nil {
-			b.Fatal(err)
-		}
-		for _, img := range sess.Chain.Images {
-			l2Misses += img.Stats().L2CacheMisses.Load()
-		}
-		if err := sess.Close(); err != nil {
-			b.Fatal(err)
+		for v := 0; v < sessions; v++ {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-	b.ReportMetric(float64(l2Misses)/float64(b.N), "l2-misses/op")
+	b.ReportMetric(float64(l2Misses.Load())/float64(b.N), "l2-misses/op")
 	b.ReportMetric(float64(client.Stats().Requests-reqs)/float64(b.N), "storage-reqs/op")
 }

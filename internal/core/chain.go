@@ -91,15 +91,9 @@ type ChainOpts struct {
 	// permissions forbid writing.
 	BackingReadOnly bool
 
-	// MmapWarm enables the qcow mmap warm-read mode on every read-only
-	// image of the opened chain: warm raw reads copy from a mapping of the
-	// container instead of issuing a pread per request. Images that cannot
-	// map (writable caches, non-os-backed containers, platforms without
-	// mmap) silently keep the pread path.
-	MmapWarm bool
-
 	// Tables is the shared table set of the image below the top, taken when
-	// it opens read-only (cachemgr passes a published cache's set).
+	// it opens read-only (cachemgr passes a published cache's set); its raw
+	// reads then copy from the set's mapping of the file.
 	Tables *qcow.Tables
 
 	// WrapFile, when non-nil, wraps each opened container before the
@@ -139,14 +133,6 @@ func (c *Chain) ReadAt(p []byte, off int64) (int, error) { return c.Top().ReadAt
 // recursively — refuse, sending the caller down the copy path.
 func (c *Chain) PlainExtents(off, n int64, dst []zerocopy.FileExtent) ([]zerocopy.FileExtent, bool) {
 	return c.Top().PlainExtents(off, n, dst)
-}
-
-// applyMmapWarm enables mmap warm reads on every image that can take it;
-// best-effort by design (see ChainOpts.MmapWarm).
-func (c *Chain) applyMmapWarm() {
-	for _, img := range c.Images {
-		img.EnableMmap() //nolint:errcheck // ineligible images keep pread
-	}
 }
 
 // WriteAt writes guest data to the top of the chain.
@@ -237,9 +223,6 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 			}
 			c.Images[len(c.Images)-1].SetBacking(qcow.RawSource{R: f, N: sz})
 			c.rawTail = f
-			if opts.MmapWarm {
-				c.applyMmapWarm()
-			}
 			return c, nil
 		}
 		if err != nil {
@@ -277,9 +260,6 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 
 		bn := img.BackingName()
 		if bn == "" {
-			if opts.MmapWarm {
-				c.applyMmapWarm()
-			}
 			return c, nil
 		}
 		next := ParseLocator(bn)

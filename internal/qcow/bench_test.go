@@ -230,58 +230,19 @@ func BenchmarkContendedWarmRead(b *testing.B) {
 }
 
 // BenchmarkWarmReadMmap compares warm raw reads on a published (read-only,
-// os-backed) image served by pread against the flag-gated mmap warm-read
-// mode: a copy from the shared mapping instead of a syscall per extent.
+// os-backed) image served by pread against the same reads through an image
+// attached to a table set, which copies them from the set's one mapping.
 func BenchmarkWarmReadMmap(b *testing.B) {
 	const (
 		size = 64 << 20
 		span = 24 << 10
 	)
-	open := func(b *testing.B, mmap bool) *qcow.Image {
-		b.Helper()
-		path := filepath.Join(b.TempDir(), "img.qcow")
-		f, err := backend.CreateOSFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		img, err := qcow.Create(f, qcow.CreateOpts{Size: size, ClusterBits: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		chunk := make([]byte, 1<<20)
-		for i := range chunk {
-			chunk[i] = byte(i * 31)
-		}
-		for off := int64(0); off < size; off += int64(len(chunk)) {
-			if err := backend.WriteFull(img, chunk, off); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := img.Sync(); err != nil { // keep writeback out of the timed window
-			b.Fatal(err)
-		}
-		if err := img.Close(); err != nil {
-			b.Fatal(err)
-		}
-		ro, err := backend.OpenOSFile(path, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ri, err := qcow.Open(ro, qcow.OpenOpts{ReadOnly: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { ri.Close() }) //nolint:errcheck // bench teardown
-		ri.RegisterMetrics(metrics.NewRegistry(), metrics.Labels{"image": "pub"})
-		if mmap {
-			if err := ri.EnableMmap(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return ri
-	}
 	run := func(b *testing.B, mmap bool) {
-		img := open(b, mmap)
+		var set *qcow.Tables
+		if mmap {
+			set = qcow.NewTables()
+		}
+		img := openPublished(b, size, 16, set)
 		buf := make([]byte, span)
 		b.SetBytes(span)
 		b.ReportAllocs()
@@ -294,11 +255,79 @@ func BenchmarkWarmReadMmap(b *testing.B) {
 		}
 		b.StopTimer()
 		if mmap && img.Stats().MmapReads.Load() == 0 {
-			b.Fatal("mmap mode never served from the mapping")
+			b.Fatal("the set's mapping never served a read")
 		}
 	}
 	b.Run("pread", func(b *testing.B) { run(b, false) })
 	b.Run("mmap", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkTranslate512 reads 64 KiB and 1 MiB warm spans of a published
+// image of 512 B clusters attached to a table set — the warm_boot geometry:
+// per op one translation over 128 or 2048 L2 slots and one copy from the
+// set's mapping.
+func BenchmarkTranslate512(b *testing.B) {
+	const size = 32 << 20
+	set := qcow.NewTables()
+	img := openPublished(b, size, 9, set)
+	for _, span := range []int64{64 << 10, 1 << 20} {
+		b.Run(fmt.Sprintf("%dk", span>>10), func(b *testing.B) {
+			buf := make([]byte, span)
+			b.SetBytes(span)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := img.ReadAt(buf, (int64(i)*span)%size); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	if img.Stats().MmapReads.Load() == 0 {
+		b.Fatal("the set's mapping never served a read")
+	}
+}
+
+// openPublished writes a patterned image of the given geometry to an OS file,
+// syncs it, and reopens it read-only attached to set (nil: no set) with its
+// metrics registered, as cachemgr attaches a published cache.
+func openPublished(b *testing.B, size int64, clusterBits int, set *qcow.Tables) *qcow.Image {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "img.qcow")
+	f, err := backend.CreateOSFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := qcow.Create(f, qcow.CreateOpts{Size: size, ClusterBits: clusterBits})
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunk := make([]byte, 1<<20)
+	for i := range chunk {
+		chunk[i] = byte(i * 31)
+	}
+	for off := int64(0); off < size; off += int64(len(chunk)) {
+		if err := backend.WriteFull(img, chunk, off); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := img.Sync(); err != nil { // keep writeback out of the timed window
+		b.Fatal(err)
+	}
+	if err := img.Close(); err != nil {
+		b.Fatal(err)
+	}
+	ro, err := backend.OpenOSFile(path, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ri, err := qcow.Open(ro, qcow.OpenOpts{ReadOnly: true, Tables: set})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ri.Close() }) //nolint:errcheck // bench teardown
+	ri.RegisterMetrics(metrics.NewRegistry(), metrics.Labels{"image": "pub"})
+	return ri
 }
 
 // latencySource models a remote base: every backing read costs one fixed

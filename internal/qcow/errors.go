@@ -38,11 +38,6 @@ var (
 	ErrNoSubclusters     = errors.New("qcow: completion requires the subcluster extension")
 	ErrCompletionEnabled = errors.New("qcow: completion already enabled")
 
-	// ErrMmapWritable and ErrMmapEnabled gate the mmap warm-read mode
-	// (zerocopy.go): only read-only images may map their container, once.
-	ErrMmapWritable = errors.New("qcow: mmap warm-read requires a read-only image")
-	ErrMmapEnabled  = errors.New("qcow: mmap warm-read already enabled")
-
 	// ErrBadChunkSize rejects non-positive chunk sizes in the chunk-map
 	// export (chunkmap.go).
 	ErrBadChunkSize = errors.New("qcow: chunk size must be positive")

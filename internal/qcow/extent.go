@@ -58,7 +58,7 @@ type readCtx struct {
 // error the extents accumulated so far are still returned, so the caller can
 // serve the prefix before surfacing the error.
 func (img *Image) translateExtents(pos, end int64, exts []mappedExtent) ([]mappedExtent, readCtx, error) {
-	cs := img.ly.clusterSize
+	cs, cb := img.ly.clusterSize, img.ly.clusterBits
 	img.mu.RLock()
 	defer img.mu.RUnlock()
 	ctx := readCtx{
@@ -68,52 +68,39 @@ func (img *Image) translateExtents(pos, end int64, exts []mappedExtent) ([]mappe
 	ctx.fillRun = ctx.fillSub && !img.cacheFull
 	rl := runLookup{img: img}
 	for pos < end {
-		vc := pos / cs
-		inOff := pos - vc*cs
+		vc := pos >> cb
+		inOff := pos - vc<<cb
 		m, err := rl.lookup(vc)
 		if err != nil {
 			return exts, ctx, err
 		}
-		var e mappedExtent
+		e := mappedExtent{pos: pos, length: min(end-pos, cs-inOff), dataOff: m.dataOff, vc: vc}
 		switch {
 		case m.dataOff != 0 && m.compressed:
-			e = mappedExtent{kind: extCompressed, pos: pos,
-				length: minI64(end-pos, cs-inOff), dataOff: m.dataOff, vc: vc}
+			e.kind = extCompressed
+		case m.dataOff != 0 && img.sub != nil && !img.sub.isFull(vc):
+			e.kind = extSubPartial
 		case m.dataOff != 0:
-			if s := img.sub; s != nil && !s.isFull(vc) {
-				e = mappedExtent{kind: extSubPartial, pos: pos,
-					length: minI64(end-pos, cs-inOff), dataOff: m.dataOff, vc: vc}
-				break
-			}
 			// Coalesce physically contiguous fully-valid raw clusters into
 			// one extent: cache fills allocate in guest-read order, so warm
 			// reads are mostly one contiguous extent regardless of cluster
 			// size.
-			run := int64(1)
-			for (vc+run)*cs < end {
-				mm, err := rl.lookup(vc + run)
-				if err != nil {
-					return exts, ctx, err
-				}
-				if mm.compressed || mm.dataOff != m.dataOff+run*cs ||
-					(img.sub != nil && !img.sub.isFull(vc+run)) {
-					break
-				}
-				run++
-			}
-			e = mappedExtent{kind: extRaw, pos: pos,
-				length: minI64(end-pos, run*cs-inOff), dataOff: m.dataOff + inOff, vc: vc, run: run}
-		default:
-			run, err := img.unallocatedRun(&rl, vc, end)
+			run, err := img.slotRun(&rl, vc, m.dataOff, end)
 			if err != nil {
 				return exts, ctx, err
 			}
-			kind := extZero
-			if ctx.backing != nil {
-				kind = extUnalloc
+			e.kind, e.run, e.dataOff = extRaw, run, m.dataOff+inOff
+			e.length = min(end-pos, run*cs-inOff)
+		default:
+			run, err := img.slotRun(&rl, vc, 0, end)
+			if err != nil {
+				return exts, ctx, err
 			}
-			e = mappedExtent{kind: kind, pos: pos,
-				length: minI64(end, (vc+run)*cs) - pos, vc: vc, run: run}
+			e.kind, e.run = extZero, run
+			if ctx.backing != nil {
+				e.kind = extUnalloc
+			}
+			e.length = min(end, (vc+run)*cs) - pos
 		}
 		exts = append(exts, e)
 		pos += e.length

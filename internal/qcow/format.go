@@ -95,6 +95,7 @@ type layout struct {
 	clusterBits  uint32
 	clusterSize  int64
 	l2Entries    int64 // entries per L2 table
+	l2Bits       uint32
 	l2Coverage   int64 // virtual bytes covered by one L2 table
 	refBlockEnts int64 // refcount entries per refcount block
 }
@@ -106,6 +107,7 @@ func newLayout(clusterBits uint32) layout {
 		clusterBits:  clusterBits,
 		clusterSize:  cs,
 		l2Entries:    l2e,
+		l2Bits:       clusterBits - 3,
 		l2Coverage:   cs * l2e,
 		refBlockEnts: cs / refcountEntrySz,
 	}

@@ -160,10 +160,11 @@ type Image struct {
 	fills  []*fill
 
 	// cbuf pools cluster-sized scratch buffers (CoW merges, metadata
-	// zeroing, L2 decodes); sbuf pools variable-length fill spans; extPool
-	// pools the per-ReadAt mapped-extent slices (stored as *[]mappedExtent
-	// so recycling does not allocate).
-	cbuf    bufPool
+	// zeroing, L2 decodes), shared by every image of the cluster size, so a
+	// short-lived CoW top reuses the last one's; sbuf pools variable-length
+	// fill spans; extPool pools the per-ReadAt mapped-extent slices (stored
+	// as *[]mappedExtent so recycling does not allocate).
+	cbuf    *bufPool
 	sbuf    bufPool
 	extPool sync.Pool
 
@@ -174,6 +175,9 @@ type Image struct {
 	refTable []uint64
 	// l2c caches recently used L2 tables; l1 and l2c may be a shared set's.
 	l2c *l2Cache
+	// tables is the shared set the image is attached to (nil: its own
+	// tables); its mapping serves the raw reads (mappedRead).
+	tables *Tables
 	// nextFree is the next unallocated cluster index (bump allocator).
 	nextFree int64
 
@@ -203,11 +207,6 @@ type Image struct {
 	// cp is the attached background completer (complete.go), nil when
 	// completion is off; same CAS lifecycle as pf.
 	cp atomic.Pointer[Completer]
-
-	// mm is the read-only container mapping installed by EnableMmap
-	// (zerocopy.go), nil when the pread path serves warm reads. Released
-	// by Close after the reader drain.
-	mm atomic.Pointer[mmapRegion]
 
 	stats Stats
 }
@@ -324,6 +323,7 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 		f:        f,
 		hdr:      hdr,
 		ly:       ly,
+		cbuf:     &clusterBufs[ly.clusterBits],
 		l1:       make([]uint64, l1Entries),
 		refTable: make([]uint64, refTableClusters*ly.clusterSize/refTableEntrySz),
 		l2c:      newL2Cache(defaultL2CacheTables(ly)),
@@ -376,6 +376,7 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 		f:        f,
 		hdr:      hdr,
 		ly:       ly,
+		cbuf:     &clusterBufs[ly.clusterBits],
 		ro:       opts.ReadOnly,
 		nextFree: ceilDiv(sz, ly.clusterSize),
 		isCache:  hdr.IsCache(),
@@ -407,6 +408,9 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 		}
 		img.sub = newSubState(hdr, ly)
 		if err := img.sub.load(f); err != nil {
+			if img.tables != nil {
+				img.tables.detach()
+			}
 			return nil, fmt.Errorf("qcow: reading subcluster table: %w", err)
 		}
 	}
@@ -425,7 +429,8 @@ func readL1(f backend.File, hdr *Header, sz int64) ([]uint64, error) {
 	if !within(hdr.L1TableOffset, n, sz) {
 		return nil, fmt.Errorf("%w: L1 table beyond end of file", ErrCorrupt)
 	}
-	buf := make([]byte, n)
+	buf := tableBufs.get(int(n))
+	defer tableBufs.put(buf)
 	if err := backend.ReadFull(f, buf, int64(hdr.L1TableOffset)); err != nil {
 		return nil, fmt.Errorf("qcow: reading L1 table: %w", err)
 	}
@@ -562,7 +567,9 @@ func (img *Image) Close() error {
 		cp.Close()
 	}
 	img.readers.Wait()
-	img.closeMmap()
+	if img.tables != nil {
+		img.tables.detach()
+	}
 	if !img.ro {
 		if err := img.syncCacheUsed(); err != nil {
 			img.f.Close() //nolint:errcheck // best-effort release on error path

@@ -85,9 +85,9 @@ func (img *Image) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 		"Bytes exported as extents (served without a user-space copy).",
 		labels, s.ZeroCopyExportBytes.Load)
 	r.CounterFunc("vmicache_qcow_mmap_reads_total",
-		"Warm raw reads served from the mmap warm-read mapping.", labels, s.MmapReads.Load)
+		"Warm raw reads copied from the table set's mapping.", labels, s.MmapReads.Load)
 	r.CounterFunc("vmicache_qcow_mmap_read_bytes_total",
-		"Bytes copied out of the mmap warm-read mapping.", labels, s.MmapReadBytes.Load)
+		"Bytes copied from the table set's mapping.", labels, s.MmapReadBytes.Load)
 	r.GaugeFunc("vmicache_qcow_completion_inflight_bytes",
 		"Bytes of background completion currently queued or in flight.", labels,
 		func() int64 {

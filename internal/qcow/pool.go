@@ -8,12 +8,18 @@ import "sync"
 // header off the heap on Put) and handed out by requested length; a pooled
 // buffer whose capacity is too small is simply dropped for the GC.
 //
-// Each image keeps two pools: cbuf for cluster-sized metadata/CoW scratch
-// (uniform size) and sbuf for variable-length fill spans (sizes converge on
-// the guest's request size, so reuse is high in practice).
+// Images of one cluster size share a pool of cluster-sized metadata/CoW
+// scratch (clusterBufs); each image keeps its own sbuf for variable-length
+// fill spans (sizes converge on the guest's request size, so reuse is high
+// in practice). Table reads decode through tableBufs.
 type bufPool struct {
 	p sync.Pool
 }
+
+var (
+	clusterBufs [MaxClusterBits + 1]bufPool
+	tableBufs   bufPool
+)
 
 // get returns a buffer of length n with arbitrary contents.
 func (bp *bufPool) get(n int) []byte {

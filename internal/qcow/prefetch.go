@@ -203,7 +203,7 @@ func (pf *Prefetcher) run(req prefetch.Req) {
 			pf.setKnown(scanned, vc)
 			return
 		}
-		run, err := img.unallocatedRun(&rl, vc, end*cs)
+		run, err := img.slotRun(&rl, vc, 0, end*cs)
 		img.mu.RUnlock()
 		if scanned < vc {
 			pf.setKnown(scanned, vc)

@@ -21,7 +21,8 @@ func readRefTable(f backend.File, hdr *Header, ly layout, sz int64) ([]uint64, e
 	if !within(hdr.RefTableOffset, uint64(n), sz) {
 		return nil, fmt.Errorf("%w: refcount table beyond end of file", ErrCorrupt)
 	}
-	buf := make([]byte, n)
+	buf := tableBufs.get(int(n))
+	defer tableBufs.put(buf)
 	if err := backend.ReadFull(f, buf, int64(hdr.RefTableOffset)); err != nil {
 		return nil, fmt.Errorf("qcow: reading refcount table: %w", err)
 	}

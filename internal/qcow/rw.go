@@ -78,9 +78,9 @@ func (img *Image) readExtents(p []byte, off int64, extp *[]mappedExtent) (int, e
 			case extRaw:
 				// Bound clusters are never moved or freed, so this read
 				// needs no lock: the container serialises its own I/O.
-				// With the warm-read mapping installed (EnableMmap) the
-				// bytes come from the mapping instead of a pread syscall.
-				if !img.mmapRead(seg, e.dataOff) {
+				// An image attached to a table set copies from the set's
+				// mapping instead of issuing a pread.
+				if !img.mappedRead(seg, e.dataOff) {
 					if err := backend.ReadFull(img.f, seg, e.dataOff); err != nil {
 						return done, err
 					}
@@ -154,20 +154,39 @@ func (img *Image) readExtents(p []byte, off int64, extp *[]mappedExtent) (int, e
 	return done, nil
 }
 
-// unallocatedRun counts consecutive unallocated clusters starting at vc that
-// intersect the request ending at reqEnd (byte offset). Always >= 1.
-func (img *Image) unallocatedRun(rl *runLookup, vc, reqEnd int64) (int64, error) {
-	maxVC := ceilDiv(reqEnd, img.ly.clusterSize)
+// slotRun counts the clusters from vc on that intersect the request ending at
+// reqEnd (byte offset) and continue vc's run: unallocated when dataOff is 0,
+// else fully valid raw clusters physically following vc's data at dataOff.
+// It scans the memoized L2 table's slots, fetching a table only when the run
+// crosses into it; a missing table is a table's worth of unallocated
+// clusters. A compressed entry carries its flag outside the offset mask, so
+// it ends either kind of run. Always >= 1.
+func (img *Image) slotRun(rl *runLookup, vc, dataOff, reqEnd int64) (int64, error) {
+	last := (reqEnd - 1) >> img.ly.clusterBits
+	next, step, sub := uint64(dataOff), uint64(img.ly.clusterSize), img.sub
+	if dataOff == 0 {
+		step, sub = 0, nil
+	}
 	run := int64(1)
-	for vc+run < maxVC {
-		m, err := rl.lookup(vc + run)
+	for vc+run <= last {
+		t, i, err := rl.slots(vc + run)
 		if err != nil {
 			return run, err
 		}
-		if m.dataOff != 0 {
-			break
+		n := min(img.ly.l2Entries-i, last-(vc+run)+1)
+		if t == nil {
+			if dataOff != 0 {
+				break
+			}
+			run += n
+			continue
 		}
-		run++
+		for _, e := range t[i : i+n] {
+			if next += step; e&(entryOffsetMask|entryCompressed) != next || sub != nil && !sub.isFull(vc+run) {
+				return run, nil
+			}
+			run++
+		}
 	}
 	return run, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"vmicache/internal/backend"
+	"vmicache/internal/zerocopy"
 )
 
 // defaultL2CacheTables sizes the in-memory L2 table cache for a layout.
@@ -185,26 +186,55 @@ func (s *l2Shard) moveToFront(e *l2Entry) {
 // Tables is the L1 and decoded L2 tables of one immutable image file, shared
 // by its read-only opens: the first fills the L1, later ones read only the
 // header. Hand a set only to opens of that file; Retire it before it changes.
+//
+// The set also owns the one mapping of the file that attached images copy
+// their raw reads from (mappedRead): made on the first such read, unmapped
+// once the set is retired and its last attached image has closed.
 type Tables struct {
 	mu      sync.Mutex
 	hdr     *Header // the header of the filling open; nil while empty
 	l1      []uint64
 	l2c     *l2Cache
-	retired atomic.Bool
+	retired bool
+	users   int // open images attached to the set
+
+	region       atomic.Pointer[[]byte] // nil until the first raw read tries to map
+	maps, unmaps atomic.Int32
 }
 
 // NewTables returns an empty set; the first open that takes it fills it.
 func NewTables() *Tables { return &Tables{} }
 
 // Retire makes later opens ignore the set; images using it keep it.
-func (t *Tables) Retire() { t.retired.Store(true) }
+func (t *Tables) Retire() {
+	t.mu.Lock()
+	t.retired = true
+	t.unmapIdleLocked()
+	t.mu.Unlock()
+}
+
+// VirtualSize reports the guest size of the set's file once an open has
+// filled the set.
+func (t *Tables) VirtualSize() (int64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.hdr == nil {
+		return 0, false
+	}
+	return int64(t.hdr.Size), true
+}
+
+// Mappings reports how many times the set has mapped and unmapped its file.
+func (t *Tables) Mappings() (maps, unmaps int) {
+	return int(t.maps.Load()), int(t.unmaps.Load())
+}
 
 // attach points a read-only image at the set, filling the set from img's
 // container first if it is empty; false means retired: img reads its own.
 func (t *Tables) attach(img *Image, sz int64) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.retired.Load() {
+	if t.retired {
 		return false, nil
 	}
 	if t.hdr == nil {
@@ -216,8 +246,54 @@ func (t *Tables) attach(img *Image, sz int64) (bool, error) {
 	} else if *t.hdr != *img.hdr {
 		return false, fmt.Errorf("%w: shared tables belong to another image", ErrCorrupt)
 	}
-	img.l1, img.l2c = t.l1, t.l2c
+	img.l1, img.l2c, img.tables = t.l1, t.l2c, t
+	t.users++
 	return true, nil
+}
+
+// detach is an attached image's close, after its last read has drained.
+func (t *Tables) detach() {
+	t.mu.Lock()
+	t.users--
+	t.unmapIdleLocked()
+	t.mu.Unlock()
+}
+
+// unmapIdleLocked releases the mapping of a retired set no image uses: no
+// copy can be running from it, and no image can attach to make another.
+func (t *Tables) unmapIdleLocked() {
+	if !t.retired || t.users > 0 {
+		return
+	}
+	if m := t.region.Swap(new([]byte)); m != nil && *m != nil {
+		zerocopy.Munmap(*m) //nolint:errcheck // nothing reads it any more
+		t.unmaps.Add(1)
+	}
+}
+
+// mapping returns the set's read-only mapping of the file f opens, making
+// it on the first call — from f's descriptor, sized by the file now. It is
+// nil when the file cannot be mapped (not os-backed, empty, no mmap).
+// Callers are attached images, so the mapping outlives their reads.
+func (t *Tables) mapping(f backend.File) []byte {
+	if m := t.region.Load(); m != nil {
+		return *m
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if m := t.region.Load(); m != nil {
+		return *m
+	}
+	var m []byte
+	if sys := zerocopy.SysFile(f); sys != nil {
+		if sz, err := f.Size(); err == nil && sz > 0 {
+			if m, err = zerocopy.Mmap(sys, sz); err == nil {
+				t.maps.Add(1)
+			}
+		}
+	}
+	t.region.Store(&m)
+	return m
 }
 
 // loadL2 returns the decoded L2 table stored at file offset off. Concurrent
@@ -290,8 +366,8 @@ func (img *Image) lookup(vc int64) (mapping, error) {
 // cluster has no L2 table yet).
 func (img *Image) lookupT(vc int64) (mapping, []uint64, error) {
 	var m mapping
-	m.l1Index = vc / img.ly.l2Entries
-	m.l2Index = vc % img.ly.l2Entries
+	m.l1Index = vc >> img.ly.l2Bits
+	m.l2Index = vc & (img.ly.l2Entries - 1)
 	if m.l1Index >= int64(len(img.l1)) {
 		return m, nil, ErrOutOfRange
 	}
@@ -324,22 +400,32 @@ type runLookup struct {
 }
 
 func (r *runLookup) lookup(vc int64) (mapping, error) {
-	l1i := vc / r.img.ly.l2Entries
-	if r.valid && l1i == r.l1i {
-		m := mapping{l1Index: l1i, l2Index: vc % r.img.ly.l2Entries, l2Off: r.l2Off}
-		if r.table != nil {
-			e := r.table[m.l2Index]
-			m.dataOff = int64(e & entryOffsetMask)
-			m.compressed = e&entryCompressed != 0
-		}
-		return m, nil
-	}
-	m, t, err := r.img.lookupT(vc)
+	t, i, err := r.slots(vc)
 	if err != nil {
-		return m, err
+		return mapping{}, err
 	}
-	r.l1i, r.l2Off, r.table, r.valid = l1i, m.l2Off, t, true
+	m := mapping{l1Index: r.l1i, l2Index: i, l2Off: r.l2Off}
+	if t != nil {
+		m.dataOff = int64(t[i] & entryOffsetMask)
+		m.compressed = t[i]&entryCompressed != 0
+	}
 	return m, nil
+}
+
+// slots returns the L2 table holding vc's slot and the slot's index in it,
+// fetching the table only when vc lies in another table than the last
+// call's. The table is nil when vc's L1 entry has no L2 table: every slot
+// of it reads as unallocated. Run scans index the returned table directly.
+func (r *runLookup) slots(vc int64) ([]uint64, int64, error) {
+	ly := &r.img.ly
+	if l1i := vc >> ly.l2Bits; !r.valid || l1i != r.l1i {
+		m, t, err := r.img.lookupT(vc)
+		if err != nil {
+			return nil, 0, err
+		}
+		r.l1i, r.l2Off, r.table, r.valid = l1i, m.l2Off, t, true
+	}
+	return r.table, vc & (ly.l2Entries - 1), nil
 }
 
 // ensureL2 returns the mapping for vc, allocating an L2 table if missing.

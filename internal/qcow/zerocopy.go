@@ -9,12 +9,13 @@ package qcow
 //     images offer the contract — their cluster mappings are frozen, so the
 //     returned physical offsets stay valid with no lock held.
 //
-//   - EnableMmap, the in-process side: the container is mapped read-only
-//     and warm raw reads become a copy from the mapping instead of a pread
-//     syscall per op, with madvise(WILLNEED) pre-faulting the metadata
-//     tables. Gated by a flag because it trades address space for syscalls.
+//   - mappedRead, the in-process side: a read-only image attached to a
+//     shared table set copies its raw extents out of the set's one mapping
+//     of the file instead of issuing a pread per extent.
 
 import (
+	"runtime/debug"
+
 	"vmicache/internal/zerocopy"
 )
 
@@ -79,77 +80,38 @@ func (img *Image) PlainExtents(off, n int64, dst []zerocopy.FileExtent) ([]zeroc
 	return dst, true
 }
 
-// mmapRegion wraps the mapped container bytes behind an atomic pointer so
-// the hot path pays one load, no lock.
-type mmapRegion struct {
-	data []byte
-}
-
-// EnableMmap maps the container read-only and switches warm raw reads to
-// copy-from-mapping; the metadata tables reads walk (L1, allocated L2 tables
-// and the sub-cluster bitmap) are madvise(WILLNEED)-prefaulted so the first
-// boot does not fault them one page at a time. The refcount table is not:
-// no read consults it, and Check reads it with pread. Only read-only images
-// qualify (a growing container would need remaps), and the container must
-// be os-backed; elsewhere zerocopy.ErrUnsupported is returned and the
-// caller keeps the pread path.
-func (img *Image) EnableMmap() error {
-	if !img.ro {
-		return ErrMmapWritable
-	}
-	sys := zerocopy.SysFile(img.f)
-	if sys == nil {
-		return zerocopy.ErrUnsupported
-	}
-	sz, err := img.f.Size()
-	if err != nil {
-		return err
-	}
-	m, err := zerocopy.Mmap(sys, sz)
-	if err != nil {
-		return err
-	}
-	// Pre-fault the metadata working set; advisory, so errors are ignored.
-	zerocopy.AdviseWillNeed(m, int64(img.hdr.L1TableOffset), int64(img.hdr.L1Size)*l1EntrySize) //nolint:errcheck
-	img.mu.RLock()
-	if img.sub != nil {
-		zerocopy.AdviseWillNeed(m, img.sub.tableOff, img.sub.clusters*8) //nolint:errcheck
-	}
-	for _, l1e := range img.l1 {
-		if off := int64(l1e & entryOffsetMask); off != 0 {
-			zerocopy.AdviseWillNeed(m, off, img.ly.clusterSize) //nolint:errcheck
-		}
-	}
-	img.mu.RUnlock()
-	if !img.mm.CompareAndSwap(nil, &mmapRegion{data: m}) {
-		zerocopy.Munmap(m) //nolint:errcheck // losing racer releases its mapping
-		return ErrMmapEnabled
-	}
-	return nil
-}
-
-// MmapEnabled reports whether the warm-read mapping is installed.
-func (img *Image) MmapEnabled() bool { return img.mm.Load() != nil }
-
-// closeMmap releases the mapping; called by Close after the reader drain, so
-// no lock-free read can still be copying out of it.
-func (img *Image) closeMmap() {
-	if mm := img.mm.Swap(nil); mm != nil {
-		zerocopy.Munmap(mm.data) //nolint:errcheck // advisory on teardown
-	}
-}
-
-// mmapRead serves one raw extent from the mapping when it is installed and
-// covers the run; reports whether it did. The copy is safe with no lock
-// held for the same reason the pread path is: the image is read-only, so
-// bound clusters never move and the file never shrinks.
-func (img *Image) mmapRead(seg []byte, dataOff int64) bool {
-	mm := img.mm.Load()
-	if mm == nil || dataOff+int64(len(seg)) > int64(len(mm.data)) {
+// mappedRead serves one raw extent from the table set's mapping when the
+// image is attached to a set whose file maps and the mapping covers the
+// extent; it reports whether it did. The copy needs no lock: the image is
+// read-only, bound clusters never move, and the set unmaps only after every
+// attached image has closed. A fault inside the copy (the file truncated or
+// its medium failing under the mapping) reports false, so the pread path
+// reads the extent and returns the error it meets instead of the process
+// dying of SIGBUS.
+func (img *Image) mappedRead(seg []byte, dataOff int64) bool {
+	if img.tables == nil {
 		return false
 	}
-	copy(seg, mm.data[dataOff:])
+	m := img.tables.mapping(img.f)
+	if dataOff+int64(len(seg)) > int64(len(m)) || !copyMapped(seg, m[dataOff:]) {
+		return false
+	}
 	img.stats.MmapReads.Add(1)
 	img.stats.MmapReadBytes.Add(int64(len(seg)))
+	return true
+}
+
+// copyMapped copies src into dst with faults turned into a false return.
+func copyMapped(dst, src []byte) (ok bool) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			ok = false
+		}
+	}()
+	copy(dst, src)
 	return true
 }

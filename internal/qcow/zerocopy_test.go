@@ -4,11 +4,15 @@ package qcow
 // export contract (byte-identity against the copy path, plus the full
 // fallback matrix — writable image, memory-backed container, compressed
 // cluster, partially-valid sub-cluster, unallocated run, out-of-range), and
-// the mmap warm-read mode (byte-identity, gating errors, Close race).
+// the table set's mapping (byte-identity with pread, fallback past the
+// mapping and off it, lifetime, faults).
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -21,6 +25,15 @@ import (
 // deterministic pattern via plain guest writes, and reopens it read-only on
 // an os-backed container — the publication shape the zero-copy path serves.
 func newOSImage(t *testing.T, size int64, clusterBits int, seed int64) (*Image, []byte) {
+	t.Helper()
+	path, pat := newOSImageFile(t, size, clusterBits, seed)
+	ri := openOS(t, path, nil)
+	t.Cleanup(func() { ri.Close() }) //nolint:errcheck // test teardown
+	return ri, pat
+}
+
+// newOSImageFile writes newOSImage's file and returns its path and content.
+func newOSImageFile(t *testing.T, size int64, clusterBits int, seed int64) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "img.qcow")
 	f, err := backend.CreateOSFile(path)
@@ -39,16 +52,21 @@ func newOSImage(t *testing.T, size int64, clusterBits int, seed int64) (*Image, 
 	if err := img.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path, pat
+}
+
+// openOS opens the image file at path read-only, attached to set if non-nil.
+func openOS(t *testing.T, path string, set *Tables) *Image {
+	t.Helper()
 	ro, err := backend.OpenOSFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := Open(ro, OpenOpts{ReadOnly: true})
+	img, err := Open(ro, OpenOpts{ReadOnly: true, Tables: set})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ri.Close() }) //nolint:errcheck // test teardown
-	return ri, pat
+	return img
 }
 
 // readExtents materialises exported extents with plain preads — the exact
@@ -249,78 +267,222 @@ func TestPlainExtentsFallbackMatrix(t *testing.T) {
 	})
 }
 
-// TestMmapWarmRead proves byte-identity of the mapping-served read path and
-// that the mode actually engages (counter advances).
+// TestMmapWarmRead: images attached to a set copy their raw extents out of
+// the set's one mapping and return exactly what a pread-only open of the
+// same file returns, at aligned, misaligned and end-of-disk ranges.
 func TestMmapWarmRead(t *testing.T) {
 	const size = testMB
-	img, pat := newOSImage(t, size, 12, 79)
-	if img.MmapEnabled() {
-		t.Fatal("mmap enabled before EnableMmap")
+	path, pat := newOSImageFile(t, size, 9, 79)
+	set := NewTables()
+	plain := openOS(t, path, nil)
+	defer plain.Close() //nolint:errcheck // read-only
+	var imgs []*Image
+	for i := 0; i < 2; i++ {
+		img := openOS(t, path, set)
+		defer img.Close() //nolint:errcheck // read-only
+		imgs = append(imgs, img)
 	}
-	if err := img.EnableMmap(); err != nil {
-		t.Fatalf("EnableMmap: %v", err)
+	if maps, _ := set.Mappings(); maps != 0 {
+		t.Fatalf("opens mapped the file %d times before any read", maps)
 	}
-	if !img.MmapEnabled() {
-		t.Fatal("MmapEnabled false after EnableMmap")
-	}
-	got := make([]byte, size)
-	if err := backend.ReadFull(img, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pat) {
-		t.Fatal("mmap-served read differs from pattern")
-	}
-	for _, tc := range []struct{ off, n int64 }{{513, 100000}, {size - 10, 10}} {
-		b := make([]byte, tc.n)
-		if err := backend.ReadFull(img, b, tc.off); err != nil {
+	for _, tc := range []struct{ off, n int64 }{{0, size}, {513, 100000}, {size - 10, 10}, {4096, 512}} {
+		want := make([]byte, tc.n)
+		if err := backend.ReadFull(plain, want, tc.off); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(b, pat[tc.off:tc.off+tc.n]) {
-			t.Fatalf("mmap read (%d, %d) mismatch", tc.off, tc.n)
+		if !bytes.Equal(want, pat[tc.off:tc.off+tc.n]) {
+			t.Fatalf("pread (%d, %d) mismatch", tc.off, tc.n)
+		}
+		for i, img := range imgs {
+			got := make([]byte, tc.n)
+			if err := backend.ReadFull(img, got, tc.off); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("image %d: mapped read (%d, %d) differs from pread", i, tc.off, tc.n)
+			}
 		}
 	}
-	if img.Stats().MmapReads.Load() == 0 {
-		t.Fatal("reads did not go through the mapping")
+	for i, img := range imgs {
+		if img.Stats().MmapReadBytes.Load() == 0 {
+			t.Fatalf("image %d: reads did not go through the mapping", i)
+		}
 	}
-	// Second enable must refuse.
-	if err := img.EnableMmap(); err != ErrMmapEnabled {
-		t.Fatalf("second EnableMmap: %v", err)
+	if plain.Stats().MmapReads.Load() != 0 {
+		t.Fatal("an image without a set read through a mapping")
+	}
+	if maps, unmaps := set.Mappings(); maps != 1 || unmaps != 0 {
+		t.Fatalf("two images reading: %d maps, %d unmaps; want 1, 0", maps, unmaps)
 	}
 }
 
-// TestMmapGates checks the enable-time refusals: writable images and
-// non-os-backed containers keep the pread path.
+// TestMmapGates: writable images, images of a non-os container and
+// extents the mapping does not cover read with pread, and still right.
 func TestMmapGates(t *testing.T) {
-	img, _ := newTestImage(t, testMB, 16)
-	defer img.Close()
-	if err := img.EnableMmap(); err != ErrMmapWritable {
-		t.Fatalf("writable EnableMmap: %v", err)
-	}
-	snap := snapshot(t, img.f)
-	ro, err := Open(snap, OpenOpts{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	if err := ro.EnableMmap(); err != zerocopy.ErrUnsupported {
-		t.Fatalf("MemFile EnableMmap: %v", err)
-	}
+	t.Run("writable and memory-backed", func(t *testing.T) {
+		img, mem := newTestImage(t, testMB, 16)
+		pat := make([]byte, testMB)
+		rand.New(rand.NewSource(5)).Read(pat)
+		if err := backend.WriteFull(img, pat, 0); err != nil {
+			t.Fatal(err)
+		}
+		set := NewTables()
+		for _, ro := range []bool{false, true} {
+			re, err := Open(snapshot(t, mem), OpenOpts{ReadOnly: ro, Tables: set})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, testMB)
+			if err := backend.ReadFull(re, got, 0); err != nil || !bytes.Equal(got, pat) {
+				t.Fatalf("read-only=%v: %v or wrong bytes", ro, err)
+			}
+			if re.Stats().MmapReads.Load() != 0 {
+				t.Fatalf("read-only=%v: read through a mapping", ro)
+			}
+			re.Close() //nolint:errcheck // test
+		}
+		img.Close() //nolint:errcheck // test
+		if maps, _ := set.Mappings(); maps != 0 {
+			t.Fatalf("a memory file was mapped %d times", maps)
+		}
+	})
+	t.Run("past the mapping", func(t *testing.T) {
+		// Clusters 0 and 100 written; cluster 100's L2 table (the second)
+		// exists but the set has not decoded it when the mapping is made.
+		path := filepath.Join(t.TempDir(), "img.qcow")
+		f, err := backend.CreateOSFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := Create(f, CreateOpts{Size: testMB, ClusterBits: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c0, c100, c101 := bytes.Repeat([]byte{1}, 512), bytes.Repeat([]byte{2}, 512), bytes.Repeat([]byte{3}, 512)
+		for _, w := range []struct {
+			b  []byte
+			vc int64
+		}{{c0, 0}, {c100, 100}} {
+			if err := backend.WriteFull(img, w.b, w.vc*512); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := img.Close(); err != nil {
+			t.Fatal(err)
+		}
+		set := NewTables()
+		ro := openOS(t, path, set)
+		defer ro.Close() //nolint:errcheck // read-only
+		got := make([]byte, 512)
+		if err := backend.ReadFull(ro, got, 0); err != nil || !bytes.Equal(got, c0) {
+			t.Fatalf("cluster 0: %v", err)
+		}
+		// The file grows past the mapping: cluster 101 lands at its end.
+		wf, err := backend.OpenOSFile(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Open(wf, OpenOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.WriteFull(w, c101, 101*512); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := ro.Stats().MmapReads.Load()
+		if err := backend.ReadFull(ro, got, 101*512); err != nil || !bytes.Equal(got, c101) {
+			t.Fatalf("cluster past the mapping: %v", err)
+		}
+		if ro.Stats().MmapReads.Load() != before {
+			t.Fatal("an extent past the mapping was copied from it")
+		}
+		if err := backend.ReadFull(ro, got, 100*512); err != nil || !bytes.Equal(got, c100) {
+			t.Fatalf("cluster 100: %v", err)
+		}
+		if ro.Stats().MmapReads.Load() != before+1 {
+			t.Fatal("an extent inside the mapping was not copied from it")
+		}
+	})
 }
 
-// TestMmapCloseRace runs readers against the mapping while Close tears it
-// down; under -race this pins the reader-drain ordering (Close unmaps only
-// after readers.Wait, so no read copies from a dead mapping).
+// TestMappingLifetime: a set maps its file on the first raw read through an
+// attached image, never on attach alone, and unmaps once — after it is
+// retired and its last attached image has closed, in either order.
+func TestMappingLifetime(t *testing.T) {
+	path, _ := newOSImageFile(t, 256<<10, 9, 89)
+	buf := make([]byte, 4096)
+	expect := func(t *testing.T, set *Tables, maps, unmaps int) {
+		t.Helper()
+		if m, u := set.Mappings(); m != maps || u != unmaps {
+			t.Fatalf("%d maps, %d unmaps; want %d, %d", m, u, maps, unmaps)
+		}
+	}
+	t.Run("attached only", func(t *testing.T) {
+		set := NewTables()
+		img := openOS(t, path, set)
+		img.Close() //nolint:errcheck // read-only
+		set.Retire()
+		expect(t, set, 0, 0)
+	})
+	t.Run("retired before the last close", func(t *testing.T) {
+		set := NewTables()
+		a, b := openOS(t, path, set), openOS(t, path, set)
+		for _, img := range []*Image{a, b} {
+			if err := backend.ReadFull(img, buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expect(t, set, 1, 0)
+		set.Retire()
+		a.Close() //nolint:errcheck // read-only
+		expect(t, set, 1, 0)
+		if err := backend.ReadFull(b, buf, 8192); err != nil {
+			t.Fatal(err)
+		}
+		if late := openOS(t, path, set); late.tables != nil {
+			t.Fatal("an open attached to a retired set")
+		} else {
+			late.Close() //nolint:errcheck // read-only
+		}
+		expect(t, set, 1, 0)
+		b.Close() //nolint:errcheck // read-only
+		expect(t, set, 1, 1)
+	})
+	t.Run("closed before retirement", func(t *testing.T) {
+		set := NewTables()
+		img := openOS(t, path, set)
+		if err := backend.ReadFull(img, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		img.Close() //nolint:errcheck // read-only
+		expect(t, set, 1, 0)
+		img = openOS(t, path, set) // the mapping outlives a gap in users
+		if err := backend.ReadFull(img, buf, 4096); err != nil {
+			t.Fatal(err)
+		}
+		img.Close() //nolint:errcheck // read-only
+		expect(t, set, 1, 0)
+		set.Retire()
+		expect(t, set, 1, 1)
+	})
+}
+
+// TestMmapCloseRace runs readers on two images of one set while the set
+// is retired and the images close; under -race this pins that the mapping
+// goes only after every attached image has drained its reads.
 func TestMmapCloseRace(t *testing.T) {
 	const size = testMB
-	img, pat := newOSImage(t, size, 12, 83)
-	if err := img.EnableMmap(); err != nil {
-		t.Fatal(err)
-	}
+	path, pat := newOSImageFile(t, size, 12, 83)
+	set := NewTables()
+	imgs := []*Image{openOS(t, path, set), openOS(t, path, set)}
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(img *Image, seed int64) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(seed))
 			buf := make([]byte, 32<<10)
@@ -331,12 +493,79 @@ func TestMmapCloseRace(t *testing.T) {
 					return // ErrClosed once Close lands: expected
 				}
 				if !bytes.Equal(buf, pat[off:off+int64(len(buf))]) {
-					panic("mmap race: data mismatch")
+					panic("mapping race: data mismatch")
 				}
 			}
-		}(int64(r))
+		}(imgs[r%2], int64(r))
 	}
 	close(start)
-	img.Close() //nolint:errcheck // racing with readers by design
+	set.Retire()
+	imgs[0].Close() //nolint:errcheck // racing with readers by design
+	imgs[1].Close() //nolint:errcheck // racing with readers by design
 	wg.Wait()
+	if maps, unmaps := set.Mappings(); unmaps != maps || maps > 1 {
+		t.Fatalf("%d maps, %d unmaps after every image closed", maps, unmaps)
+	}
+}
+
+// TestMappedReadPastEOF: an L2 slot pointing past the end of a read-only
+// file fails the read with the same error on an image attached to a set as
+// on one reading with pread.
+func TestMappedReadPastEOF(t *testing.T) {
+	path, _ := newOSImageFile(t, 256<<10, 9, 97)
+	probe := openOS(t, path, nil)
+	slot := int64(probe.l1[0]&entryOffsetMask) + 3*l2EntrySize // cluster 3
+	probe.Close()                                              //nolint:errcheck // read-only
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := backend.OpenOSFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put64(t, wf, slot, uint64(st.Size()+64<<10)|entryCopied)
+	wf.Close() //nolint:errcheck // test
+	read := func(set *Tables) error {
+		img := openOS(t, path, set)
+		defer img.Close() //nolint:errcheck // read-only
+		buf := make([]byte, 512)
+		if err := backend.ReadFull(img, buf, 0); err != nil {
+			t.Fatalf("cluster 0: %v", err)
+		}
+		return backend.ReadFull(img, buf, 3*512)
+	}
+	want := read(nil)
+	set := NewTables()
+	got := read(set)
+	if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, io.ErrUnexpectedEOF) {
+		t.Fatalf("read past EOF: %v with a set, %v with pread", got, want)
+	}
+	if maps, _ := set.Mappings(); maps != 1 {
+		t.Fatalf("%d maps", maps)
+	}
+}
+
+// TestMappedReadFault truncates the file under an image reading through the
+// set's mapping: the copy faults, and the read fails with the error pread
+// meets instead of killing the process.
+func TestMappedReadFault(t *testing.T) {
+	path, pat := newOSImageFile(t, 256<<10, 9, 101)
+	set := NewTables()
+	img := openOS(t, path, set)
+	defer img.Close() //nolint:errcheck // read-only
+	buf := make([]byte, 64<<10)
+	if err := backend.ReadFull(img, buf, 0); err != nil || !bytes.Equal(buf, pat[:len(buf)]) {
+		t.Fatalf("before the truncation: %v", err)
+	}
+	if err := os.Truncate(path, 8192); err != nil {
+		t.Fatal(err)
+	}
+	before := img.Stats().MmapReads.Load()
+	if err := backend.ReadFull(img, buf, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("read of a truncated file: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if img.Stats().MmapReads.Load() != before {
+		t.Fatal("a faulting copy was counted as a mapped read")
+	}
 }

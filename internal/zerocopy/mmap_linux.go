@@ -23,19 +23,3 @@ func Mmap(f *os.File, n int64) ([]byte, error) {
 
 // Munmap releases a mapping returned by Mmap.
 func Munmap(m []byte) error { return syscall.Munmap(m) }
-
-// AdviseWillNeed asks the kernel to fault in m[off:off+n) ahead of use
-// (metadata tables of a warm image: L1, refcount, sub-cluster bitmaps, hot
-// L2 region). The start is aligned down to the page size as madvise
-// requires; errors are advisory and safe to ignore.
-func AdviseWillNeed(m []byte, off, n int64) error {
-	if off < 0 || n <= 0 || off >= int64(len(m)) {
-		return nil
-	}
-	start := pageAlignDown(off)
-	end := off + n
-	if end > int64(len(m)) {
-		end = int64(len(m))
-	}
-	return syscall.Madvise(m[start:end], syscall.MADV_WILLNEED)
-}

@@ -9,6 +9,3 @@ func Mmap(*os.File, int64) ([]byte, error) { return nil, ErrUnsupported }
 
 // Munmap matches the Linux signature; no mapping can exist to release.
 func Munmap([]byte) error { return ErrUnsupported }
-
-// AdviseWillNeed is a no-op without a mapping.
-func AdviseWillNeed([]byte, int64, int64) error { return ErrUnsupported }

@@ -122,10 +122,3 @@ func writeFull(w io.Writer, p []byte) (int, error) {
 	}
 	return done, nil
 }
-
-// pageAlignDown rounds off down to the platform page size (for madvise over
-// a sub-range of a mapping, whose start must be page-aligned).
-func pageAlignDown(off int64) int64 {
-	ps := int64(os.Getpagesize())
-	return off - off%ps
-}

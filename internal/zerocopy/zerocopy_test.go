@@ -233,9 +233,6 @@ func TestMmapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer Munmap(m) //nolint:errcheck // test teardown
-	if err := AdviseWillNeed(m, 4097, 8192); err != nil {
-		t.Fatalf("AdviseWillNeed: %v", err)
-	}
 	if !bytes.Equal(m, data) {
 		t.Fatal("mapping mismatch")
 	}
