@@ -57,7 +57,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 0.5s .
 
 # bench-baseline regenerates the committed CI baseline from the data-path
-# microbenchmarks plus the prefetch/prewarm pipeline, sub-cluster cold-boot,
+# microbenchmarks plus the profile prewarm pipeline, sub-cluster cold-boot,
 # and swarm flash-crowd benchmarks. The 'WarmRead' pattern also matches the
 # batched data-path benchmarks (LargeWarmRead, ContendedWarmRead) and pread
 # vs the table set's mapping (WarmReadMmap); 'Translate512' is a 64 KiB and

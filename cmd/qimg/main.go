@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"vmicache/internal/backend"
-	"vmicache/internal/boot"
 	"vmicache/internal/core"
 	"vmicache/internal/dedup"
 	"vmicache/internal/metrics"
@@ -318,31 +317,6 @@ func parseSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// profileWarmSpans turns a named boot profile, scaled to the chain's virtual
-// size, into a coalesced warm plan clamped to the image.
-func profileWarmSpans(name string, size int64) ([]core.Span, error) {
-	p, err := boot.ProfileByName(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.ImageSize > 0 && p.ImageSize != size {
-		p = p.Scale(float64(size) / float64(p.ImageSize))
-		p.ImageSize = size
-	}
-	plan := boot.Generate(p).PrefetchPlan(256<<10, 4<<20)
-	spans := make([]core.Span, 0, len(plan))
-	for _, e := range plan {
-		if e.Off >= size {
-			continue
-		}
-		if e.Off+e.Len > size {
-			e.Len = size - e.Off
-		}
-		spans = append(spans, core.Span{Off: e.Off, Len: e.Len})
-	}
-	return spans, nil
-}
-
 func cmdWarm(args []string) error {
 	fs := flag.NewFlagSet("warm", flag.ExitOnError)
 	dir := fs.String("C", ".", "working directory")
@@ -373,7 +347,7 @@ func cmdWarm(args []string) error {
 	}
 	defer c.Close() //nolint:errcheck
 	if len(spans) == 0 && *profile != "" {
-		spans, err = profileWarmSpans(*profile, c.Size())
+		spans, err = core.ProfileSpans(*profile, c.Size())
 		if err != nil {
 			return err
 		}

@@ -6,14 +6,12 @@
 // With -replay the trace is additionally executed against an in-memory
 // base <- cache <- CoW chain (-j concurrent goroutines) and the data-path
 // counters are printed: copy-on-read fills, backing traffic, and the L2
-// table-cache hit/miss ratio of each image. Adding -prefetch attaches the
-// adaptive readahead engine to the cache and reports its hit rate and
-// wasted bytes — a dry run for tuning readahead against a real trace.
+// table-cache hit/miss ratio of each image.
 //
 // Usage:
 //
-//	tracestat [-replay [-j N] [-cluster-bits B] [-quota BYTES] [-prefetch]
-//	          [-metrics]] FILE [FILE...]
+//	tracestat [-replay [-j N] [-cluster-bits B] [-quota BYTES] [-metrics]]
+//	          FILE [FILE...]
 package main
 
 import (
@@ -26,7 +24,6 @@ import (
 	"vmicache/internal/backend"
 	"vmicache/internal/boot"
 	"vmicache/internal/metrics"
-	"vmicache/internal/prefetch"
 	"vmicache/internal/qcow"
 	"vmicache/internal/trace"
 )
@@ -37,7 +34,6 @@ func main() {
 	jobs := fs.Int("j", 1, "concurrent replay goroutines")
 	clusterBits := fs.Int("cluster-bits", 9, "cache image cluster size (bits) for -replay")
 	quota := fs.Int64("quota", 0, "cache quota in bytes for -replay (0 = image size)")
-	withPrefetch := fs.Bool("prefetch", false, "with -replay, attach adaptive readahead to the cache and report its hit rate")
 	showMetrics := fs.Bool("metrics", false, "with -replay, print the chain's registry snapshot (Prometheus text)")
 	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
 	if fs.NArg() == 0 {
@@ -50,7 +46,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *replay {
-			if err := replayOne(path, *jobs, *clusterBits, *quota, *withPrefetch, *showMetrics); err != nil {
+			if err := replayOne(path, *jobs, *clusterBits, *quota, *showMetrics); err != nil {
 				fmt.Fprintf(os.Stderr, "tracestat -replay %s: %v\n", path, err)
 				os.Exit(1)
 			}
@@ -113,7 +109,7 @@ func statOne(path string) error {
 
 // replayOne executes the trace against a synthetic base <- cache <- CoW
 // chain with `jobs` goroutines and prints the resulting data-path counters.
-func replayOne(path string, jobs, clusterBits int, quota int64, withPrefetch, showMetrics bool) error {
+func replayOne(path string, jobs, clusterBits int, quota int64, showMetrics bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -156,12 +152,6 @@ func replayOne(path string, jobs, clusterBits int, quota int64, withPrefetch, sh
 		return err
 	}
 	cow.SetBacking(cache)
-	var pf *qcow.Prefetcher
-	if withPrefetch {
-		if pf, err = cache.EnablePrefetch(prefetch.Config{}); err != nil {
-			return err
-		}
-	}
 
 	var next atomic.Int64
 	errs := make(chan error, jobs)
@@ -207,11 +197,6 @@ func replayOne(path string, jobs, clusterBits int, quota int64, withPrefetch, sh
 	default:
 	}
 
-	if pf != nil {
-		// Detach before reading stats so in-flight fills finish and the
-		// leftover (never-read) prefetched clusters are tallied as waste.
-		pf.Close()
-	}
 	cs, ws := cache.Stats(), cow.Stats()
 	fmt.Printf("replay (%d goroutines, %d B clusters, quota %.1f MB):\n",
 		jobs, int64(1)<<clusterBits, float64(quota)/1e6)
@@ -225,16 +210,6 @@ func replayOne(path string, jobs, clusterBits int, quota int64, withPrefetch, sh
 	fmt.Printf("  l2 cache:       cache hits=%d misses=%d, cow hits=%d misses=%d\n",
 		cs.L2CacheHits.Load(), cs.L2CacheMisses.Load(),
 		ws.L2CacheHits.Load(), ws.L2CacheMisses.Load())
-	if pf != nil {
-		pb := cs.PrefetchBytes.Load()
-		rate := 0.0
-		if pb > 0 {
-			rate = 100 * float64(cs.PrefetchHitBytes.Load()) / float64(pb)
-		}
-		fmt.Printf("  prefetch:       %.1f MB in %d fills, %.0f%% read by the guest, %.1f MB wasted, %d dropped\n",
-			float64(pb)/1e6, cs.PrefetchOps.Load(), rate,
-			float64(cs.PrefetchWastedBytes.Load())/1e6, cs.PrefetchCancelled.Load()+cs.PrefetchDropped.Load())
-	}
 	if showMetrics {
 		reg := metrics.NewRegistry()
 		cache.RegisterMetrics(reg, metrics.Labels{"image": "cache"})

@@ -3,7 +3,6 @@ package boot
 import (
 	"testing"
 
-	"vmicache/internal/prefetch"
 	"vmicache/internal/trace"
 )
 
@@ -63,8 +62,42 @@ func TestPrefetchPlanDeterminism(t *testing.T) {
 		t.Fatalf("plan lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != (prefetch.Extent{Off: b[i].Off, Len: b[i].Len}) {
+		if a[i] != b[i] {
 			t.Fatalf("plan[%d] differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+func TestCoalesce(t *testing.T) {
+	in := []Span{
+		{0, 100},    // run start
+		{100, 50},   // adjacent: merge
+		{180, 20},   // 30-byte gap <= maxGap: merge, absorbing the gap
+		{150, 10},   // already covered (re-read): no growth
+		{1000, 100}, // far: new extent
+		{0, 0},      // dropped
+	}
+	got := coalesce(in, 64, 0)
+	want := []Span{{0, 200}, {1000, 100}}
+	if len(got) != len(want) {
+		t.Fatalf("coalesce = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("coalesce[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestCoalesceSplitsAtMaxLen(t *testing.T) {
+	got := coalesce([]Span{{0, 100}, {100, 150}}, 0, 100)
+	want := []Span{{0, 100}, {100, 100}, {200, 50}}
+	if len(got) != len(want) {
+		t.Fatalf("coalesce = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("coalesce[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"time"
 
-	"vmicache/internal/prefetch"
 	"vmicache/internal/trace"
 )
 
@@ -74,14 +73,50 @@ func (w *Workload) ReadSpans() []Span {
 // ahead of the guest instead of warming the tail first. Re-read extents
 // survive coalescing as duplicates; fetching them again is a warm hit and
 // costs nothing remote.
-func (w *Workload) PrefetchPlan(maxGap, maxLen int64) []prefetch.Extent {
-	exts := make([]prefetch.Extent, 0, len(w.Ops))
-	for _, op := range w.Ops {
-		if op.Kind == Read {
-			exts = append(exts, prefetch.Extent{Off: op.Off, Len: op.Len})
+func (w *Workload) PrefetchPlan(maxGap, maxLen int64) []Span {
+	return coalesce(w.ReadSpans(), maxGap, maxLen)
+}
+
+// coalesce merges a sequence of spans into larger fetches while preserving
+// issue order: a span is folded into its predecessor when it overlaps it or
+// starts within maxGap bytes of its end (the gap is fetched too — for a boot
+// footprint the bytes between two nearby reads are almost always read
+// moments later anyway, and one large pipelined fetch beats two round
+// trips). Merged spans are split at maxLen so a single fetch never exceeds
+// the transport's sweet spot. Spans with non-positive length are dropped;
+// maxGap <= 0 merges only overlapping/adjacent spans, maxLen <= 0 leaves
+// merged spans unsplit.
+func coalesce(spans []Span, maxGap, maxLen int64) []Span {
+	out := make([]Span, 0, len(spans))
+	for _, e := range spans {
+		if e.Len <= 0 {
+			continue
 		}
+		if n := len(out); n > 0 {
+			prev := &out[n-1]
+			end := prev.Off + prev.Len
+			if e.Off >= prev.Off && e.Off <= end+maxGap {
+				if newEnd := e.Off + e.Len; newEnd > end {
+					prev.Len = newEnd - prev.Off
+				}
+				continue
+			}
+		}
+		out = append(out, e)
 	}
-	return prefetch.Coalesce(exts, maxGap, maxLen)
+	if maxLen <= 0 {
+		return out
+	}
+	split := make([]Span, 0, len(out))
+	for _, e := range out {
+		for e.Len > maxLen {
+			split = append(split, Span{Off: e.Off, Len: maxLen})
+			e.Off += maxLen
+			e.Len -= maxLen
+		}
+		split = append(split, e)
+	}
+	return split
 }
 
 // Generate expands a profile into its operation stream. The same profile

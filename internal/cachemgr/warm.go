@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vmicache/internal/backend"
-	"vmicache/internal/boot"
 	"vmicache/internal/core"
 	"vmicache/internal/dedup"
 	"vmicache/internal/qcow"
@@ -156,7 +155,7 @@ func (m *Manager) corWarm(base, tmpName string) error {
 	}
 	spans := m.cfg.WarmSpans
 	if spans == nil && m.cfg.WarmProfile != "" {
-		spans, err = profileSpans(m.cfg.WarmProfile, baseSize)
+		spans, err = core.ProfileSpans(m.cfg.WarmProfile, baseSize)
 		if err != nil {
 			chain.Close() //nolint:errcheck // already failing
 			return fmt.Errorf("cachemgr: warm profile %q: %w", m.cfg.WarmProfile, err)
@@ -184,40 +183,6 @@ func (m *Manager) corWarm(base, tmpName string) error {
 		}
 	}
 	return chain.Close()
-}
-
-// Coalescing knobs for profile-guided warm plans: fold reads within 256 KiB
-// of each other into one fetch, cap fetches at 4 MiB so the worker pool
-// stays balanced and the in-flight budget meaningful.
-const (
-	profilePlanGap    = 256 << 10
-	profilePlanMaxLen = 4 << 20
-)
-
-// profileSpans derives a warm plan from a named boot profile: the profile is
-// scaled to the actual base size, its deterministic workload generated, and
-// the read footprint exported as coalesced extents clamped to the base.
-func profileSpans(name string, baseSize int64) ([]core.Span, error) {
-	p, err := boot.ProfileByName(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.ImageSize > 0 && p.ImageSize != baseSize {
-		p = p.Scale(float64(baseSize) / float64(p.ImageSize))
-		p.ImageSize = baseSize
-	}
-	plan := boot.Generate(p).PrefetchPlan(profilePlanGap, profilePlanMaxLen)
-	spans := make([]core.Span, 0, len(plan))
-	for _, e := range plan {
-		if e.Off >= baseSize {
-			continue
-		}
-		if e.Off+e.Len > baseSize {
-			e.Len = baseSize - e.Off
-		}
-		spans = append(spans, core.Span{Off: e.Off, Len: e.Len})
-	}
-	return spans, nil
 }
 
 // warmWrap applies the test failure-injection hook to the warming temp

@@ -120,8 +120,8 @@ func Fig8(factor float64) *metrics.Figure {
 // at 64 KiB clusters amplifies traffic beyond plain QCOW2; 512 B clusters
 // remove the amplification. The extra "+ subclusters" series shows the
 // sub-cluster extension removing the amplification at 64 KiB clusters too:
-// cold misses fetch only the 4 KiB sub-clusters the guest touched (no
-// background completer runs, so the series is pure demand traffic).
+// cold misses fetch only the 4 KiB sub-clusters the guest touched (nothing
+// completes the clusters, so the series is pure demand traffic).
 func Fig9(factor float64) *metrics.Figure {
 	prof := boot.CentOS.Scale(factor)
 	fig := metrics.NewFigure("Fig. 9: Traffic at the storage node vs cache quota (1 node, 1GbE)", "cache size (MB)", "transferred size (MB)")

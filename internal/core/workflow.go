@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"vmicache/internal/backend"
+	"vmicache/internal/boot"
 	"vmicache/internal/qcow"
 )
 
@@ -155,6 +156,37 @@ func VirtualSizeOf(ns *Namespace, loc Locator) (int64, error) {
 type Span struct {
 	Off int64
 	Len int64
+}
+
+// Coalescing knobs for profile-guided warm plans: fold reads within 256 KiB
+// of each other into one fetch, cap fetches at 4 MiB so the worker pool
+// stays balanced and the in-flight budget meaningful.
+const (
+	profilePlanGap    = 256 << 10
+	profilePlanMaxLen = 4 << 20
+)
+
+// ProfileSpans derives a warm plan from a named boot profile: the profile is
+// scaled to the image's virtual size, its deterministic workload generated,
+// and the read footprint exported as coalesced spans clamped to the image.
+func ProfileSpans(name string, size int64) ([]Span, error) {
+	p, err := boot.ProfileByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if p.ImageSize > 0 && p.ImageSize != size {
+		p = p.Scale(float64(size) / float64(p.ImageSize))
+		p.ImageSize = size
+	}
+	plan := boot.Generate(p).PrefetchPlan(profilePlanGap, profilePlanMaxLen)
+	spans := make([]Span, 0, len(plan))
+	for _, e := range plan {
+		if e.Off >= size {
+			continue
+		}
+		spans = append(spans, Span{Off: e.Off, Len: min(e.Len, size-e.Off)})
+	}
+	return spans, nil
 }
 
 // Warm replays read spans against a chain, populating any cache image in it

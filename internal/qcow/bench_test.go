@@ -17,7 +17,6 @@ import (
 
 	"vmicache/internal/backend"
 	"vmicache/internal/metrics"
-	"vmicache/internal/prefetch"
 	"vmicache/internal/qcow"
 )
 
@@ -34,10 +33,9 @@ func (s benchSource) ReadAt(p []byte, off int64) (int, error) {
 func (s benchSource) Size() int64 { return s.n }
 
 // newChain builds base <- cache <- CoW in memory and registers both images on
-// a fresh registry, so the timed path runs with instruments attached. The
-// cache runs with the adaptive readahead engine enabled: the warm-read
-// zero-alloc guarantee is pinned with both instrumentation AND prefetch
-// observation on the hot path.
+// a fresh registry, so the timed path runs with instruments attached: the
+// warm-read zero-alloc guarantee is pinned with instrumentation on the hot
+// path.
 func newChain(b *testing.B) *qcow.Image {
 	cow, _ := newChainSource(b, benchSource{n: 64 << 20})
 	return cow
@@ -63,9 +61,6 @@ func newChainSource(b *testing.B, src qcow.BlockSource) (*qcow.Image, *qcow.Imag
 	reg := metrics.NewRegistry()
 	cache.RegisterMetrics(reg, metrics.Labels{"image": "cache"})
 	cow.RegisterMetrics(reg, metrics.Labels{"image": "cow"})
-	if _, err := cache.EnablePrefetch(prefetch.Config{}); err != nil {
-		b.Fatal(err)
-	}
 	return cow, cache
 }
 
@@ -343,10 +338,7 @@ func (s latencySource) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // BenchmarkSequentialColdRead measures a sequential cold scan over a
-// latency-bearing backing source, demand-only vs with adaptive readahead.
-// Demand reads pay one round trip per request; the readahead engine claims
-// whole cluster runs ahead of the stream, so the guest mostly lands on warm
-// (or in-flight) clusters and the round trips overlap with the copy-out.
+// latency-bearing backing source: every demand read pays one round trip.
 func BenchmarkSequentialColdRead(b *testing.B) {
 	const (
 		size  = 64 << 20
@@ -354,7 +346,7 @@ func BenchmarkSequentialColdRead(b *testing.B) {
 		cold  = int64(60 << 20) // scanned region per fresh chain
 		delay = 200 * time.Microsecond
 	)
-	run := func(b *testing.B, withPrefetch bool) {
+	run := func(b *testing.B) {
 		var cow, cache *qcow.Image
 		mk := func() {
 			if cow != nil {
@@ -369,12 +361,6 @@ func BenchmarkSequentialColdRead(b *testing.B) {
 				Size: size, ClusterBits: 16, BackingFile: "c",
 			})
 			cow.SetBacking(cache)
-			if withPrefetch {
-				cfg := prefetch.Config{Workers: 4, MaxWindow: 4 << 20, Budget: 16 << 20}
-				if _, err := cache.EnablePrefetch(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
 		}
 		buf := make([]byte, span)
 		pos := cold // force chain creation on the first iteration
@@ -396,8 +382,7 @@ func BenchmarkSequentialColdRead(b *testing.B) {
 		cow.Close()   //nolint:errcheck // bench teardown
 		cache.Close() //nolint:errcheck // bench teardown
 	}
-	b.Run("demand", func(b *testing.B) { run(b, false) })
-	b.Run("prefetch", func(b *testing.B) { run(b, true) })
+	b.Run("demand", run)
 }
 
 // BenchmarkColdFill measures copy-on-read fills (leader path, including the

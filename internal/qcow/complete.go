@@ -1,152 +1,12 @@
 package qcow
 
-import (
-	"math/bits"
-	"sync"
-
-	"vmicache/internal/prefetch"
-)
-
-// Background cluster completion. A demand miss in sub-cluster mode fills
-// only the sub-clusters the guest asked for (fill.go, sub.go); the completer
-// tops the rest of those hot clusters up asynchronously, under a byte
-// budget, so the cache converges to whole valid clusters without putting the
-// extra bytes on the cold boot's critical path. Completion fills go through
-// the same claimRun singleflight as demand fills, so a completion and a
-// concurrent guest miss on the same cluster still fetch each sub-cluster at
-// most once.
-
-// CompleteConfig parameterises a Completer. Zero values select defaults.
-type CompleteConfig struct {
-	// Workers is the number of completion goroutines (default 1).
-	Workers int
-	// QueueLen bounds the pending-cluster queue (default 256); hot
-	// clusters notified past a full queue are dropped and counted.
-	QueueLen int
-	// Budget bounds the completion bytes admitted concurrently
-	// (default 4 MiB), keeping completion from starving demand traffic.
-	Budget int64
-}
-
-func (c CompleteConfig) withDefaults() CompleteConfig {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 256
-	}
-	if c.Budget <= 0 {
-		c.Budget = 4 << 20
-	}
-	return c
-}
-
-// Completer asynchronously completes partially-valid clusters of one cache
-// image. Same lifecycle as the Prefetcher: installed with CAS, stopped by
-// Image.Close or an explicit Close.
-type Completer struct {
-	img    *Image
-	cfg    CompleteConfig
-	q      *prefetch.CompletionQueue
-	budget *prefetch.Budget
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
-}
-
-// EnableCompletion attaches a background completer to a writable cache image
-// carrying the sub-cluster extension. At most one completer per image.
-func (img *Image) EnableCompletion(cfg CompleteConfig) (*Completer, error) {
-	if img.sub == nil {
-		return nil, ErrNoSubclusters
-	}
-	if !img.isCache {
-		return nil, ErrSubclusterNotCache
-	}
-	if img.ro {
-		return nil, ErrReadOnly
-	}
-	c := &Completer{
-		img:  img,
-		cfg:  cfg.withDefaults(),
-		stop: make(chan struct{}),
-	}
-	c.q = prefetch.NewCompletionQueue(c.cfg.QueueLen)
-	c.budget = prefetch.NewBudget(c.cfg.Budget)
-	if !img.cp.CompareAndSwap(nil, c) {
-		return nil, ErrCompletionEnabled
-	}
-	c.wg.Add(c.cfg.Workers)
-	for i := 0; i < c.cfg.Workers; i++ {
-		go c.worker()
-	}
-	return c, nil
-}
-
-// Close stops the workers and detaches the completer. Pending queue entries
-// are abandoned — CompleteAll exists for callers that need convergence.
-func (c *Completer) Close() {
-	c.once.Do(func() {
-		close(c.stop)
-		c.wg.Wait()
-		c.img.cp.CompareAndSwap(c, nil)
-	})
-}
-
-// InFlight reports completion bytes currently admitted by the budget.
-func (c *Completer) InFlight() int64 { return c.budget.InUse() }
-
-// Pending reports clusters waiting in the completion queue.
-func (c *Completer) Pending() int { return c.q.Len() }
-
-// notifyCompleter hands a partially-filled cluster to the completer, never
-// blocking the fill path.
-func (img *Image) notifyCompleter(vc int64) {
-	if cp := img.cp.Load(); cp != nil {
-		if !cp.q.Push(vc) {
-			img.stats.SubclusterDropped.Add(1)
-		}
-	}
-}
-
-func (c *Completer) worker() {
-	defer c.wg.Done()
-	for {
-		vc, ok := c.q.Pop()
-		if !ok {
-			select {
-			case <-c.stop:
-				return
-			case <-c.q.Wait():
-				continue
-			}
-		}
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
-		c.run(vc)
-	}
-}
-
-// run completes one cluster: estimate the missing bytes, admit them against
-// the budget, then fetch through the fill singleflight.
-func (c *Completer) run(vc int64) {
-	img := c.img
-	s := img.sub
-	missing := s.fullMask(vc) &^ s.words[vc].Load()
-	if missing == 0 {
-		return
-	}
-	est := int64(bits.OnesCount64(missing)) * s.subSize
-	if !c.budget.TryAcquire(est) {
-		img.stats.SubclusterDropped.Add(1)
-		return
-	}
-	defer c.budget.Release(est)
-	img.completeCluster(vc) //nolint:errcheck // best-effort background work
-}
+// Cluster completion. A demand miss in sub-cluster mode fills only the
+// sub-clusters the guest asked for (fill.go, sub.go); CompleteAll tops the
+// rest of every partially-valid cluster up before the cache manager
+// publishes the cache, so a published cache holds only whole valid
+// clusters. Completion fills go through the same claimRun singleflight as
+// demand fills, so a completion and a concurrent guest miss on the same
+// cluster still fetch each sub-cluster at most once.
 
 // completeCluster fetches every missing sub-cluster of one allocated cluster
 // through the fill singleflight. Returns once the cluster is fully valid (or

@@ -22,21 +22,11 @@ var (
 	ErrBackingNameSize = errors.New("qcow: backing file name does not fit in first cluster")
 	ErrQuotaTooSmall   = errors.New("qcow: cache quota smaller than initial metadata")
 
-	// Prefetch attachment errors: readahead fills clusters copy-on-read,
-	// so only a writable cache image can host a prefetcher, and at most
-	// one at a time.
-	ErrPrefetchNotCache = errors.New("qcow: prefetch requires a cache image")
-	ErrPrefetchEnabled  = errors.New("qcow: prefetch already enabled")
-
 	// Sub-cluster extension errors. Partial fills only make sense for
 	// cache images (guest writes never reach them), and the cluster must
 	// be larger than one sub-cluster.
 	ErrSubclusterNotCache = errors.New("qcow: subclusters require a cache image")
 	ErrSubclusterBits     = errors.New("qcow: cluster too small for subclusters")
-
-	// Completion attachment errors, mirroring the prefetch pair.
-	ErrNoSubclusters     = errors.New("qcow: completion requires the subcluster extension")
-	ErrCompletionEnabled = errors.New("qcow: completion already enabled")
 
 	// ErrBadChunkSize rejects non-positive chunk sizes in the chunk-map
 	// export (chunkmap.go).

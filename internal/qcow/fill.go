@@ -25,14 +25,12 @@ import (
 
 // fill is one in-flight copy-on-read fetch of a contiguous cluster run.
 type fill struct {
-	vc       int64 // first claimed cluster
-	claimed  int64 // clusters claimed [vc, vc+claimed)
-	fetched  int64 // clusters actually fetched into buf (set by the leader)
-	prefetch bool  // led by the readahead engine (set by the leader before leadFill)
+	vc      int64 // first claimed cluster
+	claimed int64 // clusters claimed [vc, vc+claimed)
+	fetched int64 // clusters actually fetched into buf (set by the leader)
 	// reqOff/reqEnd is the leader's guest request extent (bytes); in
 	// sub-cluster mode it bounds the synchronous fetch to the sub-clusters
-	// the guest actually asked for. Zero means "whole run" (prefetch and
-	// completion fills).
+	// the guest actually asked for.
 	reqOff, reqEnd int64
 	buf            []byte
 	err            error
@@ -117,11 +115,9 @@ func (img *Image) quotaFit(vc, k int64) int64 {
 //
 // In sub-cluster mode a demand miss fetches and marks valid only the
 // sub-cluster-aligned extent of the guest request; allocation stays
-// whole-cluster (so the §4.3 quota accounting is unchanged) and the
-// background completer tops the clusters up later. Such a fill leaves
-// f.fetched at 0 — its buffer is not cluster-aligned — so waiters
-// re-translate. Prefetch fills keep fetching whole clusters: readahead wants
-// the full window anyway.
+// whole-cluster (so the §4.3 quota accounting is unchanged) and CompleteAll
+// tops the clusters up before publication. Such a fill leaves f.fetched at
+// 0 — its buffer is not cluster-aligned — so waiters re-translate.
 func (img *Image) leadFill(f *fill, backing BlockSource) {
 	start := time.Now()
 	defer func() {
@@ -130,7 +126,7 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 	}()
 	cs := img.ly.clusterSize
 	s := img.sub
-	partial := s != nil && !f.prefetch && f.reqEnd > 0
+	partial := s != nil
 
 	// Re-validate under the read lock: the run was observed unallocated
 	// before claiming, so anything allocated since was bound by a fill
@@ -217,16 +213,6 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 	if partial {
 		img.stats.SubclusterFills.Add(nsubs)
 	}
-	if f.prefetch && final > 0 {
-		img.stats.PrefetchOps.Add(1)
-		img.stats.PrefetchBytes.Add(minI64(landed, readLen))
-		// Mark before waiters see f.done: a guest read served from this
-		// buffer (or from the freshly bound clusters) must find the
-		// marks it is about to clear.
-		if pf := img.pf.Load(); pf != nil {
-			pf.markPrefetched(f.vc, final)
-		}
-	}
 	img.mu.Unlock()
 	img.stats.FillLatency.Observe(time.Since(start).Nanoseconds())
 
@@ -236,11 +222,6 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 		return
 	}
 	img.sbuf.put(buf)
-	for i := int64(0); i < final; i++ {
-		if !s.isFull(f.vc + i) {
-			img.notifyCompleter(f.vc + i)
-		}
-	}
 }
 
 // setCacheFull trips the §4.3 space error. Caller holds img.mu exclusively.
@@ -439,12 +420,5 @@ func (img *Image) fillRun(vc, run, pos int64, span []byte, backing BlockSource) 
 	}
 	served := minI64(pos+int64(len(span)), covEnd) - pos
 	copy(span[:served], f.buf[pos-f.vc*cs:])
-	// A guest read served straight from a readahead fill's buffer consumed
-	// the prefetch: clear the marks so the bytes count as hits, not waste.
-	if f.prefetch {
-		if pf := img.pf.Load(); pf != nil {
-			pf.markRead(pos, served)
-		}
-	}
 	return int(served), nil
 }

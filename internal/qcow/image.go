@@ -57,30 +57,14 @@ type Stats struct {
 	// fill: the backing fetch plus allocation and binding.
 	FillLatency metrics.AtomicHistogram
 
-	// Prefetch effectiveness (prefetch.go). PrefetchOps/PrefetchBytes
-	// count fills led by the readahead engine; PrefetchHitBytes counts
-	// prefetched bytes later served to guest reads; PrefetchWastedBytes
-	// counts prefetched bytes never read by the time the engine detached;
-	// PrefetchDropped counts readahead refused by the budget or a full
-	// queue; PrefetchCancelled counts queued readahead invalidated by
-	// stream divergence before a worker picked it up.
-	PrefetchOps         atomic.Int64
-	PrefetchBytes       atomic.Int64
-	PrefetchHitBytes    atomic.Int64
-	PrefetchWastedBytes atomic.Int64
-	PrefetchDropped     atomic.Int64
-	PrefetchCancelled   atomic.Int64
-
 	// Sub-cluster fill effectiveness (sub.go, complete.go).
 	// SubclusterFills counts sub-clusters written by demand partial
-	// fills; SubclusterCompletions counts sub-clusters topped up by the
-	// background completer; SubclusterPartialHits counts reads served
-	// from a partially-valid cluster; SubclusterDropped counts completion
-	// requests refused by the queue or budget.
+	// fills; SubclusterCompletions counts sub-clusters topped up by
+	// CompleteAll; SubclusterPartialHits counts reads served from a
+	// partially-valid cluster.
 	SubclusterFills       atomic.Int64
 	SubclusterCompletions atomic.Int64
 	SubclusterPartialHits atomic.Int64
-	SubclusterDropped     atomic.Int64
 
 	// Zero-copy serve effectiveness (zerocopy.go). ZeroCopyExports and
 	// ZeroCopyExportBytes count reads translated into container-file
@@ -194,19 +178,10 @@ type Image struct {
 	// filled compressed-blob cluster (0 = none open).
 	compCursor int64
 
-	// pf is the attached readahead engine, nil when prefetch is off. The
-	// hot path loads it once per hook; EnablePrefetch installs with CAS
-	// and Close/detach clears it.
-	pf atomic.Pointer[Prefetcher]
-
 	// sub tracks per-sub-cluster validity when the image carries the
 	// sub-cluster extension; nil keeps whole-cluster semantics. Immutable
 	// after Create/Open.
 	sub *subState
-
-	// cp is the attached background completer (complete.go), nil when
-	// completion is off; same CAS lifecycle as pf.
-	cp atomic.Pointer[Completer]
 
 	stats Stats
 }
@@ -556,16 +531,6 @@ func (img *Image) Close() error {
 	}
 	img.closed = true
 	img.mu.Unlock()
-	// Stop the readahead engine and the completer before draining: their
-	// workers register on readers like any data-path user, and new work
-	// they would pick up after the closed flip would only fail enterRead
-	// anyway.
-	if pf := img.pf.Load(); pf != nil {
-		pf.Close()
-	}
-	if cp := img.cp.Load(); cp != nil {
-		cp.Close()
-	}
 	img.readers.Wait()
 	if img.tables != nil {
 		img.tables.detach()

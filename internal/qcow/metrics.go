@@ -55,29 +55,12 @@ func (img *Image) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 	r.CounterFunc("vmicache_qcow_fill_waits_total",
 		"Readers that waited on another reader's in-flight fill (singleflight followers).",
 		labels, s.FillWaits.Load)
-	r.CounterFunc("vmicache_qcow_prefetch_fill_ops_total",
-		"Copy-on-read fills led by the readahead engine.", labels, s.PrefetchOps.Load)
-	r.CounterFunc("vmicache_qcow_prefetch_bytes_total",
-		"Bytes filled into the cache by readahead.", labels, s.PrefetchBytes.Load)
-	r.CounterFunc("vmicache_qcow_prefetch_hit_bytes_total",
-		"Prefetched bytes later served to guest reads.", labels, s.PrefetchHitBytes.Load)
-	r.CounterFunc("vmicache_qcow_prefetch_wasted_bytes_total",
-		"Prefetched bytes never read by the guest (counted when the engine detaches).",
-		labels, s.PrefetchWastedBytes.Load)
-	r.CounterFunc("vmicache_qcow_prefetch_dropped_total",
-		"Readahead requests refused by the in-flight budget or a full queue.",
-		labels, s.PrefetchDropped.Load)
-	r.CounterFunc("vmicache_qcow_prefetch_cancelled_total",
-		"Queued readahead invalidated by stream divergence before filling.",
-		labels, s.PrefetchCancelled.Load)
 	r.CounterFunc("vmicache_qcow_subcluster_fills_total",
 		"Sub-clusters written by demand partial fills.", labels, s.SubclusterFills.Load)
 	r.CounterFunc("vmicache_qcow_subcluster_completions_total",
-		"Sub-clusters topped up by the background completer.", labels, s.SubclusterCompletions.Load)
+		"Sub-clusters topped up by CompleteAll before publication.", labels, s.SubclusterCompletions.Load)
 	r.CounterFunc("vmicache_qcow_subcluster_partial_hits_total",
 		"Guest reads served from a partially-valid cluster.", labels, s.SubclusterPartialHits.Load)
-	r.CounterFunc("vmicache_qcow_subcluster_dropped_total",
-		"Completion requests refused by the queue or byte budget.", labels, s.SubclusterDropped.Load)
 	r.CounterFunc("vmicache_qcow_zerocopy_exports_total",
 		"Reads translated into container-file extents for zero-copy serving.",
 		labels, s.ZeroCopyExports.Load)
@@ -88,22 +71,6 @@ func (img *Image) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 		"Warm raw reads copied from the table set's mapping.", labels, s.MmapReads.Load)
 	r.CounterFunc("vmicache_qcow_mmap_read_bytes_total",
 		"Bytes copied from the table set's mapping.", labels, s.MmapReadBytes.Load)
-	r.GaugeFunc("vmicache_qcow_completion_inflight_bytes",
-		"Bytes of background completion currently queued or in flight.", labels,
-		func() int64 {
-			if cp := img.cp.Load(); cp != nil {
-				return cp.InFlight()
-			}
-			return 0
-		})
-	r.GaugeFunc("vmicache_qcow_prefetch_inflight_bytes",
-		"Bytes of readahead currently queued or being filled (prefetch depth).", labels,
-		func() int64 {
-			if pf := img.pf.Load(); pf != nil {
-				return pf.InFlight()
-			}
-			return 0
-		})
 	r.GaugeFunc("vmicache_qcow_used_bytes",
 		"Bytes of the container consumed by allocated clusters.", labels, img.UsedBytes)
 	r.GaugeFunc("vmicache_qcow_cache_full",

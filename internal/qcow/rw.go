@@ -44,9 +44,6 @@ func (img *Image) ReadAt(p []byte, off int64) (int, error) {
 	}
 	img.stats.GuestReadOps.Add(1)
 	img.stats.GuestReadBytes.Add(int64(n))
-	if pf := img.pf.Load(); pf != nil {
-		pf.observe(off, int64(n))
-	}
 
 	extp := img.getExtents()
 	done, err := img.readExtents(p[:n], off, extp)
@@ -87,9 +84,6 @@ func (img *Image) readExtents(p []byte, off int64, extp *[]mappedExtent) (int, e
 				}
 				if img.isCache {
 					img.stats.LocalBytes.Add(e.length)
-					if pf := img.pf.Load(); pf != nil {
-						pf.markRead(e.pos, e.length)
-					}
 				}
 				done += int(e.length)
 			case extCompressed:

@@ -15,8 +15,8 @@ import (
 // validity at sub-cluster (4 KiB) granularity in a persistent bitmap table —
 // one big-endian uint64 word per virtual cluster, fixed at create time right
 // after the initial metadata. A cold miss then fetches only the sub-clusters
-// the request touches, and the background completer (complete.go) tops the
-// cluster up later.
+// the request touches, and CompleteAll (complete.go) tops the cluster up
+// before the cache is published.
 //
 // Invariants the bitmap adds (verified by Check):
 //
@@ -159,17 +159,17 @@ func (img *Image) persistSubWord(vc int64, w uint64) error {
 
 // publishSubBits merges freshly filled bits under the write lock: memory,
 // then disk, then the full-bit fast path. Data for the bits must already be
-// on disk. Returns the new word.
-func (img *Image) publishSubBits(vc int64, bits uint64) (uint64, error) {
+// on disk.
+func (img *Image) publishSubBits(vc int64, bits uint64) error {
 	s := img.sub
 	nw := s.or(vc, bits)
 	if err := img.persistSubWord(vc, nw); err != nil {
-		return nw, err
+		return err
 	}
 	if nw == s.fullMask(vc) {
 		s.setFullBit(vc)
 	}
-	return nw, nil
+	return nil
 }
 
 // subReadPartial serves seg (guest range starting at pos, lying inside the
@@ -193,9 +193,6 @@ func (img *Image) subReadPartial(vc, pos int64, seg []byte, dataOff int64, backi
 		}
 		img.stats.LocalBytes.Add(int64(len(seg)))
 		img.stats.SubclusterPartialHits.Add(1)
-		if pf := img.pf.Load(); pf != nil {
-			pf.markRead(pos, int64(len(seg)))
-		}
 		return len(seg), nil
 	}
 
@@ -229,7 +226,7 @@ func (img *Image) subReadPartial(vc, pos int64, seg []byte, dataOff int64, backi
 	}
 
 	// Demand sub-fill: claim the single-cluster run so concurrent fillers
-	// of this cluster (guest misses, the completer) serialise.
+	// of this cluster (guest misses, CompleteAll) serialise.
 	f, leader := img.claimRun(vc, 1)
 	defer f.release()
 	if leader {
@@ -246,7 +243,7 @@ func (img *Image) subReadPartial(vc, pos int64, seg []byte, dataOff int64, backi
 
 // subLeadFill fetches the requested-but-missing sub-clusters of one
 // allocated cluster from the backing source, writes them in place, and
-// publishes the bits. counter selects the metric (demand fills vs completer
+// publishes the bits. counter selects the metric (demand fills vs CompleteAll
 // completions). The caller holds the claim on [vc, vc+1).
 func (img *Image) subLeadFill(f *fill, vc int64, required uint64, backing BlockSource, counter *atomic.Int64) {
 	start := time.Now()
@@ -309,7 +306,7 @@ func (img *Image) subLeadFill(f *fill, vc int64, required uint64, backing BlockS
 	}
 
 	img.mu.Lock()
-	nw, err := img.publishSubBits(vc, missing)
+	err = img.publishSubBits(vc, missing)
 	counter.Add(nsubs)
 	img.stats.CacheFillOps.Add(1)
 	img.stats.CacheFillBytes.Add(fetched)
@@ -317,9 +314,6 @@ func (img *Image) subLeadFill(f *fill, vc int64, required uint64, backing BlockS
 	if err != nil {
 		f.err = err
 		return
-	}
-	if nw != s.fullMask(vc) {
-		img.notifyCompleter(vc)
 	}
 	img.stats.FillLatency.Observe(time.Since(start).Nanoseconds())
 	// f.fetched stays 0: the fill was in place, so waiters re-translate.

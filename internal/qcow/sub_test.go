@@ -305,47 +305,6 @@ func TestSubclusterCompleteAll(t *testing.T) {
 	}
 }
 
-func TestSubclusterBackgroundCompleter(t *testing.T) {
-	size := int64(testMB)
-	base, pat := newPatternedBase(t, size, 76)
-	img := newSubCache(t, backend.NewMemFile(), size, 8*size, RawSource{R: base, N: size})
-	defer img.Close()
-
-	if _, err := img.EnableCompletion(CompleteConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := img.EnableCompletion(CompleteConfig{}); !errors.Is(err, ErrCompletionEnabled) {
-		t.Fatalf("double enable: %v", err)
-	}
-
-	buf := make([]byte, 4096)
-	if err := backend.ReadFull(img, buf, 3*64<<10); err != nil {
-		t.Fatal(err)
-	}
-	// The demand fill notified the completer; wait for convergence.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st, _ := img.Subclusters(); st.PartialClusters == 0 && st.FullClusters == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			st, _ := img.Subclusters()
-			t.Fatalf("completer never converged: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	whole := make([]byte, 64<<10)
-	if err := backend.ReadFull(img, whole, 3*64<<10); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(whole, pat[3*64<<10:4*64<<10]) {
-		t.Fatal("completed cluster data mismatch")
-	}
-	if img.Stats().SubclusterCompletions.Load() == 0 {
-		t.Fatal("no completions counted")
-	}
-}
-
 func TestSubclusterTailCluster(t *testing.T) {
 	// A virtual size that ends mid-cluster and mid-sub-cluster: 3 full
 	// 64 KiB clusters plus 10000 bytes.
@@ -467,19 +426,41 @@ func TestSubclusterFillFaultSurfacesCleanly(t *testing.T) {
 }
 
 // TestSubclusterRaceMissCompletionClose hammers the same clusters with
-// concurrent guest misses while the background completer tops them up, then
-// races Image.Close against the traffic. Run with -race.
+// concurrent guest misses while CompleteAll passes top them up, then races
+// Image.Close against both. Run with -race.
 func TestSubclusterRaceMissCompletionClose(t *testing.T) {
 	size := int64(2 * testMB)
 	base, pat := newPatternedBase(t, size, 80)
 	img := newSubCache(t, backend.NewMemFile(), size, 8*size, RawSource{R: base, N: size})
-	if _, err := img.EnableCompletion(CompleteConfig{Workers: 2}); err != nil {
-		t.Fatal(err)
+
+	// completeLoop runs CompleteAll passes until stop closes or the image
+	// does; ErrClosed is an accepted outcome of a pass racing Close.
+	completeLoop := func(stop <-chan struct{}) <-chan error {
+		errc := make(chan error, 1)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					errc <- nil
+					return
+				default:
+				}
+				if err := img.CompleteAll(); err != nil {
+					if errors.Is(err, ErrClosed) {
+						err = nil
+					}
+					errc <- err
+					return
+				}
+			}
+		}()
+		return errc
 	}
 
 	const readers = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	completed := completeLoop(stop)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -511,10 +492,23 @@ func TestSubclusterRaceMissCompletionClose(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	if err := <-completed; err != nil {
+		t.Fatalf("CompleteAll racing misses: %v", err)
+	}
+	// A last pass with no guest traffic converges every touched cluster.
+	if err := img.CompleteAll(); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := img.Subclusters(); st.PartialClusters != 0 {
+		t.Fatalf("partial clusters after CompleteAll: %+v", st)
+	}
 
-	// Re-open the race with Close: readers still in flight when the image
-	// shuts down must either finish or observe ErrClosed.
+	// Re-open the race with Close: readers and a completion pass still in
+	// flight when the image shuts down must either finish or observe
+	// ErrClosed.
 	done := make(chan struct{})
+	closed := make(chan struct{})
+	completed = completeLoop(closed)
 	for r := 0; r < readers; r++ {
 		go func(seed int64) {
 			defer func() { done <- struct{}{} }()
@@ -536,8 +530,12 @@ func TestSubclusterRaceMissCompletionClose(t *testing.T) {
 	if err := img.Close(); err != nil {
 		t.Fatal(err)
 	}
+	close(closed)
 	for r := 0; r < readers; r++ {
 		<-done
+	}
+	if err := <-completed; err != nil {
+		t.Fatalf("CompleteAll racing Close: %v", err)
 	}
 	if err := img.CompleteAll(); !errors.Is(err, ErrClosed) && err != nil {
 		t.Fatalf("CompleteAll after close: %v", err)

@@ -48,9 +48,9 @@ type Client struct {
 
 	timeout time.Duration
 
-	// maxInflight overrides clientMaxInflightSegments when positive; deep
-	// prefetch queues raise it so one large readahead fetch saturates the
-	// pipe (SetMaxInflight).
+	// maxInflight overrides clientMaxInflightSegments when positive; warm
+	// plans with multi-megabyte fetches raise it so one large fetch
+	// saturates the pipe (SetMaxInflight).
 	maxInflight atomic.Int32
 
 	// bumpedRcvbuf records that the receive buffer was enlarged for jumbo
@@ -677,7 +677,7 @@ func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // SetMaxInflight overrides how many segments of one large ReadAt/WriteAt are
-// pipelined concurrently (default clientMaxInflightSegments). Prefetchers
+// pipelined concurrently (default clientMaxInflightSegments). Warmers
 // issuing multi-megabyte coalesced fetches raise it so a single deep request
 // keeps the connection full; n < 1 restores the default. Safe to call
 // concurrently with I/O — in-flight requests keep the depth they started
