@@ -4,7 +4,8 @@ GO ?= go
 
 # The full verification gate: lint (gofmt + vet + staticcheck when
 # installed), build, the plain test suite, and the race-detector pass (which
-# includes the concurrency stress tests in internal/qcow and internal/rblock).
+# includes the concurrency stress tests in internal/qcow and internal/rblock;
+# three tests that once flaked or race a fill run 20 times more).
 check: lint build test race
 
 # lint fails on unformatted files and vet findings; staticcheck runs when the
@@ -34,6 +35,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders' ./internal/backend/ ./internal/cachemgr/ ./internal/qcow/
 
 # fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
 # `make test` already replays): the decoders a crash (pack records), a peer

@@ -702,7 +702,9 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 //   - demand:          cold cache, every miss pays a base round trip
 //   - full-prewarm:    whole image warmed up front (the paper's warm cache)
 //   - profile-prewarm: only the profile's coalesced read plan warmed, through
-//     the WarmParallel worker pool
+//     core.Warm (the chain's top is a CoW image, so Warm reads the plan
+//     through it: the cache below fills by copy-on-read, one backing read
+//     per run)
 //
 // The acceptance claim is that profile-prewarm boots within 10% of
 // full-prewarm — the plan covers the boot's read set — while fetching a
@@ -802,7 +804,7 @@ func BenchmarkProfileWarm(b *testing.B) {
 	})
 	b.Run("first-boot-profile-prewarm", func(b *testing.B) {
 		bootWarmed(b, func(b *testing.B, c *core.Chain) int64 {
-			n, err := core.WarmParallel(c, spans, 4, 8<<20)
+			n, err := core.Warm(c, spans)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -815,7 +817,7 @@ func BenchmarkProfileWarm(b *testing.B) {
 			b.StopTimer()
 			chain := mkChain(b)
 			b.StartTimer()
-			if _, err := core.WarmParallel(chain, spans, 4, 8<<20); err != nil {
+			if _, err := core.Warm(chain, spans); err != nil {
 				b.Fatal(err)
 			}
 		}

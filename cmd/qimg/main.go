@@ -7,7 +7,7 @@
 //	qimg info   [-C dir] [-metrics] NAME
 //	qimg check  [-C dir] NAME
 //	qimg map    [-C dir] NAME
-//	qimg warm   [-C dir] [-spans off:len,...] [-profile NAME] [-j N] [-budget N] NAME
+//	qimg warm   [-C dir] [-spans off:len,...] [-profile NAME] NAME
 //	qimg read   [-C dir] -off N -len N NAME        (hex dump to stdout)
 //	qimg write  [-C dir] -off N -data STRING NAME
 //	qimg commit [-C dir] NAME                      (merge into backing)
@@ -88,7 +88,7 @@ commands:
   info    print image geometry and cache state
   check   verify metadata/refcount consistency
   map     print allocation extents
-  warm    populate a cache image by reading spans through its chain
+  warm    populate a cache image from its backing with the spans of a plan
   read    read guest bytes (hex dump)
   write   write guest bytes
   commit  merge an image's data into its backing image (qemu-img commit)
@@ -322,8 +322,6 @@ func cmdWarm(args []string) error {
 	dir := fs.String("C", ".", "working directory")
 	spansArg := fs.String("spans", "", "comma-separated off:len spans to read (default: 0:1MiB)")
 	profile := fs.String("profile", "", "derive the warm plan from a boot profile (centos/debian/windows)")
-	jobs := fs.Int("j", 1, "parallel warm workers (1 = serial)")
-	budgetArg := fs.String("budget", "16M", "in-flight byte budget for parallel warm (K/M/G suffixes)")
 	fs.Parse(args) //nolint:errcheck
 	name, err := oneName(fs)
 	if err != nil {
@@ -332,10 +330,6 @@ func cmdWarm(args []string) error {
 	ns, err := nsFor(*dir)
 	if err != nil {
 		return err
-	}
-	budget, err := parseSize(*budgetArg)
-	if err != nil {
-		return fmt.Errorf("-budget: %w", err)
 	}
 	spans, err := parseSpans(*spansArg)
 	if err != nil {
@@ -355,12 +349,7 @@ func cmdWarm(args []string) error {
 	if len(spans) == 0 {
 		spans = []core.Span{{Off: 0, Len: 1 << 20}}
 	}
-	var n int64
-	if *jobs > 1 {
-		n, err = core.WarmParallel(c, spans, *jobs, budget)
-	} else {
-		n, err = core.Warm(c, spans)
-	}
+	n, err := core.Warm(c, spans)
 	if err != nil {
 		return err
 	}

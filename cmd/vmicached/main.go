@@ -20,8 +20,6 @@
 //	-subclusters     fill caches at 4 KiB sub-cluster granularity
 //	-warm A,B,...    base image names to warm at startup
 //	-warm-profile P  boot profile guiding cold warms (centos/debian/windows)
-//	-warm-jobs N     parallel workers per cold warm (1 = serial)
-//	-warm-budget SZ  in-flight byte budget per parallel warm (default 16M)
 //	-status DUR      periodic status print interval (0 = only on shutdown)
 //	-drain DUR       graceful-shutdown drain deadline
 //	-metrics-addr A  serve /metrics, /metrics.json and /debug/pprof on A
@@ -78,8 +76,6 @@ func main() {
 	subclusters := fs.Bool("subclusters", false, "fill caches at 4 KiB sub-cluster granularity (needs -cluster-bits >= 13)")
 	warm := fs.String("warm", "", "comma-separated base image names to warm at startup")
 	warmProfile := fs.String("warm-profile", "", "boot profile guiding cold warms (centos/debian/windows; empty = whole image)")
-	warmJobs := fs.Int("warm-jobs", 1, "parallel workers per cold warm (1 = serial)")
-	warmBudget := fs.String("warm-budget", "16M", "in-flight byte budget per parallel warm (K/M/G suffixes)")
 	status := fs.Duration("status", 0, "periodic status interval (0 = only on shutdown)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
@@ -111,10 +107,6 @@ func main() {
 	quotaBytes, err := parseSize(*quota)
 	if err != nil {
 		fail("-quota: %v", err)
-	}
-	warmBudgetBytes, err := parseSize(*warmBudget)
-	if err != nil {
-		fail("-warm-budget: %v", err)
 	}
 
 	var reg *metrics.Registry
@@ -150,16 +142,6 @@ func main() {
 	if reg != nil {
 		client.RegisterMetrics(reg, metrics.Labels{"peer": "storage"})
 	}
-	if *warmJobs > 1 {
-		// Parallel warm workers share this one connection; widen the
-		// pipelining window so they are not serialised behind the
-		// single-stream default, capped to keep the storage node fair.
-		inflight := 8 * *warmJobs
-		if inflight > 64 {
-			inflight = 64
-		}
-		client.SetMaxInflight(inflight)
-	}
 	mgr, err := cachemgr.New(cachemgr.Config{
 		Dir:            *dir,
 		Budget:         budgetBytes,
@@ -167,8 +149,6 @@ func main() {
 		ClusterBits:    *clusterBits,
 		Subclusters:    *subclusters,
 		WarmProfile:    *warmProfile,
-		WarmWorkers:    *warmJobs,
-		WarmBudget:     warmBudgetBytes,
 		Backing:        rblock.RemoteStore{C: client},
 		Peers:          splitList(*peers),
 		Metrics:        reg,

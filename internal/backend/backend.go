@@ -54,6 +54,27 @@ func ReadFull(f io.ReaderAt, p []byte, off int64) error {
 	return err
 }
 
+// Range is one piece of a batched read: len(P) bytes at Off.
+type Range struct {
+	P   []byte
+	Off int64
+}
+
+// ReadBatch fills every range in rs, each with ReadFull's rules. A file with
+// a ReadBatch method of its own (a remote file keeps all of the batch in
+// flight at once) serves the whole batch; any other is read range by range.
+func ReadBatch(f io.ReaderAt, rs []Range) error {
+	if b, ok := f.(interface{ ReadBatch([]Range) error }); ok {
+		return b.ReadBatch(rs)
+	}
+	for _, r := range rs {
+		if err := ReadFull(f, r.P, r.Off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WriteFull writes all of p at off, failing if the implementation reports a
 // short write without an error.
 func WriteFull(f io.WriterAt, p []byte, off int64) error {

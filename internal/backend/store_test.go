@@ -274,7 +274,13 @@ func TestCopyWindowsFailureStops(t *testing.T) {
 	if reads := src.n.Load(); reads > 5+copyInFlight {
 		t.Fatalf("%d windows read after a fault armed at the 6th, want at most %d", reads, 5+copyInFlight)
 	}
-	if after := runtime.NumGoroutine(); after > before {
+	// A worker that has returned may still be exiting: wait for the count
+	// to come back, up to a second, then assert it.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
 		t.Fatalf("%d goroutines after a failed copy, %d before", after, before)
 	}
 }

@@ -191,13 +191,12 @@ type Config struct {
 	// instead of the whole image.
 	WarmProfile string
 
-	// WarmWorkers parallelises cold warming (<= 1 replays the plan
-	// serially). Worth raising when the backing transport pipelines —
-	// rblock does.
+	// WarmWorkers is ignored: a cold warm batches its backing reads within
+	// each plan window (core.Warm) instead of running workers. Kept only
+	// for callers that still set it.
 	WarmWorkers int
 
-	// WarmBudget bounds the bytes a parallel warm keeps in flight
-	// (0 means core.DefaultWarmBudget).
+	// WarmBudget is ignored, like WarmWorkers.
 	WarmBudget int64
 
 	// ZeroCopy serves peer transfers of published caches with sendfile(2)
@@ -638,7 +637,7 @@ func (m *Manager) recover() error {
 	}
 	sort.Slice(pubs, func(i, j int) bool { return pubs[i].mtime.Before(pubs[j].mtime) })
 	for _, p := range pubs {
-		if _, ok := m.admit(p.name, p.size); !ok {
+		if _, _, ok := m.admit(p.name, p.size, false); !ok {
 			// Larger than the whole budget: cannot be kept.
 			os.Remove(filepath.Join(m.dir, p.name)) //nolint:errcheck // best-effort drop
 			m.logf("cachemgr: dropped %s (%d bytes exceeds budget %d)", p.name, p.size, m.cfg.Budget)
@@ -648,12 +647,19 @@ func (m *Manager) recover() error {
 }
 
 // admit pools a published cache under a fresh table set, installed first.
-func (m *Manager) admit(key string, size int64) (evicted []string, ok bool) {
-	m.swapTables(key, qcow.NewTables())
-	if evicted, ok = m.pool.Add(key, size); !ok {
-		m.swapTables(key, nil)
+// With pin it is admitted pinned, for a lease on that set (publish).
+func (m *Manager) admit(key string, size int64, pin bool) (t *qcow.Tables, evicted []string, ok bool) {
+	t = qcow.NewTables()
+	m.swapTables(key, t)
+	add := m.pool.Add
+	if pin {
+		add = m.pool.AddPinned
 	}
-	return evicted, ok
+	if evicted, ok = add(key, size); !ok {
+		m.swapTables(key, nil)
+		return nil, nil, false
+	}
+	return t, evicted, true
 }
 
 // swapTables installs t as key's set (nil forgets it) and retires the old
@@ -744,11 +750,15 @@ func (l *Lease) release() (invalidated bool) {
 
 // Acquire returns a lease on the warm cache for base, warming it first if
 // needed. Concurrent calls for the same base perform exactly one warm: the
-// first caller becomes the warmer, the rest wait on its outcome and then
-// attach to the published cache (singleflight admission).
+// first caller becomes the warmer and leaves with the lease its publication
+// pinned, the rest wait on its outcome and then attach to the published cache
+// (singleflight admission). A waiter that finds the cache gone again — evicted
+// or invalidated since — waits for the next warm or becomes the warmer: it
+// retries once per newer publication of the key, and the warmer never needs
+// a retry, so no fixed attempt count bounds it.
 func (m *Manager) Acquire(base string) (*Lease, error) {
 	key := m.KeyFor(base)
-	for attempt := 0; ; attempt++ {
+	for {
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
@@ -769,24 +779,23 @@ func (m *Manager) Acquire(base string) (*Lease, error) {
 			m.stats.attaches.Add(1)
 			return lease, nil
 		}
-		if attempt >= 3 {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("cachemgr: %s: published cache evicted before attach, repeatedly", key)
-		}
 		ws := &warmState{done: make(chan struct{})}
 		m.warming[key] = ws
 		m.mu.Unlock()
 
 		warmStart := time.Now()
-		ws.err = m.warm(base, key)
-		if ws.err == nil {
+		lease, err := m.warm(base, key)
+		ws.err = err
+		if err == nil {
 			m.stats.warmDuration.Observe(time.Since(warmStart).Nanoseconds())
 		}
 		m.settle(key, ws)
-		if ws.err != nil {
+		if err != nil {
 			m.stats.warmFailures.Add(1)
-			return nil, ws.err
+			return nil, err
 		}
+		m.stats.attaches.Add(1)
+		return lease, nil
 	}
 }
 

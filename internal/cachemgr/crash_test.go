@@ -54,7 +54,9 @@ func TestCrashSafePublication(t *testing.T) {
 		c.Dir = dir
 		c.WrapWarmFile = func(f backend.File) backend.File {
 			ff := backend.NewFaultyFile(f)
-			ff.FailWriteAfter(10) // dies mid-fill, after some clusters landed
+			// Dies mid-commit: the window's metadata and data are
+			// written, its refcount-table and L1 slots are not.
+			ff.FailWriteAfter(2)
 			return ff
 		}
 	})
@@ -132,7 +134,7 @@ func TestFailedWarmRetriesInPlace(t *testing.T) {
 				return f
 			}
 			ff := backend.NewFaultyFile(f)
-			ff.FailWriteAfter(5)
+			ff.FailWriteAfter(1) // mid-commit, as above
 			return ff
 		}
 	})

@@ -342,11 +342,14 @@ func TestBootSurvivesInvalidate(t *testing.T) {
 // another invalidates it, and evicts it again between rounds, so every round
 // re-publishes it: each session reads the right bytes through whichever set
 // it attached with — copying them from that set's mapping — and a Boot whose
-// cache is invalidated under its lease acquires again. The manager holds sets
+// cache is invalidated under its lease acquires again. No Acquire fails: the
+// budget holds one cache, so a publication may evict the other base's at any
+// time, and a warmer leaves with its publication pinned while a waiter that
+// finds the cache gone again warms it once more. The manager holds sets
 // only for resident caches, and once every session and the manager have
 // closed, each set a session read through mapped its file exactly once and
 // unmapped it once, and the sets leases only pinned never mapped (run with
-// -race -count 5).
+// -race -count 20).
 func TestTableSetsUnderChurn(t *testing.T) {
 	s := newStorageNode(t)
 	s.addBase(t, "a.img", mb, 1)

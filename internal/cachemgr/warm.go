@@ -20,8 +20,9 @@ import (
 // peer wholesale — pulling the already-warm cache over rblock keeps the
 // storage node off the critical path entirely — and falls back to
 // copy-on-read warming from the storage node. Either way the result passes
-// through publish: verify, sync, rename.
-func (m *Manager) warm(base, key string) error {
+// through publish: verify, sync, rename, and admission pinned for the lease
+// it returns.
+func (m *Manager) warm(base, key string) (*Lease, error) {
 	tmpName := key + tmpSuffix
 	// A stale temp here is a previous failed warm; it was never published
 	// and is safe to overwrite.
@@ -31,10 +32,10 @@ func (m *Manager) warm(base, key string) error {
 		// Cheapest first: an evicted cache whose manifest survived rebuilds
 		// from local blobs without touching the network.
 		if man := m.rehydrate(key, tmpName); man != nil {
-			if err := m.publish(key, man); err == nil {
+			if lease, err := m.publish(key, man); err == nil {
 				m.stats.dedupRehydrations.Add(1)
 				m.logf("cachemgr: rehydrated %s from local chunks", key)
-				return nil
+				return lease, nil
 			} else {
 				m.logf("cachemgr: rehydration of %s failed verification: %v", key, err)
 			}
@@ -45,7 +46,8 @@ func (m *Manager) warm(base, key string) error {
 		if len(m.cfg.Peers) > 0 {
 			man, st, err := m.deltaWarm(key, tmpName)
 			if err == nil {
-				if err = m.publish(key, man); err == nil {
+				var lease *Lease
+				if lease, err = m.publish(key, man); err == nil {
 					m.stats.dedupDeltaWarms.Add(1)
 					m.stats.dedupDeltaBytes.Add(st.wire)
 					m.stats.dedupReusedBytes.Add(st.reused)
@@ -54,7 +56,7 @@ func (m *Manager) warm(base, key string) error {
 						"(fetch %.1f ms, writer stalled %.1f ms, materialize %.1f ms, sync+commit %.1f ms)",
 						key, float64(st.wire)/1e6, float64(st.reused)/1e6,
 						ms(st.fetch), ms(st.stall), ms(st.materialize), ms(st.sync))
-					return nil
+					return lease, nil
 				}
 				m.logf("cachemgr: delta warm of %s failed verification: %v", key, err)
 			} else {
@@ -67,12 +69,13 @@ func (m *Manager) warm(base, key string) error {
 	if m.cfg.SwarmEnabled {
 		counts, err := m.swarmWarm(base, key, tmpName)
 		if err == nil {
-			if err = m.publish(key, nil); err == nil {
+			var lease *Lease
+			if lease, err = m.publish(key, nil); err == nil {
 				m.stats.swarmWarms.Add(1)
 				m.logf("cachemgr: swarm-warmed %s: %d chunks from peers (%.1f MB), %d from storage (%.1f MB), %d reassigned",
 					key, counts.ChunksPeer, float64(counts.BytesPeer)/1e6,
 					counts.ChunksStorage, float64(counts.BytesStorage)/1e6, counts.Reassigned)
-				return nil
+				return lease, nil
 			}
 			m.logf("cachemgr: swarm warm of %s failed verification: %v", key, err)
 		} else {
@@ -86,11 +89,12 @@ func (m *Manager) warm(base, key string) error {
 		n, err := m.fetchFromPeer(peer, key, tmpName)
 		m.notePeer(peer, n, err)
 		if err == nil {
-			if err = m.publish(key, nil); err == nil {
+			var lease *Lease
+			if lease, err = m.publish(key, nil); err == nil {
 				m.stats.peerFetches.Add(1)
 				m.stats.peerFetchBytes.Add(n)
 				m.logf("cachemgr: pulled %s (%d bytes) from peer %s", key, n, peer)
-				return nil
+				return lease, nil
 			}
 			m.logf("cachemgr: peer copy of %s failed verification: %v", key, err)
 		} else {
@@ -106,14 +110,15 @@ func (m *Manager) warm(base, key string) error {
 		// Leave the temp in place, exactly as a crash would: the next
 		// warm overwrites it and a restart discards it. It is never
 		// served, because attach only consults published names.
-		return err
+		return nil, err
 	}
-	if err := m.publish(key, nil); err != nil {
-		return err
+	lease, err := m.publish(key, nil)
+	if err != nil {
+		return nil, err
 	}
 	m.stats.coldWarms.Add(1)
 	m.logf("cachemgr: warmed %s through copy-on-read", key)
-	return nil
+	return lease, nil
 }
 
 // fetchFromPeer streams the published cache key from a peer manager's rblock
@@ -133,8 +138,9 @@ func (m *Manager) fetchFromPeer(addr, key, tmpName string) (int64, error) {
 }
 
 // corWarm creates a cache image in the temp file, chains it to the storage
-// node's base, and replays the warm spans through it: the cache fills itself
-// through the copy-on-read path, exactly as a first boot would.
+// node's base, and warms it with the plan's spans: the cache fills itself
+// from the base through its copy-on-read fill path, as a first boot would,
+// one plan window per batched fetch and commit.
 func (m *Manager) corWarm(base, tmpName string) error {
 	baseLoc := core.Locator{Store: m.backingName, Name: base}
 	baseSize, err := core.VirtualSizeOf(m.ns, baseLoc)
@@ -164,12 +170,7 @@ func (m *Manager) corWarm(base, tmpName string) error {
 	if spans == nil {
 		spans = fullSpans(baseSize)
 	}
-	if m.cfg.WarmWorkers > 1 {
-		_, err = core.WarmParallel(chain, spans, m.cfg.WarmWorkers, m.cfg.WarmBudget)
-	} else {
-		_, err = core.Warm(chain, spans)
-	}
-	if err != nil {
+	if _, err := core.Warm(chain, spans); err != nil {
 		chain.Close() //nolint:errcheck // already failing
 		return err
 	}
@@ -201,20 +202,21 @@ var openTemp = func(path string, ro bool) (backend.File, error) { return backend
 // qcow.Check while its fsync runs, and only when both succeeded mark it
 // immutable, rename it into the published name, and sync the directory so
 // the rename is durable. Only then does the cache enter the pool and become
-// attachable. A crash anywhere before the rename leaves only a temp file,
-// which recovery discards.
+// attachable — admitted pinned, for the lease publish returns, so no other
+// publication can evict it before its warmer holds it. A crash anywhere
+// before the rename leaves only a temp file, which recovery discards.
 //
 // Every temp is verified read-only: a chain's Close stamped copy-on-read and
 // swarm temps, a peer copy carries the peer's stamp, and a temp materialized
 // from a manifest (from non-nil) was hashed against its checksum as it was
 // written — the checksum is not taken again.
-func (m *Manager) publish(key string, from *dedup.Manifest) error {
+func (m *Manager) publish(key string, from *dedup.Manifest) (*Lease, error) {
 	tmpPath := filepath.Join(m.dir, key+tmpSuffix)
 	pubPath := filepath.Join(m.dir, key)
 
 	f, err := openTemp(tmpPath, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	synced := make(chan error, 1)
 	go func() { synced <- f.Sync() }()
@@ -226,25 +228,25 @@ func (m *Manager) publish(key string, from *dedup.Manifest) error {
 		img.Close() //nolint:errcheck // read-only: releases nothing but f, closed below
 	}
 	if err := errors.Join(err, <-synced, f.Close()); err != nil {
-		return err
+		return nil, err
 	}
 	if err := os.Chmod(tmpPath, 0o444); err != nil {
-		return err
+		return nil, err
 	}
 	if err := os.Rename(tmpPath, pubPath); err != nil {
-		return err
+		return nil, err
 	}
 	if err := syncDir(m.dir); err != nil {
-		return err
+		return nil, err
 	}
 	fi, err := os.Stat(pubPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	evicted, ok := m.admit(key, fi.Size())
+	tables, evicted, ok := m.admit(key, fi.Size(), true)
 	if !ok {
 		os.Remove(pubPath) //nolint:errcheck // cannot keep it anyway
-		return fmt.Errorf("cachemgr: %s (%d bytes) exceeds the node cache budget (%d)",
+		return nil, fmt.Errorf("cachemgr: %s (%d bytes) exceeds the node cache budget (%d)",
 			key, fi.Size(), m.pool.Capacity())
 	}
 	m.stats.published.Add(1)
@@ -259,7 +261,7 @@ func (m *Manager) publish(key string, from *dedup.Manifest) error {
 		}
 		m.dedupReserve()
 	}
-	return nil
+	return &Lease{m: m, key: key, tables: tables}, nil
 }
 
 // fullWarmQuota sizes a quota big enough to hold every data cluster of the

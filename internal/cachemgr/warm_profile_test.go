@@ -26,7 +26,7 @@ func publishedSize(t *testing.T, dir string) int64 {
 
 // TestProfileGuidedWarm checks the profile-driven prewarm end to end: a
 // manager configured with a boot profile warms only that profile's (scaled)
-// read footprint through the parallel pool, publishes a cache that is a
+// read footprint in plan windows, publishes a cache that is a
 // fraction of the full-warm one, and still serves exact content — reads
 // outside the footprint pass through to the storage node on demand.
 func TestProfileGuidedWarm(t *testing.T) {
@@ -38,8 +38,6 @@ func TestProfileGuidedWarm(t *testing.T) {
 	prof := newManager(t, s, func(cfg *cachemgr.Config) {
 		profDir = cfg.Dir
 		cfg.WarmProfile = "debian"
-		cfg.WarmWorkers = 4
-		cfg.WarmBudget = mb
 	})
 	sess, err := prof.Boot("base.img", "vm0")
 	if err != nil {

@@ -161,6 +161,16 @@ func (p *Pool) Contains(name string) bool {
 // It returns the names evicted. An entry larger than the whole capacity is
 // rejected (returns ok=false) rather than flushing the pool for nothing.
 func (p *Pool) Add(name string, size int64) (evicted []string, ok bool) {
+	return p.add(name, size, false)
+}
+
+// AddPinned is Add with the entry pinned once in the same step: no
+// concurrent Add can evict it before its first user holds it.
+func (p *Pool) AddPinned(name string, size int64) (evicted []string, ok bool) {
+	return p.add(name, size, true)
+}
+
+func (p *Pool) add(name string, size int64, pin bool) (evicted []string, ok bool) {
 	p.mu.Lock()
 	if p.capacity > 0 && size > p.capacity {
 		p.mu.Unlock()
@@ -175,6 +185,9 @@ func (p *Pool) Add(name string, size int64) (evicted []string, ok bool) {
 		p.entries[name] = e
 		p.pushFront(e)
 		p.used += size
+	}
+	if pin {
+		p.entries[name].pins++
 	}
 	victims := p.evictLocked(name)
 	onEvict := p.OnEvict

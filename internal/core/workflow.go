@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"vmicache/internal/backend"
 	"vmicache/internal/boot"
@@ -159,8 +158,7 @@ type Span struct {
 }
 
 // Coalescing knobs for profile-guided warm plans: fold reads within 256 KiB
-// of each other into one fetch, cap fetches at 4 MiB so the worker pool
-// stays balanced and the in-flight budget meaningful.
+// of each other into one span, cap spans at 4 MiB (one warm window).
 const (
 	profilePlanGap    = 256 << 10
 	profilePlanMaxLen = 4 << 20
@@ -189,105 +187,50 @@ func ProfileSpans(name string, size int64) ([]Span, error) {
 	return spans, nil
 }
 
-// Warm replays read spans against a chain, populating any cache image in it
-// (§3.2: "the system can boot a sample VM upon a new VMI registration to
-// create the cache"). It returns the number of bytes read.
+// warmWindow is how many plan bytes a window fill gathers before it runs.
+const warmWindow = 4 << 20
+
+// Warm replays read spans against a chain, populating any cache image on top
+// of it (§3.2: "the system can boot a sample VM upon a new VMI registration
+// to create the cache"). It returns the number of bytes read. A writable
+// cache on top is filled window by window — whole spans, ≈ warmWindow bytes
+// of them, whose unfilled runs are fetched with one batched backing read and
+// landed with one commit (qcow.Image.FillSpans); a window never splits a
+// span, so the cache's layout is the one read-by-read replay leaves — and
+// only the spans a window did not land (claimed by a concurrent filler, cut
+// off by the quota) are read through the chain. Any other top reads every
+// span. The cache's fill singleflight makes Warm safe to run while a guest
+// boots from the same chain.
 func Warm(c *Chain, spans []Span) (int64, error) {
 	var buf []byte
 	var total int64
-	for _, s := range spans {
-		if s.Len <= 0 {
-			continue
+	win := make([]qcow.Span, 0, 64)
+	for len(spans) > 0 {
+		var pending int64
+		for win = win[:0]; len(spans) > 0 && pending < warmWindow; spans = spans[1:] {
+			if s := spans[0]; s.Len > 0 {
+				win = append(win, qcow.Span{Off: s.Off, Len: s.Len})
+				pending += s.Len
+			}
 		}
-		if int64(len(buf)) < s.Len {
-			buf = make([]byte, s.Len)
+		if len(win) == 0 {
+			break
 		}
-		if err := backend.ReadFull(c, buf[:s.Len], s.Off); err != nil {
-			return total, fmt.Errorf("core: warming at %d+%d: %w", s.Off, s.Len, err)
+		rest, err := c.Top().FillSpans(win)
+		if err != nil {
+			return total, fmt.Errorf("core: warming %d spans from %d: %w", len(win), win[0].Off, err)
 		}
-		total += s.Len
+		for _, s := range rest {
+			if int64(len(buf)) < s.Len {
+				buf = make([]byte, s.Len)
+			}
+			if err := backend.ReadFull(c, buf[:s.Len], s.Off); err != nil {
+				return total, fmt.Errorf("core: warming at %d+%d: %w", s.Off, s.Len, err)
+			}
+		}
+		total += pending
 	}
 	return total, nil
-}
-
-// DefaultWarmBudget bounds the bytes a parallel warm keeps in flight when
-// the caller does not say otherwise.
-const DefaultWarmBudget = 16 << 20
-
-// WarmParallel replays read spans against a chain with a worker pool,
-// keeping at most budget bytes in flight: spans are split into
-// budget/workers chunks and fetched concurrently, so adjacent profile
-// extents turn into deep pipelined reads of the backing transport instead
-// of serialized round trips. The chain's cache image deduplicates
-// overlapping fetches through its fill singleflight, so WarmParallel is
-// safe to run while a guest is already booting from the same chain. Chunks
-// complete out of order but are issued in span order, preserving a boot
-// plan's first-touch sequencing. Returns the bytes read (all spans, even
-// short ones past a smaller base, count in full — identical to Warm).
-func WarmParallel(c *Chain, spans []Span, workers int, budget int64) (int64, error) {
-	if workers <= 1 {
-		return Warm(c, spans)
-	}
-	if budget <= 0 {
-		budget = DefaultWarmBudget
-	}
-	chunk := budget / int64(workers)
-	if chunk < 64<<10 {
-		chunk = 64 << 10
-	}
-
-	work := make(chan Span, workers)
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		werr  error
-		total int64
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if werr == nil {
-			werr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return werr != nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, chunk)
-			for s := range work {
-				if failed() {
-					continue // drain without fetching
-				}
-				if err := backend.ReadFull(c, buf[:s.Len], s.Off); err != nil {
-					fail(fmt.Errorf("core: warming at %d+%d: %w", s.Off, s.Len, err))
-					continue
-				}
-				mu.Lock()
-				total += s.Len
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, s := range spans {
-		for s.Len > 0 {
-			n := s.Len
-			if n > chunk {
-				n = chunk
-			}
-			work <- Span{Off: s.Off, Len: n}
-			s.Off += n
-			s.Len -= n
-		}
-	}
-	close(work)
-	wg.Wait()
-	return total, werr
 }
 
 // TransferCache copies a (closed, warm) cache image to another medium —

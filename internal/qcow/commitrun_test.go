@@ -3,6 +3,7 @@ package qcow
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,37 +23,74 @@ func (s patSource) ReadAt(p []byte, off int64) (int, error) {
 
 func (s patSource) Size() int64 { return s.n }
 
-// TestRunCommitCrashPoints cuts one run commit after every k-th container
-// write — the run spans three or more L2 tables and a refcount-block boundary
-// — and proves the write order holds at each cut: the container, reopened as
+// TestRunCommitCrashPoints cuts one commit after every k-th container write
+// and proves the write order holds at each cut: the container, reopened as
 // after a crash, passes Check with at worst leaks (in sub-cluster mode also
 // the torn fill Check exists to detect: bits persisted, cluster not yet
 // bound), and every cluster that did get bound reads back base content. The
-// surviving image then retries the fill and must end fully consistent.
+// surviving image then retries the fill and must end fully consistent. The
+// commit is a guest read's one run, or a window fill's many runs.
 func TestRunCommitCrashPoints(t *testing.T) {
+	const k512 = 512
 	cases := []struct {
-		name           string
-		cb             int
-		sub            bool
-		size, pad      int64 // virtual size; container padded to this many clusters first
-		reqOff, reqLen int64
+		name      string
+		cb        int
+		sub       bool
+		size, pad int64  // virtual size; container padded to this many clusters first
+		spans     []Span // a guest read of spans[0], or with window a window fill
+		window    bool
+		prefill   Span // filled before the cuts: gives the commit a pre-existing L2 table
 	}{
 		// 512 B clusters: 64 slots per L2 table, 256 counts per refcount
 		// block. Clusters 32..287 span five tables; the reservation starts
 		// at cluster 4 and so crosses the first block's end.
-		{name: "whole-cluster", cb: 9, size: 1 << 20, reqOff: 16 << 10, reqLen: 128 << 10},
+		{name: "whole-cluster", cb: 9, size: 1 << 20, spans: []Span{{16 << 10, 128 << 10}}},
 		// 8 KiB clusters, 4 KiB sub-clusters: 1024 slots per table, 4096
 		// counts per block. The request starts and ends mid-cluster, covers
 		// clusters 1023..2048 (tables 0, 1, 2), and the container is padded
 		// so the reservation crosses cluster 4096.
 		{name: "sub-cluster", cb: 13, sub: true, size: 32 << 20, pad: 3500,
-			reqOff: 8<<20 - 3<<10, reqLen: 8<<20 + 4<<10},
+			spans: []Span{{8<<20 - 3<<10, 8<<20 + 4<<10}}},
+		// A window of 512 B clusters: two runs in table 0 (one unaligned,
+		// one overlapped by a later span), a run across tables 2..5 that
+		// the prefilled cluster 200 splits in table 3, which already
+		// exists, and an adjacent span. The container is padded so the
+		// reservation crosses the refcount-block boundary at cluster 256.
+		{name: "window", cb: 9, size: 1 << 20, pad: 200, window: true,
+			prefill: Span{200 * k512, k512},
+			spans: []Span{
+				{10*k512 + 100, 10 * k512}, {30 * k512, 10*k512 + 7}, {35 * k512, 10 * k512},
+				{150 * k512, 180 * k512}, {330 * k512, 10 * k512},
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src := patSource{n: tc.size}
-			want := make([]byte, tc.reqLen)
-			src.ReadAt(want, tc.reqOff) //nolint:errcheck // cannot fail
+			// readSpans reads every span through img and compares it with
+			// the source.
+			readSpans := func(img *Image) error {
+				for _, sp := range tc.spans {
+					got, want := make([]byte, sp.Len), make([]byte, sp.Len)
+					src.ReadAt(want, sp.Off) //nolint:errcheck // cannot fail
+					if err := backend.ReadFull(img, got, sp.Off); err != nil {
+						return err
+					}
+					if !bytes.Equal(got, want) {
+						return fmt.Errorf("span %d+%d does not hold base content", sp.Off, sp.Len)
+					}
+				}
+				return nil
+			}
+			fill := func(img *Image) error {
+				if !tc.window {
+					return readSpans(img)
+				}
+				rest, err := img.FillSpans(tc.spans)
+				if err == nil && len(rest) > 0 {
+					err = fmt.Errorf("window fill left %d spans unlanded", len(rest))
+				}
+				return err
+			}
 			var sawLeak, sawTorn bool
 			for k := int64(0); ; k++ {
 				mem := backend.NewMemFile()
@@ -77,16 +115,21 @@ func TestRunCommitCrashPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				img.SetBacking(src)
+				if tc.prefill.Len > 0 {
+					if err := backend.ReadFull(img, make([]byte, tc.prefill.Len), tc.prefill.Off); err != nil {
+						t.Fatal(err)
+					}
+				}
 
 				faulty.FailWriteAfter(k)
-				got := make([]byte, tc.reqLen)
-				_, err = img.ReadAt(got, tc.reqOff)
+				err = fill(img)
 				if err == nil {
-					if k < 8 {
-						t.Fatalf("the whole commit took only %d writes; the run is too small to cut", k)
+					if k < 5 {
+						t.Fatalf("the whole commit took only %d writes; it is too small to cut", k)
 					}
-					if !bytes.Equal(got, want) {
-						t.Fatal("uncut fill served wrong content")
+					faulty.FailWriteAfter(-1)
+					if err := readSpans(img); err != nil {
+						t.Fatalf("uncut fill: %v", err)
 					}
 					t.Logf("commit = %d writes", k)
 					img.Close() //nolint:errcheck // test teardown
@@ -113,21 +156,18 @@ func TestRunCommitCrashPoints(t *testing.T) {
 					sawTorn = true
 				}
 				sawLeak = sawLeak || res.Leaks > 0
-				if err := backend.ReadFull(crashed, got, tc.reqOff); err != nil {
-					t.Fatalf("cut %d: read-back: %v", k, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("cut %d: a bound cluster does not hold base content", k)
+				if err := readSpans(crashed); err != nil {
+					t.Fatalf("cut %d: crash view: %v", k, err)
 				}
 				crashed.Close() //nolint:errcheck // read-only
 
 				// The surviving image retries and ends consistent.
 				faulty.FailWriteAfter(-1)
-				if err := backend.ReadFull(img, got, tc.reqOff); err != nil {
+				if err := fill(img); err != nil {
 					t.Fatalf("cut %d: retry: %v", k, err)
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("cut %d: retry served wrong content", k)
+				if err := readSpans(img); err != nil {
+					t.Fatalf("cut %d: retry: %v", k, err)
 				}
 				if err := img.Close(); err != nil {
 					t.Fatal(err)

@@ -1,7 +1,10 @@
 package qcow
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -36,12 +39,12 @@ type fill struct {
 	err            error
 	done           chan struct{}
 	refs           atomic.Int32
-	pool           *bufPool
+	pool           *bufPool // nil: buf is part of a window fill's buffer
 }
 
 // release drops one reference; the last reference recycles the buffer.
 func (f *fill) release() {
-	if f.refs.Add(-1) == 0 && f.buf != nil {
+	if f.refs.Add(-1) == 0 && f.buf != nil && f.pool != nil {
 		f.pool.put(f.buf)
 		f.buf = nil
 	}
@@ -196,9 +199,13 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 	}
 	var landed, nsubs int64
 	if final > 0 {
-		var err error
 		landed = minI64(fetchEnd, (f.vc+final)*cs) - fetchStart
-		if nsubs, err = img.commitRun(f.vc, final, buf[:landed], fetchStart); err != nil {
+		runs := []clusterRun{{f.vc, final}}
+		p, err := img.planLocked(runs)
+		if err == nil {
+			nsubs, err = img.commitRun(runs, p, nil, buf[:landed], fetchStart-f.vc*cs)
+		}
+		if err != nil {
 			img.mu.Unlock()
 			img.sbuf.put(buf)
 			f.err = err
@@ -232,102 +239,237 @@ func (img *Image) setCacheFull() {
 	}
 }
 
-// commitRun lands the unallocated clusters [vc, vc+n) in one pass: buf holds
-// the guest bytes from bufPos on, starting inside cluster vc and ending
-// inside cluster vc+n-1 (whole clusters, or in sub-cluster mode the
-// sub-cluster-aligned part that was fetched). The refcount blocks and L2
-// tables the run needs are reserved in front of it, so its data clusters are
-// one contiguous bump allocation written with one container write. Writes go
-// out in the order that makes every crash point at worst a leak — or, in
-// sub-cluster mode, a torn fill Check detects:
-//
-//	zeroed new metadata clusters → data → refcounts (one write per touched
-//	block) → refcount-table slots of the new blocks → sub-cluster words →
-//	L1 slots of the new, still empty L2 tables → L2 slots (one write per
-//	touched table)
-//
-// The allocator moves past the whole reservation before the first write, so
-// a failed commit can only leak; every in-memory table is updated after its
-// write-back succeeded, never before. Returns the sub-clusters marked valid.
-// Caller holds img.mu exclusively and has admitted the run against the quota.
-func (img *Image) commitRun(vc, n int64, buf []byte, bufPos int64) (int64, error) {
-	cs, l2e, rbe := img.ly.clusterSize, img.ly.l2Entries, img.ly.refBlockEnts
-	firstL1, lastL1 := vc/l2e, (vc+n-1)/l2e
-	var newL1 []int64
-	for i := firstL1; i <= lastL1; i++ {
-		if img.l1[i]&entryOffsetMask == 0 {
-			newL1 = append(newL1, i)
+// clusterRun is a run of n virtual clusters starting at vc.
+type clusterRun struct{ vc, n int64 }
+
+// commitPlan is where a commit puts its runs: each run, in order, gets the
+// refcount blocks and L2 tables it is the first to need in front of its
+// data, exactly as landing the runs one at a time places them, so a window
+// of runs leaves the container byte for byte as its runs landed one by one
+// would.
+type commitPlan struct {
+	base, end int64   // the reservation, in clusters
+	rbs, rbAt []int64 // new refcount blocks, ascending, and their clusters
+	l1s, l2At []int64 // L1 slots given a new L2 table, ascending, and the tables' clusters
+	dataAt    []int64 // per run, its first data cluster
+}
+
+// planCommit lays out a commit of runs from the allocator's current state.
+// When the refcount table must first grow to index need blocks it returns
+// need > 0 and no plan. Caller holds img.mu.
+func (img *Image) planCommit(runs []clusterRun) (p commitPlan, need int64) {
+	l2e, rbe := img.ly.l2Entries, img.ly.refBlockEnts
+	rt := slices.Clone(img.refTable) // with the blocks earlier runs create
+	next, scanned := img.nextFree, int64(0)
+	p.base = next
+	for _, r := range runs {
+		first := len(p.l1s)
+		for t := r.vc / l2e; t <= (r.vc+r.n-1)/l2e; t++ {
+			if img.l1[t]&entryOffsetMask == 0 && !slices.Contains(p.l1s, t) {
+				p.l1s = append(p.l1s, t)
+			}
 		}
+		tables := int64(len(p.l1s) - first)
+		end := next + img.clustersNeededAt(next, rt, r.n+tables)
+		if blocks := ceilDiv(end, rbe); blocks > int64(len(rt)) {
+			return commitPlan{}, blocks
+		}
+		at := next
+		for ; scanned < ceilDiv(end, rbe); scanned++ {
+			if rt[scanned]&entryOffsetMask == 0 {
+				p.rbs, p.rbAt = append(p.rbs, scanned), append(p.rbAt, at)
+				rt[scanned] = uint64(at << img.ly.clusterBits)
+				at++
+			}
+		}
+		for range tables {
+			p.l2At = append(p.l2At, at)
+			at++
+		}
+		p.dataAt = append(p.dataAt, end-r.n)
+		next = end
 	}
-	extra := n + int64(len(newL1))
-	total := img.clustersNeededFor(extra)
-	if need := ceilDiv(img.nextFree+total, rbe); need > int64(len(img.refTable)) {
+	p.end = next
+	sort.Sort(byIndex{p.l1s, p.l2At})
+	return p, 0
+}
+
+// byIndex sorts table slots with the clusters they are given.
+type byIndex struct{ idx, at []int64 }
+
+func (b byIndex) Len() int           { return len(b.idx) }
+func (b byIndex) Less(i, j int) bool { return b.idx[i] < b.idx[j] }
+func (b byIndex) Swap(i, j int) {
+	b.idx[i], b.idx[j] = b.idx[j], b.idx[i]
+	b.at[i], b.at[j] = b.at[j], b.at[i]
+}
+
+// planLocked is planCommit after growing the refcount table as often as the
+// plan needs. Caller holds img.mu exclusively.
+func (img *Image) planLocked(runs []clusterRun) (commitPlan, error) {
+	for {
+		p, need := img.planCommit(runs)
+		if need == 0 {
+			return p, nil
+		}
 		// Rare: the refcount table itself must move first.
 		if err := img.growRefTable(need); err != nil {
-			return 0, err
-		}
-		total = img.clustersNeededFor(extra)
-	}
-	base, end := img.nextFree, img.nextFree+total
-	img.nextFree = end
-	var newRB []int64 // refcount blocks to install; the k-th lives in cluster base+k
-	for i := int64(0); i < ceilDiv(end, rbe); i++ {
-		if img.refTable[i]&entryOffsetMask == 0 {
-			newRB = append(newRB, i)
+			return commitPlan{}, err
 		}
 	}
-	l2Start := base + int64(len(newRB))
-	dataStart := (end - n) * cs
+}
 
-	if meta := (end - n - base) * cs; meta > 0 {
-		if err := backend.WriteFull(img.f, make([]byte, meta), base*cs); err != nil {
-			return 0, err
+// l2Edit is one L2 table a commit binds clusters in: its slots with the
+// commit's entries applied, the touched slot range, and whether the table is
+// new (its index in the plan's new tables) or already bound (-1).
+type l2Edit struct {
+	vals   []uint64
+	lo, hi int64
+	newIdx int
+}
+
+// commitRun lands still unallocated cluster runs as p places them. With res
+// non-nil, res is the whole reservation [p.base, p.end) with every run's data
+// already at its planned clusters, and the commit fills in the new metadata
+// and writes it all at once (a window fill). Otherwise the commit is one run
+// (a demand fill): data holds its guest bytes in whole clusters — or, in
+// sub-cluster mode, the sub-cluster-aligned part that was fetched, starting
+// head bytes into the run — and the new metadata and the data go out apart.
+// Writes go out in the order that makes every crash point at worst a leak —
+// or, in sub-cluster mode, a torn fill Check detects:
+//
+//	new refcount blocks and L2 tables with their final content, and the
+//	data → refcounts in pre-existing blocks (one write per block) →
+//	refcount-table slots of the new blocks → sub-cluster words → slots of
+//	pre-existing L2 tables (one write per table) → L1 slots of the new
+//	tables
+//
+// New metadata is unreachable until its refcount-table or L1 slot is written,
+// so it carries its final content from the first write. The allocator moves
+// past the whole reservation before the first write, so a failed commit can
+// only leak; every in-memory table is updated after its write-back succeeded,
+// never before. Returns the sub-clusters marked valid. Caller holds img.mu
+// exclusively, has admitted the runs against the quota and planned them with
+// planLocked.
+func (img *Image) commitRun(runs []clusterRun, p commitPlan, res, data []byte, head int64) (int64, error) {
+	cs, l2e, rbe := img.ly.clusterSize, img.ly.l2Entries, img.ly.refBlockEnts
+	img.nextFree = p.end
+
+	// Every data cluster's L2 entry, gathered per table.
+	edits := make(map[int64]*l2Edit)
+	var order []int64 // the edited tables' L1 indices
+	var n int64
+	for i, r := range runs {
+		n += r.n
+		phys := p.dataAt[i] * cs
+		for c := r.vc; c < r.vc+r.n; {
+			l1i := c / l2e
+			e := edits[l1i]
+			if e == nil {
+				e = &l2Edit{lo: l2e, newIdx: -1}
+				if k, ok := slices.BinarySearch(p.l1s, l1i); ok {
+					e.vals, e.newIdx = make([]uint64, l2e), k
+				} else {
+					t, err := img.loadL2(int64(img.l1[l1i] & entryOffsetMask))
+					if err != nil {
+						return 0, err
+					}
+					e.vals = slices.Clone(t)
+				}
+				edits[l1i] = e
+				order = append(order, l1i)
+			}
+			lo := c % l2e
+			hi := minI64(l2e, lo+r.vc+r.n-c)
+			for i := lo; i < hi; i++ {
+				e.vals[i] = uint64(phys) | entryCopied
+				phys += cs
+			}
+			e.lo, e.hi = minI64(e.lo, lo), maxI64(e.hi, hi)
+			c += hi - lo
 		}
 	}
-	if err := backend.WriteFull(img.f, buf, dataStart+bufPos-vc*cs); err != nil {
-		return 0, err
+	slices.Sort(order)
+
+	// The new metadata's final content: the reservation's refcounts in the
+	// new blocks, the runs' entries in the new tables. Without res it is the
+	// one run's clusters in front of its data.
+	meta := res
+	if meta == nil {
+		meta = make([]byte, (p.dataAt[0]-p.base)*cs)
 	}
-	if bufPos+int64(len(buf)) < (vc+n)*cs {
-		// A sub-cluster fill stops short of its last cluster's end; keep
-		// the container cluster-aligned. Nothing lives past end, so this
-		// never cuts anything.
-		if err := img.f.Truncate(end * cs); err != nil {
-			return 0, err
+	for k, rb := range p.rbs {
+		blk := meta[(p.rbAt[k]-p.base)*cs:][:cs]
+		clear(blk)
+		for c := maxI64(p.base, rb*rbe); c < minI64(p.end, (rb+1)*rbe); c++ {
+			blk[(c-rb*rbe)*refcountEntrySz+1] = 1 // big-endian uint16(1)
+		}
+	}
+	for _, l1i := range order {
+		if e := edits[l1i]; e.newIdx >= 0 {
+			tbl := meta[(p.l2At[e.newIdx]-p.base)*cs:][:cs]
+			for i, v := range e.vals {
+				binary.BigEndian.PutUint64(tbl[i*l2EntrySize:], v)
+			}
 		}
 	}
 
-	ones := make([]byte, minI64(total, rbe)*refcountEntrySz)
+	if res != nil {
+		if err := backend.WriteFull(img.f, res, p.base*cs); err != nil {
+			return 0, err
+		}
+	} else {
+		if len(meta) > 0 {
+			if err := backend.WriteFull(img.f, meta, p.base*cs); err != nil {
+				return 0, err
+			}
+		}
+		if err := backend.WriteFull(img.f, data, p.dataAt[0]*cs+head); err != nil {
+			return 0, err
+		}
+		if head+int64(len(data)) < n*cs {
+			// A sub-cluster fill stops short of its last cluster's end;
+			// keep the container cluster-aligned. Nothing lives past the
+			// reservation, so this never cuts anything.
+			if err := img.f.Truncate(p.end * cs); err != nil {
+				return 0, err
+			}
+		}
+	}
+
+	ones := make([]byte, minI64(p.end-p.base, rbe)*refcountEntrySz)
 	for i := range ones {
 		ones[i] = byte(i & 1) // big-endian uint16(1), repeated
 	}
-	for rb, k := base/rbe, 0; rb*rbe < end; rb++ {
-		off := int64(img.refTable[rb] & entryOffsetMask)
-		if off == 0 {
-			for newRB[k] != rb {
-				k++
-			}
-			off = (base + int64(k)) * cs
+	for rb, k := p.base/rbe, 0; rb*rbe < p.end; rb++ {
+		for k < len(p.rbs) && p.rbs[k] < rb {
+			k++
 		}
-		lo, hi := maxI64(base, rb*rbe), minI64(end, (rb+1)*rbe)
+		if k < len(p.rbs) && p.rbs[k] == rb {
+			continue // written whole above
+		}
+		off := int64(img.refTable[rb] & entryOffsetMask)
+		lo, hi := maxI64(p.base, rb*rbe), minI64(p.end, (rb+1)*rbe)
 		if err := backend.WriteFull(img.f, ones[:(hi-lo)*refcountEntrySz], off+(lo-rb*rbe)*refcountEntrySz); err != nil {
 			return 0, err
 		}
 	}
-	if len(newRB) > 0 {
-		if err := img.installSlots(img.refTable, int64(img.hdr.RefTableOffset), newRB, base, 0); err != nil {
+	if len(p.rbs) > 0 {
+		if err := img.installSlots(img.refTable, int64(img.hdr.RefTableOffset), p.rbs, p.rbAt, 0); err != nil {
 			return 0, err
 		}
 	}
 
-	// Sub-cluster words: exactly the fetched sub-clusters. The clusters were
-	// unallocated, so nothing is merged in.
+	// Sub-cluster words (one run): exactly the fetched sub-clusters. The
+	// clusters were unallocated, so nothing is merged in.
 	var words []uint64
 	var nsubs int64
 	if s := img.sub; s != nil {
+		vc, bufPos := runs[0].vc, runs[0].vc*cs+head
 		words = make([]uint64, n)
 		for i := range words {
 			c0 := (vc + int64(i)) * cs
-			o0, o1 := maxI64(c0, bufPos), minI64(c0+cs, bufPos+int64(len(buf)))
+			o0, o1 := maxI64(c0, bufPos), minI64(c0+cs, bufPos+int64(len(data)))
 			words[i] = s.maskRange(o0-c0, o1-c0) & s.fullMask(vc+int64(i))
 			nsubs += int64(bits.OnesCount64(words[i]))
 		}
@@ -335,49 +477,52 @@ func (img *Image) commitRun(vc, n int64, buf []byte, bufPos int64) (int64, error
 			return 0, err
 		}
 	}
-
-	if len(newL1) > 0 {
-		if err := img.installSlots(img.l1, int64(img.hdr.L1TableOffset), newL1, l2Start, entryCopied); err != nil {
-			return 0, err
-		}
-		for _, i := range newL1 {
-			img.l2c.put(int64(img.l1[i]&entryOffsetMask), make([]uint64, l2e))
+	setWords := func(l1i int64, e *l2Edit) {
+		if words != nil {
+			for i := l1i*l2e + e.lo; i < l1i*l2e+e.hi; i++ {
+				img.sub.set(i, words[i-runs[0].vc])
+			}
 		}
 	}
-	slots := make([]uint64, minI64(n, l2e))
-	for c := vc; c < vc+n; {
-		l2Off := int64(img.l1[c/l2e] & entryOffsetMask)
+
+	for _, l1i := range order {
+		e := edits[l1i]
+		if e.newIdx >= 0 {
+			continue
+		}
+		l2Off := int64(img.l1[l1i] & entryOffsetMask)
 		t, err := img.loadL2(l2Off)
 		if err != nil {
 			return 0, err
 		}
-		run := slots[:minI64(vc+n, (c/l2e+1)*l2e)-c]
-		for i := range run {
-			run[i] = uint64(dataStart+(c+int64(i)-vc)*cs) | entryCopied
-		}
-		if err := img.writeSlots(l2Off+c%l2e*l2EntrySize, run); err != nil {
+		if err := img.writeSlots(l2Off+e.lo*l2EntrySize, e.vals[e.lo:e.hi]); err != nil {
 			return 0, err
 		}
-		copy(t[c%l2e:], run)
-		if words != nil {
-			for i := c; i < c+int64(len(run)); i++ {
-				img.sub.set(i, words[i-vc])
-			}
+		copy(t[e.lo:e.hi], e.vals[e.lo:e.hi])
+		setWords(l1i, e)
+	}
+	if len(p.l1s) > 0 {
+		if err := img.installSlots(img.l1, int64(img.hdr.L1TableOffset), p.l1s, p.l2At, entryCopied); err != nil {
+			return 0, err
 		}
-		c += int64(len(run))
+		for _, i := range p.l1s {
+			e := edits[i]
+			img.l2c.put(int64(img.l1[i]&entryOffsetMask), e.vals)
+			setWords(i, e)
+		}
 	}
 	return nsubs, nil
 }
 
 // installSlots points the ascending slots idx of the on-disk table at
-// tableOff at consecutive clusters — table[idx[k]] = (first+k clusters) | flag
-// — with one write spanning idx[0]..idx[last] (slots in between are rewritten
-// with their current value), then updates memory.
-func (img *Image) installSlots(table []uint64, tableOff int64, idx []int64, first int64, flag uint64) error {
+// tableOff at clusters — table[idx[k]] = at[k] clusters | flag — with one
+// write spanning idx[0]..idx[last] (slots in between are rewritten with
+// their current value), then updates memory.
+func (img *Image) installSlots(table []uint64, tableOff int64, idx, at []int64, flag uint64) error {
 	lo, hi := idx[0], idx[len(idx)-1]+1
 	vals := append([]uint64(nil), table[lo:hi]...)
 	for k, i := range idx {
-		vals[i-lo] = uint64((first+int64(k))*img.ly.clusterSize) | flag
+		vals[i-lo] = uint64(at[k]*img.ly.clusterSize) | flag
 	}
 	if err := img.writeSlots(tableOff+lo*8, vals); err != nil {
 		return err

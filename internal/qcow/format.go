@@ -17,6 +17,8 @@
 // reads pass through.
 package qcow
 
+import "vmicache/internal/backend"
+
 // On-disk constants. The magic and header layout mirror QCOW2 version 3 so
 // the format choices of the paper (header extension, 512-byte minimum
 // cluster) carry over directly.
@@ -178,6 +180,24 @@ func (r RawSource) ReadAt(p []byte, off int64) (int, error) {
 		p[i] = 0
 	}
 	return len(p), nil
+}
+
+// ReadBatch fills every range as ReadAt would, handing the in-bounds parts to
+// the container as one backend.ReadBatch.
+func (r RawSource) ReadBatch(rs []backend.Range) error {
+	in := make([]backend.Range, 0, len(rs))
+	for _, x := range rs {
+		if x.Off >= r.N {
+			clear(x.P)
+			continue
+		}
+		if pad := x.Off + int64(len(x.P)) - r.N; pad > 0 {
+			clear(x.P[len(x.P)-int(pad):])
+			x.P = x.P[:len(x.P)-int(pad)]
+		}
+		in = append(in, x)
+	}
+	return backend.ReadBatch(r.R, in)
 }
 
 // Size reports the flat container's size.

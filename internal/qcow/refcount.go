@@ -183,20 +183,26 @@ func (img *Image) allocCluster(zeroed bool) (int64, error) {
 // the cache quota check so the "space error" fires *before* the cache
 // overshoots its quota.
 func (img *Image) clustersNeededFor(extra int64) int64 {
+	return img.clustersNeededAt(img.nextFree, img.refTable, extra)
+}
+
+// clustersNeededAt is clustersNeededFor with the allocator at next and the
+// refcount table refTable (planCommit's view after earlier runs).
+func (img *Image) clustersNeededAt(next int64, refTable []uint64, extra int64) int64 {
 	total := extra
 	for {
-		end := img.nextFree + total
+		end := next + total
 		// Refcount blocks missing for clusters [0, end).
 		var rbMissing int64
 		rbNeeded := ceilDiv(end, img.ly.refBlockEnts)
 		for i := int64(0); i < rbNeeded; i++ {
-			if i >= int64(len(img.refTable)) || img.refTable[i]&entryOffsetMask == 0 {
+			if i >= int64(len(refTable)) || refTable[i]&entryOffsetMask == 0 {
 				rbMissing++
 			}
 		}
 		// Refcount-table growth, if the table cannot index rbNeeded.
 		var growth int64
-		if rbNeeded > int64(len(img.refTable)) {
+		if rbNeeded > int64(len(refTable)) {
 			newClusters := int64(img.hdr.RefTableClusters) * 2
 			for newClusters*img.ly.clusterSize/refTableEntrySz < rbNeeded {
 				newClusters *= 2

@@ -54,6 +54,61 @@ func (img *Image) ReadAt(p []byte, off int64) (int, error) {
 	return n, errEOF
 }
 
+// ReadBatch fills every range of guest bytes as ReadAt would — a range past
+// the virtual size fails with io.ErrUnexpectedEOF — but hands the raw extents
+// of all of them to the container as ONE backend.ReadBatch, so over a remote
+// container the whole batch is in flight at once. Zero extents are cleared;
+// any other extent (compressed, partially valid, deferred to this image's
+// own backing) is served through readExtents after the batch.
+func (img *Image) ReadBatch(rs []backend.Range) error {
+	if err := img.enterRead(); err != nil {
+		return err
+	}
+	defer img.readers.Done()
+	size := int64(img.hdr.Size)
+	extp := img.getExtents()
+	defer img.putExtents(extp)
+	var raw, slow []backend.Range
+	for _, r := range rs {
+		end := r.Off + int64(len(r.P))
+		if r.Off < 0 || end > size {
+			return io.ErrUnexpectedEOF
+		}
+		img.stats.GuestReadOps.Add(1)
+		img.stats.GuestReadBytes.Add(int64(len(r.P)))
+		exts, _, err := img.translateExtents(r.Off, end, (*extp)[:0])
+		*extp = exts
+		if err != nil {
+			return err
+		}
+		for _, e := range exts {
+			seg := r.P[e.pos-r.Off : e.pos-r.Off+e.length]
+			switch e.kind {
+			case extRaw:
+				if !img.mappedRead(seg, e.dataOff) {
+					raw = append(raw, backend.Range{P: seg, Off: e.dataOff})
+				}
+				if img.isCache {
+					img.stats.LocalBytes.Add(e.length)
+				}
+			case extZero:
+				clear(seg)
+			default:
+				slow = append(slow, backend.Range{P: seg, Off: e.pos})
+			}
+		}
+	}
+	if err := backend.ReadBatch(img.f, raw); err != nil {
+		return err
+	}
+	for _, r := range slow {
+		if _, err := img.readExtents(r.P, r.Off, extp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // readExtents serves p (clamped to the virtual size) starting at guest
 // offset off: translate the remainder into extents under one shared-lock
 // acquisition, serve each extent lock-free, and re-translate whenever a fill

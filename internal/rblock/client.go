@@ -48,11 +48,6 @@ type Client struct {
 
 	timeout time.Duration
 
-	// maxInflight overrides clientMaxInflightSegments when positive; warm
-	// plans with multi-megabyte fetches raise it so one large fetch
-	// saturates the pipe (SetMaxInflight).
-	maxInflight atomic.Int32
-
 	// bumpedRcvbuf records that the receive buffer was enlarged for jumbo
 	// zero-copy replies (done once, on the first jumbo-advertised open).
 	bumpedRcvbuf atomic.Bool
@@ -540,6 +535,7 @@ func (c *Client) Open(name string, readOnly bool) (*RemoteFile, error) {
 type segment struct {
 	start int // offset into p
 	n     int
+	r     int // ReadBatch: index of the range the segment reads into
 }
 
 // segments appends total split into segSize-bounded pieces to segs (pass a
@@ -574,24 +570,7 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, ErrBadRequest
 	}
 	readSeg := func(s segment) (int, error) {
-		dst := p[s.start : s.start+s.n]
-		req := getFrame()
-		req.op = OpRead
-		req.handle = f.handle
-		req.offset = uint64(off + int64(s.start))
-		req.aux = uint64(s.n)
-		resp, err := f.c.roundTrip(req, dst)
-		if err != nil {
-			return 0, err
-		}
-		n := len(resp.payload)
-		if n > 0 && &resp.payload[0] != &dst[0] {
-			// Pooled delivery (the read loop declined in-place delivery,
-			// e.g. an oversized reply): copy out as before.
-			n = copy(dst, resp.payload)
-		}
-		putFrame(resp)
-		return n, nil
+		return f.readInto(p[s.start:s.start+s.n], off+int64(s.start))
 	}
 	sp := f.c.getSegs()
 	defer f.c.putSegs(sp)
@@ -623,6 +602,62 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 		}
 	}
 	return done, err
+}
+
+// ReadBatch fills every range with ReadFull's rules — a range past the remote
+// end fails with io.ErrUnexpectedEOF — keeping the segments of all of them in
+// flight together, up to the same per-request cap as one large ReadAt: a
+// batch of small reads costs about one round trip, not one per range.
+func (f *RemoteFile) ReadBatch(rs []backend.Range) error {
+	sp := f.c.getSegs()
+	defer f.c.putSegs(sp)
+	segs, segSize := *sp, f.readSegSize()
+	for i, r := range rs {
+		if r.Off < 0 {
+			return ErrBadRequest
+		}
+		first := len(segs)
+		segs = f.segments(segs, len(r.P), segSize)
+		for j := first; j < len(segs); j++ {
+			segs[j].r = i
+		}
+	}
+	*sp = segs
+	ns, err := f.inParallel(segs, func(s segment) (int, error) {
+		r := rs[s.r]
+		return f.readInto(r.P[s.start:s.start+s.n], r.Off+int64(s.start))
+	})
+	if err != nil {
+		return err
+	}
+	for i, s := range segs {
+		if ns[i] < s.n {
+			return io.ErrUnexpectedEOF
+		}
+	}
+	return nil
+}
+
+// readInto is one read request for dst at off; a short count means the
+// remote end.
+func (f *RemoteFile) readInto(dst []byte, off int64) (int, error) {
+	req := getFrame()
+	req.op = OpRead
+	req.handle = f.handle
+	req.offset = uint64(off)
+	req.aux = uint64(len(dst))
+	resp, err := f.c.roundTrip(req, dst)
+	if err != nil {
+		return 0, err
+	}
+	n := len(resp.payload)
+	if n > 0 && &resp.payload[0] != &dst[0] {
+		// Pooled delivery (the read loop declined in-place delivery,
+		// e.g. an oversized reply): copy out as before.
+		n = copy(dst, resp.payload)
+	}
+	putFrame(resp)
+	return n, nil
 }
 
 // WriteAt writes remotely in rwsize segments, pipelined like ReadAt.
@@ -676,38 +711,15 @@ func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
 	return done, nil
 }
 
-// SetMaxInflight overrides how many segments of one large ReadAt/WriteAt are
-// pipelined concurrently (default clientMaxInflightSegments). Warmers
-// issuing multi-megabyte coalesced fetches raise it so a single deep request
-// keeps the connection full; n < 1 restores the default. Safe to call
-// concurrently with I/O — in-flight requests keep the depth they started
-// with.
-func (c *Client) SetMaxInflight(n int) {
-	if n < 1 {
-		n = 0
-	}
-	c.maxInflight.Store(int32(n))
-}
-
-// inflightCap reports the current per-request segment pipelining depth.
-func (c *Client) inflightCap() int {
-	if n := c.maxInflight.Load(); n > 0 {
-		return int(n)
-	}
-	return clientMaxInflightSegments
-}
-
 // inParallel runs op over every segment with bounded concurrency and returns
 // per-segment completed byte counts plus the first error in segment order.
-// A fixed pool of inflightCap workers claims segments via an atomic cursor —
-// a 64-segment read spawns at most inflightCap goroutines, not 64.
+// A fixed pool of clientMaxInflightSegments workers claims segments via an
+// atomic cursor — a 64-segment read spawns at most that many goroutines, not
+// 64.
 func (f *RemoteFile) inParallel(segs []segment, op func(segment) (int, error)) ([]int, error) {
 	ns := make([]int, len(segs))
 	errs := make([]error, len(segs))
-	workers := f.c.inflightCap()
-	if workers > len(segs) {
-		workers = len(segs)
-	}
+	workers := min(clientMaxInflightSegments, len(segs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
