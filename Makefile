@@ -5,7 +5,8 @@ GO ?= go
 # The full verification gate: lint (gofmt + vet + staticcheck when
 # installed), build, the plain test suite, and the race-detector pass (which
 # includes the concurrency stress tests in internal/qcow and internal/rblock;
-# three tests that once flaked or race a fill run 20 times more).
+# four tests that once flaked or race a fill or a vectored read run 20 times
+# more).
 check: lint build test race
 
 # lint fails on unformatted files and vet findings; staticcheck runs when the
@@ -35,17 +36,19 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders' ./internal/backend/ ./internal/cachemgr/ ./internal/qcow/
+	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders|TestReadBatchRacing' ./internal/backend/ ./internal/cachemgr/ ./internal/qcow/ ./internal/rblock/
 
 # fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
 # `make test` already replays): the decoders a crash (pack records), a peer
-# (chunk manifests) or any container (qcow headers) can feed arbitrary bytes. One target per invocation is a
+# (chunk manifests), any container (qcow headers) or any client (OpReadV
+# payloads) can feed arbitrary bytes. One target per invocation is a
 # `go test -fuzz` rule.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPackScan -fuzztime $(FUZZTIME) ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzHeader -fuzztime $(FUZZTIME) ./internal/qcow
+	$(GO) test -run '^$$' -fuzz FuzzReadV -fuzztime $(FUZZTIME) ./internal/rblock
 
 # integration launches real rblockd + vmicached processes on loopback ports
 # and drives a multi-node provisioning round end to end (cold warm with

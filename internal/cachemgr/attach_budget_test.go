@@ -15,17 +15,19 @@ import (
 // TestAttachStorageBudget pins what the storage node serves for base-image
 // metadata, in exact requests and bytes, on a 1 GiB base of 64 KiB clusters
 // (the bench/e2e geometry). An open reads the header with one 512 B probe,
-// and a read-only open loads no refcount table, so:
+// and a read-only open loads no refcount table; the §4.3 probe opens the
+// base read-only first, and a base that is not a cache stays so:
 //
-//	warm attach, read-only open:     header 512 + L1 16                    2 reads     528 B
-//	cold warm, sizing the base:      header 512                            1 read      512 B
-//	cold warm, §4.3 writable probe:  header 512 + L1 16 + refcount 65,536  3 reads  66,064 B
-//	cold warm, read-only reopen:     header 512 + L1 16                    2 reads     528 B
+//	warm attach, read-only open:     header 512 + L1 16      2 reads   528 B
+//	cold warm, sizing the base:      header 512              1 read    512 B
+//	cold warm, read-only open:       header 512 + L1 16      2 reads   528 B
 //
-// The cold warm here replays no spans, so every byte it reads is metadata.
-// The last subtest pins the probe itself at four cluster sizes.
+// The cold warm here replays no spans, so every byte it reads is metadata,
+// and it syncs nothing on the storage node: the base was never opened
+// writable. The last subtest pins the probe itself at four cluster sizes.
 func TestAttachStorageBudget(t *testing.T) {
-	s := newStorageNode(t)
+	log := newOpLog()
+	s := newStorageNodeOver(t, func(st backend.Store) backend.Store { return logStore{st, log} })
 	const base = "base.img"
 	if err := core.CreateBase(core.NewNamespace("s", s.store), core.Locator{Store: "s", Name: base},
 		1<<30, 16, nil); err != nil {
@@ -52,7 +54,13 @@ func TestAttachStorageBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		lease.Release()
-		expect(t, r0, b0, 1+3+2, 512+(512+16+64<<10)+(512+16))
+		expect(t, r0, b0, 1+2, 512+(512+16))
+		// Sizing, then the chain's read-only open (each open stats twice:
+		// the server sizes the handle, the image asks its size); no sync.
+		want := []string{"open", "stat", "stat", "read", "close", "open", "stat", "stat", "read", "read", "close"}
+		if ops := kinds(log.take(base)); !slices.Equal(ops, want) {
+			t.Errorf("the storage node served %v for the base during a cold warm, want %v", ops, want)
+		}
 	})
 	t.Run("warm attach", func(t *testing.T) {
 		r0, b0 := served()

@@ -637,7 +637,7 @@ func (m *Manager) recover() error {
 	}
 	sort.Slice(pubs, func(i, j int) bool { return pubs[i].mtime.Before(pubs[j].mtime) })
 	for _, p := range pubs {
-		if _, _, ok := m.admit(p.name, p.size, false); !ok {
+		if _, ok := m.admit(p.name, qcow.NewTables(), p.size, false); !ok {
 			// Larger than the whole budget: cannot be kept.
 			os.Remove(filepath.Join(m.dir, p.name)) //nolint:errcheck // best-effort drop
 			m.logf("cachemgr: dropped %s (%d bytes exceeds budget %d)", p.name, p.size, m.cfg.Budget)
@@ -646,10 +646,10 @@ func (m *Manager) recover() error {
 	return nil
 }
 
-// admit pools a published cache under a fresh table set, installed first.
-// With pin it is admitted pinned, for a lease on that set (publish).
-func (m *Manager) admit(key string, size int64, pin bool) (t *qcow.Tables, evicted []string, ok bool) {
-	t = qcow.NewTables()
+// admit pools a published cache under table set t, installed first: an
+// empty one at recovery (a session fills it), the one its verify filled at
+// publish. With pin it is admitted pinned, for a lease on that set (publish).
+func (m *Manager) admit(key string, t *qcow.Tables, size int64, pin bool) (evicted []string, ok bool) {
 	m.swapTables(key, t)
 	add := m.pool.Add
 	if pin {
@@ -657,9 +657,9 @@ func (m *Manager) admit(key string, size int64, pin bool) (t *qcow.Tables, evict
 	}
 	if evicted, ok = add(key, size); !ok {
 		m.swapTables(key, nil)
-		return nil, nil, false
+		return nil, false
 	}
-	return t, evicted, true
+	return evicted, true
 }
 
 // swapTables installs t as key's set (nil forgets it) and retires the old

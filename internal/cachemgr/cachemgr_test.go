@@ -29,9 +29,19 @@ type storageNode struct {
 }
 
 func newStorageNode(t testing.TB) *storageNode {
+	return newStorageNodeOver(t, nil)
+}
+
+// newStorageNodeOver is newStorageNode whose server sees its store through
+// wrap (nil: directly); base images are still written to the store itself.
+func newStorageNodeOver(t testing.TB, wrap func(backend.Store) backend.Store) *storageNode {
 	t.Helper()
 	store := backend.NewMemStore()
-	srv := rblock.NewServer(store, rblock.ServerOpts{})
+	var served backend.Store = store
+	if wrap != nil {
+		served = wrap(store)
+	}
+	srv := rblock.NewServer(served, rblock.ServerOpts{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("storage listen: %v", err)

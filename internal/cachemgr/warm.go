@@ -186,25 +186,46 @@ func (m *Manager) corWarm(base, tmpName string) error {
 	return chain.Close()
 }
 
-// warmWrap applies the test failure-injection hook to the warming temp
-// container (chain depth 0) only.
+// warmWrap wraps the warming temp container (chain depth 0) — outermost
+// in noSync, inside that in the test failure-injection hook — and leaves the
+// backing alone. Both warms that use it, corWarm and swarmWarm, end in
+// publish, whose fsync is the temp's one.
 func (m *Manager) warmWrap(_ core.Locator, f backend.File, depth int) backend.File {
-	if depth == 0 && m.cfg.WrapWarmFile != nil {
-		return m.cfg.WrapWarmFile(f)
+	if depth != 0 {
+		return f
 	}
-	return f
+	if m.cfg.WrapWarmFile != nil {
+		f = m.cfg.WrapWarmFile(f)
+	}
+	return noSync{f}
+}
+
+// noSync is a warming temp as its chain sees it: Sync does nothing, so the
+// chain's Close stamps the cache's used size but does not fsync. publish
+// fsyncs the temp beside its verify, and the rename waits for that fsync.
+// The writeback hint of each committed window still reaches the file.
+type noSync struct{ backend.File }
+
+func (noSync) Sync() error { return nil }
+
+func (f noSync) StartWriteback(off, n int64) {
+	if wb, ok := f.File.(interface{ StartWriteback(off, n int64) }); ok {
+		wb.StartWriteback(off, n)
+	}
 }
 
 // openTemp opens a warmed temp for publish; tests swap it to watch or fault it.
 var openTemp = func(path string, ro bool) (backend.File, error) { return backend.OpenOSFile(path, ro) }
 
 // publish is the crash-safe commit point: verify the warmed temp with a full
-// qcow.Check while its fsync runs, and only when both succeeded mark it
-// immutable, rename it into the published name, and sync the directory so
-// the rename is durable. Only then does the cache enter the pool and become
-// attachable — admitted pinned, for the lease publish returns, so no other
-// publication can evict it before its warmer holds it. A crash anywhere
-// before the rename leaves only a temp file, which recovery discards.
+// qcow.Check while its fsync — the temp's only one after its creation — runs,
+// and only when both succeeded mark it immutable, rename it into the
+// published name, and sync the directory so the rename is durable. Only then
+// does the cache enter the pool and become attachable — admitted pinned, for
+// the lease publish returns, under the table set the verify filled — so no
+// other publication can evict it before its warmer holds it. A crash
+// anywhere before the rename leaves only a temp file, which recovery
+// discards.
 //
 // Every temp is verified read-only: a chain's Close stamped copy-on-read and
 // swarm temps, a peer copy carries the peer's stamp, and a temp materialized
@@ -220,8 +241,11 @@ func (m *Manager) publish(key string, from *dedup.Manifest) (*Lease, error) {
 	}
 	synced := make(chan error, 1)
 	go func() { synced <- f.Sync() }()
-	// The image's Close leaves f open for the fsync; f closes after both.
-	img, err := qcow.OpenVerified(backend.NopClose(f), qcow.OpenOpts{ReadOnly: true})
+	// The verify fills the cache's table set as it checks, so the first
+	// session decodes none of them again. The image's Close leaves f open
+	// for the fsync; f closes after both.
+	tables := qcow.NewTables()
+	img, err := qcow.OpenVerified(backend.NopClose(f), qcow.OpenOpts{ReadOnly: true, Tables: tables})
 	if err != nil {
 		err = fmt.Errorf("cachemgr: verifying %s: %w", key, err)
 	} else {
@@ -243,7 +267,7 @@ func (m *Manager) publish(key string, from *dedup.Manifest) (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables, evicted, ok := m.admit(key, fi.Size(), true)
+	evicted, ok := m.admit(key, tables, fi.Size(), true)
 	if !ok {
 		os.Remove(pubPath) //nolint:errcheck // cannot keep it anyway
 		return nil, fmt.Errorf("cachemgr: %s (%d bytes) exceeds the node cache budget (%d)",

@@ -84,15 +84,15 @@ type ChainOpts struct {
 	// TopReadOnly opens the whole chain without write permission.
 	TopReadOnly bool
 
-	// BackingReadOnly opens every backing image read-only, skipping the
-	// §4.3 read-write probe entirely. This is the attach path for
+	// BackingReadOnly keeps every backing image read-only, a cache too,
+	// skipping the §4.3 read-write re-open. This is the attach path for
 	// published immutable caches (internal/cachemgr): the cache is
 	// already warm, must not be mutated, and may sit on a file whose
 	// permissions forbid writing.
 	BackingReadOnly bool
 
-	// Tables is the shared table set of the image below the top, taken when
-	// it opens read-only (cachemgr passes a published cache's set); its raw
+	// Tables is the shared table set of the image below the top, taken with
+	// BackingReadOnly (cachemgr passes a published cache's set); its raw
 	// reads then copy from the set's mapping of the file.
 	Tables *qcow.Tables
 
@@ -169,11 +169,13 @@ func (c *Chain) Close() error {
 
 // OpenChain opens the image at loc and its full backing chain.
 //
-// It reproduces the permission handling described in §4.3: every backing
-// image is first opened read-write (a cache image needs write permission to
-// warm itself); once parsed, an image that turns out not to be a cache is
-// re-opened read-only. A base whose container is not an image file at all is
-// attached as a raw source.
+// It reaches the permission outcome of §4.3 — a cache image writable so it
+// can warm itself, every other backing image read-only — in the other order:
+// every backing image is first opened read-only, and only one whose header
+// says it is a cache is re-opened read-write, so a non-cache base costs one
+// read-only open (header and L1): no refcount table, and no sync of a file
+// the chain never writes. A base whose container is not an image file at all
+// is attached as a raw source.
 func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 	c := &Chain{}
 	seen := map[string]bool{}
@@ -195,11 +197,10 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 			c.Close() //nolint:errcheck
 			return nil, err
 		}
-		// First open read-write unless the caller wants the very top
-		// read-only too ("the default flag for the backing images is
-		// read-only ... we first open the backing image with read and
-		// write permissions").
-		ro := opts.TopReadOnly && depth == 0 || opts.BackingReadOnly && depth > 0
+		// The top opens read-write unless the caller wants it read-only;
+		// a backing image opens read-only first ("the default flag for the
+		// backing images is read-only").
+		ro := opts.TopReadOnly || depth > 0
 		f, err := st.Open(cur.Name, ro)
 		if err != nil {
 			c.Close() //nolint:errcheck
@@ -209,7 +210,7 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 			f = opts.WrapFile(cur, f, depth)
 		}
 		var tables *qcow.Tables
-		if depth == 1 {
+		if depth == 1 && opts.BackingReadOnly {
 			tables = opts.Tables
 		}
 		img, err := qcow.Open(f, qcow.OpenOpts{ReadOnly: ro, Tables: tables})
@@ -230,26 +231,26 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 			c.Close() //nolint:errcheck
 			return nil, fmt.Errorf("core: parsing %s: %w", key, err)
 		}
-		// "If we detect that the image is not a cache image, we re-open
-		// the image with read-only permission." (§4.3)
-		if depth > 0 && !img.IsCache() && !ro {
+		// A cache backing image needs write permission to warm itself
+		// (§4.3): re-open it read-write.
+		if depth > 0 && img.IsCache() && !opts.BackingReadOnly {
 			if err := img.Close(); err != nil {
 				c.Close() //nolint:errcheck
 				return nil, err
 			}
-			f, err = st.Open(cur.Name, true)
+			f, err = st.Open(cur.Name, false)
 			if err != nil {
 				c.Close() //nolint:errcheck
-				return nil, err
+				return nil, fmt.Errorf("core: opening %s: %w", key, err)
 			}
 			if opts.WrapFile != nil {
 				f = opts.WrapFile(cur, f, depth)
 			}
-			img, err = qcow.Open(f, qcow.OpenOpts{ReadOnly: true, Tables: tables})
+			img, err = qcow.Open(f, qcow.OpenOpts{})
 			if err != nil {
 				f.Close() //nolint:errcheck
 				c.Close() //nolint:errcheck
-				return nil, err
+				return nil, fmt.Errorf("core: parsing %s: %w", key, err)
 			}
 		}
 		if len(c.Images) > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmicache/internal/backend"
@@ -230,28 +231,87 @@ func TestOpenChainMissingFile(t *testing.T) {
 	}
 }
 
+// modeStore records every open of its store as "name:ro" or "name:rw".
+type modeStore struct {
+	backend.Store
+	opens *[]string
+}
+
+func (s modeStore) Open(name string, ro bool) (backend.File, error) {
+	mode := ":rw"
+	if ro {
+		mode = ":ro"
+	}
+	*s.opens = append(*s.opens, name+mode)
+	return s.Store.Open(name, ro)
+}
+
+// TestWrapFileSeesEveryLevel pins the §4.3 open order: a backing image opens
+// read-only, once, unless its header says it is a cache — then it re-opens
+// read-write, unless the chain keeps its backing read-only.
 func TestWrapFileSeesEveryLevel(t *testing.T) {
 	env := newTestEnv(t, mb)
 	base := Locator{Store: "nfs", Name: "base.img"}
-	cow := Locator{Store: "disk", Name: "w.cow"}
-	if err := CreateCoW(env.ns, cow, base, env.size, 0); err != nil {
+	cache := Locator{Store: "disk", Name: "c.cache"}
+	if err := CreateCache(env.ns, cache, base, env.size, 2*mb, 0); err != nil {
 		t.Fatal(err)
 	}
-	var seen []string
-	c, err := OpenChain(env.ns, cow, ChainOpts{
-		WrapFile: func(loc Locator, f backend.File, depth int) backend.File {
-			seen = append(seen, loc.String())
-			return f
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var opens []string
+	env.ns.Register("nfs", modeStore{env.nfs, &opens})
+	env.ns.Register("disk", modeStore{env.disk, &opens})
+	for _, tc := range []struct {
+		name   string
+		top    Locator
+		opts   ChainOpts
+		opens  []string
+		wraps  []string
+		writes bool // the cache image is writable
+	}{
+		{name: "non-cache base", top: Locator{Store: "disk", Name: "w.cow"}, opens: []string{"w.cow:rw", "base.img:ro"},
+			wraps: []string{"disk:w.cow", "nfs:base.img"}},
+		{name: "cache backing", top: Locator{Store: "disk", Name: "cw.cow"},
+			opens: []string{"cw.cow:rw", "c.cache:ro", "c.cache:rw", "base.img:ro"},
+			wraps: []string{"disk:cw.cow", "disk:c.cache", "disk:c.cache", "nfs:base.img"}, writes: true},
+		{name: "cache backing kept read-only", top: Locator{Store: "disk", Name: "cw.cow"},
+			opts:  ChainOpts{BackingReadOnly: true},
+			opens: []string{"cw.cow:rw", "c.cache:ro", "base.img:ro"},
+			wraps: []string{"disk:cw.cow", "disk:c.cache", "nfs:base.img"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backing := base
+			if tc.top.Name == "cw.cow" {
+				backing = cache
+			}
+			if err := CreateCoW(env.ns, tc.top, backing, env.size, 0); err != nil {
+				t.Fatal(err)
+			}
+			opens = opens[:0]
+			var wraps []string
+			tc.opts.WrapFile = func(loc Locator, f backend.File, depth int) backend.File {
+				wraps = append(wraps, loc.String())
+				return f
+			}
+			c, err := OpenChain(env.ns, tc.top, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close() //nolint:errcheck
+			if !slices.Equal(opens, tc.opens) || !slices.Equal(wraps, tc.wraps) {
+				t.Fatalf("opens %v, wraps %v; want %v, %v", opens, wraps, tc.opens, tc.wraps)
+			}
+			ci := c.CacheImage()
+			if got := ci != nil && !readOnly(ci); got != tc.writes {
+				t.Fatalf("cache image writable = %v, want %v", got, tc.writes)
+			}
+		})
 	}
-	defer c.Close() //nolint:errcheck
-	// base.img appears twice: RW probe then RO re-open.
-	if len(seen) != 3 || seen[0] != "disk:w.cow" || seen[1] != "nfs:base.img" || seen[2] != "nfs:base.img" {
-		t.Fatalf("wrap sequence: %v", seen)
-	}
+}
+
+// readOnly reports whether img was opened read-only: its guest writes fail
+// with ErrReadOnly (a writable cache's with ErrCacheImmutable).
+func readOnly(img *qcow.Image) bool {
+	_, err := img.WriteAt([]byte{0}, 0)
+	return errors.Is(err, qcow.ErrReadOnly)
 }
 
 func TestWarmPopulatesCache(t *testing.T) {

@@ -223,20 +223,27 @@ func (img *Image) Check() (*CheckResult, error) {
 // manager: a cache is only renamed into its published (immutable) name after
 // OpenVerified succeeds on the warmed temp file, so a partially-written or
 // torn container can never be served.
+//
+// A read-only open given an empty, unretired opts.Tables fills it as it
+// checks — the L1 and every L2 table the Check decodes — so the published
+// file's first sessions read none of them again. A set that fails the check
+// is retired; a set that is already filled is not taken (the check reads
+// this file's own tables).
 func OpenVerified(f backend.File, opts OpenOpts) (*Image, error) {
-	opts.Tables = nil
-	img, err := Open(f, opts)
+	img, err := open(f, opts, true)
 	if err != nil {
 		return nil, err
 	}
 	res, err := img.Check()
+	if err == nil && !res.OK() {
+		err = fmt.Errorf("%w: %s", ErrCorrupt, res.Errors[0])
+	}
 	if err != nil {
+		if img.tables != nil {
+			img.tables.Retire()
+		}
 		img.Close() //nolint:errcheck // already failing
 		return nil, err
-	}
-	if !res.OK() {
-		img.Close() //nolint:errcheck
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, res.Errors[0])
 	}
 	return img, nil
 }

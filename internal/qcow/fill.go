@@ -68,7 +68,7 @@ func (img *Image) claimRun(vc, max int64) (f *fill, leader bool) {
 			n = g.vc - vc // truncate at the next claimed interval
 		}
 	}
-	f = &fill{vc: vc, claimed: n, done: make(chan struct{}), pool: &img.sbuf}
+	f = &fill{vc: vc, claimed: n, done: make(chan struct{}), pool: &spanBufs}
 	f.refs.Store(1)
 	img.fills = append(img.fills, f)
 	return f, true
@@ -180,10 +180,10 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 		}
 	}
 	readLen := minI64(fetchEnd, int64(img.hdr.Size)) - fetchStart
-	buf := img.sbuf.get(int(fetchEnd - fetchStart))
+	buf := spanBufs.get(int(fetchEnd - fetchStart))
 	clear(buf[readLen:])
 	if err := img.readBacking(backing, buf[:readLen], fetchStart); err != nil {
-		img.sbuf.put(buf)
+		spanBufs.put(buf)
 		f.err = err
 		return
 	}
@@ -207,7 +207,7 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 		}
 		if err != nil {
 			img.mu.Unlock()
-			img.sbuf.put(buf)
+			spanBufs.put(buf)
 			f.err = err
 			return
 		}
@@ -228,7 +228,7 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 		f.buf = buf
 		return
 	}
-	img.sbuf.put(buf)
+	spanBufs.put(buf)
 }
 
 // setCacheFull trips the §4.3 space error. Caller holds img.mu exclusively.

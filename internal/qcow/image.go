@@ -109,7 +109,8 @@ type OpenOpts struct {
 	ReadOnly bool
 
 	// Tables is the table set the read-only opens of an immutable file share
-	// (see Tables); writable opens and OpenVerified ignore it.
+	// (see Tables); writable opens ignore it, and OpenVerified takes only an
+	// empty one, which its Check fills.
 	Tables *Tables
 }
 
@@ -145,11 +146,10 @@ type Image struct {
 
 	// cbuf pools cluster-sized scratch buffers (CoW merges, metadata
 	// zeroing, L2 decodes), shared by every image of the cluster size, so a
-	// short-lived CoW top reuses the last one's; sbuf pools variable-length
-	// fill spans; extPool pools the per-ReadAt mapped-extent slices (stored
-	// as *[]mappedExtent so recycling does not allocate).
+	// short-lived CoW top reuses the last one's; extPool pools the
+	// per-ReadAt mapped-extent slices (stored as *[]mappedExtent so
+	// recycling does not allocate). Fill spans come from spanBufs.
 	cbuf    *bufPool
-	sbuf    bufPool
 	extPool sync.Pool
 
 	// l1 is the in-memory L1 table (write-through).
@@ -326,11 +326,17 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 	return img, nil
 }
 
-// Open parses the image in f. The §4.3 permission dance (open backing files
-// read-write, then re-open read-only when they turn out not to be cache
-// images) is realised by the caller choosing opts.ReadOnly from
-// Header.IsCache; see chain.OpenChain.
+// Open parses the image in f. The §4.3 permission dance (a backing file
+// opens read-only and re-opens read-write when it turns out to be a cache
+// image) is realised by the caller choosing opts.ReadOnly from IsCache; see
+// core.OpenChain.
 func Open(f backend.File, opts OpenOpts) (*Image, error) {
+	return open(f, opts, false)
+}
+
+// open is Open; with fresh, a set that is already filled is not taken (the
+// image reads its own L1), so the tables are this file's.
+func open(f backend.File, opts OpenOpts, fresh bool) (*Image, error) {
 	sz, err := f.Size()
 	if err != nil {
 		return nil, err
@@ -359,7 +365,7 @@ func Open(f backend.File, opts OpenOpts) (*Image, error) {
 	}
 	shared := false
 	if opts.ReadOnly && opts.Tables != nil {
-		if shared, err = opts.Tables.attach(img, sz); err != nil {
+		if shared, err = opts.Tables.attach(img, sz, fresh); err != nil {
 			return nil, err
 		}
 	}

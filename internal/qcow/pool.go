@@ -9,15 +9,17 @@ import "sync"
 // buffer whose capacity is too small is simply dropped for the GC.
 //
 // Images of one cluster size share a pool of cluster-sized metadata/CoW
-// scratch (clusterBufs); each image keeps its own sbuf for variable-length
-// fill spans (sizes converge on the guest's request size, so reuse is high
-// in practice). Table reads decode through tableBufs.
+// scratch (clusterBufs); every image shares spanBufs for variable-length
+// fill spans and plan windows, so a fresh warm image reuses the last one's
+// multi-MiB window buffers instead of allocating and zeroing its own. Table
+// reads decode through tableBufs.
 type bufPool struct {
 	p sync.Pool
 }
 
 var (
 	clusterBufs [MaxClusterBits + 1]bufPool
+	spanBufs    bufPool
 	tableBufs   bufPool
 )
 

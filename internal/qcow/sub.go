@@ -289,13 +289,13 @@ func (img *Image) subLeadFill(f *fill, vc int64, required uint64, backing BlockS
 		segStart := vc*cs + s0*s.subSize
 		segLen := (s1 - s0) * s.subSize
 		fetchLen := minI64(segLen, s.size-segStart)
-		buf := img.sbuf.get(int(segLen))
+		buf := spanBufs.get(int(segLen))
 		clear(buf[fetchLen:])
 		err := img.readBacking(backing, buf[:fetchLen], segStart)
 		if err == nil {
 			err = backend.WriteFull(img.f, buf, dataOff+s0*s.subSize)
 		}
-		img.sbuf.put(buf)
+		spanBufs.put(buf)
 		if err != nil {
 			f.err = err
 			return

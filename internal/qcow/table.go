@@ -230,11 +230,12 @@ func (t *Tables) Mappings() (maps, unmaps int) {
 }
 
 // attach points a read-only image at the set, filling the set from img's
-// container first if it is empty; false means retired: img reads its own.
-func (t *Tables) attach(img *Image, sz int64) (bool, error) {
+// container first if it is empty; false means retired, or filled when fresh
+// asks for an empty set: img reads its own.
+func (t *Tables) attach(img *Image, sz int64, fresh bool) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.retired {
+	if t.retired || fresh && t.hdr != nil {
 		return false, nil
 	}
 	if t.hdr == nil {

@@ -2,6 +2,7 @@ package qcow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"sync"
@@ -94,9 +95,60 @@ func TestSharedTablesReadOnce(t *testing.T) {
 	}
 }
 
-// TestSharedTablesIgnored: writable opens, OpenVerified and opens of a
-// retired set read their own L1; a set filled from another image's header is
-// refused.
+// TestOpenVerifiedFillsTables: a verify given an empty set fills it with the
+// L1 and every L2 table its Check decodes, so the next open of the file reads
+// only the header probe and decodes no table; a verify that fails retires the
+// set it was given, so no open takes its tables.
+func TestOpenVerifiedFillsTables(t *testing.T) {
+	mem, want := tablesImage(t)
+	set := NewTables()
+	img, err := OpenVerified(backend.NopClose(mem), OpenOpts{ReadOnly: true, Tables: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := img.Stats().L2CacheMisses.Load(); m != 32 {
+		t.Fatalf("the verify decoded %d L2 tables, want 32", m)
+	}
+	if err := img.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next, pr := openAndRead(t, mem, want, OpenOpts{ReadOnly: true, Tables: set})
+	defer next.Close() //nolint:errcheck // read-only
+	if len(pr.open) != 1 || pr.open[0] != 0 {
+		t.Fatalf("the open after the verify read %v, want the header probe only", pr.open)
+	}
+	if m := next.Stats().L2CacheMisses.Load(); m != 0 {
+		t.Fatalf("the open after the verify decoded %d L2 tables, want 0", m)
+	}
+
+	// Point an L2 entry between clusters: the check fails.
+	sz, _ := mem.Size()
+	raw := make([]byte, sz)
+	if err := backend.ReadFull(mem, raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	bad := backend.NewMemFile()
+	if err := backend.WriteFull(bad, raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	l2 := int64(next.l1[0] & entryOffsetMask)
+	if err := backend.WriteFull(bad, binary.BigEndian.AppendUint64(nil, 0x12345), l2); err != nil {
+		t.Fatal(err)
+	}
+	failed := NewTables()
+	if _, err := OpenVerified(backend.NopClose(bad), OpenOpts{ReadOnly: true, Tables: failed}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("verify of a damaged file: %v, want ErrCorrupt", err)
+	}
+	img, pr = openAndRead(t, mem, want, OpenOpts{ReadOnly: true, Tables: failed})
+	img.Close() //nolint:errcheck // read-only
+	if len(pr.open) < 2 {
+		t.Fatalf("an open took the tables of a failed verify (it read only %v)", pr.open)
+	}
+}
+
+// TestSharedTablesIgnored: writable opens, OpenVerified given a filled set
+// and opens of a retired set read their own L1; a set filled from another
+// image's header is refused.
 func TestSharedTablesIgnored(t *testing.T) {
 	mem, want := tablesImage(t)
 	set := NewTables()

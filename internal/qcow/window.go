@@ -80,7 +80,7 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 			p.f.release()
 		}
 		if buf != nil && !waited {
-			img.sbuf.put(buf)
+			spanBufs.put(buf)
 		}
 	}()
 	for _, r := range runs {
@@ -135,9 +135,9 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 	// as readBacking does (the final cluster may be partial, a smaller
 	// backing reads as zeros).
 	if need == 0 {
-		buf = img.sbuf.get(int((adv.end - adv.base) * cs))
+		buf = spanBufs.get(int((adv.end - adv.base) * cs))
 	} else {
-		buf = img.sbuf.get(int(admitted * cs))
+		buf = spanBufs.get(int(admitted * cs))
 	}
 	bsz := backing.Size()
 	var rs []backend.Range
@@ -187,7 +187,7 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 		return nil, err
 	}
 	if need > 0 || plan.base != adv.base || plan.end != adv.end || !slices.Equal(plan.dataAt, adv.dataAt) {
-		moved := img.sbuf.get(int((plan.end - plan.base) * cs))
+		moved := spanBufs.get(int((plan.end - plan.base) * cs))
 		for i, j := 0, 0; i < len(pieces); i++ {
 			if p := &pieces[i]; p.fit > 0 {
 				dst := moved[(plan.dataAt[j]-plan.base)*cs:][:p.fit*cs]
@@ -195,7 +195,7 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 				p.data, j = dst, j+1
 			}
 		}
-		img.sbuf.put(buf)
+		spanBufs.put(buf)
 		buf = moved
 	}
 	res := buf[:(plan.end-plan.base)*cs]

@@ -2,8 +2,10 @@ package rblock
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,13 +54,10 @@ func (f *inflightFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestRemoteReadBatch: a batch of ranges, some split into several rwsize
-// segments, lands every byte where it belongs; the storage node serves more
-// than one of the batch's reads at once; a range past the end fails instead
-// of succeeding short; a server-side read error surfaces from the batch and
-// leaves the client usable.
-func TestRemoteReadBatch(t *testing.T) {
-	const rwsize, size = 4096, 200000
+// readVPattern serves a size-byte pattern file over an inflightStore and
+// returns the pattern, the store, the server, and a client with it open.
+func readVPattern(t *testing.T, size int) ([]byte, *inflightStore, *Server, *Client, *RemoteFile) {
+	t.Helper()
 	pat := make([]byte, size)
 	for i := range pat {
 		pat[i] = byte(i*131 + i>>9)
@@ -79,13 +78,30 @@ func TestRemoteReadBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-	c := dial(t, addr, rwsize)
+	c := dial(t, addr, 4096)
 	rf, err := c.Open("img", true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pat, store, srv, c, rf
+}
 
-	spans := [][2]int64{{0, 10}, {150000, 3 * rwsize}, {5000, 1}, {90001, 2*rwsize + 77}, {size - 300, 300}, {40000, rwsize}}
+// TestRemoteReadBatch: a batch of ranges, one larger than a whole request,
+// lands every byte where it belongs across ranges and requests; it costs
+// one OpReadV per MiB, and more than one of them is at the storage node at
+// once; the storage node counts every byte once; a range past the end fails instead of succeeding short; a
+// server-side read error surfaces from the batch and leaves the client
+// usable.
+func TestRemoteReadBatch(t *testing.T) {
+	const size = 3<<20 + 5000
+	pat, store, srv, c, rf := readVPattern(t, size)
+
+	spans := [][2]int64{{0, 10}, {150000, 3 * 4096}, {5000, 1}, {90001, maxReadV + 77},
+		{size - 300, 300}, {2 << 20, 600000}, {40000, 4096}, {1 << 20, 0}}
+	var total int64
+	for _, s := range spans {
+		total += s[1]
+	}
 	batch := func() []backend.Range {
 		rs := make([]backend.Range, len(spans))
 		for i, s := range spans {
@@ -94,6 +110,7 @@ func TestRemoteReadBatch(t *testing.T) {
 		return rs
 	}
 	rs := batch()
+	req0, served0 := c.Stats().Requests, srv.Stats().BytesRead
 	if err := rf.ReadBatch(rs); err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +119,14 @@ func TestRemoteReadBatch(t *testing.T) {
 			t.Fatalf("range %d+%d holds the wrong bytes", r.Off, len(r.P))
 		}
 	}
+	if got, want := c.Stats().Requests-req0, (total+maxReadV-1)/maxReadV; got != want {
+		t.Fatalf("a batch of %d bytes cost %d requests, want %d", total, got, want)
+	}
+	if served := srv.Stats().BytesRead - served0; served != total {
+		t.Fatalf("the storage node counted %d bytes served for a %d-byte batch", served, total)
+	}
 	if peak := store.peak.Load(); peak < 2 {
-		t.Fatalf("the storage node served the batch's reads %d at a time", peak)
+		t.Fatalf("the storage node served the batch's requests %d at a time", peak)
 	}
 
 	past := []backend.Range{{P: make([]byte, 10), Off: 0}, {P: make([]byte, 600), Off: size - 300}}
@@ -111,7 +134,7 @@ func TestRemoteReadBatch(t *testing.T) {
 		t.Fatalf("range past the end: %v, want io.ErrUnexpectedEOF", err)
 	}
 
-	store.failAt.Store(90001 + rwsize) // the second segment of the fourth range
+	store.failAt.Store(2 << 20) // a range of the batch's last request
 	if err := rf.ReadBatch(batch()); !errors.Is(err, ErrRemoteIO) {
 		t.Fatalf("server read fault: %v, want ErrRemoteIO", err)
 	}
@@ -129,5 +152,99 @@ func TestRemoteReadBatch(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Broken != 0 {
 		t.Fatalf("a server read fault broke the client (%d)", st.Broken)
+	}
+}
+
+// TestReadBatchRacing: batches and plain reads of one client race each
+// other; every reply lands in its own caller's ranges (run with -race).
+func TestReadBatchRacing(t *testing.T) {
+	const size = 2 << 20
+	pat, _, _, _, rf := readVPattern(t, size)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 4; it++ {
+				var rs []backend.Range
+				for k := 0; k < 40; k++ {
+					off := int64((g*7919 + it*104729 + k*65537) % (size - 70000))
+					rs = append(rs, backend.Range{P: make([]byte, 1+(g*31+k*977)%70000), Off: off})
+				}
+				if g%3 == 2 {
+					p := make([]byte, 300000)
+					if err := backend.ReadFull(rf, p, int64(g*1000)); err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(p, pat[g*1000:g*1000+len(p)]) {
+						t.Error("a plain read racing batches got the wrong bytes")
+						return
+					}
+					continue
+				}
+				if err := rf.ReadBatch(rs); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, r := range rs {
+					if !bytes.Equal(r.P, pat[r.Off:r.Off+int64(len(r.P))]) {
+						t.Errorf("goroutine %d: range %d+%d holds the wrong bytes", g, r.Off, len(r.P))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestReadVRejectsMalformed: the storage node answers every malformed
+// OpReadV payload StatusBadRequest, counts no read, and keeps serving the
+// connection.
+func TestReadVRejectsMalformed(t *testing.T) {
+	_, addr, srv := newServer(t, ServerOpts{})
+	store := srv.store.(*backend.MemStore)
+	f, err := store.Create("img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.WriteFull(f, make([]byte, 8192), 0); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, addr, 0)
+	rf, err := c.Open("img", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(off uint64, n uint32) []byte {
+		return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, off), n)
+	}
+	cases := map[string][]byte{
+		"no records":              nil,
+		"not a whole record":      rec(0, 10)[:11],
+		"a record and a byte":     append(rec(0, 10), 0),
+		"zero-length range":       append(rec(0, 10), rec(100, 0)...),
+		"total over the cap":      append(rec(0, maxReadV), rec(0, 1)...),
+		"one range over the cap":  rec(0, maxReadV+1),
+		"u32 sum wraps":           append(rec(0, 0xffffffff), rec(0, 2)...),
+		"offset over MaxInt64":    rec(1<<63, 10),
+		"range end over MaxInt64": rec(math.MaxInt64-4, 10),
+	}
+	for name, payload := range cases {
+		req := getFrame()
+		req.op, req.handle, req.payload = OpReadV, rf.handle, payload
+		if _, err := c.roundTrip(req, nil); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: %v, want ErrBadRequest", name, err)
+		}
+	}
+	if st := srv.Stats(); st.ReadOps != 0 || st.BytesRead != 0 {
+		t.Fatalf("malformed requests counted %d reads / %d B", st.ReadOps, st.BytesRead)
+	}
+	if err := rf.ReadBatch([]backend.Range{{P: make([]byte, 100), Off: 8000}}); err != nil {
+		t.Fatalf("read after malformed requests: %v", err)
+	}
+	if st := c.Stats(); st.Broken != 0 {
+		t.Fatalf("malformed requests broke the connection (%d)", st.Broken)
 	}
 }

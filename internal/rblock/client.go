@@ -19,7 +19,7 @@ import (
 const DefaultTimeout = 30 * time.Second
 
 // clientMaxInflightSegments caps how many segments of one large ReadAt /
-// WriteAt are pipelined concurrently.
+// WriteAt, or requests of one ReadBatch, are pipelined concurrently.
 const clientMaxInflightSegments = 8
 
 // Client multiplexes remote files over one pipelined TCP connection:
@@ -65,10 +65,14 @@ type Client struct {
 
 // pendingReq is one awaited response: the waiter's channel plus, for reads,
 // the caller's destination buffer — the read loop lands the payload there
-// directly, so large reads cost no intermediate buffer or copy.
+// directly, so large reads cost no intermediate buffer or copy. An OpReadV
+// waiter gives a scatter list instead (vecLen bytes in all): the payload
+// lands across its pieces in order.
 type pendingReq struct {
-	ch  chan *frame
-	dst []byte
+	ch     chan *frame
+	dst    []byte
+	vec    [][]byte
+	vecLen int
 }
 
 // getChan returns a reply channel for one round trip. Channels are recycled
@@ -259,16 +263,23 @@ func (c *Client) readLoop(br *bufio.Reader) {
 		resp.offset = be.Uint64(hdr[16:])
 		resp.aux = be.Uint64(hdr[28:])
 		if n > 0 {
-			if pr.dst != nil && resp.status == 0 && int(n) <= len(pr.dst) {
-				// In-place delivery; the waiter owns dst until it
-				// receives resp, so this write cannot race it.
+			// In-place and scattered deliveries write buffers the waiter
+			// owns until it receives resp, so they cannot race it.
+			var err error
+			switch {
+			case pr.vec != nil && resp.status == 0 && int(n) <= pr.vecLen:
+				resp.scattered = int(n)
+				err = readScatter(br, pr.vec, int(n))
+			case pr.dst != nil && resp.status == 0 && int(n) <= len(pr.dst):
 				resp.payload = pr.dst[:n]
-			} else {
+				_, err = io.ReadFull(br, resp.payload)
+			default:
 				resp.pooled = c.payloads.get(int(n))
 				resp.ppool = c.payloads
 				resp.payload = (*resp.pooled)[:n]
+				_, err = io.ReadFull(br, resp.payload)
 			}
-			if _, err := io.ReadFull(br, resp.payload); err != nil {
+			if err != nil {
 				putFrame(resp)
 				c.fail(err)
 				close(pr.ch) // no longer pending, so fail did not release it
@@ -277,6 +288,21 @@ func (c *Client) readLoop(br *bufio.Reader) {
 		}
 		pr.ch <- resp
 	}
+}
+
+// readScatter reads n bytes from r across vec's pieces, in order.
+func readScatter(r io.Reader, vec [][]byte, n int) error {
+	for _, v := range vec {
+		if n == 0 {
+			break
+		}
+		v = v[:min(len(v), n)]
+		if _, err := io.ReadFull(r, v); err != nil {
+			return err
+		}
+		n -= len(v)
+	}
+	return nil
 }
 
 // brokenErr reports the fail-fast error for a broken client.
@@ -297,6 +323,12 @@ func (c *Client) brokenErr() error {
 // response's payload in place (the response then aliases it); the caller
 // must own dst until the response arrives.
 func (c *Client) roundTrip(req *frame, dst []byte) (*frame, error) {
+	return c.roundTripTo(req, pendingReq{dst: dst})
+}
+
+// roundTripTo is roundTrip with the response's destination in pr (its
+// channel is filled here): dst, or an OpReadV scatter list.
+func (c *Client) roundTripTo(req *frame, pr pendingReq) (*frame, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -316,7 +348,8 @@ func (c *Client) roundTrip(req *frame, dst []byte) (*frame, error) {
 	defer c.ctr.inflight.Add(-1)
 	c.nextID++
 	req.id = c.nextID
-	c.pending[req.id] = pendingReq{ch: ch, dst: dst}
+	pr.ch = ch
+	c.pending[req.id] = pr
 	if c.timeout > 0 {
 		// Arm (or extend) the read deadline: progress is expected while
 		// anything is in flight.
@@ -365,7 +398,7 @@ func (c *Client) roundTrip(req *frame, dst []byte) (*frame, error) {
 		putFrame(resp)
 		return nil, err
 	}
-	c.ctr.bytesIn.Add(int64(len(resp.payload)))
+	c.ctr.bytesIn.Add(int64(len(resp.payload) + resp.scattered))
 	c.ctr.rtt.Observe(time.Since(start).Nanoseconds())
 	return resp, nil
 }
@@ -535,7 +568,6 @@ func (c *Client) Open(name string, readOnly bool) (*RemoteFile, error) {
 type segment struct {
 	start int // offset into p
 	n     int
-	r     int // ReadBatch: index of the range the segment reads into
 }
 
 // segments appends total split into segSize-bounded pieces to segs (pass a
@@ -590,7 +622,7 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 		}
 		return done, nil
 	}
-	ns, err := f.inParallel(segs, readSeg)
+	ns, err := f.inParallel(len(segs), func(i int) (int, error) { return readSeg(segs[i]) })
 	done := 0
 	for i, s := range segs {
 		done += ns[i]
@@ -605,35 +637,62 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ReadBatch fills every range with ReadFull's rules — a range past the remote
-// end fails with io.ErrUnexpectedEOF — keeping the segments of all of them in
-// flight together, up to the same per-request cap as one large ReadAt: a
-// batch of small reads costs about one round trip, not one per range.
+// end fails with io.ErrUnexpectedEOF. The ranges are packed in order into
+// OpReadV requests of at most maxReadV bytes each (a larger range is split
+// across requests), clientMaxInflightSegments of them in flight at once, and
+// each reply lands straight in its ranges: a batch costs one round trip per
+// MiB, not one per range. A server error fails the batch (ErrRemoteIO for a
+// read fault) and leaves the client usable.
 func (f *RemoteFile) ReadBatch(rs []backend.Range) error {
-	sp := f.c.getSegs()
-	defer f.c.putSegs(sp)
-	segs, segSize := *sp, f.readSegSize()
-	for i, r := range rs {
+	var reqs []readVReq
+	var cur *readVReq
+	for _, r := range rs {
 		if r.Off < 0 {
 			return ErrBadRequest
 		}
-		first := len(segs)
-		segs = f.segments(segs, len(r.P), segSize)
-		for j := first; j < len(segs); j++ {
-			segs[j].r = i
+		for p, off := r.P, r.Off; len(p) > 0; {
+			if cur == nil || cur.want == maxReadV || len(cur.vec) == maxReadVRecords {
+				reqs = append(reqs, readVReq{})
+				cur = &reqs[len(reqs)-1]
+			}
+			n := min(len(p), maxReadV-cur.want)
+			cur.recs = binary.BigEndian.AppendUint64(cur.recs, uint64(off))
+			cur.recs = binary.BigEndian.AppendUint32(cur.recs, uint32(n))
+			cur.vec = append(cur.vec, p[:n])
+			cur.want += n
+			p, off = p[n:], off+int64(n)
 		}
 	}
-	*sp = segs
-	ns, err := f.inParallel(segs, func(s segment) (int, error) {
-		r := rs[s.r]
-		return f.readInto(r.P[s.start:s.start+s.n], r.Off+int64(s.start))
-	})
+	_, err := f.inParallel(len(reqs), func(i int) (int, error) { return 0, f.readV(&reqs[i]) })
+	return err
+}
+
+// readVReq is one OpReadV request: its records, and the pieces of the caller's
+// ranges its reply fills, want bytes in all.
+type readVReq struct {
+	recs []byte
+	vec  [][]byte
+	want int
+}
+
+// readV sends one OpReadV request; a short reply means a range past the
+// remote end.
+func (f *RemoteFile) readV(rv *readVReq) error {
+	req := getFrame()
+	req.op, req.handle, req.payload = OpReadV, f.handle, rv.recs
+	resp, err := f.c.roundTripTo(req, pendingReq{vec: rv.vec, vecLen: rv.want})
 	if err != nil {
 		return err
 	}
-	for i, s := range segs {
-		if ns[i] < s.n {
-			return io.ErrUnexpectedEOF
-		}
+	got, extra := resp.scattered, len(resp.payload)
+	putFrame(resp)
+	if extra > 0 {
+		// A reply longer than the request: the server broke the protocol.
+		f.c.fail(fmt.Errorf("%w: read-vector reply of %d bytes, %d asked", ErrBadFrame, extra, rv.want))
+		return f.c.brokenErr()
+	}
+	if got < rv.want {
+		return io.ErrUnexpectedEOF
 	}
 	return nil
 }
@@ -692,7 +751,7 @@ func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
 		}
 	} else {
 		var ns []int
-		ns, err = f.inParallel(segs, writeSeg)
+		ns, err = f.inParallel(len(segs), func(i int) (int, error) { return writeSeg(segs[i]) })
 		for i, s := range segs {
 			done += ns[i]
 			if ns[i] < s.n {
@@ -711,15 +770,15 @@ func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
 	return done, nil
 }
 
-// inParallel runs op over every segment with bounded concurrency and returns
-// per-segment completed byte counts plus the first error in segment order.
-// A fixed pool of clientMaxInflightSegments workers claims segments via an
+// inParallel runs op(i) for i in [0, n) with bounded concurrency and returns
+// the per-call completed byte counts plus the first error in index order.
+// A fixed pool of clientMaxInflightSegments workers claims indices via an
 // atomic cursor — a 64-segment read spawns at most that many goroutines, not
 // 64.
-func (f *RemoteFile) inParallel(segs []segment, op func(segment) (int, error)) ([]int, error) {
-	ns := make([]int, len(segs))
-	errs := make([]error, len(segs))
-	workers := min(clientMaxInflightSegments, len(segs))
+func (f *RemoteFile) inParallel(n int, op func(i int) (int, error)) ([]int, error) {
+	ns := make([]int, n)
+	errs := make([]error, n)
+	workers := min(clientMaxInflightSegments, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -728,10 +787,10 @@ func (f *RemoteFile) inParallel(segs []segment, op func(segment) (int, error)) (
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(segs) {
+				if i >= n {
 					return
 				}
-				ns[i], errs[i] = op(segs[i])
+				ns[i], errs[i] = op(i)
 			}
 		}()
 	}

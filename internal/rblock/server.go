@@ -166,6 +166,10 @@ type Server struct {
 	// pool via putFrame once the frame's payload has been consumed.
 	payloads *payloadPool
 
+	// readvBufs recycles the maxReadV reply buffers of OpReadV; at most
+	// maxConcurrentPerConn of them are being filled per connection.
+	readvBufs *payloadPool
+
 	mu       sync.Mutex
 	ln       net.Listener
 	closed   bool
@@ -229,6 +233,7 @@ func NewServer(store backend.Store, opts ServerOpts) *Server {
 	}
 	srv.stats.perImage = make(map[string]*imageCounters)
 	srv.payloads = newPayloadPool(rw)
+	srv.readvBufs = newPayloadPool(maxReadV)
 	return srv
 }
 
@@ -773,6 +778,9 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 		oh.ic.bytesRead.Add(int64(n))
 		return resp
 
+	case OpReadV:
+		return s.readV(req, resp, cs)
+
 	case OpWrite:
 		if s.readOnly {
 			return fail(StatusReadOnly)
@@ -938,6 +946,52 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 	default:
 		return fail(StatusBadRequest)
 	}
+}
+
+// readV serves OpReadV: every range of the payload is read with the
+// handle's ReadAt into one pooled buffer, in order, and that buffer is the
+// reply. Each range counts as one read op, with its bytes, exactly as an
+// OpRead of it would. A range that ends past the file's end ends the reply
+// short; a read error fails the whole request.
+func (s *Server) readV(req, resp *frame, cs *connState) *frame {
+	n, total, ok := checkReadV(req.payload)
+	if !ok {
+		resp.status = StatusBadRequest
+		return resp
+	}
+	oh, ok := cs.get(req.handle)
+	if !ok {
+		resp.status = StatusBadRequest
+		return resp
+	}
+	defer oh.release()
+	bp := s.readvBufs.get(total)
+	buf := (*bp)[:total]
+	done, ops := 0, int64(0)
+	for i := 0; i < n; i++ {
+		off, l := readVRec(req.payload, i)
+		got, err := oh.f.ReadAt(buf[done:done+int(l)], int64(off))
+		ops++
+		done += got
+		if err != nil && !errors.Is(err, io.EOF) {
+			s.readvBufs.put(bp)
+			if errors.Is(err, ErrUnavail) {
+				resp.status = StatusUnavail
+			} else {
+				resp.status = StatusIO
+			}
+			return resp
+		}
+		if got < int(l) {
+			break
+		}
+	}
+	resp.pooled, resp.ppool, resp.payload = bp, s.readvBufs, buf[:done]
+	s.stats.readOps.Add(ops)
+	s.stats.bytesRead.Add(int64(done))
+	oh.ic.readOps.Add(ops)
+	oh.ic.bytesRead.Add(int64(done))
+	return resp
 }
 
 // ListenAndLog is a convenience for command-line servers: listens and logs
