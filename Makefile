@@ -88,7 +88,7 @@ bench-baseline:
 		-bench 'WarmRead|Translate512|ColdFill|RoundTrip|PipelinedRead|SequentialColdRead|ServerRead|^BenchmarkCheck$$|NBDReplay|WarmAttach|PeerPull' \
 		-benchmem -benchtime 2s -cpu 4 ./internal/qcow/ ./internal/rblock/ ./internal/nbd/ ./internal/cachemgr/ ; \
 	  $(GO) test -run xxx \
-		-bench 'ProfileWarm|SubclusterColdBoot|SubclusterWarmRead|SwarmFlashCrowd|DedupManifestBuild|DedupMaterialize|DedupDeltaTransfer' \
+		-bench 'ProfileWarm|SwarmFlashCrowd|DedupManifestBuild|DedupMaterialize|DedupDeltaTransfer' \
 		-benchmem -benchtime 2s -cpu 4 . ) \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr10.json
 

@@ -161,11 +161,9 @@ func BenchmarkFig8CacheCreation(b *testing.B) {
 }
 
 // BenchmarkFig9StorageTraffic regenerates Fig. 9's traffic comparison and
-// reports the cold-cache amplification ratio at 64 KiB vs 512 B clusters,
-// plus the 64 KiB + sub-cluster ratio the extension brings back to demand
-// level.
+// reports the cold-cache amplification ratio at 64 KiB vs 512 B clusters.
 func BenchmarkFig9StorageTraffic(b *testing.B) {
-	var q, cold64k, cold64kSub, cold512 int64
+	var q, cold64k, cold512 int64
 	for i := 0; i < b.N; i++ {
 		q = mustRunB(b, cluster.Params{
 			Network: cluster.NetGbE, Nodes: 1, VMIs: 1, Mode: cluster.ModeQCOW2,
@@ -177,11 +175,6 @@ func BenchmarkFig9StorageTraffic(b *testing.B) {
 			Placement: cluster.PlaceComputeMem, CacheClusterBits: 16,
 			CacheQuota: 4 * benchProfile().UniqueReadBytes,
 		}).BaseTraffic
-		cold64kSub = mustRunB(b, cluster.Params{
-			Network: cluster.NetGbE, Nodes: 1, VMIs: 1, Mode: cluster.ModeColdCache,
-			Placement: cluster.PlaceComputeMem, CacheClusterBits: 16, Subclusters: true,
-			CacheQuota: 4 * benchProfile().UniqueReadBytes,
-		}).BaseTraffic
 		cold512 = mustRunB(b, cluster.Params{
 			Network: cluster.NetGbE, Nodes: 1, VMIs: 1, Mode: cluster.ModeColdCache,
 			Placement: cluster.PlaceComputeMem, CacheClusterBits: 9,
@@ -189,7 +182,6 @@ func BenchmarkFig9StorageTraffic(b *testing.B) {
 	}
 	b.ReportMetric(float64(q)/benchScale/1e6, "qcow2-MB")
 	b.ReportMetric(float64(cold64k)/float64(q), "cold64K-amplification")
-	b.ReportMetric(float64(cold64kSub)/float64(q), "cold64Ksub-amplification")
 	b.ReportMetric(float64(cold512)/float64(q), "cold512B-amplification")
 }
 
@@ -1071,133 +1063,6 @@ func BenchmarkSwarmFlashCrowd(b *testing.B) {
 	}
 	b.ReportMetric(storage/float64(b.N)/1e6, "storage-node-MB")
 	b.ReportMetric(storage/single, "amplification")
-}
-
-// countingSource wraps a BlockSource and counts the bytes it serves — the
-// benchmarks' ground truth for "bytes read from the base image".
-type countingSource struct {
-	src   qcow.BlockSource
-	bytes atomic.Int64
-}
-
-func (c *countingSource) ReadAt(p []byte, off int64) (int, error) {
-	n, err := c.src.ReadAt(p, off)
-	c.bytes.Add(int64(n))
-	return n, err
-}
-
-func (c *countingSource) Size() int64 { return c.src.Size() }
-
-// BenchmarkSubclusterColdBoot replays a sparse boot-like read footprint
-// against a cold 64 KiB-cluster cache, with and without the sub-cluster
-// extension, and reports the bytes pulled from the base relative to the
-// exact (4 KiB-aligned) demand footprint. Whole-cluster fills amplify the
-// sparse footprint several-fold; sub-cluster fills must stay within 1.2x
-// of demand (the PR's acceptance bar; CI gates the amplification metric).
-func BenchmarkSubclusterColdBoot(b *testing.B) {
-	const (
-		size    = int64(32 << 20)
-		reads   = 256
-		readLen = int64(4 << 10)
-		subSize = int64(4 << 10)
-	)
-	// Deterministic scattered read offsets (an LCG), the sparse first-touch
-	// pattern of a guest boot: small reads far apart, so most clusters are
-	// touched in exactly one sub-cluster.
-	offs := make([]int64, reads)
-	st := int64(0x5eed)
-	for i := range offs {
-		st = st*6364136223846793005 + 1442695040888963407
-		off := (st >> 17) % (size - readLen)
-		if off < 0 {
-			off = -off
-		}
-		offs[i] = off
-	}
-	// Exact demand footprint: the union of sub-cluster-aligned covers.
-	covered := make(map[int64]struct{})
-	for _, off := range offs {
-		for s := off / subSize; s <= (off+readLen-1)/subSize; s++ {
-			covered[s] = struct{}{}
-		}
-	}
-	demand := int64(len(covered)) * subSize
-
-	for _, tc := range []struct {
-		name string
-		sub  bool
-	}{
-		{"wholecluster", false},
-		{"subclusters", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			src := &countingSource{src: boot.PatternSource{Seed: 11, N: size}}
-			buf := make([]byte, readLen)
-			var baseBytes int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cache, err := qcow.Create(backend.NewMemFile(), qcow.CreateOpts{
-					Size: size, ClusterBits: 16, BackingFile: "b",
-					CacheQuota: 4 * size, Subclusters: tc.sub,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cache.SetBacking(src)
-				src.bytes.Store(0)
-				b.StartTimer()
-				for _, off := range offs {
-					if _, err := cache.ReadAt(buf, off); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				baseBytes = src.bytes.Load()
-				if err := cache.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(baseBytes)/1e6, "base-MB")
-			b.ReportMetric(float64(baseBytes)/float64(demand), "amplification")
-		})
-	}
-}
-
-// BenchmarkSubclusterWarmRead verifies the sub-cluster extension keeps the
-// warm-read fast path allocation-free: once a cluster's bitmap word is full,
-// reads take the same zero-allocation in-place path as images without the
-// extension.
-func BenchmarkSubclusterWarmRead(b *testing.B) {
-	const size = int64(64 << 20)
-	cache, err := qcow.Create(backend.NewMemFile(), qcow.CreateOpts{
-		Size: size, ClusterBits: 16, BackingFile: "b",
-		CacheQuota: 2 * size, Subclusters: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cache.Close() //nolint:errcheck // benchmark teardown
-	cache.SetBacking(boot.PatternSource{Seed: 7, N: size})
-	buf := make([]byte, 24<<10)
-	// Warm an 8 MiB region with cluster-spanning reads so every touched
-	// cluster completes (full bitmap words, no partial path left).
-	for off := int64(0); off < 8<<20; off += int64(len(buf)) {
-		if _, err := cache.ReadAt(buf, off); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := (int64(i) * int64(len(buf))) % (7 << 20)
-		if _, err := cache.ReadAt(buf, off); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkDedupManifestBuild measures the content-defined chunking rate

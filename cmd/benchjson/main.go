@@ -18,7 +18,7 @@
 // Custom b.ReportMetric units (e.g. "base-MB", "amplification") are captured
 // into a metrics map; a second, independent gate compares one such metric:
 //
-//	-metric-bench SubclusterColdBoot -metric base-MB -metric-max-regress 0.1
+//	-metric-bench SwarmFlashCrowd -metric storage-node-MB -metric-max-regress 0.1
 //
 // fails when the named metric grew by more than the fraction on any matching
 // benchmark present in both runs.

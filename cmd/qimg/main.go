@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	qimg create [-C dir] [-size N] [-cluster-bits B] [-backing NAME] [-quota N] [-subclusters] NAME
+//	qimg create [-C dir] [-size N] [-cluster-bits B] [-backing NAME] [-quota N] NAME
 //	qimg info   [-C dir] [-metrics] NAME
 //	qimg check  [-C dir] NAME
 //	qimg map    [-C dir] NAME
@@ -120,7 +120,6 @@ func cmdCreate(args []string) error {
 	bits := fs.Int("cluster-bits", 0, "cluster bits (9..21; default 16, caches default 9)")
 	backing := fs.String("backing", "", "backing image name")
 	quota := fs.Int64("quota", 0, "cache quota in bytes (non-zero creates a cache image, §4.4)")
-	subclusters := fs.Bool("subclusters", false, "track 4 KiB sub-cluster validity in the cache (partial fills)")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	name, err := oneName(fs)
 	if err != nil {
@@ -146,16 +145,10 @@ func cmdCreate(args []string) error {
 		if *backing == "" {
 			return fmt.Errorf("a cache image needs -backing")
 		}
-		if err := core.CreateCacheSub(ns, loc, back, sz, *quota, *bits, *subclusters); err != nil {
+		if err := core.CreateCache(ns, loc, back, sz, *quota, *bits); err != nil {
 			return err
 		}
-		sc := ""
-		if *subclusters {
-			sc = " subclusters=4K"
-		}
-		fmt.Printf("created cache image %s (size=%d quota=%d%s)\n", name, sz, *quota, sc)
-	case *subclusters:
-		return fmt.Errorf("-subclusters requires a cache image (-quota and -backing)")
+		fmt.Printf("created cache image %s (size=%d quota=%d)\n", name, sz, *quota)
 	case *backing != "":
 		if err := core.CreateCoW(ns, loc, back, sz, *bits); err != nil {
 			return err

@@ -17,7 +17,6 @@
 //	-budget SIZE     node cache disk budget, e.g. 10G (0 = unbounded)
 //	-quota SIZE      per-cache fill quota (0 = whole base + metadata)
 //	-cluster-bits N  cache cluster size exponent (0 = default)
-//	-subclusters     fill caches at 4 KiB sub-cluster granularity
 //	-warm A,B,...    base image names to warm at startup
 //	-warm-profile P  boot profile guiding cold warms (centos/debian/windows)
 //	-status DUR      periodic status print interval (0 = only on shutdown)
@@ -73,7 +72,6 @@ func main() {
 	budget := fs.String("budget", "0", "node cache disk budget (bytes; K/M/G suffixes)")
 	quota := fs.String("quota", "0", "per-cache fill quota (bytes; K/M/G suffixes)")
 	clusterBits := fs.Int("cluster-bits", 0, "cache cluster size exponent (0 = default)")
-	subclusters := fs.Bool("subclusters", false, "fill caches at 4 KiB sub-cluster granularity (needs -cluster-bits >= 13)")
 	warm := fs.String("warm", "", "comma-separated base image names to warm at startup")
 	warmProfile := fs.String("warm-profile", "", "boot profile guiding cold warms (centos/debian/windows; empty = whole image)")
 	status := fs.Duration("status", 0, "periodic status interval (0 = only on shutdown)")
@@ -147,7 +145,6 @@ func main() {
 		Budget:         budgetBytes,
 		Quota:          quotaBytes,
 		ClusterBits:    *clusterBits,
-		Subclusters:    *subclusters,
 		WarmProfile:    *warmProfile,
 		Backing:        rblock.RemoteStore{C: client},
 		Peers:          splitList(*peers),

@@ -83,13 +83,6 @@ type Config struct {
 	// qcow.CacheClusterBits). Also part of the cache key.
 	ClusterBits int
 
-	// Subclusters enables the sub-cluster extension on the caches this
-	// node builds: cold misses fill at 4 KiB granularity and partially
-	// valid clusters are completed before publication. Requires a cluster
-	// size of at least 8 KiB (ClusterBits >= 13). Part of the cache key —
-	// sub-cluster and whole-cluster caches of the same base are distinct.
-	Subclusters bool
-
 	// Backing is the storage node's store holding the base images —
 	// typically an rblock.RemoteStore, but any backend.Store works.
 	Backing backend.Store
@@ -395,10 +388,6 @@ func New(cfg Config) (*Manager, error) {
 	if cb == 0 {
 		cb = qcow.CacheClusterBits
 	}
-	if cfg.Subclusters && cb < qcow.SubclusterBits+1 {
-		return nil, fmt.Errorf("cachemgr: subclusters need ClusterBits >= %d (got %d)",
-			qcow.SubclusterBits+1, cb)
-	}
 	backingName := cfg.BackingName
 	if backingName == "" {
 		backingName = "storage"
@@ -693,14 +682,10 @@ func (m *Manager) verifyPublished(name string) error {
 
 // KeyFor derives the published cache name for a base image under this
 // manager's creation parameters. Managers with the same (cluster-size,
-// quota, sub-cluster) configuration derive the same key, which is what makes
-// peer transfer work: the key is the wire name of the export.
+// quota) configuration derive the same key, which is what makes peer
+// transfer work: the key is the wire name of the export.
 func (m *Manager) KeyFor(base string) string {
-	sc := ""
-	if m.cfg.Subclusters {
-		sc = "-sc"
-	}
-	return fmt.Sprintf("%s-cb%d-q%d%s%s", sanitize(base), m.cb, m.cfg.Quota, sc, pubSuffix)
+	return fmt.Sprintf("%s-cb%d-q%d%s", sanitize(base), m.cb, m.cfg.Quota, pubSuffix)
 }
 
 // sanitize maps a base-image name to a filesystem- and wire-safe token.

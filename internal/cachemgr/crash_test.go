@@ -153,22 +153,62 @@ func TestFailedWarmRetriesInPlace(t *testing.T) {
 	}
 }
 
+// subclusterHeader rewrites a published cache's header cluster in the retired
+// sub-cluster format: incompatible feature bit 0 set, and a 24-byte "SUBC"
+// extension (4 KiB sub-cluster bits, the validity bitmap's offset) spliced in
+// before the end marker, which follows the cache extension; the backing name
+// moves up behind it.
+func subclusterHeader(first []byte) []byte {
+	const fixed, cacheExt = 104, 24
+	be := binary.BigEndian
+	ext := make([]byte, 24)
+	be.PutUint32(ext[0:], 0x53554243) // "SUBC"
+	be.PutUint32(ext[4:], 16)
+	be.PutUint32(ext[8:], 12)
+	be.PutUint64(ext[16:], uint64(len(first)))
+	at := fixed + cacheExt
+	b := append(append(append([]byte{}, first[:at]...), ext...), first[at:len(first)-len(ext)]...)
+	be.PutUint64(b[72:], be.Uint64(b[72:])|1) // IncompatFeatures bit 0
+	if off := be.Uint64(first[8:]); off != 0 {
+		be.PutUint64(b[8:], off+uint64(len(ext))) // BackingFileOffset
+	}
+	return b
+}
+
 // TestRecoveryDropsCorrupt: a published cache whose contents were torn after
-// the fact (bit rot, torn rename) is dropped at startup, not served. Two
-// damages: a smashed L1 table, and a refcount table moved past the end of the
-// file — which a read-only open no longer reads, but verification does.
+// the fact (bit rot, torn rename) is dropped at startup, not served. Three
+// damages: a smashed L1 table; a refcount table moved past the end of the
+// file — which a read-only open no longer reads, but verification does; and
+// the header of the retired sub-cluster cache format, which no open accepts.
 func TestRecoveryDropsCorrupt(t *testing.T) {
 	damages := []struct {
 		name string
 		// at returns the bytes to write and where, found through the
-		// header so the test does not depend on the fill layout.
-		at func(h qcow.Header, size int64) (int64, []byte)
+		// header (and the raw header cluster) so the test does not depend
+		// on the fill layout.
+		at func(t *testing.T, h qcow.Header, first []byte, size int64) (int64, []byte)
 	}{
-		{"L1 table smashed", func(h qcow.Header, _ int64) (int64, []byte) {
+		{"L1 table smashed", func(_ *testing.T, h qcow.Header, _ []byte, _ int64) (int64, []byte) {
 			return int64(h.L1TableOffset), bytes.Repeat([]byte{0xff}, 256)
 		}},
-		{"refcount table past EOF", func(_ qcow.Header, size int64) (int64, []byte) {
+		{"refcount table past EOF", func(_ *testing.T, _ qcow.Header, _ []byte, size int64) (int64, []byte) {
 			return 48, binary.BigEndian.AppendUint64(nil, uint64(size+64<<10)) // Header.RefTableOffset
+		}},
+		{"sub-cluster format", func(t *testing.T, h qcow.Header, first []byte, _ int64) (int64, []byte) {
+			b := subclusterHeader(first)
+			// Only the feature bit refuses it: without the bit, the SUBC
+			// extension is an unknown one and the header decodes whole.
+			clean := backend.NewMemFile()
+			if err := backend.WriteFull(clean, b, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := backend.WriteFull(clean, make([]byte, 8), 72); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := qcow.ReadHeader(clean); err != nil || got.BackingFile != h.BackingFile || got.CacheQuota != h.CacheQuota {
+				t.Fatalf("sub-cluster header without its bit: %+v, %v", got, err)
+			}
+			return 0, b
 		}},
 	}
 	for _, dmg := range damages {
@@ -197,7 +237,11 @@ func TestRecoveryDropsCorrupt(t *testing.T) {
 				t.Fatal(err)
 			}
 			size, _ := rf.Size()
-			off, b := dmg.at(pub.Header(), size)
+			first := make([]byte, 512) // the whole header cluster at the default geometry
+			if err := backend.ReadFull(rf, first, 0); err != nil {
+				t.Fatal(err)
+			}
+			off, b := dmg.at(t, pub.Header(), first, size)
 			pub.Close() //nolint:errcheck // read-only
 			if err := os.Chmod(path, 0o644); err != nil {
 				t.Fatal(err)
@@ -227,6 +271,9 @@ func TestRecoveryDropsCorrupt(t *testing.T) {
 				t.Fatalf("re-warm after dropping corrupt cache: %v", err)
 			}
 			lease.Release()
+			if st := m2.Stats(); st.ColdWarms != 1 {
+				t.Fatalf("%d cold warms after dropping the cache, want 1", st.ColdWarms)
+			}
 			if n := checkPublished(t, dir); n != 1 {
 				t.Fatalf("%d published caches after re-warm, want 1", n)
 			}

@@ -301,10 +301,10 @@ func (m *Manager) swarmWarm(base, key, tmpName string) (swarm.Counts, error) {
 	}
 	quota := m.cfg.Quota
 	if quota <= 0 {
-		quota = fullWarmQuota(baseSize, m.cb, m.cfg.Subclusters)
+		quota = fullWarmQuota(baseSize, m.cb)
 	}
 	tmpLoc := core.Locator{Store: storeName, Name: tmpName}
-	if err := core.CreateCacheSub(m.ns, tmpLoc, baseLoc, baseSize, quota, m.cb, m.cfg.Subclusters); err != nil {
+	if err := core.CreateCache(m.ns, tmpLoc, baseLoc, baseSize, quota, m.cb); err != nil {
 		return counts, fmt.Errorf("cachemgr: creating cache for %s: %w", base, err)
 	}
 	chain, err := core.OpenChain(m.ns, tmpLoc, core.ChainOpts{WrapFile: m.warmWrap})
@@ -373,11 +373,6 @@ func (m *Manager) swarmWarm(base, key, tmpName string) (swarm.Counts, error) {
 	m.stats.swarmReassigned.Add(counts.Reassigned)
 	sess.Close()
 
-	if runErr == nil {
-		// Sub-cluster caches may hold partially valid clusters; published
-		// caches must be fully completed.
-		runErr = ci.CompleteAll()
-	}
 	// Withdraw the live export before the image closes: peers briefly see
 	// "not found" and retry, then the published file re-registers lazily on
 	// their next map poll.

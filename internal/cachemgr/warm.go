@@ -149,10 +149,10 @@ func (m *Manager) corWarm(base, tmpName string) error {
 	}
 	quota := m.cfg.Quota
 	if quota <= 0 {
-		quota = fullWarmQuota(baseSize, m.cb, m.cfg.Subclusters)
+		quota = fullWarmQuota(baseSize, m.cb)
 	}
 	tmpLoc := core.Locator{Store: storeName, Name: tmpName}
-	if err := core.CreateCacheSub(m.ns, tmpLoc, baseLoc, baseSize, quota, m.cb, m.cfg.Subclusters); err != nil {
+	if err := core.CreateCache(m.ns, tmpLoc, baseLoc, baseSize, quota, m.cb); err != nil {
 		return fmt.Errorf("cachemgr: creating cache for %s: %w", base, err)
 	}
 	chain, err := core.OpenChain(m.ns, tmpLoc, core.ChainOpts{WrapFile: m.warmWrap})
@@ -173,15 +173,6 @@ func (m *Manager) corWarm(base, tmpName string) error {
 	if _, err := core.Warm(chain, spans); err != nil {
 		chain.Close() //nolint:errcheck // already failing
 		return err
-	}
-	// Sub-cluster caches may hold partially valid clusters after a
-	// profile-guided warm; published caches must be fully completed, so
-	// flush the remainder before the container is closed and renamed.
-	if ci := chain.CacheImage(); ci != nil {
-		if err := ci.CompleteAll(); err != nil {
-			chain.Close() //nolint:errcheck // already failing
-			return fmt.Errorf("cachemgr: completing cache for %s: %w", base, err)
-		}
 	}
 	return chain.Close()
 }
@@ -291,12 +282,12 @@ func (m *Manager) publish(key string, from *dedup.Manifest) (*Lease, error) {
 // fullWarmQuota sizes a quota big enough to hold every data cluster of the
 // base plus all fill metadata (L2 tables, refcount blocks), so a whole-image
 // warm never trips the cache-full brake.
-func fullWarmQuota(size int64, cb int, sub bool) int64 {
+func fullWarmQuota(size int64, cb int) int64 {
 	cs := int64(1) << cb
 	clusters := ceilDiv(size, cs)
 	l2Tables := ceilDiv(clusters, cs/8)
 	refBlocks := ceilDiv(clusters, cs/2)
-	return qcow.MinCacheQuotaSub(size, cb, sub) + (clusters+l2Tables+refBlocks+8)*cs
+	return qcow.MinCacheQuota(size, cb) + (clusters+l2Tables+refBlocks+8)*cs
 }
 
 // fullSpans covers [0, size) in 1 MiB warm spans.

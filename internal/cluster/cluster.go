@@ -137,12 +137,6 @@ type Params struct {
 	// CowClusterBits sets the CoW images' cluster size (default 16).
 	CowClusterBits int
 
-	// Subclusters enables 4 KiB sub-cluster tracking in the cache images,
-	// so large-cluster caches fill at demand granularity instead of
-	// amplifying every cold miss to a whole cluster (the Fig. 9 fix).
-	// Requires CacheClusterBits >= 13.
-	Subclusters bool
-
 	// WarmFraction, in warm-cache mode, gives only this fraction of the
 	// nodes a warm cache; the rest boot with a cold cache (§5.3.1
 	// discusses such mixed scenarios qualitatively: "it can be that some
@@ -282,7 +276,7 @@ func Run(p Params) (*Result, error) {
 	// create time; clamp so tiny sweep points behave as "almost no cache"
 	// instead of failing.
 	for _, pr := range p.Profiles {
-		if min := qcow.MinCacheQuotaSub(pr.ImageSize, p.CacheClusterBits, p.Subclusters); p.CacheQuota < min {
+		if min := qcow.MinCacheQuota(pr.ImageSize, p.CacheClusterBits); p.CacheQuota < min {
 			p.CacheQuota = min
 		}
 	}

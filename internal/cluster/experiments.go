@@ -118,10 +118,7 @@ func Fig8(factor float64) *metrics.Figure {
 // cache quota" (§5.1): same setup as Fig. 8 but measuring base-image
 // traffic, comparing 512 B and 64 KiB cache cluster sizes. The cold cache
 // at 64 KiB clusters amplifies traffic beyond plain QCOW2; 512 B clusters
-// remove the amplification. The extra "+ subclusters" series shows the
-// sub-cluster extension removing the amplification at 64 KiB clusters too:
-// cold misses fetch only the 4 KiB sub-clusters the guest touched (nothing
-// completes the clusters, so the series is pure demand traffic).
+// remove the amplification.
 func Fig9(factor float64) *metrics.Figure {
 	prof := boot.CentOS.Scale(factor)
 	fig := metrics.NewFigure("Fig. 9: Traffic at the storage node vs cache quota (1 node, 1GbE)", "cache size (MB)", "transferred size (MB)")
@@ -129,14 +126,12 @@ func Fig9(factor float64) *metrics.Figure {
 		name string
 		mode Mode
 		bits int
-		sub  bool
 	}
 	cfgs := []cfg{
-		{"Warm cache - cluster = 512B", ModeWarmCache, 9, false},
-		{"Warm cache - cluster = 64KB", ModeWarmCache, 16, false},
-		{"Cold cache - cluster = 512B", ModeColdCache, 9, false},
-		{"Cold cache - cluster = 64KB", ModeColdCache, 16, false},
-		{"Cold cache - cluster = 64KB + subclusters", ModeColdCache, 16, true},
+		{"Warm cache - cluster = 512B", ModeWarmCache, 9},
+		{"Warm cache - cluster = 64KB", ModeWarmCache, 16},
+		{"Cold cache - cluster = 512B", ModeColdCache, 9},
+		{"Cold cache - cluster = 64KB", ModeColdCache, 16},
 	}
 	series := make([]*metrics.Series, len(cfgs))
 	for i, c := range cfgs {
@@ -150,7 +145,7 @@ func Fig9(factor float64) *metrics.Figure {
 		for i, c := range cfgs {
 			p := Params{Seed: expSeed, Network: NetGbE, Nodes: 1, VMIs: 1,
 				Mode: c.mode, Placement: PlaceComputeMem, Profile: prof,
-				CacheQuota: quota, CacheClusterBits: c.bits, Subclusters: c.sub}
+				CacheQuota: quota, CacheClusterBits: c.bits}
 			series[i].Add(qMB, renormBytesMB(mustRun(p).BaseTraffic, factor), 0)
 		}
 		qcow2.Add(qMB, renormBytesMB(base.BaseTraffic, factor), 0)

@@ -109,7 +109,6 @@ func (n *computeNode) buildChain() (cow, cache *qcow.Image, err error) {
 			ClusterBits: n.p.CacheClusterBits,
 			BackingFile: backingName,
 			CacheQuota:  n.p.CacheQuota,
-			Subclusters: n.p.Subclusters,
 		})
 		if cerr != nil {
 			return nil, nil, cerr

@@ -54,13 +54,6 @@ func CreateBase(ns *Namespace, loc Locator, size int64, clusterBits int, content
 // CreateCache performs step one of the §4.4 workflow: "gemu-img is invoked
 // with a cache quota and pointing to the base image as its backing file."
 func CreateCache(ns *Namespace, loc Locator, backing Locator, size, quota int64, clusterBits int) error {
-	return CreateCacheSub(ns, loc, backing, size, quota, clusterBits, false)
-}
-
-// CreateCacheSub is CreateCache with the sub-cluster extension optionally
-// enabled: misses in the resulting cache fill at 4 KiB granularity and rely
-// on background completion to converge to whole clusters.
-func CreateCacheSub(ns *Namespace, loc Locator, backing Locator, size, quota int64, clusterBits int, subclusters bool) error {
 	if clusterBits == 0 {
 		clusterBits = qcow.CacheClusterBits
 	}
@@ -77,13 +70,21 @@ func CreateCacheSub(ns *Namespace, loc Locator, backing Locator, size, quota int
 		ClusterBits: clusterBits,
 		BackingFile: backingName(ns, loc, backing),
 		CacheQuota:  quota,
-		Subclusters: subclusters,
 	})
 	if err != nil {
 		f.Close() //nolint:errcheck
 		return err
 	}
 	return img.Close()
+}
+
+// CreateCacheSub exists only for bench/e2e, which still calls it with false:
+// it is CreateCache, and sub-cluster caches are no longer made.
+func CreateCacheSub(ns *Namespace, loc Locator, backing Locator, size, quota int64, clusterBits int, subclusters bool) error {
+	if subclusters {
+		return errors.New("core: sub-cluster caches are no longer supported")
+	}
+	return CreateCache(ns, loc, backing, size, quota, clusterBits)
 }
 
 // CreateCoW performs step two of §4.4: "gemu-img is invoked with no cache

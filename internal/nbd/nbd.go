@@ -101,8 +101,8 @@ type Server struct {
 	// zerocopy.ExtentSource (a published qcow chain over an os-backed
 	// container) by sendfile(2) from the container file instead of a
 	// read-into-buffer copy. Reads the extent export refuses — compressed
-	// clusters, partially-valid sub-clusters, unallocated runs — fall back
-	// to the copy path per request. Set before Listen.
+	// clusters, unallocated runs — fall back to the copy path per request.
+	// Set before Listen.
 	ZeroCopy bool
 
 	// Stats

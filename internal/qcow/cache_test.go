@@ -3,7 +3,9 @@ package qcow
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"vmicache/internal/backend"
@@ -91,6 +93,126 @@ func TestCacheClusterAmplification64K(t *testing.T) {
 	}
 	if got := counted.Counters().ReadBytes.Load(); got != 64<<10 {
 		t.Fatalf("amplified traffic = %d, want %d", got, 64<<10)
+	}
+}
+
+// countedSource counts the bytes a backing source serves.
+type countedSource struct {
+	BlockSource
+	bytes atomic.Int64
+}
+
+func (c *countedSource) ReadAt(p []byte, off int64) (int, error) {
+	c.bytes.Add(int64(len(p)))
+	return c.BlockSource.ReadAt(p, off)
+}
+
+// TestScatteredColdFootprint replays a boot's sparse first touches — 256
+// scattered 4 KiB reads over 32 MiB — against a cold cache. At 512 B clusters
+// the base serves exactly the reads' 512 B-aligned cover, each sector once;
+// at 64 KiB clusters every miss fetches whole clusters, at least 4× that
+// cover: the Fig. 9 amplification that §5.1's 512 B cache cluster removes.
+func TestScatteredColdFootprint(t *testing.T) {
+	const (
+		size    = int64(32 << 20)
+		reads   = 256
+		readLen = int64(4 << 10)
+	)
+	offs := make([]int64, reads)
+	st := int64(0x5eed)
+	for i := range offs {
+		st = st*6364136223846793005 + 1442695040888963407 // an LCG: fixed offsets
+		off := (st >> 17) % (size - readLen)
+		if off < 0 {
+			off = -off
+		}
+		offs[i] = off
+	}
+	sectors := make(map[int64]bool)
+	for _, off := range offs {
+		for s := off >> 9; s <= (off+readLen-1)>>9; s++ {
+			sectors[s] = true
+		}
+	}
+	cover := int64(len(sectors)) << 9
+
+	for _, cb := range []int{9, 16} {
+		src := &countedSource{BlockSource: patSource{n: size}}
+		cache := newCache(t, size, 4*size, cb, src)
+		got, want := make([]byte, readLen), make([]byte, readLen)
+		for _, off := range offs {
+			if err := backend.ReadFull(cache, got, off); err != nil {
+				t.Fatal(err)
+			}
+			patSource{n: size}.ReadAt(want, off) //nolint:errcheck // cannot fail
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d B clusters: read at %d does not hold base content", 1<<cb, off)
+			}
+		}
+		if err := cache.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pulled := src.bytes.Load()
+		t.Logf("%d B clusters: %d bytes from the base, cover %d (%.2f×)", 1<<cb, pulled, cover, float64(pulled)/float64(cover))
+		switch {
+		case cb == 9 && pulled != cover:
+			t.Errorf("512 B clusters pulled %d bytes, want the reads' cover of %d", pulled, cover)
+		case cb == 16 && pulled < 4*cover:
+			t.Errorf("64 KiB clusters pulled %d bytes, want at least 4× the cover of %d", pulled, cover)
+		}
+	}
+}
+
+// TestCacheTailClusterFill: a virtual size that ends mid-cluster. A cold read
+// of the short last cluster fetches only the bytes inside the virtual size,
+// lands the cluster, passes Check, and is served again after a reopen with no
+// backing at all.
+func TestCacheTailClusterFill(t *testing.T) {
+	const cs = 64 << 10
+	size := int64(3*cs + 10000)
+	base, pat := newPatternedBase(t, size, 77)
+	counted := backend.NewCountingFile(base, nil)
+	mem := backend.NewMemFile()
+	img, err := Create(backend.NopClose(mem), CreateOpts{
+		Size: size, ClusterBits: 16, BackingFile: "base", CacheQuota: 8 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.SetBacking(RawSource{R: counted, N: size})
+	tail := make([]byte, 10000)
+	if err := backend.ReadFull(img, tail, 3*cs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tail, pat[3*cs:]) {
+		t.Fatal("tail read mismatch")
+	}
+	if got := counted.Counters().ReadBytes.Load(); got != 10000 {
+		t.Fatalf("tail fill fetched %d bytes, want the 10000 inside the virtual size", got)
+	}
+	res, err := img.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() || res.DataClusters != 1 {
+		t.Fatalf("check after the tail fill: %s", res)
+	}
+	if err := img.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close() //nolint:errcheck // read-only
+	got := make([]byte, 10100)
+	n, err := re.ReadAt(got, 3*cs)
+	if n != 10000 || err != io.EOF {
+		t.Fatalf("read across the end: n=%d err=%v, want 10000, EOF", n, err)
+	}
+	if !bytes.Equal(got[:n], pat[3*cs:]) {
+		t.Fatal("tail cluster lost across reopen")
 	}
 }
 

@@ -27,9 +27,6 @@ type CheckResult struct {
 	AllocatedClusters int64
 	// DataClusters counts reachable guest-data clusters.
 	DataClusters int64
-	// PartialClusters counts allocated clusters whose sub-cluster bitmap
-	// is not yet full (0 for images without the extension).
-	PartialClusters int64
 }
 
 // OK reports whether the image is consistent (leaks allowed).
@@ -49,9 +46,6 @@ func (r *CheckResult) String() string {
 	if r.OK() {
 		fmt.Fprintf(&b, "No errors found. %d clusters allocated (%d data), %d leaked.\n",
 			r.AllocatedClusters, r.DataClusters, r.Leaks)
-		if r.PartialClusters > 0 {
-			fmt.Fprintf(&b, "%d clusters partially valid (awaiting completion).\n", r.PartialClusters)
-		}
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%d errors:\n", len(r.Errors)+r.ErrorsOmitted)
@@ -156,40 +150,6 @@ func (img *Image) Check() (*CheckResult, error) {
 			}
 		}
 	}
-	// Sub-cluster bitmap table: account its clusters and verify the
-	// bitmap invariants. Data is written before bits are persisted and
-	// bits before the L2 bind, so a torn (crashed) fill shows up here as
-	// bits without an allocated cluster, an allocated raw cluster without
-	// bits, or bits beyond the virtual size.
-	if s := img.sub; s != nil {
-		for i := int64(0); i < subTableClusters(img.ly, int64(img.hdr.Size)); i++ {
-			refMeta(s.tableOff+i*cs, "subcluster table cluster", i)
-		}
-		rl := runLookup{img: img}
-		for vc := int64(0); vc < s.clusters; vc++ {
-			m, err := rl.lookup(vc)
-			if err != nil {
-				return nil, err
-			}
-			w := s.words[vc].Load()
-			full := s.fullMask(vc)
-			switch {
-			case w&^full != 0:
-				res.errorf("cluster %d: subcluster bits %#x beyond the virtual size", vc, w&^full)
-			case m.dataOff == 0 || m.compressed:
-				if w != 0 {
-					res.errorf("cluster %d: subcluster bits %#x on an unallocated cluster (torn fill)", vc, w)
-				}
-			default:
-				if w == 0 {
-					res.errorf("cluster %d: allocated raw with no subcluster bits (torn fill)", vc)
-				} else if w != full {
-					res.PartialClusters++
-				}
-			}
-		}
-	}
-
 	// Compare against the stored refcounts, one read per refcount block.
 	// An absent block counts 0 for all its clusters.
 	blk := make([]byte, cs)
@@ -312,12 +272,6 @@ type Info struct {
 	FillRatio     float64 // cache used / quota
 	L2CacheHits   int64
 	L2CacheMisses int64
-
-	// Sub-cluster extension state (Subclusters false when absent).
-	Subclusters     bool
-	SubclusterSize  int64
-	PartialClusters int64
-	FullClusters    int64
 }
 
 // Info collects summary information about the image.
@@ -347,12 +301,6 @@ func (img *Image) Info() (Info, error) {
 	if img.quota > 0 {
 		in.FillRatio = float64(in.CacheUsed) / float64(img.quota)
 	}
-	if st, ok := img.Subclusters(); ok {
-		in.Subclusters = true
-		in.SubclusterSize = st.SubclusterSize
-		in.PartialClusters = st.PartialClusters
-		in.FullClusters = st.FullClusters
-	}
 	return in, nil
 }
 
@@ -368,10 +316,6 @@ func (in Info) String() string {
 	if in.IsCache {
 		fmt.Fprintf(&b, "cache image:  quota=%d used=%d (%.1f%%)\n",
 			in.CacheQuota, in.CacheUsed, 100*in.FillRatio)
-	}
-	if in.Subclusters {
-		fmt.Fprintf(&b, "subclusters:  size=%d full=%d partial=%d\n",
-			in.SubclusterSize, in.FullClusters, in.PartialClusters)
 	}
 	fmt.Fprintf(&b, "data clusters: %d\n", in.DataClusters)
 	fmt.Fprintf(&b, "l2 cache:     hits=%d misses=%d\n", in.L2CacheHits, in.L2CacheMisses)

@@ -75,30 +75,6 @@ func checkReference(t *testing.T, img *Image) (errs int, res CheckResult) {
 			}
 		}
 	}
-	if s := img.sub; s != nil {
-		for i := int64(0); i < subTableClusters(img.ly, int64(img.hdr.Size)); i++ {
-			ref(s.tableOff + i*cs)
-		}
-		for vc := int64(0); vc < s.clusters; vc++ {
-			m, err := img.lookup(vc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, full := s.words[vc].Load(), s.fullMask(vc)
-			switch {
-			case w&^full != 0:
-				errs++
-			case m.dataOff == 0 || m.compressed:
-				if w != 0 {
-					errs++
-				}
-			case w == 0:
-				errs++
-			case w != full:
-				res.PartialClusters++
-			}
-		}
-	}
 	res.AllocatedClusters = int64(len(expected))
 	rbe := img.ly.refBlockEnts
 	for c := int64(0); c < totalClusters; c++ {
@@ -146,16 +122,16 @@ func put16(t *testing.T, f backend.File, off int64, v uint16) {
 // did: same error count, same leaks, same cluster tallies.
 func TestCheckVerdictEquivalence(t *testing.T) {
 	const size = 4 << 20
-	// warmed builds a cache with clusters 0..5 filled (and, with sub, cluster
-	// 8 partially) and returns its container plus the geometry the damage
-	// needs: the first L2 table, the first refcount block, the bitmap table.
+	// warmed builds a cache with clusters 0..5 filled and returns its
+	// container plus the geometry the damage needs: the first L2 table and
+	// the first refcount block.
 	type geom struct {
-		cs, l2Off, rbOff, subOff, clusters int64
+		cs, l2Off, rbOff, clusters int64
 	}
-	warmed := func(t *testing.T, cb int, sub bool) (*backend.MemFile, geom) {
+	warmed := func(t *testing.T, cb int) (*backend.MemFile, geom) {
 		mem := backend.NewMemFile()
 		img, err := Create(backend.NopClose(mem), CreateOpts{
-			Size: size, ClusterBits: cb, BackingFile: "b", CacheQuota: 2 * size, Subclusters: sub,
+			Size: size, ClusterBits: cb, BackingFile: "b", CacheQuota: 2 * size,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -165,16 +141,10 @@ func TestCheckVerdictEquivalence(t *testing.T) {
 		if err := backend.ReadFull(img, make([]byte, 6*cs), 0); err != nil {
 			t.Fatal(err)
 		}
-		if sub {
-			if err := backend.ReadFull(img, make([]byte, 100), 8*cs); err != nil {
-				t.Fatal(err)
-			}
-		}
 		g := geom{
-			cs:     cs,
-			l2Off:  int64(img.l1[0] & entryOffsetMask),
-			rbOff:  int64(img.refTable[0] & entryOffsetMask),
-			subOff: int64(img.hdr.SubTableOffset),
+			cs:    cs,
+			l2Off: int64(img.l1[0] & entryOffsetMask),
+			rbOff: int64(img.refTable[0] & entryOffsetMask),
 		}
 		if err := img.Close(); err != nil {
 			t.Fatal(err)
@@ -186,13 +156,12 @@ func TestCheckVerdictEquivalence(t *testing.T) {
 	cases := []struct {
 		name      string
 		cb        int
-		sub       bool
 		damage    func(t *testing.T, f *backend.MemFile, g geom)
 		wantOK    bool
 		wantLeaks int // a redirected slot orphans the cluster it pointed at
 	}{
 		{name: "clean", cb: 9, wantOK: true},
-		{name: "clean sub-cluster", cb: 16, sub: true, wantOK: true},
+		{name: "clean 64 KiB clusters", cb: 16, wantOK: true},
 		{name: "refcount mismatch", cb: 9, damage: func(t *testing.T, f *backend.MemFile, g geom) {
 			put16(t, f, g.rbOff+(g.clusters-1)*refcountEntrySz, 2) // the last data cluster
 		}},
@@ -217,19 +186,10 @@ func TestCheckVerdictEquivalence(t *testing.T) {
 		{name: "two slots share a cluster", cb: 9, wantLeaks: 1, damage: func(t *testing.T, f *backend.MemFile, g geom) {
 			put64(t, f, g.l2Off+5*l2EntrySize, uint64((g.clusters-3)*g.cs)|entryCopied)
 		}},
-		{name: "torn: bits on an unallocated cluster", cb: 16, sub: true, damage: func(t *testing.T, f *backend.MemFile, g geom) {
-			put64(t, f, g.subOff+20*8, 0x3)
-		}},
-		{name: "torn: bound cluster without bits", cb: 16, sub: true, damage: func(t *testing.T, f *backend.MemFile, g geom) {
-			put64(t, f, g.subOff+2*8, 0)
-		}},
-		{name: "bits beyond the cluster", cb: 13, sub: true, damage: func(t *testing.T, f *backend.MemFile, g geom) {
-			put64(t, f, g.subOff+1*8, 0xff)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mem, g := warmed(t, tc.cb, tc.sub)
+			mem, g := warmed(t, tc.cb)
 			if tc.damage != nil {
 				tc.damage(t, mem, g)
 			}
@@ -256,7 +216,7 @@ func TestCheckVerdictEquivalence(t *testing.T) {
 					t.Errorf("read-only=%v: %d errors, the per-cluster check found %d: %s", ro, n, refErrs, got)
 				}
 				if got.Leaks != ref.Leaks || got.AllocatedClusters != ref.AllocatedClusters ||
-					got.DataClusters != ref.DataClusters || got.PartialClusters != ref.PartialClusters {
+					got.DataClusters != ref.DataClusters {
 					t.Errorf("read-only=%v: tallies %+v, the per-cluster check had %+v", ro, *got, ref)
 				}
 				byMode[i] = got

@@ -6,17 +6,16 @@ package qcow
 // BitTorrent-style piece map that lets a cache be shared while it is still
 // warming. Validity is derived from the same state the read path uses:
 //
-//   - an allocated raw cluster is locally valid when it is fully valid at
-//     sub-cluster granularity (or the image has no sub-cluster extension);
-//   - a compressed cluster is locally valid (decompression is local);
+//   - an allocated cluster, raw or compressed, is locally valid
+//     (decompression is local);
 //   - an unallocated cluster is valid only when the image has no backing
 //     file at all (reads materialise zeros locally).
 //
 // A chunk is valid iff every cluster it overlaps is valid. Cluster validity
-// is monotone while an image warms (fills only add clusters, sub-cluster
-// words only gain bits), so a snapshot taken mid-warm is a safe *lower*
-// bound: a peer acting on a stale map can only under-fetch, never read a
-// range the serving node would have to fault in from its own backing.
+// is monotone while an image warms (fills only add clusters), so a snapshot
+// taken mid-warm is a safe *lower* bound: a peer acting on a stale map can
+// only under-fetch, never read a range the serving node would have to fault
+// in from its own backing.
 
 // ValidChunkBitmap reports, for every chunkSize-aligned span of the virtual
 // disk, whether the span is fully readable from this image's own container.
@@ -68,16 +67,7 @@ func (img *Image) clusterLocallyValidLocked(rl *runLookup, vc int64, noBacking b
 	if err != nil {
 		return false
 	}
-	if m.dataOff == 0 {
-		return noBacking
-	}
-	if m.compressed {
-		return true
-	}
-	if img.sub != nil {
-		return img.sub.words[vc].Load() == img.sub.fullMask(vc)
-	}
-	return true
+	return m.dataOff != 0 || noBacking
 }
 
 // RangeLocallyValid reports whether [off, off+n) is fully readable from this

@@ -81,45 +81,6 @@ func TestValidChunkBitmapWholeClusters(t *testing.T) {
 	}
 }
 
-func TestValidChunkBitmapSubclusters(t *testing.T) {
-	const size = 4 << 16 // 4 clusters of 64 KiB
-	base, _ := newPatternedBase(t, size, 33)
-	mem := backend.NewMemFile()
-	cache := newSubCache(t, backend.NopClose(mem), size, 8*testMB, RawSource{R: base, N: size})
-	defer cache.Close()
-
-	// A 4 KiB read fills one subcluster: the cluster is allocated but NOT
-	// fully valid, so its chunks must not be advertised.
-	buf := make([]byte, 4096)
-	if err := backend.ReadFull(cache, buf, 1<<16); err != nil {
-		t.Fatal(err)
-	}
-	bits, err := cache.ValidChunkBitmap(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, v := range chunkValidBits(bits, 4) {
-		if v {
-			t.Fatalf("partially valid cluster advertised as chunk %d", c)
-		}
-	}
-	// The serving guard is conservative at cluster granularity: even the
-	// filled subcluster is refused while its cluster is partially valid.
-	if cache.RangeLocallyValid(1<<16, 4096) {
-		t.Fatal("partially valid cluster passed the serving guard")
-	}
-
-	// Reading the whole cluster completes it; now its chunk is valid.
-	big := make([]byte, 1<<16)
-	if err := backend.ReadFull(cache, big, 1<<16); err != nil {
-		t.Fatal(err)
-	}
-	bits, _ = cache.ValidChunkBitmap(1 << 16)
-	if v := chunkValidBits(bits, 4); !v[1] || v[0] || v[2] || v[3] {
-		t.Fatalf("chunks = %v, want only chunk 1", v)
-	}
-}
-
 func TestRangeLocallyValid(t *testing.T) {
 	const size = 8 * 4096
 	base, _ := newPatternedBase(t, size, 35)

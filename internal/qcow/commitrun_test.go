@@ -4,14 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"vmicache/internal/backend"
 )
 
-// patSource is a computed backing pattern: no byte is zero, so a sub-cluster
-// wrongly marked valid (container zeros) can never pass for base content.
+// patSource is a computed backing pattern: no byte is zero, so a cluster
+// bound before its data landed (container zeros) can never pass for base
+// content.
 type patSource struct{ n int64 }
 
 func (s patSource) ReadAt(p []byte, off int64) (int, error) {
@@ -25,9 +25,8 @@ func (s patSource) Size() int64 { return s.n }
 
 // TestRunCommitCrashPoints cuts one commit after every k-th container write
 // and proves the write order holds at each cut: the container, reopened as
-// after a crash, passes Check with at worst leaks (in sub-cluster mode also
-// the torn fill Check exists to detect: bits persisted, cluster not yet
-// bound), and every cluster that did get bound reads back base content. The
+// after a crash, passes Check with at worst leaks, and every cluster that did
+// get bound reads back base content. The
 // surviving image then retries the fill and must end fully consistent. The
 // commit is a guest read's one run, or a window fill's many runs.
 func TestRunCommitCrashPoints(t *testing.T) {
@@ -35,7 +34,6 @@ func TestRunCommitCrashPoints(t *testing.T) {
 	cases := []struct {
 		name      string
 		cb        int
-		sub       bool
 		size, pad int64  // virtual size; container padded to this many clusters first
 		spans     []Span // a guest read of spans[0], or with window a window fill
 		window    bool
@@ -45,11 +43,11 @@ func TestRunCommitCrashPoints(t *testing.T) {
 		// block. Clusters 32..287 span five tables; the reservation starts
 		// at cluster 4 and so crosses the first block's end.
 		{name: "whole-cluster", cb: 9, size: 1 << 20, spans: []Span{{16 << 10, 128 << 10}}},
-		// 8 KiB clusters, 4 KiB sub-clusters: 1024 slots per table, 4096
-		// counts per block. The request starts and ends mid-cluster, covers
-		// clusters 1023..2048 (tables 0, 1, 2), and the container is padded
-		// so the reservation crosses cluster 4096.
-		{name: "sub-cluster", cb: 13, sub: true, size: 32 << 20, pad: 3500,
+		// 8 KiB clusters: 1024 slots per table, 4096 counts per block. The
+		// request starts and ends mid-cluster, covers clusters 1023..2048
+		// (tables 0, 1, 2), and the container is padded so the reservation
+		// crosses cluster 4096.
+		{name: "8 KiB clusters", cb: 13, size: 32 << 20, pad: 3500,
 			spans: []Span{{8<<20 - 3<<10, 8<<20 + 4<<10}}},
 		// A window of 512 B clusters: two runs in table 0 (one unaligned,
 		// one overlapped by a later span), a run across tables 2..5 that
@@ -91,12 +89,12 @@ func TestRunCommitCrashPoints(t *testing.T) {
 				}
 				return err
 			}
-			var sawLeak, sawTorn bool
+			var sawLeak bool
 			for k := int64(0); ; k++ {
 				mem := backend.NewMemFile()
 				img, err := Create(backend.NopClose(mem), CreateOpts{
 					Size: tc.size, ClusterBits: tc.cb, BackingFile: "b",
-					CacheQuota: 2 * tc.size, Subclusters: tc.sub,
+					CacheQuota: 2 * tc.size,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -149,11 +147,8 @@ func TestRunCommitCrashPoints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut %d: check: %v", k, err)
 				}
-				for _, e := range res.Errors {
-					if !tc.sub || !strings.Contains(e, "on an unallocated cluster (torn fill)") {
-						t.Fatalf("cut %d: crash left more than leaks: %s", k, res)
-					}
-					sawTorn = true
+				if !res.OK() {
+					t.Fatalf("cut %d: crash left more than leaks: %s", k, res)
 				}
 				sawLeak = sawLeak || res.Leaks > 0
 				if err := readSpans(crashed); err != nil {
@@ -180,9 +175,6 @@ func TestRunCommitCrashPoints(t *testing.T) {
 			}
 			if !sawLeak {
 				t.Error("no cut left a leak: the cuts did not land inside the commit")
-			}
-			if tc.sub && !sawTorn {
-				t.Error("no cut landed between the bitmap write and the L2 bind")
 			}
 		})
 	}

@@ -22,12 +22,6 @@ var (
 	ErrBackingNameSize = errors.New("qcow: backing file name does not fit in first cluster")
 	ErrQuotaTooSmall   = errors.New("qcow: cache quota smaller than initial metadata")
 
-	// Sub-cluster extension errors. Partial fills only make sense for
-	// cache images (guest writes never reach them), and the cluster must
-	// be larger than one sub-cluster.
-	ErrSubclusterNotCache = errors.New("qcow: subclusters require a cache image")
-	ErrSubclusterBits     = errors.New("qcow: cluster too small for subclusters")
-
 	// ErrBadChunkSize rejects non-positive chunk sizes in the chunk-map
 	// export (chunkmap.go).
 	ErrBadChunkSize = errors.New("qcow: chunk size must be positive")

@@ -12,13 +12,10 @@ package qcow
 type extentKind uint8
 
 const (
-	// extRaw is an allocated, fully valid raw run: one container read.
+	// extRaw is an allocated raw run: one container read.
 	extRaw extentKind = iota
 	// extCompressed is one allocated compressed cluster (inflate + copy).
 	extCompressed
-	// extSubPartial is one allocated raw cluster whose sub-cluster bitmap is
-	// not full: served by subReadPartial (in-place hits + demand sub-fills).
-	extSubPartial
 	// extUnalloc is a run of unallocated clusters with a backing source:
 	// copy-on-read fill (cache images) or pass-through.
 	extUnalloc
@@ -44,17 +41,13 @@ type readCtx struct {
 	backing BlockSource
 	// fillRun permits copy-on-read run fills (cache, writable, not full).
 	fillRun bool
-	// fillSub permits in-place sub-cluster fills (no quota involved, so the
-	// cache-full flag does not gate it).
-	fillSub bool
 }
 
 // translateExtents maps the request [pos, end) into extents appended to
 // exts, under a single acquisition of the shared metadata lock. The
 // translation is a *snapshot*: concurrent fills may allocate clusters the
 // snapshot saw as unallocated (the fill singleflight re-validates and serves
-// 0 bytes, making the caller re-translate) and may add validity bits to
-// partial clusters (subReadPartial re-probes the live bitmap). On a lookup
+// 0 bytes, making the caller re-translate). On a lookup
 // error the extents accumulated so far are still returned, so the caller can
 // serve the prefix before surfacing the error.
 func (img *Image) translateExtents(pos, end int64, exts []mappedExtent) ([]mappedExtent, readCtx, error) {
@@ -63,9 +56,8 @@ func (img *Image) translateExtents(pos, end int64, exts []mappedExtent) ([]mappe
 	defer img.mu.RUnlock()
 	ctx := readCtx{
 		backing: img.backing,
-		fillSub: img.isCache && !img.ro,
+		fillRun: img.isCache && !img.ro && !img.cacheFull,
 	}
-	ctx.fillRun = ctx.fillSub && !img.cacheFull
 	rl := runLookup{img: img}
 	for pos < end {
 		vc := pos >> cb
@@ -78,10 +70,8 @@ func (img *Image) translateExtents(pos, end int64, exts []mappedExtent) ([]mappe
 		switch {
 		case m.dataOff != 0 && m.compressed:
 			e.kind = extCompressed
-		case m.dataOff != 0 && img.sub != nil && !img.sub.isFull(vc):
-			e.kind = extSubPartial
 		case m.dataOff != 0:
-			// Coalesce physically contiguous fully-valid raw clusters into
+			// Coalesce physically contiguous raw clusters into
 			// one extent: cache fills allocate in guest-read order, so warm
 			// reads are mostly one contiguous extent regardless of cluster
 			// size.

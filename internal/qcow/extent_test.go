@@ -114,51 +114,6 @@ func TestExtentMixedKinds(t *testing.T) {
 	}
 }
 
-// TestExtentPartialSubcluster interleaves partially-valid sub-cluster
-// clusters with unallocated and fully-valid clusters inside one request.
-func TestExtentPartialSubcluster(t *testing.T) {
-	const size = 8 * 64 << 10 // 8 clusters of 64 KiB
-	base, pat := newPatternedBase(t, size, 41)
-	mem := backend.NewMemFile()
-	img := newSubCache(t, mem, size, 8*size, RawSource{R: base, N: size})
-	defer img.Close()
-	cs := img.ClusterSize()
-
-	// Cluster 2: one 4 KiB sub-fill leaves it partially valid. Cluster 5:
-	// a full-cluster read makes it fully valid.
-	small := make([]byte, 4096)
-	if err := backend.ReadFull(img, small, 2*cs+4096); err != nil {
-		t.Fatal(err)
-	}
-	full := make([]byte, cs)
-	if err := backend.ReadFull(img, full, 5*cs); err != nil {
-		t.Fatal(err)
-	}
-	if img.sub.isFull(2) {
-		t.Fatal("cluster 2 unexpectedly fully valid")
-	}
-
-	// One request over everything: unalloc (0,1) + partial (2) + unalloc
-	// (3,4) + raw (5) + unalloc (6,7).
-	got := make([]byte, size)
-	if err := backend.ReadFull(img, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pat) {
-		t.Fatal("partial-subcluster spanning read mismatch")
-	}
-	// Everything demanded is now valid; a warm repeat must still match.
-	for i := range got {
-		got[i] = 0
-	}
-	if err := backend.ReadFull(img, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pat) {
-		t.Fatal("warm repeat mismatch")
-	}
-}
-
 // TestExtentEOFTail checks requests whose tail crosses the end of the image:
 // the translated extents must stop at EOF, return the short count, and
 // surface io.EOF.

@@ -2,7 +2,6 @@ package qcow
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -31,15 +30,11 @@ type fill struct {
 	vc      int64 // first claimed cluster
 	claimed int64 // clusters claimed [vc, vc+claimed)
 	fetched int64 // clusters actually fetched into buf (set by the leader)
-	// reqOff/reqEnd is the leader's guest request extent (bytes); in
-	// sub-cluster mode it bounds the synchronous fetch to the sub-clusters
-	// the guest actually asked for.
-	reqOff, reqEnd int64
-	buf            []byte
-	err            error
-	done           chan struct{}
-	refs           atomic.Int32
-	pool           *bufPool // nil: buf is part of a window fill's buffer
+	buf     []byte
+	err     error
+	done    chan struct{}
+	refs    atomic.Int32
+	pool    *bufPool // nil: buf is part of a window fill's buffer
 }
 
 // release drops one reference; the last reference recycles the buffer.
@@ -115,12 +110,6 @@ func (img *Image) quotaFit(vc, k int64) int64 {
 // run commit. Truncation by the quota trips the §4.3 space error exactly as
 // the serial implementation did. On return f.done is closed and waiters are
 // served from f.buf.
-//
-// In sub-cluster mode a demand miss fetches and marks valid only the
-// sub-cluster-aligned extent of the guest request; allocation stays
-// whole-cluster (so the §4.3 quota accounting is unchanged) and CompleteAll
-// tops the clusters up before publication. Such a fill leaves f.fetched at
-// 0 — its buffer is not cluster-aligned — so waiters re-translate.
 func (img *Image) leadFill(f *fill, backing BlockSource) {
 	start := time.Now()
 	defer func() {
@@ -128,8 +117,6 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 		close(f.done)
 	}()
 	cs := img.ly.clusterSize
-	s := img.sub
-	partial := s != nil
 
 	// Re-validate under the read lock: the run was observed unallocated
 	// before claiming, so anything allocated since was bound by a fill
@@ -168,19 +155,11 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 		return
 	}
 
-	// One backing fetch for the whole admitted run — cluster-rounded, or
-	// sub-cluster-rounded around the request — clamped to the virtual size
-	// (the final cluster may be partial).
-	fetchStart, fetchEnd := f.vc*cs, (f.vc+fit)*cs
-	if partial {
-		fetchStart = maxI64(fetchStart, f.reqOff&^(s.subSize-1))
-		fetchEnd = minI64(fetchEnd, (f.reqEnd+s.subSize-1)&^(s.subSize-1))
-		if fetchStart >= fetchEnd {
-			return // quota truncated the run below the request; pass through
-		}
-	}
-	readLen := minI64(fetchEnd, int64(img.hdr.Size)) - fetchStart
-	buf := spanBufs.get(int(fetchEnd - fetchStart))
+	// One backing fetch for the whole admitted run, clamped to the virtual
+	// size (the final cluster may be partial).
+	fetchStart := f.vc * cs
+	readLen := minI64(fit*cs, int64(img.hdr.Size)-fetchStart)
+	buf := spanBufs.get(int(fit * cs))
 	clear(buf[readLen:])
 	if err := img.readBacking(backing, buf[:readLen], fetchStart); err != nil {
 		spanBufs.put(buf)
@@ -197,13 +176,11 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 	if img.usedBytes() != usedSnap {
 		final = img.quotaFit(f.vc, fit)
 	}
-	var landed, nsubs int64
 	if final > 0 {
-		landed = minI64(fetchEnd, (f.vc+final)*cs) - fetchStart
 		runs := []clusterRun{{f.vc, final}}
 		p, err := img.planLocked(runs)
 		if err == nil {
-			nsubs, err = img.commitRun(runs, p, nil, buf[:landed], fetchStart-f.vc*cs)
+			err = img.commitRun(runs, p, nil, buf[:final*cs])
 		}
 		if err != nil {
 			img.mu.Unlock()
@@ -216,19 +193,11 @@ func (img *Image) leadFill(f *fill, backing BlockSource) {
 		img.setCacheFull()
 	}
 	img.stats.CacheFillOps.Add(final)
-	img.stats.CacheFillBytes.Add(minI64(landed, readLen))
-	if partial {
-		img.stats.SubclusterFills.Add(nsubs)
-	}
+	img.stats.CacheFillBytes.Add(minI64(final*cs, readLen))
 	img.mu.Unlock()
 	img.stats.FillLatency.Observe(time.Since(start).Nanoseconds())
-
-	if !partial {
-		f.fetched = fit
-		f.buf = buf
-		return
-	}
-	spanBufs.put(buf)
+	f.fetched = fit
+	f.buf = buf
 }
 
 // setCacheFull trips the §4.3 space error. Caller holds img.mu exclusively.
@@ -332,35 +301,29 @@ type l2Edit struct {
 // non-nil, res is the whole reservation [p.base, p.end) with every run's data
 // already at its planned clusters, and the commit fills in the new metadata
 // and writes it all at once (a window fill). Otherwise the commit is one run
-// (a demand fill): data holds its guest bytes in whole clusters — or, in
-// sub-cluster mode, the sub-cluster-aligned part that was fetched, starting
-// head bytes into the run — and the new metadata and the data go out apart.
-// Writes go out in the order that makes every crash point at worst a leak —
-// or, in sub-cluster mode, a torn fill Check detects:
+// (a demand fill): data holds its guest bytes in whole clusters, and the new
+// metadata and the data go out apart. Writes go out in the order that makes
+// every crash point at worst a leak:
 //
 //	new refcount blocks and L2 tables with their final content, and the
 //	data → refcounts in pre-existing blocks (one write per block) →
-//	refcount-table slots of the new blocks → sub-cluster words → slots of
-//	pre-existing L2 tables (one write per table) → L1 slots of the new
-//	tables
+//	refcount-table slots of the new blocks → slots of pre-existing L2
+//	tables (one write per table) → L1 slots of the new tables
 //
 // New metadata is unreachable until its refcount-table or L1 slot is written,
 // so it carries its final content from the first write. The allocator moves
 // past the whole reservation before the first write, so a failed commit can
 // only leak; every in-memory table is updated after its write-back succeeded,
-// never before. Returns the sub-clusters marked valid. Caller holds img.mu
-// exclusively, has admitted the runs against the quota and planned them with
-// planLocked.
-func (img *Image) commitRun(runs []clusterRun, p commitPlan, res, data []byte, head int64) (int64, error) {
+// never before. Caller holds img.mu exclusively, has admitted the runs
+// against the quota and planned them with planLocked.
+func (img *Image) commitRun(runs []clusterRun, p commitPlan, res, data []byte) error {
 	cs, l2e, rbe := img.ly.clusterSize, img.ly.l2Entries, img.ly.refBlockEnts
 	img.nextFree = p.end
 
 	// Every data cluster's L2 entry, gathered per table.
 	edits := make(map[int64]*l2Edit)
 	var order []int64 // the edited tables' L1 indices
-	var n int64
 	for i, r := range runs {
-		n += r.n
 		phys := p.dataAt[i] * cs
 		for c := r.vc; c < r.vc+r.n; {
 			l1i := c / l2e
@@ -372,7 +335,7 @@ func (img *Image) commitRun(runs []clusterRun, p commitPlan, res, data []byte, h
 				} else {
 					t, err := img.loadL2(int64(img.l1[l1i] & entryOffsetMask))
 					if err != nil {
-						return 0, err
+						return err
 					}
 					e.vals = slices.Clone(t)
 				}
@@ -416,24 +379,16 @@ func (img *Image) commitRun(runs []clusterRun, p commitPlan, res, data []byte, h
 
 	if res != nil {
 		if err := backend.WriteFull(img.f, res, p.base*cs); err != nil {
-			return 0, err
+			return err
 		}
 	} else {
 		if len(meta) > 0 {
 			if err := backend.WriteFull(img.f, meta, p.base*cs); err != nil {
-				return 0, err
+				return err
 			}
 		}
-		if err := backend.WriteFull(img.f, data, p.dataAt[0]*cs+head); err != nil {
-			return 0, err
-		}
-		if head+int64(len(data)) < n*cs {
-			// A sub-cluster fill stops short of its last cluster's end;
-			// keep the container cluster-aligned. Nothing lives past the
-			// reservation, so this never cuts anything.
-			if err := img.f.Truncate(p.end * cs); err != nil {
-				return 0, err
-			}
+		if err := backend.WriteFull(img.f, data, p.dataAt[0]*cs); err != nil {
+			return err
 		}
 	}
 
@@ -451,37 +406,12 @@ func (img *Image) commitRun(runs []clusterRun, p commitPlan, res, data []byte, h
 		off := int64(img.refTable[rb] & entryOffsetMask)
 		lo, hi := maxI64(p.base, rb*rbe), minI64(p.end, (rb+1)*rbe)
 		if err := backend.WriteFull(img.f, ones[:(hi-lo)*refcountEntrySz], off+(lo-rb*rbe)*refcountEntrySz); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if len(p.rbs) > 0 {
 		if err := img.installSlots(img.refTable, int64(img.hdr.RefTableOffset), p.rbs, p.rbAt, 0); err != nil {
-			return 0, err
-		}
-	}
-
-	// Sub-cluster words (one run): exactly the fetched sub-clusters. The
-	// clusters were unallocated, so nothing is merged in.
-	var words []uint64
-	var nsubs int64
-	if s := img.sub; s != nil {
-		vc, bufPos := runs[0].vc, runs[0].vc*cs+head
-		words = make([]uint64, n)
-		for i := range words {
-			c0 := (vc + int64(i)) * cs
-			o0, o1 := maxI64(c0, bufPos), minI64(c0+cs, bufPos+int64(len(data)))
-			words[i] = s.maskRange(o0-c0, o1-c0) & s.fullMask(vc+int64(i))
-			nsubs += int64(bits.OnesCount64(words[i]))
-		}
-		if err := img.writeSlots(s.tableOff+vc*8, words); err != nil {
-			return 0, err
-		}
-	}
-	setWords := func(l1i int64, e *l2Edit) {
-		if words != nil {
-			for i := l1i*l2e + e.lo; i < l1i*l2e+e.hi; i++ {
-				img.sub.set(i, words[i-runs[0].vc])
-			}
+			return err
 		}
 	}
 
@@ -493,25 +423,22 @@ func (img *Image) commitRun(runs []clusterRun, p commitPlan, res, data []byte, h
 		l2Off := int64(img.l1[l1i] & entryOffsetMask)
 		t, err := img.loadL2(l2Off)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := img.writeSlots(l2Off+e.lo*l2EntrySize, e.vals[e.lo:e.hi]); err != nil {
-			return 0, err
+			return err
 		}
 		copy(t[e.lo:e.hi], e.vals[e.lo:e.hi])
-		setWords(l1i, e)
 	}
 	if len(p.l1s) > 0 {
 		if err := img.installSlots(img.l1, int64(img.hdr.L1TableOffset), p.l1s, p.l2At, entryCopied); err != nil {
-			return 0, err
+			return err
 		}
 		for _, i := range p.l1s {
-			e := edits[i]
-			img.l2c.put(int64(img.l1[i]&entryOffsetMask), e.vals)
-			setWords(i, e)
+			img.l2c.put(int64(img.l1[i]&entryOffsetMask), edits[i].vals)
 		}
 	}
-	return nsubs, nil
+	return nil
 }
 
 // installSlots points the ascending slots idx of the on-disk table at
@@ -550,7 +477,6 @@ func (img *Image) fillRun(vc, run, pos int64, span []byte, backing BlockSource) 
 	// hold exactly one buffer reference; the last release recycles f.buf.
 	defer f.release()
 	if leader {
-		f.reqOff, f.reqEnd = pos, pos+int64(len(span))
 		img.leadFill(f, backing)
 	} else {
 		img.stats.FillWaits.Add(1)

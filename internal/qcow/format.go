@@ -55,34 +55,13 @@ const (
 	maxRefcountValue = 1<<refcountBits - 1
 
 	// Header extension type tags. extEnd terminates the extension list;
-	// extCache carries the cache quota and current size (16 bytes);
-	// extSubcluster carries the sub-cluster fill geometry (16 bytes:
-	// sub-cluster bits, reserved, bitmap table offset).
-	extEnd        = 0x00000000
-	extCache      = 0xcac4e0f1
-	extSubcluster = 0x53554243 // "SUBC"
-
-	// IncompatSubclusters marks images whose allocated data clusters may
-	// be only partially valid, with validity tracked by the sub-cluster
-	// bitmap table. Unlike the cache extension (which an old reader can
-	// ignore), partially-filled clusters are unreadable without the
-	// bitmap, so the bit is incompatible: readers that do not understand
-	// it must refuse the image.
-	IncompatSubclusters = uint64(1) << 0
+	// extCache carries the cache quota and current size (16 bytes).
+	extEnd   = 0x00000000
+	extCache = 0xcac4e0f1
 
 	// knownIncompat is the set of incompatible-feature bits this
-	// implementation understands; any other bit fails open.
-	knownIncompat = IncompatSubclusters
-
-	// SubclusterBits is the sub-cluster size used for partial fills
-	// (4 KiB, the guest page / rwsize granularity per §5.1's analysis of
-	// fill amplification).
-	SubclusterBits = 12
-
-	// subsPerWord caps sub-clusters per cluster at 64 so each cluster's
-	// validity bitmap is exactly one uint64 word; clusters larger than
-	// 64 sub-clusters widen the sub-cluster instead.
-	subsPerWord = 64
+	// implementation understands: none, so any set bit fails open.
+	knownIncompat = uint64(0)
 
 	// l1Copied marks an L1/L2 entry whose cluster is private to this
 	// image (refcount 1); kept for QCOW2 parity.
@@ -113,17 +92,6 @@ func newLayout(clusterBits uint32) layout {
 		l2Coverage:   cs * l2e,
 		refBlockEnts: cs / refcountEntrySz,
 	}
-}
-
-// subBitsFor returns the sub-cluster size (log2) for a cluster size: 4 KiB,
-// widened so one cluster never holds more than 64 sub-clusters (one bitmap
-// word per cluster).
-func subBitsFor(clusterBits uint32) uint32 {
-	sb := uint32(SubclusterBits)
-	if clusterBits > sb+6 {
-		sb = clusterBits - 6
-	}
-	return sb
 }
 
 // l1EntriesFor returns the number of L1 entries needed for a virtual size.

@@ -38,15 +38,6 @@ type Header struct {
 	CacheQuota  uint64
 	CacheUsed   uint64
 
-	// Sub-cluster extension. Present when HasSubExt: allocated data
-	// clusters may be partially valid, with per-sub-cluster validity
-	// bits held in a bitmap table at SubTableOffset (one big-endian
-	// uint64 word per virtual cluster). SubBits is the sub-cluster size
-	// (log2). Guarded by IncompatSubclusters in IncompatFeatures.
-	HasSubExt      bool
-	SubBits        uint32
-	SubTableOffset uint64
-
 	// BackingFile is the decoded backing file name ("" if none).
 	BackingFile string
 
@@ -89,14 +80,6 @@ func (h *Header) encode(clusterSize int64) ([]byte, error) {
 		be.PutUint32(ext[4:], 16)
 		be.PutUint64(ext[8:], h.CacheQuota)
 		be.PutUint64(ext[16:], h.CacheUsed)
-		buf = append(buf, ext...)
-	}
-	if h.HasSubExt {
-		ext := make([]byte, 8+16)
-		be.PutUint32(ext[0:], extSubcluster)
-		be.PutUint32(ext[4:], 16)
-		be.PutUint32(ext[8:], h.SubBits)
-		be.PutUint64(ext[16:], h.SubTableOffset)
 		buf = append(buf, ext...)
 	}
 	endExt := make([]byte, 8)
@@ -252,25 +235,7 @@ func decodeHeader(buf []byte, prefix bool) (*Header, error) {
 			h.CacheUsed = be.Uint64(buf[pos+8:])
 			h.cacheExtOff = int64(pos)
 		}
-		if typ == extSubcluster && length == 16 {
-			h.HasSubExt = true
-			h.SubBits = be.Uint32(buf[pos:])
-			h.SubTableOffset = be.Uint64(buf[pos+8:])
-		}
 		pos += (length + 7) &^ 7
-	}
-	// The incompat bit and the extension must agree: a set bit without
-	// the geometry (or vice versa) is a damaged header.
-	if h.HasSubExt != (h.IncompatFeatures&IncompatSubclusters != 0) {
-		return nil, fmt.Errorf("%w: subcluster extension/feature mismatch", ErrBadHeader)
-	}
-	if h.HasSubExt {
-		if h.SubBits < MinClusterBits || h.SubBits >= h.ClusterBits || h.SubBits != subBitsFor(h.ClusterBits) {
-			return nil, fmt.Errorf("%w: subcluster bits %d for cluster bits %d", ErrBadHeader, h.SubBits, h.ClusterBits)
-		}
-		if h.SubTableOffset == 0 || h.SubTableOffset%uint64(int64(1)<<h.ClusterBits) != 0 {
-			return nil, fmt.Errorf("%w: misaligned subcluster table offset %#x", ErrBadHeader, h.SubTableOffset)
-		}
 	}
 
 	if off := h.BackingFileOffset; off != 0 {

@@ -208,6 +208,96 @@ func wholeClusterHeader(data []byte) (*Header, error) {
 	return decodeHeader(data[:min(int64(1)<<cb, int64(len(data)))], false)
 }
 
+// subclusterHeader encodes h the way the retired sub-cluster cache format
+// did: incompatible feature bit 0 set, and a "SUBC" extension (4 KiB
+// sub-cluster bits, the validity bitmap's offset) between the cache extension
+// and the end marker. This package no longer reads such a container.
+func subclusterHeader(tb testing.TB, h Header, cs int64) []byte {
+	tb.Helper()
+	h.Magic, h.Version, h.RefcountOrder = Magic, Version, refcountOrder
+	h.IncompatFeatures |= 1
+	b, err := h.encode(cs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at := headerLength
+	if h.HasCacheExt {
+		at += 24
+	}
+	ext := make([]byte, 24)
+	binary.BigEndian.PutUint32(ext[0:], 0x53554243) // "SUBC"
+	binary.BigEndian.PutUint32(ext[4:], 16)
+	binary.BigEndian.PutUint32(ext[8:], 12)
+	binary.BigEndian.PutUint64(ext[16:], uint64(cs))
+	out := append(append(append([]byte{}, b[:at]...), ext...), b[at:len(b)-len(ext)]...)
+	if off := binary.BigEndian.Uint64(b[8:]); off != 0 {
+		binary.BigEndian.PutUint64(out[8:], off+uint64(len(ext)))
+	}
+	return out
+}
+
+// TestUnknownIncompatFeatureRejected: an incompatible feature bit this
+// package does not implement fails every open — among them bit 0, which the
+// retired sub-cluster caches set, so such a cache is refused, never misread.
+func TestUnknownIncompatFeatureRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		header func(h Header) []byte
+	}{
+		{"bit 17", func(h Header) []byte {
+			h.IncompatFeatures |= 1 << 17
+			b, err := h.encode(1 << h.ClusterBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}},
+		{"sub-cluster cache", func(h Header) []byte {
+			b := subclusterHeader(t, h, 1<<h.ClusterBits)
+			// Only the feature bit refuses it: without the bit, the SUBC
+			// extension is an unknown one and the header decodes whole.
+			clean := append([]byte{}, b...)
+			binary.BigEndian.PutUint64(clean[72:], 0)
+			if got, err := decodeHeader(clean, false); err != nil || got.BackingFile != h.BackingFile || got.CacheQuota != h.CacheQuota {
+				t.Fatalf("sub-cluster header without its bit: %+v, %v", got, err)
+			}
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := backend.NewMemFile()
+			img, err := Create(backend.NopClose(mem), CreateOpts{
+				Size: testMB, ClusterBits: 16, BackingFile: "base", CacheQuota: 4 * testMB,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			img.SetBacking(patSource{n: testMB})
+			if err := backend.ReadFull(img, make([]byte, 64<<10), 0); err != nil {
+				t.Fatal(err)
+			}
+			h := img.Header()
+			if err := img.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := backend.WriteFull(mem, tc.header(h), 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadHeader(mem); !errors.Is(err, ErrBadHeader) {
+				t.Fatalf("ReadHeader: %v, want ErrBadHeader", err)
+			}
+			for _, ro := range []bool{true, false} {
+				if _, err := Open(backend.NopClose(mem), OpenOpts{ReadOnly: ro}); !errors.Is(err, ErrBadHeader) {
+					t.Fatalf("Open (read-only=%v): %v, want ErrBadHeader", ro, err)
+				}
+				if _, err := OpenVerified(backend.NopClose(mem), OpenOpts{ReadOnly: ro}); !errors.Is(err, ErrBadHeader) {
+					t.Fatalf("OpenVerified (read-only=%v): %v, want ErrBadHeader", ro, err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzHeader is differential: reading the header with a probe (and the
 // fallback to the whole first cluster) must reach the verdict decoding the
 // whole first cluster does — the same Header or the same error — in at most
@@ -223,16 +313,18 @@ func FuzzHeader(f *testing.F) {
 		return b
 	}
 	cache := enc(Header{ClusterBits: 9, Size: 1 << 20, HasCacheExt: true, CacheQuota: 1 << 20, BackingFile: "nfs:base.img"}, 512)
-	sub := enc(Header{ClusterBits: 16, Size: 1 << 20, HasCacheExt: true, CacheQuota: 1 << 20,
-		HasSubExt: true, SubBits: subBitsFor(16), SubTableOffset: 1 << 16, IncompatFeatures: IncompatSubclusters,
+	sub := subclusterHeader(f, Header{ClusterBits: 16, Size: 1 << 20, HasCacheExt: true, CacheQuota: 1 << 20,
 		BackingFile: "b"}, 64<<10)
+	if _, err := decodeHeader(sub, false); !errors.Is(err, ErrBadHeader) {
+		f.Fatalf("sub-cluster header decoded: %v", err)
+	}
 	plain := enc(Header{ClusterBits: 12, Size: 1 << 20}, 4096)
 	f.Add(cache[:200], uint16(120))  // extensions end past the probe
 	f.Add(cache[:200], uint16(4096)) // one read covers the file
 	f.Add(cache[:200], uint16(140))  // backing name past the probe
 	f.Add(cache[:140], uint16(104))  // backing name cut by the end of the file
-	f.Add(sub[:220], uint16(150))    // sub-cluster extension past the probe
-	f.Add(sub[:120], uint16(0))      // probe clamped to the fixed header
+	f.Add(sub[:220], uint16(150))    // retired sub-cluster format, extension past the probe
+	f.Add(sub[:120], uint16(0))      // the same, probe clamped to the fixed header
 	f.Add(plain[:112], uint16(112))  // end marker exactly at the probe
 	f.Add(plain[:200], uint16(0))    // no extensions, no backing name
 	long := append([]byte{}, plain[:240]...)

@@ -57,15 +57,6 @@ type Stats struct {
 	// fill: the backing fetch plus allocation and binding.
 	FillLatency metrics.AtomicHistogram
 
-	// Sub-cluster fill effectiveness (sub.go, complete.go).
-	// SubclusterFills counts sub-clusters written by demand partial
-	// fills; SubclusterCompletions counts sub-clusters topped up by
-	// CompleteAll; SubclusterPartialHits counts reads served from a
-	// partially-valid cluster.
-	SubclusterFills       atomic.Int64
-	SubclusterCompletions atomic.Int64
-	SubclusterPartialHits atomic.Int64
-
 	// Zero-copy serve effectiveness (zerocopy.go). ZeroCopyExports and
 	// ZeroCopyExportBytes count reads translated into container-file
 	// extents by PlainExtents (bytes the serve path ships without a
@@ -95,12 +86,6 @@ type CreateOpts struct {
 	// CacheQuota, when non-zero, creates a cache image limited to this
 	// many bytes of physical file size (§4.3 create).
 	CacheQuota int64
-
-	// Subclusters adds the sub-cluster validity bitmap (sub.go): cold
-	// misses fill at sub-cluster instead of cluster granularity. Cache
-	// images only, and the cluster must be larger than one sub-cluster
-	// (ClusterBits > SubclusterBits).
-	Subclusters bool
 }
 
 // OpenOpts parameterises opening an image.
@@ -178,11 +163,6 @@ type Image struct {
 	// filled compressed-blob cluster (0 = none open).
 	compCursor int64
 
-	// sub tracks per-sub-cluster validity when the image carries the
-	// sub-cluster extension; nil keeps whole-cluster semantics. Immutable
-	// after Create/Open.
-	sub *subState
-
 	stats Stats
 }
 
@@ -191,24 +171,18 @@ type Image struct {
 // refcount table and first block, L1 table) counts against the quota, so
 // anything smaller is rejected by Create.
 func MinCacheQuota(size int64, clusterBits int) int64 {
-	return MinCacheQuotaSub(size, clusterBits, false)
-}
-
-// MinCacheQuotaSub is MinCacheQuota for images created with (or without) the
-// sub-cluster extension, whose bitmap table also counts as initial metadata.
-func MinCacheQuotaSub(size int64, clusterBits int, subclusters bool) int64 {
 	if clusterBits == 0 {
 		clusterBits = DefaultClusterBits
 	}
 	ly := newLayout(uint32(clusterBits))
-	_, _, _, _, metaClusters := createLayout(ly, size, subclusters)
+	_, _, _, metaClusters := createLayout(ly, size)
 	return metaClusters * ly.clusterSize
 }
 
 // createLayout computes the initial file layout for a new image: refcount
-// table offset, first refcount block offset, L1 offset, the sub-cluster
-// bitmap table offset (0 when absent), and the total metadata cluster count.
-func createLayout(ly layout, size int64, sub bool) (refTableOff, firstRefBlockOff, l1Off, subTableOff, metaClusters int64) {
+// table offset, first refcount block offset, L1 offset, and the total
+// metadata cluster count.
+func createLayout(ly layout, size int64) (refTableOff, firstRefBlockOff, l1Off, metaClusters int64) {
 	l1Entries := ly.l1EntriesFor(size)
 	l1Clusters := ly.clustersFor(l1Entries * l1EntrySize)
 	maxClusters := ly.clustersFor(size) + l1Entries + l1Clusters + 1024
@@ -218,11 +192,7 @@ func createLayout(ly layout, size int64, sub bool) (refTableOff, firstRefBlockOf
 	firstRefBlockOff = refTableOff + refTableClusters*ly.clusterSize
 	l1Off = firstRefBlockOff + ly.clusterSize
 	metaClusters = 1 + refTableClusters + 1 + l1Clusters
-	if sub {
-		subTableOff = l1Off + l1Clusters*ly.clusterSize
-		metaClusters += subTableClusters(ly, size)
-	}
-	return refTableOff, firstRefBlockOff, l1Off, subTableOff, metaClusters
+	return refTableOff, firstRefBlockOff, l1Off, metaClusters
 }
 
 // Create initialises a new image in f and returns it opened read-write.
@@ -237,24 +207,15 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 	if opts.Size <= 0 {
 		return nil, ErrBadSize
 	}
-	if opts.Subclusters {
-		if opts.CacheQuota <= 0 {
-			return nil, ErrSubclusterNotCache
-		}
-		if uint32(cb) <= subBitsFor(uint32(cb)) {
-			return nil, ErrSubclusterBits
-		}
-	}
 	ly := newLayout(uint32(cb))
 	l1Entries := ly.l1EntriesFor(opts.Size)
 
 	// Layout: [0] header | [1..rt] refcount table | [rt+1] first
-	// refcount block | then L1 table clusters (then the sub-cluster
-	// bitmap table, when enabled). The refcount table covers the virtual
-	// size plus all possible metadata (one L2 table per L1 entry) and a
-	// margin, so it rarely needs relocation; relocation is still
-	// implemented for correctness.
-	refTableOff, firstRefBlockOff, l1Off, subTableOff, metaClusters := createLayout(ly, opts.Size, opts.Subclusters)
+	// refcount block | then L1 table clusters. The refcount table covers
+	// the virtual size plus all possible metadata (one L2 table per L1
+	// entry) and a margin, so it rarely needs relocation; relocation is
+	// still implemented for correctness.
+	refTableOff, firstRefBlockOff, l1Off, metaClusters := createLayout(ly, opts.Size)
 	refTableClusters := (firstRefBlockOff - refTableOff) / ly.clusterSize
 
 	hdr := &Header{
@@ -275,12 +236,6 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 		if opts.CacheQuota < metaClusters*ly.clusterSize {
 			return nil, ErrQuotaTooSmall
 		}
-	}
-	if opts.Subclusters {
-		hdr.HasSubExt = true
-		hdr.SubBits = subBitsFor(uint32(cb))
-		hdr.SubTableOffset = uint64(subTableOff)
-		hdr.IncompatFeatures |= IncompatSubclusters
 	}
 
 	hdrBuf, err := hdr.encode(ly.clusterSize)
@@ -305,9 +260,6 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 		nextFree: metaClusters,
 		isCache:  hdr.IsCache(),
 		quota:    opts.CacheQuota,
-	}
-	if opts.Subclusters {
-		img.sub = newSubState(hdr, ly)
 	}
 
 	// Install the first refcount block and account all metadata clusters.
@@ -380,19 +332,6 @@ func open(f backend.File, opts OpenOpts, fresh bool) (*Image, error) {
 	if !img.ro {
 		if img.refTable, err = readRefTable(f, hdr, ly, sz); err != nil {
 			return nil, err
-		}
-	}
-	if hdr.HasSubExt {
-		// Bound the bitmap (a word per virtual cluster) before sizing it.
-		if hdr.Size > 1<<62 || !within(hdr.SubTableOffset, uint64(ly.clustersFor(int64(hdr.Size)))*8, sz) {
-			return nil, fmt.Errorf("%w: subcluster table beyond end of file", ErrCorrupt)
-		}
-		img.sub = newSubState(hdr, ly)
-		if err := img.sub.load(f); err != nil {
-			if img.tables != nil {
-				img.tables.detach()
-			}
-			return nil, fmt.Errorf("qcow: reading subcluster table: %w", err)
 		}
 	}
 	// A cache image that was filled to (or near) quota in a previous run

@@ -55,12 +55,6 @@ func (img *Image) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 	r.CounterFunc("vmicache_qcow_fill_waits_total",
 		"Readers that waited on another reader's in-flight fill (singleflight followers).",
 		labels, s.FillWaits.Load)
-	r.CounterFunc("vmicache_qcow_subcluster_fills_total",
-		"Sub-clusters written by demand partial fills.", labels, s.SubclusterFills.Load)
-	r.CounterFunc("vmicache_qcow_subcluster_completions_total",
-		"Sub-clusters topped up by CompleteAll before publication.", labels, s.SubclusterCompletions.Load)
-	r.CounterFunc("vmicache_qcow_subcluster_partial_hits_total",
-		"Guest reads served from a partially-valid cluster.", labels, s.SubclusterPartialHits.Load)
 	r.CounterFunc("vmicache_qcow_zerocopy_exports_total",
 		"Reads translated into container-file extents for zero-copy serving.",
 		labels, s.ZeroCopyExports.Load)

@@ -58,8 +58,8 @@ func (img *Image) ReadAt(p []byte, off int64) (int, error) {
 // the virtual size fails with io.ErrUnexpectedEOF — but hands the raw extents
 // of all of them to the container as ONE backend.ReadBatch, so over a remote
 // container the whole batch is in flight at once. Zero extents are cleared;
-// any other extent (compressed, partially valid, deferred to this image's
-// own backing) is served through readExtents after the batch.
+// any other extent (compressed, deferred to this image's own backing) is
+// served through readExtents after the batch.
 func (img *Image) ReadBatch(rs []backend.Range) error {
 	if err := img.enterRead(); err != nil {
 		return err
@@ -154,21 +154,6 @@ func (img *Image) readExtents(p []byte, off int64, extp *[]mappedExtent) (int, e
 					img.stats.LocalBytes.Add(e.length)
 				}
 				done += int(e.length)
-			case extSubPartial:
-				// Partially-valid cluster: serve sub-cluster-wise,
-				// demand-filling missing sub-clusters in place.
-				served, err := img.subReadPartial(e.vc, e.pos, seg, e.dataOff, ctx.backing, ctx.fillSub)
-				if err != nil {
-					return done, err
-				}
-				done += served
-				if served < int(e.length) {
-					// A fill changed the validity picture (or this
-					// extent raced a whole-cluster fill): the rest of
-					// the translation is suspect too. Re-translate.
-					stale = true
-					break serve
-				}
 			case extUnalloc:
 				if ctx.fillRun {
 					served, err := img.fillRun(e.vc, e.run, e.pos, seg, ctx.backing)
@@ -205,16 +190,16 @@ func (img *Image) readExtents(p []byte, off int64, extp *[]mappedExtent) (int, e
 
 // slotRun counts the clusters from vc on that intersect the request ending at
 // reqEnd (byte offset) and continue vc's run: unallocated when dataOff is 0,
-// else fully valid raw clusters physically following vc's data at dataOff.
+// else raw clusters physically following vc's data at dataOff.
 // It scans the memoized L2 table's slots, fetching a table only when the run
 // crosses into it; a missing table is a table's worth of unallocated
 // clusters. A compressed entry carries its flag outside the offset mask, so
 // it ends either kind of run. Always >= 1.
 func (img *Image) slotRun(rl *runLookup, vc, dataOff, reqEnd int64) (int64, error) {
 	last := (reqEnd - 1) >> img.ly.clusterBits
-	next, step, sub := uint64(dataOff), uint64(img.ly.clusterSize), img.sub
+	next, step := uint64(dataOff), uint64(img.ly.clusterSize)
 	if dataOff == 0 {
-		step, sub = 0, nil
+		step = 0
 	}
 	run := int64(1)
 	for vc+run <= last {
@@ -231,7 +216,7 @@ func (img *Image) slotRun(rl *runLookup, vc, dataOff, reqEnd int64) (int64, erro
 			continue
 		}
 		for _, e := range t[i : i+n] {
-			if next += step; e&(entryOffsetMask|entryCompressed) != next || sub != nil && !sub.isFull(vc+run) {
+			if next += step; e&(entryOffsetMask|entryCompressed) != next {
 				return run, nil
 			}
 			run++

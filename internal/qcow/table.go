@@ -329,7 +329,7 @@ func (img *Image) loadL2(off int64) ([]uint64, error) {
 }
 
 // writeSlots writes consecutive big-endian 8-byte table slots (L1, L2,
-// refcount table, sub-cluster words) at off.
+// refcount table) at off.
 func (img *Image) writeSlots(off int64, vals []uint64) error {
 	b := make([]byte, len(vals)*8)
 	for i, v := range vals {

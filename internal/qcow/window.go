@@ -37,8 +37,8 @@ type windowPiece struct {
 // the backing source, and returns the spans it did not land in full, in plan
 // order, for the caller to read through ReadAt: spans with clusters another
 // filler claimed, spans past a quota trip or the virtual size — or all of
-// them when the image does not fill windows (not a writable cache, sub-cluster
-// mode, full, or without a backing). Guest readers racing the fill wait on
+// them when the image does not fill windows (not a writable cache, full, or
+// without a backing). Guest readers racing the fill wait on
 // its claims and are served from its buffer, as with any fill.
 func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 	if err := img.enterRead(); err != nil {
@@ -50,7 +50,7 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 
 	img.mu.RLock()
 	backing := img.backing
-	if !img.isCache || img.ro || img.sub != nil || img.cacheFull || backing == nil {
+	if !img.isCache || img.ro || img.cacheFull || backing == nil {
 		img.mu.RUnlock()
 		return spans, nil
 	}
@@ -200,7 +200,7 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 	}
 	res := buf[:(plan.end-plan.base)*cs]
 	if len(commit) > 0 {
-		if _, err = img.commitRun(commit, plan, res, nil, 0); err != nil {
+		if err = img.commitRun(commit, plan, res, nil); err != nil {
 			img.mu.Unlock()
 			return nil, err
 		}

@@ -21,10 +21,9 @@ import (
 
 // PlainExtents implements zerocopy.ExtentSource: it appends the container-
 // file extents covering the guest range [off, off+n) to dst and reports
-// whether the WHOLE range is raw, fully valid, and owned by this image.
-// ok == false — a compressed cluster, a partially-valid sub-cluster run, an
-// unallocated run deferring to backing, a writable image, or a non-os-backed
-// container anywhere in the range — means the caller must serve the entire
+// whether the WHOLE range is raw and owned by this image. ok == false — a
+// compressed cluster, an unallocated run deferring to backing, a writable
+// image, or a non-os-backed container anywhere in the range — means the caller must serve the entire
 // request through the ordinary copy path. On success the image's guest-read
 // counters are advanced, since the caller's I/O bypasses ReadAt.
 func (img *Image) PlainExtents(off, n int64, dst []zerocopy.FileExtent) ([]zerocopy.FileExtent, bool) {

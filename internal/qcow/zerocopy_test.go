@@ -3,7 +3,7 @@ package qcow
 // Tests for the zero-copy serve support (zerocopy.go): the PlainExtents
 // export contract (byte-identity against the copy path, plus the full
 // fallback matrix — writable image, memory-backed container, compressed
-// cluster, partially-valid sub-cluster, unallocated run, out-of-range), and
+// cluster, unallocated run, out-of-range), and
 // the table set's mapping (byte-identity with pread, fallback past the
 // mapping and off it, lifetime, faults).
 
@@ -225,44 +225,6 @@ func TestPlainExtentsFallbackMatrix(t *testing.T) {
 		}
 		if _, ok := ro.PlainExtents(size-10, 20, nil); ok {
 			t.Fatal("past-EOF range exported")
-		}
-	})
-
-	t.Run("partial subcluster", func(t *testing.T) {
-		base, _ := newPatternedBase(t, size, 73)
-		path := filepath.Join(t.TempDir(), "sub.qcow")
-		f, err := backend.CreateOSFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := newSubCache(t, f, size, 8*size, RawSource{R: base, N: size})
-		cs := img.ClusterSize()
-		// Cluster 1: partial 4 KiB fill. Cluster 2: full fill.
-		small := make([]byte, 4096)
-		if err := backend.ReadFull(img, small, cs); err != nil {
-			t.Fatal(err)
-		}
-		full := make([]byte, cs)
-		if err := backend.ReadFull(img, full, 2*cs); err != nil {
-			t.Fatal(err)
-		}
-		if err := img.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rof, err := backend.OpenOSFile(path, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ro, err := Open(rof, OpenOpts{ReadOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ro.Close()
-		if _, ok := ro.PlainExtents(cs, 4096, nil); ok {
-			t.Fatal("partially-valid sub-cluster exported")
-		}
-		if exts, ok := ro.PlainExtents(2*cs, cs, nil); !ok || len(exts) != 1 {
-			t.Fatalf("fully-valid cluster refused: ok=%v exts=%d", ok, len(exts))
 		}
 	})
 }

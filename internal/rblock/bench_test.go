@@ -268,8 +268,8 @@ func BenchmarkContendedServerRead(b *testing.B) {
 	}
 }
 
-// BenchmarkServerRead4K measures the small-read round trip that dominates
-// sub-cluster demand fills (4 KiB exact-length segments). Loopback runs both
+// BenchmarkServerRead4K measures the small-read round trip of a guest's
+// 4 KiB read-through (exact-length segments). Loopback runs both
 // ends in-process, so allocs/op covers the server's request handling too: the
 // pooled reply buffers must keep the steady-state read path free of per-
 // request payload allocations.

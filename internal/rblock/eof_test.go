@@ -39,8 +39,8 @@ func (f wrappedEOFFile) ReadAt(p []byte, off int64) (int, error) {
 // TestRemoteReadAtEOFBoundaries pins down RemoteFile.ReadAt semantics around
 // the end of a non-rwsize-aligned image: exact-length tails succeed, reads
 // crossing the end return the short count with io.EOF, and reads wholly past
-// the end return (0, io.EOF) — the contract the sub-cluster fill path relies
-// on for its exact-length partial fetches near the image end.
+// the end return (0, io.EOF) — the contract the qcow fill path relies on for
+// its exact-length fetch of an image's short last cluster.
 func TestRemoteReadAtEOFBoundaries(t *testing.T) {
 	const (
 		rwsize = 4096
@@ -108,7 +108,7 @@ func TestRemoteReadAtEOFBoundaries(t *testing.T) {
 					t.Fatal("data mismatch")
 				}
 				// Exact-length tails must satisfy ReadFull, the form the
-				// qcow fill path uses for sub-cluster fetches.
+				// qcow fill path uses for backing fetches.
 				if !tc.wantEOF && tc.len > 0 {
 					full := make([]byte, tc.len)
 					if err := backend.ReadFull(rf, full, tc.off); err != nil {

@@ -10,8 +10,7 @@
 // chunks it can serve locally as a compact bitmap (Map, exported over the
 // rblock OpMap request), refreshed as its own cache fills, so a cache is a
 // useful source while it is still warming. Cluster validity is monotone
-// during a warm — fills only add clusters, sub-cluster words only gain bits —
-// so a stale map is a safe lower bound: acting on it can under-fetch, never
+// during a warm — fills only add clusters — so a stale map is a safe lower bound: acting on it can under-fetch, never
 // read a range the server would have to fault in from its own backing.
 //
 // The fetching side runs a Scheduler (rarest-first selection, per-peer

@@ -35,11 +35,11 @@ type FileExtent struct {
 }
 
 // ExtentSource is implemented by devices that can translate a read over
-// fully-valid raw clusters into container-file extents instead of bytes.
+// allocated raw clusters into container-file extents instead of bytes.
 // PlainExtents appends the extents covering [off, off+n) to dst and reports
 // whether the WHOLE range is served that way; ok == false means some part of
-// the range needs the copy path (compressed cluster, partial sub-cluster,
-// unallocated run, writable image) and the caller must fall back for the
+// the range needs the copy path (compressed cluster, unallocated run,
+// writable image) and the caller must fall back for the
 // entire request. The returned extents stay valid as long as the device is
 // open: the contract is only offered by read-only images whose cluster
 // mappings are frozen.
