@@ -5,8 +5,8 @@ GO ?= go
 # The full verification gate: lint (gofmt + vet + staticcheck when
 # installed), build, the plain test suite, and the race-detector pass (which
 # includes the concurrency stress tests in internal/qcow and internal/rblock;
-# four tests that once flaked or race a fill or a vectored read run 20 times
-# more).
+# five tests that once flaked or race a fill, a vectored read or a sendfile
+# reply run 20 times more).
 check: lint build test race
 
 # lint fails on unformatted files and vet findings; staticcheck runs when the
@@ -36,7 +36,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders|TestReadBatchRacing' ./internal/backend/ ./internal/cachemgr/ ./internal/qcow/ ./internal/rblock/
+	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders|TestReadBatchRacing|TestReadVSendfile' ./internal/backend/ ./internal/cachemgr/ ./internal/qcow/ ./internal/rblock/
 
 # fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
 # `make test` already replays): the decoders a crash (pack records), a peer

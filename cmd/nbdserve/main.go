@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	nbdserve [-addr HOST:PORT] [-C dir] [-ro] [-zerocopy]
-//	         [-metrics-addr HOST:PORT] [-pprof-mutex-frac N]
-//	         [-pprof-block-rate NS] IMAGE [IMAGE...]
+//	nbdserve [-addr HOST:PORT] [-C dir] [-ro] [-metrics-addr HOST:PORT]
+//	         [-pprof-mutex-frac N] [-pprof-block-rate NS] IMAGE [IMAGE...]
 //
-// Each IMAGE (a chain top inside -C) is exported under its own name.
+// Each IMAGE (a chain top inside -C) is exported under its own name. With
+// -ro, reads of raw warm clusters are served by sendfile(2) from the
+// container file (on Linux; elsewhere they are copied).
 package main
 
 import (
@@ -27,8 +28,8 @@ import (
 )
 
 // chainDevice adapts a core.Chain to nbd.Device. It also forwards extent
-// export so read-only chains over raw warm clusters can serve reads via
-// sendfile when -zerocopy is on.
+// export so read-only chains over raw warm clusters serve reads via
+// sendfile.
 type chainDevice struct{ c *core.Chain }
 
 func (d chainDevice) ReadAt(p []byte, off int64) (int, error)  { return d.c.ReadAt(p, off) }
@@ -45,7 +46,6 @@ func main() {
 	addr := fs.String("addr", "127.0.0.1:10810", "listen address")
 	dir := fs.String("C", ".", "working directory holding the images")
 	ro := fs.Bool("ro", false, "export read-only")
-	zeroCopy := fs.Bool("zerocopy", true, "serve raw warm reads of read-only exports via sendfile(2) (Linux; other platforms fall back to copying)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
 	mutexFrac := fs.Int("pprof-mutex-frac", 0, "mutex contention sampling fraction (runtime.SetMutexProfileFraction); 0 disables")
@@ -66,7 +66,6 @@ func main() {
 	srv := nbd.NewServer(func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
-	srv.ZeroCopy = *zeroCopy
 
 	var reg *metrics.Registry
 	if *metricsAddr != "" {

@@ -4,9 +4,12 @@
 //
 // Usage:
 //
-//	rblockd [-addr HOST:PORT] [-dir DIR] [-rwsize N] [-ro] [-zerocopy]
-//	        [-drain DUR] [-metrics-addr HOST:PORT] [-pprof-mutex-frac N]
+//	rblockd [-addr HOST:PORT] [-dir DIR] [-rwsize N] [-ro] [-drain DUR]
+//	        [-metrics-addr HOST:PORT] [-pprof-mutex-frac N]
 //	        [-pprof-block-rate NS]
+//
+// Reads of read-only handles are served by sendfile(2) straight from the
+// file (on Linux; elsewhere they are copied).
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops accepting new
 // connections, drains in-flight requests up to -drain, prints its traffic
@@ -32,7 +35,6 @@ func main() {
 	dir := fs.String("dir", ".", "directory to export")
 	rwsize := fs.Int("rwsize", rblock.DefaultRWSize, "maximum transfer segment (the paper tunes NFS to 64 KiB)")
 	ro := fs.Bool("ro", false, "export read-only")
-	zeroCopy := fs.Bool("zerocopy", false, "serve reads of read-only handles via sendfile(2) straight from the file (Linux)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
 	mutexFrac := fs.Int("pprof-mutex-frac", 0, "mutex contention sampling fraction (runtime.SetMutexProfileFraction); 0 disables")
@@ -48,7 +50,6 @@ func main() {
 	srv := rblock.NewServer(store, rblock.ServerOpts{
 		RWSize:   *rwsize,
 		ReadOnly: *ro,
-		ZeroCopy: *zeroCopy,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -24,8 +24,6 @@
 //	-metrics-addr A  serve /metrics, /metrics.json and /debug/pprof on A
 //	-pprof-mutex-frac N   sample 1-in-N mutex contention events (0 = off)
 //	-pprof-block-rate NS  sample blocking events slower than NS ns (0 = off)
-//	-zerocopy        serve peer transfers of published caches via sendfile(2)
-//	                 (default on; Linux only, elsewhere it copies)
 //	-dedup           keep a content-addressed chunk store; peer warms become
 //	                 manifest-first and move only the chunks this node lacks
 //	-dedup-jobs N    dedup pipeline parallelism: chunk hash/compress workers
@@ -79,7 +77,6 @@ func main() {
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
 	dedupOn := fs.Bool("dedup", false, "keep a content-addressed chunk store: sibling caches share storage, peer warms move only missing chunks")
 	dedupJobs := fs.Int("dedup-jobs", 0, "dedup pipeline parallelism for chunk hash/compress work (0 = GOMAXPROCS, 1 = serial)")
-	zeroCopy := fs.Bool("zerocopy", true, "serve peer transfers of published caches via sendfile(2) (Linux; other platforms fall back to copying)")
 	swarmOn := fs.Bool("swarm", false, "warm cold caches via chunk-level swarm transfer from peers")
 	tracker := fs.String("tracker", "", "swarm announce tracker base URL, e.g. http://10.0.0.1:9091")
 	trackerListen := fs.String("tracker-listen", "", "also host the swarm announce tracker over HTTP on this address")
@@ -151,7 +148,6 @@ func main() {
 		Metrics:        reg,
 		Dedup:          *dedupOn,
 		DedupWorkers:   *dedupJobs,
-		ZeroCopy:       *zeroCopy,
 		SwarmEnabled:   *swarmOn,
 		SwarmSelf:      *swarmSelf,
 		SwarmTracker:   announcer,

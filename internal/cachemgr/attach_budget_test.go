@@ -19,12 +19,12 @@ import (
 // base read-only first, and a base that is not a cache stays so:
 //
 //	warm attach, read-only open:     header 512 + L1 16      2 reads   528 B
-//	cold warm, sizing the base:      header 512              1 read    512 B
 //	cold warm, read-only open:       header 512 + L1 16      2 reads   528 B
 //
-// The cold warm here replays no spans, so every byte it reads is metadata,
-// and it syncs nothing on the storage node: the base was never opened
-// writable. The last subtest pins the probe itself at four cluster sizes.
+// The cold warm opens the base once: the new cache takes its size from that
+// open instead of a separate sizing read. It replays no spans here, so every
+// byte it reads is metadata, and it syncs nothing on the storage node: the
+// base was never opened writable. The last subtest pins the probe itself at four cluster sizes.
 func TestAttachStorageBudget(t *testing.T) {
 	log := newOpLog()
 	s := newStorageNodeOver(t, func(st backend.Store) backend.Store { return logStore{st, log} })
@@ -54,10 +54,10 @@ func TestAttachStorageBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		lease.Release()
-		expect(t, r0, b0, 1+2, 512+(512+16))
-		// Sizing, then the chain's read-only open (each open stats twice:
-		// the server sizes the handle, the image asks its size); no sync.
-		want := []string{"open", "stat", "stat", "read", "close", "open", "stat", "stat", "read", "read", "close"}
+		expect(t, r0, b0, 2, 512+16)
+		// One read-only open (it stats twice: the server sizes the handle,
+		// the image asks its size); no sync.
+		want := []string{"open", "stat", "stat", "read", "read", "close"}
 		if ops := kinds(log.take(base)); !slices.Equal(ops, want) {
 			t.Errorf("the storage node served %v for the base during a cold warm, want %v", ops, want)
 		}

@@ -192,11 +192,10 @@ type Config struct {
 	// WarmBudget is ignored, like WarmWorkers.
 	WarmBudget int64
 
-	// ZeroCopy serves peer transfers of published caches with sendfile(2)
-	// straight from the cache file to the socket (published caches are
-	// immutable 0444 files, exactly the contract the fast path needs).
-	// Exports that cannot offer a raw descriptor — swarm chunk views
-	// assemble bytes — keep the copy path per request.
+	// ZeroCopy is ignored: the peer exporter always serves published caches
+	// (immutable 0444 files) with sendfile(2), and exports without a file
+	// descriptor — swarm chunk views assemble bytes — with the copy path.
+	// Kept, like WarmWorkers, only for callers that still set it.
 	ZeroCopy bool
 
 	// Logf, when non-nil, receives lifecycle events.

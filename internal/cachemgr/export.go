@@ -97,7 +97,6 @@ func (m *Manager) ServePeers(addr string) (string, error) {
 		Logf:     m.cfg.Logf,
 		Maps:     swarmMaps{m},
 		Chunks:   chunks,
-		ZeroCopy: m.cfg.ZeroCopy,
 	})
 	if m.cfg.Metrics != nil {
 		srv.RegisterMetrics(m.cfg.Metrics, metrics.Labels{"server": "peer-export"})

@@ -34,7 +34,7 @@ func newPullRig(t *testing.T, size int64) *pullRig {
 	t.Helper()
 	r := &pullRig{s: newStorageNode(t)}
 	r.s.addBase(t, "base.img", size, 5)
-	r.a = newManager(t, r.s, func(c *cachemgr.Config) { c.ZeroCopy = true })
+	r.a = newManager(t, r.s, nil)
 	lease, err := r.a.Acquire("base.img")
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func BenchmarkPeerPull(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer client.Close() //nolint:errcheck // benchmark teardown
-	cfg := cachemgr.Config{Backing: rblock.RemoteStore{C: client}, WarmProfile: "centos", ZeroCopy: true}
+	cfg := cachemgr.Config{Backing: rblock.RemoteStore{C: client}, WarmProfile: "centos"}
 	peerCfg := cfg
 	peerCfg.Dir = b.TempDir()
 	peer, err := cachemgr.New(peerCfg)

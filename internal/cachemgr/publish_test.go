@@ -28,10 +28,10 @@ func (f syncWatch) Sync() error {
 	return err
 }
 
-// TestColdWarmFsyncsOnce: once created, a copy-on-read temp is fsynced once —
-// by publish, beside its verify, before the rename. The warm chain's Close
-// stamps the cache but syncs nothing, and the storage node never syncs the
-// base it only read.
+// TestColdWarmFsyncsOnce: over its whole life a copy-on-read temp is fsynced
+// once — by publish, beside its verify, before the rename. Its creation and
+// the warm chain's Close write the cache but sync nothing, and the storage
+// node never syncs the base it only read.
 func TestColdWarmFsyncsOnce(t *testing.T) {
 	log := newOpLog()
 	s := newStorageNodeOver(t, func(st backend.Store) backend.Store { return logStore{st, log} })
@@ -50,8 +50,9 @@ func TestColdWarmFsyncsOnce(t *testing.T) {
 	key := m.KeyFor("base.img")
 
 	bootAndCheck(t, m, s, "base.img", "vm0")
-	if ops := log.take(key + ".tmp"); slices.Contains(ops, "sync") || !slices.Contains(ops, "write") {
-		t.Errorf("the warm chain did %v to the temp, want its writes and no sync", ops)
+	if ops := log.take(key + ".tmp"); len(ops) == 0 || ops[0] != "create" ||
+		slices.Contains(ops, "sync") || !slices.Contains(ops, "write") {
+		t.Errorf("creation and the warm chain did %v to the temp, want its creation, writes and no sync", ops)
 	}
 	if ops := log.take("base.img"); slices.Contains(ops, "sync") || len(ops) == 0 {
 		t.Errorf("the storage node served %v for the base, want reads and no sync", ops)

@@ -294,28 +294,12 @@ func (m *Manager) swarmCounts() swarm.Counts {
 // it already has while it is still fetching the rest.
 func (m *Manager) swarmWarm(base, key, tmpName string) (swarm.Counts, error) {
 	var counts swarm.Counts
-	baseLoc := core.Locator{Store: m.backingName, Name: base}
-	baseSize, err := core.VirtualSizeOf(m.ns, baseLoc)
+	chain, err := core.CreateCacheChain(m.ns, core.Locator{Store: storeName, Name: tmpName},
+		core.Locator{Store: m.backingName, Name: base}, m.cfg.Quota, m.cb, core.ChainOpts{WrapFile: m.warmWrap})
 	if err != nil {
-		return counts, fmt.Errorf("cachemgr: sizing base %s: %w", base, err)
-	}
-	quota := m.cfg.Quota
-	if quota <= 0 {
-		quota = fullWarmQuota(baseSize, m.cb)
-	}
-	tmpLoc := core.Locator{Store: storeName, Name: tmpName}
-	if err := core.CreateCache(m.ns, tmpLoc, baseLoc, baseSize, quota, m.cb); err != nil {
 		return counts, fmt.Errorf("cachemgr: creating cache for %s: %w", base, err)
 	}
-	chain, err := core.OpenChain(m.ns, tmpLoc, core.ChainOpts{WrapFile: m.warmWrap})
-	if err != nil {
-		return counts, fmt.Errorf("cachemgr: opening warm chain for %s: %w", base, err)
-	}
-	ci := chain.CacheImage()
-	if ci == nil {
-		chain.Close() //nolint:errcheck // already failing
-		return counts, fmt.Errorf("cachemgr: warm chain for %s has no cache image", base)
-	}
+	ci := chain.Top() // the new cache
 
 	// SwarmSelf may have been defaulted from the exporter's bound address.
 	m.mu.Lock()

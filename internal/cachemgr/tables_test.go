@@ -18,8 +18,8 @@ import (
 )
 
 // opLog records, per file name, the container operations made through a
-// logStore, in order: "open", "stat", "read <len>@<off>", "write", "sync",
-// "close".
+// logStore, in order: "create", "open", "stat", "read <len>@<off>", "write",
+// "sync", "close".
 type opLog struct {
 	mu  sync.Mutex
 	ops map[string][]string
@@ -45,6 +45,15 @@ func (l *opLog) take(name string) []string {
 type logStore struct {
 	backend.Store
 	log *opLog
+}
+
+func (s logStore) Create(name string) (backend.File, error) {
+	f, err := s.Store.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	s.log.add(name, "create")
+	return logFile{File: f, name: name, log: s.log}, nil
 }
 
 func (s logStore) Open(name string, readOnly bool) (backend.File, error) {

@@ -137,28 +137,17 @@ func (m *Manager) fetchFromPeer(addr, key, tmpName string) (int64, error) {
 	return backend.StreamFile(m.store, tmpName, rblock.RemoteStore{C: c}, key, m.pool.Capacity())
 }
 
-// corWarm creates a cache image in the temp file, chains it to the storage
+// corWarm creates a cache image in the temp file on top of the storage
 // node's base, and warms it with the plan's spans: the cache fills itself
 // from the base through its copy-on-read fill path, as a first boot would,
 // one plan window per batched fetch and commit.
 func (m *Manager) corWarm(base, tmpName string) error {
-	baseLoc := core.Locator{Store: m.backingName, Name: base}
-	baseSize, err := core.VirtualSizeOf(m.ns, baseLoc)
+	chain, err := core.CreateCacheChain(m.ns, core.Locator{Store: storeName, Name: tmpName},
+		core.Locator{Store: m.backingName, Name: base}, m.cfg.Quota, m.cb, core.ChainOpts{WrapFile: m.warmWrap})
 	if err != nil {
-		return fmt.Errorf("cachemgr: sizing base %s: %w", base, err)
-	}
-	quota := m.cfg.Quota
-	if quota <= 0 {
-		quota = fullWarmQuota(baseSize, m.cb)
-	}
-	tmpLoc := core.Locator{Store: storeName, Name: tmpName}
-	if err := core.CreateCache(m.ns, tmpLoc, baseLoc, baseSize, quota, m.cb); err != nil {
 		return fmt.Errorf("cachemgr: creating cache for %s: %w", base, err)
 	}
-	chain, err := core.OpenChain(m.ns, tmpLoc, core.ChainOpts{WrapFile: m.warmWrap})
-	if err != nil {
-		return fmt.Errorf("cachemgr: opening warm chain for %s: %w", base, err)
-	}
+	baseSize := chain.Size()
 	spans := m.cfg.WarmSpans
 	if spans == nil && m.cfg.WarmProfile != "" {
 		spans, err = core.ProfileSpans(m.cfg.WarmProfile, baseSize)
@@ -179,8 +168,8 @@ func (m *Manager) corWarm(base, tmpName string) error {
 
 // warmWrap wraps the warming temp container (chain depth 0) — outermost
 // in noSync, inside that in the test failure-injection hook — and leaves the
-// backing alone. Both warms that use it, corWarm and swarmWarm, end in
-// publish, whose fsync is the temp's one.
+// backing alone. Both warms that use it, corWarm and swarmWarm, create the
+// temp through it and end in publish, whose fsync is the temp's one.
 func (m *Manager) warmWrap(_ core.Locator, f backend.File, depth int) backend.File {
 	if depth != 0 {
 		return f
@@ -277,17 +266,6 @@ func (m *Manager) publish(key string, from *dedup.Manifest) (*Lease, error) {
 		m.dedupReserve()
 	}
 	return &Lease{m: m, key: key, tables: tables}, nil
-}
-
-// fullWarmQuota sizes a quota big enough to hold every data cluster of the
-// base plus all fill metadata (L2 tables, refcount blocks), so a whole-image
-// warm never trips the cache-full brake.
-func fullWarmQuota(size int64, cb int) int64 {
-	cs := int64(1) << cb
-	clusters := ceilDiv(size, cs)
-	l2Tables := ceilDiv(clusters, cs/8)
-	refBlocks := ceilDiv(clusters, cs/2)
-	return qcow.MinCacheQuota(size, cb) + (clusters+l2Tables+refBlocks+8)*cs
 }
 
 // fullSpans covers [0, size) in 1 MiB warm spans.

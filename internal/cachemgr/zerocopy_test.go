@@ -1,9 +1,8 @@
 package cachemgr_test
 
-// End-to-end zero-copy: a manager configured with ZeroCopy serves wholesale
-// peer pulls of its published caches through the sendfile reply path
-// (published caches are immutable OS files — exactly the fast path's
-// contract), and boot sessions copy warm reads from the one mapping their
+// End-to-end zero-copy: a manager serves wholesale peer pulls of its
+// published caches through the sendfile reply path (published caches are
+// immutable OS files — exactly the fast path's contract), and boot sessions copy warm reads from the one mapping their
 // cache's table set holds. Both are proven by byte identity plus the
 // respective effectiveness counters; a fault under the mapping is an error
 // of one session, not a crash.
@@ -23,7 +22,7 @@ func TestPeerTransferZeroCopy(t *testing.T) {
 	const size = 4 * mb
 	s.addBase(t, "base.img", size, 21)
 
-	mgrA := newManager(t, s, func(c *cachemgr.Config) { c.ZeroCopy = true })
+	mgrA := newManager(t, s, nil)
 	leaseA, err := mgrA.Acquire("base.img")
 	if err != nil {
 		t.Fatalf("warming node A: %v", err)

@@ -178,23 +178,39 @@ func (c *Chain) Close() error {
 // is attached as a raw source.
 func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 	c := &Chain{}
-	seen := map[string]bool{}
-	cur := loc
-	for depth := 0; ; depth++ {
+	if _, err := c.walk(ns, loc, 0, map[string]bool{}, opts); err != nil {
+		c.Close() //nolint:errcheck // unwinding partial chain
+		return nil, err
+	}
+	return c, nil
+}
+
+// walk opens cur at the given depth and the rest of its backing chain,
+// appending each image to c and installing it as the backing of the image
+// before it. seen holds the locators already in the chain. It returns what
+// it opened at depth: an image, or a raw base. On error the caller closes c.
+func (c *Chain) walk(ns *Namespace, cur Locator, depth int, seen map[string]bool, opts ChainOpts) (qcow.BlockSource, error) {
+	var first qcow.BlockSource
+	link := func(src qcow.BlockSource) {
+		if n := len(c.Images); n > 0 {
+			c.Images[n-1].SetBacking(src)
+		}
+		if first == nil {
+			first = src
+		}
+	}
+	for ; ; depth++ {
 		if depth >= maxChainDepth {
-			c.Close() //nolint:errcheck // unwinding partial chain
 			return nil, ErrChainTooDeep
 		}
 		key := cur.String()
 		if seen[key] {
-			c.Close() //nolint:errcheck
 			return nil, fmt.Errorf("%w: %s", ErrChainCycle, key)
 		}
 		seen[key] = true
 
 		st, err := ns.Store(cur.Store)
 		if err != nil {
-			c.Close() //nolint:errcheck
 			return nil, err
 		}
 		// The top opens read-write unless the caller wants it read-only;
@@ -203,7 +219,6 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 		ro := opts.TopReadOnly || depth > 0
 		f, err := st.Open(cur.Name, ro)
 		if err != nil {
-			c.Close() //nolint:errcheck
 			return nil, fmt.Errorf("core: opening %s: %w", key, err)
 		}
 		if opts.WrapFile != nil {
@@ -219,28 +234,24 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 			sz, szErr := f.Size()
 			if szErr != nil {
 				f.Close() //nolint:errcheck
-				c.Close() //nolint:errcheck
 				return nil, szErr
 			}
-			c.Images[len(c.Images)-1].SetBacking(qcow.RawSource{R: f, N: sz})
+			link(qcow.RawSource{R: f, N: sz})
 			c.rawTail = f
-			return c, nil
+			return first, nil
 		}
 		if err != nil {
 			f.Close() //nolint:errcheck
-			c.Close() //nolint:errcheck
 			return nil, fmt.Errorf("core: parsing %s: %w", key, err)
 		}
 		// A cache backing image needs write permission to warm itself
 		// (§4.3): re-open it read-write.
 		if depth > 0 && img.IsCache() && !opts.BackingReadOnly {
 			if err := img.Close(); err != nil {
-				c.Close() //nolint:errcheck
 				return nil, err
 			}
 			f, err = st.Open(cur.Name, false)
 			if err != nil {
-				c.Close() //nolint:errcheck
 				return nil, fmt.Errorf("core: opening %s: %w", key, err)
 			}
 			if opts.WrapFile != nil {
@@ -249,25 +260,27 @@ func OpenChain(ns *Namespace, loc Locator, opts ChainOpts) (*Chain, error) {
 			img, err = qcow.Open(f, qcow.OpenOpts{})
 			if err != nil {
 				f.Close() //nolint:errcheck
-				c.Close() //nolint:errcheck
 				return nil, fmt.Errorf("core: parsing %s: %w", key, err)
 			}
 		}
-		if len(c.Images) > 0 {
-			c.Images[len(c.Images)-1].SetBacking(img)
-		}
+		link(img)
 		c.Images = append(c.Images, img)
 		c.Locators = append(c.Locators, cur)
 
 		bn := img.BackingName()
 		if bn == "" {
-			return c, nil
+			return first, nil
 		}
-		next := ParseLocator(bn)
-		if next.Store == "" {
-			// Relative backing names resolve in the same store.
-			next.Store = cur.Store
-		}
-		cur = next
+		cur = resolveBacking(cur, bn)
 	}
+}
+
+// resolveBacking resolves the backing name stored in the image at from:
+// relative names resolve in the same store.
+func resolveBacking(from Locator, name string) Locator {
+	next := ParseLocator(name)
+	if next.Store == "" {
+		next.Store = from.Store
+	}
+	return next
 }

@@ -78,6 +78,71 @@ func CreateCache(ns *Namespace, loc Locator, backing Locator, size, quota int64,
 	return img.Close()
 }
 
+// CreateCacheChain performs step one of the §4.4 workflow and opens the
+// result in one pass: it opens backing's chain exactly as OpenChain opens the
+// chain below a top (§4.3: read-only first, a cache re-opened read-write),
+// creates at loc a cache image of the backing's virtual size pointing at it,
+// and returns the chain with the new cache on top, still open. A quota <= 0
+// is sized for a whole-image warm. The new container passes through
+// opts.WrapFile at depth 0 before Create writes it, so the wrapper sees the
+// creation as well as the warm.
+func CreateCacheChain(ns *Namespace, loc, backing Locator, quota int64, clusterBits int, opts ChainOpts) (*Chain, error) {
+	if clusterBits == 0 {
+		clusterBits = qcow.CacheClusterBits
+	}
+	st, err := ns.Store(loc.Store)
+	if err != nil {
+		return nil, err
+	}
+	name := backingName(ns, loc, backing)
+	c := &Chain{}
+	below, err := c.walk(ns, resolveBacking(loc, name), 1, map[string]bool{loc.String(): true}, opts)
+	if err != nil {
+		c.Close() //nolint:errcheck // unwinding partial chain
+		return nil, err
+	}
+	size := below.Size()
+	if quota <= 0 {
+		quota = fullWarmQuota(size, clusterBits)
+	}
+	f, err := st.Create(loc.Name)
+	if err != nil {
+		c.Close() //nolint:errcheck
+		return nil, err
+	}
+	if opts.WrapFile != nil {
+		f = opts.WrapFile(loc, f, 0)
+	}
+	top, err := qcow.Create(f, qcow.CreateOpts{
+		Size:        size,
+		ClusterBits: clusterBits,
+		BackingFile: name,
+		CacheQuota:  quota,
+	})
+	if err != nil {
+		f.Close() //nolint:errcheck
+		c.Close() //nolint:errcheck
+		return nil, err
+	}
+	top.SetBacking(below)
+	c.Images = append([]*qcow.Image{top}, c.Images...)
+	c.Locators = append([]Locator{loc}, c.Locators...)
+	return c, nil
+}
+
+// fullWarmQuota sizes a quota big enough to hold every data cluster of an
+// image of the given size plus all fill metadata (L2 tables, refcount
+// blocks), so a whole-image warm never trips the cache-full brake.
+func fullWarmQuota(size int64, cb int) int64 {
+	cs := int64(1) << cb
+	clusters := ceilDiv(size, cs)
+	l2Tables := ceilDiv(clusters, cs/8)
+	refBlocks := ceilDiv(clusters, cs/2)
+	return qcow.MinCacheQuota(size, cb) + (clusters+l2Tables+refBlocks+8)*cs
+}
+
+func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
+
 // CreateCacheSub exists only for bench/e2e, which still calls it with false:
 // it is CreateCache, and sub-cluster caches are no longer made.
 func CreateCacheSub(ns *Namespace, loc Locator, backing Locator, size, quota int64, clusterBits int, subclusters bool) error {

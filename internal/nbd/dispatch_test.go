@@ -298,7 +298,6 @@ func TestLoneRequestByteIdentity(t *testing.T) {
 		const size = 1 << 20
 		img, pat := newPublishedImage(t, size, 12, 13)
 		srv, addr := newTestServer(t)
-		srv.ZeroCopy = true
 		srv.AddExport(Export{Name: "pub", Device: chainDevice{img}, ReadOnly: true})
 		c, err := Dial(addr, "pub")
 		if err != nil {

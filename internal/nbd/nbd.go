@@ -97,14 +97,6 @@ type Server struct {
 	// maxPooledBuf fall back to plain allocation.
 	bufPool sync.Pool
 
-	// ZeroCopy serves reads of read-only exports whose Device implements
-	// zerocopy.ExtentSource (a published qcow chain over an os-backed
-	// container) by sendfile(2) from the container file instead of a
-	// read-into-buffer copy. Reads the extent export refuses — compressed
-	// clusters, unallocated runs — fall back to the copy path per request.
-	// Set before Listen.
-	ZeroCopy bool
-
 	// Stats
 	ReadOps      atomic.Int64
 	WriteOps     atomic.Int64
@@ -112,8 +104,14 @@ type Server struct {
 	BytesRead    atomic.Int64
 	BytesWritten atomic.Int64
 
-	// Zero-copy serve effectiveness: bytes and sendfile segments shipped by
-	// the extent path, and reads that wanted it but used the copy path.
+	// Zero-copy serve effectiveness. Reads of a read-only export whose
+	// Device implements zerocopy.ExtentSource (a published qcow chain over
+	// an os-backed container) are served by sendfile(2) from the container
+	// file; ZeroCopyBytes and ZeroCopySegments count what that path shipped.
+	// ZeroCopyFallbacks counts reads of read-only exports the copy path
+	// served: the device offers no extents, or refused the range
+	// (compressed clusters, unallocated runs). Writable exports always
+	// copy, uncounted.
 	ZeroCopyBytes     atomic.Int64
 	ZeroCopySegments  atomic.Int64
 	ZeroCopyFallbacks atomic.Int64
@@ -143,7 +141,7 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 	r.CounterFunc("vmicache_nbd_zerocopy_segments_total",
 		"Sendfile segments shipped by the extent path.", labels, s.ZeroCopySegments.Load)
 	r.CounterFunc("vmicache_nbd_zerocopy_fallbacks_total",
-		"Reads that wanted zero-copy but used the copy path.", labels, s.ZeroCopyFallbacks.Load)
+		"Reads of read-only exports served by the copy path.", labels, s.ZeroCopyFallbacks.Load)
 }
 
 // maxConcurrentPerConn bounds how many in-flight requests one connection may
@@ -498,7 +496,7 @@ func (s *Server) transmission(conn net.Conn, br *bufio.Reader, exp Export) error
 	// export must be immutable (frozen cluster mappings are what make the
 	// exported offsets stable) and its device must offer extent export.
 	var zcSrc zerocopy.ExtentSource
-	if s.ZeroCopy && exp.ReadOnly {
+	if exp.ReadOnly {
 		zcSrc, _ = exp.Device.(zerocopy.ExtentSource)
 	}
 
@@ -546,11 +544,8 @@ func (s *Server) transmission(conn net.Conn, br *bufio.Reader, exp Export) error
 		be.PutUint32(rs.hdr[4:], 0)
 		be.PutUint64(rs.hdr[8:], handle)
 		_, err := conn.Write(rs.hdr[:])
-		for _, e := range exts {
-			if err != nil {
-				break
-			}
-			_, err = zerocopy.Send(conn, e.F, e.Off, e.Len)
+		if err == nil {
+			_, err = zerocopy.SendExtents(conn, exts)
 		}
 		wmu.Unlock()
 		if err != nil {
@@ -568,8 +563,12 @@ func (s *Server) transmission(conn net.Conn, br *bufio.Reader, exp Export) error
 			s.latency.Observe(time.Since(start).Nanoseconds())
 			s.activeReqs.Add(-1)
 		}()
-		if cmd == cmdRead && zcSrc != nil && length > 0 && replyExtents(handle, offset, length) {
-			return
+		if cmd == cmdRead && length > 0 && exp.ReadOnly {
+			if zcSrc == nil {
+				s.ZeroCopyFallbacks.Add(1)
+			} else if replyExtents(handle, offset, length) {
+				return
+			}
 		}
 		var err error
 		var payload []byte

@@ -55,13 +55,12 @@ func newPublishedImage(t *testing.T, size int64, clusterBits int, seed int64) (*
 	return ro, pat
 }
 
-// TestNBDZeroCopyRead serves a fully-raw published image with the extent
-// path on and proves byte-identity across request shapes.
+// TestNBDZeroCopyRead serves a fully-raw published image read-only, which
+// takes the extent path, and proves byte-identity across request shapes.
 func TestNBDZeroCopyRead(t *testing.T) {
 	const size = 2 << 20
 	img, pat := newPublishedImage(t, size, 12, 89)
 	srv, addr := newTestServer(t)
-	srv.ZeroCopy = true
 	srv.AddExport(Export{Name: "pub", Device: chainDevice{img}, ReadOnly: true})
 
 	c, err := Dial(addr, "pub")
@@ -141,7 +140,6 @@ func TestNBDZeroCopyFallback(t *testing.T) {
 	t.Cleanup(func() { ro.Close() }) //nolint:errcheck
 
 	srv, addr := newTestServer(t)
-	srv.ZeroCopy = true
 	srv.AddExport(Export{Name: "mix", Device: chainDevice{ro}, ReadOnly: true})
 	c, err := Dial(addr, "mix")
 	if err != nil {
@@ -174,11 +172,11 @@ func TestNBDZeroCopyFallback(t *testing.T) {
 	}
 }
 
-// TestNBDZeroCopyNonExtentDevice leaves the option on against a device that
-// cannot export extents: everything must serve via the copy path, silently.
+// TestNBDZeroCopyNonExtentDevice exports, read-only, a device that cannot
+// export extents: everything must serve via the copy path, each read counted
+// as a fallback.
 func TestNBDZeroCopyNonExtentDevice(t *testing.T) {
 	srv, addr := newTestServer(t)
-	srv.ZeroCopy = true
 	mf := backend.NewMemFileSize(256 << 10)
 	seed := bytes.Repeat([]byte{0x3C}, 256<<10)
 	if err := backend.WriteFull(mf, seed, 0); err != nil {
@@ -199,5 +197,8 @@ func TestNBDZeroCopyNonExtentDevice(t *testing.T) {
 	}
 	if srv.ZeroCopySegments.Load() != 0 {
 		t.Fatal("non-extent device claimed zero-copy")
+	}
+	if srv.ZeroCopyFallbacks.Load() == 0 {
+		t.Fatal("copy-path reads of a read-only export were not counted as fallbacks")
 	}
 }

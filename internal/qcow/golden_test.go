@@ -1,7 +1,12 @@
 package qcow
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"vmicache/internal/backend"
@@ -120,6 +125,86 @@ func TestGoldenLayoutOffsets(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("creation not deterministic at byte %d", i)
+		}
+	}
+}
+
+// createLog records what Create asks of its container: each write's offset
+// and whether it held a non-zero byte, and the truncates.
+type createLog struct {
+	backend.File
+	writes    []int64
+	zeroOnly  []int64
+	truncates int
+}
+
+func (f *createLog) WriteAt(p []byte, off int64) (int, error) {
+	f.writes = append(f.writes, off)
+	if !slices.ContainsFunc(p, func(b byte) bool { return b != 0 }) {
+		f.zeroOnly = append(f.zeroOnly, off)
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *createLog) Truncate(n int64) error {
+	f.truncates++
+	return f.File.Truncate(n)
+}
+
+// TestCreateWrites pins Create's container I/O and its bytes: one truncate
+// and at most four writes of non-zero data at every cluster size, a result
+// that passes Check, and a file identical, after Close, to the one the
+// write-per-refcount-entry Create produced (SHA-256 of each).
+func TestCreateWrites(t *testing.T) {
+	golden := map[[2]int64]string{
+		{9, 0}:         "7a64efdf467aa7c5c250a5eca2adb09507757464129421d9093c6ff3ff6195e3",
+		{9, 64 << 20}:  "b825c1e54b31ad38c750123a2754fe7d7d976c68710fd1e3dbd774094fba434f",
+		{12, 0}:        "841e37453a951b0979daa54d99232f48e6eb688544d978ff72b65f05bb680be5",
+		{12, 64 << 20}: "31c65f8325d9047ed15c21b5b4bc98b18706dc85de873914b1ab16a1dc93b572",
+		{16, 0}:        "9e99d5baac41dd06449a69328aa2e6cd4862e2ae3271e7c8efdab863f898a517",
+		{16, 64 << 20}: "b8463153e45345f0ded6af3e76c7fbcc46a06221629ec19f1de9332b90086246",
+		{21, 0}:        "87d983e2c59984ed4d32ea03b7af7673693e1adeb12cb211da4964e5f43b613f",
+		{21, 64 << 20}: "64624799ad19e4a6d6bdde9be8e62c800d67c563cc871348d33bc62d94e49a5d",
+	}
+	dir := t.TempDir()
+	st, err := backend.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cb := range []int64{9, 12, 16, 21} {
+		for _, quota := range []int64{0, 64 << 20} {
+			t.Run(fmt.Sprintf("bits_%d_quota_%d", cb, quota), func(t *testing.T) {
+				name := fmt.Sprintf("c%d-%d.img", cb, quota)
+				f, err := st.Create(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := &createLog{File: f}
+				img, err := Create(log, CreateOpts{
+					Size: 1 << 30, ClusterBits: int(cb), BackingFile: "base.img", CacheQuota: quota,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if log.truncates != 1 || len(log.writes) > 4 || len(log.zeroOnly) > 0 {
+					t.Errorf("Create issued %d truncates and %d writes (at %v; zero-only at %v), want 1 and at most 4, none zero-only",
+						log.truncates, len(log.writes), log.writes, log.zeroOnly)
+				}
+				res, err := img.Check()
+				if err != nil || !res.OK() {
+					t.Fatalf("Check: %v %v", err, res)
+				}
+				if err := img.Close(); err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != golden[[2]int64{cb, quota}] {
+					t.Errorf("container of %d B hashes to %s, want %s", len(b), got, golden[[2]int64{cb, quota}])
+				}
+			})
 		}
 	}
 }

@@ -50,8 +50,21 @@ type Header struct {
 func (h *Header) IsCache() bool { return h.HasCacheExt && h.CacheQuota > 0 }
 
 // encode serialises the header, its extensions, and the backing file name
-// into a single buffer that must fit in the first cluster.
+// into a buffer of the whole first cluster.
 func (h *Header) encode(clusterSize int64) ([]byte, error) {
+	buf, err := h.marshal(clusterSize)
+	if err != nil {
+		return nil, err
+	}
+	// Pad to the full cluster so the header cluster is fully defined.
+	padded := make([]byte, clusterSize)
+	copy(padded, buf)
+	return padded, nil
+}
+
+// marshal serialises the header, its extensions, and the backing file name
+// into a buffer of their own length, which must fit in the first cluster.
+func (h *Header) marshal(clusterSize int64) ([]byte, error) {
 	buf := make([]byte, headerLength)
 	be := binary.BigEndian
 	be.PutUint32(buf[0:], h.Magic)
@@ -96,10 +109,7 @@ func (h *Header) encode(clusterSize int64) ([]byte, error) {
 	if int64(len(buf)) > clusterSize {
 		return nil, ErrBackingNameSize
 	}
-	// Pad to the full cluster so the header cluster is fully defined.
-	padded := make([]byte, clusterSize)
-	copy(padded, buf)
-	return padded, nil
+	return buf, nil
 }
 
 // headerProbe is how much of the file one header read takes: the smallest

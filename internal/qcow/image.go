@@ -1,8 +1,10 @@
 package qcow
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -196,6 +198,13 @@ func createLayout(ly layout, size int64) (refTableOff, firstRefBlockOff, l1Off, 
 }
 
 // Create initialises a new image in f and returns it opened read-write.
+//
+// It truncates f to the image's final size once and then writes only the
+// metadata bytes that are not zero — the header, the refcount-table slots in
+// use, and one refcount entry per allocated cluster — each contiguous run in
+// one write (a 1 GiB cache takes four at 512 B clusters, three at 64 KiB).
+// The L1 table and every unused slot are the truncate's zeros, and no buffer
+// spans the metadata region.
 func Create(f backend.File, opts CreateOpts) (*Image, error) {
 	cb := opts.ClusterBits
 	if cb == 0 {
@@ -238,17 +247,6 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 		}
 	}
 
-	hdrBuf, err := hdr.encode(ly.clusterSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(metaClusters * ly.clusterSize); err != nil {
-		return nil, err
-	}
-	if err := backend.WriteFull(f, hdrBuf, 0); err != nil {
-		return nil, err
-	}
-
 	img := &Image{
 		f:        f,
 		hdr:      hdr,
@@ -261,21 +259,89 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 		isCache:  hdr.IsCache(),
 		quota:    opts.CacheQuota,
 	}
-
-	// Install the first refcount block and account all metadata clusters.
+	// Account every metadata cluster: the refcount blocks this takes come
+	// off the bump allocator, after the metadata.
 	img.refTable[0] = uint64(firstRefBlockOff)
-	if err := img.writeRefTableEntry(0); err != nil {
+	for c := int64(0); c < metaClusters; c++ {
+		img.coverRefcount(c)
+	}
+	if hdr.HasCacheExt {
+		hdr.CacheUsed = uint64(img.usedBytes())
+	}
+	hdrBuf, err := hdr.marshal(ly.clusterSize)
+	if err != nil {
 		return nil, err
 	}
-	for c := int64(0); c < metaClusters; c++ {
-		if err := img.setRefcount(c, 1); err != nil {
+	if err := f.Truncate(img.usedBytes()); err != nil {
+		return nil, err
+	}
+	for _, r := range img.createRuns(hdrBuf) {
+		if err := backend.WriteFull(f, r.b, r.off); err != nil {
 			return nil, err
 		}
 	}
-	if err := img.syncCacheUsed(); err != nil {
-		return nil, err
-	}
 	return img, nil
+}
+
+// coverRefcount gives cluster c a refcount block, as setRefcount does but
+// in memory: a missing block is taken from the bump allocator and is itself
+// covered, so blocks land where setRefcount would put them. The table
+// createLayout sizes covers the whole virtual disk, far past any metadata.
+func (img *Image) coverRefcount(c int64) {
+	rb := c / img.ly.refBlockEnts
+	if img.refTable[rb] != 0 {
+		return
+	}
+	off := img.nextFree * img.ly.clusterSize
+	img.nextFree++
+	img.refTable[rb] = uint64(off)
+	img.coverRefcount(off / img.ly.clusterSize)
+}
+
+// byteRun is bytes to write at a file offset.
+type byteRun struct {
+	off int64
+	b   []byte
+}
+
+// createRuns gathers the non-zero bytes of a new image in file order, adjacent
+// pieces merged into one run: the header, the refcount-table slots in use,
+// and in each refcount block the entries of the allocated clusters below
+// nextFree, each 1.
+func (img *Image) createRuns(hdrBuf []byte) []byteRun {
+	ents := img.ly.refBlockEnts
+	blocks := ceilDiv(img.nextFree, ents)
+	slots := make([]byte, blocks*refTableEntrySz)
+	for i := range blocks {
+		binary.BigEndian.PutUint64(slots[i*refTableEntrySz:], img.refTable[i])
+	}
+	ones := make([]byte, min(ents, img.nextFree)*refcountEntrySz)
+	for i := refcountEntrySz - 1; i < len(ones); i += refcountEntrySz {
+		ones[i] = 1
+	}
+	pieces := []byteRun{{0, hdrBuf}, {int64(img.hdr.RefTableOffset), slots}}
+	for i := range blocks {
+		n := min(ents, img.nextFree-i*ents)
+		pieces = append(pieces, byteRun{int64(img.refTable[i]), ones[:n*refcountEntrySz]})
+	}
+	slices.SortFunc(pieces, func(a, b byteRun) int { return cmp.Compare(a.off, b.off) })
+	var runs []byteRun
+	for i := 0; i < len(pieces); {
+		j, end := i+1, pieces[i].off+int64(len(pieces[i].b))
+		for ; j < len(pieces) && pieces[j].off == end; j++ {
+			end += int64(len(pieces[j].b))
+		}
+		r := pieces[i]
+		if j > i+1 {
+			r.b = make([]byte, 0, end-r.off)
+			for _, p := range pieces[i:j] {
+				r.b = append(r.b, p.b...)
+			}
+		}
+		runs = append(runs, r)
+		i = j
+	}
+	return runs
 }
 
 // Open parses the image in f. The §4.3 permission dance (a backing file

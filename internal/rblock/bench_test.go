@@ -29,9 +29,9 @@ func newBenchPair(b *testing.B, size int64) *RemoteFile {
 }
 
 // newBenchPairOS is the published-cache shape: the export is a real file on
-// disk, so a ZeroCopy server ships read replies with sendfile instead of the
-// pread+writev copy path.
-func newBenchPairOS(b *testing.B, size int64, zeroCopy bool) *RemoteFile {
+// disk, so the server ships read replies with sendfile; with hideFD it serves
+// the same file through noFDStore, and so by the pread+writev copy path.
+func newBenchPairOS(b *testing.B, size int64, hideFD bool) *RemoteFile {
 	b.Helper()
 	store, err := backend.NewDirStore(b.TempDir())
 	if err != nil {
@@ -59,7 +59,10 @@ func newBenchPairOS(b *testing.B, size int64, zeroCopy bool) *RemoteFile {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	return benchServe(b, store, ServerOpts{ZeroCopy: zeroCopy})
+	if hideFD {
+		return benchServe(b, noFDStore{store}, ServerOpts{})
+	}
+	return benchServe(b, store, ServerOpts{})
 }
 
 func benchServe(b *testing.B, store backend.Store, opts ServerOpts) *RemoteFile {
@@ -128,7 +131,7 @@ func BenchmarkServerReadLarge(b *testing.B) {
 	for _, span := range []int64{1 << 20, 4 << 20} {
 		span := span
 		b.Run(fmt.Sprintf("%dMiB", span>>20), func(b *testing.B) {
-			rf := newBenchPairOS(b, 64<<20, true)
+			rf := newBenchPairOS(b, 64<<20, false)
 			buf := make([]byte, span)
 			b.SetBytes(span)
 			b.ReportAllocs()
@@ -150,16 +153,16 @@ func BenchmarkServerReadZeroCopy(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		span int64
-		zc   bool
+		hide bool // serve through noFDStore: the copy path
 	}{
-		{"4KiB/copy", 4 << 10, false},
-		{"4KiB/sendfile", 4 << 10, true},
-		{"1MiB/copy", 1 << 20, false},
-		{"1MiB/sendfile", 1 << 20, true},
+		{"4KiB/copy", 4 << 10, true},
+		{"4KiB/sendfile", 4 << 10, false},
+		{"1MiB/copy", 1 << 20, true},
+		{"1MiB/sendfile", 1 << 20, false},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			rf := newBenchPairOS(b, 64<<20, tc.zc)
+			rf := newBenchPairOS(b, 64<<20, tc.hide)
 			buf := make([]byte, tc.span)
 			b.SetBytes(tc.span)
 			b.ReportAllocs()
@@ -208,7 +211,7 @@ func BenchmarkContendedServerRead(b *testing.B) {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	srv := NewServer(store, ServerOpts{ZeroCopy: true})
+	srv := NewServer(store, ServerOpts{})
 	srv.RegisterMetrics(metrics.NewRegistry(), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

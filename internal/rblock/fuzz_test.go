@@ -1,6 +1,7 @@
 package rblock
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/big"
@@ -33,8 +34,17 @@ func refReadV(p []byte) (recs [][2]uint64, ok bool) {
 
 // FuzzReadV feeds arbitrary OpReadV payloads to the server's validator: it
 // must never panic, never accept a reply over maxReadV, and agree with the
-// reference decoder on every payload and every record.
+// reference decoder on every payload and every record. Every payload it
+// accepts is then served, by sendfile, from a small on-disk export, and the
+// reply must be the reference bytes: the ranges in order, cut at the end of
+// the file.
 func FuzzReadV(f *testing.F) {
+	_, addr, _, data := newDirServer(f, 64<<10+7, ServerOpts{ReadOnly: true})
+	c := dial(f, addr, 0)
+	rf, err := c.Open("pub.img", true)
+	if err != nil {
+		f.Fatal(err)
+	}
 	rec := func(off uint64, n uint32) []byte {
 		return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, off), n)
 	}
@@ -56,6 +66,9 @@ func FuzzReadV(f *testing.F) {
 	f.Add(cat(rec(0, 10), rec(100, 0)))       // a zero-length range
 	f.Add(rec(0, 10)[:11])                    // not a whole record
 	f.Add([]byte{})                           // no records
+	f.Add(cat(rec(100, 50), rec(150, 50)))    // adjacent: one extent
+	f.Add(cat(rec(64<<10, 100), rec(0, 8)))   // straddles the end of the file
+	f.Add(cat(rec(0, 8), rec(1<<40, 8)))      // a range wholly past it
 	f.Fuzz(func(t *testing.T, p []byte) {
 		n, total, ok := checkReadV(p)
 		want, wantOK := refReadV(p)
@@ -81,6 +94,13 @@ func FuzzReadV(f *testing.F) {
 		}
 		if sum != total {
 			t.Fatalf("total %d, the records sum to %d", total, sum)
+		}
+		got, err := rawReadV(c, rf.handle, p)
+		if err != nil {
+			t.Fatalf("serving an accepted payload: %v", err)
+		}
+		if ref := readVRef(data, want); !bytes.Equal(got, ref) {
+			t.Fatalf("reply of %d B, the reference bytes are %d B", len(got), len(ref))
 		}
 	})
 }

@@ -13,8 +13,9 @@ import (
 	"errors"
 	"io"
 	"math"
-	"os"
 	"sync"
+
+	"vmicache/internal/zerocopy"
 )
 
 // Protocol constants.
@@ -236,18 +237,16 @@ type frame struct {
 	pooled *[]byte
 	ppool  *payloadPool
 
-	// file, when non-nil, is a zero-copy payload segment: fileLen bytes
-	// starting at fileOff travel on the wire after payload and vec, pushed
-	// by sendfile(2) instead of a user-space copy (reply-side only; the
-	// receiver sees one contiguous payload either way). done, when non-nil,
-	// runs in putFrame once the frame has left the wire (or been abandoned
-	// on error) — it releases the handle reference that pins file open, so
-	// a concurrent OpClose or eviction can never close the descriptor while
-	// the reply is still queued.
-	file    *os.File
-	fileOff int64
-	fileLen int64
-	done    func()
+	// exts, when non-empty, is a zero-copy payload: file extents that travel
+	// on the wire after payload and vec, pushed by sendfile(2) instead of a
+	// user-space copy (reply-side only; the receiver sees one contiguous
+	// payload either way). done, when non-nil, runs in putFrame once the
+	// frame has left the wire (or been abandoned on error) — it releases the
+	// handle reference that pins the extents' file open, so a concurrent
+	// OpClose or eviction can never close the descriptor while the reply is
+	// still queued.
+	exts []zerocopy.FileExtent
+	done func()
 }
 
 // payloadPool recycles payload buffers of a fixed nominal size (the
@@ -290,6 +289,11 @@ func (p *payloadPool) put(bp *[]byte) {
 // protocol; a pipelined stream allocates no frames in steady state.
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
+// maxPooledExts caps the extent list a recycled frame keeps: a reply merges
+// its ranges' extents, so most hold a few, and a pooled frame never pins a
+// list sized by one request with thousands of scattered ranges.
+const maxPooledExts = 64
+
 func getFrame() *frame { return framePool.Get().(*frame) }
 
 // putFrame recycles f and, when its payload is pool-owned, the payload
@@ -303,7 +307,14 @@ func putFrame(f *frame) {
 	if f.pooled != nil && f.ppool != nil {
 		f.ppool.put(f.pooled)
 	}
-	*f = frame{}
+	// Keep a small extent list's backing array for the next reply, cleared
+	// so the pool pins no descriptor.
+	exts := f.exts
+	if cap(exts) > maxPooledExts {
+		exts = nil
+	}
+	clear(exts)
+	*f = frame{exts: exts[:0]}
 	framePool.Put(f)
 }
 
@@ -323,13 +334,16 @@ func encodeFrameHeader(dst []byte, f *frame) {
 }
 
 // payloadLen is the total wire payload: payload, every vec segment, and the
-// zero-copy file segment.
+// zero-copy file extents.
 func (f *frame) payloadLen() int {
 	n := len(f.payload)
 	for _, v := range f.vec {
 		n += len(v)
 	}
-	return n + int(f.fileLen)
+	for _, e := range f.exts {
+		n += int(e.Len)
+	}
+	return n
 }
 
 // readFrame deserialises one frame from r. The frame comes from framePool;

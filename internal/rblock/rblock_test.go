@@ -28,7 +28,7 @@ func newServer(t *testing.T, opts ServerOpts) (*backend.MemStore, string, *Serve
 	return store, addr, srv
 }
 
-func dial(t *testing.T, addr string, rwsize int) *Client {
+func dial(t testing.TB, addr string, rwsize int) *Client {
 	t.Helper()
 	c, err := Dial(addr, rwsize)
 	if err != nil {

@@ -31,10 +31,13 @@ type ServerStats struct {
 	Conns        int64 // connections accepted over the server's lifetime
 	ActiveConns  int64 // connections currently open
 
-	// Zero-copy serve effectiveness (all zero unless ServerOpts.ZeroCopy).
+	// Zero-copy serve effectiveness. Reads of a read-only handle are served
+	// by sendfile when its export has a file descriptor; a read-only handle
+	// without one (a memory-backed or assembled export) is served by copy
+	// and counted as a fallback. Writable handles always copy, uncounted.
 	ZeroCopyBytes     int64 // payload bytes shipped by sendfile
 	ZeroCopySegments  int64 // read replies shipped by sendfile
-	ZeroCopyFallbacks int64 // reads that wanted the fast path but copied
+	ZeroCopyFallbacks int64 // reads of read-only handles served by copy
 
 	// PerImage breaks traffic down by export name — which images are hot,
 	// and how many bytes each one shipped (cache transfers show up here as
@@ -85,8 +88,8 @@ type serverCounters struct {
 	latency      metrics.AtomicHistogram
 
 	// Zero-copy serve effectiveness: bytes/segments shipped by sendfile,
-	// and reads that wanted the fast path but fell back to the copy path
-	// (non-descriptor-backed export or writable handle).
+	// and reads of read-only handles whose export has no descriptor, which
+	// the copy path served.
 	zcBytes     atomic.Int64
 	zcSegments  atomic.Int64
 	zcFallbacks atomic.Int64
@@ -177,7 +180,6 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	logf     func(format string, args ...any)
 	readOnly bool
-	zeroCopy bool
 
 	// testSndbuf, when non-zero, overrides the zero-copy send-buffer size
 	// on accepted connections. Tests shrink it so sendfile returns short
@@ -186,7 +188,14 @@ type Server struct {
 	testSndbuf int
 }
 
-// ServerOpts configures a Server.
+// ServerOpts configures a Server. Reads of read-only handles whose export
+// offers a file descriptor (zerocopy.Filer) are always served by sendfile(2)
+// from that file; other reads copy through a pooled buffer. On platforms
+// without sendfile the helper copies internally. Such a reply reads the file
+// when it reaches the wire and is clamped to the size the file had at open,
+// so an export must not shrink a file a client holds open read-only — base
+// images and published caches never change — or that client's connection
+// fails at the missing bytes.
 type ServerOpts struct {
 	// RWSize caps per-request transfer size (0 = DefaultRWSize).
 	RWSize int
@@ -203,12 +212,6 @@ type ServerOpts struct {
 	// manifest-first delta transfer). Servers without one reject both ops
 	// with StatusBadRequest.
 	Chunks ChunkSource
-	// ZeroCopy serves reads of descriptor-backed read-only exports with
-	// sendfile(2) instead of a pread+write copy. Exports that cannot offer
-	// a raw descriptor (or writable handles) keep the copy path per read;
-	// on platforms without sendfile the helper degrades to a copy
-	// internally, so the option is safe to leave on everywhere.
-	ZeroCopy bool
 }
 
 // NewServer returns a server exporting store.
@@ -229,7 +232,6 @@ func NewServer(store backend.Store, opts ServerOpts) *Server {
 		conns:    make(map[net.Conn]struct{}),
 		logf:     logf,
 		readOnly: opts.ReadOnly,
-		zeroCopy: opts.ZeroCopy,
 	}
 	srv.stats.perImage = make(map[string]*imageCounters)
 	srv.payloads = newPayloadPool(rw)
@@ -334,17 +336,15 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		if s.zeroCopy {
-			// Jumbo segments move MaxZeroCopySegment per reply; give the
-			// kernel room for several so sendfile returns without
-			// blocking on the receiver's drain.
-			sndbuf := 4 * MaxZeroCopySegment
-			if s.testSndbuf > 0 {
-				sndbuf = s.testSndbuf
-			}
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetWriteBuffer(sndbuf) //nolint:errcheck // best-effort tuning
-			}
+		// Zero-copy replies move up to MaxZeroCopySegment (jumbo OpRead)
+		// or maxReadV (OpReadV) each; give the kernel room for several so
+		// sendfile returns without blocking on the receiver's drain.
+		sndbuf := 4 * MaxZeroCopySegment
+		if s.testSndbuf > 0 {
+			sndbuf = s.testSndbuf
+		}
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.SetWriteBuffer(sndbuf) //nolint:errcheck // best-effort tuning
 		}
 		s.stats.conns.Add(1)
 		s.stats.activeConns.Add(1)
@@ -544,12 +544,12 @@ func (w *replyWriter) send(f *frame) error {
 
 // writeBatch pushes a batch of replies to the socket as one vectored write.
 // Zero-copy frames interleave: the headers and copied payloads accumulated
-// so far flush as one writev, then the file segment goes out via sendfile,
-// then accumulation resumes — so a batch mixing copy and zero-copy replies
-// still issues the minimum number of syscalls. A short sendfile return is
-// handled inside zerocopy.Send by resuming at the file offset actually
-// reached, not by advancing an iovec, so mid-segment stalls cannot skew the
-// stream.
+// so far flush as one writev, then the frame's file extents go out via
+// sendfile, then accumulation resumes — so a batch mixing copy and zero-copy
+// replies still issues the minimum number of syscalls. A short sendfile
+// return is handled inside zerocopy.Send by resuming at the file offset
+// actually reached, not by advancing an iovec, so mid-extent stalls cannot
+// skew the stream.
 func (w *replyWriter) writeBatch(batch []*frame) error {
 	need := len(batch) * frameHeaderLen
 	if cap(w.hdrs) < need {
@@ -586,12 +586,12 @@ func (w *replyWriter) writeBatch(batch []*frame) error {
 				iov = append(iov, v)
 			}
 		}
-		if f.file != nil && f.fileLen > 0 {
+		if len(f.exts) > 0 {
 			if err := flush(); err != nil {
 				w.iov = iov
 				return err
 			}
-			if _, err := zerocopy.Send(w.conn, f.file, f.fileOff, f.fileLen); err != nil {
+			if _, err := zerocopy.SendExtents(w.conn, f.exts); err != nil {
 				w.iov = iov
 				return err
 			}
@@ -684,7 +684,7 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 		ic := s.stats.image(name)
 		oh := &openHandle{f: f, ic: ic, size: size, ro: ro}
 		oh.refs.Store(1) // the handle table's reference
-		if s.zeroCopy && ro {
+		if ro {
 			oh.sys = zerocopy.SysFile(f)
 		}
 		if oh.sys != nil {
@@ -741,7 +741,7 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 					n = oh.size - off
 				}
 				oh.retain()
-				resp.file, resp.fileOff, resp.fileLen = oh.sys, off, n
+				resp.exts = append(resp.exts, zerocopy.FileExtent{F: oh.sys, Off: off, Len: n})
 				resp.done = oh.release
 				s.stats.readOps.Add(1)
 				s.stats.bytesRead.Add(n)
@@ -753,7 +753,7 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 			}
 			// Sub-segment reads and past-EOF: fall through to the copy
 			// path by policy — not counted as fallbacks.
-		} else if s.zeroCopy {
+		} else if oh.ro {
 			s.stats.zcFallbacks.Add(1)
 		}
 		bp := s.payloads.get(int(req.aux))
@@ -948,9 +948,10 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 	}
 }
 
-// readV serves OpReadV: every range of the payload is read with the
-// handle's ReadAt into one pooled buffer, in order, and that buffer is the
-// reply. Each range counts as one read op, with its bytes, exactly as an
+// readV serves OpReadV. A read-only handle with a file descriptor answers
+// with the ranges' file extents (readVExtents); any other handle reads every
+// range with its ReadAt into one pooled buffer, in order, and that buffer is
+// the reply. Each range counts as one read op, with its bytes, exactly as an
 // OpRead of it would. A range that ends past the file's end ends the reply
 // short; a read error fails the whole request.
 func (s *Server) readV(req, resp *frame, cs *connState) *frame {
@@ -965,6 +966,12 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 		return resp
 	}
 	defer oh.release()
+	if oh.sys != nil {
+		return s.readVExtents(req.payload, n, resp, oh)
+	}
+	if oh.ro {
+		s.stats.zcFallbacks.Add(1)
+	}
 	bp := s.readvBufs.get(total)
 	buf := (*bp)[:total]
 	done, ops := 0, int64(0)
@@ -991,6 +998,43 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 	s.stats.bytesRead.Add(int64(done))
 	oh.ic.readOps.Add(ops)
 	oh.ic.bytesRead.Add(int64(done))
+	return resp
+}
+
+// readVExtents answers an OpReadV of n records on a descriptor-backed
+// read-only handle with file extents instead of bytes: each range clamped to
+// the size frozen at open, adjacent ranges merged into one extent, and the
+// reply ending at the first range cut short by the end of the file — the
+// bytes the copy path would read, sent by sendfile. The frame holds its own
+// handle reference until it leaves the wire, as OpRead's reply does.
+func (s *Server) readVExtents(p []byte, n int, resp *frame, oh *openHandle) *frame {
+	exts := resp.exts[:0]
+	var done, ops int64
+	for i := 0; i < n; i++ {
+		off, l := readVRec(p, i)
+		ops++
+		o := int64(off)
+		got := min(int64(l), max(oh.size-o, 0))
+		if got > 0 {
+			if k := len(exts) - 1; k >= 0 && exts[k].Off+exts[k].Len == o {
+				exts[k].Len += got
+			} else {
+				exts = append(exts, zerocopy.FileExtent{F: oh.sys, Off: o, Len: got})
+			}
+			done += got
+		}
+		if got < int64(l) {
+			break
+		}
+	}
+	oh.retain()
+	resp.exts, resp.done = exts, oh.release
+	s.stats.readOps.Add(ops)
+	s.stats.bytesRead.Add(done)
+	s.stats.zcSegments.Add(1)
+	s.stats.zcBytes.Add(done)
+	oh.ic.readOps.Add(ops)
+	oh.ic.bytesRead.Add(done)
 	return resp
 }
 

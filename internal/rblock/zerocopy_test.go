@@ -1,13 +1,15 @@
 package rblock
 
-// Tests for the sendfile serve path: byte-identity against the copy path,
-// the fallback matrix (memory-backed store, writable handle, zero-copy off),
-// eviction and OpClose racing queued zero-copy replies (the handle refcount
-// keeping the descriptor alive), and a slow client forcing short sendfile
-// returns mid-batch — all run under -race by make check.
+// Tests for the sendfile serve path: byte-identity against the copy path for
+// OpRead and OpReadV, the fallback matrix (memory-backed store, writable
+// handle, an export that hides its descriptor), eviction and OpClose racing
+// queued zero-copy replies (the handle refcount keeping the descriptor
+// alive), and a slow client forcing short sendfile returns mid-batch — all
+// run under -race by make check.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,11 +17,12 @@ import (
 	"testing"
 
 	"vmicache/internal/backend"
+	"vmicache/internal/zerocopy"
 )
 
-// newDirServer starts a zero-copy server over a DirStore holding one
-// published (read-only) export with deterministic-random content.
-func newDirServer(t *testing.T, size int, opts ServerOpts) (*backend.DirStore, string, *Server, []byte) {
+// newDirServer starts a server over a DirStore holding one published
+// (read-only) export with deterministic-random content.
+func newDirServer(t testing.TB, size int, opts ServerOpts) (*backend.DirStore, string, *Server, []byte) {
 	t.Helper()
 	store, err := backend.NewDirStore(t.TempDir())
 	if err != nil {
@@ -51,7 +54,7 @@ func newDirServer(t *testing.T, size int, opts ServerOpts) (*backend.DirStore, s
 // and that the zero-copy counters (not the fallback counter) advance.
 func TestServerReadZeroCopyIdentity(t *testing.T) {
 	const size = 1 << 20
-	_, addr, srv, data := newDirServer(t, size, ServerOpts{ZeroCopy: true, ReadOnly: true})
+	_, addr, srv, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
 	c := dial(t, addr, 0)
 	rf, err := c.Open("pub.img", true)
 	if err != nil {
@@ -96,13 +99,28 @@ func TestServerReadZeroCopyIdentity(t *testing.T) {
 	}
 }
 
+// noFDStore serves a store's files without their file descriptors: its files
+// expose only backend.File, so the server's zerocopy.SysFile finds none and
+// every read takes the copy path.
+type noFDStore struct{ backend.Store }
+
+type noFDFile struct{ backend.File }
+
+func (s noFDStore) Open(name string, ro bool) (backend.File, error) {
+	f, err := s.Store.Open(name, ro)
+	if err != nil {
+		return nil, err
+	}
+	return noFDFile{f}, nil
+}
+
 // TestServerReadZeroCopyFallbacks drives the copy-path refusals: a
-// memory-backed store has no descriptor (fallback counter advances), a
-// writable handle is never zero-copy, and with the option off the counters
-// stay dark.
+// memory-backed store and an export that hides its descriptor have none (the
+// fallback counter advances), and a writable handle is never zero-copy nor
+// counted as a fallback.
 func TestServerReadZeroCopyFallbacks(t *testing.T) {
 	t.Run("memory-backed store", func(t *testing.T) {
-		store, addr, srv := newServer(t, ServerOpts{ZeroCopy: true})
+		store, addr, srv := newServer(t, ServerOpts{})
 		f, err := store.Create("mem.img")
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +150,7 @@ func TestServerReadZeroCopyFallbacks(t *testing.T) {
 	})
 
 	t.Run("writable handle", func(t *testing.T) {
-		_, addr, srv, data := newDirServer(t, 64<<10, ServerOpts{ZeroCopy: true})
+		_, addr, srv, data := newDirServer(t, 64<<10, ServerOpts{})
 		c := dial(t, addr, 0)
 		rf, err := c.Open("pub.img", false) // read-write open
 		if err != nil {
@@ -145,13 +163,20 @@ func TestServerReadZeroCopyFallbacks(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("writable-handle read mismatch")
 		}
-		if srv.stats.zcSegments.Load() != 0 {
-			t.Fatal("writable handle served by sendfile")
+		if z := &srv.stats; z.zcSegments.Load() != 0 || z.zcFallbacks.Load() != 0 {
+			t.Fatalf("writable handle: %d sendfile replies, %d fallbacks, want none",
+				z.zcSegments.Load(), z.zcFallbacks.Load())
 		}
 	})
 
-	t.Run("zero-copy off", func(t *testing.T) {
-		_, addr, srv, data := newDirServer(t, 64<<10, ServerOpts{ReadOnly: true})
+	t.Run("hidden descriptor", func(t *testing.T) {
+		store, _, _, data := newDirServer(t, 64<<10, ServerOpts{ReadOnly: true})
+		srv := NewServer(noFDStore{store}, ServerOpts{ReadOnly: true})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() }) //nolint:errcheck
 		c := dial(t, addr, 0)
 		rf, err := c.Open("pub.img", true)
 		if err != nil {
@@ -164,8 +189,9 @@ func TestServerReadZeroCopyFallbacks(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("copy-path read mismatch")
 		}
-		if z := &srv.stats; z.zcSegments.Load() != 0 || z.zcFallbacks.Load() != 0 {
-			t.Fatal("zero-copy counters moved with the option off")
+		if z := &srv.stats; z.zcSegments.Load() != 0 || z.zcFallbacks.Load() == 0 {
+			t.Fatalf("hidden descriptor: %d sendfile replies, %d fallbacks, want 0 and some",
+				z.zcSegments.Load(), z.zcFallbacks.Load())
 		}
 	})
 }
@@ -176,7 +202,7 @@ func TestServerReadZeroCopyFallbacks(t *testing.T) {
 // content.
 func TestServerZeroCopyEvictionMidServe(t *testing.T) {
 	const size = 1 << 20
-	store, addr, _, data := newDirServer(t, size, ServerOpts{ZeroCopy: true, ReadOnly: true})
+	store, addr, _, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
 	c := dial(t, addr, 0)
 	rf, err := c.Open("pub.img", true)
 	if err != nil {
@@ -209,7 +235,7 @@ func TestServerZeroCopyEvictionMidServe(t *testing.T) {
 // its handle was already closed). Run under -race by make check.
 func TestServerZeroCopyCloseRace(t *testing.T) {
 	const size = 256 << 10
-	_, addr, srv, data := newDirServer(t, size, ServerOpts{ZeroCopy: true, ReadOnly: true})
+	_, addr, srv, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
 	for round := 0; round < 8; round++ {
 		c := dial(t, addr, 0)
 		rf, err := c.Open("pub.img", true)
@@ -273,7 +299,7 @@ func TestServerZeroCopySlowClient(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store, ServerOpts{ZeroCopy: true, ReadOnly: true})
+	srv := NewServer(store, ServerOpts{ReadOnly: true})
 	// Set before Listen: a jumbo reply is ~16x the squeezed send buffer,
 	// so each one takes many short sendfile returns to drain.
 	srv.testSndbuf = 32 << 10
@@ -342,4 +368,254 @@ func TestZeroCopyCrossesDirStorePath(t *testing.T) {
 	if filepath.Base(osf.SysFile().Name()) != "x.img" {
 		t.Fatalf("descriptor names %q", osf.SysFile().Name())
 	}
+}
+
+// readVRecs encodes ranges as an OpReadV payload.
+func readVRecs(rs [][2]int64) []byte {
+	var p []byte
+	for _, r := range rs {
+		p = binary.BigEndian.AppendUint64(p, uint64(r[0]))
+		p = binary.BigEndian.AppendUint32(p, uint32(r[1]))
+	}
+	return p
+}
+
+// rawReadV sends one OpReadV with payload p on handle h and returns the
+// reply's bytes, however short.
+func rawReadV(c *Client, h uint32, p []byte) ([]byte, error) {
+	req := getFrame()
+	req.op, req.handle, req.payload = OpReadV, h, p
+	resp, err := c.roundTrip(req, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), resp.payload...)
+	putFrame(resp)
+	return out, nil
+}
+
+// readVRef is the copy path's reply computed from the file's bytes: each
+// range in order, cut at the end of the file, the reply ending at the first
+// range cut short.
+func readVRef(data []byte, rs [][2]uint64) []byte {
+	var out []byte
+	size := uint64(len(data))
+	for _, r := range rs {
+		off, n := r[0], r[1]
+		if off >= size {
+			break
+		}
+		end := min(off+n, size)
+		out = append(out, data[off:end]...)
+		if end-off < n {
+			break
+		}
+	}
+	return out
+}
+
+// TestReadVSendfile: an OpReadV on a descriptor-backed read-only handle is
+// answered with file extents — adjacent ranges merged, the reply clamped at
+// the size frozen at open — and its bytes are identical to the copy path's,
+// the same export served through noFDStore, for ranges in order, adjacent,
+// overlapping, straddling the end of the file and starting past it. A
+// queued reply keeps its descriptor across a racing OpClose, and a squeezed
+// send buffer forces short sendfile returns in the middle of a range.
+func TestReadVSendfile(t *testing.T) {
+	const size = 300<<10 + 123
+	store, addr, srv, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
+	cp := NewServer(noFDStore{store}, ServerOpts{ReadOnly: true})
+	cpAddr, err := cp.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cp.Close() }) //nolint:errcheck
+	open := func(addr string) (*Client, *RemoteFile) {
+		c := dial(t, addr, 0)
+		rf, err := c.Open("pub.img", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, rf
+	}
+	zc, zf := open(addr)
+	cc, cf := open(cpAddr)
+	sf, err := store.Open("pub.img", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sf.Close() }) //nolint:errcheck
+
+	cases := []struct {
+		name string
+		rs   [][2]int64
+		exts int // extents the sendfile reply carries
+	}{
+		{"in order", [][2]int64{{0, 4096}, {10000, 777}, {65536, 65536}}, 3},
+		{"adjacent", [][2]int64{{4096, 4096}, {8192, 100}, {8292, 60000}, {100000, 1}}, 2},
+		{"overlapping", [][2]int64{{1000, 5000}, {3000, 5000}, {0, 10}, {5, 10}}, 4},
+		{"straddling EOF", [][2]int64{{0, 10}, {size - 5000, 4000}, {size - 1000, 3000}, {20, 10}}, 2},
+		{"starting past EOF", [][2]int64{{0, 10}, {size, 5}, {20, 10}}, 1},
+		{"wholly past EOF", [][2]int64{{size + 10, 100}}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := readVRecs(tc.rs)
+			var recs [][2]uint64
+			for _, r := range tc.rs {
+				recs = append(recs, [2]uint64{uint64(r[0]), uint64(r[1])})
+			}
+			want := readVRef(data, recs)
+			z0 := srv.stats.zcSegments.Load()
+			got, err := rawReadV(zc, zf.handle, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copied, err := rawReadV(cc, cf.handle, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(copied, want) {
+				t.Fatalf("copy path replied %d B, the file says %d B", len(copied), len(want))
+			}
+			if !bytes.Equal(got, copied) {
+				t.Fatalf("sendfile replied %d B, differing from the copy path's %d B", len(got), len(copied))
+			}
+			if srv.stats.zcSegments.Load() != z0+1 {
+				t.Fatal("the reply did not take the sendfile path")
+			}
+			// The extents the reply carries: ranges merged where adjacent.
+			oh := &openHandle{f: sf, ic: &imageCounters{}, sys: zerocopy.SysFile(sf), size: size, ro: true}
+			oh.refs.Store(1)
+			n, _, ok := checkReadV(p)
+			if !ok {
+				t.Fatal("checkReadV refused the payload")
+			}
+			resp := srv.readVExtents(p, n, getFrame(), oh)
+			var sum int64
+			for _, e := range resp.exts {
+				sum += e.Len
+			}
+			if len(resp.exts) != tc.exts || sum != int64(len(want)) {
+				t.Errorf("reply carries %d extents of %d B, want %d of %d B", len(resp.exts), sum, tc.exts, len(want))
+			}
+			putFrame(resp)
+			if oh.refs.Load() != 1 {
+				t.Fatalf("the frame left %d handle references, want the table's 1", oh.refs.Load())
+			}
+		})
+	}
+	if z := &cp.stats; z.zcSegments.Load() != 0 || z.zcFallbacks.Load() == 0 {
+		t.Fatalf("descriptor-hiding export: %d sendfile replies, %d fallbacks", z.zcSegments.Load(), z.zcFallbacks.Load())
+	}
+
+	t.Run("close race", func(t *testing.T) {
+		for round := 0; round < 8; round++ {
+			c := dial(t, addr, 0)
+			rf, err := c.Open("pub.img", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rnd := rand.New(rand.NewSource(seed))
+					bufs := [][]byte{make([]byte, 3000), make([]byte, 40<<10), make([]byte, 512)}
+					<-start
+					for i := 0; i < 20; i++ {
+						rs := make([]backend.Range, len(bufs))
+						for j, b := range bufs {
+							rs[j] = backend.Range{P: b, Off: rnd.Int63n(size - int64(len(b)))}
+						}
+						if err := rf.ReadBatch(rs); err != nil {
+							return // closed under us: acceptable
+						}
+						for _, r := range rs {
+							if !bytes.Equal(r.P, data[r.Off:r.Off+int64(len(r.P))]) {
+								panic("readv close race: data mismatch")
+							}
+						}
+					}
+				}(int64(round*10 + r))
+			}
+			close(start)
+			rf.Close() //nolint:errcheck // racing the readers by design
+			wg.Wait()
+			c.Close() //nolint:errcheck
+		}
+	})
+
+	t.Run("short sendfile", func(t *testing.T) {
+		const big = 4 << 20
+		store, err := backend.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, big)
+		rand.New(rand.NewSource(7)).Read(data)
+		f, err := store.Create("pub.img")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.WriteFull(f, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(store, ServerOpts{ReadOnly: true})
+		// Set before Listen: each 1 MiB reply is 16x the squeezed send
+		// buffer, so every extent drains over several short sendfile
+		// returns.
+		srv.testSndbuf = 64 << 10
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() }) //nolint:errcheck
+		c := dial(t, addr, 0)
+		rf, err := c.Open("pub.img", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errc := make(chan error, 2)
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rnd := rand.New(rand.NewSource(seed))
+				// Two ranges of 300 KiB and one of 424 KiB: each request
+				// is one maxReadV reply of three extents.
+				bufs := [][]byte{make([]byte, 300<<10), make([]byte, 300<<10), make([]byte, 424<<10)}
+				rs := make([]backend.Range, len(bufs))
+				for i := 0; i < 2; i++ {
+					for j, b := range bufs {
+						rs[j] = backend.Range{P: b, Off: rnd.Int63n(big - int64(len(b)))}
+					}
+					if err := rf.ReadBatch(rs); err != nil {
+						errc <- err
+						return
+					}
+					for _, r := range rs {
+						if !bytes.Equal(r.P, data[r.Off:r.Off+int64(len(r.P))]) {
+							errc <- os.ErrInvalid
+							return
+						}
+					}
+				}
+			}(int64(r))
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatalf("squeezed-buffer read: %v", err)
+		}
+		if srv.stats.zcSegments.Load() < 4 {
+			t.Fatalf("%d sendfile replies, want one per request", srv.stats.zcSegments.Load())
+		}
+	})
 }

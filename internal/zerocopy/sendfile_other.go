@@ -19,3 +19,8 @@ func Send(conn net.Conn, f *os.File, off, n int64) (int64, error) {
 	}
 	return CopySegment(conn, f, off, n)
 }
+
+// SendExtents is copyExtents on platforms without a sendfile fast path.
+func SendExtents(conn net.Conn, exts []FileExtent) (int64, error) {
+	return copyExtents(conn, exts)
+}

@@ -62,6 +62,21 @@ func SysFile(v any) *os.File {
 	return nil
 }
 
+// copyExtents pushes exts to w in order through CopySegment, the portable
+// body of SendExtents, and reports the bytes written. It stops at the first
+// error.
+func copyExtents(w io.Writer, exts []FileExtent) (int64, error) {
+	var total int64
+	for _, e := range exts {
+		n, err := CopySegment(w, e.F, e.Off, e.Len)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
 // segBufPool recycles the scratch buffers of the portable CopySegment
 // fallback so the copy path allocates nothing in steady state.
 var segBufPool = sync.Pool{New: func() any {

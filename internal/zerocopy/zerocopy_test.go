@@ -95,40 +95,62 @@ func TestSendOverTCP(t *testing.T) {
 }
 
 // TestSendSlowReader drains the receiver a few KiB at a time so the socket
-// buffer fills and sendfile returns short repeatedly; the resume-at-file-
-// offset logic must still deliver a byte-identical stream.
+// buffer fills and sendfile returns short (EAGAIN) repeatedly; the stream
+// must stay byte-identical, for one extent (Send) and for several, out of
+// file order and overlapping, under one hold of the socket (SendExtents).
 func TestSendSlowReader(t *testing.T) {
 	const n = 512 << 10
 	f, data := writeTemp(t, n)
-	cl, srv := loopback(t)
-	if tcp, ok := srv.(*net.TCPConn); ok {
-		tcp.SetWriteBuffer(8 << 10) //nolint:errcheck // best-effort squeeze
-	}
-	if tcp, ok := cl.(*net.TCPConn); ok {
-		tcp.SetReadBuffer(8 << 10) //nolint:errcheck
-	}
-	got := make([]byte, 0, n)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 3000) // odd size: forces misaligned short reads
-		for {
-			m, err := cl.Read(buf)
-			got = append(got, buf[:m]...)
-			if err != nil {
-				return
+	for _, tc := range []struct {
+		name string
+		exts []FileExtent
+	}{
+		{"one extent", []FileExtent{{F: f, Off: 0, Len: n}}},
+		{"extents", []FileExtent{{F: f, Off: n / 2, Len: n / 2}, {F: f, Off: 7, Len: 100 << 10}, {F: f, Off: 50 << 10, Len: 3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			for _, e := range tc.exts {
+				want = append(want, data[e.Off:e.Off+e.Len]...)
 			}
-		}
-	}()
-	sent, err := Send(srv, f, 0, n)
-	if err != nil || sent != n {
-		t.Fatalf("Send: sent=%d err=%v", sent, err)
-	}
-	srv.Close() //nolint:errcheck
-	wg.Wait()
-	if !bytes.Equal(got, data) {
-		t.Fatal("slow-reader stream mismatch")
+			cl, srv := loopback(t)
+			if tcp, ok := srv.(*net.TCPConn); ok {
+				tcp.SetWriteBuffer(8 << 10) //nolint:errcheck // best-effort squeeze
+			}
+			if tcp, ok := cl.(*net.TCPConn); ok {
+				tcp.SetReadBuffer(8 << 10) //nolint:errcheck
+			}
+			got := make([]byte, 0, len(want))
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, 3000) // odd size: forces misaligned short reads
+				for {
+					m, err := cl.Read(buf)
+					got = append(got, buf[:m]...)
+					if err != nil {
+						return
+					}
+				}
+			}()
+			var sent int64
+			var err error
+			if len(tc.exts) == 1 {
+				e := tc.exts[0]
+				sent, err = Send(srv, e.F, e.Off, e.Len)
+			} else {
+				sent, err = SendExtents(srv, tc.exts)
+			}
+			if err != nil || sent != int64(len(want)) {
+				t.Fatalf("sent=%d of %d, err=%v", sent, len(want), err)
+			}
+			srv.Close() //nolint:errcheck
+			wg.Wait()
+			if !bytes.Equal(got, want) {
+				t.Fatal("slow-reader stream mismatch")
+			}
+		})
 	}
 }
 
