@@ -6,7 +6,7 @@ GO ?= go
 # installed), build, the plain test suite, and the race-detector pass (which
 # includes the concurrency stress tests in internal/qcow and internal/rblock;
 # five tests that once flaked or race a fill, a vectored read or a sendfile
-# reply run 20 times more).
+# reply, and three that race the dedup materializer, run 20 times more).
 check: lint build test race
 
 # lint fails on unformatted files and vet findings; staticcheck runs when the
@@ -36,17 +36,18 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders|TestReadBatchRacing|TestReadVSendfile' ./internal/backend/ ./internal/cachemgr/ ./internal/qcow/ ./internal/rblock/
+	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders|TestReadBatchRacing|TestReadVSendfile|TestMaterializeRetiredPack|TestMaterializeStreamed|TestDedupPipelineStress' ./internal/backend/ ./internal/cachemgr/ ./internal/dedup/ ./internal/qcow/ ./internal/rblock/
 
 # fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
 # `make test` already replays): the decoders a crash (pack records), a peer
-# (chunk manifests), any container (qcow headers) or any client (OpReadV
-# payloads) can feed arbitrary bytes. One target per invocation is a
+# (chunk manifests and blob frames), any container (qcow headers) or any
+# client (OpReadV payloads) can feed arbitrary bytes. One target per invocation is a
 # `go test -fuzz` rule.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPackScan -fuzztime $(FUZZTIME) ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) ./internal/dedup
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME) ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzHeader -fuzztime $(FUZZTIME) ./internal/qcow
 	$(GO) test -run '^$$' -fuzz FuzzReadV -fuzztime $(FUZZTIME) ./internal/rblock
 

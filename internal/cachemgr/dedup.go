@@ -206,8 +206,9 @@ func (m *Manager) rehydrate(key, tmpName string) *dedup.Manifest {
 }
 
 // deltaHandoffBudget bounds the verified chunk bytes a delta warm keeps for
-// its writer when the fetch runs ahead of it: 64 pooled MaxChunk buffers. A
-// variable only so a test can force the decode-from-store path.
+// its writer when the fetch runs ahead of it: 8 MiB of pooled buffers, each
+// the smallest power-of-two size that holds its chunk. A variable only so a
+// test can force the decode-from-store path.
 var deltaHandoffBudget int64 = 8 << 20
 
 // deltaStats is what one delta warm moved and where its time went: fetch and
@@ -218,7 +219,8 @@ type deltaStats struct {
 }
 
 // materialize streams man's content into tmpName through dedup's pipeline
-// (every chunk and the whole image hash-verified). fetch, when set, runs
+// (fetched chunks hash-verified on arrival, the whole image against man's
+// checksum). fetch, when set, runs
 // meanwhile, delivering the missing chunks, and returns once its workers
 // have. When the last byte is written the image fsync and commit (the store's
 // Commit of man, in a delta warm) run side by side: Commit's flush holds the

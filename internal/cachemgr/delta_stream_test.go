@@ -178,6 +178,81 @@ func TestDeltaWarmCorruptChunkOnWire(t *testing.T) {
 	}
 }
 
+// TestDeltaWarmCorruptLocalBlob damages, behind B's store, a blob of v1 that
+// v2 shares, while its record is indexed. The first v2 warm trips over it: the
+// image fails its checksum, the blob is taken out of the index and the boot
+// falls back to the peer wholesale, with correct bytes. That publication lands
+// the good chunk again, so a later delta warm that needs it succeeds instead of
+// falling back once more.
+func TestDeltaWarmCorruptLocalBlob(t *testing.T) {
+	r := newDeltaRig(t)
+	b := r.node(t, r.aAddr)
+	up, err := rblock.Dial(r.aAddr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close() //nolint:errcheck
+	enc, err := up.FetchManifest(b.KeyFor("v2.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := dedup.DecodeManifest(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptPackedBlob(t, r.bDir, man)
+
+	bootAndCheck(t, b, r.s, "v2.img", "b2")
+	if st := b.Stats(); st.DedupDeltaWarms != 0 || st.PeerFetches != 1 || st.ColdWarms != 0 {
+		t.Fatalf("the first v2 warm did not fall back to the peer: %+v", st)
+	}
+	if err := b.Invalidate("v2.img"); err != nil {
+		t.Fatal(err)
+	}
+	bootAndCheck(t, b, r.s, "v2.img", "b3")
+	st := b.Stats()
+	if st.DedupDeltaWarms != 1 || st.PeerFetches != 1 || st.ColdWarms != 0 {
+		t.Fatalf("the later warm fell back again: %+v", st)
+	}
+	if st.Dedup.Staged != 0 {
+		t.Fatalf("%d stage holds left behind", st.Dedup.Staged)
+	}
+}
+
+// corruptPackedBlob flips one byte of the payload of the first of man's
+// blobs that a pack under dir holds, behind the open store's back: past the
+// record header, the raw length and the first stored block's header, so the
+// blob still inflates.
+func corruptPackedBlob(t *testing.T, dir string, man *dedup.Manifest) {
+	t.Helper()
+	packs, err := filepath.Glob(filepath.Join(dir, "dedup", "packs", "*.pk"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("want one pack, found %v (%v)", packs, err)
+	}
+	path := packs[0]
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range man.Entries {
+		i := bytes.Index(b, e.Hash[:])
+		if i < 0 {
+			continue
+		}
+		at := int64(i + len(e.Hash) + 8 + 8 + 64)
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close() //nolint:errcheck // test scratch
+		if _, err := f.WriteAt([]byte{b[at] ^ 0xFF}, at); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("no blob of the manifest is in %s", path)
+}
+
 // TestDeltaWarmLyingManifest serves a manifest whose checksum does not match
 // its (honest) chunks: every chunk verifies, the image does not, nothing is
 // published from it and the next source serves the boot.
@@ -257,6 +332,11 @@ func TestDeltaWarmHandoff(t *testing.T) {
 		if st.Dedup.Decodes != want {
 			t.Errorf("budget %d: %d chunks inflated for %d entries, %d of them fetched; want %d",
 				budget, st.Dedup.Decodes, entries, fetched, want)
+		}
+		// Only what crossed the wire is hashed chunk by chunk; the local
+		// chunks are covered by the whole-image checksum.
+		if st.Dedup.Hashes != fetched {
+			t.Errorf("budget %d: %d per-chunk hashes for %d fetched chunks", budget, st.Dedup.Hashes, fetched)
 		}
 		b, err := os.ReadFile(filepath.Join(dir, n.KeyFor("v2.img")))
 		if err != nil {

@@ -56,7 +56,7 @@ type BlobStore struct {
 	dirDirty bool   // a pack was created since the directory's last fsync
 	recBuf   []byte // record assembly scratch: header + blob leave in one write
 
-	writes, syncs, decodes atomic.Int64
+	writes, syncs, reads, decodes, hashes atomic.Int64
 
 	// sync is (*os.File).Sync; tests swap it to inject flush failures.
 	sync func(*os.File) error
@@ -240,14 +240,14 @@ func (s *BlobStore) PutBuilt(k Key, comp []byte, rawLen int64) error {
 func (s *BlobStore) PutCompressed(k Key, comp []byte) error {
 	raw, _, err := s.putVerified(k, comp)
 	if raw != nil {
-		chunkBufPool.Put(raw)
+		putChunkBuf(raw)
 	}
 	return err
 }
 
 // putVerified is PutCompressed for a caller that wants the chunk as well: on
 // success the pooled buffer the blob was verified in comes back, the chunk
-// being (*raw)[:n], for the caller to recycle into chunkBufPool. raw is nil
+// being (*raw)[:n], for the caller to recycle with putChunkBuf. raw is nil
 // for an oversized frame, which no manifest entry can name.
 func (s *BlobStore) putVerified(k Key, comp []byte) (raw *[]byte, n int, err error) {
 	rawLen, err := blobRawLen(k, comp)
@@ -255,8 +255,9 @@ func (s *BlobStore) putVerified(k Key, comp []byte) (raw *[]byte, n int, err err
 		return nil, 0, err
 	}
 	s.decodes.Add(1)
+	s.hashes.Add(1)
 	if rawLen <= MaxChunk {
-		raw = chunkBufPool.Get().(*[]byte)
+		raw = getChunkBuf(int(rawLen))
 		err = decodeInto((*raw)[:rawLen], k, comp)
 	} else {
 		err = decodeInto(make([]byte, rawLen), k, comp)
@@ -265,7 +266,7 @@ func (s *BlobStore) putVerified(k Key, comp []byte) (raw *[]byte, n int, err err
 		err = s.land(k, comp)
 	}
 	if err != nil && raw != nil {
-		chunkBufPool.Put(raw)
+		putChunkBuf(raw)
 		raw = nil
 	}
 	return raw, int(rawLen), err
@@ -391,6 +392,7 @@ func (s *BlobStore) readWire(k Key, buf []byte) ([]byte, error) {
 			buf = make([]byte, loc.wireLen)
 		}
 		buf = buf[:loc.wireLen]
+		s.reads.Add(1)
 		_, err := loc.p.f.ReadAt(buf, loc.off+recHdrLen)
 		if errors.Is(err, os.ErrClosed) {
 			continue
@@ -425,7 +427,8 @@ func blobRawLen(k Key, comp []byte) (int64, error) {
 }
 
 // decodeInto inflates wire blob comp into raw — sized by the caller to the
-// framed length — and verifies the content hashes to k.
+// framed length — and verifies the content hashes to k: the check of a chunk
+// that crossed the network, or of a stored one under suspicion.
 func decodeInto(raw []byte, k Key, comp []byte) error {
 	if err := inflateInto(raw, comp[blobHdrLen:]); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrCorruptBlob, k, err)
@@ -456,7 +459,41 @@ func (s *BlobStore) ReadBlob(k Key) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.decodes.Add(1)
+	s.hashes.Add(1)
 	return DecodeBlob(k, comp)
+}
+
+// quarantine re-checks m's blobs the slow way — inflate and SHA-256 — and
+// takes each that fails out of the index, whatever its references: its live
+// bytes become dead space, Stage misses it, and the next landing of the key
+// appends good bytes instead of finding it "present". A materialization whose
+// stored chunks are under suspicion calls it, off the hot path. It returns
+// the blobs it took out and how many distinct ones it checked.
+func (s *BlobStore) quarantine(m *Manifest) (bad []Key, checked int) {
+	seen := make(map[Key]bool, len(m.Entries))
+	for _, e := range m.Entries {
+		if seen[e.Hash] {
+			continue
+		}
+		seen[e.Hash] = true
+		if _, err := s.ReadBlob(e.Hash); errors.Is(err, ErrCorruptBlob) {
+			bad = append(bad, e.Hash)
+		}
+	}
+	if len(bad) == 0 {
+		return nil, len(seen)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range bad {
+		if loc, ok := s.blobs[k]; ok {
+			delete(s.blobs, k)
+			loc.p.live -= loc.recLen()
+		}
+	}
+	s.reclaimLocked()
+	return bad, len(seen)
 }
 
 // Commit publishes m under name: the packs flush, the manifest file commits
@@ -557,7 +594,9 @@ type StoreStats struct {
 	SharedBytes     int64 // logical bytes served by a chunk referenced >1×
 	Writes          int64 // records appended to packs since Open
 	Syncs           int64 // fsyncs issued since Open: packs, manifests, directories
-	Decodes         int64 // blobs inflated + hashed since Open: arrivals verified, chunks materialized
+	Reads           int64 // preads of pack records since Open: one per blob read singly, one per run of adjacent records a materialization reads
+	Decodes         int64 // blobs inflated since Open: arrivals verified, chunks materialized
+	Hashes          int64 // per-chunk SHA-256s since Open: arrivals verified, blobs re-checked
 	Staged          int   // blobs an in-flight publication holds
 }
 
@@ -573,7 +612,9 @@ func (s *BlobStore) Stats() StoreStats {
 		UniqueCompBytes: s.physical,
 		Writes:          s.writes.Load(),
 		Syncs:           s.syncs.Load(),
+		Reads:           s.reads.Load(),
 		Decodes:         s.decodes.Load(),
+		Hashes:          s.hashes.Load(),
 	}
 	for _, n := range s.staged {
 		if n > 0 {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +36,10 @@ import (
 // stage — the cutter's gear hash or the committer's whole-image SHA —
 // with per-chunk hashing and compression spread across the pool.
 //
-// Materializer is the mirror image for reads: workers decode and verify
-// blobs concurrently while the ordered writer puts them out and re-derives
-// the whole-image checksum — and, in a delta warm, while the chunks the
-// store lacks are still arriving.
+// Materializer is the mirror image for reads: decoders inflate stored blobs
+// straight into 1 MiB windows while the ordered writer puts the windows out
+// and a hasher re-derives the whole-image checksum behind it — and, in a
+// delta warm, while the chunks the store lacks are still arriving.
 
 // BuildOpts tunes BuildParallel.
 type BuildOpts struct {
@@ -85,17 +87,29 @@ var (
 		b := make([]byte, batchTarget+MaxChunk)
 		return &b
 	}}
-	chunkBufPool = sync.Pool{New: func() any {
-		b := make([]byte, MaxChunk)
-		return &b
-	}}
 	compBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	// wireBufPool holds the compressed side of a chunk being decoded.
-	wireBufPool = sync.Pool{New: func() any {
-		b := make([]byte, MaxChunk)
-		return &b
-	}}
 )
+
+// chunkBufPools hold the buffers a fetched chunk is verified in — and, in a
+// delta warm, kept in for the writer — by size class: class i is MinChunk<<i
+// bytes, up to MaxChunk. A chunk takes the smallest class that fits it, so
+// kept chunks cost about their own size, not MaxChunk each.
+var chunkBufPools [6]sync.Pool // MinChunk<<5 == MaxChunk
+
+func chunkClass(n int) int { return bits.Len(uint(max(n, 1)-1) / MinChunk) }
+
+// getChunkBuf returns a pooled buffer of at least n (<= MaxChunk) bytes.
+func getChunkBuf(n int) *[]byte {
+	c := chunkClass(n)
+	if b, ok := chunkBufPools[c].Get().(*[]byte); ok {
+		return b
+	}
+	b := make([]byte, MinChunk<<c)
+	return &b
+}
+
+// putChunkBuf recycles a buffer getChunkBuf returned.
+func putChunkBuf(b *[]byte) { chunkBufPools[chunkClass(cap(*b))].Put(b) }
 
 // chunker pulls content-defined chunks out of r through a pooled sliding
 // window. Returned slices alias the window and are valid until the next
@@ -339,16 +353,31 @@ func buildSerial(r io.ReaderAt, length int64, compress bool, emit func(e Entry, 
 	return m, nil
 }
 
-// matJob is one manifest entry in the materialize pipeline: a chunk the store
-// holds is decoded by a worker, which closes done; a chunk still on the wire
-// waits on pc for the fetcher instead.
-type matJob struct {
-	e    Entry
-	raw  *[]byte // pooled; the chunk is (*raw)[:e.Len]
-	err  error
-	done chan struct{}
-	pc   *pendChunk
-}
+// windowTarget is the materializer's unit of work. The dispatcher closes a
+// window at the first entry boundary at or past it, so a window holds
+// windowTarget up to windowTarget+MaxChunk bytes (the last one less), and an
+// image of n bytes is at most ceil(n / windowTarget) windows: one pwrite, one
+// writeback hint and one hash update each.
+const windowTarget = 1 << 20
+
+// runMax caps the bytes one pread of pack-adjacent records may cover. A
+// window's records span about its own size, so the cap only bounds a decoder's
+// read buffer against a pathological manifest.
+const runMax = 2 * windowTarget
+
+var (
+	winBufPool = sync.Pool{New: func() any {
+		b := make([]byte, windowTarget+MaxChunk)
+		return &b
+	}}
+	// readBufPool holds the compressed side of what a decoder reads from
+	// the packs: a run of records, or one blob. Sized for a window's
+	// records; grown when a run is longer.
+	readBufPool = sync.Pool{New: func() any {
+		b := make([]byte, 0, windowTarget+2*MaxChunk)
+		return &b
+	}}
+)
 
 // pendChunk is a chunk the store lacked at the start. ready closes once its
 // blob has landed; the rest is guarded by Materializer.mu.
@@ -359,20 +388,42 @@ type pendChunk struct {
 	n       int
 }
 
-// writeBufPool holds the 1 MiB windows the writer fills: a 9 MB image is nine
-// container writes and nine hash updates.
-var writeBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1<<20)
-	return &b
-}}
+// slot is one manifest entry's place in a window. A stored chunk is inflated
+// into it by a decoder from the record at loc; a parked one (pc set) is filled
+// by the writer once the fetcher has delivered it.
+type slot struct {
+	e   Entry
+	off int // in the window
+	pc  *pendChunk
+	loc blobLoc
+}
+
+// window is a run of whole manifest entries, written as one: the decoder fills
+// its stored slots and closes done, the writer its parked ones, and after the
+// pwrite the hasher folds it into the whole-image checksum.
+type window struct {
+	buf   *[]byte // from winBufPool; the window is (*buf)[:n]
+	off   int64   // in the image
+	n     int
+	slots []slot
+	err   error
+	done  chan struct{}
+}
 
 // A Materializer writes a manifest's image into w, if need be while some of
-// its chunks are still being fetched. Workers inflate and hash-verify the
-// chunks the store holds; the fetcher passes each missing one to Deliver,
-// which verifies and lands it and keeps the verified bytes; one in-order
-// writer coalesces both kinds into 1 MiB writes and derives the whole-image
-// checksum. Every chunk is checked against its entry's hash and length, and
-// the image against man.Checksum, once.
+// its chunks are still being fetched. The manifest is cut into windows of
+// about 1 MiB. Decoders inflate each window's stored chunks straight into
+// their slots, reading every run of pack-adjacent records with one pread; the
+// fetcher passes each missing chunk to Deliver, which verifies and lands it
+// and keeps the verified bytes; the in-order writer copies those into their
+// slots and puts each window out with one write; a hasher goroutine derives
+// the whole-image checksum behind it. A fetched chunk is checked against its
+// hash on arrival; a stored one only against its framed length, because the
+// image is checked against man.Checksum and a stored chunk reaches a cache
+// file no other way (a peer fetching it checks it on arrival). When that
+// check fails, the stored chunks are re-checked one by one and
+// every blob that fails is taken out of the index, so the next warm fetches or
+// re-lands it.
 type Materializer struct {
 	w    io.WriterAt
 	man  *Manifest
@@ -436,8 +487,8 @@ func (p *Materializer) Stopped() bool { return p.stop.Load() }
 // Deliver lands a fetched chunk exactly like PutCompressed — inflated and
 // hash-verified before the blob reaches the store, stage hold taken — and
 // keeps the verified bytes for the writer, so the chunk is inflated and
-// hashed once. Over budget the buffer is recycled and the chunk is decoded
-// from the store when its turn comes: same bytes, same checks.
+// hashed once. Over budget the buffer is recycled and the chunk is inflated
+// from the store when its turn comes, like a stored one.
 func (p *Materializer) Deliver(k Key, comp []byte) error {
 	raw, n, err := p.src.putVerified(k, comp)
 	if err != nil {
@@ -450,15 +501,15 @@ func (p *Materializer) Deliver(k Key, comp []byte) error {
 	}
 	if pc != nil {
 		pc.arrived = true
-		if raw != nil && p.budget >= MaxChunk {
-			p.budget -= MaxChunk
+		if raw != nil && p.budget >= int64(cap(*raw)) {
+			p.budget -= int64(cap(*raw))
 			pc.raw, pc.n, raw = raw, n, nil
 		}
 		close(pc.ready)
 	}
 	p.mu.Unlock()
 	if raw != nil {
-		chunkBufPool.Put(raw)
+		putChunkBuf(raw)
 	}
 	return nil
 }
@@ -479,99 +530,235 @@ func (p *Materializer) parked(k Key) *pendChunk {
 func (p *Materializer) run(workers int) {
 	defer close(p.finished)
 	// Two bounded queues, as in BuildParallel: work feeds whichever decoder
-	// is free, order restores manifest order at the writer. A parked entry
-	// goes to order only: it waits on the fetcher, not on a decoder. order
-	// is deep — over a window of average chunks, at most 8 MiB of pooled
-	// buffers — so decoders keep going while the writer hashes and writes.
-	work := make(chan *matJob, workers*2)
-	order := make(chan *matJob, 64)
+	// is free, order restores manifest order at the writer. The dispatcher
+	// cannot pass order, so at most five windows are out: the one it holds,
+	// one queued, the writer's and two at the hasher — two ahead of the
+	// writer, which keeps two decoders busy while it waits.
+	work := make(chan *window, workers)
+	order := make(chan *window, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range work {
+			rb := readBufPool.Get().(*[]byte)
+			defer readBufPool.Put(rb)
+			for w := range work {
 				if p.Stopped() {
-					job.err = errPipelineCanceled
+					w.err = errPipelineCanceled
 				} else {
-					job.raw, job.err = decodeChunk(p.src, job.e)
+					w.err = p.decodeWindow(w, rb)
 				}
-				close(job.done)
+				close(w.done)
 			}
 		}()
 	}
+	go p.dispatch(work, order)
+
+	// The hasher folds written windows into the whole-image checksum, in
+	// order, and gives their buffers back.
+	hashq := make(chan *window, 1)
+	summed := make(chan Key, 1)
 	go func() {
-		defer close(work)
-		defer close(order)
-		for _, e := range p.man.Entries {
-			if p.Stopped() {
-				return
+		whole := sha256.New()
+		for w := range hashq {
+			if !p.Stopped() {
+				whole.Write((*w.buf)[:w.n]) //nolint:errcheck // hash writes cannot fail
 			}
-			job := &matJob{e: e, pc: p.parked(e.Hash)}
-			if job.pc == nil {
-				job.done = make(chan struct{})
-				work <- job
-			}
-			order <- job
+			winBufPool.Put(w.buf)
 		}
+		summed <- Key(whole.Sum(nil))
 	}()
 
 	// The writer. After a failure it keeps draining, so every pooled buffer
 	// comes home and the dispatcher and decoders shut down.
-	whole := sha256.New()
-	wb := writeBufPool.Get().(*[]byte)
-	defer writeBufPool.Put(wb)
-	buf, off := (*wb)[:0], int64(0)
 	hint, _ := p.w.(interface{ StartWriteback(off, n int64) })
-	flush := func() {
-		if err := backend.WriteFull(p.w, buf, off); err != nil {
-			p.Abort(err)
+	suspect := false // a stored chunk may be bad: re-check them at the end
+	for w := range order {
+		<-w.done
+		err := w.err
+		if err == nil && !p.Stopped() {
+			err = p.fillParked(w)
 		}
-		if hint != nil {
-			hint.StartWriteback(off, int64(len(buf))) // the closing fsync finds the window on its way
-		}
-		whole.Write(buf) //nolint:errcheck // hash writes cannot fail
-		off += int64(len(buf))
-		buf = buf[:0]
-	}
-	for job := range order {
-		raw, err := p.chunk(job)
-		if err != nil {
-			p.Abort(err)
-		} else if !p.Stopped() {
-			if len(buf)+len(raw) > cap(buf) {
-				flush()
+		if err == nil && !p.Stopped() {
+			err = backend.WriteFull(p.w, (*w.buf)[:w.n], w.off)
+			if err == nil && hint != nil {
+				hint.StartWriteback(w.off, int64(w.n)) // the closing fsync finds the window on its way
 			}
-			buf = append(buf, raw...)
 		}
-		if job.raw != nil {
-			chunkBufPool.Put(job.raw)
+		if err != nil && err != errPipelineCanceled {
+			suspect = suspect || errors.Is(err, ErrCorruptBlob)
+			p.Abort(err)
 		}
+		hashq <- w
 	}
+	close(hashq)
 	wg.Wait()
-	if !p.Stopped() {
-		flush()
-	}
-	if !p.Stopped() && Key(whole.Sum(nil)) != p.man.Checksum {
+	if sum := <-summed; !p.Stopped() && sum != p.man.Checksum {
+		suspect = true
 		p.Abort(fmt.Errorf("dedup: materialized image fails manifest checksum"))
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.budget = 0 // a chunk delivered from here on is landed, not kept
 	for _, pc := range p.pend {
 		if pc.raw != nil {
-			chunkBufPool.Put(pc.raw)
+			putChunkBuf(pc.raw)
 			pc.raw = nil
 		}
 	}
+	p.mu.Unlock()
+	if suspect {
+		p.quarantine()
+	}
 }
 
-// chunk returns job's verified bytes, waiting for its decoder or — timed as
-// stall — for the fetcher.
-func (p *Materializer) chunk(job *matJob) ([]byte, error) {
-	if pc := job.pc; pc == nil {
-		<-job.done
-	} else {
+// dispatch cuts the manifest into windows at entry boundaries and queues each
+// for a decoder and for the writer.
+func (p *Materializer) dispatch(work, order chan<- *window) {
+	defer close(work)
+	defer close(order)
+	var w *window
+	var off int64
+	send := func() {
+		work <- w
+		order <- w
+		off += int64(w.n)
+		w = nil
+	}
+	for _, e := range p.man.Entries {
+		if p.Stopped() {
+			break
+		}
+		if e.Len > MaxChunk {
+			p.Abort(fmt.Errorf("dedup: blob %v: manifest entry of %d bytes", e.Hash, e.Len))
+			break
+		}
+		if w == nil {
+			w = &window{buf: winBufPool.Get().(*[]byte), off: off, done: make(chan struct{}),
+				slots: make([]slot, 0, 2*windowTarget/AvgChunk)}
+		}
+		w.slots = append(w.slots, slot{e: e, off: w.n, pc: p.parked(e.Hash)})
+		w.n += int(e.Len)
+		if w.n >= windowTarget {
+			send()
+		}
+	}
+	if w != nil && p.Stopped() {
+		winBufPool.Put(w.buf)
+	} else if w != nil {
+		send()
+	}
+}
+
+// decodeWindow inflates w's stored chunks into their slots. Their records are
+// looked up under one store lock, and each run of them that sits back to back
+// in one pack is read with one pread. A pack retired between the lookup and
+// the read — its records copied forward, or dead — reads as os.ErrClosed: the
+// rest of the window is looked up again.
+func (p *Materializer) decodeWindow(w *window, rb *[]byte) error {
+	from := 0
+relocate:
+	for {
+		if err := p.locate(w, from); err != nil {
+			return err
+		}
+		for i := from; i < len(w.slots); {
+			if w.slots[i].pc != nil {
+				i++
+				continue
+			}
+			first := w.slots[i].loc
+			// Extend the run over the stored slots whose records follow on.
+			end, next := first.off+first.recLen(), i+1
+			for j := i + 1; j < len(w.slots); j++ {
+				if w.slots[j].pc != nil {
+					continue
+				}
+				l := w.slots[j].loc
+				if l.p != first.p || l.off != end || end+l.recLen()-first.off > runMax {
+					break
+				}
+				end, next = end+l.recLen(), j+1
+			}
+			n := int(end - first.off)
+			if cap(*rb) < n {
+				*rb = make([]byte, n)
+			}
+			run := (*rb)[:n]
+			p.src.reads.Add(1)
+			if _, err := first.p.f.ReadAt(run, first.off); errors.Is(err, os.ErrClosed) {
+				from = i
+				continue relocate
+			} else if err != nil {
+				return fmt.Errorf("%w: %s: reading %s: %v", ErrCorruptBlob, w.slots[i].e.Hash, packName(first.p.seq), err)
+			}
+			for j := i; j < next; j++ {
+				sl := &w.slots[j]
+				if sl.pc != nil {
+					continue
+				}
+				at := sl.loc.off + recHdrLen - first.off
+				if err := p.inflateSlot(w, sl, run[at:at+int64(sl.loc.wireLen)]); err != nil {
+					return err
+				}
+			}
+			i = next
+		}
+		return nil
+	}
+}
+
+// locate looks up the records of w's stored slots from index from on, under
+// one store lock.
+func (p *Materializer) locate(w *window, from int) error {
+	s := p.src
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	for i := from; i < len(w.slots); i++ {
+		sl := &w.slots[i]
+		if sl.pc != nil {
+			continue
+		}
+		loc, ok := s.blobs[sl.e.Hash]
+		if !ok {
+			return fmt.Errorf("%w: %s", ErrNoBlob, sl.e.Hash)
+		}
+		sl.loc = loc
+	}
+	return nil
+}
+
+// inflateSlot inflates wire blob comp into sl's bytes of w after checking that
+// its frame names exactly the entry's length. It does not hash: the
+// whole-image checksum covers the slot.
+func (p *Materializer) inflateSlot(w *window, sl *slot, comp []byte) error {
+	rawLen, err := blobRawLen(sl.e.Hash, comp)
+	if err != nil {
+		return err
+	}
+	if rawLen != int64(sl.e.Len) {
+		return fmt.Errorf("dedup: blob %v: %d bytes, manifest says %d", sl.e.Hash, rawLen, sl.e.Len)
+	}
+	p.src.decodes.Add(1)
+	if err := inflateInto((*w.buf)[sl.off:sl.off+int(sl.e.Len)], comp[blobHdrLen:]); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorruptBlob, sl.e.Hash, err)
+	}
+	return nil
+}
+
+// fillParked puts each parked chunk of w into its slot, waiting — timed as
+// stall — for the fetcher: the verified bytes Deliver kept, or, over budget or
+// when an earlier offset took them, the landed blob inflated from the store.
+func (p *Materializer) fillParked(w *window) error {
+	for i := range w.slots {
+		sl := &w.slots[i]
+		pc := sl.pc
+		if pc == nil {
+			continue
+		}
 		select {
 		case <-pc.ready:
 		default:
@@ -579,52 +766,54 @@ func (p *Materializer) chunk(job *matJob) ([]byte, error) {
 			select {
 			case <-pc.ready:
 			case <-p.quit:
-				return nil, errPipelineCanceled
+				return errPipelineCanceled
 			}
 			p.stall += time.Since(t0)
 		}
 		p.mu.Lock()
-		job.raw, pc.raw = pc.raw, nil
-		if job.raw != nil {
-			p.budget += MaxChunk
+		raw := pc.raw
+		pc.raw = nil
+		if raw != nil {
+			p.budget += int64(cap(*raw))
 		}
 		p.mu.Unlock()
-		if job.raw == nil { // over budget, or an earlier offset took the bytes
-			job.raw, job.err = decodeChunk(p.src, job.e)
-		} else if pc.n != int(job.e.Len) {
-			job.err = fmt.Errorf("dedup: blob %v: %d bytes, manifest says %d", job.e.Hash, pc.n, job.e.Len)
+		if raw == nil {
+			if err := p.inflateStored(w, sl); err != nil {
+				return err
+			}
+			continue
 		}
+		if pc.n != int(sl.e.Len) {
+			putChunkBuf(raw)
+			return fmt.Errorf("dedup: blob %v: %d bytes, manifest says %d", sl.e.Hash, pc.n, sl.e.Len)
+		}
+		copy((*w.buf)[sl.off:sl.off+pc.n], *raw)
+		putChunkBuf(raw)
 	}
-	if job.err != nil {
-		return nil, job.err
-	}
-	return (*job.raw)[:job.e.Len], nil
+	return nil
 }
 
-// decodeChunk reads entry e's blob and inflates it into a pooled buffer,
-// verifying the blob's framed length against the manifest and its content
-// hash against the entry. The caller owns the returned buffer and recycles
-// it into chunkBufPool.
-func decodeChunk(src *BlobStore, e Entry) (*[]byte, error) {
-	wb := wireBufPool.Get().(*[]byte)
-	defer wireBufPool.Put(wb)
-	src.decodes.Add(1)
-	comp, err := src.readWire(e.Hash, *wb)
+// inflateStored reads sl's landed blob and inflates it into its slot.
+func (p *Materializer) inflateStored(w *window, sl *slot) error {
+	rb := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(rb)
+	comp, err := p.src.readWire(sl.e.Hash, *rb)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	*wb = comp[:cap(comp)] // keep a buffer readWire had to grow
-	rawLen, err := blobRawLen(e.Hash, comp)
-	if err != nil {
-		return nil, err
+	*rb = comp[:0] // keep a buffer readWire had to grow
+	return p.inflateSlot(w, sl, comp)
+}
+
+// quarantine runs after the image failed its checksum or a stored chunk
+// failed to inflate: it re-checks every chunk of the manifest the store holds
+// and, when some blob is bad, names it in the pipeline's error.
+func (p *Materializer) quarantine() {
+	bad, checked := p.src.quarantine(p.man)
+	if len(bad) == 0 {
+		return
 	}
-	if rawLen != int64(e.Len) || int64(e.Len) > MaxChunk {
-		return nil, fmt.Errorf("dedup: blob %v: %d bytes, manifest says %d", e.Hash, rawLen, e.Len)
-	}
-	buf := chunkBufPool.Get().(*[]byte)
-	if err := decodeInto((*buf)[:e.Len], e.Hash, comp); err != nil {
-		chunkBufPool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.err = fmt.Errorf("%w: %s (%d of the manifest's %d blobs): hash mismatch; taken out of the index", ErrCorruptBlob, bad[0], len(bad), checked)
 }

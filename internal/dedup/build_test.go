@@ -2,11 +2,15 @@ package dedup
 
 import (
 	"bytes"
+	"compress/flate"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -602,3 +606,266 @@ func TestDedupPipelineStress(t *testing.T) {
 }
 
 var _ io.ReaderAt = (*errReaderAt)(nil)
+
+// TestMaterializeReads pins what a materialization of stored chunks costs
+// in the packs: blobs landed in manifest order into one pack come back with at
+// most one pread per window — ceil(Length / 1 MiB) — and each is inflated
+// once, with no per-chunk SHA-256: the whole-image checksum covers them.
+func TestMaterializeReads(t *testing.T) {
+	data := randBytes(11, 5<<20+12345)
+	s, err := OpenBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := buildInto(t, s, "img", data, 2)
+	before := s.Stats()
+	if before.Packs != 1 || before.Blobs != len(m.Entries) {
+		t.Fatalf("want %d blobs in one pack, have %d in %d", len(m.Entries), before.Blobs, before.Packs)
+	}
+	out := backend.NewMemFileSize(m.Length)
+	if err := Materialize(out, m, s, 2); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, m.Length)
+	if err := backend.ReadFull(out, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("materialized bytes differ")
+	}
+	st := s.Stats()
+	windows := (m.Length + windowTarget - 1) / windowTarget
+	if reads := st.Reads - before.Reads; reads == 0 || reads > windows {
+		t.Errorf("%d preads for %d entries, want at most %d", reads, len(m.Entries), windows)
+	}
+	if n := st.Hashes - before.Hashes; n != 0 {
+		t.Errorf("%d per-chunk hashes, want 0", n)
+	}
+	if n := st.Decodes - before.Decodes; n != int64(len(m.Entries)) {
+		t.Errorf("%d blobs inflated for %d entries", n, len(m.Entries))
+	}
+}
+
+// TestMaterializeRetiredPack races materializations against the reclaim
+// that moves their blobs. img's records sit interleaved with a second live
+// image's, so every one is a pread of its own and a window's decode spans
+// many of them. Each churn round lands a larger image into the same pack,
+// commits it and drops it, and the Release behind the Drop finds the pack more
+// than half dead: the live records are copied forward, still interleaved, and
+// the pack is retired — now and then between a decoder's lookup and one of its
+// preads. Every image must come out byte-identical.
+func TestMaterializeRetiredPack(t *testing.T) {
+	s, err := OpenBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sync = func(*os.File) error { return nil } // durability is not under test; speed of the churn is
+	type blob struct {
+		e    Entry
+		comp []byte
+	}
+	encode := func(data []byte) (*Manifest, []blob) {
+		var bs []blob
+		m, err := BuildParallel(bytes.NewReader(data), int64(len(data)), BuildOpts{Workers: 2, Compress: true},
+			func(e Entry, raw, comp []byte) error {
+				bs = append(bs, blob{e, append([]byte(nil), comp...)})
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, bs
+	}
+	land := func(bs []blob) []Key {
+		var held []Key
+		for _, b := range bs {
+			if err := s.PutBuilt(b.e.Hash, b.comp, int64(b.e.Len)); err != nil {
+				t.Error(err)
+				break
+			}
+			held = append(held, b.e.Hash)
+		}
+		return held
+	}
+	// Text-like content: its records are small to copy forward and slow to
+	// inflate, which widens the window between lookup and pread.
+	text := func(seed int64, n int) []byte {
+		b := randBytes(seed, n)
+		for i := range b {
+			b[i] = "etaoin shrdlu"[b[i]%13]
+		}
+		return b
+	}
+	data := text(12, 1<<20+777)
+	m, img := encode(data)
+	mix, other := encode(text(13, 1<<20))
+	var held []Key
+	for i := range img {
+		held = append(held, land(img[i:i+1])...)
+		if i < len(other) {
+			held = append(held, land(other[i:i+1])...)
+		}
+	}
+	held = append(held, land(other[min(len(img), len(other)):])...)
+	for name, man := range map[string]*Manifest{"img": m, "mix": mix} {
+		if err := s.Commit(name, man); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Release(held)
+	junkMan, junk := encode(randBytes(14, 3<<19))
+
+	stop := make(chan struct{})
+	churned := make(chan int)
+	go func() {
+		n := 0
+		defer func() { churned <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			held := land(junk)
+			err := s.Commit("junk", junkMan)
+			s.Release(held)
+			if err == nil {
+				err = s.Drop("junk")
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+		}
+	}()
+	got := make([]byte, m.Length)
+	for round := 0; round < 8; round++ {
+		out := backend.NewMemFileSize(m.Length)
+		if err := Materialize(out, m, s, 2); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := backend.ReadFull(out, got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("round %d: materialized bytes differ", round)
+		}
+	}
+	close(stop)
+	if n := <-churned; n == 0 {
+		t.Fatal("no pack was retired during the materializations")
+	}
+	if st := s.Stats(); st.Blobs != len(img)+len(other) || st.Staged != 0 {
+		t.Fatalf("after the churn: %d blobs, %d staged", st.Blobs, st.Staged)
+	}
+}
+
+// TestMaterializeQuarantinesCorruptBlob: a stored blob whose bytes still
+// inflate but no longer hash to its key fails the image, not silently, and is
+// taken out of the index — its references kept — so Stage misses it and the
+// next landing of the key writes good bytes instead of finding it present.
+func TestMaterializeQuarantinesCorruptBlob(t *testing.T) {
+	data := randBytes(14, 1<<20)
+	s, err := OpenBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := buildInto(t, s, "img", data, 2)
+	victim := m.Entries[len(m.Entries)/2]
+	good, _, err := s.ReadCompressed(victim.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptBlob(t, s, victim.Hash)
+	err = Materialize(backend.NewMemFileSize(m.Length), m, s, 2)
+	if !errors.Is(err, ErrCorruptBlob) || !strings.Contains(err.Error(), victim.Hash.String()) {
+		t.Fatalf("err = %v, want ErrCorruptBlob naming %v", err, victim.Hash)
+	}
+	if s.Stage(victim.Hash) {
+		t.Fatal("the corrupt blob is still staged from the index")
+	}
+	if st := s.Stats(); st.Blobs != len(m.Entries)-1 || st.Manifests != 1 {
+		t.Fatalf("after quarantine: %d blobs, %d manifests", st.Blobs, st.Manifests)
+	}
+	if err := s.PutBuilt(victim.Hash, good, int64(victim.Len)); err != nil {
+		t.Fatal(err)
+	}
+	s.Release([]Key{victim.Hash})
+	out := backend.NewMemFileSize(m.Length)
+	if err := Materialize(out, m, s, 2); err != nil {
+		t.Fatalf("after re-landing: %v", err)
+	}
+}
+
+// FuzzDecodeBlob feeds arbitrary wire frames to both blob decoders: DecodeBlob,
+// and the window decode of a one-entry manifest whose slot sits between guard
+// bytes. Each must fail, or fill exactly the frame's length with what the
+// stream inflates to; it must never panic or write a guard byte.
+func FuzzDecodeBlob(f *testing.F) {
+	frame := func(rawLen uint64, stream []byte) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, rawLen), stream...)
+	}
+	deflated := func(raw []byte) []byte {
+		var b bytes.Buffer
+		if err := deflateTo(&b, raw); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	raw := bytes.Repeat([]byte("vmi cache "), 30)
+	stream := deflated(raw)
+	f.Add(frame(uint64(len(raw)), stream))                 // valid
+	f.Add(frame(uint64(len(raw)), stream)[:5])             // truncated header
+	f.Add(frame(0, deflated(nil)))                         // raw length 0
+	f.Add(frame(2*MaxChunk+1, stream))                     // raw length past the bound
+	f.Add(frame(uint64(len(raw))-7, stream))               // inflates longer than its frame
+	f.Add(frame(uint64(len(raw))+7, stream))               // inflates shorter than its frame
+	f.Add(frame(uint64(len(raw)), stream[:len(stream)/2])) // stream cut short
+
+	s, err := OpenBlobStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	const guard = 64
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		// What the stream inflates to, read to its end and no further than
+		// one byte past any legal frame.
+		var want []byte
+		ok := false
+		if len(wire) >= blobHdrLen {
+			n := binary.BigEndian.Uint64(wire)
+			out, rerr := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(wire[blobHdrLen:])), 2*MaxChunk+1))
+			want, ok = out, rerr == nil && n <= 2*MaxChunk && uint64(len(out)) == n
+		}
+		k := Key(sha256.Sum256(want))
+		got, err := DecodeBlob(k, wire)
+		if ok != (err == nil) || ok && !bytes.Equal(got, want) {
+			t.Fatalf("DecodeBlob: err %v for a frame that decodes %v", err, ok)
+		}
+
+		// The window decode reads the frame back from a pack record.
+		k = Key(sha256.Sum256(wire))
+		if s.land(k, wire) != nil {
+			return // no pack can hold it: the scanner would stop there too
+		}
+		defer s.Release([]Key{k})
+		e := Entry{Hash: k, Len: 1}
+		if n := binary.BigEndian.Uint64(wire); n > 0 && n <= MaxChunk {
+			e.Len = uint32(n)
+		}
+		buf := bytes.Repeat([]byte{0xA5}, guard+int(e.Len)+guard)
+		w := &window{buf: &buf, n: len(buf), slots: []slot{{e: e, off: guard}}}
+		var rb []byte
+		err = (&Materializer{src: s}).decodeWindow(w, &rb)
+		fits := ok && uint64(e.Len) == uint64(len(want))
+		if fits != (err == nil) || fits && !bytes.Equal(buf[guard:guard+int(e.Len)], want) {
+			t.Fatalf("window decode: err %v for a frame that decodes %v into a %d-byte slot", err, ok, e.Len)
+		}
+		for i, b := range append(buf[:guard:guard], buf[guard+int(e.Len):]...) {
+			if b != 0xA5 {
+				t.Fatalf("guard byte %d written", i)
+			}
+		}
+	})
+}

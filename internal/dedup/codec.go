@@ -3,6 +3,7 @@ package dedup
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"io"
 	"sync"
 )
@@ -27,8 +28,9 @@ var flateWriterPool = sync.Pool{
 // blobReader bundles a flate reader with its source so one pool entry
 // carries both; bytes.Reader resets in place.
 type blobReader struct {
-	src bytes.Reader
-	fr  io.ReadCloser
+	src  bytes.Reader
+	fr   io.ReadCloser
+	tail [1]byte // where inflateInto looks for bytes past the frame
 }
 
 var blobReaderPool = sync.Pool{
@@ -52,8 +54,13 @@ func deflateTo(buf *bytes.Buffer, raw []byte) error {
 	return err
 }
 
+// errPastFrame reports a DEFLATE stream that inflates to more bytes than its
+// frame names.
+var errPastFrame = errors.New("stream runs past its frame")
+
 // inflateInto fills raw from the DEFLATE stream comp through a pooled
-// reader.
+// reader. The stream must end exactly there: one that ends early or runs on
+// is an error, so raw is either filled by the whole stream or the call fails.
 func inflateInto(raw, comp []byte) error {
 	br := blobReaderPool.Get().(*blobReader)
 	br.src.Reset(comp)
@@ -61,6 +68,14 @@ func inflateInto(raw, comp []byte) error {
 		return err // pool entry dropped: reader state is suspect
 	}
 	_, err := io.ReadFull(br.fr, raw)
+	if err == nil {
+		var n int
+		if n, err = br.fr.Read(br.tail[:]); n > 0 {
+			err = errPastFrame
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
 	blobReaderPool.Put(br)
 	return err
 }

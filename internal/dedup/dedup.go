@@ -11,9 +11,12 @@
 // caller for storage. BlobStore (blobstore.go) is the durable
 // content-addressed tier: compressed blobs shared by reference across
 // manifests, with staged publication and group-commit fsync. Materialize
-// reassembles an image from a manifest, verifying every chunk and the
-// whole-image checksum. The stream codecs (compress.go) cover the
-// whole-file compressed transfer path that predates chunking.
+// reassembles an image from a manifest in 1 MiB windows, inflating stored
+// chunks straight into place and checking the image against its whole-image
+// checksum; a chunk fetched from a peer is hash-checked on arrival, and a
+// stored blob is re-checked and taken out of the index only when an image it
+// went into fails. The stream codecs (compress.go) cover the whole-file
+// compressed transfer path that predates chunking.
 package dedup
 
 import (

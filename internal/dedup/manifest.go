@@ -57,7 +57,8 @@ func (m *Manifest) Encode() []byte {
 
 // DecodeManifest parses an encoded manifest, validating magic, version,
 // entry count, that every entry is a chunk the cutter could have produced
-// (1..MaxChunk bytes — pooled MaxChunk buffers are sized from these lengths),
+// (1..MaxChunk bytes — window slots and pooled buffers are sized from these
+// lengths),
 // and that entry lengths sum to the header length.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	if len(b) < manifestHdrLen {
