@@ -26,8 +26,6 @@
 //	-pprof-block-rate NS  sample blocking events slower than NS ns (0 = off)
 //	-dedup           keep a content-addressed chunk store; peer warms become
 //	                 manifest-first and move only the chunks this node lacks
-//	-dedup-jobs N    dedup pipeline parallelism: chunk hash/compress workers
-//	                 for publication and materialization (0 = GOMAXPROCS)
 //	-swarm           warm cold caches chunk-wise from every peer at once
 //	-tracker URL     swarm announce tracker base URL (http://host:port)
 //	-tracker-listen A     also host the announce tracker on A
@@ -76,7 +74,6 @@ func main() {
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
 	dedupOn := fs.Bool("dedup", false, "keep a content-addressed chunk store: sibling caches share storage, peer warms move only missing chunks")
-	dedupJobs := fs.Int("dedup-jobs", 0, "dedup pipeline parallelism for chunk hash/compress work (0 = GOMAXPROCS, 1 = serial)")
 	swarmOn := fs.Bool("swarm", false, "warm cold caches via chunk-level swarm transfer from peers")
 	tracker := fs.String("tracker", "", "swarm announce tracker base URL, e.g. http://10.0.0.1:9091")
 	trackerListen := fs.String("tracker-listen", "", "also host the swarm announce tracker over HTTP on this address")
@@ -147,7 +144,6 @@ func main() {
 		Peers:          splitList(*peers),
 		Metrics:        reg,
 		Dedup:          *dedupOn,
-		DedupWorkers:   *dedupJobs,
 		SwarmEnabled:   *swarmOn,
 		SwarmSelf:      *swarmSelf,
 		SwarmTracker:   announcer,

@@ -113,14 +113,10 @@ type Config struct {
 	// blobs without touching the network, and peer warms become
 	// manifest-first — only chunks this pool does not already hold move,
 	// compressed. The store's physical bytes (its pack files) are charged
-	// against Budget once, however many caches share them.
+	// against Budget once, however many caches share them. Publication,
+	// rehydration and delta-warm materialization spread their per-chunk
+	// work across GOMAXPROCS goroutines.
 	Dedup bool
-
-	// DedupWorkers is the chunk hash/compress/decompress parallelism of
-	// the dedup pipeline: publication (manifest build), rehydration and
-	// delta-warm materialization all spread per-chunk work across this
-	// many goroutines (0 means GOMAXPROCS; 1 forces the serial path).
-	DedupWorkers int
 
 	// SwarmEnabled switches cold warms from wholesale peer pulls to
 	// chunk-level multi-source fetching: each chunk is pulled from

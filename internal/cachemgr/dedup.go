@@ -128,7 +128,7 @@ func (m *Manager) dedupPublish(key, pubPath string, from *dedup.Manifest) error 
 	// The pipeline's workers compress each chunk into its wire blob, so
 	// the store lands bytes as-is (PutBuilt) instead of re-deflating.
 	man, err := dedup.BuildParallel(f, fi.Size(),
-		dedup.BuildOpts{Workers: m.dedupWorkers(), Compress: true},
+		dedup.BuildOpts{Workers: runtime.GOMAXPROCS(0), Compress: true},
 		func(e dedup.Entry, raw, comp []byte) error {
 			if err := m.dstore.PutBuilt(e.Hash, comp, int64(e.Len)); err != nil {
 				return err
@@ -148,14 +148,6 @@ func (m *Manager) dedupPublish(key, pubPath string, from *dedup.Manifest) error 
 	}
 	m.dstore.Drop(key + retiredSuffix) //nolint:errcheck // may not exist
 	return nil
-}
-
-// dedupWorkers resolves the pipeline parallelism from config.
-func (m *Manager) dedupWorkers() int {
-	if m.cfg.DedupWorkers > 0 {
-		return m.cfg.DedupWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func fileChecksum(f *os.File, size int64) (dedup.Key, error) {
@@ -242,7 +234,7 @@ func (m *Manager) materialize(tmpName string, man *dedup.Manifest, missing []ded
 	}()
 	start := time.Now()
 	m.stats.dedupImageHashes.Add(1)
-	mat := dedup.StartMaterialize(f, man, m.dstore, m.dedupWorkers(), missing, deltaHandoffBudget)
+	mat := dedup.StartMaterialize(f, man, m.dstore, runtime.GOMAXPROCS(0), missing, deltaHandoffBudget)
 	if fetch != nil {
 		fetch(mat)
 		st.fetch = time.Since(start)

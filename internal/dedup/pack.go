@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -43,6 +45,10 @@ const (
 	// starts, which bounds both the dead space one pack can pin before the
 	// copy-forward rule fires and the bytes one copy-forward moves.
 	packTarget = 64 << 20
+
+	// copyRun bounds one pread of a copy-forward: a run of adjacent live
+	// records stops growing past it.
+	copyRun = 1 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -285,37 +291,52 @@ func (s *BlobStore) reclaimLocked() {
 
 // copyForwardLocked re-appends p's live records to the active pack and,
 // once they are durable there, points the index at the copies. Until then
-// the index keeps naming p, so a failure costs dead bytes, never a blob.
+// the index keeps naming p, so a failure costs dead bytes, never a blob. The
+// records are the ones the index places in p, read with one pread per run of
+// adjacent records (up to copyRun bytes); a record that fails its CRC is
+// de-indexed, as quarantine does, and counts as dead, so one damaged record
+// cannot keep a pack from retiring.
 func (s *BlobStore) copyForwardLocked(p *pack) error {
 	type move struct {
 		k   Key
 		loc blobLoc
 	}
-	var moves []move
-	var moved int64
-	var werr error
-	_, err := scanPack(io.NewSectionReader(p.f, 0, p.size), func(k Key, off int64, wire []byte) {
-		if loc, ok := s.blobs[k]; !ok || loc.p != p || loc.off != off || werr != nil {
-			return
+	var recs, moves []move
+	for k, loc := range s.blobs {
+		if loc.p == p {
+			recs = append(recs, move{k, loc})
 		}
-		loc, err := s.writeRecordLocked(k, wire)
-		if err != nil {
-			werr = err
-			return
+	}
+	slices.SortFunc(recs, func(a, b move) int { return cmp.Compare(a.loc.off, b.loc.off) })
+	var buf []byte
+	for i := 0; i < len(recs); {
+		start, end, j := recs[i].loc.off, recs[i].loc.off+recs[i].loc.recLen(), i+1
+		for ; j < len(recs) && recs[j].loc.off == end && end-start < copyRun; j++ {
+			end += recs[j].loc.recLen()
 		}
-		moves = append(moves, move{k, loc})
-		moved += loc.recLen()
-	})
-	if err == nil {
-		err = werr
+		buf = slices.Grow(buf[:0], int(end-start))[:end-start]
+		s.reads.Add(1)
+		n, err := p.f.ReadAt(buf, start)
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("dedup: copying %s forward: %w", packName(p.seq), err)
+		}
+		for _, r := range recs[i:j] {
+			rec := buf[min(int64(n), r.loc.off-start):min(int64(n), r.loc.off-start+r.loc.recLen())]
+			if int64(len(rec)) < r.loc.recLen() || binary.BigEndian.Uint32(rec[sha256.Size:]) != r.loc.wireLen ||
+				recordCRC(rec, rec[recHdrLen:]) != binary.BigEndian.Uint32(rec[sha256.Size+4:]) {
+				delete(s.blobs, r.k)
+				p.live -= r.loc.recLen()
+				continue
+			}
+			loc, err := s.writeRecordLocked(r.k, rec[recHdrLen:])
+			if err != nil {
+				return err
+			}
+			moves = append(moves, move{r.k, loc})
+		}
+		i = j
 	}
-	if err == nil && moved != p.live {
-		err = fmt.Errorf("dedup: %s: %d of %d live bytes readable", packName(p.seq), moved, p.live)
-	}
-	if err == nil {
-		err = s.flushLocked()
-	}
-	if err != nil {
+	if err := s.flushLocked(); err != nil {
 		return err
 	}
 	for _, mv := range moves {

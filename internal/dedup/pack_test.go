@@ -584,6 +584,52 @@ func TestPackCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionDropsDamagedRecord: a pack holding one record that fails
+// its CRC still retires once its sibling dies — the live records are copied
+// forward from the index, and the damaged one leaves the index as dead
+// space instead of pinning the pack for every later reclaim.
+func TestCompactionDropsDamagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := randBytes(90, 64<<10)
+	manSmall := putImage(t, s, "small", small)
+	putImage(t, s, "big", randBytes(91, 512<<10))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenBlobStore(dir) // the shared pack is sealed now
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	damaged := manSmall.Entries[0].Hash
+	corruptBlob(t, s, damaged)
+	shared, _, _ := blobFile(t, s, damaged)
+
+	if err := s.Drop("big"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(shared); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the pack with a damaged record was not retired: %v", err)
+	}
+	if s.Has(damaged) {
+		t.Fatal("the damaged record is still indexed")
+	}
+	if st := s.Stats(); st.UniqueCompBytes != packBytes(t, dir) {
+		t.Fatalf("accounted %d bytes, %d on disk", st.UniqueCompBytes, packBytes(t, dir))
+	}
+	off := int64(manSmall.Entries[0].Len)
+	for _, e := range manSmall.Entries[1:] {
+		if raw, err := s.ReadBlob(e.Hash); e.Hash != damaged && (err != nil || !bytes.Equal(raw, small[off:off+int64(e.Len)])) {
+			t.Fatalf("a live record did not survive the copy-forward: %v", err)
+		}
+		off += int64(e.Len)
+	}
+}
+
 // TestStoreClose: Close is idempotent, releases every pack descriptor and
 // leaves a store that refuses work instead of misbehaving.
 func TestStoreClose(t *testing.T) {

@@ -79,83 +79,55 @@ func (img *Image) WriteCompressedCluster(vc int64, data []byte) error {
 
 	// Incompressible clusters are stored raw — never pay expansion.
 	if int64(blob.Len()) >= cs {
-		m2, err := img.ensureL2(vc)
-		if err != nil {
-			return err
-		}
-		dataOff, err := img.allocCluster(false)
-		if err != nil {
-			return err
-		}
-		padded := make([]byte, cs)
-		copy(padded, data)
-		if err := backend.WriteFull(img.f, padded, dataOff); err != nil {
-			return err
-		}
-		return img.bindCluster(&m2, dataOff)
+		_, err := img.landRun(clusterRun{vc: vc, n: 1}, func(dst []byte) error {
+			clear(dst[copy(dst, data):])
+			return nil
+		})
+		return err
 	}
 
-	m2, err := img.ensureL2(vc)
-	if err != nil {
-		return err
-	}
-	blobOff, err := img.allocBlobSpaceLocked(int64(blob.Len()))
-	if err != nil {
-		return err
-	}
-	if err := backend.WriteFull(img.f, blob.Bytes(), blobOff); err != nil {
-		return err
-	}
-	t, err := img.loadL2(m2.l2Off)
-	if err != nil {
-		return err
-	}
-	t[m2.l2Index] = uint64(blobOff) | entryCompressed
-	img.stats.CompressedClusters.Add(1)
-	img.stats.CompressedBytes.Add(int64(blob.Len()))
-	return img.writeL2Entry(m2.l2Off, m2.l2Index, t[m2.l2Index])
-}
-
-// allocBlobSpaceLocked returns a 512-byte-aligned offset with room for n
-// bytes, packing blobs into shared clusters. The containing cluster's
-// refcount counts its live blobs.
-func (img *Image) allocBlobSpaceLocked(n int64) (int64, error) {
+	// Blobs pack back to back at 512-byte alignment into shared clusters,
+	// each counting its live blobs. A blob that fits the open cluster is
+	// written there and counted in place, and its commit only binds the
+	// slot; otherwise it opens a fresh cluster, zero past the blob.
 	const blobAlign = 512
-	need := ceilDiv(n, blobAlign) * blobAlign
-	cs := img.ly.clusterSize
-	// Fits in the current partially-filled cluster?
-	if img.compCursor != 0 {
-		cluster := img.compCursor / cs
-		remaining := (cluster+1)*cs - img.compCursor
-		if need <= remaining {
-			off := img.compCursor
-			img.compCursor += need
-			if img.compCursor >= (cluster+1)*cs {
-				img.compCursor = 0
-			}
-			rc, err := img.refcount(cluster)
-			if err != nil {
-				return 0, err
-			}
-			if rc < maxRefcountValue {
-				if err := img.setRefcount(cluster, rc+1); err != nil {
-					return 0, err
-				}
-			}
-			return off, nil
+	b := blob.Bytes()
+	need := ceilDiv(int64(len(b)), blobAlign) * blobAlign
+	off := img.compCursor
+	if off != 0 && off%cs+need <= cs {
+		if err := backend.WriteFull(img.f, b, off); err != nil {
+			return err
 		}
-	}
-	// Open a fresh cluster (refcount 1 = this first blob), zeroed so the
-	// container stays cluster-aligned while blobs fill it.
-	off, err := img.allocCluster(true)
-	if err != nil {
-		return 0, err
+		rc, err := img.refcount(off / cs)
+		if err != nil {
+			return err
+		}
+		if rc < maxRefcountValue {
+			if err := img.setRefcounts(off/cs, off/cs+1, rc+1, nil); err != nil {
+				return err
+			}
+		}
+		_, err = img.landRun(clusterRun{vc: vc, n: 1, entry: uint64(off) | entryCompressed}, nil)
+		if err != nil {
+			return err
+		}
+	} else {
+		at, err := img.landRun(clusterRun{vc: vc, n: 1, entry: entryCompressed}, func(dst []byte) error {
+			clear(dst[copy(dst, b):])
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		off = at * cs
 	}
 	img.compCursor = off + need
-	if img.compCursor >= off+cs {
+	if img.compCursor%cs == 0 {
 		img.compCursor = 0
 	}
-	return off, nil
+	img.stats.CompressedClusters.Add(1)
+	img.stats.CompressedBytes.Add(int64(blob.Len()))
+	return nil
 }
 
 // readCompressed inflates the blob at blobOff and returns one cluster of
@@ -211,5 +183,5 @@ func (img *Image) releaseBlobLocked(blobOff int64) error {
 	if rc > 0 {
 		rc--
 	}
-	return img.setRefcount(cluster, rc)
+	return img.setRefcounts(cluster, cluster+1, rc, nil)
 }

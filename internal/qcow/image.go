@@ -131,11 +131,11 @@ type Image struct {
 	fillMu sync.Mutex
 	fills  []*fill
 
-	// cbuf pools cluster-sized scratch buffers (CoW merges, metadata
-	// zeroing, L2 decodes), shared by every image of the cluster size, so a
-	// short-lived CoW top reuses the last one's; extPool pools the
-	// per-ReadAt mapped-extent slices (stored as *[]mappedExtent so
-	// recycling does not allocate). Fill spans come from spanBufs.
+	// cbuf pools cluster-sized L2 decode buffers, shared by every image of
+	// the cluster size, so a short-lived CoW top reuses the last one's;
+	// extPool pools the per-ReadAt mapped-extent slices (stored as
+	// *[]mappedExtent so recycling does not allocate). Commit reservations
+	// come from spanBufs.
 	cbuf    *bufPool
 	extPool sync.Pool
 
@@ -283,9 +283,8 @@ func Create(f backend.File, opts CreateOpts) (*Image, error) {
 	return img, nil
 }
 
-// coverRefcount gives cluster c a refcount block, as setRefcount does but
-// in memory: a missing block is taken from the bump allocator and is itself
-// covered, so blocks land where setRefcount would put them. The table
+// coverRefcount gives cluster c a refcount block in memory: a missing block
+// is taken from the bump allocator and is itself covered. The table
 // createLayout sizes covers the whole virtual disk, far past any metadata.
 func (img *Image) coverRefcount(c int64) {
 	rb := c / img.ly.refBlockEnts

@@ -8,11 +8,11 @@ import "sync"
 // header off the heap on Put) and handed out by requested length; a pooled
 // buffer whose capacity is too small is simply dropped for the GC.
 //
-// Images of one cluster size share a pool of cluster-sized metadata/CoW
-// scratch (clusterBufs); every image shares spanBufs for variable-length
-// fill spans and plan windows, so a fresh warm image reuses the last one's
-// multi-MiB window buffers instead of allocating and zeroing its own. Table
-// reads decode through tableBufs.
+// Images of one cluster size share a pool of cluster-sized L2 decode
+// scratch (clusterBufs); every image shares spanBufs for the reservations
+// every commit lays out — fill windows, guest copy-on-write runs — so a
+// fresh warm image reuses the last one's multi-MiB window buffers instead
+// of allocating and zeroing its own. Table reads decode through tableBufs.
 type bufPool struct {
 	p sync.Pool
 }
@@ -32,13 +32,6 @@ func (bp *bufPool) get(n int) []byte {
 		}
 	}
 	return make([]byte, n)
-}
-
-// getZero returns a zeroed buffer of length n.
-func (bp *bufPool) getZero(n int) []byte {
-	b := bp.get(n)
-	clear(b)
-	return b
 }
 
 // put recycles a buffer obtained from get.

@@ -3,14 +3,15 @@ package qcow
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"vmicache/internal/backend"
 )
 
 // refcount bookkeeping. Clusters are allocated by a bump allocator at the
-// end of the file (QCOW2 allocates first-fit over refcounts; a bump
-// allocator is equivalent for the paper's workloads, which never free data
-// clusters). Refcounts still exist and are maintained exactly, because
+// end of the file, in commitRun's reservations and growRefTable's layout
+// (QCOW2 allocates first-fit over refcounts; a bump allocator is equivalent
+// for the paper's workloads, which never free data clusters). Refcounts still exist and are maintained exactly, because
 // `qimg check` uses them to validate images and the cache-quota computation
 // must account metadata clusters precisely.
 
@@ -52,129 +53,90 @@ func (img *Image) refcount(c int64) (uint16, error) {
 	return binary.BigEndian.Uint16(b[:]), nil
 }
 
-// setRefcount writes the refcount of cluster c, allocating a refcount block
-// (and growing the refcount table) as needed.
-func (img *Image) setRefcount(c int64, v uint16) error {
-	rbIdx := c / img.ly.refBlockEnts
-	if rbIdx >= int64(len(img.refTable)) {
-		if err := img.growRefTable(rbIdx + 1); err != nil {
-			return err
+// setRefcounts sets the refcount of every cluster in [lo, hi) to v in place,
+// one write per refcount block, skipping the blocks in skip (ascending: new
+// blocks a commit writes whole). It never creates a block: every cluster it
+// is given lies under an existing one.
+func (img *Image) setRefcounts(lo, hi int64, v uint16, skip []int64) error {
+	rbe := img.ly.refBlockEnts
+	if lo >= hi {
+		return nil
+	}
+	counts := make([]byte, minI64(hi-lo, rbe)*refcountEntrySz)
+	for i := 0; i < len(counts); i += refcountEntrySz {
+		binary.BigEndian.PutUint16(counts[i:], v)
+	}
+	for rb := lo / rbe; rb*rbe < hi; rb++ {
+		if _, ok := slices.BinarySearch(skip, rb); ok {
+			continue
 		}
-	}
-	rbOff := int64(img.refTable[rbIdx] & entryOffsetMask)
-	if rbOff == 0 {
-		// Allocate a refcount block. The new block is taken from the
-		// bump allocator *without* immediate refcount accounting to
-		// avoid unbounded recursion; its own count is set right after
-		// the table entry is in place.
-		newOff := img.nextFree * img.ly.clusterSize
-		img.nextFree++
-		zero := img.cbuf.getZero(int(img.ly.clusterSize))
-		err := backend.WriteFull(img.f, zero, newOff)
-		img.cbuf.put(zero)
-		if err != nil {
-			return err
+		a, b := maxI64(lo, rb*rbe), minI64(hi, (rb+1)*rbe)
+		off := int64(img.refTable[rb] & entryOffsetMask)
+		if off == 0 {
+			return fmt.Errorf("%w: cluster %d has no refcount block", ErrCorrupt, a)
 		}
-		img.refTable[rbIdx] = uint64(newOff)
-		if err := img.writeRefTableEntry(rbIdx); err != nil {
-			return err
-		}
-		rbOff = newOff
-		// Self-account the refblock cluster. Its refcount entry may
-		// live in this very block or an earlier one; either way the
-		// table entry now exists, so plain recursion terminates.
-		if err := img.setRefcount(newOff/img.ly.clusterSize, 1); err != nil {
-			return err
-		}
-	}
-	var b [refcountEntrySz]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	off := rbOff + (c%img.ly.refBlockEnts)*refcountEntrySz
-	return backend.WriteFull(img.f, b[:], off)
-}
-
-// writeRefTableEntry persists one refcount-table slot.
-func (img *Image) writeRefTableEntry(idx int64) error {
-	return img.writeSlots(int64(img.hdr.RefTableOffset)+idx*refTableEntrySz, img.refTable[idx:idx+1])
-}
-
-// growRefTable relocates the refcount table to the end of the file with room
-// for at least minEntries entries. The old table's clusters are freed
-// (refcount 0); the bump allocator does not reuse them, which `check`
-// reports as acceptable leaks only if we left them referenced — so they are
-// explicitly zeroed.
-func (img *Image) growRefTable(minEntries int64) error {
-	oldClusters := int64(img.hdr.RefTableClusters)
-	newClusters := oldClusters * 2
-	for newClusters*img.ly.clusterSize/refTableEntrySz < minEntries {
-		newClusters *= 2
-	}
-	newOff := img.nextFree * img.ly.clusterSize
-	img.nextFree += newClusters
-
-	newTable := make([]uint64, newClusters*img.ly.clusterSize/refTableEntrySz)
-	copy(newTable, img.refTable)
-	buf := make([]byte, newClusters*img.ly.clusterSize)
-	for i, e := range newTable {
-		binary.BigEndian.PutUint64(buf[i*8:], e)
-	}
-	if err := backend.WriteFull(img.f, buf, newOff); err != nil {
-		return err
-	}
-
-	oldOff := int64(img.hdr.RefTableOffset)
-	img.hdr.RefTableOffset = uint64(newOff)
-	img.hdr.RefTableClusters = uint32(newClusters)
-	img.refTable = newTable
-	if err := img.rewriteHeader(); err != nil {
-		return err
-	}
-	// Account the new table clusters and release the old ones.
-	for i := int64(0); i < newClusters; i++ {
-		if err := img.setRefcount(newOff/img.ly.clusterSize+i, 1); err != nil {
-			return err
-		}
-	}
-	for i := int64(0); i < oldClusters; i++ {
-		if err := img.setRefcount(oldOff/img.ly.clusterSize+i, 0); err != nil {
+		if err := backend.WriteFull(img.f, counts[:(b-a)*refcountEntrySz], off+(a-rb*rbe)*refcountEntrySz); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// rewriteHeader re-encodes and rewrites the header cluster (used only when
-// header fields beyond the cache-used counter change).
-func (img *Image) rewriteHeader() error {
-	buf, err := img.hdr.encode(img.ly.clusterSize)
+// growRefTable moves the refcount table to the end of the file with room for
+// at least minEntries entries. The new table and the refcount blocks its own
+// clusters need are laid out in memory and go out in one write; then the
+// counts of its clusters that fall in pre-existing blocks, the header switch
+// to the new table, and the release of the old table's clusters (refcount
+// 0; the bump allocator does not reuse them). A crash before the switch
+// leaks at worst the new clusters, one after it the old table's.
+func (img *Image) growRefTable(minEntries int64) error {
+	cs, rbe := img.ly.clusterSize, img.ly.refBlockEnts
+	oldClusters := int64(img.hdr.RefTableClusters)
+	newClusters := oldClusters * 2
+	for newClusters*cs/refTableEntrySz < minEntries {
+		newClusters *= 2
+	}
+	table := make([]uint64, newClusters*cs/refTableEntrySz)
+	copy(table, img.refTable)
+	base, end := img.nextFree, img.nextFree+newClusters
+	var rbs []int64 // the new blocks, placed after the table, each counting itself too
+	for rb := base / rbe; rb*rbe < end; rb++ {
+		if table[rb]&entryOffsetMask == 0 {
+			table[rb] = uint64(end * cs)
+			rbs = append(rbs, rb)
+			end++
+		}
+	}
+	buf := make([]byte, (end-base)*cs)
+	for i, e := range table {
+		binary.BigEndian.PutUint64(buf[i*refTableEntrySz:], e)
+	}
+	for _, rb := range rbs {
+		blk := buf[int64(table[rb]&entryOffsetMask)-base*cs:][:cs]
+		for c := maxI64(base, rb*rbe); c < minI64(end, (rb+1)*rbe); c++ {
+			blk[(c-rb*rbe)*refcountEntrySz+1] = 1 // big-endian uint16(1)
+		}
+	}
+	img.nextFree = end
+	if err := backend.WriteFull(img.f, buf, base*cs); err != nil {
+		return err
+	}
+	if err := img.setRefcounts(base, end, 1, rbs); err != nil {
+		return err
+	}
+	hdr := *img.hdr
+	hdr.RefTableOffset, hdr.RefTableClusters = uint64(base*cs), uint32(newClusters)
+	hb, err := hdr.encode(cs)
 	if err != nil {
 		return err
 	}
-	return backend.WriteFull(img.f, buf, 0)
-}
-
-// allocCluster returns the physical offset of a fresh, refcounted cluster for
-// the single-cluster writers (copy-on-write, compressed import, L2 tables);
-// copy-on-read fills allocate a run at a time through commitRun. When zeroed
-// is true the cluster is zero-filled (metadata, and blob clusters that fill
-// up piecemeal); otherwise the caller overwrites the whole cluster, which
-// also extends the container over it.
-func (img *Image) allocCluster(zeroed bool) (int64, error) {
-	c := img.nextFree
-	img.nextFree++
-	off := c * img.ly.clusterSize
-	if zeroed {
-		zero := img.cbuf.getZero(int(img.ly.clusterSize))
-		err := backend.WriteFull(img.f, zero, off)
-		img.cbuf.put(zero)
-		if err != nil {
-			return 0, err
-		}
+	if err := backend.WriteFull(img.f, hb, 0); err != nil {
+		return err
 	}
-	if err := img.setRefcount(c, 1); err != nil {
-		return 0, err
-	}
-	return off, nil
+	oldOff := int64(img.hdr.RefTableOffset)
+	img.hdr.RefTableOffset, img.hdr.RefTableClusters = hdr.RefTableOffset, hdr.RefTableClusters
+	img.refTable = table
+	return img.setRefcounts(oldOff/cs, oldOff/cs+oldClusters, 0, nil)
 }
 
 // clustersNeededFor computes exactly how many clusters an allocation of
@@ -183,26 +145,27 @@ func (img *Image) allocCluster(zeroed bool) (int64, error) {
 // the cache quota check so the "space error" fires *before* the cache
 // overshoots its quota.
 func (img *Image) clustersNeededFor(extra int64) int64 {
-	return img.clustersNeededAt(img.nextFree, img.refTable, extra)
+	return img.clustersNeededAt(img.nextFree, 0, extra)
 }
 
 // clustersNeededAt is clustersNeededFor with the allocator at next and the
-// refcount table refTable (planCommit's view after earlier runs).
-func (img *Image) clustersNeededAt(next int64, refTable []uint64, extra int64) int64 {
+// refcount blocks below covered known to exist (planCommit's view after
+// earlier runs, whose new blocks it tracks itself).
+func (img *Image) clustersNeededAt(next, covered, extra int64) int64 {
 	total := extra
 	for {
 		end := next + total
 		// Refcount blocks missing for clusters [0, end).
 		var rbMissing int64
 		rbNeeded := ceilDiv(end, img.ly.refBlockEnts)
-		for i := int64(0); i < rbNeeded; i++ {
-			if i >= int64(len(refTable)) || refTable[i]&entryOffsetMask == 0 {
+		for i := covered; i < rbNeeded; i++ {
+			if i >= int64(len(img.refTable)) || img.refTable[i]&entryOffsetMask == 0 {
 				rbMissing++
 			}
 		}
 		// Refcount-table growth, if the table cannot index rbNeeded.
 		var growth int64
-		if rbNeeded > int64(len(refTable)) {
+		if rbNeeded > int64(len(img.refTable)) {
 			newClusters := int64(img.hdr.RefTableClusters) * 2
 			for newClusters*img.ly.clusterSize/refTableEntrySz < rbNeeded {
 				newClusters *= 2

@@ -255,20 +255,6 @@ func (img *Image) readBacking(b BlockSource, seg []byte, pos int64) error {
 	return nil
 }
 
-// runAllocCost computes how many clusters filling k data clusters starting
-// at vc will consume, counting missing L2 tables and refcount metadata.
-func (img *Image) runAllocCost(vc, k int64) int64 {
-	extra := k
-	firstL1 := vc / img.ly.l2Entries
-	lastL1 := (vc + k - 1) / img.ly.l2Entries
-	for i := firstL1; i <= lastL1 && i < int64(len(img.l1)); i++ {
-		if img.l1[i]&entryOffsetMask == 0 {
-			extra++
-		}
-	}
-	return img.clustersNeededFor(extra)
-}
-
 // WriteAt implements guest writes (§4.3 write). Cache images are immutable
 // with respect to the guest: "all writes coming from the VM itself go to the
 // CoW image" (§3.1), so a guest write to a cache image is an error. For CoW
@@ -311,11 +297,6 @@ func (img *Image) WriteAt(p []byte, off int64) (int, error) {
 		pos := off + int64(done)
 		vc := pos / img.ly.clusterSize
 		inOff := pos % img.ly.clusterSize
-		want := n - done
-		if avail := int(img.ly.clusterSize - inOff); want > avail {
-			want = avail
-		}
-		seg := p[done : done+want]
 
 		// Fast path: the cluster is already allocated raw. Capture the
 		// translation under the shared lock, write without it.
@@ -328,7 +309,8 @@ func (img *Image) WriteAt(p []byte, off int64) (int, error) {
 		if m.dataOff != 0 && !m.compressed {
 			dataOff := m.dataOff
 			img.mu.RUnlock()
-			if err := backend.WriteFull(img.f, seg, dataOff+inOff); err != nil {
+			want := min(n-done, int(img.ly.clusterSize-inOff))
+			if err := backend.WriteFull(img.f, p[done:done+want], dataOff+inOff); err != nil {
 				return done, err
 			}
 			done += want
@@ -337,84 +319,102 @@ func (img *Image) WriteAt(p []byte, off int64) (int, error) {
 		img.mu.RUnlock()
 
 		img.mu.Lock()
-		err = img.writeSlowLocked(vc, inOff, seg, size)
+		k, err := img.writeRunLocked(p[done:], pos)
 		img.mu.Unlock()
 		if err != nil {
 			return done, err
 		}
-		done += want
+		done += k
 	}
 	return n, nil
 }
 
-// writeSlowLocked handles the allocating write paths under the exclusive
-// lock: re-translate (the state may have changed since the caller's shared-
-// lock probe), then overwrite, rewrite-from-compressed, or copy-on-write
-// allocate as the fresh translation dictates.
-func (img *Image) writeSlowLocked(vc, inOff int64, seg []byte, size int64) error {
-	m, err := img.lookup(vc)
+// writeRunLocked writes guest bytes seg at pos under the exclusive lock,
+// re-translating first (another writer may have allocated since the caller's
+// shared-lock probe): a cluster allocated raw meanwhile is overwritten in
+// place; otherwise the maximal run of unallocated or compressed clusters seg
+// covers from pos on lands as ONE commit. Only a partial head or tail cluster
+// is completed from what it held — the backing chain, or the blob it
+// replaces — and the replaced blobs are released after the commit. It
+// returns the bytes of seg written.
+func (img *Image) writeRunLocked(seg []byte, pos int64) (int, error) {
+	cs, cb, size := img.ly.clusterSize, img.ly.clusterBits, int64(img.hdr.Size)
+	vc := pos >> cb
+	rl := runLookup{img: img}
+	head, err := rl.lookup(vc)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if m.dataOff != 0 && !m.compressed {
+	if head.dataOff != 0 && !head.compressed {
 		// Lost the race with another writer's allocation: plain
 		// overwrite, already serialised by the lock we hold.
-		return backend.WriteFull(img.f, seg, m.dataOff+inOff)
+		k := min(len(seg), int(cs-(pos-vc<<cb)))
+		return k, backend.WriteFull(img.f, seg[:k], head.dataOff+pos-vc<<cb)
 	}
-	if m.compressed {
-		// Copy-on-write out of a compressed cluster: inflate, merge,
-		// store raw, release the blob's clusters.
-		blobOff := m.dataOff
-		old, err := img.readCompressed(blobOff)
-		if err != nil {
-			return err
+	end := pos + int64(len(seg))
+	var blobs []int64 // the compressed clusters the run replaces
+	n, tail := int64(1), head
+	for m := head; ; n++ {
+		if m.compressed {
+			blobs = append(blobs, m.dataOff)
 		}
-		buf := img.cbuf.getZero(int(img.ly.clusterSize))
-		copy(buf, old)
-		copy(buf[inOff:], seg)
-		dataOff, err := img.allocCluster(false)
-		if err == nil {
-			err = backend.WriteFull(img.f, buf, dataOff)
+		if (vc+n)<<cb >= end {
+			break
 		}
-		img.cbuf.put(buf)
-		if err != nil {
-			return err
+		if m, err = rl.lookup(vc + n); err != nil {
+			return 0, err
 		}
-		if err := img.bindCluster(&m, dataOff); err != nil {
-			return err
+		if m.dataOff != 0 && !m.compressed {
+			break
 		}
-		return img.releaseBlobLocked(blobOff)
+		tail = m
 	}
+	end = minI64(end, (vc+n)<<cb)
 
-	// Copy-on-write allocation.
-	m2, err := img.ensureL2(vc)
-	if err != nil {
-		return err
+	// edge completes cluster c of the run in data unless seg covers it.
+	edge := func(data []byte, c int64, m mapping) error {
+		lo, hi := c<<cb, minI64((c+1)<<cb, size)
+		if pos <= lo && end >= hi {
+			return nil
+		}
+		dst := data[(c-vc)*cs:][:hi-lo]
+		switch {
+		case m.compressed:
+			old, err := img.readCompressed(m.dataOff)
+			if err != nil {
+				return err
+			}
+			copy(dst, old)
+		case img.backing != nil:
+			if err := img.readBacking(img.backing, dst, lo); err != nil {
+				return err
+			}
+			img.stats.CowFillBytes.Add(hi - lo)
+		}
+		return nil
 	}
-	clusterStart := vc * img.ly.clusterSize
-	clusterLen := img.ly.clusterSize
-	if clusterStart+clusterLen > size {
-		clusterLen = size - clusterStart
-	}
-	buf := img.cbuf.getZero(int(img.ly.clusterSize))
-	fullCover := inOff == 0 && int64(len(seg)) >= clusterLen
-	if !fullCover && img.backing != nil {
-		if err := img.readBacking(img.backing, buf[:clusterLen], clusterStart); err != nil {
-			img.cbuf.put(buf)
+	_, err = img.landRun(clusterRun{vc: vc, n: n}, func(data []byte) error {
+		clear(data)
+		if err := edge(data, vc, head); err != nil {
 			return err
 		}
-		img.stats.CowFillBytes.Add(clusterLen)
-	}
-	copy(buf[inOff:], seg)
-	dataOff, err := img.allocCluster(false)
-	if err == nil {
-		err = backend.WriteFull(img.f, buf, dataOff)
-	}
-	img.cbuf.put(buf)
+		if n > 1 {
+			if err := edge(data, vc+n-1, tail); err != nil {
+				return err
+			}
+		}
+		copy(data[pos-vc<<cb:], seg[:end-pos])
+		return nil
+	})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return img.bindCluster(&m2, dataOff)
+	for _, b := range blobs {
+		if err := img.releaseBlobLocked(b); err != nil {
+			return 0, err
+		}
+	}
+	return int(end - pos), nil
 }
 
 // Allocated reports whether the cluster containing virtual offset off is

@@ -338,16 +338,6 @@ func (img *Image) writeSlots(off int64, vals []uint64) error {
 	return backend.WriteFull(img.f, b, off)
 }
 
-// writeL1Entry persists one L1 slot (write-through).
-func (img *Image) writeL1Entry(idx int64) error {
-	return img.writeSlots(int64(img.hdr.L1TableOffset)+idx*l1EntrySize, img.l1[idx:idx+1])
-}
-
-// writeL2Entry persists one slot of the L2 table at l2Off (write-through).
-func (img *Image) writeL2Entry(l2Off int64, idx int64, val uint64) error {
-	return img.writeSlots(l2Off+idx*l2EntrySize, []uint64{val})
-}
-
 // mapping is the result of translating a virtual cluster index.
 type mapping struct {
 	dataOff    int64 // physical offset of the data cluster; 0 = unallocated
@@ -427,37 +417,4 @@ func (r *runLookup) slots(vc int64) ([]uint64, int64, error) {
 		r.l1i, r.l2Off, r.table, r.valid = l1i, m.l2Off, t, true
 	}
 	return r.table, vc & (ly.l2Entries - 1), nil
-}
-
-// ensureL2 returns the mapping for vc, allocating an L2 table if missing.
-func (img *Image) ensureL2(vc int64) (mapping, error) {
-	m, err := img.lookup(vc)
-	if err != nil {
-		return m, err
-	}
-	if m.l2Off != 0 {
-		return m, nil
-	}
-	off, err := img.allocCluster(true)
-	if err != nil {
-		return m, err
-	}
-	m.l2Off = off
-	img.l1[m.l1Index] = uint64(off) | entryCopied
-	if err := img.writeL1Entry(m.l1Index); err != nil {
-		return m, err
-	}
-	img.l2c.put(off, make([]uint64, img.ly.l2Entries))
-	return m, nil
-}
-
-// bindCluster installs a data cluster at the mapping's slot.
-func (img *Image) bindCluster(m *mapping, dataOff int64) error {
-	t, err := img.loadL2(m.l2Off)
-	if err != nil {
-		return err
-	}
-	t[m.l2Index] = uint64(dataOff) | entryCopied
-	m.dataOff = dataOff
-	return img.writeL2Entry(m.l2Off, m.l2Index, t[m.l2Index])
 }

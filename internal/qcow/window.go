@@ -3,9 +3,6 @@ package qcow
 import (
 	"slices"
 	"sort"
-	"time"
-
-	"vmicache/internal/backend"
 )
 
 // Window fill. A boot plan replayed as guest reads pays one stop-and-wait
@@ -25,14 +22,6 @@ type Span struct {
 	Len int64
 }
 
-// windowPiece is one claimed run of a window fill.
-type windowPiece struct {
-	f    *fill
-	want int64  // clusters still unallocated when re-validated
-	fit  int64  // clusters the quota admits
-	data []byte // the piece's fetched clusters, inside the window buffer
-}
-
 // FillSpans fills the clusters under spans, one window of a warm plan, from
 // the backing source, and returns the spans it did not land in full, in plan
 // order, for the caller to read through ReadAt: spans with clusters another
@@ -45,8 +34,6 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 		return nil, err
 	}
 	defer img.readers.Done()
-	start := time.Now()
-	cs, size := img.ly.clusterSize, int64(img.hdr.Size)
 
 	img.mu.RLock()
 	backing := img.backing
@@ -59,182 +46,37 @@ func (img *Image) FillSpans(spans []Span) (rest []Span, err error) {
 	if err != nil {
 		return nil, err
 	}
-	short := false // some span may be left with an unallocated cluster
 
 	// Claim every run; what another filler holds is left to the read-back.
-	var pieces []windowPiece
-	var buf []byte
-	defer func() {
-		for _, p := range pieces {
-			img.unclaim(p.f)
-		}
-		// No reader can attach to a dropped claim: a buffer no reader
-		// holds goes back to the pool, else it stays with its readers.
-		waited := false
-		for _, p := range pieces {
-			waited = waited || p.f.refs.Load() > 1
-			if err != nil {
-				p.f.err = err
-			}
-			close(p.f.done)
-			p.f.release()
-		}
-		if buf != nil && !waited {
-			spanBufs.put(buf)
-		}
-	}()
+	short := false // some span may be left with an unallocated cluster
+	var fills []*fill
 	for _, r := range runs {
 		for vc, end := r.vc, r.vc+r.n; vc < end; {
 			f, leader := img.claimRun(vc, end-vc)
 			if !leader {
+				f.waiters.Add(-1) // not reading its buffer
 				vc = minI64(end, f.vc+f.claimed)
-				f.release()
 				short = true
 				continue
 			}
-			f.pool = nil // pieces share the window buffer
-			pieces = append(pieces, windowPiece{f: f})
+			fills = append(fills, f)
 			vc += f.claimed
 		}
 	}
-
-	// Re-validate and admit under the read lock, as leadFill does.
-	img.mu.RLock()
-	rl := runLookup{img: img}
-	for i := range pieces {
-		p := &pieces[i]
-		for p.want < p.f.claimed {
-			m, err := rl.lookup(p.f.vc + p.want)
-			if err != nil {
-				img.mu.RUnlock()
-				return nil, err
-			}
-			if m.dataOff != 0 {
-				short = true // filled since the translation
-				break
-			}
-			p.want++
-		}
-	}
-	usedSnap := img.usedBytes()
-	admitted, tripped := img.admitPieces(pieces)
-	adv, need := img.planCommit(admittedRuns(pieces))
-	img.mu.RUnlock()
-	if tripped && admitted == 0 {
-		img.mu.Lock()
-		img.setCacheFull()
-		img.mu.Unlock()
-	}
-	if admitted == 0 {
-		return img.restOf(spans, short || tripped)
-	}
-
-	// One batched backing fetch for every admitted cluster, straight to its
-	// planned place in the reservation (packed instead when the refcount
-	// table must grow first: the commit places it); clamped and zero-filled
-	// as readBacking does (the final cluster may be partial, a smaller
-	// backing reads as zeros).
-	if need == 0 {
-		buf = spanBufs.get(int((adv.end - adv.base) * cs))
-	} else {
-		buf = spanBufs.get(int(admitted * cs))
-	}
-	bsz := backing.Size()
-	var rs []backend.Range
-	var packed int64
-	for i, j := 0, 0; i < len(pieces); i++ {
-		p := &pieces[i]
-		if p.fit == 0 {
-			continue
-		}
-		at := packed
-		if need == 0 {
-			at = (adv.dataAt[j] - adv.base) * cs
-		}
-		packed, j = packed+p.fit*cs, j+1
-		p.data = buf[at : at+p.fit*cs]
-		pos := p.f.vc * cs
-		readLen := minI64(p.fit*cs, size-pos)
-		img.stats.BackingReadOps.Add(1)
-		img.stats.BackingBytes.Add(readLen)
-		n := maxI64(0, minI64(readLen, bsz-pos))
-		if n > 0 {
-			rs = append(rs, backend.Range{P: p.data[:n], Off: pos})
-		}
-		clear(p.data[n:])
-	}
-	if err = backend.ReadBatch(backing, rs); err != nil {
-		return nil, err
-	}
-
-	// One commit. Concurrent fills may have consumed quota since the
-	// advisory admission (it can only shrink) and moved the allocator: then
-	// re-admit, re-plan, and move each piece's admitted prefix to its place.
-	img.mu.Lock()
-	if img.usedBytes() != usedSnap {
-		for i := range pieces {
-			pieces[i].want = pieces[i].fit
-		}
-		var shrunk bool
-		if admitted, shrunk = img.admitPieces(pieces); shrunk {
-			tripped = true
-		}
-	}
-	commit := admittedRuns(pieces)
-	plan, err := img.planLocked(commit)
+	buf, cut, err := img.landFills(fills, backing)
+	img.finishFills(fills, buf, err)
 	if err != nil {
-		img.mu.Unlock()
 		return nil, err
 	}
-	if need > 0 || plan.base != adv.base || plan.end != adv.end || !slices.Equal(plan.dataAt, adv.dataAt) {
-		moved := spanBufs.get(int((plan.end - plan.base) * cs))
-		for i, j := 0, 0; i < len(pieces); i++ {
-			if p := &pieces[i]; p.fit > 0 {
-				dst := moved[(plan.dataAt[j]-plan.base)*cs:][:p.fit*cs]
-				copy(dst, p.data)
-				p.data, j = dst, j+1
-			}
-		}
-		spanBufs.put(buf)
-		buf = moved
-	}
-	res := buf[:(plan.end-plan.base)*cs]
-	if len(commit) > 0 {
-		if err = img.commitRun(commit, plan, res, nil); err != nil {
-			img.mu.Unlock()
-			return nil, err
-		}
-	}
-	if tripped {
-		img.setCacheFull()
-	}
-	var landedBytes int64
-	for _, r := range commit {
-		landedBytes += minI64(r.n*cs, size-r.vc*cs)
-	}
-	img.stats.CacheFillOps.Add(admitted)
-	img.stats.CacheFillBytes.Add(landedBytes)
-	img.mu.Unlock()
-	if wb, ok := img.f.(interface{ StartWriteback(off, n int64) }); ok && len(res) > 0 {
-		wb.StartWriteback(plan.base*cs, int64(len(res)))
-	}
-
-	lat := time.Since(start).Nanoseconds()
-	for i := range pieces {
-		if p := &pieces[i]; p.fit > 0 {
-			img.stats.FillLatency.Observe(lat)
-			p.f.fetched, p.f.buf = p.fit, p.data
-		}
-	}
-	return img.restOf(spans, short || tripped)
+	return img.restOf(spans, short || cut)
 }
 
-// admittedRuns lists the pieces' admitted clusters, in plan order.
-func admittedRuns(pieces []windowPiece) []clusterRun {
+// admittedRuns lists the fills' admitted clusters, in plan order.
+func admittedRuns(fills []*fill) []clusterRun {
 	var runs []clusterRun
-	for _, p := range pieces {
-		if p.fit > 0 {
-			runs = append(runs, clusterRun{p.f.vc, p.fit})
+	for _, f := range fills {
+		if f.fetched > 0 {
+			runs = append(runs, clusterRun{vc: f.vc, n: f.fetched})
 		}
 	}
 	return runs
@@ -263,7 +105,7 @@ func (img *Image) unfilledRuns(spans []Span) ([]clusterRun, error) {
 			if i < len(covered) {
 				gapEnd = minI64(hi, covered[i].vc)
 			}
-			covered = slices.Insert(covered, i, clusterRun{lo, gapEnd - lo})
+			covered = slices.Insert(covered, i, clusterRun{vc: lo, n: gapEnd - lo})
 			for vc := lo; vc < gapEnd; {
 				m, err := rl.lookup(vc)
 				if err != nil {
@@ -274,7 +116,7 @@ func (img *Image) unfilledRuns(spans []Span) ([]clusterRun, error) {
 					return nil, err
 				}
 				if m.dataOff == 0 {
-					runs = append(runs, clusterRun{vc, n})
+					runs = append(runs, clusterRun{vc: vc, n: n})
 				}
 				vc += n
 			}
@@ -284,16 +126,15 @@ func (img *Image) unfilledRuns(spans []Span) ([]clusterRun, error) {
 	return runs, nil
 }
 
-// admitPieces replays the serial order's quota check over the pieces: each
-// admits the longest prefix of its want clusters that quotaFit would have
-// admitted had every piece before it landed on its own, and the first piece
-// cut short trips the space error — no later piece admits anything. It sets
-// each piece's fit and returns the clusters admitted. Landing runs one at a
-// time takes exactly what
-// landing them together does, so the cost of a prefix of the plan is
-// clustersNeededFor its data clusters plus the L2 tables they create. Caller
-// holds img.mu.
-func (img *Image) admitPieces(pieces []windowPiece) (admitted int64, tripped bool) {
+// admitFills replays the serial order's quota check over the fills: each
+// admits the longest prefix of its want clusters that fits the quota had
+// every fill before it landed on its own, and the first fill cut short trips
+// the space error — no later fill admits anything. It sets each fill's
+// fetched and returns the clusters admitted. Landing runs one at a time takes
+// exactly what landing them together does, so the cost of a prefix of the
+// plan is clustersNeededFor its data clusters plus the L2 tables they
+// create. Caller holds img.mu.
+func (img *Image) admitFills(fills []*fill) (admitted int64, tripped bool) {
 	cs, l2e := img.ly.clusterSize, img.ly.l2Entries
 	used := img.usedBytes()
 	var extra int64                   // data clusters and new L2 tables admitted so far
@@ -308,13 +149,12 @@ func (img *Image) admitPieces(pieces []windowPiece) (admitted int64, tripped boo
 		return e
 	}
 	fits := func(vc, j int64) bool { return used+img.clustersNeededFor(cost(vc, j))*cs <= img.quota }
-	for i := range pieces {
-		p := &pieces[i]
-		p.fit = 0
-		if tripped || p.want == 0 {
+	for _, f := range fills {
+		f.fetched = 0
+		if tripped || f.want == 0 {
 			continue
 		}
-		vc, lo, hi := p.f.vc, int64(0), p.want
+		vc, lo, hi := f.vc, int64(0), f.want
 		if fits(vc, hi) {
 			lo = hi
 		}
@@ -326,7 +166,7 @@ func (img *Image) admitPieces(pieces []windowPiece) (admitted int64, tripped boo
 				hi = mid - 1
 			}
 		}
-		p.fit, tripped = lo, lo < p.want
+		f.fetched, tripped = lo, lo < f.want
 		if lo == 0 {
 			continue
 		}
