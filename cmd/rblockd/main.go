@@ -33,7 +33,7 @@ func main() {
 	fs := flag.NewFlagSet("rblockd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:10809", "listen address")
 	dir := fs.String("dir", ".", "directory to export")
-	rwsize := fs.Int("rwsize", rblock.DefaultRWSize, "maximum transfer segment (the paper tunes NFS to 64 KiB)")
+	rwsize := fs.Int("rwsize", rblock.DefaultRWSize, "maximum write segment (the paper tunes NFS to 64 KiB); reads go in vectored requests of up to 1 MiB")
 	ro := fs.Bool("ro", false, "export read-only")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")

@@ -294,11 +294,11 @@ func TestClusterProvisioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, _, err := c.FetchChunk([rblock.HashLen]byte(man.Entries[0].Hash))
+	blobs, err := c.FetchChunkBatch([][rblock.HashLen]byte{[rblock.HashLen]byte(man.Entries[0].Hash)})
 	if err != nil {
-		t.Fatalf("FetchChunk: %v", err)
+		t.Fatalf("FetchChunkBatch: %v", err)
 	}
-	if _, err := dedup.DecodeBlob(man.Entries[0].Hash, comp); err != nil {
+	if _, err := dedup.DecodeBlob(man.Entries[0].Hash, blobs[0]); err != nil {
 		t.Fatalf("fetched chunk fails verification: %v", err)
 	}
 

@@ -224,8 +224,8 @@ func (s *DirStore) Stat(name string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// The copy loop keeps four 1 MiB windows in flight: the jumbo segments an
-// rblock client sizes its receive buffer for on a zero-copy open.
+// The copy loop keeps four 1 MiB windows in flight: the largest rblock read
+// requests, four of which an rblock client's receive buffer holds.
 const copyWindow, copyInFlight = 1 << 20, 4
 
 var copyBufPool = sync.Pool{New: func() any { b := make([]byte, copyWindow); return &b }}

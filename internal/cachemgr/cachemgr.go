@@ -48,13 +48,17 @@ const (
 	storeName = "nodecache"
 	// scratchName is the namespace name of the per-session CoW scratch.
 	scratchName = "scratch"
+	// backingName is the namespace name of Config.Backing; cache headers
+	// record "storage:<base>".
+	backingName = "storage"
 
 	// pubSuffix marks published (immutable, verified) cache files.
 	pubSuffix = ".vmic"
 	// tmpSuffix marks in-progress warms; appended to the published name.
 	tmpSuffix = ".tmp"
 
-	// DefaultPeerTimeout bounds each peer-transfer request.
+	// DefaultPeerTimeout bounds each peer-transfer request: a wholesale
+	// pull's and a delta warm's.
 	DefaultPeerTimeout = 10 * time.Second
 
 	// shutdownDrain is how long Close lets the peer exporter drain.
@@ -87,25 +91,10 @@ type Config struct {
 	// typically an rblock.RemoteStore, but any backend.Store works.
 	Backing backend.Store
 
-	// BackingName is the namespace name backing-file strings use
-	// (default "storage"); cache headers record "<BackingName>:<base>".
-	BackingName string
-
 	// Peers lists rblock addresses of peer cache managers tried, in
 	// order, before falling back to copy-on-read warming. With
 	// SwarmEnabled they are also the static swarm peer set.
 	Peers []string
-
-	// PeerTimeout bounds each peer-transfer request (0 means
-	// DefaultPeerTimeout).
-	PeerTimeout time.Duration
-
-	// PeerConcurrency bounds how many peer-transfer opens this node
-	// serves at once (wholesale pulls and swarm chunk views combined;
-	// 0 means DefaultPeerConcurrency). At the cap, opens are refused
-	// with a retryable "unavailable" status rather than queued, so
-	// fetching peers reassign to another source instead of convoying.
-	PeerConcurrency int
 
 	// Dedup attaches a content-addressed chunk store (<Dir>/dedup) to the
 	// cache lifecycle: every publication derives a chunk manifest, sibling
@@ -143,12 +132,6 @@ type Config struct {
 
 	// SwarmWorkers is the per-warm fetch parallelism (0 means 4).
 	SwarmWorkers int
-
-	// SwarmPeerRate caps bytes/s drawn from each peer (0 = unlimited).
-	SwarmPeerRate int64
-
-	// SwarmPeerInflight caps in-flight chunks per peer (0 means 4).
-	SwarmPeerInflight int
 
 	// SwarmPrimaryHold delays the first storage-node fetch so tracker
 	// membership can converge before rendezvous primaries are computed.
@@ -335,14 +318,13 @@ type warmState struct {
 
 // Manager owns one node's cache directory.
 type Manager struct {
-	cfg         Config
-	dir         string
-	cb          int
-	backingName string
-	store       *backend.DirStore
-	scratch     *backend.MemStore
-	ns          *core.Namespace
-	pool        *core.Pool
+	cfg     Config
+	dir     string
+	cb      int
+	store   *backend.DirStore
+	scratch *backend.MemStore
+	ns      *core.Namespace
+	pool    *core.Pool
 
 	// dstore is the content-addressed chunk store, nil unless Config.Dedup.
 	dstore *dedup.BlobStore
@@ -383,15 +365,8 @@ func New(cfg Config) (*Manager, error) {
 	if cb == 0 {
 		cb = qcow.CacheClusterBits
 	}
-	backingName := cfg.BackingName
-	if backingName == "" {
-		backingName = "storage"
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = DefaultPeerTimeout
 	}
 	store, err := backend.NewDirStore(cfg.Dir)
 	if err != nil {
@@ -402,22 +377,17 @@ func New(cfg Config) (*Manager, error) {
 	ns.Register(backingName, cfg.Backing)
 	ns.Register(scratchName, scratch)
 
-	peerSlots := cfg.PeerConcurrency
-	if peerSlots <= 0 {
-		peerSlots = DefaultPeerConcurrency
-	}
 	m := &Manager{
 		cfg:          cfg,
 		dir:          cfg.Dir,
 		cb:           cb,
-		backingName:  backingName,
 		store:        store,
 		scratch:      scratch,
 		ns:           ns,
 		pool:         core.NewPool(cfg.Budget),
 		warming:      make(map[string]*warmState),
 		tables:       make(map[string]*qcow.Tables),
-		peerSem:      make(chan struct{}, peerSlots),
+		peerSem:      make(chan struct{}, DefaultPeerConcurrency),
 		swarmExports: make(map[string]*swarmExport),
 		swarmLive:    make(map[*swarm.Session]struct{}),
 		peerDetail:   make(map[string]*PeerDetail),

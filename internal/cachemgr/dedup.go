@@ -31,6 +31,10 @@ const (
 	// Invalidate so the rebuilt image's publication only stores changed
 	// chunks; dropped once the replacement commits.
 	retiredSuffix = ".prev"
+
+	// deltaFetchWorkers is a delta warm's fetch parallelism: how many
+	// OpChunkBatch requests it keeps in flight across the manifest holders.
+	deltaFetchWorkers = 4
 )
 
 // openDedup attaches the blob store when Config.Dedup is set; called by
@@ -282,7 +286,7 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 			m.notePeer(addr, 0, derr)
 			continue
 		}
-		c.SetTimeout(m.cfg.PeerTimeout)
+		c.SetTimeout(DefaultPeerTimeout)
 		enc, ferr := c.FetchManifest(key)
 		if ferr != nil {
 			if !errors.Is(ferr, rblock.ErrNotFound) && !errors.Is(ferr, rblock.ErrBadRequest) {
@@ -339,10 +343,7 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 	// stop flag, checked in the claim loop, tears the pool down promptly
 	// after the first failure — a fetch's or the writer's — instead of
 	// letting the survivors drain the cursor.
-	workers := m.cfg.SwarmWorkers
-	if workers <= 0 {
-		workers = 4
-	}
+	workers := deltaFetchWorkers
 	batch := len(missing) / (workers * 2)
 	if batch < 1 {
 		batch = 1
@@ -365,26 +366,16 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 			hashes[j] = [rblock.HashLen]byte(k)
 		}
 		blobs, ferr := h.c.FetchChunkBatch(hashes)
-		if errors.Is(ferr, rblock.ErrBadRequest) {
-			// The peer predates the batch op: fetch the head chunk singly.
-			comp, _, cerr := h.c.FetchChunk(hashes[0])
-			m.notePeer(h.addr, int64(len(comp)), cerr)
-			if cerr != nil {
-				return 0, false, cerr
-			}
-			blobs = [][]byte{comp}
-		} else {
-			var n int64
-			for _, b := range blobs {
-				n += int64(len(b))
-			}
-			m.notePeer(h.addr, n, ferr)
-			if ferr != nil {
-				return 0, false, ferr
-			}
-			m.stats.dedupChunkBatches.Add(1)
-			m.stats.dedupBatchedChunks.Add(int64(len(blobs)))
+		var n int64
+		for _, b := range blobs {
+			n += int64(len(b))
 		}
+		m.notePeer(h.addr, n, ferr)
+		if ferr != nil {
+			return 0, false, ferr
+		}
+		m.stats.dedupChunkBatches.Add(1)
+		m.stats.dedupBatchedChunks.Add(int64(len(blobs)))
 		for j, comp := range blobs {
 			// Deliver hash-verifies before landing on disk, so a corrupt
 			// transfer dies here, takes the stage hold that keeps the chunk
@@ -502,7 +493,7 @@ func (m *Manager) DedupStats() dedup.StoreStats {
 	return m.dstore.Stats()
 }
 
-// dedupExport answers peers' OpManifest/OpChunk queries. Manifests are
+// dedupExport answers peers' OpManifest/OpChunkBatch queries. Manifests are
 // advertised only for caches this node could also serve wholesale
 // (published and resident); chunks are served by pure content address —
 // whichever cache brought them in, that is the cross-image sharing.
@@ -519,6 +510,7 @@ func (d dedupExport) EncodedManifest(name string) ([]byte, error) {
 	return man.Encode(), nil
 }
 
-func (d dedupExport) ChunkBlob(hash [rblock.HashLen]byte) ([]byte, int64, error) {
-	return d.m.dstore.ReadCompressed(dedup.Key(hash))
+func (d dedupExport) ChunkBlob(hash [rblock.HashLen]byte) ([]byte, error) {
+	comp, _, err := d.m.dstore.ReadCompressed(dedup.Key(hash))
+	return comp, err
 }

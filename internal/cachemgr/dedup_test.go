@@ -376,7 +376,7 @@ func TestDedupPeerExportGating(t *testing.T) {
 	if _, err := c.FetchManifest(m.KeyFor("ghost.img")); err == nil {
 		t.Fatal("non-resident manifest served")
 	}
-	if _, _, err := c.FetchChunk([rblock.HashLen]byte{1, 2, 3}); err == nil {
+	if _, err := c.FetchChunkBatch([][rblock.HashLen]byte{{1, 2, 3}}); err == nil {
 		t.Fatal("unknown chunk served")
 	}
 }

@@ -56,16 +56,16 @@ func (p *relayPeer) EncodedManifest(name string) ([]byte, error) {
 	return enc, nil
 }
 
-func (p *relayPeer) ChunkBlob(hash [rblock.HashLen]byte) ([]byte, int64, error) {
-	comp, rawLen, err := p.up.FetchChunk(hash)
+func (p *relayPeer) ChunkBlob(hash [rblock.HashLen]byte) ([]byte, error) {
+	blobs, err := p.up.FetchChunkBatch([][rblock.HashLen]byte{hash})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	comp = append([]byte(nil), comp...)
+	comp := blobs[0]
 	if n := p.chunks.Add(1); p.chunk != nil {
 		comp = p.chunk(n, comp)
 	}
-	return comp, rawLen, nil
+	return comp, nil
 }
 
 // deltaRig is the set-up the failure tests share: peer A holds v2, node B

@@ -18,7 +18,10 @@ const (
 	DefaultSwarmChunkBits = 16
 
 	// DefaultPeerConcurrency bounds concurrently served peer-transfer
-	// opens (wholesale pulls and swarm virtual views together).
+	// opens (wholesale pulls and swarm virtual views together). At the
+	// cap, opens are refused with a retryable "unavailable" status rather
+	// than queued, so fetching peers reassign to another source instead of
+	// convoying.
 	DefaultPeerConcurrency = 32
 )
 
@@ -295,7 +298,7 @@ func (m *Manager) swarmCounts() swarm.Counts {
 func (m *Manager) swarmWarm(base, key, tmpName string) (swarm.Counts, error) {
 	var counts swarm.Counts
 	chain, err := core.CreateCacheChain(m.ns, core.Locator{Store: storeName, Name: tmpName},
-		core.Locator{Store: m.backingName, Name: base}, m.cfg.Quota, m.cb, core.ChainOpts{WrapFile: m.warmWrap})
+		core.Locator{Store: backingName, Name: base}, m.cfg.Quota, m.cb, core.ChainOpts{WrapFile: m.warmWrap})
 	if err != nil {
 		return counts, fmt.Errorf("cachemgr: creating cache for %s: %w", base, err)
 	}
@@ -317,8 +320,6 @@ func (m *Manager) swarmWarm(base, key, tmpName string) (swarm.Counts, error) {
 		MaxPeers:  m.cfg.SwarmMaxPeers,
 		Workers:   m.cfg.SwarmWorkers,
 		Sched: swarm.SchedConfig{
-			PeerInflight:         m.cfg.SwarmPeerInflight,
-			PeerRate:             m.cfg.SwarmPeerRate,
 			PrimaryHold:          m.cfg.SwarmPrimaryHold,
 			StorageFallbackAfter: m.cfg.SwarmFallbackAfter,
 		},

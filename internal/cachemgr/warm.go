@@ -133,7 +133,7 @@ func (m *Manager) fetchFromPeer(addr, key, tmpName string) (int64, error) {
 		return 0, err
 	}
 	defer c.Close() //nolint:errcheck // transfer already finished or failed
-	c.SetTimeout(m.cfg.PeerTimeout)
+	c.SetTimeout(DefaultPeerTimeout)
 	return backend.StreamFile(m.store, tmpName, rblock.RemoteStore{C: c}, key, m.pool.Capacity())
 }
 
@@ -143,7 +143,7 @@ func (m *Manager) fetchFromPeer(addr, key, tmpName string) (int64, error) {
 // one plan window per batched fetch and commit.
 func (m *Manager) corWarm(base, tmpName string) error {
 	chain, err := core.CreateCacheChain(m.ns, core.Locator{Store: storeName, Name: tmpName},
-		core.Locator{Store: m.backingName, Name: base}, m.cfg.Quota, m.cb, core.ChainOpts{WrapFile: m.warmWrap})
+		core.Locator{Store: backingName, Name: base}, m.cfg.Quota, m.cb, core.ChainOpts{WrapFile: m.warmWrap})
 	if err != nil {
 		return fmt.Errorf("cachemgr: creating cache for %s: %w", base, err)
 	}

@@ -233,9 +233,9 @@ func (s *BlobStore) PutBuilt(k Key, comp []byte, rawLen int64) error {
 	return s.land(k, comp)
 }
 
-// PutCompressed stages an already-compressed wire blob (an OpChunk reply):
-// the blob is decoded and hash-verified first, in a pooled buffer, so a
-// corrupt transfer surfaces as ErrCorruptBlob and never lands on disk.
+// PutCompressed stages an already-compressed wire blob (an OpChunkBatch
+// record): the blob is decoded and hash-verified first, in a pooled buffer,
+// so a corrupt transfer surfaces as ErrCorruptBlob and never lands on disk.
 // Takes a stage hold exactly like Put.
 func (s *BlobStore) PutCompressed(k Key, comp []byte) error {
 	raw, _, err := s.putVerified(k, comp)
@@ -405,7 +405,7 @@ func (s *BlobStore) readWire(k Key, buf []byte) ([]byte, error) {
 }
 
 // ReadCompressed returns the on-disk (compressed, length-framed) bytes of
-// blob k and its raw length — the wire representation OpChunk ships.
+// blob k and its raw length — the wire representation OpChunkBatch ships.
 func (s *BlobStore) ReadCompressed(k Key) (comp []byte, rawLen int64, err error) {
 	comp, err = s.readWire(k, nil)
 	if err != nil {

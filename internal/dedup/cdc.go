@@ -10,7 +10,7 @@ package dedup
 const (
 	// MinChunk..MaxChunk bound chunk sizes; AvgChunk tunes the boundary
 	// mask. MaxChunk stays far below the rblock payload ceiling (8 MiB)
-	// so one chunk always fits one OpChunk reply.
+	// so one chunk always fits one OpChunkBatch reply.
 	MinChunk = 4 << 10   // 4 KiB
 	AvgChunk = 16 << 10  // 16 KiB: mask of 14 one-bits
 	MaxChunk = 128 << 10 // 128 KiB

@@ -23,9 +23,9 @@ import (
 //	"VMPK" 0 0 0 <version>
 //	record*:  key[32] | wireLen u32 | crc u32 | wire blob[wireLen]
 //
-// The wire blob is the length-framed DEFLATE chunk exactly as OpChunk ships
-// it (8-byte big-endian raw length + flate stream), so serving a peer is a
-// pread. crc is CRC-32C over key, wireLen and the wire blob: it is what lets
+// The wire blob is the length-framed DEFLATE chunk exactly as OpChunkBatch
+// ships it (8-byte big-endian raw length + flate stream), so serving a peer
+// is a pread. crc is CRC-32C over key, wireLen and the wire blob: it is what lets
 // a reader tell a whole record from the torn or never-written tail a crash
 // leaves behind the last fsync. A pack has no index and no footer — the
 // records are the index, rebuilt by one sequential scan at Open.

@@ -234,7 +234,7 @@ func TestReadVRejectsMalformed(t *testing.T) {
 	for name, payload := range cases {
 		req := getFrame()
 		req.op, req.handle, req.payload = OpReadV, rf.handle, payload
-		if _, err := c.roundTrip(req, nil); !errors.Is(err, ErrBadRequest) {
+		if _, err := c.roundTrip(req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: %v, want ErrBadRequest", name, err)
 		}
 	}

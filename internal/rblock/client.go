@@ -18,8 +18,8 @@ import (
 // client declares the connection broken.
 const DefaultTimeout = 30 * time.Second
 
-// clientMaxInflightSegments caps how many segments of one large ReadAt /
-// WriteAt, or requests of one ReadBatch, are pipelined concurrently.
+// clientMaxInflightSegments caps how many OpReadV requests of one read, or
+// rwsize segments of one WriteAt, are pipelined concurrently.
 const clientMaxInflightSegments = 8
 
 // Client multiplexes remote files over one pipelined TCP connection:
@@ -48,29 +48,26 @@ type Client struct {
 
 	timeout time.Duration
 
-	// bumpedRcvbuf records that the receive buffer was enlarged for jumbo
-	// zero-copy replies (done once, on the first jumbo-advertised open).
+	// bumpedRcvbuf records that the receive buffer was enlarged for bulk
+	// replies (done once, before the first read larger than DefaultRWSize).
 	bumpedRcvbuf atomic.Bool
 
 	// payloads recycles response payload buffers (rwsize each); chanPool
-	// recycles roundTrip reply channels and segPool the per-call segment
-	// slices of large ReadAt/WriteAt, so a pipelined stream allocates
-	// neither in steady state.
+	// recycles roundTrip reply channels and planPool the request plans of
+	// reads, so a pipelined stream allocates neither in steady state.
 	payloads *payloadPool
 	chanPool sync.Pool
-	segPool  sync.Pool
+	planPool sync.Pool
 
 	ctr clientCounters
 }
 
-// pendingReq is one awaited response: the waiter's channel plus, for reads,
-// the caller's destination buffer — the read loop lands the payload there
-// directly, so large reads cost no intermediate buffer or copy. An OpReadV
-// waiter gives a scatter list instead (vecLen bytes in all): the payload
-// lands across its pieces in order.
+// pendingReq is one awaited response: the waiter's channel plus, for an
+// OpReadV, the caller's buffers as a scatter list (vecLen bytes in all) — the
+// read loop lands the payload across its pieces in order, so a read costs no
+// intermediate buffer or copy.
 type pendingReq struct {
 	ch     chan *frame
-	dst    []byte
 	vec    [][]byte
 	vecLen int
 }
@@ -86,19 +83,6 @@ func (c *Client) getChan() chan *frame {
 }
 
 func (c *Client) putChan(ch chan *frame) { c.chanPool.Put(ch) }
-
-// getSegs returns a pooled segment slice (by pointer so recycling does not
-// allocate).
-func (c *Client) getSegs() *[]segment {
-	if v := c.segPool.Get(); v != nil {
-		p := v.(*[]segment)
-		*p = (*p)[:0]
-		return p
-	}
-	return new([]segment)
-}
-
-func (c *Client) putSegs(p *[]segment) { c.segPool.Put(p) }
 
 // clientCounters are the client's live instruments: plain atomics updated on
 // the request path, sampled by Stats and RegisterMetrics.
@@ -150,15 +134,20 @@ func (c *Client) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 		"Request round-trip time, send through matched response.", labels, &c.ctr.rtt)
 }
 
-// Dial connects to a server. rwsize caps per-request transfers (0 uses the
-// default); it must not exceed the server's limit.
+// Dial connects to a server. rwsize caps each write request's payload (0 uses
+// the default); it must not exceed the server's limit.
 func Dial(addr string, rwsize int) (*Client, error) {
-	if rwsize <= 0 {
-		rwsize = DefaultRWSize
-	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
+	}
+	return newClient(conn, rwsize), nil
+}
+
+// newClient runs the client side of the protocol over conn.
+func newClient(conn net.Conn, rwsize int) *Client {
+	if rwsize <= 0 {
+		rwsize = DefaultRWSize
 	}
 	c := &Client{
 		conn:     conn,
@@ -169,7 +158,7 @@ func Dial(addr string, rwsize int) (*Client, error) {
 		payloads: newPayloadPool(rwsize),
 	}
 	go c.readLoop(bufio.NewReaderSize(conn, 128<<10))
-	return c, nil
+	return c
 }
 
 // SetTimeout adjusts the per-request deadline (0 disables deadlines).
@@ -218,8 +207,7 @@ func (c *Client) fail(err error) {
 // (see roundTrip) and cleared when the pipeline drains, so an idle
 // connection never times out. The header is parsed before the payload is
 // read so payloads of successful reads land directly in the waiting caller's
-// destination buffer (pendingReq.dst) — jumbo zero-copy segments then cross
-// the client without an intermediate buffer or copy.
+// buffers (pendingReq.vec).
 func (c *Client) readLoop(br *bufio.Reader) {
 	hdr := make([]byte, frameHeaderLen)
 	be := binary.BigEndian
@@ -263,17 +251,13 @@ func (c *Client) readLoop(br *bufio.Reader) {
 		resp.offset = be.Uint64(hdr[16:])
 		resp.aux = be.Uint64(hdr[28:])
 		if n > 0 {
-			// In-place and scattered deliveries write buffers the waiter
-			// owns until it receives resp, so they cannot race it.
+			// A scattered delivery writes buffers the waiter owns until
+			// it receives resp, so it cannot race it.
 			var err error
-			switch {
-			case pr.vec != nil && resp.status == 0 && int(n) <= pr.vecLen:
+			if pr.vec != nil && resp.status == 0 && int(n) <= pr.vecLen {
 				resp.scattered = int(n)
 				err = readScatter(br, pr.vec, int(n))
-			case pr.dst != nil && resp.status == 0 && int(n) <= len(pr.dst):
-				resp.payload = pr.dst[:n]
-				_, err = io.ReadFull(br, resp.payload)
-			default:
+			} else {
 				resp.pooled = c.payloads.get(int(n))
 				resp.ppool = c.payloads
 				resp.payload = (*resp.pooled)[:n]
@@ -319,15 +303,14 @@ func (c *Client) brokenErr() error {
 // pipeline: their requests share the connection and complete independently.
 // roundTrip takes ownership of req (recycled once serialised); on success
 // the caller owns the returned response and must recycle it with putFrame
-// after consuming its payload. dst, when non-nil, receives a successful
-// response's payload in place (the response then aliases it); the caller
-// must own dst until the response arrives.
-func (c *Client) roundTrip(req *frame, dst []byte) (*frame, error) {
-	return c.roundTripTo(req, pendingReq{dst: dst})
+// after consuming its payload.
+func (c *Client) roundTrip(req *frame) (*frame, error) {
+	return c.roundTripTo(req, pendingReq{})
 }
 
-// roundTripTo is roundTrip with the response's destination in pr (its
-// channel is filled here): dst, or an OpReadV scatter list.
+// roundTripTo is roundTrip with an OpReadV scatter list for the response in
+// pr (its channel is filled here); the caller must own the list's buffers
+// until the response arrives.
 func (c *Client) roundTripTo(req *frame, pr pendingReq) (*frame, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -413,7 +396,7 @@ func (c *Client) FetchMap(name string) ([]byte, error) {
 	}
 	req := getFrame()
 	req.op, req.payload = OpMap, []byte(name)
-	resp, err := c.roundTrip(req, nil)
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +417,7 @@ func (c *Client) FetchManifest(name string) ([]byte, error) {
 	}
 	req := getFrame()
 	req.op, req.payload = OpManifest, []byte(name)
-	resp, err := c.roundTrip(req, nil)
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -444,32 +427,16 @@ func (c *Client) FetchManifest(name string) ([]byte, error) {
 	return enc, nil
 }
 
-// FetchChunk fetches one content-addressed chunk by SHA-256. It returns
-// the compressed length-framed blob exactly as the peer stores it (the
-// caller decodes and hash-verifies it, so a corrupt transfer surfaces as a
-// corrupt-blob error) plus the raw length the server advertised. Unknown
-// hashes yield ErrNotFound.
-func (c *Client) FetchChunk(hash [HashLen]byte) (comp []byte, rawLen int64, err error) {
-	req := getFrame()
-	req.op, req.payload = OpChunk, hash[:]
-	resp, err := c.roundTrip(req, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	comp = make([]byte, len(resp.payload))
-	copy(comp, resp.payload)
-	rawLen = int64(resp.aux)
-	putFrame(resp)
-	return comp, rawLen, nil
-}
-
-// FetchChunkBatch fetches a run of content-addressed chunks in one round
-// trip. The server answers with the longest prefix of hashes it holds that
-// fits one frame, so the returned slice has between 1 and len(hashes)
-// compressed length-framed blobs, in request order; the caller re-requests
-// the unserved tail (typically after a prefix chunk landed elsewhere). A
-// first hash the server is missing yields ErrNotFound; servers that predate
-// the op yield ErrBadRequest — callers fall back to per-chunk FetchChunk.
+// FetchChunkBatch fetches a run of content-addressed chunks by SHA-256 in one
+// round trip. The server answers with the longest prefix of hashes it holds
+// that fits one frame, so the returned slice has between 1 and len(hashes)
+// compressed length-framed blobs, exactly as the peer stores them, in
+// request order (the caller decodes and hash-verifies each, so a corrupt
+// transfer surfaces as a corrupt-blob error); the caller re-requests the
+// unserved tail (typically after a prefix chunk landed elsewhere). A first
+// hash the server is missing yields ErrNotFound, a server without a chunk
+// source ErrBadRequest. A malformed reply breaks the client with
+// ErrBadFrame.
 func (c *Client) FetchChunkBatch(hashes [][HashLen]byte) ([][]byte, error) {
 	if len(hashes) == 0 || len(hashes) > MaxBatchChunks {
 		return nil, ErrBadRequest
@@ -481,16 +448,16 @@ func (c *Client) FetchChunkBatch(hashes [][HashLen]byte) ([][]byte, error) {
 		pay = append(pay, hashes[i][:]...)
 	}
 	req.payload = pay
-	resp, err := c.roundTrip(req, nil)
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	defer putFrame(resp)
-	served := int(resp.aux)
-	if served == 0 || served > len(hashes) || len(resp.payload) < served*4 {
-		c.fail(fmt.Errorf("%w: chunk batch count %d", ErrBadFrame, served))
+	if resp.aux == 0 || resp.aux > uint64(len(hashes)) || len(resp.payload) < int(resp.aux)*4 {
+		c.fail(fmt.Errorf("%w: chunk batch count %d", ErrBadFrame, resp.aux))
 		return nil, c.brokenErr()
 	}
+	served := int(resp.aux)
 	// One copy of the whole payload, then subslice each record out of it.
 	body := make([]byte, len(resp.payload))
 	copy(body, resp.payload)
@@ -520,12 +487,6 @@ type RemoteFile struct {
 	ro     bool
 	closed bool
 	mu     sync.Mutex
-
-	// readSeg, when positive, overrides the connection rwsize for read
-	// segmentation: the server advertised jumbo segments at open because it
-	// serves this handle zero-copy (no per-request buffer on its side).
-	// Writes always stay rwsize-bounded.
-	readSeg int
 }
 
 // Open opens a remote file by its export name.
@@ -536,104 +497,55 @@ func (c *Client) Open(name string, readOnly bool) (*RemoteFile, error) {
 	}
 	req := getFrame()
 	req.op, req.flags, req.payload = OpOpen, flags, []byte(name)
-	resp, err := c.roundTrip(req, nil)
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	rf := &RemoteFile{c: c, handle: resp.handle, size: int64(resp.aux), ro: readOnly}
-	if seg := int(resp.offset); seg > c.rwsize {
-		if seg > MaxZeroCopySegment {
-			seg = MaxZeroCopySegment // distrust the advertisement
-		}
-		rf.readSeg = seg
-		// A jumbo advertisement means bulk zero-copy pulls are coming:
-		// give the kernel room for several segments so the server's
-		// sendfile completes without blocking and the next segments
-		// stream while the caller drains this one (one segment of
-		// buffer measured ~2x slower — sendfile stalls against the
-		// copy-out instead of overlapping it). Deliberately not done at
-		// Dial: small-read connections (swarm chunk pulls, boot-time
-		// demand fills) should not pin megabytes of receive buffer.
-		if c.bumpedRcvbuf.CompareAndSwap(false, true) {
-			if tc, ok := c.conn.(*net.TCPConn); ok {
-				tc.SetReadBuffer(4 * MaxZeroCopySegment) //nolint:errcheck // best-effort tuning
-			}
-		}
-	}
 	putFrame(resp)
 	return rf, nil
 }
 
-// segment is one rwsize-bounded slice of a larger request.
-type segment struct {
-	start int // offset into p
-	n     int
-}
-
-// segments appends total split into segSize-bounded pieces to segs (pass a
-// pooled slice from getSegs).
-func (f *RemoteFile) segments(segs []segment, total, segSize int) []segment {
-	for start := 0; start < total; start += segSize {
-		n := total - start
-		if n > segSize {
-			n = segSize
-		}
-		segs = append(segs, segment{start: start, n: n})
+// growRcvbuf enlarges the receive buffer once, before the connection's first
+// request of at least half of maxReadV: bulk replies are coming (a warm's
+// windows, a peer pull), and room for several lets the server's sendfile
+// complete without blocking while the caller drains the previous reply (one
+// reply of buffer measured ~2x slower — sendfile stalls against the copy-out
+// instead of overlapping it). Not done at Dial or for smaller requests:
+// connections that only read small ranges (swarm chunk pulls, boot-time
+// demand fills, the base probe) should not pin megabytes of receive buffer.
+func (c *Client) growRcvbuf() {
+	if !c.bumpedRcvbuf.CompareAndSwap(false, true) {
+		return
 	}
-	return segs
-}
-
-// readSegSize is the per-read segment bound: the handle's jumbo size when the
-// server serves it zero-copy, the connection rwsize otherwise.
-func (f *RemoteFile) readSegSize() int {
-	if f.readSeg > 0 {
-		return f.readSeg
+	if tc, ok := c.conn.(*net.TCPConn); ok {
+		tc.SetReadBuffer(4 * maxReadV) //nolint:errcheck // best-effort tuning
 	}
-	return f.c.rwsize
 }
 
-// ReadAt reads remotely, segmenting to the negotiated rwsize. Multi-segment
-// reads are pipelined: all segments go out on the wire before the first
-// response is awaited, so one large read costs roughly one round trip plus
-// transfer instead of one round trip per segment. Reads past the remote end
-// yield io.EOF with a short count, matching io.ReaderAt.
+// ReadAt reads one range as ReadBatch does, in OpReadV requests of at most
+// maxReadV bytes, up to clientMaxInflightSegments of them in flight. A read
+// past the remote end yields the short count with io.EOF, matching
+// io.ReaderAt.
 func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrBadRequest
 	}
-	readSeg := func(s segment) (int, error) {
-		return f.readInto(p[s.start:s.start+s.n], off+int64(s.start))
-	}
-	sp := f.c.getSegs()
-	defer f.c.putSegs(sp)
-	segs := f.segments(*sp, len(p), f.readSegSize())
-	*sp = segs
-	if len(segs) <= 1 {
-		done := 0
-		for _, s := range segs {
-			n, err := readSeg(s)
-			done += n
-			if err != nil {
-				return done, err
-			}
-			if n < s.n {
-				return done, io.EOF
-			}
-		}
-		return done, nil
-	}
-	ns, err := f.inParallel(len(segs), func(i int) (int, error) { return readSeg(segs[i]) })
-	done := 0
-	for i, s := range segs {
-		done += ns[i]
-		if ns[i] < s.n {
+	pl := f.c.getPlan()
+	defer f.c.putPlan(pl)
+	pl.add(p, off)
+	err := f.read(pl.reqs)
+	n := 0
+	for _, rv := range pl.reqs {
+		n += rv.got
+		if rv.got < rv.want {
 			if err == nil {
 				err = io.EOF
 			}
 			break
 		}
 	}
-	return done, err
+	return n, err
 }
 
 // ReadBatch fills every range with ReadFull's rules — a range past the remote
@@ -644,40 +556,105 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 // MiB, not one per range. A server error fails the batch (ErrRemoteIO for a
 // read fault) and leaves the client usable.
 func (f *RemoteFile) ReadBatch(rs []backend.Range) error {
-	var reqs []readVReq
-	var cur *readVReq
+	pl := f.c.getPlan()
+	defer f.c.putPlan(pl)
 	for _, r := range rs {
 		if r.Off < 0 {
 			return ErrBadRequest
 		}
-		for p, off := r.P, r.Off; len(p) > 0; {
-			if cur == nil || cur.want == maxReadV || len(cur.vec) == maxReadVRecords {
-				reqs = append(reqs, readVReq{})
-				cur = &reqs[len(reqs)-1]
-			}
-			n := min(len(p), maxReadV-cur.want)
-			cur.recs = binary.BigEndian.AppendUint64(cur.recs, uint64(off))
-			cur.recs = binary.BigEndian.AppendUint32(cur.recs, uint32(n))
-			cur.vec = append(cur.vec, p[:n])
-			cur.want += n
-			p, off = p[n:], off+int64(n)
+		pl.add(r.P, r.Off)
+	}
+	if err := f.read(pl.reqs); err != nil {
+		return err
+	}
+	for _, rv := range pl.reqs {
+		if rv.got < rv.want {
+			return io.ErrUnexpectedEOF
 		}
+	}
+	return nil
+}
+
+// readPlan is a read's OpReadV requests: its ranges packed in order, at most
+// maxReadV bytes and maxReadVRecords records to a request.
+type readPlan struct{ reqs []readVReq }
+
+// readVReq is one OpReadV request: its records, the pieces of the caller's
+// ranges its reply fills (want bytes in all), and the bytes the reply
+// brought (got).
+type readVReq struct {
+	recs []byte
+	vec  [][]byte
+	want int
+	got  int
+}
+
+// add appends the range p at off to the plan, opening a request whenever the
+// last one is full.
+func (pl *readPlan) add(p []byte, off int64) {
+	for len(p) > 0 {
+		k := len(pl.reqs) - 1
+		if k < 0 || pl.reqs[k].want == maxReadV || len(pl.reqs[k].vec) == maxReadVRecords {
+			pl.next()
+			k++
+		}
+		rv := &pl.reqs[k]
+		n := min(len(p), maxReadV-rv.want)
+		rv.recs = binary.BigEndian.AppendUint64(rv.recs, uint64(off))
+		rv.recs = binary.BigEndian.AppendUint32(rv.recs, uint32(n))
+		rv.vec = append(rv.vec, p[:n])
+		rv.want += n
+		p, off = p[n:], off+int64(n)
+	}
+}
+
+// next opens an empty request, reusing the buffers a pooled plan's earlier
+// request left behind.
+func (pl *readPlan) next() {
+	if len(pl.reqs) == cap(pl.reqs) {
+		pl.reqs = append(pl.reqs, readVReq{})
+		return
+	}
+	pl.reqs = pl.reqs[:len(pl.reqs)+1]
+	rv := &pl.reqs[len(pl.reqs)-1]
+	*rv = readVReq{recs: rv.recs[:0], vec: rv.vec[:0]}
+}
+
+// getPlan returns an empty pooled plan (by pointer so recycling does not
+// allocate): a one-request read then allocates nothing for its plan.
+func (c *Client) getPlan() *readPlan {
+	if v := c.planPool.Get(); v != nil {
+		return v.(*readPlan)
+	}
+	return new(readPlan)
+}
+
+// putPlan recycles pl, dropping its references to the caller's buffers.
+func (c *Client) putPlan(pl *readPlan) {
+	for i := range pl.reqs {
+		clear(pl.reqs[i].vec)
+	}
+	pl.reqs = pl.reqs[:0]
+	c.planPool.Put(pl)
+}
+
+// read sends a plan's requests, pipelined, and records each reply's length
+// in its got. A one-request read, the common case, calls readV directly and
+// so allocates nothing.
+func (f *RemoteFile) read(reqs []readVReq) error {
+	if len(reqs) == 1 {
+		return f.readV(&reqs[0])
 	}
 	_, err := f.inParallel(len(reqs), func(i int) (int, error) { return 0, f.readV(&reqs[i]) })
 	return err
 }
 
-// readVReq is one OpReadV request: its records, and the pieces of the caller's
-// ranges its reply fills, want bytes in all.
-type readVReq struct {
-	recs []byte
-	vec  [][]byte
-	want int
-}
-
 // readV sends one OpReadV request; a short reply means a range past the
 // remote end.
 func (f *RemoteFile) readV(rv *readVReq) error {
+	if rv.want >= maxReadV/2 {
+		f.c.growRcvbuf()
+	}
 	req := getFrame()
 	req.op, req.handle, req.payload = OpReadV, f.handle, rv.recs
 	resp, err := f.c.roundTripTo(req, pendingReq{vec: rv.vec, vecLen: rv.want})
@@ -691,73 +668,34 @@ func (f *RemoteFile) readV(rv *readVReq) error {
 		f.c.fail(fmt.Errorf("%w: read-vector reply of %d bytes, %d asked", ErrBadFrame, extra, rv.want))
 		return f.c.brokenErr()
 	}
-	if got < rv.want {
-		return io.ErrUnexpectedEOF
-	}
+	rv.got = got
 	return nil
 }
 
-// readInto is one read request for dst at off; a short count means the
-// remote end.
-func (f *RemoteFile) readInto(dst []byte, off int64) (int, error) {
-	req := getFrame()
-	req.op = OpRead
-	req.handle = f.handle
-	req.offset = uint64(off)
-	req.aux = uint64(len(dst))
-	resp, err := f.c.roundTrip(req, dst)
-	if err != nil {
-		return 0, err
-	}
-	n := len(resp.payload)
-	if n > 0 && &resp.payload[0] != &dst[0] {
-		// Pooled delivery (the read loop declined in-place delivery,
-		// e.g. an oversized reply): copy out as before.
-		n = copy(dst, resp.payload)
-	}
-	putFrame(resp)
-	return n, nil
-}
-
-// WriteAt writes remotely in rwsize segments, pipelined like ReadAt.
+// WriteAt writes remotely in rwsize segments, pipelined as a read's requests
+// are.
 func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
 	if f.ro {
 		return 0, ErrReadOnly
 	}
-	writeSeg := func(s segment) (int, error) {
+	seg := f.c.rwsize
+	ns, err := f.inParallel((len(p)+seg-1)/seg, func(i int) (int, error) {
+		q := p[i*seg : min((i+1)*seg, len(p))]
 		req := getFrame()
-		req.op = OpWrite
-		req.handle = f.handle
-		req.offset = uint64(off + int64(s.start))
-		req.payload = p[s.start : s.start+s.n]
-		resp, err := f.c.roundTrip(req, nil)
+		req.op, req.handle, req.offset, req.payload = OpWrite, f.handle, uint64(off)+uint64(i*seg), q
+		resp, err := f.c.roundTrip(req)
 		if err != nil {
 			return 0, err
 		}
 		putFrame(resp)
-		return s.n, nil
-	}
-	sp := f.c.getSegs()
-	defer f.c.putSegs(sp)
-	segs := f.segments(*sp, len(p), f.c.rwsize)
-	*sp = segs
-	var done int
-	var err error
-	if len(segs) <= 1 {
-		for _, s := range segs {
-			var n int
-			n, err = writeSeg(s)
-			done += n
+		return len(q), nil
+	})
+	done := 0
+	for _, n := range ns {
+		if n == 0 {
+			break
 		}
-	} else {
-		var ns []int
-		ns, err = f.inParallel(len(segs), func(i int) (int, error) { return writeSeg(segs[i]) })
-		for i, s := range segs {
-			done += ns[i]
-			if ns[i] < s.n {
-				break
-			}
-		}
+		done += n
 	}
 	if err != nil {
 		return done, err
@@ -778,6 +716,10 @@ func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *RemoteFile) inParallel(n int, op func(i int) (int, error)) ([]int, error) {
 	ns := make([]int, n)
 	errs := make([]error, n)
+	if n == 1 {
+		ns[0], errs[0] = op(0)
+		return ns, errs[0]
+	}
 	workers := min(clientMaxInflightSegments, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -807,7 +749,7 @@ func (f *RemoteFile) inParallel(n int, op func(i int) (int, error)) ([]int, erro
 func (f *RemoteFile) Size() (int64, error) {
 	req := getFrame()
 	req.op, req.handle = OpStat, f.handle
-	resp, err := f.c.roundTrip(req, nil)
+	resp, err := f.c.roundTrip(req)
 	if err != nil {
 		return 0, err
 	}
@@ -826,7 +768,7 @@ func (f *RemoteFile) Truncate(n int64) error {
 	}
 	req := getFrame()
 	req.op, req.handle, req.aux = OpTruncate, f.handle, uint64(n)
-	resp, err := f.c.roundTrip(req, nil)
+	resp, err := f.c.roundTrip(req)
 	if err == nil {
 		putFrame(resp)
 		f.mu.Lock()
@@ -840,7 +782,7 @@ func (f *RemoteFile) Truncate(n int64) error {
 func (f *RemoteFile) Sync() error {
 	req := getFrame()
 	req.op, req.handle = OpSync, f.handle
-	resp, err := f.c.roundTrip(req, nil)
+	resp, err := f.c.roundTrip(req)
 	if err == nil {
 		putFrame(resp)
 	}
@@ -859,7 +801,7 @@ func (f *RemoteFile) Close() error {
 	f.mu.Unlock()
 	req := getFrame()
 	req.op, req.handle = OpClose, f.handle
-	resp, err := f.c.roundTrip(req, nil)
+	resp, err := f.c.roundTrip(req)
 	if err == nil {
 		putFrame(resp)
 	}

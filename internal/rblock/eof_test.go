@@ -37,14 +37,18 @@ func (f wrappedEOFFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestRemoteReadAtEOFBoundaries pins down RemoteFile.ReadAt semantics around
-// the end of a non-rwsize-aligned image: exact-length tails succeed, reads
-// crossing the end return the short count with io.EOF, and reads wholly past
-// the end return (0, io.EOF) — the contract the qcow fill path relies on for
-// its exact-length fetch of an image's short last cluster.
+// the end of an image that is not a multiple of rwsize or of maxReadV:
+// exact-length tails succeed, reads crossing the end return the short count
+// with io.EOF, and reads wholly past the end return (0, io.EOF) — the
+// contract the qcow fill path relies on for its exact-length fetch of an
+// image's short last cluster. The "request" cases are reads over maxReadV,
+// which go out as several pipelined OpReadV requests: the end of the file
+// falls in the second or third of them, or the first ends exactly at it and
+// the rest start past it.
 func TestRemoteReadAtEOFBoundaries(t *testing.T) {
 	const (
 		rwsize = 4096
-		size   = 100000 // deliberately not a multiple of rwsize
+		size   = 5*maxReadV/2 + 1696 // a multiple of neither rwsize nor maxReadV
 	)
 	pat := make([]byte, size)
 	for i := range pat {
@@ -89,6 +93,12 @@ func TestRemoteReadAtEOFBoundaries(t *testing.T) {
 			{"wholly past end", size, rwsize, 0, true},
 			{"far past end", size + 1<<20, rwsize, 0, true},
 			{"zero length", 0, 0, 0, false},
+			{"interior multi request", 8192, 2*maxReadV + 5, 2*maxReadV + 5, false},
+			{"exact end multi request", size - 2*maxReadV - 7, 2*maxReadV + 7, 2*maxReadV + 7, false},
+			{"cross end in second request", size - maxReadV - 1000, 2 * maxReadV, maxReadV + 1000, true},
+			{"cross end in third request", 333, 3 * maxReadV, size - 333, true},
+			{"first request full, rest past end", size - maxReadV, 3 * maxReadV, maxReadV, true},
+			{"wholly past end multi request", size, 2 * maxReadV, 0, true},
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 type fakeChunks struct {
 	manifests map[string][]byte
 	blobs     map[[HashLen]byte][]byte
-	rawLens   map[[HashLen]byte]int64
 }
 
 func (f *fakeChunks) EncodedManifest(name string) ([]byte, error) {
@@ -25,12 +24,12 @@ func (f *fakeChunks) EncodedManifest(name string) ([]byte, error) {
 	return enc, nil
 }
 
-func (f *fakeChunks) ChunkBlob(hash [HashLen]byte) ([]byte, int64, error) {
+func (f *fakeChunks) ChunkBlob(hash [HashLen]byte) ([]byte, error) {
 	b, ok := f.blobs[hash]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: no blob", backend.ErrNotExist)
+		return nil, fmt.Errorf("%w: no blob", backend.ErrNotExist)
 	}
-	return b, f.rawLens[hash], nil
+	return b, nil
 }
 
 func TestOpManifestChunkRoundTrip(t *testing.T) {
@@ -42,7 +41,6 @@ func TestOpManifestChunkRoundTrip(t *testing.T) {
 			h1: bytes.Repeat([]byte{0x11}, 100),
 			h2: bytes.Repeat([]byte{0x22}, 64<<10),
 		},
-		rawLens: map[[HashLen]byte]int64{h1: 4096, h2: 128 << 10},
 	}
 	srv := NewServer(backend.NewMemStore(), ServerOpts{ReadOnly: true, Chunks: src})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -63,15 +61,15 @@ func TestOpManifestChunkRoundTrip(t *testing.T) {
 	if _, err := c.FetchManifest("other.vmic"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown manifest: %v, want ErrNotFound", err)
 	}
-	// Chunk fetches echo the blob bytes and advertised raw length.
-	comp, rawLen, err := c.FetchChunk(h2)
+	// A one-chunk fetch echoes the blob bytes.
+	blobs, err := c.FetchChunkBatch([][HashLen]byte{h2})
 	if err != nil {
-		t.Fatalf("FetchChunk: %v", err)
+		t.Fatalf("FetchChunkBatch: %v", err)
 	}
-	if !bytes.Equal(comp, src.blobs[h2]) || rawLen != 128<<10 {
-		t.Fatalf("FetchChunk = %d bytes, raw %d", len(comp), rawLen)
+	if len(blobs) != 1 || !bytes.Equal(blobs[0], src.blobs[h2]) {
+		t.Fatalf("FetchChunkBatch = %d blobs", len(blobs))
 	}
-	if _, _, err := c.FetchChunk([HashLen]byte{0xFF}); !errors.Is(err, ErrNotFound) {
+	if _, err := c.FetchChunkBatch([][HashLen]byte{{0xFF}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown chunk: %v, want ErrNotFound", err)
 	}
 	// Client-side validation: empty names never hit the wire.
@@ -88,8 +86,8 @@ func TestOpManifestChunkRoundTrip(t *testing.T) {
 			if i%2 == 0 {
 				h, want = h2, src.blobs[h2]
 			}
-			got, _, err := c.FetchChunk(h)
-			if err != nil || !bytes.Equal(got, want) {
+			got, err := c.FetchChunkBatch([][HashLen]byte{h})
+			if err != nil || len(got) != 1 || !bytes.Equal(got[0], want) {
 				t.Errorf("pipelined fetch %d: %v", i, err)
 			}
 		}(i)
@@ -97,14 +95,30 @@ func TestOpManifestChunkRoundTrip(t *testing.T) {
 	wg.Wait()
 }
 
+// TestOpChunkWithoutSource: a server without a chunk source refuses
+// manifests, and every server refuses the retired single-chunk op's wire
+// code (10) and single-range read's (2) as unknown ops, keeping the
+// connection.
 func TestOpChunkWithoutSource(t *testing.T) {
-	_, addr, _ := newServer(t, ServerOpts{})
-	c := dial(t, addr, 0)
-	if _, err := c.FetchManifest("img.vmic"); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("no chunk source: %v, want ErrBadRequest", err)
-	}
-	if _, _, err := c.FetchChunk([HashLen]byte{1}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("no chunk source: %v, want ErrBadRequest", err)
+	src := &fakeChunks{blobs: map[[HashLen]byte][]byte{{1}: {1}}}
+	for _, opts := range []ServerOpts{{}, {Chunks: src}} {
+		_, addr, _ := newServer(t, opts)
+		c := dial(t, addr, 0)
+		if opts.Chunks == nil {
+			if _, err := c.FetchManifest("img.vmic"); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("no chunk source: %v, want ErrBadRequest", err)
+			}
+		}
+		for _, op := range []Op{2, 10} {
+			req := getFrame()
+			req.op, req.payload, req.aux = op, make([]byte, HashLen), 4096
+			if _, err := c.roundTrip(req); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("retired op %d: %v, want ErrBadRequest", op, err)
+			}
+		}
+		if c.Stats().Broken != 0 {
+			t.Fatal("a retired op broke the connection")
+		}
 	}
 }
 
@@ -112,15 +126,11 @@ func TestOpChunkBatch(t *testing.T) {
 	mk := func(i byte, size int) ([HashLen]byte, []byte) {
 		return [HashLen]byte{i}, bytes.Repeat([]byte{i}, size)
 	}
-	src := &fakeChunks{
-		blobs:   map[[HashLen]byte][]byte{},
-		rawLens: map[[HashLen]byte]int64{},
-	}
+	src := &fakeChunks{blobs: map[[HashLen]byte][]byte{}}
 	var hashes [][HashLen]byte
 	for i := byte(1); i <= 5; i++ {
 		h, b := mk(i, 1000*int(i))
 		src.blobs[h] = b
-		src.rawLens[h] = int64(len(b))
 		hashes = append(hashes, h)
 	}
 	srv := NewServer(backend.NewMemStore(), ServerOpts{ReadOnly: true, Chunks: src})
@@ -177,16 +187,12 @@ func TestOpChunkBatch(t *testing.T) {
 // frame payload limit: chunks that would overflow are left for the next
 // request.
 func TestOpChunkBatchFrameCap(t *testing.T) {
-	src := &fakeChunks{
-		blobs:   map[[HashLen]byte][]byte{},
-		rawLens: map[[HashLen]byte]int64{},
-	}
+	src := &fakeChunks{blobs: map[[HashLen]byte][]byte{}}
 	var hashes [][HashLen]byte
 	// Four 3 MiB blobs: only two fit under the 8 MiB frame cap.
 	for i := byte(1); i <= 4; i++ {
 		h := [HashLen]byte{i}
 		src.blobs[h] = bytes.Repeat([]byte{i}, 3<<20)
-		src.rawLens[h] = 3 << 20
 		hashes = append(hashes, h)
 	}
 	srv := NewServer(backend.NewMemStore(), ServerOpts{ReadOnly: true, Chunks: src})

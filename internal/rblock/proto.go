@@ -2,10 +2,11 @@
 // the repository's stand-in for the NFS export between the storage node and
 // the compute nodes (§5). A server exports a backend.Store; clients open
 // files by name and get a backend.File whose reads and writes travel over
-// the network in rwsize-bounded segments — the same access pattern the
-// paper tuned NFS for ("we have tuned the NFS rwsize to 64KB ... as the
+// the network: reads as vectored OpReadV requests of up to 1 MiB, writes in
+// rwsize-bounded segments. The paper tuned its NFS rwsize to 64 KiB ("the
 // default rwsize of 1MB does not match well with the small-sized read
-// requests during boot time").
+// requests during boot time"); here a small read is a small request whatever
+// the cap, so only writes keep the segment bound.
 package rblock
 
 import (
@@ -23,22 +24,13 @@ const (
 	// Magic starts every frame ("RBLK").
 	Magic = 0x52424c4b
 
-	// DefaultRWSize is the default maximum transfer segment, matching
-	// the paper's tuned NFS rwsize.
+	// DefaultRWSize is the default maximum write segment, matching the
+	// paper's tuned NFS rwsize. It is also the smallest read reply the
+	// server sends with sendfile rather than through a pooled buffer.
 	DefaultRWSize = 64 << 10
 
 	// MaxNameLen bounds export names.
 	MaxNameLen = 4096
-
-	// MaxZeroCopySegment caps read segments on descriptor-backed read-only
-	// handles. The rwsize cap exists to bound the copy path's pooled
-	// buffers; a zero-copy reply is (fd, off, len) and needs no buffer at
-	// all, so the server advertises this larger cap at open and bulk cache
-	// pulls move 16x fewer frames. Kept at 1 MiB — not maxPayload — so
-	// multi-megabyte reads still split into several pipelined segments and
-	// the server's sendfile overlaps the client's copy-out. Must stay
-	// below maxPayload.
-	MaxZeroCopySegment = 1 << 20
 
 	// maxPayload bounds any single frame's payload (sanity limit).
 	maxPayload = 8 << 20
@@ -48,52 +40,48 @@ const (
 type Op uint8
 
 // Protocol operations; responses reuse the request op with the reply flag.
+// Codes 2 and 10 belonged to the retired single-range read and single-chunk
+// fetch; a server answers them, like any unknown op, StatusBadRequest.
 const (
-	OpOpen Op = iota + 1
-	OpRead
-	OpWrite
-	OpSync
-	OpTruncate
-	OpStat
-	OpClose
+	OpOpen     Op = 1
+	OpWrite    Op = 3
+	OpSync     Op = 4
+	OpTruncate Op = 5
+	OpStat     Op = 6
+	OpClose    Op = 7
 
 	// OpMap queries the chunk-validity map of an export by name (no open
 	// handle needed): the request payload is the export name, the reply
 	// payload an opaque encoded map (internal/swarm wire format). Servers
 	// without a map source answer StatusBadRequest; exports that are not
 	// currently advertised answer StatusNotFound.
-	OpMap
+	OpMap Op = 8
 
 	// OpManifest queries the chunk manifest of a published export by name
 	// (no open handle needed): the request payload is the export name, the
 	// reply payload an opaque encoded manifest (internal/dedup wire
-	// format). OpChunk fetches one content-addressed chunk: the request
-	// payload is its 32-byte SHA-256, the reply payload the compressed
-	// length-framed blob with the raw length echoed in aux. Servers
-	// without a chunk source answer StatusBadRequest; unknown names or
-	// hashes answer StatusNotFound.
-	OpManifest
-	OpChunk
+	// format). Servers without a chunk source answer StatusBadRequest;
+	// unknown names answer StatusNotFound.
+	OpManifest Op = 9
 
 	// OpChunkBatch fetches a run of content-addressed chunks in one round
-	// trip: the request payload is N concatenated 32-byte hashes, the reply
-	// payload N' records of [u32 compLen][compressed length-framed blob]
-	// with the record count echoed in aux. The server serves the longest
-	// prefix it holds that fits in one frame: a missing hash after at least
-	// one served record ends the reply early (the client re-requests the
-	// tail), a missing first hash answers StatusNotFound. Servers without a
-	// chunk source — or older ones that predate the op — answer
-	// StatusBadRequest, and clients fall back to per-chunk OpChunk.
-	OpChunkBatch
+	// trip: the request payload is N concatenated 32-byte SHA-256 hashes,
+	// the reply payload N' records of [u32 compLen][compressed
+	// length-framed blob] with the record count echoed in aux. The server
+	// serves the longest prefix it holds that fits in one frame: a missing
+	// hash after at least one served record ends the reply early (the
+	// client re-requests the tail), a missing first hash answers
+	// StatusNotFound. Servers without a chunk source answer
+	// StatusBadRequest.
+	OpChunkBatch Op = 11
 
-	// OpReadV reads many ranges of one open handle in one round trip: the
-	// request payload is N records of [u64 off][u32 len], the reply payload
-	// the ranges' bytes back to back, at most maxReadV in all. A range that
-	// ends past the file's end ends the reply there, short, as a short
-	// OpRead does. A payload checkReadV refuses answers StatusBadRequest,
-	// as does a server that predates the op — there is no fallback: the
-	// batch fails with ErrBadRequest.
-	OpReadV
+	// OpReadV is the one read op: it reads one or many ranges of an open
+	// handle in one round trip. The request payload is N records of
+	// [u64 off][u32 len], the reply payload the ranges' bytes back to back,
+	// at most maxReadV in all. A range that ends past the file's end ends
+	// the reply there, short. A payload checkReadV refuses answers
+	// StatusBadRequest.
+	OpReadV Op = 12
 
 	// replyFlag marks response frames.
 	replyFlag = 0x80
@@ -142,7 +130,7 @@ func readVRec(p []byte, i int) (off uint64, n uint32) {
 // MaxBatchChunks bounds the hashes one OpChunkBatch request may carry.
 const MaxBatchChunks = 256
 
-// HashLen is the content-hash size OpChunk requests carry (SHA-256).
+// HashLen is the content-hash size OpChunkBatch requests carry (SHA-256).
 const HashLen = 32
 
 // Status codes.
@@ -249,11 +237,10 @@ type frame struct {
 	done func()
 }
 
-// payloadPool recycles payload buffers of a fixed nominal size (the
-// connection's rwsize). Buffers are handed out and returned by pointer so
-// recycling does not allocate a box per Put. Requests larger than the
-// nominal size (jumbo zero-copy reads, rare control frames) fall back to
-// plain allocation and are dropped on put, so the pool never accumulates
+// payloadPool recycles payload buffers of a fixed nominal size. Buffers are
+// handed out and returned by pointer so recycling does not allocate a box per
+// Put. Requests larger than the nominal size (rare control frames) fall back
+// to plain allocation and are dropped on put, so the pool never accumulates
 // oversized buffers.
 type payloadPool struct {
 	pool sync.Pool

@@ -58,7 +58,9 @@ func TestRemoteReadWriteRoundTrip(t *testing.T) {
 	if sz, err := rf.Size(); err != nil || sz != int64(len(seed)) {
 		t.Fatalf("size = %d, %v", sz, err)
 	}
-	// Segmented read (> rwsize).
+	// A read larger than rwsize is still one request: only writes are
+	// rwsize-bounded.
+	req0 := c.Stats().Requests
 	got := make([]byte, len(seed))
 	if err := backend.ReadFull(rf, got, 0); err != nil {
 		t.Fatal(err)
@@ -66,9 +68,8 @@ func TestRemoteReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, seed) {
 		t.Fatal("read mismatch")
 	}
-	// Reads are segmented at the server too.
-	if srv.Stats().ReadOps < 2 {
-		t.Fatalf("expected segmented reads, got %d ops", srv.Stats().ReadOps)
+	if reqs, ops := c.Stats().Requests-req0, srv.Stats().ReadOps; reqs != 1 || ops != 1 {
+		t.Fatalf("a %d B read cost %d requests, %d server reads; want 1 and 1", len(seed), reqs, ops)
 	}
 	// Write + read-back + sync + truncate.
 	payload := []byte("written remotely")
@@ -159,27 +160,48 @@ func TestReadOnlyHandleAndServer(t *testing.T) {
 	}
 }
 
+// TestRWSizeEnforcedByServer: the server's rwsize bounds each write request,
+// and a client honouring it segments writes to fit; reads are not bound by
+// it.
 func TestRWSizeEnforcedByServer(t *testing.T) {
-	store, addr, _ := newServer(t, ServerOpts{RWSize: 4096})
+	store, addr, srv := newServer(t, ServerOpts{RWSize: 4096})
 	f, _ := store.Create("f")
 	backend.WriteFull(f, make([]byte, 64<<10), 0) //nolint:errcheck
+	want := bytes.Repeat([]byte{0x5A}, 16<<10)
 	// Client negotiating a LARGER rwsize gets rejected per request.
 	c := dial(t, addr, 32<<10)
-	rf, err := c.Open("f", true)
+	rf, err := c.Open("f", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rf.ReadAt(make([]byte, 16<<10), 0); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("oversized read: %v", err)
+	if _, err := rf.WriteAt(want, 0); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("oversized write: %v", err)
 	}
-	// A client honouring the limit works.
+	if srv.Stats().WriteOps != 0 {
+		t.Fatal("the server applied an oversized write")
+	}
+	// A client honouring the limit works, in rwsize segments.
 	c2 := dial(t, addr, 4096)
-	rf2, err := c2.Open("f", true)
+	rf2, err := c2.Open("f", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := backend.ReadFull(rf2, make([]byte, 16<<10), 0); err != nil {
-		t.Fatalf("segmented read under limit: %v", err)
+	if err := backend.WriteFull(rf2, want, 0); err != nil {
+		t.Fatalf("segmented write under limit: %v", err)
+	}
+	if ops := srv.Stats().WriteOps; ops != 4 {
+		t.Fatalf("a 16 KiB write took %d requests at rwsize 4 KiB, want 4", ops)
+	}
+	// A read four times the rwsize is one request, from either client.
+	for _, r := range []*RemoteFile{rf, rf2} {
+		got := make([]byte, len(want))
+		req0 := r.c.Stats().Requests
+		if err := backend.ReadFull(r, got, 0); err != nil {
+			t.Fatalf("read over rwsize: %v", err)
+		}
+		if !bytes.Equal(got, want) || r.c.Stats().Requests-req0 != 1 {
+			t.Fatal("a read over rwsize was refused, split or wrong")
+		}
 	}
 }
 

@@ -31,10 +31,11 @@ type ServerStats struct {
 	Conns        int64 // connections accepted over the server's lifetime
 	ActiveConns  int64 // connections currently open
 
-	// Zero-copy serve effectiveness. Reads of a read-only handle are served
-	// by sendfile when its export has a file descriptor; a read-only handle
-	// without one (a memory-backed or assembled export) is served by copy
-	// and counted as a fallback. Writable handles always copy, uncounted.
+	// Zero-copy serve effectiveness. Reads of at least DefaultRWSize on a
+	// read-only handle are served by sendfile when its export has a file
+	// descriptor; a read-only handle without one (a memory-backed or
+	// assembled export) is served by copy and counted as a fallback. Smaller
+	// reads and writable handles always copy, uncounted.
 	ZeroCopyBytes     int64 // payload bytes shipped by sendfile
 	ZeroCopySegments  int64 // read replies shipped by sendfile
 	ZeroCopyFallbacks int64 // reads of read-only handles served by copy
@@ -142,7 +143,7 @@ type MapSource interface {
 }
 
 // ChunkSource supplies chunk manifests and content-addressed chunk blobs
-// for OpManifest/OpChunk requests (the dedup delta-transfer path). Both
+// for OpManifest/OpChunkBatch requests (the dedup delta-transfer path). Both
 // encodings are opaque to rblock (internal/dedup defines them); an error
 // means the name or hash is not currently served and yields
 // StatusNotFound.
@@ -150,9 +151,8 @@ type ChunkSource interface {
 	// EncodedManifest returns the encoded chunk manifest of a published
 	// export.
 	EncodedManifest(name string) ([]byte, error)
-	// ChunkBlob returns the compressed wire form of one chunk and its raw
-	// (uncompressed) length.
-	ChunkBlob(hash [HashLen]byte) (comp []byte, rawLen int64, err error)
+	// ChunkBlob returns the compressed wire form of one chunk.
+	ChunkBlob(hash [HashLen]byte) ([]byte, error)
 }
 
 // Server exports a Store over TCP.
@@ -163,14 +163,16 @@ type Server struct {
 	chunks ChunkSource
 	stats  serverCounters
 
-	// payloads recycles rwsize payload buffers across requests — OpRead
-	// reply buffers and inbound OpWrite request payloads — so a busy stream
-	// allocates no payload buffers in steady state. Buffers return to the
-	// pool via putFrame once the frame's payload has been consumed.
+	// payloads recycles rwsize payload buffers across requests — the
+	// copy path's OpReadV replies of up to rwsize and inbound OpWrite
+	// payloads — so a busy stream allocates no payload buffers in steady
+	// state. Buffers return to the pool via putFrame once the frame's
+	// payload has been consumed.
 	payloads *payloadPool
 
-	// readvBufs recycles the maxReadV reply buffers of OpReadV; at most
-	// maxConcurrentPerConn of them are being filled per connection.
+	// readvBufs recycles the maxReadV buffers of larger copied OpReadV
+	// replies; at most maxConcurrentPerConn of them are being filled per
+	// connection.
 	readvBufs *payloadPool
 
 	mu       sync.Mutex
@@ -184,20 +186,22 @@ type Server struct {
 	// testSndbuf, when non-zero, overrides the zero-copy send-buffer size
 	// on accepted connections. Tests shrink it so sendfile returns short
 	// mid-reply and the resume path gets exercised; production always uses
-	// the jumbo default.
+	// room for four maxReadV replies.
 	testSndbuf int
 }
 
-// ServerOpts configures a Server. Reads of read-only handles whose export
-// offers a file descriptor (zerocopy.Filer) are always served by sendfile(2)
-// from that file; other reads copy through a pooled buffer. On platforms
-// without sendfile the helper copies internally. Such a reply reads the file
+// ServerOpts configures a Server. Reads of at least DefaultRWSize on
+// read-only handles whose export offers a file descriptor (zerocopy.Filer)
+// are served by sendfile(2) from that file; other reads copy through a
+// pooled buffer. On platforms without sendfile the helper copies internally.
+// Such a reply reads the file
 // when it reaches the wire and is clamped to the size the file had at open,
 // so an export must not shrink a file a client holds open read-only — base
 // images and published caches never change — or that client's connection
 // fails at the missing bytes.
 type ServerOpts struct {
-	// RWSize caps per-request transfer size (0 = DefaultRWSize).
+	// RWSize caps each write request's payload (0 = DefaultRWSize). Reads
+	// are bounded by maxReadV instead.
 	RWSize int
 	// ReadOnly rejects writes and truncates (a published base-image
 	// export).
@@ -208,9 +212,9 @@ type ServerOpts struct {
 	// piece-map advertisement). Servers without one reject OpMap with
 	// StatusBadRequest.
 	Maps MapSource
-	// Chunks, when non-nil, answers OpManifest/OpChunk dedup queries (the
-	// manifest-first delta transfer). Servers without one reject both ops
-	// with StatusBadRequest.
+	// Chunks, when non-nil, answers OpManifest/OpChunkBatch dedup queries
+	// (the manifest-first delta transfer). Servers without one reject both
+	// ops with StatusBadRequest.
 	Chunks ChunkSource
 }
 
@@ -336,10 +340,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		// Zero-copy replies move up to MaxZeroCopySegment (jumbo OpRead)
-		// or maxReadV (OpReadV) each; give the kernel room for several so
-		// sendfile returns without blocking on the receiver's drain.
-		sndbuf := 4 * MaxZeroCopySegment
+		// Zero-copy replies move up to maxReadV each; give the kernel
+		// room for several so sendfile returns without blocking on the
+		// receiver's drain.
+		sndbuf := 4 * maxReadV
 		if s.testSndbuf > 0 {
 			sndbuf = s.testSndbuf
 		}
@@ -687,12 +691,6 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 		if ro {
 			oh.sys = zerocopy.SysFile(f)
 		}
-		if oh.sys != nil {
-			// Advertise jumbo read segments for descriptor-backed handles
-			// in the open reply's otherwise-unused offset field; clients
-			// that predate the field ignore it and keep rwsize segments.
-			resp.offset = uint64(MaxZeroCopySegment)
-		}
 		cs.mu.Lock()
 		cs.nextHandle++
 		h := cs.nextHandle
@@ -702,80 +700,6 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 		resp.aux = uint64(size)
 		s.stats.opens.Add(1)
 		ic.opens.Add(1)
-		return resp
-
-	case OpRead:
-		oh, ok := cs.get(req.handle)
-		// zeroCopyMinRead is the smallest read served by sendfile; see the
-		// policy comment below.
-		const zeroCopyMinRead = DefaultRWSize
-		lim := uint64(s.rwsize)
-		if ok && oh.sys != nil && lim < MaxZeroCopySegment {
-			// Descriptor-backed reads carry no server buffer, so the
-			// rwsize cap protecting the payload pool does not apply.
-			lim = MaxZeroCopySegment
-		}
-		if !ok || req.aux == 0 || req.aux > lim {
-			if ok {
-				oh.release()
-			}
-			return fail(StatusBadRequest)
-		}
-		defer oh.release()
-		if oh.sys != nil {
-			// Zero-copy: reply with a file segment instead of bytes. Only
-			// reads spanning at least one rwsize segment qualify — for
-			// small boot-time reads the batched writev of pooled buffers
-			// beats an extra sendfile syscall per reply, while bulk cache
-			// pulls (the jumbo segments above) skip the server-side copy
-			// entirely. The length is clamped by the size frozen at open
-			// (read-only exports never grow or shrink), mirroring the
-			// short read the copy path would produce at EOF; the frame
-			// holds its own handle reference until it leaves the wire, so
-			// a concurrent OpClose — or eviction unlinking the published
-			// file — cannot invalidate the descriptor mid-sendfile.
-			off := int64(req.offset)
-			if off < oh.size && req.aux >= zeroCopyMinRead {
-				n := int64(req.aux)
-				if off+n > oh.size {
-					n = oh.size - off
-				}
-				oh.retain()
-				resp.exts = append(resp.exts, zerocopy.FileExtent{F: oh.sys, Off: off, Len: n})
-				resp.done = oh.release
-				s.stats.readOps.Add(1)
-				s.stats.bytesRead.Add(n)
-				s.stats.zcSegments.Add(1)
-				s.stats.zcBytes.Add(n)
-				oh.ic.readOps.Add(1)
-				oh.ic.bytesRead.Add(n)
-				return resp
-			}
-			// Sub-segment reads and past-EOF: fall through to the copy
-			// path by policy — not counted as fallbacks.
-		} else if oh.ro {
-			s.stats.zcFallbacks.Add(1)
-		}
-		bp := s.payloads.get(int(req.aux))
-		buf := (*bp)[:req.aux]
-		n, err := oh.f.ReadAt(buf, int64(req.offset))
-		if err != nil && n == 0 && !errors.Is(err, io.EOF) {
-			s.payloads.put(bp)
-			if errors.Is(err, ErrUnavail) {
-				// The export refuses this range right now (a swarm read
-				// over a span the serving cache has not warmed): a
-				// per-request refusal, not a broken export.
-				return fail(StatusUnavail)
-			}
-			return fail(StatusIO)
-		}
-		resp.pooled = bp
-		resp.ppool = s.payloads
-		resp.payload = buf[:n]
-		s.stats.readOps.Add(1)
-		s.stats.bytesRead.Add(int64(n))
-		oh.ic.readOps.Add(1)
-		oh.ic.bytesRead.Add(int64(n))
 		return resp
 
 	case OpReadV:
@@ -872,24 +796,6 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 		resp.payload = enc
 		return resp
 
-	case OpChunk:
-		if s.chunks == nil {
-			return fail(StatusBadRequest)
-		}
-		if len(req.payload) != HashLen {
-			return fail(StatusBadRequest)
-		}
-		comp, rawLen, err := s.chunks.ChunkBlob([HashLen]byte(req.payload))
-		if err != nil {
-			return fail(StatusNotFound)
-		}
-		if len(comp) > maxPayload {
-			return fail(StatusIO)
-		}
-		resp.payload = comp
-		resp.aux = uint64(rawLen)
-		return resp
-
 	case OpChunkBatch:
 		if s.chunks == nil {
 			return fail(StatusBadRequest)
@@ -905,9 +811,9 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 		served := 0
 		total := 0
 		for i := 0; i < n; i++ {
-			comp, _, err := s.chunks.ChunkBlob([HashLen]byte(req.payload[i*HashLen : (i+1)*HashLen]))
+			comp, err := s.chunks.ChunkBlob([HashLen]byte(req.payload[i*HashLen : (i+1)*HashLen]))
 			if err != nil {
-				break // client re-requests the tail (or falls back)
+				break // the client re-requests the tail
 			}
 			if total+len(comp)+4*(served+1) > maxPayload {
 				break
@@ -948,12 +854,14 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 	}
 }
 
-// readV serves OpReadV. A read-only handle with a file descriptor answers
-// with the ranges' file extents (readVExtents); any other handle reads every
-// range with its ReadAt into one pooled buffer, in order, and that buffer is
-// the reply. Each range counts as one read op, with its bytes, exactly as an
-// OpRead of it would. A range that ends past the file's end ends the reply
-// short; a read error fails the whole request.
+// readV serves OpReadV. A read-only handle with a file descriptor answers a
+// request for at least DefaultRWSize with the ranges' file extents
+// (readVExtents): for a small boot-time read the batched writev of a pooled
+// buffer beats an extra sendfile syscall per reply, while bulk pulls skip the
+// server-side copy entirely. Any other request reads every range with its
+// ReadAt into one pooled buffer, in order, and that buffer is the reply. Each
+// range counts as one read op, with its bytes. A range that ends past the
+// file's end ends the reply short; a read error fails the whole request.
 func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 	n, total, ok := checkReadV(req.payload)
 	if !ok {
@@ -966,13 +874,17 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 		return resp
 	}
 	defer oh.release()
-	if oh.sys != nil {
+	if oh.sys != nil && total >= DefaultRWSize {
 		return s.readVExtents(req.payload, n, resp, oh)
 	}
-	if oh.ro {
+	if oh.ro && oh.sys == nil {
 		s.stats.zcFallbacks.Add(1)
 	}
-	bp := s.readvBufs.get(total)
+	pool := s.readvBufs
+	if total <= s.rwsize {
+		pool = s.payloads
+	}
+	bp := pool.get(total)
 	buf := (*bp)[:total]
 	done, ops := 0, int64(0)
 	for i := 0; i < n; i++ {
@@ -981,8 +893,11 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 		ops++
 		done += got
 		if err != nil && !errors.Is(err, io.EOF) {
-			s.readvBufs.put(bp)
+			pool.put(bp)
 			if errors.Is(err, ErrUnavail) {
+				// The export refuses this range right now (a swarm read
+				// over a span the serving cache has not warmed): a
+				// per-request refusal, not a broken export.
 				resp.status = StatusUnavail
 			} else {
 				resp.status = StatusIO
@@ -993,7 +908,7 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 			break
 		}
 	}
-	resp.pooled, resp.ppool, resp.payload = bp, s.readvBufs, buf[:done]
+	resp.pooled, resp.ppool, resp.payload = bp, pool, buf[:done]
 	s.stats.readOps.Add(ops)
 	s.stats.bytesRead.Add(int64(done))
 	oh.ic.readOps.Add(ops)
@@ -1006,7 +921,9 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 // the size frozen at open, adjacent ranges merged into one extent, and the
 // reply ending at the first range cut short by the end of the file — the
 // bytes the copy path would read, sent by sendfile. The frame holds its own
-// handle reference until it leaves the wire, as OpRead's reply does.
+// handle reference until it leaves the wire, so a concurrent OpClose — or
+// eviction unlinking the published file — cannot invalidate the descriptor
+// mid-sendfile.
 func (s *Server) readVExtents(p []byte, n int, resp *frame, oh *openHandle) *frame {
 	exts := resp.exts[:0]
 	var done, ops int64

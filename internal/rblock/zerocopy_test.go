@@ -1,8 +1,9 @@
 package rblock
 
 // Tests for the sendfile serve path: byte-identity against the copy path for
-// OpRead and OpReadV, the fallback matrix (memory-backed store, writable
-// handle, an export that hides its descriptor), eviction and OpClose racing
+// ReadAt and raw OpReadV requests, the size policy between the two paths, the
+// fallback matrix (memory-backed store, writable handle, an export that hides
+// its descriptor), eviction and OpClose racing
 // queued zero-copy replies (the handle refcount keeping the descriptor
 // alive), and a slow client forcing short sendfile returns mid-batch — all
 // run under -race by make check.
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"vmicache/internal/backend"
+	"vmicache/internal/metrics"
 	"vmicache/internal/zerocopy"
 )
 
@@ -73,7 +75,7 @@ func TestServerReadZeroCopyIdentity(t *testing.T) {
 			t.Fatalf("read (%d,%d): mismatch", tc.off, tc.n)
 		}
 	}
-	// Spanning read larger than rwsize: segmented, every segment zero-copy.
+	// Whole-image read: one OpReadV request up to maxReadV, served zero-copy.
 	got := make([]byte, size)
 	if err := backend.ReadFull(rf, got, 0); err != nil {
 		t.Fatal(err)
@@ -96,6 +98,52 @@ func TestServerReadZeroCopyIdentity(t *testing.T) {
 	}
 	if !bytes.Equal(tail[:1000], data[size-1000:]) {
 		t.Fatal("EOF tail mismatch")
+	}
+}
+
+// TestReadAtServePolicy pins the one serve policy of OpReadV through the
+// server's zerocopy_* counters: on a descriptor-backed read-only handle a
+// 4 KiB ReadAt takes the copy path, not counted as a fallback, and a 64 KiB
+// one takes sendfile.
+func TestReadAtServePolicy(t *testing.T) {
+	_, addr, srv, data := newDirServer(t, 1<<20, ServerOpts{ReadOnly: true})
+	reg := metrics.NewRegistry()
+	srv.RegisterMetrics(reg, nil)
+	counters := func() (zcBytes, segs, fallbacks int64) {
+		v := map[string]int64{}
+		for _, m := range reg.Gather() {
+			v[m.Name] = m.Value
+		}
+		return v["vmicache_rblock_server_zerocopy_bytes_total"],
+			v["vmicache_rblock_server_zerocopy_segments_total"],
+			v["vmicache_rblock_server_zerocopy_fallbacks_total"]
+	}
+	c := dial(t, addr, 0)
+	rf, err := c.Open("pub.img", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n        int
+		sendfile bool
+	}{{4 << 10, false}, {DefaultRWSize - 1, false}, {DefaultRWSize, true}} {
+		b0, s0, f0 := counters()
+		buf := make([]byte, tc.n)
+		if err := backend.ReadFull(rf, buf, 12345); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, data[12345:12345+tc.n]) {
+			t.Fatalf("%d B read: mismatch", tc.n)
+		}
+		b1, s1, f1 := counters()
+		var wantB, wantS int64
+		if tc.sendfile {
+			wantB, wantS = int64(tc.n), 1
+		}
+		if b1-b0 != wantB || s1-s0 != wantS || f1 != f0 {
+			t.Errorf("%d B read: zerocopy bytes +%d, segments +%d, fallbacks +%d; want +%d, +%d, +0",
+				tc.n, b1-b0, s1-s0, f1-f0, wantB, wantS)
+		}
 	}
 }
 
@@ -276,7 +324,7 @@ func TestServerZeroCopyCloseRace(t *testing.T) {
 }
 
 // TestServerZeroCopySlowClient shrinks the server's send buffer to a few
-// KiB under jumbo (1 MiB) read replies, so every sendfile call fills the
+// KiB under 1 MiB read replies, so every sendfile call fills the
 // socket buffer and returns short repeatedly in the middle of batched
 // replies; the resume logic must keep the pipelined streams byte-identical.
 // This is the wire-level fault injection of the reply-writer partial-write
@@ -300,7 +348,7 @@ func TestServerZeroCopySlowClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store, ServerOpts{ReadOnly: true})
-	// Set before Listen: a jumbo reply is ~16x the squeezed send buffer,
+	// Set before Listen: a 1 MiB reply is 32x the squeezed send buffer,
 	// so each one takes many short sendfile returns to drain.
 	srv.testSndbuf = 32 << 10
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -324,7 +372,7 @@ func TestServerZeroCopySlowClient(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(seed))
-			buf := make([]byte, MaxZeroCopySegment) // one jumbo segment per read
+			buf := make([]byte, maxReadV) // one whole request per read
 			for i := 0; i < 2; i++ {
 				off := rnd.Int63n(size - int64(len(buf)))
 				if err := backend.ReadFull(rf, buf, off); err != nil {
@@ -385,7 +433,7 @@ func readVRecs(rs [][2]int64) []byte {
 func rawReadV(c *Client, h uint32, p []byte) ([]byte, error) {
 	req := getFrame()
 	req.op, req.handle, req.payload = OpReadV, h, p
-	resp, err := c.roundTrip(req, nil)
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +466,9 @@ func readVRef(data []byte, rs [][2]uint64) []byte {
 // answered with file extents — adjacent ranges merged, the reply clamped at
 // the size frozen at open — and its bytes are identical to the copy path's,
 // the same export served through noFDStore, for ranges in order, adjacent,
-// overlapping, straddling the end of the file and starting past it. A
+// overlapping, straddling the end of the file and starting past it. Each
+// request asks for at least DefaultRWSize, the smallest the sendfile path
+// takes. A
 // queued reply keeps its descriptor across a racing OpClose, and a squeezed
 // send buffer forces short sendfile returns in the middle of a range.
 func TestReadVSendfile(t *testing.T) {
@@ -452,11 +502,11 @@ func TestReadVSendfile(t *testing.T) {
 		exts int // extents the sendfile reply carries
 	}{
 		{"in order", [][2]int64{{0, 4096}, {10000, 777}, {65536, 65536}}, 3},
-		{"adjacent", [][2]int64{{4096, 4096}, {8192, 100}, {8292, 60000}, {100000, 1}}, 2},
-		{"overlapping", [][2]int64{{1000, 5000}, {3000, 5000}, {0, 10}, {5, 10}}, 4},
-		{"straddling EOF", [][2]int64{{0, 10}, {size - 5000, 4000}, {size - 1000, 3000}, {20, 10}}, 2},
-		{"starting past EOF", [][2]int64{{0, 10}, {size, 5}, {20, 10}}, 1},
-		{"wholly past EOF", [][2]int64{{size + 10, 100}}, 0},
+		{"adjacent", [][2]int64{{4096, 4096}, {8192, 100}, {8292, 62000}, {100000, 1}}, 2},
+		{"overlapping", [][2]int64{{1000, 50000}, {3000, 50000}, {0, 10}, {5, 10}}, 4},
+		{"straddling EOF", [][2]int64{{0, 70000}, {size - 5000, 4000}, {size - 1000, 3000}, {20, 10}}, 2},
+		{"starting past EOF", [][2]int64{{0, 65536}, {size, 5}, {20, 10}}, 1},
+		{"wholly past EOF", [][2]int64{{size + 10, 65536}}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -67,10 +67,6 @@ type Config struct {
 	Workers int
 	// Sched tunes the chunk scheduler.
 	Sched SchedConfig
-	// RWSize is the rblock transfer segment (0 = default). It must be at
-	// least the chunk size for single-request chunk fetches; larger chunks
-	// simply segment.
-	RWSize int
 	// DialAttempts and DialBackoff shape peer connection retries
 	// (0 attempts = 3, zero backoff = rblock.DefaultBackoff).
 	DialAttempts int
@@ -471,7 +467,7 @@ func (s *Session) conn(id PeerID) (*peerConn, error) {
 		pc.err = nil
 		return nil, err
 	}
-	c, err := rblock.DialRetry(string(id), s.cfg.RWSize, s.cfg.DialAttempts, s.cfg.DialBackoff, nil)
+	c, err := rblock.DialRetry(string(id), 0, s.cfg.DialAttempts, s.cfg.DialBackoff, nil)
 	if err != nil {
 		pc.err = err
 		return nil, err
