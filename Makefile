@@ -57,7 +57,8 @@ fuzz:
 # integration launches real rblockd + vmicached processes on loopback ports
 # and drives a multi-node provisioning round end to end (cold warm with
 # dedup publication, manifest-first delta warm, restart persistence, and a
-# raw rblock manifest/chunk fetch). No docker, no fixed ports: every daemon
+# raw rblock manifest/chunk fetch), and checks that rblockd refuses a
+# writable open and a name outside its export over the wire. No docker, no fixed ports: every daemon
 # binds 127.0.0.1:0 and the test parses the bound address it prints.
 integration:
 	$(GO) test -tags integration -timeout 300s -count 1 ./integration/

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	nbdserve [-addr HOST:PORT] [-C dir] [-ro] [-metrics-addr HOST:PORT]
-//	         [-pprof-mutex-frac N] [-pprof-block-rate NS] IMAGE [IMAGE...]
+//	         IMAGE [IMAGE...]
 //
 // Each IMAGE (a chain top inside -C) is exported under its own name. With
 // -ro, reads of raw warm clusters are served by sendfile(2) from the
@@ -48,10 +48,7 @@ func main() {
 	ro := fs.Bool("ro", false, "export read-only")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
-	mutexFrac := fs.Int("pprof-mutex-frac", 0, "mutex contention sampling fraction (runtime.SetMutexProfileFraction); 0 disables")
-	blockRate := fs.Int("pprof-block-rate", 0, "blocking-event sampling rate in ns (runtime.SetBlockProfileRate); 0 disables")
 	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
-	metrics.SetProfileRates(*mutexFrac, *blockRate)
 	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "nbdserve: need at least one image name")
 		os.Exit(2)

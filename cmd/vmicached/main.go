@@ -22,8 +22,6 @@
 //	-status DUR      periodic status print interval (0 = only on shutdown)
 //	-drain DUR       graceful-shutdown drain deadline
 //	-metrics-addr A  serve /metrics, /metrics.json and /debug/pprof on A
-//	-pprof-mutex-frac N   sample 1-in-N mutex contention events (0 = off)
-//	-pprof-block-rate NS  sample blocking events slower than NS ns (0 = off)
 //	-dedup           keep a content-addressed chunk store; peer warms become
 //	                 manifest-first and move only the chunks this node lacks
 //	-swarm           warm cold caches chunk-wise from every peer at once
@@ -80,10 +78,7 @@ func main() {
 	swarmSelf := fs.String("swarm-self", "", "peer-export address announced to the swarm (default: the -export bound address)")
 	swarmChunkBits := fs.Int("swarm-chunk-bits", 0, "swarm transfer chunk size exponent (0 = default, 64 KiB)")
 	swarmMaxPeers := fs.Int("swarm-max-peers", 0, "bound on peers each swarm warm polls and fetches from (0 = all)")
-	mutexFrac := fs.Int("pprof-mutex-frac", 0, "mutex contention sampling fraction (runtime.SetMutexProfileFraction); 0 disables")
-	blockRate := fs.Int("pprof-block-rate", 0, "blocking-event sampling rate in ns (runtime.SetBlockProfileRate); 0 disables")
 	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
-	metrics.SetProfileRates(*mutexFrac, *blockRate)
 
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "vmicached: "+format+"\n", args...)

@@ -35,16 +35,16 @@ func main() {
 	if err := vmicache.CreateBase(ns, vmicache.Loc("storage:base.img"), imageSize, 0, content); err != nil {
 		log.Fatal(err)
 	}
-	storageSrv := vmicache.NewRBlockServer(storageStore, rblock.ServerOpts{ReadOnly: true})
+	storageSrv := vmicache.NewRBlockServer(storageStore, rblock.ServerOpts{})
 	storageAddr, err := storageSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer storageSrv.Close() //nolint:errcheck
-	fmt.Printf("storage node: exporting base.img on %s (read-only, rwsize=64KiB)\n", storageAddr)
+	fmt.Printf("storage node: exporting base.img on %s (read-only)\n", storageAddr)
 
 	// --- compute node: remote base + local cache + local CoW ---
-	client, err := vmicache.DialRBlock(storageAddr, 0)
+	client, err := vmicache.DialRBlock(storageAddr)
 	if err != nil {
 		log.Fatal(err)
 	}

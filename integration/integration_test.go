@@ -10,9 +10,13 @@ package integration
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -181,6 +185,68 @@ func makeBase(t *testing.T, dir, name string, content []byte) {
 }
 
 const imageSize = 4 << 20
+
+// TestStorageExportReadOnly checks the real rblockd's export over the wire:
+// an OpOpen frame without the read-only flag is answered StatusReadOnly, a
+// name that climbs out of the export directory is refused, so a file beside
+// it is never served, and a read-only open of a name inside still works.
+func TestStorageExportReadOnly(t *testing.T) {
+	root := t.TempDir()
+	exportDir := filepath.Join(root, "export")
+	if err := os.Mkdir(exportDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "secret"), []byte("outside the export"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v1 := make([]byte, imageSize)
+	rand.New(rand.NewSource(1)).Read(v1)
+	makeBase(t, exportDir, "v1.img", v1)
+	storage := start(t, "rblockd", "-addr", "127.0.0.1:0", "-dir", exportDir)
+	addr := storage.waitFor(`rblockd: exporting .* on ([0-9.:]+) \(`, 10*time.Second)
+
+	// A raw writable OpOpen: the 36-byte frame header, then the name.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck
+	name := []byte("v1.img")
+	hdr := make([]byte, 36)
+	binary.BigEndian.PutUint32(hdr[0:], rblock.Magic)
+	hdr[4] = byte(rblock.OpOpen) // flags (hdr[5]) 0: writable
+	binary.BigEndian.PutUint32(hdr[8:], 1)
+	binary.BigEndian.PutUint32(hdr[24:], uint32(len(name)))
+	if _, err := conn.Write(append(hdr, name...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	if _, err := io.ReadFull(conn, hdr); err != nil {
+		t.Fatalf("reply to a writable open: %v", err)
+	}
+	if st := binary.BigEndian.Uint16(hdr[6:]); hdr[4] != byte(rblock.OpOpen)|0x80 || uint32(st) != rblock.StatusReadOnly {
+		t.Fatalf("writable open answered op %#x status %d, want %#x and StatusReadOnly", hdr[4], st, byte(rblock.OpOpen)|0x80)
+	}
+
+	c, err := rblock.Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	for _, n := range []string{"../secret", filepath.Join(root, "secret")} {
+		if _, err := c.Open(n, true); !errors.Is(err, rblock.ErrBadRequest) {
+			t.Fatalf("Open(%q): %v, want ErrBadRequest", n, err)
+		}
+	}
+	f, err := c.Open("v1.img", true)
+	if err != nil {
+		t.Fatalf("read-only open after the refusals: %v", err)
+	}
+	defer f.Close() //nolint:errcheck
+	if size, _ := f.Size(); size == 0 {
+		t.Fatal("the base opened empty")
+	}
+}
 
 // TestClusterProvisioning is the end-to-end multi-node path over real
 // processes: storage node → node A (cold warms + dedup manifests) → node B

@@ -55,9 +55,10 @@ func TestAttachStorageBudget(t *testing.T) {
 		}
 		lease.Release()
 		expect(t, r0, b0, 2, 512+16)
-		// One read-only open (it stats twice: the server sizes the handle,
-		// the image asks its size); no sync.
-		want := []string{"open", "stat", "stat", "read", "read", "close"}
+		// One read-only open; its one stat is the server sizing the
+		// handle: the image takes its size from the open reply, since an
+		// export does not change while open. No sync.
+		want := []string{"open", "stat", "read", "read", "close"}
 		if ops := kinds(log.take(base)); !slices.Equal(ops, want) {
 			t.Errorf("the storage node served %v for the base during a cold warm, want %v", ops, want)
 		}

@@ -281,7 +281,7 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 		}
 	}()
 	for _, addr := range m.cfg.Peers {
-		c, derr := rblock.DialRetry(addr, 0, 2, rblock.DefaultBackoff, nil)
+		c, derr := rblock.DialRetry(addr, 2, rblock.DefaultBackoff, nil)
 		if derr != nil {
 			m.notePeer(addr, 0, derr)
 			continue

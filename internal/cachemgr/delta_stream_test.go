@@ -32,7 +32,7 @@ func newRelayPeer(t *testing.T, upstream string) *relayPeer {
 		t.Fatal(err)
 	}
 	p := &relayPeer{up: up}
-	p.srv = rblock.NewServer(backend.NewMemStore(), rblock.ServerOpts{ReadOnly: true, Chunks: p})
+	p.srv = rblock.NewServer(backend.NewMemStore(), rblock.ServerOpts{Chunks: p})
 	if p.addr, err = p.srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

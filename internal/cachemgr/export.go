@@ -93,10 +93,9 @@ func (m *Manager) ServePeers(addr string) (string, error) {
 		chunks = dedupExport{m}
 	}
 	srv := rblock.NewServer(exportStore{m}, rblock.ServerOpts{
-		ReadOnly: true,
-		Logf:     m.cfg.Logf,
-		Maps:     swarmMaps{m},
-		Chunks:   chunks,
+		Logf:   m.cfg.Logf,
+		Maps:   swarmMaps{m},
+		Chunks: chunks,
 	})
 	if m.cfg.Metrics != nil {
 		srv.RegisterMetrics(m.cfg.Metrics, metrics.Labels{"server": "peer-export"})

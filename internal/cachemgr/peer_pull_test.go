@@ -243,7 +243,7 @@ func (f hostileFile) Size() (int64, error) {
 // address and the server.
 func serveHostile(t *testing.T, st backend.Store) (string, *rblock.Server) {
 	t.Helper()
-	srv := rblock.NewServer(st, rblock.ServerOpts{ReadOnly: true})
+	srv := rblock.NewServer(st, rblock.ServerOpts{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -122,7 +122,7 @@ func readAll(t *testing.T, sess *cachemgr.Session, want []byte) {
 // L2 table, decodes none; a second reads nothing of the cache's metadata but
 // the header probe of its open — its CoW top is sized from the set — and
 // decodes none either. A guest flush syncs the CoW top and
-// nothing below it: no fsync of the cache, no OpSync to the storage node,
+// nothing below it: no fsync of the cache, nothing to the storage node,
 // whose base sees only the attach's open, stat, two reads and the close.
 func TestWarmAttachBudget(t *testing.T) {
 	s := newStorageNode(t)

@@ -128,7 +128,7 @@ func (m *Manager) warm(base, key string) (*Lease, error) {
 // backoff: a peer restarting or still binding its listener is a transient,
 // not a reason to burn the whole attempt.
 func (m *Manager) fetchFromPeer(addr, key, tmpName string) (int64, error) {
-	c, err := rblock.DialRetry(addr, 0, 3, rblock.DefaultBackoff, nil)
+	c, err := rblock.DialRetry(addr, 3, rblock.DefaultBackoff, nil)
 	if err != nil {
 		return 0, err
 	}

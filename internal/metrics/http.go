@@ -5,30 +5,64 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"sync"
 	"time"
 )
 
-// SetProfileRates turns on the runtime's contention profilers, feeding the
-// /debug/pprof/mutex and /debug/pprof/block endpoints already mounted by
-// Handler. mutexFrac is the 1-in-N mutex sampling fraction
-// (runtime.SetMutexProfileFraction); blockRate the blocking-event sampling
-// threshold in nanoseconds (runtime.SetBlockProfileRate). Zero or negative
-// values leave the corresponding profiler untouched (off by default —
-// sampling costs the hot paths real time, so daemons only enable it via
-// their -pprof-mutex-frac / -pprof-block-rate flags).
-func SetProfileRates(mutexFrac, blockRate int) {
-	if mutexFrac > 0 {
-		runtime.SetMutexProfileFraction(mutexFrac)
+// Contention sampling rates a windowed /debug/pprof/mutex or /block request
+// turns on: one in mutexFraction contended mutex events, and one blocking
+// event per blockRateNs nanoseconds spent blocked.
+const (
+	mutexFraction = 10
+	blockRateNs   = 10_000
+)
+
+// The runtime's contention profilers, off unless a window is open. The
+// sampling rates are process-wide, so every Handler shares one window count
+// per profiler.
+var (
+	mutexProfile = &windowedProfile{name: "mutex", set: func(r int) { runtime.SetMutexProfileFraction(r) }, rate: mutexFraction}
+	blockProfile = &windowedProfile{name: "block", set: runtime.SetBlockProfileRate, rate: blockRateNs}
+)
+
+// windowedProfile serves a contention profile that samples only while asked
+// to: a request with seconds=N turns the profiler on at its fixed rate for
+// the window and gets the window's delta profile, and sampling goes back off
+// when the last overlapping window ends. No hot path pays for sampling
+// outside a window; a request without seconds serves what earlier windows
+// recorded.
+type windowedProfile struct {
+	name string
+	set  func(rate int)
+	rate int
+
+	mu   sync.Mutex
+	open int // windows in progress
+}
+
+func (p *windowedProfile) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.FormValue("seconds") != "" {
+		p.mu.Lock()
+		if p.open++; p.open == 1 {
+			p.set(p.rate)
+		}
+		p.mu.Unlock()
+		defer func() {
+			p.mu.Lock()
+			if p.open--; p.open == 0 {
+				p.set(0)
+			}
+			p.mu.Unlock()
+		}()
 	}
-	if blockRate > 0 {
-		runtime.SetBlockProfileRate(blockRate)
-	}
+	pprof.Handler(p.name).ServeHTTP(w, r)
 }
 
 // Handler returns the observability mux a daemon mounts on its
 // -metrics-addr: the two exposition formats plus the standard pprof
-// endpoints (heap, goroutine, CPU profile, execution trace), so a live
-// vmicached or rblockd can be profiled without redeploying.
+// endpoints (heap, goroutine, CPU profile, execution trace, and the mutex
+// and block profiles over a seconds=N window), so a live vmicached or
+// rblockd can be profiled without redeploying.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -44,6 +78,8 @@ func Handler(r *Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/pprof/mutex", mutexProfile)
+	mux.Handle("/debug/pprof/block", blockProfile)
 	return mux
 }
 

@@ -1,14 +1,18 @@
 package metrics
 
 import (
+	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // buildRegistry constructs a registry with one of each instrument flavour and
@@ -198,6 +202,99 @@ func TestHandlerEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/pprof/goroutine status = %d", resp.StatusCode)
 	}
+}
+
+// TestWindowedContentionProfiles: a seconds=1 request for the mutex or block
+// profile samples only for its window. The mutex fraction reads the fixed
+// rate while the window is open and 0 after it; each reply is a well-formed
+// gzipped profile.proto holding its sample types (field 1) and string table
+// (field 6).
+func TestWindowedContentionProfiles(t *testing.T) {
+	srv := httptest.NewServer(Handler(NewRegistry()))
+	defer srv.Close()
+	if f := runtime.SetMutexProfileFraction(-1); f != 0 {
+		t.Fatalf("mutex profiling is on before any window (fraction %d)", f)
+	}
+	var wg sync.WaitGroup
+	for _, name := range []string{"mutex", "block"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(srv.URL + "/debug/pprof/" + name + "?seconds=1")
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			defer resp.Body.Close() //nolint:errcheck // test helper
+			if resp.StatusCode != http.StatusOK {
+				body, _ := io.ReadAll(resp.Body) //nolint:errcheck // for the message only
+				t.Errorf("%s: status %d: %s", name, resp.StatusCode, body)
+				return
+			}
+			zr, err := gzip.NewReader(resp.Body)
+			if err != nil {
+				t.Errorf("%s: not gzip: %v", name, err)
+				return
+			}
+			raw, err := io.ReadAll(zr)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			if fields, ok := protoFields(raw); !ok || !fields[1] || !fields[6] {
+				t.Errorf("%s: %d B that do not parse as a profile (fields %v)", name, len(raw), fields)
+			}
+		}()
+	}
+	// Contend a mutex inside the window, and see the fraction on.
+	var mu sync.Mutex
+	sawOn := false
+	for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); {
+		if runtime.SetMutexProfileFraction(-1) == mutexFraction {
+			sawOn = true
+		}
+		mu.Lock()
+		go func() { mu.Lock(); mu.Unlock() }() //nolint:staticcheck // contention on purpose
+		time.Sleep(time.Millisecond)
+		mu.Unlock()
+	}
+	wg.Wait()
+	if !sawOn {
+		t.Errorf("mutex fraction never read %d during the window", mutexFraction)
+	}
+	if f := runtime.SetMutexProfileFraction(-1); f != 0 {
+		t.Errorf("mutex fraction %d after the window, want 0", f)
+	}
+}
+
+// protoFields walks the top-level fields of a protobuf message: the field
+// numbers it holds, and whether every field is well formed.
+func protoFields(b []byte) (map[uint64]bool, bool) {
+	fields := map[uint64]bool{}
+	for len(b) > 0 {
+		key, n := binary.Uvarint(b)
+		if n <= 0 {
+			return fields, false
+		}
+		b = b[n:]
+		switch key & 7 {
+		case 0: // varint
+			if _, n = binary.Uvarint(b); n <= 0 {
+				return fields, false
+			}
+			b = b[n:]
+		case 2: // length-delimited
+			l, n := binary.Uvarint(b)
+			if n <= 0 || l > uint64(len(b)-n) {
+				return fields, false
+			}
+			b = b[n+int(l):]
+		default:
+			return fields, false
+		}
+		fields[key>>3] = true
+	}
+	return fields, len(fields) > 0
 }
 
 func TestListenAndServe(t *testing.T) {

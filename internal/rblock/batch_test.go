@@ -78,7 +78,7 @@ func readVPattern(t *testing.T, size int) ([]byte, *inflightStore, *Server, *Cli
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-	c := dial(t, addr, 4096)
+	c := dial(t, addr)
 	rf, err := c.Open("img", true)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestReadVRejectsMalformed(t *testing.T) {
 	if err := backend.WriteFull(f, make([]byte, 8192), 0); err != nil {
 		t.Fatal(err)
 	}
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	rf, err := c.Open("img", true)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 // BenchmarkPipelinedRead measures a large multi-segment read whose segments
 // are pipelined on the shared connection.
 func BenchmarkPipelinedRead(b *testing.B) {
-	const span = 4 << 20 // 64 segments at the default rwsize
+	const span = 4 << 20 // four 1 MiB OpReadV requests
 	rf := newBenchPair(b, 64<<20)
 	buf := make([]byte, span)
 	b.SetBytes(span)
@@ -121,7 +121,7 @@ func BenchmarkPipelinedRead(b *testing.B) {
 }
 
 // BenchmarkServerReadLarge measures bulk transfer throughput at image-warm
-// spans (1 MiB and 4 MiB per call, pipelined as rwsize segments) in the
+// spans (1 MiB and 4 MiB per call, pipelined as 1 MiB OpReadV requests) in the
 // peer-export configuration: a published cache on disk served with zero-copy
 // on, so read replies ship via sendfile between the writev'd headers. The
 // vectored reply writer should still coalesce the headers of many in-flight

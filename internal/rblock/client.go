@@ -18,8 +18,8 @@ import (
 // client declares the connection broken.
 const DefaultTimeout = 30 * time.Second
 
-// clientMaxInflightSegments caps how many OpReadV requests of one read, or
-// rwsize segments of one WriteAt, are pipelined concurrently.
+// clientMaxInflightSegments caps how many OpReadV requests of one read are
+// pipelined concurrently.
 const clientMaxInflightSegments = 8
 
 // Client multiplexes remote files over one pipelined TCP connection:
@@ -29,9 +29,8 @@ const clientMaxInflightSegments = 8
 // the stream's framing can no longer be trusted — and every pending and
 // subsequent call fails fast with ErrClientBroken.
 type Client struct {
-	conn   net.Conn
-	bw     *bufio.Writer
-	rwsize int
+	conn net.Conn
+	bw   *bufio.Writer
 
 	// wmu serialises frame writes and flushes on the shared connection;
 	// whdr is the header scratch used under it (a stack array would escape
@@ -49,10 +48,10 @@ type Client struct {
 	timeout time.Duration
 
 	// bumpedRcvbuf records that the receive buffer was enlarged for bulk
-	// replies (done once, before the first read larger than DefaultRWSize).
+	// replies (done once, see growRcvbuf).
 	bumpedRcvbuf atomic.Bool
 
-	// payloads recycles response payload buffers (rwsize each); chanPool
+	// payloads recycles response payload buffers (sendfileMin each); chanPool
 	// recycles roundTrip reply channels and planPool the request plans of
 	// reads, so a pipelined stream allocates neither in steady state.
 	payloads *payloadPool
@@ -88,7 +87,7 @@ func (c *Client) putChan(ch chan *frame) { c.chanPool.Put(ch) }
 // the request path, sampled by Stats and RegisterMetrics.
 type clientCounters struct {
 	requests atomic.Int64 // round trips issued
-	bytesOut atomic.Int64 // request payload bytes (writes)
+	bytesOut atomic.Int64 // request payload bytes
 	bytesIn  atomic.Int64 // response payload bytes (reads)
 	broken   atomic.Int64 // fatal transport failures (excludes local Close)
 	inflight atomic.Int64 // requests currently awaiting a response
@@ -134,28 +133,24 @@ func (c *Client) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 		"Request round-trip time, send through matched response.", labels, &c.ctr.rtt)
 }
 
-// Dial connects to a server. rwsize caps each write request's payload (0 uses
-// the default); it must not exceed the server's limit.
-func Dial(addr string, rwsize int) (*Client, error) {
+// Dial connects to a server. The int is ignored: it was the write segment
+// size of a protocol that no longer writes.
+func Dial(addr string, _ int) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return newClient(conn, rwsize), nil
+	return newClient(conn), nil
 }
 
 // newClient runs the client side of the protocol over conn.
-func newClient(conn net.Conn, rwsize int) *Client {
-	if rwsize <= 0 {
-		rwsize = DefaultRWSize
-	}
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 128<<10),
-		rwsize:   rwsize,
 		pending:  make(map[uint32]pendingReq),
 		timeout:  DefaultTimeout,
-		payloads: newPayloadPool(rwsize),
+		payloads: newPayloadPool(sendfileMin),
 	}
 	go c.readLoop(bufio.NewReaderSize(conn, 128<<10))
 	return c
@@ -479,29 +474,31 @@ func (c *Client) FetchChunkBatch(hashes [][HashLen]byte) ([][]byte, error) {
 	return blobs, nil
 }
 
-// RemoteFile is an open remote file implementing backend.File.
+// RemoteFile is an open remote file implementing backend.File. Exports are
+// immutable while open, so the file answers Size from its open reply and
+// refuses every write.
 type RemoteFile struct {
 	c      *Client
 	handle uint32
 	size   int64
-	ro     bool
 	closed bool
 	mu     sync.Mutex
 }
 
-// Open opens a remote file by its export name.
+// Open opens a remote file by its export name. Exports are read-only: a
+// writable open fails with ErrReadOnly without a request; readOnly mirrors
+// backend.Store.Open.
 func (c *Client) Open(name string, readOnly bool) (*RemoteFile, error) {
-	var flags uint8
-	if readOnly {
-		flags = 1
+	if !readOnly {
+		return nil, fmt.Errorf("%w: cannot open %q writable", ErrReadOnly, name)
 	}
 	req := getFrame()
-	req.op, req.flags, req.payload = OpOpen, flags, []byte(name)
+	req.op, req.flags, req.payload = OpOpen, flagReadOnly, []byte(name)
 	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	rf := &RemoteFile{c: c, handle: resp.handle, size: int64(resp.aux), ro: readOnly}
+	rf := &RemoteFile{c: c, handle: resp.handle, size: int64(resp.aux)}
 	putFrame(resp)
 	return rf, nil
 }
@@ -638,15 +635,33 @@ func (c *Client) putPlan(pl *readPlan) {
 	c.planPool.Put(pl)
 }
 
-// read sends a plan's requests, pipelined, and records each reply's length
-// in its got. A one-request read, the common case, calls readV directly and
-// so allocates nothing.
+// read sends a plan's requests, up to clientMaxInflightSegments of them in
+// flight at once, and records each reply's length in its got; the first
+// error in request order fails the read. A one-request read, the common case,
+// calls readV directly and so allocates nothing.
 func (f *RemoteFile) read(reqs []readVReq) error {
 	if len(reqs) == 1 {
 		return f.readV(&reqs[0])
 	}
-	_, err := f.inParallel(len(reqs), func(i int) (int, error) { return 0, f.readV(&reqs[i]) })
-	return err
+	errs := make([]error, len(reqs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(clientMaxInflightSegments, len(reqs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(reqs); i = int(next.Add(1)) - 1 {
+				errs[i] = f.readV(&reqs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readV sends one OpReadV request; a short reply means a range past the
@@ -672,122 +687,18 @@ func (f *RemoteFile) readV(rv *readVReq) error {
 	return nil
 }
 
-// WriteAt writes remotely in rwsize segments, pipelined as a read's requests
-// are.
-func (f *RemoteFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.ro {
-		return 0, ErrReadOnly
-	}
-	seg := f.c.rwsize
-	ns, err := f.inParallel((len(p)+seg-1)/seg, func(i int) (int, error) {
-		q := p[i*seg : min((i+1)*seg, len(p))]
-		req := getFrame()
-		req.op, req.handle, req.offset, req.payload = OpWrite, f.handle, uint64(off)+uint64(i*seg), q
-		resp, err := f.c.roundTrip(req)
-		if err != nil {
-			return 0, err
-		}
-		putFrame(resp)
-		return len(q), nil
-	})
-	done := 0
-	for _, n := range ns {
-		if n == 0 {
-			break
-		}
-		done += n
-	}
-	if err != nil {
-		return done, err
-	}
-	f.mu.Lock()
-	if end := off + int64(len(p)); end > f.size {
-		f.size = end
-	}
-	f.mu.Unlock()
-	return done, nil
-}
+// WriteAt fails: exports are read-only.
+func (f *RemoteFile) WriteAt([]byte, int64) (int, error) { return 0, ErrReadOnly }
 
-// inParallel runs op(i) for i in [0, n) with bounded concurrency and returns
-// the per-call completed byte counts plus the first error in index order.
-// A fixed pool of clientMaxInflightSegments workers claims indices via an
-// atomic cursor — a 64-segment read spawns at most that many goroutines, not
-// 64.
-func (f *RemoteFile) inParallel(n int, op func(i int) (int, error)) ([]int, error) {
-	ns := make([]int, n)
-	errs := make([]error, n)
-	if n == 1 {
-		ns[0], errs[0] = op(0)
-		return ns, errs[0]
-	}
-	workers := min(clientMaxInflightSegments, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				ns[i], errs[i] = op(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ns, err
-		}
-	}
-	return ns, nil
-}
+// Truncate fails: exports are read-only.
+func (f *RemoteFile) Truncate(int64) error { return ErrReadOnly }
 
-// Size queries the remote size.
-func (f *RemoteFile) Size() (int64, error) {
-	req := getFrame()
-	req.op, req.handle = OpStat, f.handle
-	resp, err := f.c.roundTrip(req)
-	if err != nil {
-		return 0, err
-	}
-	size := int64(resp.aux)
-	putFrame(resp)
-	f.mu.Lock()
-	f.size = size
-	f.mu.Unlock()
-	return size, nil
-}
+// Size returns the size the open reply carried: an export does not change
+// while open.
+func (f *RemoteFile) Size() (int64, error) { return f.size, nil }
 
-// Truncate resizes the remote file.
-func (f *RemoteFile) Truncate(n int64) error {
-	if f.ro {
-		return ErrReadOnly
-	}
-	req := getFrame()
-	req.op, req.handle, req.aux = OpTruncate, f.handle, uint64(n)
-	resp, err := f.c.roundTrip(req)
-	if err == nil {
-		putFrame(resp)
-		f.mu.Lock()
-		f.size = n
-		f.mu.Unlock()
-	}
-	return err
-}
-
-// Sync flushes the remote file.
-func (f *RemoteFile) Sync() error {
-	req := getFrame()
-	req.op, req.handle = OpSync, f.handle
-	resp, err := f.c.roundTrip(req)
-	if err == nil {
-		putFrame(resp)
-	}
-	return err
-}
+// Sync has nothing to flush.
+func (f *RemoteFile) Sync() error { return nil }
 
 // Close releases the remote handle (the connection stays open for other
 // files).

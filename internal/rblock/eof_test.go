@@ -37,7 +37,7 @@ func (f wrappedEOFFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestRemoteReadAtEOFBoundaries pins down RemoteFile.ReadAt semantics around
-// the end of an image that is not a multiple of rwsize or of maxReadV:
+// the end of an image that is not a multiple of 4 KiB or of maxReadV:
 // exact-length tails succeed, reads crossing the end return the short count
 // with io.EOF, and reads wholly past the end return (0, io.EOF) — the
 // contract the qcow fill path relies on for its exact-length fetch of an
@@ -47,8 +47,8 @@ func (f wrappedEOFFile) ReadAt(p []byte, off int64) (int, error) {
 // the rest start past it.
 func TestRemoteReadAtEOFBoundaries(t *testing.T) {
 	const (
-		rwsize = 4096
-		size   = 5*maxReadV/2 + 1696 // a multiple of neither rwsize nor maxReadV
+		seg  = 4096
+		size = 5*maxReadV/2 + 1696 // a multiple of neither seg nor maxReadV
 	)
 	pat := make([]byte, size)
 	for i := range pat {
@@ -63,13 +63,13 @@ func TestRemoteReadAtEOFBoundaries(t *testing.T) {
 		if err := backend.WriteFull(f, pat, 0); err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer(store, ServerOpts{RWSize: rwsize})
+		srv := NewServer(store, ServerOpts{})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-		c := dial(t, addr, rwsize)
+		c := dial(t, addr)
 		rf, err := c.Open("img", true)
 		if err != nil {
 			t.Fatal(err)
@@ -82,16 +82,16 @@ func TestRemoteReadAtEOFBoundaries(t *testing.T) {
 			wantN   int
 			wantEOF bool
 		}{
-			{"interior single segment", 0, rwsize, rwsize, false},
-			{"interior multi segment", 8192, 3 * rwsize, 3 * rwsize, false},
-			{"exact end aligned", size - rwsize, rwsize, rwsize, false},
+			{"interior single segment", 0, seg, seg, false},
+			{"interior multi segment", 8192, 3 * seg, 3 * seg, false},
+			{"exact end aligned", size - seg, seg, seg, false},
 			{"exact end short tail", size - 1696, 1696, 1696, false},
-			{"exact end multi segment", size - 2*rwsize, 2 * rwsize, 2 * rwsize, false},
-			{"cross end single segment", size - 1000, rwsize, 1000, true},
-			{"cross end multi segment", size - 9888, 4 * rwsize, 9888, true},
+			{"exact end multi segment", size - 2*seg, 2 * seg, 2 * seg, false},
+			{"cross end single segment", size - 1000, seg, 1000, true},
+			{"cross end multi segment", size - 9888, 4 * seg, 9888, true},
 			{"cross end one byte", size - 1, 2, 1, true},
-			{"wholly past end", size, rwsize, 0, true},
-			{"far past end", size + 1<<20, rwsize, 0, true},
+			{"wholly past end", size, seg, 0, true},
+			{"far past end", size + 1<<20, seg, 0, true},
 			{"zero length", 0, 0, 0, false},
 			{"interior multi request", 8192, 2*maxReadV + 5, 2*maxReadV + 5, false},
 			{"exact end multi request", size - 2*maxReadV - 7, 2*maxReadV + 7, 2*maxReadV + 7, false},

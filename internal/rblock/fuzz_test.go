@@ -43,8 +43,8 @@ func refReadV(p []byte) (recs [][2]uint64, ok bool) {
 // reply must be the reference bytes: the ranges in order, cut at the end of
 // the file.
 func FuzzReadV(f *testing.F) {
-	_, addr, _, data := newDirServer(f, 64<<10+7, ServerOpts{ReadOnly: true})
-	c := dial(f, addr, 0)
+	_, addr, _, data := newDirServer(f, 64<<10+7, ServerOpts{})
+	c := dial(f, addr)
 	rf, err := c.Open("pub.img", true)
 	if err != nil {
 		f.Fatal(err)
@@ -131,14 +131,15 @@ func (s fuzzStore) Create(name string) (backend.File, error) { return nil, backe
 func (s fuzzStore) Remove(name string) error                 { return backend.ErrNotExist }
 func (s fuzzStore) Stat(name string) (int64, error)          { return 0, backend.ErrNotExist }
 
-// FuzzServerOp feeds arbitrary request frames to Server.handle over a
-// connection holding handle 1, descriptor-backed, and handle 2, backed by
-// memory, both read-only. The server is a read-only export (`rblockd -ro`):
-// it refuses writes and truncates before they reach a file, so a fuzzed
-// offset or size cannot grow the memory file. Nothing may panic; the reply op
-// is the request op with the reply flag; a failed status carries no payload
-// or extents; no payload exceeds maxPayload; and once the reply's done hook
-// has run, every open handle is back to the table's one reference.
+// FuzzServerOp feeds arbitrary request frames (op, flags, handle, offset,
+// aux, payload) to Server.handle over a connection holding handle 1,
+// descriptor-backed, and handle 2, backed by memory. Every export is
+// read-only: the retired write, sync, truncate and stat codes (3–6) answer
+// StatusBadRequest before they reach a file, so a fuzzed offset or size
+// cannot grow the memory file. Nothing may panic; the reply op is the request
+// op with the reply flag; a failed status carries no payload or extents; no
+// payload exceeds maxPayload; and once the reply's done hook has run, every
+// open handle is back to the table's one reference.
 func FuzzServerOp(f *testing.F) {
 	disk, err := backend.NewDirStore(f.TempDir())
 	if err != nil {
@@ -163,8 +164,7 @@ func FuzzServerOp(f *testing.F) {
 	}
 	h1 := [HashLen]byte{1}
 	srv := NewServer(fuzzStore{disk: disk, mem: mem}, ServerOpts{
-		ReadOnly: true,
-		Maps:     fakeMaps{"img": {1, 2, 3}},
+		Maps: fakeMaps{"img": {1, 2, 3}},
 		Chunks: &fakeChunks{
 			manifests: map[string][]byte{"img": {4, 5}},
 			blobs:     map[[HashLen]byte][]byte{h1: bytes.Repeat([]byte{1}, 1000)},
@@ -174,24 +174,25 @@ func FuzzServerOp(f *testing.F) {
 		return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, off), n)
 	}
 	for _, h := range []uint32{1, 2} {
-		f.Add(uint8(OpReadV), h, uint64(0), uint64(0), rec(0, 4096))
-		f.Add(uint8(OpReadV), h, uint64(0), uint64(0), append(rec(0, 64<<10), rec(200<<10, 100)...))
-		f.Add(uint8(OpReadV), h, uint64(0), uint64(0), rec(1<<40, maxReadV))
-		f.Add(uint8(OpStat), h, uint64(0), uint64(0), []byte(nil))
-		f.Add(uint8(OpSync), h, uint64(0), uint64(0), []byte(nil))
-		f.Add(uint8(OpClose), h, uint64(0), uint64(0), []byte(nil))
-		f.Add(uint8(OpWrite), h, uint64(10), uint64(0), []byte("x"))
-		f.Add(uint8(OpTruncate), h, uint64(0), uint64(1<<62), []byte(nil))
+		f.Add(uint8(OpReadV), uint8(flagReadOnly), h, uint64(0), uint64(0), rec(0, 4096))
+		f.Add(uint8(OpReadV), uint8(flagReadOnly), h, uint64(0), uint64(0), append(rec(0, 64<<10), rec(200<<10, 100)...))
+		f.Add(uint8(OpReadV), uint8(flagReadOnly), h, uint64(0), uint64(0), rec(1<<40, maxReadV))
+		f.Add(uint8(6), uint8(flagReadOnly), h, uint64(0), uint64(0), []byte(nil)) // the retired stat
+		f.Add(uint8(4), uint8(flagReadOnly), h, uint64(0), uint64(0), []byte(nil)) // the retired sync
+		f.Add(uint8(OpClose), uint8(flagReadOnly), h, uint64(0), uint64(0), []byte(nil))
+		f.Add(uint8(3), uint8(flagReadOnly), h, uint64(10), uint64(0), []byte("x"))    // the retired write
+		f.Add(uint8(5), uint8(flagReadOnly), h, uint64(0), uint64(1<<62), []byte(nil)) // the retired truncate
 	}
-	f.Add(uint8(OpOpen), uint32(0), uint64(0), uint64(0), []byte("disk.img"))
-	f.Add(uint8(OpOpen), uint32(0), uint64(0), uint64(0), []byte("../x"))
-	f.Add(uint8(OpMap), uint32(0), uint64(0), uint64(0), []byte("img"))
-	f.Add(uint8(OpManifest), uint32(0), uint64(0), uint64(0), []byte("img"))
-	f.Add(uint8(OpChunkBatch), uint32(0), uint64(0), uint64(0), append(h1[:], make([]byte, HashLen)...))
-	f.Add(uint8(2), uint32(1), uint64(0), uint64(4096), []byte(nil)) // the retired single-range read
-	f.Add(uint8(10), uint32(0), uint64(0), uint64(0), h1[:])         // the retired single-chunk fetch
-	f.Add(uint8(0xff), uint32(7), uint64(1), uint64(1), []byte{1})
-	f.Fuzz(func(t *testing.T, op uint8, handle uint32, offset, aux uint64, payload []byte) {
+	f.Add(uint8(OpOpen), uint8(flagReadOnly), uint32(0), uint64(0), uint64(0), []byte("disk.img"))
+	f.Add(uint8(OpOpen), uint8(flagReadOnly), uint32(0), uint64(0), uint64(0), []byte("../x"))
+	f.Add(uint8(OpMap), uint8(flagReadOnly), uint32(0), uint64(0), uint64(0), []byte("img"))
+	f.Add(uint8(OpManifest), uint8(flagReadOnly), uint32(0), uint64(0), uint64(0), []byte("img"))
+	f.Add(uint8(OpChunkBatch), uint8(flagReadOnly), uint32(0), uint64(0), uint64(0), append(h1[:], make([]byte, HashLen)...))
+	f.Add(uint8(2), uint8(flagReadOnly), uint32(1), uint64(0), uint64(4096), []byte(nil)) // the retired single-range read
+	f.Add(uint8(10), uint8(flagReadOnly), uint32(0), uint64(0), uint64(0), h1[:])         // the retired single-chunk fetch
+	f.Add(uint8(0xff), uint8(flagReadOnly), uint32(7), uint64(1), uint64(1), []byte{1})
+	f.Add(uint8(OpOpen), uint8(0), uint32(0), uint64(0), uint64(0), []byte("disk.img")) // a writable open
+	f.Fuzz(func(t *testing.T, op, flags uint8, handle uint32, offset, aux uint64, payload []byte) {
 		cs := &connState{handles: map[uint32]*openHandle{}}
 		defer func() {
 			for _, oh := range cs.handles {
@@ -200,7 +201,7 @@ func FuzzServerOp(f *testing.F) {
 		}()
 		for _, name := range []string{"disk.img", "mem.img"} {
 			open := getFrame()
-			open.op, open.flags, open.payload = OpOpen, 1, []byte(name)
+			open.op, open.flags, open.payload = OpOpen, flagReadOnly, []byte(name)
 			resp := srv.handle(open, cs)
 			if resp.status != StatusOK {
 				t.Fatalf("opening %s: status %d", name, resp.status)
@@ -212,7 +213,7 @@ func FuzzServerOp(f *testing.F) {
 			t.Fatal("handle 1 must carry a descriptor and handle 2 none")
 		}
 		req := getFrame()
-		req.op, req.handle, req.offset, req.aux, req.payload = Op(op), handle, offset, aux, payload
+		req.op, req.flags, req.handle, req.offset, req.aux, req.payload = Op(op), flags, handle, offset, aux, payload
 		resp := srv.handle(req, cs)
 		putFrame(req)
 		if resp.op != Op(op)|replyFlag {
@@ -262,7 +263,7 @@ func FuzzChunkBatch(f *testing.F) {
 		hashes := make([][HashLen]byte, int(n)%MaxBatchChunks+1)
 		srvConn, cliConn := net.Pipe()
 		defer srvConn.Close() //nolint:errcheck
-		c := newClient(cliConn, 0)
+		c := newClient(cliConn)
 		defer c.Close() //nolint:errcheck
 		go func() {
 			req, err := readFrame(srvConn, nil, make([]byte, frameHeaderLen))

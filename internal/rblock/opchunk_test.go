@@ -42,14 +42,14 @@ func TestOpManifestChunkRoundTrip(t *testing.T) {
 			h2: bytes.Repeat([]byte{0x22}, 64<<10),
 		},
 	}
-	srv := NewServer(backend.NewMemStore(), ServerOpts{ReadOnly: true, Chunks: src})
+	srv := NewServer(backend.NewMemStore(), ServerOpts{Chunks: src})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
 
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	enc, err := c.FetchManifest("img.vmic")
 	if err != nil {
 		t.Fatalf("FetchManifest: %v", err)
@@ -96,20 +96,20 @@ func TestOpManifestChunkRoundTrip(t *testing.T) {
 }
 
 // TestOpChunkWithoutSource: a server without a chunk source refuses
-// manifests, and every server refuses the retired single-chunk op's wire
-// code (10) and single-range read's (2) as unknown ops, keeping the
-// connection.
+// manifests, and every server refuses the retired ops' wire codes — the
+// single-range read (2), write (3), sync (4), truncate (5), stat (6) and
+// single-chunk fetch (10) — as unknown ops, keeping the connection.
 func TestOpChunkWithoutSource(t *testing.T) {
 	src := &fakeChunks{blobs: map[[HashLen]byte][]byte{{1}: {1}}}
 	for _, opts := range []ServerOpts{{}, {Chunks: src}} {
 		_, addr, _ := newServer(t, opts)
-		c := dial(t, addr, 0)
+		c := dial(t, addr)
 		if opts.Chunks == nil {
 			if _, err := c.FetchManifest("img.vmic"); !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("no chunk source: %v, want ErrBadRequest", err)
 			}
 		}
-		for _, op := range []Op{2, 10} {
+		for _, op := range []Op{2, 3, 4, 5, 6, 10} {
 			req := getFrame()
 			req.op, req.payload, req.aux = op, make([]byte, HashLen), 4096
 			if _, err := c.roundTrip(req); !errors.Is(err, ErrBadRequest) {
@@ -133,13 +133,13 @@ func TestOpChunkBatch(t *testing.T) {
 		src.blobs[h] = b
 		hashes = append(hashes, h)
 	}
-	srv := NewServer(backend.NewMemStore(), ServerOpts{ReadOnly: true, Chunks: src})
+	srv := NewServer(backend.NewMemStore(), ServerOpts{Chunks: src})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 
 	// Full batch: every blob comes back in request order.
 	blobs, err := c.FetchChunkBatch(hashes)
@@ -195,13 +195,13 @@ func TestOpChunkBatchFrameCap(t *testing.T) {
 		src.blobs[h] = bytes.Repeat([]byte{i}, 3<<20)
 		hashes = append(hashes, h)
 	}
-	srv := NewServer(backend.NewMemStore(), ServerOpts{ReadOnly: true, Chunks: src})
+	srv := NewServer(backend.NewMemStore(), ServerOpts{Chunks: src})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	blobs, err := c.FetchChunkBatch(hashes)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestOpChunkBatchFrameCap(t *testing.T) {
 
 func TestOpChunkBatchWithoutSource(t *testing.T) {
 	_, addr, _ := newServer(t, ServerOpts{})
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	if _, err := c.FetchChunkBatch([][HashLen]byte{{1}}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("no chunk source: %v, want ErrBadRequest", err)
 	}

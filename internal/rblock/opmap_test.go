@@ -30,7 +30,7 @@ func TestOpMapRoundTrip(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
 
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	got, err := c.FetchMap("swarm:img.vmic")
 	if err != nil {
 		t.Fatalf("FetchMap: %v", err)
@@ -53,7 +53,7 @@ func TestOpMapRoundTrip(t *testing.T) {
 
 func TestOpMapWithoutSource(t *testing.T) {
 	_, addr, _ := newServer(t, ServerOpts{})
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	if _, err := c.FetchMap("swarm:img.vmic"); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("no map source: %v, want ErrBadRequest", err)
 	}
@@ -100,14 +100,14 @@ func TestStatusUnavailRead(t *testing.T) {
 	store := &unavailStore{Store: mem, wrap: func(f backend.File) backend.File {
 		return &unavailFile{File: f, validBelow: 4 << 10}
 	}}
-	srv := NewServer(store, ServerOpts{ReadOnly: true})
+	srv := NewServer(store, ServerOpts{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
 
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	rf, err := c.Open("part.img", true)
 	if err != nil {
 		t.Fatal(err)

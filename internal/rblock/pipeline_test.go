@@ -27,7 +27,7 @@ func TestPipelinedConcurrentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := dial(t, addr, 8<<10)
+	c := dial(t, addr)
 	rf, err := c.Open("disk.img", true)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestPipelinedConcurrentRequests(t *testing.T) {
 		go func(seedN int64) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(seedN))
-			buf := make([]byte, 32<<10) // 4 pipelined segments at rwsize 8K
+			buf := make([]byte, 32<<10)
 			for i := 0; i < 25; i++ {
 				n := 1 + rnd.Intn(len(buf))
 				off := rnd.Int63n(int64(len(seed) - n))
@@ -58,48 +58,6 @@ func TestPipelinedConcurrentRequests(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPipelinedWritesAndReads mixes concurrent writers (disjoint regions)
-// and readers on one connection, then verifies the file server-side.
-func TestPipelinedWritesAndReads(t *testing.T) {
-	store, addr, _ := newServer(t, ServerOpts{})
-	if _, err := store.Create("disk.img"); err != nil {
-		t.Fatal(err)
-	}
-
-	c := dial(t, addr, 4<<10)
-	rf, err := c.Open("disk.img", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const (
-		workers = 8
-		region  = 64 << 10
-	)
-	want := make([]byte, workers*region)
-	rand.New(rand.NewSource(7)).Read(want)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			off := int64(w) * region
-			if err := backend.WriteFull(rf, want[off:off+region], off); err != nil {
-				t.Errorf("write region %d: %v", w, err)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	got := make([]byte, len(want))
-	if err := backend.ReadFull(rf, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("concurrent writes corrupted the file")
-	}
-}
-
 // TestClientBrokenFailsFast kills the server mid-conversation and checks
 // that the client surfaces ErrClientBroken (not a hang, not stream
 // corruption) on the in-flight request and fails fast on all later calls.
@@ -113,7 +71,7 @@ func TestClientBrokenFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	rf, err := c.Open("disk.img", true)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +192,7 @@ func TestTornReplyBreaksClient(t *testing.T) {
 // TestOutOfOrderCompletion checks that responses demultiplex by id: a slow
 // large read issued first does not block a small read issued second.
 func TestOutOfOrderCompletion(t *testing.T) {
-	store, addr, _ := newServer(t, ServerOpts{RWSize: 1 << 20})
+	store, addr, _ := newServer(t, ServerOpts{})
 	f, err := store.Create("disk.img")
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +203,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := dial(t, addr, 1<<20)
+	c := dial(t, addr)
 	rf, err := c.Open("disk.img", true)
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,13 @@
-// Package rblock implements a small remote block-file protocol over TCP:
-// the repository's stand-in for the NFS export between the storage node and
-// the compute nodes (§5). A server exports a backend.Store; clients open
-// files by name and get a backend.File whose reads and writes travel over
-// the network: reads as vectored OpReadV requests of up to 1 MiB, writes in
-// rwsize-bounded segments. The paper tuned its NFS rwsize to 64 KiB ("the
-// default rwsize of 1MB does not match well with the small-sized read
-// requests during boot time"); here a small read is a small request whatever
-// the cap, so only writes keep the segment bound.
+// Package rblock implements a small read-only remote block-file protocol over
+// TCP: the repository's stand-in for the NFS export between the storage node
+// and the compute nodes (§5). A server exports a backend.Store of immutable
+// files (base images, published caches); clients open them by name and get a
+// backend.File whose reads travel over the network as vectored OpReadV
+// requests of up to 1 MiB. Every cache and copy-on-write image lives on its
+// compute node, so nothing writes through rblock. The paper tuned its NFS
+// rwsize to 64 KiB ("the default rwsize of 1MB does not match well with the
+// small-sized read requests during boot time"); here a small read is a small
+// request whatever the cap, so there is no rwsize.
 package rblock
 
 import (
@@ -24,10 +25,10 @@ const (
 	// Magic starts every frame ("RBLK").
 	Magic = 0x52424c4b
 
-	// DefaultRWSize is the default maximum write segment, matching the
-	// paper's tuned NFS rwsize. It is also the smallest read reply the
-	// server sends with sendfile rather than through a pooled buffer.
-	DefaultRWSize = 64 << 10
+	// sendfileMin is the smallest OpReadV request the server answers with
+	// sendfile rather than through a pooled buffer (the paper's tuned NFS
+	// rwsize), and the size of the pooled payload buffers on both ends.
+	sendfileMin = 64 << 10
 
 	// MaxNameLen bounds export names.
 	MaxNameLen = 4096
@@ -40,15 +41,17 @@ const (
 type Op uint8
 
 // Protocol operations; responses reuse the request op with the reply flag.
-// Codes 2 and 10 belonged to the retired single-range read and single-chunk
-// fetch; a server answers them, like any unknown op, StatusBadRequest.
+// Codes 2–6 and 10 belonged to the retired single-range read, write, sync,
+// truncate, stat and single-chunk fetch; a server answers them, like any
+// unknown op, StatusBadRequest.
 const (
-	OpOpen     Op = 1
-	OpWrite    Op = 3
-	OpSync     Op = 4
-	OpTruncate Op = 5
-	OpStat     Op = 6
-	OpClose    Op = 7
+	// OpOpen opens an export by name, read-only: the request payload is the
+	// name, the request must set the read-only flag (bit 0 of flags), and
+	// the reply carries the handle and, in aux, the file's size. A name
+	// that is empty, absolute or escapes the export through ".." answers
+	// StatusBadRequest; an open without the read-only flag StatusReadOnly.
+	OpOpen  Op = 1
+	OpClose Op = 7
 
 	// OpMap queries the chunk-validity map of an export by name (no open
 	// handle needed): the request payload is the export name, the reply
@@ -86,6 +89,9 @@ const (
 	// replyFlag marks response frames.
 	replyFlag = 0x80
 )
+
+// flagReadOnly is the OpOpen flag every open must carry.
+const flagReadOnly = 1
 
 // OpReadV bounds. maxReadV caps one reply's bytes, and so the buffer the
 // server fills per request (1 MiB measured better than 256 KiB for a cold
@@ -193,7 +199,7 @@ func statusErr(s uint32) error {
 //	handle u32
 //	offset u64
 //	length u32 (payload length)
-//	aux    u64 (sizes: open/stat result, truncate target)
+//	aux    u64 (open: the file's size; OpChunkBatch: the record count)
 //	payload [length]bytes
 const frameHeaderLen = 4 + 1 + 1 + 2 + 4 + 4 + 8 + 4 + 8
 

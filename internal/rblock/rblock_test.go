@@ -5,6 +5,9 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,9 +31,9 @@ func newServer(t *testing.T, opts ServerOpts) (*backend.MemStore, string, *Serve
 	return store, addr, srv
 }
 
-func dial(t testing.TB, addr string, rwsize int) *Client {
+func dial(t testing.TB, addr string) *Client {
 	t.Helper()
-	c, err := Dial(addr, rwsize)
+	c, err := Dial(addr, 0)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -38,7 +41,10 @@ func dial(t testing.TB, addr string, rwsize int) *Client {
 	return c
 }
 
-func TestRemoteReadWriteRoundTrip(t *testing.T) {
+// TestRemoteReadRoundTrip: a read of any size up to maxReadV is one request
+// and one server read, and the immutable file answers Size and Sync without
+// a request and refuses writes.
+func TestRemoteReadRoundTrip(t *testing.T) {
 	store, addr, srv := newServer(t, ServerOpts{})
 	f, err := store.Create("disk.img")
 	if err != nil {
@@ -49,18 +55,21 @@ func TestRemoteReadWriteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := dial(t, addr, 0)
-	rf, err := c.Open("disk.img", false)
+	c := dial(t, addr)
+	rf, err := c.Open("disk.img", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Size from open.
+	req0 := c.Stats().Requests
 	if sz, err := rf.Size(); err != nil || sz != int64(len(seed)) {
 		t.Fatalf("size = %d, %v", sz, err)
 	}
-	// A read larger than rwsize is still one request: only writes are
-	// rwsize-bounded.
-	req0 := c.Stats().Requests
+	if err := rf.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if reqs := c.Stats().Requests - req0; reqs != 0 {
+		t.Fatalf("Size and Sync sent %d requests, want 0", reqs)
+	}
 	got := make([]byte, len(seed))
 	if err := backend.ReadFull(rf, got, 0); err != nil {
 		t.Fatal(err)
@@ -70,27 +79,6 @@ func TestRemoteReadWriteRoundTrip(t *testing.T) {
 	}
 	if reqs, ops := c.Stats().Requests-req0, srv.Stats().ReadOps; reqs != 1 || ops != 1 {
 		t.Fatalf("a %d B read cost %d requests, %d server reads; want 1 and 1", len(seed), reqs, ops)
-	}
-	// Write + read-back + sync + truncate.
-	payload := []byte("written remotely")
-	if err := backend.WriteFull(rf, payload, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if err := rf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	back := make([]byte, len(payload))
-	if err := backend.ReadFull(rf, back, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if string(back) != string(payload) {
-		t.Fatalf("write round trip: %q", back)
-	}
-	if err := rf.Truncate(1234); err != nil {
-		t.Fatal(err)
-	}
-	if sz, _ := rf.Size(); sz != 1234 {
-		t.Fatalf("size after truncate = %d", sz)
 	}
 	if err := rf.Close(); err != nil {
 		t.Fatal(err)
@@ -106,7 +94,7 @@ func TestRemoteEOFSemantics(t *testing.T) {
 	if err := backend.WriteFull(f, []byte("0123456789"), 0); err != nil {
 		t.Fatal(err)
 	}
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	rf, err := c.Open("small", true)
 	if err != nil {
 		t.Fatal(err)
@@ -120,88 +108,113 @@ func TestRemoteEOFSemantics(t *testing.T) {
 
 func TestRemoteOpenMissing(t *testing.T) {
 	_, addr, _ := newServer(t, ServerOpts{})
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	if _, err := c.Open("ghost", true); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// TestReadOnlyHandleAndServer: a remote file refuses writes and truncates
+// locally; Open(name, false) fails with ErrReadOnly without a request, so
+// the server opens nothing; and the server answers a raw OpOpen frame
+// without the read-only flag StatusReadOnly, keeping the connection.
 func TestReadOnlyHandleAndServer(t *testing.T) {
-	store, addr, _ := newServer(t, ServerOpts{})
-	store.Create("x") //nolint:errcheck
-	c := dial(t, addr, 0)
+	store, addr, srv := newServer(t, ServerOpts{})
+	f, _ := store.Create("x")
+	backend.WriteFull(f, []byte("x"), 0) //nolint:errcheck
+	c := dial(t, addr)
 	rf, err := c.Open("x", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rf.WriteAt([]byte{1}, 0); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("RO handle write: %v", err)
+		t.Fatalf("write: %v", err)
 	}
 	if err := rf.Truncate(5); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("RO handle truncate: %v", err)
+		t.Fatalf("truncate: %v", err)
 	}
 
-	// Whole-server read-only export.
-	store2 := backend.NewMemStore()
-	store2.Create("y") //nolint:errcheck
-	srv2 := NewServer(store2, ServerOpts{ReadOnly: true})
-	addr2, err := srv2.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	req0, opens0 := c.Stats().Requests, srv.Stats().Opens
+	if _, err := c.Open("x", false); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("writable open: %v, want ErrReadOnly", err)
 	}
-	defer srv2.Close() //nolint:errcheck
-	c2 := dial(t, addr2, 0)
-	rf2, err := c2.Open("y", false) // asks RW; server forces RO
-	if err != nil {
-		t.Fatal(err)
+	if reqs, opens := c.Stats().Requests-req0, srv.Stats().Opens-opens0; reqs != 0 || opens != 0 {
+		t.Fatalf("a writable open sent %d requests and the server opened %d files, want 0 and 0", reqs, opens)
 	}
-	if _, err := rf2.WriteAt([]byte{1}, 0); err == nil {
-		t.Fatal("read-only server accepted a write")
+
+	req := getFrame()
+	req.op, req.payload = OpOpen, []byte("x") // no flagReadOnly
+	if _, err := c.roundTrip(req); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("raw writable OpOpen: %v, want ErrReadOnly", err)
+	}
+	if opens := srv.Stats().Opens - opens0; opens != 0 {
+		t.Fatalf("the server opened %d files for a writable OpOpen", opens)
+	}
+	if err := backend.ReadFull(rf, make([]byte, 1), 0); err != nil || c.Stats().Broken != 0 {
+		t.Fatalf("the refusal broke the client: %v", err)
 	}
 }
 
-// TestRWSizeEnforcedByServer: the server's rwsize bounds each write request,
-// and a client honouring it segments writes to fit; reads are not bound by
-// it.
-func TestRWSizeEnforcedByServer(t *testing.T) {
-	store, addr, srv := newServer(t, ServerOpts{RWSize: 4096})
-	f, _ := store.Create("f")
-	backend.WriteFull(f, make([]byte, 64<<10), 0) //nolint:errcheck
-	want := bytes.Repeat([]byte{0x5A}, 16<<10)
-	// Client negotiating a LARGER rwsize gets rejected per request.
-	c := dial(t, addr, 32<<10)
-	rf, err := c.Open("f", false)
+// nameLogStore records every name that reaches Open.
+type nameLogStore struct {
+	backend.Store
+	mu    sync.Mutex
+	names []string
+}
+
+func (s *nameLogStore) Open(name string, ro bool) (backend.File, error) {
+	s.mu.Lock()
+	s.names = append(s.names, name)
+	s.mu.Unlock()
+	return s.Store.Open(name, ro)
+}
+
+// TestOpenConfinedToExport: the server refuses an export name that is
+// absolute or climbs out of the export directory before it reaches the
+// store, so a file beside the directory is never served; a name that climbs
+// back inside the directory ("a/../img") still opens.
+func TestOpenConfinedToExport(t *testing.T) {
+	root := t.TempDir()
+	secret := filepath.Join(root, "secret")
+	if err := os.WriteFile(secret, []byte("outside the export"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exportDir := filepath.Join(root, "export")
+	dir, err := backend.NewDirStore(exportDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rf.WriteAt(want, 0); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("oversized write: %v", err)
+	want := []byte("inside the export")
+	if err := os.WriteFile(filepath.Join(exportDir, "img"), want, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if srv.Stats().WriteOps != 0 {
-		t.Fatal("the server applied an oversized write")
-	}
-	// A client honouring the limit works, in rwsize segments.
-	c2 := dial(t, addr, 4096)
-	rf2, err := c2.Open("f", false)
+	store := &nameLogStore{Store: dir}
+	srv := NewServer(store, ServerOpts{})
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := backend.WriteFull(rf2, want, 0); err != nil {
-		t.Fatalf("segmented write under limit: %v", err)
-	}
-	if ops := srv.Stats().WriteOps; ops != 4 {
-		t.Fatalf("a 16 KiB write took %d requests at rwsize 4 KiB, want 4", ops)
-	}
-	// A read four times the rwsize is one request, from either client.
-	for _, r := range []*RemoteFile{rf, rf2} {
-		got := make([]byte, len(want))
-		req0 := r.c.Stats().Requests
-		if err := backend.ReadFull(r, got, 0); err != nil {
-			t.Fatalf("read over rwsize: %v", err)
+	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
+	c := dial(t, addr)
+
+	for _, name := range []string{"../secret", secret, "a/../../secret", ""} {
+		if _, err := c.Open(name, true); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Open(%q): %v, want ErrBadRequest", name, err)
 		}
-		if !bytes.Equal(got, want) || r.c.Stats().Requests-req0 != 1 {
-			t.Fatal("a read over rwsize was refused, split or wrong")
-		}
+	}
+	if len(store.names) != 0 || srv.Stats().BytesRead != 0 {
+		t.Fatalf("refused names reached the store (%q) or were served (%d B)", store.names, srv.Stats().BytesRead)
+	}
+	rf, err := c.Open("a/../img", true)
+	if err != nil {
+		t.Fatalf("Open(a/../img): %v", err)
+	}
+	got := make([]byte, len(want))
+	if err := backend.ReadFull(rf, got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("a/../img read %q, %v", got, err)
+	}
+	if c.Stats().Broken != 0 {
+		t.Fatal("a refused name broke the client")
 	}
 }
 
@@ -211,7 +224,7 @@ func TestMultipleFilesOneConnection(t *testing.T) {
 		f, _ := store.Create(name)
 		backend.WriteFull(f, []byte(name), 0) //nolint:errcheck
 	}
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	fa, err := c.Open("a", true)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +303,7 @@ func TestServerStatsPerImage(t *testing.T) {
 		f, _ := store.Create(name)
 		backend.WriteFull(f, make([]byte, 8<<10), 0) //nolint:errcheck
 	}
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	fh, err := c.Open("hot", true)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +391,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
 
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	rf, err := c.Open("slow", true)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +453,7 @@ func TestQcowChainOverRemoteBase(t *testing.T) {
 	}
 
 	// "Compute node": open the base over TCP, build cache + CoW on it.
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	remoteBase, err := c.Open("base.img", true)
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +522,7 @@ func TestRemoteStoreInNamespace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	ns := core.NewNamespace("node", backend.NewMemStore())
 	ns.Register("storage", RemoteStore{C: c})
 

@@ -48,7 +48,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 // b.Delay(i) between tries, and returns the first successful client or the
 // last dial error. sleep, when non-nil, replaces time.Sleep so tests can
 // observe the schedule without waiting; pass nil for real sleeping.
-func DialRetry(addr string, rwsize, attempts int, b Backoff, sleep func(time.Duration)) (*Client, error) {
+func DialRetry(addr string, attempts int, b Backoff, sleep func(time.Duration)) (*Client, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
@@ -62,7 +62,7 @@ func DialRetry(addr string, rwsize, attempts int, b Backoff, sleep func(time.Dur
 				sleep(d)
 			}
 		}
-		c, err := Dial(addr, rwsize)
+		c, err := Dial(addr, 0)
 		if err == nil {
 			return c, nil
 		}

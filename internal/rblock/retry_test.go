@@ -73,7 +73,7 @@ func TestDialRetryEventualSuccess(t *testing.T) {
 	defer srv.Close() //nolint:errcheck
 
 	b := Backoff{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond}
-	c, err := DialRetry(addr, 0, 5, b, sleep)
+	c, err := DialRetry(addr, 5, b, sleep)
 	if err != nil {
 		t.Fatalf("DialRetry: %v (slept %v)", err, slept)
 	}
@@ -99,7 +99,7 @@ func TestDialRetryExhausted(t *testing.T) {
 
 	var n int
 	b := Backoff{Base: time.Millisecond}
-	_, err = DialRetry(addr, 0, 3, b, func(time.Duration) { n++ })
+	_, err = DialRetry(addr, 3, b, func(time.Duration) { n++ })
 	if err == nil {
 		t.Fatal("DialRetry against dead address succeeded")
 	}

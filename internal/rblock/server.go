@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -23,22 +23,20 @@ import (
 // ServerStats is a point-in-time snapshot of a server's traffic counters —
 // the "observed traffic at the storage node" of Fig. 9 for real deployments.
 type ServerStats struct {
-	BytesRead    int64 // payload bytes served to clients
-	BytesWritten int64 // payload bytes received from clients
-	ReadOps      int64
-	WriteOps     int64
-	Opens        int64
-	Conns        int64 // connections accepted over the server's lifetime
-	ActiveConns  int64 // connections currently open
+	BytesRead   int64 // payload bytes served to clients
+	ReadOps     int64
+	Opens       int64
+	Conns       int64 // connections accepted over the server's lifetime
+	ActiveConns int64 // connections currently open
 
-	// Zero-copy serve effectiveness. Reads of at least DefaultRWSize on a
-	// read-only handle are served by sendfile when its export has a file
-	// descriptor; a read-only handle without one (a memory-backed or
-	// assembled export) is served by copy and counted as a fallback. Smaller
-	// reads and writable handles always copy, uncounted.
+	// Zero-copy serve effectiveness. Reads of at least 64 KiB are served by
+	// sendfile when the handle's export has a file descriptor; every read of
+	// a handle without one (a memory-backed or assembled export) is served by
+	// copy and counted as a fallback. Smaller reads of a descriptor-backed
+	// handle copy, uncounted.
 	ZeroCopyBytes     int64 // payload bytes shipped by sendfile
 	ZeroCopySegments  int64 // read replies shipped by sendfile
-	ZeroCopyFallbacks int64 // reads of read-only handles served by copy
+	ZeroCopyFallbacks int64 // reads of handles without a descriptor
 
 	// PerImage breaks traffic down by export name — which images are hot,
 	// and how many bytes each one shipped (cache transfers show up here as
@@ -56,10 +54,8 @@ type ImageStats struct {
 // String renders the snapshot for status output.
 func (st ServerStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "served %.1f MB over %d reads, received %.1f MB over %d writes, %d opens, %d conns (%d active)",
-		float64(st.BytesRead)/1e6, st.ReadOps,
-		float64(st.BytesWritten)/1e6, st.WriteOps,
-		st.Opens, st.Conns, st.ActiveConns)
+	fmt.Fprintf(&b, "served %.1f MB over %d reads, %d opens, %d conns (%d active)",
+		float64(st.BytesRead)/1e6, st.ReadOps, st.Opens, st.Conns, st.ActiveConns)
 	if st.ZeroCopySegments > 0 || st.ZeroCopyFallbacks > 0 {
 		fmt.Fprintf(&b, "\n  zero-copy: %.1f MB over %d replies, %d fallbacks",
 			float64(st.ZeroCopyBytes)/1e6, st.ZeroCopySegments, st.ZeroCopyFallbacks)
@@ -78,19 +74,17 @@ func (st ServerStats) String() string {
 
 // serverCounters is the live (atomic) form behind ServerStats snapshots.
 type serverCounters struct {
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-	readOps      atomic.Int64
-	writeOps     atomic.Int64
-	opens        atomic.Int64
-	conns        atomic.Int64
-	activeConns  atomic.Int64
-	activeReqs   atomic.Int64 // requests currently dispatched (drained by Shutdown)
-	latency      metrics.AtomicHistogram
+	bytesRead   atomic.Int64
+	readOps     atomic.Int64
+	opens       atomic.Int64
+	conns       atomic.Int64
+	activeConns atomic.Int64
+	activeReqs  atomic.Int64 // requests currently dispatched (drained by Shutdown)
+	latency     metrics.AtomicHistogram
 
 	// Zero-copy serve effectiveness: bytes/segments shipped by sendfile,
-	// and reads of read-only handles whose export has no descriptor, which
-	// the copy path served.
+	// and reads of handles whose export has no descriptor, which the copy
+	// path served.
 	zcBytes     atomic.Int64
 	zcSegments  atomic.Int64
 	zcFallbacks atomic.Int64
@@ -155,17 +149,16 @@ type ChunkSource interface {
 	ChunkBlob(hash [HashLen]byte) ([]byte, error)
 }
 
-// Server exports a Store over TCP.
+// Server exports a Store over TCP, read-only.
 type Server struct {
 	store  backend.Store
-	rwsize int
 	maps   MapSource
 	chunks ChunkSource
 	stats  serverCounters
 
-	// payloads recycles rwsize payload buffers across requests — the
-	// copy path's OpReadV replies of up to rwsize and inbound OpWrite
-	// payloads — so a busy stream allocates no payload buffers in steady
+	// payloads recycles sendfileMin payload buffers across requests — the
+	// inbound request payloads and the copy path's OpReadV replies of up to
+	// sendfileMin — so a busy stream allocates no payload buffers in steady
 	// state. Buffers return to the pool via putFrame once the frame's
 	// payload has been consumed.
 	payloads *payloadPool
@@ -181,7 +174,6 @@ type Server struct {
 	draining bool
 	conns    map[net.Conn]struct{}
 	logf     func(format string, args ...any)
-	readOnly bool
 
 	// testSndbuf, when non-zero, overrides the zero-copy send-buffer size
 	// on accepted connections. Tests shrink it so sendfile returns short
@@ -190,22 +182,15 @@ type Server struct {
 	testSndbuf int
 }
 
-// ServerOpts configures a Server. Reads of at least DefaultRWSize on
-// read-only handles whose export offers a file descriptor (zerocopy.Filer)
-// are served by sendfile(2) from that file; other reads copy through a
-// pooled buffer. On platforms without sendfile the helper copies internally.
-// Such a reply reads the file
-// when it reaches the wire and is clamped to the size the file had at open,
-// so an export must not shrink a file a client holds open read-only — base
-// images and published caches never change — or that client's connection
-// fails at the missing bytes.
+// ServerOpts configures a Server. The server opens every export read-only.
+// Reads of at least 64 KiB on handles whose export offers a file descriptor
+// (zerocopy.Filer) are served by sendfile(2) from that file; other reads
+// copy through a pooled buffer. On platforms without sendfile the helper
+// copies internally. Such a reply reads the file when it reaches the wire and
+// is clamped to the size the file had at open, so an export must not change a
+// file a client holds open — base images and published caches never change —
+// or that client's connection fails at the missing bytes.
 type ServerOpts struct {
-	// RWSize caps each write request's payload (0 = DefaultRWSize). Reads
-	// are bounded by maxReadV instead.
-	RWSize int
-	// ReadOnly rejects writes and truncates (a published base-image
-	// export).
-	ReadOnly bool
 	// Logf, when non-nil, receives connection-level errors.
 	Logf func(format string, args ...any)
 	// Maps, when non-nil, answers OpMap chunk-map queries (the swarm
@@ -220,26 +205,20 @@ type ServerOpts struct {
 
 // NewServer returns a server exporting store.
 func NewServer(store backend.Store, opts ServerOpts) *Server {
-	rw := opts.RWSize
-	if rw <= 0 {
-		rw = DefaultRWSize
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	srv := &Server{
-		store:    store,
-		rwsize:   rw,
-		maps:     opts.Maps,
-		chunks:   opts.Chunks,
-		conns:    make(map[net.Conn]struct{}),
-		logf:     logf,
-		readOnly: opts.ReadOnly,
+		store:     store,
+		maps:      opts.Maps,
+		chunks:    opts.Chunks,
+		conns:     make(map[net.Conn]struct{}),
+		logf:      logf,
+		payloads:  newPayloadPool(sendfileMin),
+		readvBufs: newPayloadPool(maxReadV),
 	}
 	srv.stats.perImage = make(map[string]*imageCounters)
-	srv.payloads = newPayloadPool(rw)
-	srv.readvBufs = newPayloadPool(maxReadV)
 	return srv
 }
 
@@ -248,13 +227,11 @@ func NewServer(store backend.Store, opts ServerOpts) *Server {
 func (s *Server) Stats() ServerStats {
 	c := &s.stats
 	snap := ServerStats{
-		BytesRead:    c.bytesRead.Load(),
-		BytesWritten: c.bytesWritten.Load(),
-		ReadOps:      c.readOps.Load(),
-		WriteOps:     c.writeOps.Load(),
-		Opens:        c.opens.Load(),
-		Conns:        c.conns.Load(),
-		ActiveConns:  c.activeConns.Load(),
+		BytesRead:   c.bytesRead.Load(),
+		ReadOps:     c.readOps.Load(),
+		Opens:       c.opens.Load(),
+		Conns:       c.conns.Load(),
+		ActiveConns: c.activeConns.Load(),
 
 		ZeroCopyBytes:     c.zcBytes.Load(),
 		ZeroCopySegments:  c.zcSegments.Load(),
@@ -281,12 +258,8 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels metrics.Labels) {
 	c := &s.stats
 	r.CounterFunc("vmicache_rblock_server_bytes_read_total",
 		"Payload bytes served to clients.", labels, c.bytesRead.Load)
-	r.CounterFunc("vmicache_rblock_server_bytes_written_total",
-		"Payload bytes received from clients.", labels, c.bytesWritten.Load)
 	r.CounterFunc("vmicache_rblock_server_read_ops_total",
 		"Read requests handled.", labels, c.readOps.Load)
-	r.CounterFunc("vmicache_rblock_server_write_ops_total",
-		"Write requests handled.", labels, c.writeOps.Load)
 	r.CounterFunc("vmicache_rblock_server_opens_total",
 		"Export opens handled.", labels, c.opens.Load)
 	r.CounterFunc("vmicache_rblock_server_conns_total",
@@ -437,12 +410,9 @@ type openHandle struct {
 	refs atomic.Int32
 
 	// Zero-copy eligibility, frozen at open: sys is the raw descriptor when
-	// the export exposes one, size the file length, ro whether the handle
-	// rejects writes (only immutable exports may be served by sendfile — a
-	// concurrent writer would make the promised length a lie).
+	// the export exposes one, size the file length.
 	sys  *os.File
 	size int64
-	ro   bool
 }
 
 func (oh *openHandle) retain() { oh.refs.Add(1) }
@@ -671,9 +641,17 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 		if len(req.payload) == 0 || len(req.payload) > MaxNameLen {
 			return fail(StatusBadRequest)
 		}
+		// Refuse a name that is absolute or climbs out of the export
+		// before it reaches the store; symlinks inside the export are the
+		// owner's and are followed.
 		name := string(req.payload)
-		ro := req.flags&1 != 0 || s.readOnly
-		f, err := s.store.Open(name, ro)
+		if !filepath.IsLocal(name) {
+			return fail(StatusBadRequest)
+		}
+		if req.flags&flagReadOnly == 0 {
+			return fail(StatusReadOnly)
+		}
+		f, err := s.store.Open(name, true)
 		if err != nil {
 			if errors.Is(err, ErrUnavail) {
 				return fail(StatusUnavail)
@@ -686,11 +664,8 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 			return fail(StatusIO)
 		}
 		ic := s.stats.image(name)
-		oh := &openHandle{f: f, ic: ic, size: size, ro: ro}
+		oh := &openHandle{f: f, ic: ic, sys: zerocopy.SysFile(f), size: size}
 		oh.refs.Store(1) // the handle table's reference
-		if ro {
-			oh.sys = zerocopy.SysFile(f)
-		}
 		cs.mu.Lock()
 		cs.nextHandle++
 		h := cs.nextHandle
@@ -704,63 +679,6 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 
 	case OpReadV:
 		return s.readV(req, resp, cs)
-
-	case OpWrite:
-		if s.readOnly {
-			return fail(StatusReadOnly)
-		}
-		oh, ok := cs.get(req.handle)
-		if !ok || len(req.payload) == 0 || len(req.payload) > s.rwsize {
-			if ok {
-				oh.release()
-			}
-			return fail(StatusBadRequest)
-		}
-		defer oh.release()
-		if err := backend.WriteFull(oh.f, req.payload, int64(req.offset)); err != nil {
-			return fail(StatusIO)
-		}
-		s.stats.writeOps.Add(1)
-		s.stats.bytesWritten.Add(int64(len(req.payload)))
-		return resp
-
-	case OpSync:
-		oh, ok := cs.get(req.handle)
-		if !ok {
-			return fail(StatusBadRequest)
-		}
-		defer oh.release()
-		if err := oh.f.Sync(); err != nil {
-			return fail(StatusIO)
-		}
-		return resp
-
-	case OpTruncate:
-		if s.readOnly {
-			return fail(StatusReadOnly)
-		}
-		oh, ok := cs.get(req.handle)
-		if !ok {
-			return fail(StatusBadRequest)
-		}
-		defer oh.release()
-		if err := oh.f.Truncate(int64(req.aux)); err != nil {
-			return fail(StatusIO)
-		}
-		return resp
-
-	case OpStat:
-		oh, ok := cs.get(req.handle)
-		if !ok {
-			return fail(StatusBadRequest)
-		}
-		defer oh.release()
-		size, err := oh.f.Size()
-		if err != nil {
-			return fail(StatusIO)
-		}
-		resp.aux = uint64(size)
-		return resp
 
 	case OpMap:
 		if s.maps == nil {
@@ -854,11 +772,11 @@ func (s *Server) handle(req *frame, cs *connState) *frame {
 	}
 }
 
-// readV serves OpReadV. A read-only handle with a file descriptor answers a
-// request for at least DefaultRWSize with the ranges' file extents
-// (readVExtents): for a small boot-time read the batched writev of a pooled
-// buffer beats an extra sendfile syscall per reply, while bulk pulls skip the
-// server-side copy entirely. Any other request reads every range with its
+// readV serves OpReadV. A handle with a file descriptor answers a request
+// for at least sendfileMin with the ranges' file extents (readVExtents): for
+// a small boot-time read the batched writev of a pooled buffer beats an extra
+// sendfile syscall per reply, while bulk pulls skip the server-side copy
+// entirely. Any other request reads every range with its
 // ReadAt into one pooled buffer, in order, and that buffer is the reply. Each
 // range counts as one read op, with its bytes. A range that ends past the
 // file's end ends the reply short; a read error fails the whole request.
@@ -874,14 +792,14 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 		return resp
 	}
 	defer oh.release()
-	if oh.sys != nil && total >= DefaultRWSize {
+	if oh.sys != nil && total >= sendfileMin {
 		return s.readVExtents(req.payload, n, resp, oh)
 	}
-	if oh.ro && oh.sys == nil {
+	if oh.sys == nil {
 		s.stats.zcFallbacks.Add(1)
 	}
 	pool := s.readvBufs
-	if total <= s.rwsize {
+	if total <= sendfileMin {
 		pool = s.payloads
 	}
 	bp := pool.get(total)
@@ -916,10 +834,9 @@ func (s *Server) readV(req, resp *frame, cs *connState) *frame {
 	return resp
 }
 
-// readVExtents answers an OpReadV of n records on a descriptor-backed
-// read-only handle with file extents instead of bytes: each range clamped to
-// the size frozen at open, adjacent ranges merged into one extent, and the
-// reply ending at the first range cut short by the end of the file — the
+// readVExtents answers an OpReadV of n records on a descriptor-backed handle
+// with file extents instead of bytes: each range clamped to the size frozen
+// at open, adjacent ranges merged into one extent, and the reply ending at the first range cut short by the end of the file — the
 // bytes the copy path would read, sent by sendfile. The frame holds its own
 // handle reference until it leaves the wire, so a concurrent OpClose — or
 // eviction unlinking the published file — cannot invalidate the descriptor
@@ -953,15 +870,4 @@ func (s *Server) readVExtents(p []byte, n int, resp *frame, oh *openHandle) *fra
 	oh.ic.readOps.Add(ops)
 	oh.ic.bytesRead.Add(done)
 	return resp
-}
-
-// ListenAndLog is a convenience for command-line servers: listens and logs
-// the bound address via the standard logger.
-func (s *Server) ListenAndLog(addr string) (string, error) {
-	bound, err := s.Listen(addr)
-	if err != nil {
-		return "", err
-	}
-	log.Printf("rblock: serving on %s (rwsize=%d)", bound, s.rwsize)
-	return bound, nil
 }

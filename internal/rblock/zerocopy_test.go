@@ -2,11 +2,10 @@ package rblock
 
 // Tests for the sendfile serve path: byte-identity against the copy path for
 // ReadAt and raw OpReadV requests, the size policy between the two paths, the
-// fallback matrix (memory-backed store, writable handle, an export that hides
-// its descriptor), eviction and OpClose racing
-// queued zero-copy replies (the handle refcount keeping the descriptor
-// alive), and a slow client forcing short sendfile returns mid-batch — all
-// run under -race by make check.
+// fallbacks (a memory-backed store, an export that hides its descriptor),
+// eviction and OpClose racing queued zero-copy replies (the handle refcount
+// keeping the descriptor alive), and a slow client forcing short sendfile
+// returns mid-batch — all run under -race by make check.
 
 import (
 	"bytes"
@@ -56,8 +55,8 @@ func newDirServer(t testing.TB, size int, opts ServerOpts) (*backend.DirStore, s
 // and that the zero-copy counters (not the fallback counter) advance.
 func TestServerReadZeroCopyIdentity(t *testing.T) {
 	const size = 1 << 20
-	_, addr, srv, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
-	c := dial(t, addr, 0)
+	_, addr, srv, data := newDirServer(t, size, ServerOpts{})
+	c := dial(t, addr)
 	rf, err := c.Open("pub.img", true)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestServerReadZeroCopyIdentity(t *testing.T) {
 // 4 KiB ReadAt takes the copy path, not counted as a fallback, and a 64 KiB
 // one takes sendfile.
 func TestReadAtServePolicy(t *testing.T) {
-	_, addr, srv, data := newDirServer(t, 1<<20, ServerOpts{ReadOnly: true})
+	_, addr, srv, data := newDirServer(t, 1<<20, ServerOpts{})
 	reg := metrics.NewRegistry()
 	srv.RegisterMetrics(reg, nil)
 	counters := func() (zcBytes, segs, fallbacks int64) {
@@ -118,7 +117,7 @@ func TestReadAtServePolicy(t *testing.T) {
 			v["vmicache_rblock_server_zerocopy_segments_total"],
 			v["vmicache_rblock_server_zerocopy_fallbacks_total"]
 	}
-	c := dial(t, addr, 0)
+	c := dial(t, addr)
 	rf, err := c.Open("pub.img", true)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestReadAtServePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		n        int
 		sendfile bool
-	}{{4 << 10, false}, {DefaultRWSize - 1, false}, {DefaultRWSize, true}} {
+	}{{4 << 10, false}, {sendfileMin - 1, false}, {sendfileMin, true}} {
 		b0, s0, f0 := counters()
 		buf := make([]byte, tc.n)
 		if err := backend.ReadFull(rf, buf, 12345); err != nil {
@@ -162,10 +161,9 @@ func (s noFDStore) Open(name string, ro bool) (backend.File, error) {
 	return noFDFile{f}, nil
 }
 
-// TestServerReadZeroCopyFallbacks drives the copy-path refusals: a
-// memory-backed store and an export that hides its descriptor have none (the
-// fallback counter advances), and a writable handle is never zero-copy nor
-// counted as a fallback.
+// TestServerReadZeroCopyFallbacks drives the copy-path fallbacks: a
+// memory-backed store and an export that hides its descriptor have none, so
+// their reads copy and the fallback counter advances.
 func TestServerReadZeroCopyFallbacks(t *testing.T) {
 	t.Run("memory-backed store", func(t *testing.T) {
 		store, addr, srv := newServer(t, ServerOpts{})
@@ -177,7 +175,7 @@ func TestServerReadZeroCopyFallbacks(t *testing.T) {
 		if err := backend.WriteFull(f, seed, 0); err != nil {
 			t.Fatal(err)
 		}
-		c := dial(t, addr, 0)
+		c := dial(t, addr)
 		rf, err := c.Open("mem.img", true)
 		if err != nil {
 			t.Fatal(err)
@@ -197,35 +195,15 @@ func TestServerReadZeroCopyFallbacks(t *testing.T) {
 		}
 	})
 
-	t.Run("writable handle", func(t *testing.T) {
-		_, addr, srv, data := newDirServer(t, 64<<10, ServerOpts{})
-		c := dial(t, addr, 0)
-		rf, err := c.Open("pub.img", false) // read-write open
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(data))
-		if err := backend.ReadFull(rf, got, 0); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("writable-handle read mismatch")
-		}
-		if z := &srv.stats; z.zcSegments.Load() != 0 || z.zcFallbacks.Load() != 0 {
-			t.Fatalf("writable handle: %d sendfile replies, %d fallbacks, want none",
-				z.zcSegments.Load(), z.zcFallbacks.Load())
-		}
-	})
-
 	t.Run("hidden descriptor", func(t *testing.T) {
-		store, _, _, data := newDirServer(t, 64<<10, ServerOpts{ReadOnly: true})
-		srv := NewServer(noFDStore{store}, ServerOpts{ReadOnly: true})
+		store, _, _, data := newDirServer(t, 64<<10, ServerOpts{})
+		srv := NewServer(noFDStore{store}, ServerOpts{})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-		c := dial(t, addr, 0)
+		c := dial(t, addr)
 		rf, err := c.Open("pub.img", true)
 		if err != nil {
 			t.Fatal(err)
@@ -250,8 +228,8 @@ func TestServerReadZeroCopyFallbacks(t *testing.T) {
 // content.
 func TestServerZeroCopyEvictionMidServe(t *testing.T) {
 	const size = 1 << 20
-	store, addr, _, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
-	c := dial(t, addr, 0)
+	store, addr, _, data := newDirServer(t, size, ServerOpts{})
+	c := dial(t, addr)
 	rf, err := c.Open("pub.img", true)
 	if err != nil {
 		t.Fatal(err)
@@ -283,9 +261,9 @@ func TestServerZeroCopyEvictionMidServe(t *testing.T) {
 // its handle was already closed). Run under -race by make check.
 func TestServerZeroCopyCloseRace(t *testing.T) {
 	const size = 256 << 10
-	_, addr, srv, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
+	_, addr, srv, data := newDirServer(t, size, ServerOpts{})
 	for round := 0; round < 8; round++ {
-		c := dial(t, addr, 0)
+		c := dial(t, addr)
 		rf, err := c.Open("pub.img", true)
 		if err != nil {
 			t.Fatal(err)
@@ -297,8 +275,8 @@ func TestServerZeroCopyCloseRace(t *testing.T) {
 			go func(seed int64) {
 				defer wg.Done()
 				rnd := rand.New(rand.NewSource(seed))
-				// At least one rwsize segment, so the reads actually ride
-				// the sendfile path (small reads copy by policy).
+				// At least sendfileMin, so the reads actually ride the
+				// sendfile path (small reads copy by policy).
 				buf := make([]byte, 64<<10)
 				<-start
 				for i := 0; i < 20; i++ {
@@ -347,7 +325,7 @@ func TestServerZeroCopySlowClient(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store, ServerOpts{ReadOnly: true})
+	srv := NewServer(store, ServerOpts{})
 	// Set before Listen: a 1 MiB reply is 32x the squeezed send buffer,
 	// so each one takes many short sendfile returns to drain.
 	srv.testSndbuf = 32 << 10
@@ -467,21 +445,21 @@ func readVRef(data []byte, rs [][2]uint64) []byte {
 // the size frozen at open — and its bytes are identical to the copy path's,
 // the same export served through noFDStore, for ranges in order, adjacent,
 // overlapping, straddling the end of the file and starting past it. Each
-// request asks for at least DefaultRWSize, the smallest the sendfile path
+// request asks for at least sendfileMin, the smallest the sendfile path
 // takes. A
 // queued reply keeps its descriptor across a racing OpClose, and a squeezed
 // send buffer forces short sendfile returns in the middle of a range.
 func TestReadVSendfile(t *testing.T) {
 	const size = 300<<10 + 123
-	store, addr, srv, data := newDirServer(t, size, ServerOpts{ReadOnly: true})
-	cp := NewServer(noFDStore{store}, ServerOpts{ReadOnly: true})
+	store, addr, srv, data := newDirServer(t, size, ServerOpts{})
+	cp := NewServer(noFDStore{store}, ServerOpts{})
 	cpAddr, err := cp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cp.Close() }) //nolint:errcheck
 	open := func(addr string) (*Client, *RemoteFile) {
-		c := dial(t, addr, 0)
+		c := dial(t, addr)
 		rf, err := c.Open("pub.img", true)
 		if err != nil {
 			t.Fatal(err)
@@ -535,7 +513,7 @@ func TestReadVSendfile(t *testing.T) {
 				t.Fatal("the reply did not take the sendfile path")
 			}
 			// The extents the reply carries: ranges merged where adjacent.
-			oh := &openHandle{f: sf, ic: &imageCounters{}, sys: zerocopy.SysFile(sf), size: size, ro: true}
+			oh := &openHandle{f: sf, ic: &imageCounters{}, sys: zerocopy.SysFile(sf), size: size}
 			oh.refs.Store(1)
 			n, _, ok := checkReadV(p)
 			if !ok {
@@ -561,7 +539,7 @@ func TestReadVSendfile(t *testing.T) {
 
 	t.Run("close race", func(t *testing.T) {
 		for round := 0; round < 8; round++ {
-			c := dial(t, addr, 0)
+			c := dial(t, addr)
 			rf, err := c.Open("pub.img", true)
 			if err != nil {
 				t.Fatal(err)
@@ -616,7 +594,7 @@ func TestReadVSendfile(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer(store, ServerOpts{ReadOnly: true})
+		srv := NewServer(store, ServerOpts{})
 		// Set before Listen: each 1 MiB reply is 16x the squeezed send
 		// buffer, so every extent drains over several short sendfile
 		// returns.
@@ -626,7 +604,7 @@ func TestReadVSendfile(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-		c := dial(t, addr, 0)
+		c := dial(t, addr)
 		rf, err := c.Open("pub.img", true)
 		if err != nil {
 			t.Fatal(err)

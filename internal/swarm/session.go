@@ -467,7 +467,7 @@ func (s *Session) conn(id PeerID) (*peerConn, error) {
 		pc.err = nil
 		return nil, err
 	}
-	c, err := rblock.DialRetry(string(id), 0, s.cfg.DialAttempts, s.cfg.DialBackoff, nil)
+	c, err := rblock.DialRetry(string(id), s.cfg.DialAttempts, s.cfg.DialBackoff, nil)
 	if err != nil {
 		pc.err = err
 		return nil, err

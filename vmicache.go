@@ -321,7 +321,7 @@ func NewRBlockServer(store Store, opts rblock.ServerOpts) *RBlockServer {
 }
 
 // DialRBlock connects to a remote block server.
-func DialRBlock(addr string, rwsize int) (*RBlockClient, error) { return rblock.Dial(addr, rwsize) }
+func DialRBlock(addr string) (*RBlockClient, error) { return rblock.Dial(addr, 0) }
 
 // NBDServer exports image chains as network block devices.
 type NBDServer = nbd.Server
