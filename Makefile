@@ -6,8 +6,10 @@ GO ?= go
 # installed), build, the plain test suite, and the race-detector pass (which
 # includes the concurrency stress tests in internal/qcow and internal/rblock;
 # five tests that once flaked or race a fill, a vectored read or a sendfile
-# reply, three that race the dedup materializer, and two that race guest
-# copy-on-write commits against readers and Close, run 20 times more).
+# reply, four that race the dedup materializer — one of them against the
+# unlink of the resident cache it copies from — and two that race guest
+# copy-on-write commits against readers and Close, run 20 times more). CI's
+# race and fuzz jobs run `make race` and `make fuzz`: their lists live here.
 check: lint build test race
 
 # lint fails on unformatted files and vet findings; staticcheck runs when the
@@ -37,7 +39,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders|TestReadBatchRacing|TestReadVSendfile|TestMaterializeRetiredPack|TestMaterializeStreamed|TestDedupPipelineStress|TestConcurrentOverwriteRead|TestWriteAtRacesClose' ./internal/backend/ ./internal/cachemgr/ ./internal/dedup/ ./internal/qcow/ ./internal/rblock/
+	$(GO) test -race -count 20 -run 'TestCopyWindowsFailureStops|TestTableSetsUnderChurn|TestFillSpansRacingReaders|TestReadBatchRacing|TestReadVSendfile|TestMaterializeRetiredPack|TestMaterializeStreamed|TestDedupPipelineStress|TestDeltaWarmResidentUnlinked|TestConcurrentOverwriteRead|TestWriteAtRacesClose' ./internal/backend/ ./internal/cachemgr/ ./internal/dedup/ ./internal/qcow/ ./internal/rblock/
 
 # fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
 # `make test` already replays): the decoders a crash (pack records), a peer

@@ -186,9 +186,14 @@ func NewDirStore(dir string) (*DirStore, error) {
 
 func (s *DirStore) path(name string) string { return filepath.Join(s.dir, filepath.Clean(name)) }
 
-// Open opens an existing file in the directory.
+// Open opens an existing regular file in the directory. Anything else there
+// — a directory, a device, a pipe — is ErrNotExist, and is never opened.
 func (s *DirStore) Open(name string, readOnly bool) (File, error) {
-	f, err := OpenOSFile(s.path(name), readOnly)
+	path := s.path(name)
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("%w: %s is not a regular file", ErrNotExist, name)
+	}
+	f, err := OpenOSFile(path, readOnly)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: %s", ErrNotExist, name)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,7 +194,11 @@ func (m *Manager) rehydrate(key, tmpName string) *dedup.Manifest {
 		}
 		held = append(held, e.Hash)
 	}
-	if _, err := m.materialize(tmpName, man, nil, nil, func() error { return nil }); err != nil {
+	_, err := m.materialize(tmpName, man, nil, nil, "")
+	if errors.As(err, new(*dedup.CorruptResidentError)) {
+		_, err = m.materialize(tmpName, man, nil, nil, "") // the bad resident has left
+	}
+	if err != nil {
 		m.logf("cachemgr: rehydrating %s: %v; dropping manifest", key, err)
 		m.dstore.Drop(key) //nolint:errcheck // best-effort cleanup
 		return nil
@@ -207,28 +212,72 @@ func (m *Manager) rehydrate(key, tmpName string) *dedup.Manifest {
 // test can force the decode-from-store path.
 var deltaHandoffBudget int64 = 8 << 20
 
-// deltaStats is what one delta warm moved and where its time went: fetch and
-// stall overlap materialize (create → checksum verified); sync follows it.
+// deltaStats is what one delta warm moved and where its time went: fetch,
+// stall and commit overlap materialize (create → checksum verified).
 type deltaStats struct {
-	wire, reused                    int64
-	fetch, stall, materialize, sync time.Duration
+	wire, reused, resident            int64
+	fetch, stall, materialize, commit time.Duration
+}
+
+// openResident opens a resident cache file; tests swap it to watch the opens.
+var openResident = os.Open
+
+// residentPlaces places each chunk of man in the first resident cache, by
+// name, whose committed manifest names it and whose file has its length, at
+// the sum of the entry lengths before it there. It opens the files it uses for
+// the caller to close after the warm: an eviction's unlink cannot take them.
+func (m *Manager) residentPlaces(man *dedup.Manifest) (map[dedup.Key]dedup.Place, []*os.File) {
+	places := make(map[dedup.Key]dedup.Place, len(man.Entries))
+	for _, e := range man.Entries {
+		places[e.Hash] = dedup.Place{}
+	}
+	var files []*os.File
+	names := m.dstore.ManifestNames()
+	sort.Strings(names)
+	for _, name := range names {
+		rm, ok := m.dstore.Manifest(name)
+		if !ok || !m.pool.Contains(name) {
+			continue
+		}
+		var f *os.File
+		var off int64
+		for _, e := range rm.Entries {
+			if at, want := places[e.Hash]; want && at.F == nil {
+				if f == nil {
+					if f, _ = openResident(filepath.Join(m.dir, name)); f == nil {
+						break
+					}
+					files = append(files, f)
+					if fi, err := f.Stat(); err != nil || fi.Size() != rm.Length {
+						break
+					}
+				}
+				places[e.Hash] = dedup.Place{Name: name, F: f, Off: off}
+			}
+			off += int64(e.Len)
+		}
+	}
+	return places, files
 }
 
 // materialize streams man's content into tmpName through dedup's pipeline
 // (fetched chunks hash-verified on arrival, the whole image against man's
-// checksum). fetch, when set, runs
-// meanwhile, delivering the missing chunks, and returns once its workers
-// have. When the last byte is written the image fsync and commit (the store's
-// Commit of man, in a delta warm) run side by side: Commit's flush holds the
-// store lock, so it may only start after the last decode, and both are done
-// before the caller can publish. A failure removes the temp.
+// checksum), copying the chunks a resident cache holds out of its file.
+// fetch, when set, runs meanwhile, delivering the missing chunks, and returns
+// once its workers have: every missing blob has landed, so the store commits
+// man under commitAs beside the hash's tail, and drops it again if the image
+// fails. The temp's one fsync is publish's. A failure removes the temp.
 func (m *Manager) materialize(tmpName string, man *dedup.Manifest, missing []dedup.Key,
-	fetch func(*dedup.Materializer), commit func() error) (st deltaStats, err error) {
+	fetch func(*dedup.Materializer), commitAs string) (st deltaStats, err error) {
 	f, err := m.store.Create(tmpName)
 	if err != nil {
 		return st, err
 	}
+	places, files := m.residentPlaces(man)
 	defer func() {
+		for _, rf := range files {
+			rf.Close() //nolint:errcheck // read-only handle
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -236,25 +285,47 @@ func (m *Manager) materialize(tmpName string, man *dedup.Manifest, missing []ded
 			m.store.Remove(tmpName) //nolint:errcheck // partial materialization
 		}
 	}()
+	for _, e := range man.Entries {
+		if places[e.Hash].F != nil {
+			st.resident += int64(e.Len)
+		}
+	}
 	start := time.Now()
 	m.stats.dedupImageHashes.Add(1)
-	mat := dedup.StartMaterialize(f, man, m.dstore, runtime.GOMAXPROCS(0), missing, deltaHandoffBudget)
+	mat := dedup.StartMaterialize(f, man, m.dstore, runtime.GOMAXPROCS(0), missing, deltaHandoffBudget, places)
+	var committed chan error
 	if fetch != nil {
 		fetch(mat)
 		st.fetch = time.Since(start)
+		if !mat.Stopped() {
+			committed = make(chan error, 1)
+			go func() {
+				err := m.dstore.Commit(commitAs, man)
+				st.commit = time.Since(start) - st.fetch
+				committed <- err
+			}()
+		}
 	}
-	if st.stall, err = mat.Wait(); err != nil {
-		return st, err
-	}
+	st.stall, err = mat.Wait()
 	st.materialize = time.Since(start)
-	m.stats.dedupMaterializeDuration.Observe(st.materialize.Nanoseconds())
-	committed := make(chan error, 1)
-	go func() { committed <- commit() }()
-	err = f.Sync()
-	if cerr := <-committed; err == nil {
-		err = cerr
+	// A resident cache holding a bad chunk leaves, as recovery drops a corrupt
+	// cache; its manifest stays, so its next Acquire rebuilds it from the packs.
+	if bad := (*dedup.CorruptResidentError)(nil); errors.As(err, &bad) {
+		if removed, _ := m.unpublish(bad.Name, false); removed {
+			m.stats.droppedCorrupt.Add(1)
+			m.logf("cachemgr: dropped corrupt cache %s: %v", bad.Name, err)
+		}
 	}
-	st.sync = time.Since(start) - st.materialize
+	if committed != nil {
+		if cerr := <-committed; err == nil {
+			err = cerr
+		} else if cerr == nil {
+			m.dstore.Drop(commitAs) //nolint:errcheck // best effort: the image it names failed
+		}
+	}
+	if err == nil {
+		m.stats.dedupMaterializeDuration.Observe(st.materialize.Nanoseconds())
+	}
 	return st, err
 }
 
@@ -337,21 +408,17 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 	// Fetch the delta: workers claim runs of missing hashes and pull each
 	// run in one vectored OpChunkBatch round trip, spreading runs
 	// round-robin across the manifest holders and reassigning on failure.
-	// Batch size adapts to the missing set so small deltas still use every
-	// worker, while large ones amortise a round trip over up to 32 chunks
-	// (≈4 MiB of max-size blobs, inside the frame cap). The materializer's
-	// stop flag, checked in the claim loop, tears the pool down promptly
-	// after the first failure — a fetch's or the writer's — instead of
-	// letting the survivors drain the cursor.
+	// The first claim is one chunk, which window 0 waits on: in a v1→v2 warm,
+	// entry 0, the qcow header that names the backing file. Batch size adapts
+	// to the missing set so small deltas still use every worker, while large
+	// ones amortise a round trip over up to 32 chunks (≈4 MiB of max-size
+	// blobs, inside the frame cap). The materializer's stop flag, checked in
+	// the claim loop, tears the pool down promptly after the first failure —
+	// a fetch's or the writer's — instead of letting the survivors drain the
+	// cursor.
 	workers := deltaFetchWorkers
-	batch := len(missing) / (workers * 2)
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > 32 {
-		batch = 32
-	}
-	if n := (len(missing) + batch - 1) / batch; workers > n && n > 0 {
+	batch := min(max(len(missing)/(workers*2), 1), 32)
+	if n := 1 + (len(missing)+batch-2)/batch; workers > n && len(missing) > 0 {
 		workers = n
 	}
 	var next atomic.Int64
@@ -398,18 +465,15 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 			go func() {
 				defer wg.Done()
 				for !mat.Stopped() {
-					i := int(next.Add(int64(batch))) - batch
-					if i >= len(missing) {
+					c := int(next.Add(1)) - 1 // claim c covers [1+(c-1)·batch, 1+c·batch)
+					lo, hi := max(1+(c-1)*batch, 0), min(1+c*batch, len(missing))
+					if lo >= len(missing) {
 						return
 					}
-					end := i + batch
-					if end > len(missing) {
-						end = len(missing)
-					}
-					run := missing[i:end]
+					run := missing[lo:hi]
 					pos, fails := 0, 0
 					for pos < len(run) && !mat.Stopped() {
-						h := holders[(i/batch+pos+fails)%len(holders)]
+						h := holders[(c+pos+fails)%len(holders)]
 						served, fatal, ferr := landRun(mat, h, run[pos:])
 						pos += served
 						if ferr == nil {
@@ -430,7 +494,7 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 	// Blobs are content-verified as they land and the image against the
 	// manifest as it is written; committing both before the qcow publication
 	// leaves the chunks shared for the next attempt even if that fails.
-	st, err = m.materialize(tmpName, man, missing, fetch, func() error { return m.dstore.Commit(key, man) })
+	st, err = m.materialize(tmpName, man, missing, fetch, key)
 	st.wire, st.reused = wireBytes.Load(), reused
 	if err != nil {
 		return nil, st, err
@@ -445,10 +509,21 @@ func (m *Manager) deltaWarm(key, tmpName string) (man *dedup.Manifest, st deltaS
 // the rebuilt image publishes, so the re-publication stores only the
 // chunks that actually changed. Sessions already attached keep serving the
 // old bytes through their open handles; new Acquires warm the rebuilt
-// base from source. Invalidate holds the key's warm slot while it works, so
-// no warm can publish under the key until the old cache is gone.
+// base from source.
 func (m *Manager) Invalidate(base string) error {
 	key := m.KeyFor(base)
+	removed, err := m.unpublish(key, true)
+	if removed {
+		m.logf("cachemgr: invalidated %s", key)
+	}
+	return err
+}
+
+// unpublish takes key's published cache out of the pool and off the disk,
+// reporting whether it was there, and with retire retires its manifest. It
+// holds the key's warm slot while it works, so no warm can publish under the
+// key until the old cache is gone.
+func (m *Manager) unpublish(key string, retire bool) (removed bool, err error) {
 	m.mu.Lock()
 	for ws := m.warming[key]; ws != nil && !m.closed; ws = m.warming[key] {
 		m.mu.Unlock()
@@ -457,32 +532,31 @@ func (m *Manager) Invalidate(base string) error {
 	}
 	if m.closed {
 		m.mu.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	hold := &warmState{done: make(chan struct{})}
 	m.warming[key] = hold
 	m.mu.Unlock()
 	defer m.settle(key, hold)
-	if m.pool.Remove(key) {
+	if removed = m.pool.Remove(key); removed {
 		m.swapTables(key, nil)
 		m.closeSwarmExport(key)
 		if err := os.Remove(filepath.Join(m.dir, key)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
+			return true, err
 		}
-		m.logf("cachemgr: invalidated %s", key)
 	}
-	if m.dstore != nil {
+	if retire && m.dstore != nil {
 		if man, ok := m.dstore.Manifest(key); ok {
 			if err := m.dstore.Commit(key+retiredSuffix, man); err != nil {
 				m.logf("cachemgr: retiring manifest %s: %v", key, err)
 			}
 			if err := m.dstore.Drop(key); err != nil {
-				return err
+				return removed, err
 			}
 		}
 		m.dedupReserve()
 	}
-	return nil
+	return removed, nil
 }
 
 // DedupStats snapshots the blob store; zero when dedup is disabled.

@@ -12,6 +12,7 @@ import (
 	"vmicache/internal/backend"
 	"vmicache/internal/cachemgr"
 	"vmicache/internal/core"
+	"vmicache/internal/dedup"
 	"vmicache/internal/qcow"
 	"vmicache/internal/rblock"
 )
@@ -213,6 +214,54 @@ func TestDedupRehydrateCorruptBlob(t *testing.T) {
 	}
 	if st.ColdWarms != 1 {
 		t.Fatalf("cold warms = %d, want 1 (fallback)", st.ColdWarms)
+	}
+}
+
+// TestDedupRehydrateCorruptResident rehydrates v2 on a node whose resident v1
+// cache holds a bad byte in a chunk v2 shares: the materialization fails its
+// checksum and names v1, v1 leaves the pool, and the second attempt rebuilds
+// v2 from the packs, with no network.
+func TestDedupRehydrateCorruptResident(t *testing.T) {
+	s := newStorageNode(t)
+	v1, v2 := siblings(2 * mb)
+	s.addBaseContent(t, "v1.img", v1)
+	s.addBaseContent(t, "v2.img", v2)
+	dir := t.TempDir()
+	mk := func() *cachemgr.Manager {
+		return newManager(t, s, func(c *cachemgr.Config) { c.Dir, c.Dedup = dir, true })
+	}
+	m := mk()
+	bootAndCheck(t, m, s, "v1.img", "vm1")
+	bootAndCheck(t, m, s, "v2.img", "vm2")
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v2Path := filepath.Join(dir, m.KeyFor("v2.img"))
+	shared := make(map[dedup.Key]bool)
+	for _, e := range fileManifest(t, v2Path).Entries {
+		shared[e.Hash] = true
+	}
+	if err := os.Remove(v2Path); err != nil {
+		t.Fatal(err)
+	}
+	v1Path := filepath.Join(dir, m.KeyFor("v1.img"))
+	var off int64
+	for _, e := range fileManifest(t, v1Path).Entries {
+		if shared[e.Hash] && off > 0 {
+			break
+		}
+		off += int64(e.Len)
+	}
+	flipByte(t, v1Path, off+100)
+
+	m2 := mk()
+	bootAndCheck(t, m2, s, "v2.img", "vm3")
+	st := m2.Stats()
+	if st.DedupRehydrations != 1 || st.ColdWarms != 0 || st.DroppedCorrupt != 1 {
+		t.Fatalf("v2 was not rebuilt from the packs past the corrupt v1: %+v", st)
+	}
+	if _, err := os.Stat(v1Path); !os.IsNotExist(err) {
+		t.Fatalf("v1's corrupt file is still there: %v", err)
 	}
 }
 

@@ -178,21 +178,15 @@ func TestDeltaWarmCorruptChunkOnWire(t *testing.T) {
 	}
 }
 
-// TestDeltaWarmCorruptLocalBlob damages, behind B's store, a blob of v1 that
-// v2 shares, while its record is indexed. The first v2 warm trips over it: the
-// image fails its checksum, the blob is taken out of the index and the boot
-// falls back to the peer wholesale, with correct bytes. That publication lands
-// the good chunk again, so a later delta warm that needs it succeeds instead of
-// falling back once more.
-func TestDeltaWarmCorruptLocalBlob(t *testing.T) {
-	r := newDeltaRig(t)
-	b := r.node(t, r.aAddr)
-	up, err := rblock.Dial(r.aAddr, 0)
+// peerManifest fetches key's manifest from the peer at addr.
+func peerManifest(t *testing.T, addr, key string) *dedup.Manifest {
+	t.Helper()
+	up, err := rblock.Dial(addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer up.Close() //nolint:errcheck
-	enc, err := up.FetchManifest(b.KeyFor("v2.img"))
+	enc, err := up.FetchManifest(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +194,54 @@ func TestDeltaWarmCorruptLocalBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corruptPackedBlob(t, r.bDir, man)
+	return man
+}
+
+// fileManifest builds the manifest of the file at path, as its publication
+// did.
+func fileManifest(t *testing.T, path string) *dedup.Manifest {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // read-only handle
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := dedup.BuildParallel(f, fi.Size(), dedup.BuildOpts{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return man
+}
+
+// removeV1 deletes v1's published file from B's directory while B is closed:
+// its chunks are then only in the packs.
+func (r *deltaRig) removeV1(t *testing.T) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(r.bDir, "v1.img-*.vmic"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want v1's one published file, found %v (%v)", files, err)
+	}
+	if err := os.Remove(files[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaWarmCorruptLocalBlob damages, behind B's store, a blob of v1 that
+// v2 shares, while its record is indexed; v1's cache file is gone, so the pack
+// is the chunk's only local source. The first v2 warm trips over it: the
+// image fails its checksum, the blob is taken out of the index and the boot
+// falls back to the peer wholesale, with correct bytes. That publication lands
+// the good chunk again, so a later delta warm that needs it succeeds instead of
+// falling back once more.
+func TestDeltaWarmCorruptLocalBlob(t *testing.T) {
+	r := newDeltaRig(t)
+	r.removeV1(t)
+	b := r.node(t, r.aAddr)
+	corruptPackedBlob(t, r.bDir, peerManifest(t, r.aAddr, b.KeyFor("v2.img")))
 
 	bootAndCheck(t, b, r.s, "v2.img", "b2")
 	if st := b.Stats(); st.DedupDeltaWarms != 0 || st.PeerFetches != 1 || st.ColdWarms != 0 {
@@ -288,55 +329,72 @@ func TestDeltaWarmRefusesOversizedImage(t *testing.T) {
 	}
 }
 
-// TestDeltaWarmHandoff pins the hand-off: a delta warm inflates each manifest
-// entry exactly once — the fetched chunks on arrival, the local ones on decode
-// — and with the budget forced to nothing every fetched chunk is decoded a
-// second time from the store instead, into a byte-identical published file.
+// TestDeltaWarmHandoff pins where a delta warm's bytes come from. With v1's
+// cache resident, the fetched chunks are inflated once, on arrival, and every
+// other entry is copied raw out of v1's file: no chunk a resident cache holds
+// is inflated. With the budget forced to nothing every fetched chunk is
+// decoded a second time from the store instead; and with v1's file gone every
+// local chunk is inflated from the packs. All three publish byte-identical
+// files.
 func TestDeltaWarmHandoff(t *testing.T) {
 	r := newDeltaRig(t)
-	up, err := rblock.Dial(r.aAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close() //nolint:errcheck
 	var published [][]byte
-	for _, budget := range []int64{-1, 0} {
+	for _, tc := range []struct {
+		budget   int64
+		resident bool
+	}{{-1, true}, {0, true}, {0, false}} {
 		dir := t.TempDir()
 		seed := newManager(t, r.s, func(c *cachemgr.Config) { c.Dir, c.Dedup = dir, true })
 		bootAndCheck(t, seed, r.s, "v1.img", "n1")
 		if err := seed.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if budget >= 0 {
-			cachemgr.SetDeltaHandoffBudget(t, budget)
+		v1Path := filepath.Join(dir, seed.KeyFor("v1.img"))
+		held := make(map[dedup.Key]bool)
+		for _, e := range fileManifest(t, v1Path).Entries {
+			held[e.Hash] = true
+		}
+		if !tc.resident {
+			if err := os.Remove(v1Path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.budget >= 0 {
+			cachemgr.SetDeltaHandoffBudget(t, tc.budget)
 		}
 		n := newManager(t, r.s, func(c *cachemgr.Config) { c.Dir, c.Dedup, c.Peers = dir, true, []string{r.aAddr} })
 		bootAndCheck(t, n, r.s, "v2.img", "n2")
 		st := n.Stats()
-		enc, err := up.FetchManifest(n.KeyFor("v2.img"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		man, err := dedup.DecodeManifest(enc)
-		if err != nil {
-			t.Fatal(err)
+		man := peerManifest(t, r.aAddr, n.KeyFor("v2.img"))
+		var copied int64
+		for _, e := range man.Entries {
+			if held[e.Hash] {
+				copied += int64(e.Len)
+			}
 		}
 		entries, fetched := int64(len(man.Entries)), st.Dedup.Writes
 		if st.DedupDeltaWarms != 1 || fetched == 0 || fetched >= entries {
-			t.Fatalf("budget %d: not a delta warm of some chunks: %d fetched of %d (%+v)", budget, fetched, entries, st)
+			t.Fatalf("%+v: not a delta warm of some chunks: %d fetched of %d (%+v)", tc, fetched, entries, st)
 		}
-		want := entries
-		if budget == 0 {
-			want += fetched
+		want := fetched // inflated on arrival
+		if tc.budget == 0 {
+			want += fetched // and again from the store
+		}
+		if !tc.resident {
+			copied = 0
+			want += entries - fetched
 		}
 		if st.Dedup.Decodes != want {
-			t.Errorf("budget %d: %d chunks inflated for %d entries, %d of them fetched; want %d",
-				budget, st.Dedup.Decodes, entries, fetched, want)
+			t.Errorf("%+v: %d chunks inflated for %d entries, %d of them fetched; want %d",
+				tc, st.Dedup.Decodes, entries, fetched, want)
+		}
+		if st.Dedup.ResidentBytes != copied {
+			t.Errorf("%+v: %d bytes copied from v1's file, want %d", tc, st.Dedup.ResidentBytes, copied)
 		}
 		// Only what crossed the wire is hashed chunk by chunk; the local
 		// chunks are covered by the whole-image checksum.
 		if st.Dedup.Hashes != fetched {
-			t.Errorf("budget %d: %d per-chunk hashes for %d fetched chunks", budget, st.Dedup.Hashes, fetched)
+			t.Errorf("%+v: %d per-chunk hashes for %d fetched chunks", tc, st.Dedup.Hashes, fetched)
 		}
 		b, err := os.ReadFile(filepath.Join(dir, n.KeyFor("v2.img")))
 		if err != nil {
@@ -344,7 +402,96 @@ func TestDeltaWarmHandoff(t *testing.T) {
 		}
 		published = append(published, b)
 	}
-	if !bytes.Equal(published[0], published[1]) {
-		t.Fatal("the published file depends on the hand-off budget")
+	for _, b := range published[1:] {
+		if !bytes.Equal(published[0], b) {
+			t.Fatal("the published file depends on the hand-off budget or the resident cache")
+		}
+	}
+}
+
+// flipByte inverts the byte at off of the (read-only) file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	if err := os.Chmod(path, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // test scratch
+	var c [1]byte
+	if _, err := f.ReadAt(c[:], off); err != nil {
+		t.Fatal(err)
+	}
+	c[0] ^= 0xFF
+	if _, err := f.WriteAt(c[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaWarmCorruptResident flips a byte of v1's resident cache file in a
+// chunk v2 shares. The v2 delta warm fails its checksum, its re-check finds
+// v1's chunk bad and drops v1 from the pool, as recovery drops a corrupt
+// cache, and the boot falls back to the peer wholesale. The packs are whole,
+// so the next v1 Acquire rebuilds v1 from them.
+func TestDeltaWarmCorruptResident(t *testing.T) {
+	r := newDeltaRig(t)
+	b := r.node(t, r.aAddr)
+	v1Path := filepath.Join(r.bDir, b.KeyFor("v1.img"))
+	v2 := make(map[dedup.Key]bool)
+	for _, e := range peerManifest(t, r.aAddr, b.KeyFor("v2.img")).Entries {
+		v2[e.Hash] = true
+	}
+	v1 := fileManifest(t, v1Path)
+	var off int64
+	for _, e := range v1.Entries[:len(v1.Entries)/2] {
+		off += int64(e.Len)
+	}
+	for _, e := range v1.Entries[len(v1.Entries)/2:] {
+		if v2[e.Hash] {
+			break
+		}
+		off += int64(e.Len)
+	}
+	flipByte(t, v1Path, off+100)
+
+	bootAndCheck(t, b, r.s, "v2.img", "b2")
+	st := b.Stats()
+	if st.DedupDeltaWarms != 0 || st.PeerFetches != 1 || st.ColdWarms != 0 {
+		t.Fatalf("the v2 warm did not fall back to the peer: %+v", st)
+	}
+	if _, resident := b.TableSets(); st.DroppedCorrupt != 1 || len(resident) != 1 || resident[0] != b.KeyFor("v2.img") {
+		t.Fatalf("v1 was not dropped: %d dropped, resident %v", st.DroppedCorrupt, resident)
+	}
+	if _, err := os.Stat(v1Path); !os.IsNotExist(err) {
+		t.Fatalf("v1's corrupt file is still there: %v", err)
+	}
+	bootAndCheck(t, b, r.s, "v1.img", "b3")
+	if st := b.Stats(); st.DedupRehydrations != 1 || st.ColdWarms != 0 {
+		t.Fatalf("v1 was not rebuilt from the packs: %+v", st)
+	}
+}
+
+// TestDeltaWarmResidentUnlinked invalidates v1 — its file unlinked, its
+// manifest retired — while v2's delta warm is copying chunks out of v1's
+// file. The warm holds the file open, so it still publishes correct bytes.
+func TestDeltaWarmResidentUnlinked(t *testing.T) {
+	r := newDeltaRig(t)
+	b := r.node(t, r.aAddr)
+	invalidated := make(chan error, 1)
+	cachemgr.SetOpenResident(t, func(string) {
+		go func() { invalidated <- b.Invalidate("v1.img") }()
+	})
+	bootAndCheck(t, b, r.s, "v2.img", "b2")
+	if err := <-invalidated; err != nil {
+		t.Fatal(err)
+	}
+	st := b.Stats()
+	if st.DedupDeltaWarms != 1 || st.Dedup.ResidentBytes == 0 {
+		t.Fatalf("v2 was not delta-warmed out of v1's file: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(r.bDir, b.KeyFor("v1.img"))); !os.IsNotExist(err) {
+		t.Fatalf("v1 was not invalidated: %v", err)
 	}
 }

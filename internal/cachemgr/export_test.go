@@ -1,6 +1,7 @@
 package cachemgr
 
 import (
+	"os"
 	"slices"
 	"testing"
 
@@ -13,6 +14,20 @@ func SetDeltaHandoffBudget(t *testing.T, n int64) {
 	old := deltaHandoffBudget
 	deltaHandoffBudget = n
 	t.Cleanup(func() { deltaHandoffBudget = old })
+}
+
+// SetOpenResident calls opened after each resident cache a materialization
+// opens to copy chunks out of, for one test.
+func SetOpenResident(t *testing.T, opened func(path string)) {
+	old := openResident
+	openResident = func(path string) (*os.File, error) {
+		f, err := old(path)
+		if err == nil {
+			opened(path)
+		}
+		return f, err
+	}
+	t.Cleanup(func() { openResident = old })
 }
 
 // SetOpenTemp wraps how publish opens a temp for one test: wrap sees the

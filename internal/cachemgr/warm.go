@@ -52,10 +52,10 @@ func (m *Manager) warm(base, key string) (*Lease, error) {
 					m.stats.dedupDeltaBytes.Add(st.wire)
 					m.stats.dedupReusedBytes.Add(st.reused)
 					ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
-					m.logf("cachemgr: delta-warmed %s: %.1f MB over the wire, %.1f MB reused locally "+
-						"(fetch %.1f ms, writer stalled %.1f ms, materialize %.1f ms, sync+commit %.1f ms)",
-						key, float64(st.wire)/1e6, float64(st.reused)/1e6,
-						ms(st.fetch), ms(st.stall), ms(st.materialize), ms(st.sync))
+					m.logf("cachemgr: delta-warmed %s: %.1f MB over the wire, %.1f MB reused locally, "+
+						"%.1f MB from resident caches (fetch %.1f ms, writer stalled %.1f ms, materialize %.1f ms, commit %.1f ms)",
+						key, float64(st.wire)/1e6, float64(st.reused)/1e6, float64(st.resident)/1e6,
+						ms(st.fetch), ms(st.stall), ms(st.materialize), ms(st.commit))
 					return lease, nil
 				}
 				m.logf("cachemgr: delta warm of %s failed verification: %v", key, err)

@@ -56,7 +56,7 @@ type BlobStore struct {
 	dirDirty bool   // a pack was created since the directory's last fsync
 	recBuf   []byte // record assembly scratch: header + blob leave in one write
 
-	writes, syncs, reads, decodes, hashes atomic.Int64
+	writes, syncs, reads, decodes, hashes, residentBytes atomic.Int64
 
 	// sync is (*os.File).Sync; tests swap it to inject flush failures.
 	sync func(*os.File) error
@@ -597,6 +597,7 @@ type StoreStats struct {
 	Reads           int64 // preads of pack records since Open: one per blob read singly, one per run of adjacent records a materialization reads
 	Decodes         int64 // blobs inflated since Open: arrivals verified, chunks materialized
 	Hashes          int64 // per-chunk SHA-256s since Open: arrivals verified, blobs re-checked
+	ResidentBytes   int64 // raw bytes materializations copied out of resident files since Open
 	Staged          int   // blobs an in-flight publication holds
 }
 
@@ -615,6 +616,7 @@ func (s *BlobStore) Stats() StoreStats {
 		Reads:           s.reads.Load(),
 		Decodes:         s.decodes.Load(),
 		Hashes:          s.hashes.Load(),
+		ResidentBytes:   s.residentBytes.Load(),
 	}
 	for _, n := range s.staged {
 		if n > 0 {

@@ -36,10 +36,10 @@ import (
 // stage — the cutter's gear hash or the committer's whole-image SHA —
 // with per-chunk hashing and compression spread across the pool.
 //
-// Materializer is the mirror image for reads: decoders inflate stored blobs
-// straight into 1 MiB windows while the ordered writer puts the windows out
-// and a hasher re-derives the whole-image checksum behind it — and, in a
-// delta warm, while the chunks the store lacks are still arriving.
+// Materializer is the mirror image for reads: decoders fill 1 MiB windows
+// while the ordered writer puts the windows out and a hasher re-derives the
+// whole-image checksum behind it — and, in a delta warm, while the chunks the
+// store lacks are still arriving.
 
 // BuildOpts tunes BuildParallel.
 type BuildOpts struct {
@@ -388,15 +388,36 @@ type pendChunk struct {
 	n       int
 }
 
-// slot is one manifest entry's place in a window. A stored chunk is inflated
-// into it by a decoder from the record at loc; a parked one (pc set) is filled
-// by the writer once the fetcher has delivered it.
+// A Place is where a resident file named Name holds a chunk raw.
+type Place struct {
+	Name string
+	F    io.ReaderAt
+	Off  int64
+}
+
+// CorruptResidentError reports a resident file not holding chunk Key.
+type CorruptResidentError struct {
+	Name string
+	Key  Key
+}
+
+func (e *CorruptResidentError) Error() string {
+	return fmt.Sprintf("dedup: resident %s: chunk %s: hash mismatch", e.Name, e.Key)
+}
+
+// slot is one manifest entry's place in a window. A decoder copies a resident
+// chunk (at.F set) in or inflates a stored one from the record at loc; the
+// writer fills a parked one (pc set) once the fetcher has delivered it.
 type slot struct {
 	e   Entry
 	off int // in the window
 	pc  *pendChunk
+	at  Place
 	loc blobLoc
 }
+
+// packed reports whether the slot's bytes come from a pack record.
+func (sl *slot) packed() bool { return sl.pc == nil && sl.at.F == nil }
 
 // window is a run of whole manifest entries, written as one: the decoder fills
 // its stored slots and closes done, the writer its parked ones, and after the
@@ -412,23 +433,24 @@ type window struct {
 
 // A Materializer writes a manifest's image into w, if need be while some of
 // its chunks are still being fetched. The manifest is cut into windows of
-// about 1 MiB. Decoders inflate each window's stored chunks straight into
-// their slots, reading every run of pack-adjacent records with one pread; the
-// fetcher passes each missing chunk to Deliver, which verifies and lands it
-// and keeps the verified bytes; the in-order writer copies those into their
-// slots and puts each window out with one write; a hasher goroutine derives
-// the whole-image checksum behind it. A fetched chunk is checked against its
-// hash on arrival; a stored one only against its framed length, because the
-// image is checked against man.Checksum and a stored chunk reaches a cache
-// file no other way (a peer fetching it checks it on arrival). When that
-// check fails, the stored chunks are re-checked one by one and
-// every blob that fails is taken out of the index, so the next warm fetches or
-// re-lands it.
+// about 1 MiB. Decoders copy each window's resident chunks into their slots
+// and inflate its other stored ones there, one pread per run of slots back to
+// back in one resident file or one pack; the fetcher passes each missing
+// chunk to Deliver, which verifies and lands it and keeps the verified bytes;
+// the in-order writer copies those into their slots and puts each window out
+// with one write; a hasher goroutine derives the whole-image checksum behind
+// it. A fetched chunk is checked against its hash on arrival; a local one
+// not, because the image is checked against man.Checksum and a local chunk
+// reaches a cache file no other way (a peer fetching it checks it on
+// arrival). When that check fails, the local chunks are re-checked one by
+// one: a bad resident one fails the pipeline with a CorruptResidentError,
+// and every blob that fails is taken out of the index.
 type Materializer struct {
-	w    io.WriterAt
-	man  *Manifest
-	src  *BlobStore
-	pend map[Key]*pendChunk // fixed at start
+	w        io.WriterAt
+	man      *Manifest
+	src      *BlobStore
+	pend     map[Key]*pendChunk // fixed at start
+	resident map[Key]Place
 
 	stop     atomic.Bool
 	quit     chan struct{} // closed with stop: wakes a writer stalled on a pendChunk
@@ -443,9 +465,10 @@ type Materializer struct {
 // StartMaterialize starts the pipeline with workers decoders. pending names
 // the chunks src lacks: the caller Delivers each, or Aborts. budget bounds
 // the verified bytes kept for the writer when the fetch runs ahead of it.
-func StartMaterialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int, pending []Key, budget int64) *Materializer {
+// resident places chunks raw in files kept open until Wait returns.
+func StartMaterialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int, pending []Key, budget int64, resident map[Key]Place) *Materializer {
 	p := &Materializer{w: w, man: man, src: src, budget: budget, pend: make(map[Key]*pendChunk, len(pending)),
-		quit: make(chan struct{}), finished: make(chan struct{})}
+		resident: resident, quit: make(chan struct{}), finished: make(chan struct{})}
 	for _, k := range pending {
 		p.pend[k] = &pendChunk{ready: make(chan struct{})}
 	}
@@ -456,7 +479,7 @@ func StartMaterialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int,
 // Materialize writes man's content into w from src's blobs: the pipeline
 // with nothing pending.
 func Materialize(w io.WriterAt, man *Manifest, src *BlobStore, workers int) error {
-	_, err := StartMaterialize(w, man, src, workers, nil, 0).Wait()
+	_, err := StartMaterialize(w, man, src, workers, nil, 0, nil).Wait()
 	return err
 }
 
@@ -637,7 +660,11 @@ func (p *Materializer) dispatch(work, order chan<- *window) {
 			w = &window{buf: winBufPool.Get().(*[]byte), off: off, done: make(chan struct{}),
 				slots: make([]slot, 0, 2*windowTarget/AvgChunk)}
 		}
-		w.slots = append(w.slots, slot{e: e, off: w.n, pc: p.parked(e.Hash)})
+		sl := slot{e: e, off: w.n, pc: p.parked(e.Hash)}
+		if sl.pc == nil {
+			sl.at = p.resident[e.Hash] // the zero Place when none holds it
+		}
+		w.slots = append(w.slots, sl)
 		w.n += int(e.Len)
 		if w.n >= windowTarget {
 			send()
@@ -650,12 +677,15 @@ func (p *Materializer) dispatch(work, order chan<- *window) {
 	}
 }
 
-// decodeWindow inflates w's stored chunks into their slots. Their records are
-// looked up under one store lock, and each run of them that sits back to back
-// in one pack is read with one pread. A pack retired between the lookup and
-// the read — its records copied forward, or dead — reads as os.ErrClosed: the
-// rest of the window is looked up again.
+// decodeWindow copies w's resident chunks into their slots and inflates its
+// packed ones. Their records are looked up under one store lock, and each run
+// of them that sits back to back in one pack is read with one pread. A pack
+// retired between the lookup and the read — its records copied forward, or
+// dead — reads as os.ErrClosed: the rest of the window is looked up again.
 func (p *Materializer) decodeWindow(w *window, rb *[]byte) error {
+	if err := p.copyResident(w); err != nil {
+		return err
+	}
 	from := 0
 relocate:
 	for {
@@ -663,15 +693,15 @@ relocate:
 			return err
 		}
 		for i := from; i < len(w.slots); {
-			if w.slots[i].pc != nil {
+			if !w.slots[i].packed() {
 				i++
 				continue
 			}
 			first := w.slots[i].loc
-			// Extend the run over the stored slots whose records follow on.
+			// Extend the run over the packed slots whose records follow on.
 			end, next := first.off+first.recLen(), i+1
 			for j := i + 1; j < len(w.slots); j++ {
-				if w.slots[j].pc != nil {
+				if !w.slots[j].packed() {
 					continue
 				}
 				l := w.slots[j].loc
@@ -694,7 +724,7 @@ relocate:
 			}
 			for j := i; j < next; j++ {
 				sl := &w.slots[j]
-				if sl.pc != nil {
+				if !sl.packed() {
 					continue
 				}
 				at := sl.loc.off + recHdrLen - first.off
@@ -708,9 +738,37 @@ relocate:
 	}
 }
 
-// locate looks up the records of w's stored slots from index from on, under
-// one store lock.
+// copyResident reads w's resident slots in, one pread per run of them that
+// lie back to back in one file.
+func (p *Materializer) copyResident(w *window) error {
+	for i, next := 0, 0; i < len(w.slots); i = next {
+		at, n := w.slots[i].at, int(w.slots[i].e.Len)
+		for next = i + 1; at.F != nil && next < len(w.slots); next++ {
+			if nx := w.slots[next].at; nx.F == nil || nx.Name != at.Name || nx.Off != at.Off+int64(n) {
+				break
+			}
+			n += int(w.slots[next].e.Len)
+		}
+		if at.F == nil {
+			continue
+		}
+		if got, err := at.F.ReadAt((*w.buf)[w.slots[i].off:w.slots[i].off+n], at.Off); got < n {
+			return fmt.Errorf("dedup: resident %s: chunk %s: %v", at.Name, w.slots[i].e.Hash, err)
+		}
+		p.src.residentBytes.Add(int64(n))
+	}
+	return nil
+}
+
+// locate looks up the records of w's packed slots from index from on, under
+// one store lock, or none if there are none.
 func (p *Materializer) locate(w *window, from int) error {
+	for from < len(w.slots) && !w.slots[from].packed() {
+		from++
+	}
+	if from == len(w.slots) {
+		return nil
+	}
 	s := p.src
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -719,7 +777,7 @@ func (p *Materializer) locate(w *window, from int) error {
 	}
 	for i := from; i < len(w.slots); i++ {
 		sl := &w.slots[i]
-		if sl.pc != nil {
+		if !sl.packed() {
 			continue
 		}
 		loc, ok := s.blobs[sl.e.Hash]
@@ -806,14 +864,24 @@ func (p *Materializer) inflateStored(w *window, sl *slot) error {
 }
 
 // quarantine runs after the image failed its checksum or a stored chunk
-// failed to inflate: it re-checks every chunk of the manifest the store holds
-// and, when some blob is bad, names it in the pipeline's error.
+// failed to inflate: it re-checks every resident chunk and every chunk of the
+// manifest the store holds and names what is bad in the pipeline's error.
 func (p *Materializer) quarantine() {
-	bad, checked := p.src.quarantine(p.man)
-	if len(bad) == 0 {
-		return
+	var err error
+	for _, e := range p.man.Entries {
+		if at := p.resident[e.Hash]; at.F != nil && err == nil {
+			raw := make([]byte, e.Len)
+			if n, _ := at.F.ReadAt(raw, at.Off); n < len(raw) || sha256.Sum256(raw) != [sha256.Size]byte(e.Hash) {
+				err = &CorruptResidentError{Name: at.Name, Key: e.Hash}
+			}
+		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.err = fmt.Errorf("%w: %s (%d of the manifest's %d blobs): hash mismatch; taken out of the index", ErrCorruptBlob, bad[0], len(bad), checked)
+	if bad, checked := p.src.quarantine(p.man); len(bad) > 0 {
+		err = errors.Join(err, fmt.Errorf("%w: %s (%d of the manifest's %d blobs): hash mismatch; taken out of the index", ErrCorruptBlob, bad[0], len(bad), checked))
+	}
+	if err != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.err = err
+	}
 }

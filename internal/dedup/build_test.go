@@ -273,7 +273,7 @@ func distinctKeys(m *Manifest) []Key {
 func streamInto(t testing.TB, m *Manifest, dst, from *BlobStore, workers int, pending []Key, budget int64) ([]byte, error) {
 	t.Helper()
 	out := backend.NewMemFileSize(m.Length)
-	p := StartMaterialize(out, m, dst, workers, pending, budget)
+	p := StartMaterialize(out, m, dst, workers, pending, budget, nil)
 	for _, k := range pending {
 		comp, _, err := from.ReadCompressed(k)
 		if err != nil {
@@ -406,7 +406,7 @@ func TestMaterializeStreamed(t *testing.T) {
 	// Abort from the fetcher wakes a writer stalled on a chunk that will
 	// never come; a corrupt arrival never lands and a late one is not kept.
 	dst = empty()
-	p := StartMaterialize(backend.NewMemFileSize(m.Length), m, dst, 2, keys, 1<<30)
+	p := StartMaterialize(backend.NewMemFileSize(m.Length), m, dst, 2, keys, 1<<30, nil)
 	comp, _, err := src.ReadCompressed(keys[0])
 	if err != nil {
 		t.Fatal(err)

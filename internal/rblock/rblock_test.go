@@ -218,6 +218,34 @@ func TestOpenConfinedToExport(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesNonRegular: a DirStore export answers an open of itself or
+// of a subdirectory StatusNotFound, and the open is never counted.
+func TestOpenRefusesNonRegular(t *testing.T) {
+	exportDir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(exportDir, "subdir"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := backend.NewDirStore(exportDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(dir, ServerOpts{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
+	c := dial(t, addr)
+	for _, name := range []string{".", "subdir", "subdir/.."} {
+		if _, err := c.Open(name, true); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Open(%q): %v, want ErrNotFound", name, err)
+		}
+	}
+	if n := srv.Stats().Opens; n != 0 {
+		t.Fatalf("%d opens counted", n)
+	}
+}
+
 func TestMultipleFilesOneConnection(t *testing.T) {
 	store, addr, _ := newServer(t, ServerOpts{})
 	for _, name := range []string{"a", "b"} {
