@@ -43,9 +43,9 @@ race:
 
 # fuzz gives each native fuzz target FUZZTIME on top of its seed corpus (which
 # `make test` already replays): the decoders a crash (pack records), a peer
-# (chunk manifests, blob frames and OpChunkBatch replies), any container (qcow
-# headers) or any client (OpReadV payloads, whole request frames) can feed
-# arbitrary bytes. One target per invocation is a `go test -fuzz` rule.
+# (chunk manifests, blob frames, OpChunkBatch replies and OpMap chunk maps),
+# any container (qcow headers) or any client (OpReadV payloads, whole request
+# frames) can feed arbitrary bytes. One target per invocation is a `go test -fuzz` rule.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPackScan -fuzztime $(FUZZTIME) ./internal/dedup
@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadV -fuzztime $(FUZZTIME) ./internal/rblock
 	$(GO) test -run '^$$' -fuzz FuzzServerOp -fuzztime $(FUZZTIME) ./internal/rblock
 	$(GO) test -run '^$$' -fuzz FuzzChunkBatch -fuzztime $(FUZZTIME) ./internal/rblock
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMap -fuzztime $(FUZZTIME) ./internal/swarm
 
 # integration launches real rblockd + vmicached processes on loopback ports
 # and drives a multi-node provisioning round end to end (cold warm with

@@ -20,7 +20,6 @@
 //	-warm A,B,...    base image names to warm at startup
 //	-warm-profile P  boot profile guiding cold warms (centos/debian/windows)
 //	-status DUR      periodic status print interval (0 = only on shutdown)
-//	-drain DUR       graceful-shutdown drain deadline
 //	-metrics-addr A  serve /metrics, /metrics.json and /debug/pprof on A
 //	-dedup           keep a content-addressed chunk store; peer warms become
 //	                 manifest-first and move only the chunks this node lacks
@@ -28,7 +27,6 @@
 //	-tracker URL     swarm announce tracker base URL (http://host:port)
 //	-tracker-listen A     also host the announce tracker on A
 //	-swarm-self A    address announced to the swarm (default: -export bound)
-//	-swarm-chunk-bits N   swarm chunk size exponent (default 16 = 64 KiB)
 //	-swarm-max-peers N    peers each warm polls and fetches from (0 = all)
 //
 // A flash crowd boots one image on many nodes at once: one node hosts the
@@ -69,14 +67,12 @@ func main() {
 	warm := fs.String("warm", "", "comma-separated base image names to warm at startup")
 	warmProfile := fs.String("warm-profile", "", "boot profile guiding cold warms (centos/debian/windows; empty = whole image)")
 	status := fs.Duration("status", 0, "periodic status interval (0 = only on shutdown)")
-	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	metricsAddr := fs.String("metrics-addr", "", "observability address (/metrics, /metrics.json, /debug/pprof); empty disables")
 	dedupOn := fs.Bool("dedup", false, "keep a content-addressed chunk store: sibling caches share storage, peer warms move only missing chunks")
 	swarmOn := fs.Bool("swarm", false, "warm cold caches via chunk-level swarm transfer from peers")
 	tracker := fs.String("tracker", "", "swarm announce tracker base URL, e.g. http://10.0.0.1:9091")
 	trackerListen := fs.String("tracker-listen", "", "also host the swarm announce tracker over HTTP on this address")
 	swarmSelf := fs.String("swarm-self", "", "peer-export address announced to the swarm (default: the -export bound address)")
-	swarmChunkBits := fs.Int("swarm-chunk-bits", 0, "swarm transfer chunk size exponent (0 = default, 64 KiB)")
 	swarmMaxPeers := fs.Int("swarm-max-peers", 0, "bound on peers each swarm warm polls and fetches from (0 = all)")
 	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
 
@@ -130,20 +126,19 @@ func main() {
 		client.RegisterMetrics(reg, metrics.Labels{"peer": "storage"})
 	}
 	mgr, err := cachemgr.New(cachemgr.Config{
-		Dir:            *dir,
-		Budget:         budgetBytes,
-		Quota:          quotaBytes,
-		ClusterBits:    *clusterBits,
-		WarmProfile:    *warmProfile,
-		Backing:        rblock.RemoteStore{C: client},
-		Peers:          splitList(*peers),
-		Metrics:        reg,
-		Dedup:          *dedupOn,
-		SwarmEnabled:   *swarmOn,
-		SwarmSelf:      *swarmSelf,
-		SwarmTracker:   announcer,
-		SwarmChunkBits: *swarmChunkBits,
-		SwarmMaxPeers:  *swarmMaxPeers,
+		Dir:           *dir,
+		Budget:        budgetBytes,
+		Quota:         quotaBytes,
+		ClusterBits:   *clusterBits,
+		WarmProfile:   *warmProfile,
+		Backing:       rblock.RemoteStore{C: client},
+		Peers:         splitList(*peers),
+		Metrics:       reg,
+		Dedup:         *dedupOn,
+		SwarmEnabled:  *swarmOn,
+		SwarmSelf:     *swarmSelf,
+		SwarmTracker:  announcer,
+		SwarmMaxPeers: *swarmMaxPeers,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -199,7 +194,7 @@ func main() {
 		case <-tick:
 			printStatus()
 		case s := <-sig:
-			fmt.Printf("vmicached: %v: draining (up to %v)\n", s, *drain)
+			fmt.Printf("vmicached: %v: draining\n", s)
 			if err := mgr.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "vmicached: shutdown: %v\n", err)
 			}

@@ -125,14 +125,6 @@ type Config struct {
 	// list.
 	SwarmTracker swarm.Announcer
 
-	// SwarmChunkBits selects the swarm transfer chunk size, 1<<bits
-	// bytes (0 means DefaultSwarmChunkBits = 64 KiB). All nodes sharing
-	// images must agree.
-	SwarmChunkBits int
-
-	// SwarmWorkers is the per-warm fetch parallelism (0 means 4).
-	SwarmWorkers int
-
 	// SwarmPrimaryHold delays the first storage-node fetch so tracker
 	// membership can converge before rendezvous primaries are computed.
 	SwarmPrimaryHold time.Duration

@@ -46,31 +46,6 @@ func (e exportStore) Open(name string, _ bool) (backend.File, error) {
 	return &semFile{File: f, release: release}, nil
 }
 
-// Create is rejected: peers cannot write into the cache directory.
-func (e exportStore) Create(name string) (backend.File, error) {
-	return nil, fmt.Errorf("cachemgr: export is read-only: %s", name)
-}
-
-// Remove is rejected: peers cannot delete caches.
-func (e exportStore) Remove(name string) error {
-	return fmt.Errorf("cachemgr: export is read-only: %s", name)
-}
-
-// Stat reports a published cache's size (virtual size for swarm views).
-func (e exportStore) Stat(name string) (int64, error) {
-	if key, ok := cutExportPrefix(name); ok {
-		img, err := e.m.swarmImage(key)
-		if err != nil {
-			return 0, err
-		}
-		return img.Size(), nil
-	}
-	if !strings.HasSuffix(name, pubSuffix) || !e.m.pool.Contains(name) {
-		return 0, fmt.Errorf("%w: %s", backend.ErrNotExist, name)
-	}
-	return e.m.store.Stat(name)
-}
-
 // ServePeers starts exporting this node's caches over rblock: published
 // caches wholesale, plus chunk-wise "swarm:<key>" virtual views (with OpMap
 // chunk-map queries) of anything warming or published. Returns the bound

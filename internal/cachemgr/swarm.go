@@ -13,17 +13,11 @@ import (
 	"vmicache/internal/zerocopy"
 )
 
-const (
-	// DefaultSwarmChunkBits selects 64 KiB swarm chunks.
-	DefaultSwarmChunkBits = 16
-
-	// DefaultPeerConcurrency bounds concurrently served peer-transfer
-	// opens (wholesale pulls and swarm virtual views together). At the
-	// cap, opens are refused with a retryable "unavailable" status rather
-	// than queued, so fetching peers reassign to another source instead of
-	// convoying.
-	DefaultPeerConcurrency = 32
-)
+// DefaultPeerConcurrency bounds concurrently served peer-transfer opens
+// (wholesale pulls and swarm virtual views together). At the cap, opens are
+// refused with a retryable "unavailable" status rather than queued, so
+// fetching peers reassign to another source instead of convoying.
+const DefaultPeerConcurrency = 32
 
 // swarmExport is one image this node serves chunk-wise: either the live cache
 // image of an in-flight swarm warm (serve-while-warming) or a published cache
@@ -32,14 +26,6 @@ const (
 type swarmExport struct {
 	img   *qcow.Image
 	owned bool
-}
-
-// swarmChunkBits resolves the configured chunk size exponent.
-func (m *Manager) swarmChunkBits() uint8 {
-	if m.cfg.SwarmChunkBits > 0 {
-		return uint8(m.cfg.SwarmChunkBits)
-	}
-	return DefaultSwarmChunkBits
 }
 
 // registerSwarmExport advertises a live (warming) image under key. From this
@@ -117,12 +103,11 @@ func (sm swarmMaps) EncodedMap(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cbits := sm.m.swarmChunkBits()
-	bits, err := img.ValidChunkBitmap(int64(1) << cbits)
+	bits, err := img.ValidChunkBitmap(swarm.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
-	return swarm.EncodeBitmap(img.Size(), cbits, bits), nil
+	return swarm.EncodeBitmap(img.Size(), bits), nil
 }
 
 // cutExportPrefix splits a "swarm:<key>" export name.
@@ -309,16 +294,14 @@ func (m *Manager) swarmWarm(base, key, tmpName string) (swarm.Counts, error) {
 	self := m.cfg.SwarmSelf
 	m.mu.Unlock()
 	sess, err := swarm.NewSession(swarm.Config{
-		Key:       key,
-		Self:      self,
-		Size:      ci.Size(),
-		ChunkBits: m.swarmChunkBits(),
-		Origin:    ci.Backing(),
-		Peers:     m.cfg.Peers,
-		Tracker:   m.cfg.SwarmTracker,
-		Refresh:   m.cfg.SwarmRefresh,
-		MaxPeers:  m.cfg.SwarmMaxPeers,
-		Workers:   m.cfg.SwarmWorkers,
+		Key:      key,
+		Self:     self,
+		Size:     ci.Size(),
+		Origin:   ci.Backing(),
+		Peers:    m.cfg.Peers,
+		Tracker:  m.cfg.SwarmTracker,
+		Refresh:  m.cfg.SwarmRefresh,
+		MaxPeers: m.cfg.SwarmMaxPeers,
 		Sched: swarm.SchedConfig{
 			PrimaryHold:          m.cfg.SwarmPrimaryHold,
 			StorageFallbackAfter: m.cfg.SwarmFallbackAfter,

@@ -16,7 +16,6 @@ import (
 // swarmify turns on chunk-level warming with test-friendly timings.
 func swarmify(c *cachemgr.Config) {
 	c.SwarmEnabled = true
-	c.SwarmChunkBits = 16 // 64 KiB chunks
 	c.SwarmRefresh = 10 * time.Millisecond
 	c.SwarmPrimaryHold = 30 * time.Millisecond
 	c.SwarmFallbackAfter = 300 * time.Millisecond
@@ -130,8 +129,8 @@ func TestSwarmServeWhileWarming(t *testing.T) {
 
 	mgrA := newManager(t, s, func(c *cachemgr.Config) {
 		swarmify(c)
-		c.Backing = &slowStore{Store: c.Backing, delay: 4 * time.Millisecond}
-		c.SwarmWorkers = 1 // serialise A's fills so its warm takes a while
+		// Slow enough that A's warm, four fetches at a time, takes a while.
+		c.Backing = &slowStore{Store: c.Backing, delay: 16 * time.Millisecond}
 	})
 	addrA, err := mgrA.ServePeers("127.0.0.1:0")
 	if err != nil {

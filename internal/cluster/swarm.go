@@ -41,12 +41,8 @@ type SwarmParams struct {
 	// copy of the image).
 	BaseClusterBits int
 	// CacheClusterBits sizes the node caches' clusters (default 16,
-	// matching ChunkBits so one chunk fills one cluster).
+	// matching swarm.ChunkSize so one chunk fills one cluster).
 	CacheClusterBits int
-	// ChunkBits sizes the swarm transfer chunk (default 16 = 64 KiB).
-	ChunkBits int
-	// Workers is the per-node fetch parallelism (default 4).
-	Workers int
 	// MaxPeers caps each node's active peer set (default 10, 0 keeps the
 	// default; <0 means unbounded).
 	MaxPeers int
@@ -108,22 +104,16 @@ func (p *SwarmParams) defaults() {
 	if p.Nodes <= 0 {
 		p.Nodes = 1
 	}
-	if p.ChunkBits == 0 {
-		p.ChunkBits = 16
-	}
 	if p.ImageSize <= 0 {
 		p.ImageSize = 2 << 20
 	}
-	cs := int64(1) << p.ChunkBits
+	const cs = swarm.ChunkSize
 	p.ImageSize = (p.ImageSize + cs - 1) / cs * cs
 	if p.BaseClusterBits == 0 {
 		p.BaseClusterBits = 10
 	}
 	if p.CacheClusterBits == 0 {
-		p.CacheClusterBits = p.ChunkBits
-	}
-	if p.Workers == 0 {
-		p.Workers = 4
+		p.CacheClusterBits = 16
 	}
 	if p.MaxPeers == 0 {
 		p.MaxPeers = 10
@@ -194,8 +184,6 @@ func newSwarmNode(st *swarmStorage, tr swarm.Announcer, p SwarmParams) (*swarmNo
 		ClusterBits:        p.CacheClusterBits,
 		SwarmEnabled:       true,
 		SwarmTracker:       tr,
-		SwarmChunkBits:     p.ChunkBits,
-		SwarmWorkers:       p.Workers,
 		SwarmMaxPeers:      p.MaxPeers,
 		SwarmPrimaryHold:   p.PrimaryHold,
 		SwarmFallbackAfter: p.FallbackAfter,

@@ -17,11 +17,13 @@ const maxCheckErrors = 64
 // `qemu-img check`.
 type CheckResult struct {
 	// Errors are fatal inconsistencies (entries pointing outside the
-	// file, refcount mismatches on referenced clusters): the first
+	// file, a referenced cluster counted below its references): the first
 	// maxCheckErrors of them; ErrorsOmitted counts the rest.
 	Errors        []string
 	ErrorsOmitted int
-	// Leaks are clusters with a refcount but no referencing structure.
+	// Leaks are clusters counted above their references — with no
+	// referencing structure at all, or with fewer references than their
+	// refcount. Either wastes space; neither can free a live cluster.
 	Leaks int
 	// AllocatedClusters counts reachable clusters of any kind.
 	AllocatedClusters int64
@@ -163,13 +165,15 @@ func (img *Image) Check() (*CheckResult, error) {
 		}
 		for i := int64(0); i < n; i++ {
 			got, want := uint32(binary.BigEndian.Uint16(stored[i*refcountEntrySz:])), expected[lo+i]
-			switch {
-			case want > 0:
+			if want > 0 {
 				res.AllocatedClusters++
-				if got != want {
-					res.errorf("cluster %d: refcount %d, expected %d", lo+i, got, want)
-				}
-			case got > 0:
+			}
+			// qemu-img's rule: a count below the references could free a
+			// live cluster, a count above them only keeps one allocated.
+			switch {
+			case got < want:
+				res.errorf("cluster %d: refcount %d, expected %d", lo+i, got, want)
+			case got > want:
 				res.Leaks++
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -72,7 +71,6 @@ func TestRunCommitCrashPoints(t *testing.T) {
 		compress  bool  // ... each of one cluster, through WriteCompressedCluster
 		alone     bool  // no backing: unbound clusters read as zeros
 		writes    int64 // container writes of the uncut writer
-		overcount int64 // the cut that leaves the open blob cluster counted one above its blobs, or 0
 	}
 	cases := []crashCase{
 		// 512 B clusters: 64 slots per L2 table, 256 counts per refcount
@@ -115,12 +113,12 @@ func TestRunCommitCrashPoints(t *testing.T) {
 		// incompressible cluster stored raw (reservation, counts, slot).
 		// Cutting the fitting blob's slot write leaves the open cluster
 		// counted one above its live blobs: the bump has to go first, and
-		// Check calls an over-count an error.
+		// Check calls an over-count a leak.
 		{name: "compressed import", cb: 12, size: 1 << 20, alone: true, compress: true,
 			spans: []Span{{0, 3 * k4}},
 			puts: []put{
 				{0, compressible(k4, 1)}, {k4, compressible(k4, 2)}, {2 * k4, guestData(k4, 3)},
-			}, writes: 9, overcount: 5},
+			}, writes: 9},
 		// A fill whose reservation runs past what the refcount table
 		// indexes (64 blocks of 256 clusters at 512 B clusters): the table
 		// grows first, its new clusters and the block counting them still
@@ -203,13 +201,6 @@ func TestRunCommitCrashPoints(t *testing.T) {
 				}
 				return nil
 			}
-			// overcounted accepts, at the over-count cut, Check's one
-			// complaint about the open blob cluster: cluster 5, after the
-			// header, refcount table and block, L1 and the new L2 table.
-			const overcount = "cluster 5: refcount"
-			overcounted := func(k int64, res *CheckResult) bool {
-				return k == tc.overcount && len(res.Errors) == 1 && strings.HasPrefix(res.Errors[0], overcount)
-			}
 			var sawLeak bool
 			for k := int64(0); ; k++ {
 				mem := backend.NewMemFile()
@@ -277,7 +268,7 @@ func TestRunCommitCrashPoints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut %d: check: %v", k, err)
 				}
-				if !res.OK() && !overcounted(k, res) {
+				if !res.OK() {
 					t.Fatalf("cut %d: crash left more than leaks: %s", k, res)
 				}
 				sawLeak = sawLeak || res.Leaks > 0
@@ -298,9 +289,6 @@ func TestRunCommitCrashPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				re, err := OpenVerified(backend.NopClose(mem), OpenOpts{ReadOnly: true})
-				if k == tc.overcount && errors.Is(err, ErrCorrupt) && strings.Contains(err.Error(), overcount) {
-					continue
-				}
 				if err != nil {
 					t.Fatalf("cut %d: image inconsistent after the retry: %v", k, err)
 				}

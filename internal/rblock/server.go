@@ -149,9 +149,15 @@ type ChunkSource interface {
 	ChunkBlob(hash [HashLen]byte) ([]byte, error)
 }
 
-// Server exports a Store over TCP, read-only.
+// Exports is what a Server serves: named files, each opened read-only. Any
+// backend.Store is one.
+type Exports interface {
+	Open(name string, readOnly bool) (backend.File, error)
+}
+
+// Server exports files over TCP, read-only.
 type Server struct {
-	store  backend.Store
+	store  Exports
 	maps   MapSource
 	chunks ChunkSource
 	stats  serverCounters
@@ -204,7 +210,7 @@ type ServerOpts struct {
 }
 
 // NewServer returns a server exporting store.
-func NewServer(store backend.Store, opts ServerOpts) *Server {
+func NewServer(store Exports, opts ServerOpts) *Server {
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

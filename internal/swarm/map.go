@@ -3,7 +3,7 @@
 // from each other instead of serialising on the storage node or on whichever
 // single peer warmed first.
 //
-// The unit of exchange is a chunk — a fixed power-of-two span of the image's
+// The unit of exchange is a chunk — a fixed 64 KiB span of the image's
 // *virtual* address space. Transfers never ship container bytes: every node
 // warms its cache in its own order, so physical layouts differ, but the
 // virtual address space is shared by construction. Each node advertises which
@@ -13,9 +13,9 @@
 // during a warm — fills only add clusters — so a stale map is a safe lower bound: acting on it can under-fetch, never
 // read a range the server would have to fault in from its own backing.
 //
-// The fetching side runs a Scheduler (rarest-first selection, per-peer
-// in-flight and byte/s limits, failed-chunk reassignment, rendezvous-hashed
-// storage fallback) driven by a Session whose workers pull assigned chunks
+// The fetching side runs a Scheduler (rarest-first selection, a per-peer
+// in-flight cap, failed-chunk reassignment, rendezvous-hashed storage
+// fallback) driven by a Session whose workers pull assigned chunks
 // through the cache's ordinary copy-on-read fill path via a Source installed
 // as the image's backing — a swarm fetch and a concurrent guest demand miss
 // share the same singleflight fill and never duplicate a backing read.
@@ -27,49 +27,42 @@ import (
 	"math/bits"
 )
 
-// Chunk-size bounds for the wire format: 512 B to 1 GiB.
-const (
-	MinChunkBits = 9
-	MaxChunkBits = 30
-)
+// ChunkSize is the unit of exchange: 64 KiB of virtual address space. Every
+// node of a swarm uses it; the map's wire header still names it, so a peer
+// with another size is refused rather than misread.
+const ChunkSize = 1 << chunkBits
+
+const chunkBits = 16
 
 // Map errors.
 var (
 	ErrBadMap       = errors.New("swarm: malformed chunk map")
-	ErrBadChunkBits = errors.New("swarm: chunk bits out of range [9,30]")
+	ErrBadChunkBits = errors.New("swarm: map chunk size is not 64 KiB")
 	ErrBadSize      = errors.New("swarm: map size must be positive")
 )
 
 // Map is a chunk-validity bitmap over an image's virtual address space: bit i
-// (bit i&7 of byte i>>3) covers virtual bytes [i<<ChunkBits, min((i+1)<<
-// ChunkBits, Size)).
+// (bit i&7 of byte i>>3) covers virtual bytes [i*ChunkSize, min((i+1)*
+// ChunkSize, Size)).
 type Map struct {
-	Size      int64  // virtual size in bytes
-	ChunkBits uint8  // chunk size = 1 << ChunkBits
-	Bits      []byte // one bit per chunk, (NumChunks()+7)/8 bytes
+	Size int64  // virtual size in bytes
+	Bits []byte // one bit per chunk, (NumChunks()+7)/8 bytes
 }
 
 // NewMap returns an all-invalid map for a size-byte image.
-func NewMap(size int64, chunkBits uint8) (*Map, error) {
+func NewMap(size int64) (*Map, error) {
 	if size <= 0 {
 		return nil, ErrBadSize
 	}
-	if chunkBits < MinChunkBits || chunkBits > MaxChunkBits {
-		return nil, ErrBadChunkBits
-	}
-	m := &Map{Size: size, ChunkBits: chunkBits}
+	m := &Map{Size: size}
 	m.Bits = make([]byte, (m.NumChunks()+7)/8)
 	return m, nil
 }
 
-// ChunkSize reports the chunk size in bytes.
-func (m *Map) ChunkSize() int64 { return 1 << m.ChunkBits }
-
 // NumChunks reports how many chunks cover the image.
-func (m *Map) NumChunks() int64 {
-	cs := m.ChunkSize()
-	return (m.Size + cs - 1) / cs
-}
+func (m *Map) NumChunks() int64 { return numChunks(m.Size) }
+
+func numChunks(size int64) int64 { return (size + ChunkSize - 1) / ChunkSize }
 
 // Has reports whether chunk c is valid. Out-of-range chunks are invalid.
 func (m *Map) Has(c int64) bool {
@@ -97,31 +90,30 @@ func (m *Map) Count() int64 {
 
 // ChunkSpan reports the virtual byte span of chunk c, clamped to the image
 // size (the last chunk may be short).
-func (m *Map) ChunkSpan(c int64) (off, n int64) {
-	off = c << m.ChunkBits
-	n = m.ChunkSize()
-	if off+n > m.Size {
-		n = m.Size - off
-	}
-	return off, n
+func (m *Map) ChunkSpan(c int64) (off, n int64) { return chunkSpan(m.Size, c) }
+
+func chunkSpan(size, c int64) (off, n int64) {
+	off = c << chunkBits
+	return off, min(ChunkSize, size-off)
 }
 
 // mapHeaderLen is the encoded header: u64 size | u8 chunkBits.
 const mapHeaderLen = 9
 
-// Encode serialises the map: u64 size (big-endian) | u8 chunkBits | bitmap.
+// Encode serialises the map: u64 size (big-endian) | u8 chunkBits (16) |
+// bitmap.
 func (m *Map) Encode() []byte {
 	out := make([]byte, mapHeaderLen+len(m.Bits))
 	binary.BigEndian.PutUint64(out, uint64(m.Size))
-	out[8] = m.ChunkBits
+	out[8] = chunkBits
 	copy(out[mapHeaderLen:], m.Bits)
 	return out
 }
 
-// EncodeBitmap wraps an externally produced bitmap (qcow's ValidChunkBitmap)
-// in the wire header without copying validation state.
-func EncodeBitmap(size int64, chunkBits uint8, bitmap []byte) []byte {
-	return (&Map{Size: size, ChunkBits: chunkBits, Bits: bitmap}).Encode()
+// EncodeBitmap wraps an externally produced bitmap (qcow's ValidChunkBitmap
+// at ChunkSize) in the wire header without copying validation state.
+func EncodeBitmap(size int64, bitmap []byte) []byte {
+	return (&Map{Size: size, Bits: bitmap}).Encode()
 }
 
 // DecodeMap parses an encoded map, validating the header and bitmap length.
@@ -130,14 +122,13 @@ func DecodeMap(b []byte) (*Map, error) {
 		return nil, ErrBadMap
 	}
 	size := int64(binary.BigEndian.Uint64(b))
-	chunkBits := b[8]
 	if size <= 0 {
 		return nil, ErrBadSize
 	}
-	if chunkBits < MinChunkBits || chunkBits > MaxChunkBits {
+	if b[8] != chunkBits {
 		return nil, ErrBadChunkBits
 	}
-	m := &Map{Size: size, ChunkBits: chunkBits}
+	m := &Map{Size: size}
 	nbytes := (m.NumChunks() + 7) / 8
 	if int64(len(b)-mapHeaderLen) != nbytes {
 		return nil, ErrBadMap

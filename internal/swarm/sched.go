@@ -16,13 +16,21 @@ type PeerID string
 // (storage node) instead of a peer.
 const Storage PeerID = ""
 
-// SchedConfig tunes the chunk scheduler. The zero value gets sane defaults.
+// Scheduler policy constants.
+const (
+	// peerInflight caps chunks in flight to one peer.
+	peerInflight = 4
+	// maxPeerFailures marks a peer dead after this many consecutive
+	// failures.
+	maxPeerFailures = 3
+	// retryWait is the poll interval Next suggests when nothing is
+	// assignable but the transfer is not finished.
+	retryWait = 25 * time.Millisecond
+)
+
+// SchedConfig tunes the chunk scheduler's timing to the crowd. The zero value
+// gets sane defaults.
 type SchedConfig struct {
-	// PeerInflight caps chunks in flight to one peer (default 4).
-	PeerInflight int
-	// PeerRate limits bytes/s drawn from one peer via a token bucket
-	// (0 = unlimited). The bucket holds at most one second of rate.
-	PeerRate int64
 	// PrimaryHold delays the first storage assignment after the scheduler
 	// starts, giving tracker membership time to converge in a flash crowd
 	// so rendezvous primaries are agreed upon before anyone hits storage
@@ -33,27 +41,6 @@ type SchedConfig struct {
 	// before the node fetches it from storage anyway (liveness when the
 	// primary died). Default 2s.
 	StorageFallbackAfter time.Duration
-	// MaxPeerFailures marks a peer dead after this many consecutive
-	// failures (default 3).
-	MaxPeerFailures int
-	// RetryWait is the poll interval suggested when nothing is assignable
-	// but the transfer is not finished (default 25ms).
-	RetryWait time.Duration
-}
-
-func (c *SchedConfig) setDefaults() {
-	if c.PeerInflight <= 0 {
-		c.PeerInflight = 4
-	}
-	if c.StorageFallbackAfter <= 0 {
-		c.StorageFallbackAfter = 2 * time.Second
-	}
-	if c.MaxPeerFailures <= 0 {
-		c.MaxPeerFailures = 3
-	}
-	if c.RetryWait <= 0 {
-		c.RetryWait = 25 * time.Millisecond
-	}
 }
 
 // Assignment is one unit of scheduled work: fetch chunk (virtual bytes
@@ -85,19 +72,15 @@ type chunkState struct {
 }
 
 type peerState struct {
-	m        *Map // last advertised map (nil until the first UpdatePeer)
+	m        *Map // last advertised map
 	inflight int
 	failures int // consecutive; reset on success
 	dead     bool
-
-	// Token bucket for PeerRate: tokens available at lastRefill.
-	tokens     float64
-	lastRefill time.Time
 }
 
 // Scheduler decides which chunk to fetch next and from where. It is pure
 // bookkeeping — no I/O, no goroutines — with an injected clock, so its
-// policies (rarest-first, rate limits, reassignment, rendezvous storage
+// policies (rarest-first, the in-flight cap, reassignment, rendezvous storage
 // fallback) are unit-testable without time dependence. All methods are
 // safe for concurrent use.
 type Scheduler struct {
@@ -106,7 +89,6 @@ type Scheduler struct {
 	key    string // image key: the rendezvous hash salt
 	self   string // this node's member name (its peer-export address)
 	size   int64
-	cbits  uint8
 	chunks []chunkState
 	todo   int64 // chunks not yet done
 	peers  map[PeerID]*peerState
@@ -143,29 +125,26 @@ type SchedCounts struct {
 	Total         int64
 }
 
-// NewScheduler plans the fetch of a size-byte image in 1<<chunkBits chunks.
-// have, when non-nil, marks chunks already locally valid (skipped). key salts
-// the rendezvous hash so different images spread their primaries differently;
-// self is this node's member name. now is the clock (nil = time.Now).
-func NewScheduler(key, self string, size int64, chunkBits uint8, have *Map, cfg SchedConfig, now func() time.Time) (*Scheduler, error) {
+// NewScheduler plans the fetch of a size-byte image in ChunkSize chunks. key
+// salts the rendezvous hash so different images spread their primaries
+// differently; self is this node's member name. now is the clock (nil =
+// time.Now).
+func NewScheduler(key, self string, size int64, cfg SchedConfig, now func() time.Time) (*Scheduler, error) {
 	if size <= 0 {
 		return nil, ErrBadSize
 	}
-	if chunkBits < MinChunkBits || chunkBits > MaxChunkBits {
-		return nil, ErrBadChunkBits
+	if cfg.StorageFallbackAfter <= 0 {
+		cfg.StorageFallbackAfter = 2 * time.Second
 	}
-	cfg.setDefaults()
 	if now == nil {
 		now = time.Now
 	}
-	cs := int64(1) << chunkBits
-	n := (size + cs - 1) / cs
+	n := numChunks(size)
 	s := &Scheduler{
 		cfg:    cfg,
 		key:    key,
 		self:   self,
 		size:   size,
-		cbits:  chunkBits,
 		chunks: make([]chunkState, n),
 		todo:   n,
 		peers:  make(map[PeerID]*peerState),
@@ -174,15 +153,6 @@ func NewScheduler(key, self string, size int64, chunkBits uint8, have *Map, cfg 
 	}
 	s.start = now()
 	s.cnt.Total = n
-	if have != nil {
-		for c := int64(0); c < n; c++ {
-			if have.Has(c) {
-				s.chunks[c].phase = chunkDone
-				s.todo--
-				s.cnt.Done++
-			}
-		}
-	}
 	return s, nil
 }
 
@@ -197,29 +167,13 @@ func (s *Scheduler) signal() {
 	}
 }
 
-// newPeer builds a peer state with a full token bucket (a fresh peer can
-// serve its first second of rate immediately). Caller holds s.mu.
-func (s *Scheduler) newPeer() *peerState {
-	return &peerState{lastRefill: s.now(), tokens: float64(s.cfg.PeerRate)}
-}
-
-// AddPeer registers a peer; until its first UpdatePeer it advertises nothing.
-func (s *Scheduler) AddPeer(id PeerID) {
-	s.mu.Lock()
-	if _, ok := s.peers[id]; !ok {
-		s.peers[id] = s.newPeer()
-	}
-	s.mu.Unlock()
-	s.signal()
-}
-
 // UpdatePeer installs a peer's freshly fetched chunk map, registering the
 // peer if needed and reviving a dead one (a working map fetch proves life).
 func (s *Scheduler) UpdatePeer(id PeerID, m *Map) {
 	s.mu.Lock()
 	p, ok := s.peers[id]
 	if !ok {
-		p = s.newPeer()
+		p = &peerState{}
 		s.peers[id] = p
 	}
 	p.m = m
@@ -259,19 +213,6 @@ func (s *Scheduler) SetMembers(members []string) {
 	s.signal()
 }
 
-// refill tops up a peer's token bucket to the current time.
-func (s *Scheduler) refill(p *peerState, now time.Time) {
-	if s.cfg.PeerRate <= 0 {
-		return
-	}
-	max := float64(s.cfg.PeerRate) // one second of burst
-	p.tokens += now.Sub(p.lastRefill).Seconds() * float64(s.cfg.PeerRate)
-	if p.tokens > max {
-		p.tokens = max
-	}
-	p.lastRefill = now
-}
-
 // Next picks the next assignment. ok=false means nothing is assignable right
 // now; retry after wait (wait == 0 only when the transfer is finished).
 // Selection is rarest-first: among pending chunks served by at least one
@@ -297,7 +238,7 @@ func (s *Scheduler) Next() (a Assignment, ok bool, wait time.Duration) {
 	best := cand{avail: 1 << 30}
 	bestLoad := 1 << 30
 	var bestStorage int64 = -1
-	minWait := s.cfg.RetryWait
+	minWait := retryWait
 
 	inHold := s.cfg.PrimaryHold > 0 && now.Sub(s.start) < s.cfg.PrimaryHold
 	if inHold {
@@ -320,7 +261,7 @@ func (s *Scheduler) Next() (a Assignment, ok bool, wait time.Duration) {
 		var pick PeerID
 		pickLoad := 1 << 30
 		for id, p := range s.peers {
-			if p.dead || p.m == nil || !p.m.Has(chunk) {
+			if p.dead || !p.m.Has(chunk) {
 				continue
 			}
 			avail++
@@ -328,19 +269,8 @@ func (s *Scheduler) Next() (a Assignment, ok bool, wait time.Duration) {
 				continue
 			}
 			usable++
-			if p.inflight >= s.cfg.PeerInflight {
+			if p.inflight >= peerInflight {
 				continue
-			}
-			if s.cfg.PeerRate > 0 {
-				s.refill(p, now)
-				_, n := s.chunkSpan(chunk)
-				if p.tokens < float64(n) {
-					d := time.Duration((float64(n) - p.tokens) / float64(s.cfg.PeerRate) * float64(time.Second))
-					if d > 0 && d < minWait {
-						minWait = d
-					}
-					continue
-				}
 			}
 			if p.inflight < pickLoad {
 				pick, pickLoad = id, p.inflight
@@ -378,18 +308,13 @@ func (s *Scheduler) Next() (a Assignment, ok bool, wait time.Duration) {
 	if best.avail < 1<<30 {
 		st := &s.chunks[best.chunk]
 		st.phase = chunkAssigned
-		p := s.peers[best.peer]
-		p.inflight++
-		if s.cfg.PeerRate > 0 {
-			_, n := s.chunkSpan(best.chunk)
-			p.tokens -= float64(n)
-		}
-		off, n := s.chunkSpan(best.chunk)
+		s.peers[best.peer].inflight++
+		off, n := chunkSpan(s.size, best.chunk)
 		return Assignment{Chunk: best.chunk, Off: off, N: n, Peer: best.peer}, true, 0
 	}
 	if bestStorage >= 0 {
 		s.chunks[bestStorage].phase = chunkAssigned
-		off, n := s.chunkSpan(bestStorage)
+		off, n := chunkSpan(s.size, bestStorage)
 		return Assignment{Chunk: bestStorage, Off: off, N: n, Peer: Storage}, true, 0
 	}
 	if minWait <= 0 {
@@ -451,7 +376,7 @@ func (s *Scheduler) Fail(a Assignment) {
 				p.inflight--
 			}
 			p.failures++
-			if p.failures >= s.cfg.MaxPeerFailures {
+			if p.failures >= maxPeerFailures {
 				p.dead = true
 			}
 		}
@@ -483,8 +408,8 @@ func (s *Scheduler) Counts() SchedCounts {
 
 // PeerFor picks a serving peer for a demand read of chunk c — a guest miss
 // arriving outside any worker assignment. It prefers the least-loaded live
-// peer advertising the chunk and charges no tokens (demand misses must not
-// stall behind the swarm's own rate limits); exclude lists peers that
+// peer advertising the chunk, ignoring the in-flight cap (demand misses must
+// not stall behind the swarm's own fetches); exclude lists peers that
 // already failed this read. ok=false means no peer can serve it (caller
 // falls through to storage).
 func (s *Scheduler) PeerFor(c int64, exclude map[PeerID]bool) (PeerID, bool) {
@@ -494,7 +419,7 @@ func (s *Scheduler) PeerFor(c int64, exclude map[PeerID]bool) (PeerID, bool) {
 	load := 1 << 30
 	found := false
 	for id, p := range s.peers {
-		if p.dead || p.m == nil || !p.m.Has(c) || exclude[id] {
+		if p.dead || !p.m.Has(c) || exclude[id] {
 			continue
 		}
 		if p.inflight < load {
@@ -502,16 +427,6 @@ func (s *Scheduler) PeerFor(c int64, exclude map[PeerID]bool) (PeerID, bool) {
 		}
 	}
 	return pick, found
-}
-
-// chunkSpan is ChunkSpan without a Map value.
-func (s *Scheduler) chunkSpan(c int64) (off, n int64) {
-	off = c << s.cbits
-	n = int64(1) << s.cbits
-	if off+n > s.size {
-		n = s.size - off
-	}
-	return off, n
 }
 
 // prim cache states: a chunk's primary verdict under the current view.

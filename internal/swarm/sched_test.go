@@ -30,7 +30,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // mapOf builds a map over n 64 KiB chunks with the listed chunks valid.
 func mapOf(n int64, valid ...int64) *Map {
-	m, err := NewMap(n<<16, 16)
+	m, err := NewMap(n * ChunkSize)
 	if err != nil {
 		panic(err)
 	}
@@ -42,7 +42,7 @@ func mapOf(n int64, valid ...int64) *Map {
 
 func newSched(t *testing.T, nchunks int64, cfg SchedConfig, clk *fakeClock) *Scheduler {
 	t.Helper()
-	s, err := NewScheduler("img.vmic", "self:1", nchunks<<16, 16, nil, cfg, clk.Now)
+	s, err := NewScheduler("img.vmic", "self:1", nchunks*ChunkSize, cfg, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,55 +93,33 @@ func TestSchedRarestFirst(t *testing.T) {
 
 func TestSchedPeerInflightCap(t *testing.T) {
 	clk := newClock()
-	s := newSched(t, 4, SchedConfig{PeerInflight: 2}, clk)
-	s.UpdatePeer("a", mapOf(4, 0, 1, 2, 3))
+	const n = peerInflight + 2
+	s := newSched(t, n, SchedConfig{}, clk)
+	all := make([]int64, n)
+	for c := range all {
+		all[c] = int64(c)
+	}
+	s.UpdatePeer("a", mapOf(n, all...))
 
-	a1 := mustNext(t, s)
-	a2 := mustNext(t, s)
+	held := make([]Assignment, peerInflight)
+	for i := range held {
+		held[i] = mustNext(t, s)
+	}
 	if _, ok, wait := s.Next(); ok {
-		t.Fatal("third assignment exceeded PeerInflight=2")
+		t.Fatalf("assignment %d exceeded the in-flight cap of %d", peerInflight+1, peerInflight)
 	} else if wait <= 0 {
 		t.Fatal("blocked Next must suggest a positive wait")
 	}
-	s.Complete(a1, a1.Peer)
-	a3 := mustNext(t, s)
-	if a3.Peer != "a" {
-		t.Fatalf("assignment went to %q, want a", a3.Peer)
+	s.Complete(held[0], held[0].Peer)
+	a := mustNext(t, s)
+	if a.Peer != "a" {
+		t.Fatalf("assignment went to %q, want a", a.Peer)
 	}
-	s.Complete(a2, a2.Peer)
-	s.Complete(a3, a3.Peer)
+	for _, h := range held[1:] {
+		s.Complete(h, h.Peer)
+	}
+	s.Complete(a, a.Peer)
 	mustNext(t, s)
-}
-
-func TestSchedRateLimit(t *testing.T) {
-	clk := newClock()
-	// Rate = one 64 KiB chunk per second; bucket starts with one second.
-	s := newSched(t, 4, SchedConfig{PeerRate: 64 << 10, PeerInflight: 8}, clk)
-	s.UpdatePeer("a", mapOf(4, 0, 1, 2, 3))
-
-	a1 := mustNext(t, s)
-	s.Complete(a1, a1.Peer)
-	_, ok, wait := s.Next()
-	if ok {
-		t.Fatal("second chunk assigned with an empty token bucket")
-	}
-	if wait <= 0 || wait > time.Second {
-		t.Fatalf("rate-limited wait = %v, want (0, 1s]", wait)
-	}
-	clk.Advance(500 * time.Millisecond)
-	if _, ok, _ := s.Next(); ok {
-		t.Fatal("chunk assigned with a half-full bucket")
-	}
-	clk.Advance(500 * time.Millisecond)
-	a2 := mustNext(t, s)
-	s.Complete(a2, a2.Peer)
-	// Tokens never accumulate past one second of rate.
-	clk.Advance(10 * time.Second)
-	a3 := mustNext(t, s)
-	s.Complete(a3, a3.Peer)
-	if _, ok, _ := s.Next(); ok {
-		t.Fatal("burst exceeded one second of rate")
-	}
 }
 
 func TestSchedFailReassignsToOtherPeer(t *testing.T) {
@@ -186,7 +164,7 @@ func TestSchedFailFallsBackToStorage(t *testing.T) {
 
 func TestSchedPeerDeathMidTransfer(t *testing.T) {
 	clk := newClock()
-	s := newSched(t, 4, SchedConfig{PeerInflight: 4}, clk)
+	s := newSched(t, 4, SchedConfig{}, clk)
 	s.UpdatePeer("a", mapOf(4, 0, 1))
 	s.UpdatePeer("b", mapOf(4, 0, 1, 2, 3))
 
@@ -215,14 +193,15 @@ func TestSchedPeerDeathMidTransfer(t *testing.T) {
 
 func TestSchedConsecutiveFailuresKillPeer(t *testing.T) {
 	clk := newClock()
-	s := newSched(t, 8, SchedConfig{MaxPeerFailures: 3, PeerInflight: 8}, clk)
+	s := newSched(t, 8, SchedConfig{}, clk)
 	s.UpdatePeer("a", mapOf(8, 0, 1, 2, 3, 4, 5, 6, 7))
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxPeerFailures; i++ {
 		a := mustNext(t, s)
 		s.Fail(a)
 	}
-	// Three consecutive failures: the peer is dead, chunks go to storage.
+	// maxPeerFailures consecutive failures: the peer is dead, chunks go to
+	// storage.
 	a := mustNext(t, s)
 	if a.Peer != Storage {
 		t.Fatalf("dead peer still assigned (%q)", a.Peer)
@@ -240,28 +219,6 @@ func TestSchedConsecutiveFailuresKillPeer(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("revived peer never reassigned")
-	}
-}
-
-func TestSchedHaveSkipsChunks(t *testing.T) {
-	clk := newClock()
-	have := mapOf(4, 1, 3)
-	s, err := NewScheduler("k", "self", 4<<16, 16, have, SchedConfig{}, clk.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Remaining(); got != 2 {
-		t.Fatalf("Remaining = %d, want 2", got)
-	}
-	s.UpdatePeer("a", mapOf(4, 0, 1, 2, 3))
-	seen := map[int64]bool{}
-	for !s.Finished() {
-		a := mustNext(t, s)
-		seen[a.Chunk] = true
-		s.Complete(a, a.Peer)
-	}
-	if seen[1] || seen[3] || !seen[0] || !seen[2] {
-		t.Fatalf("fetched chunks %v, want exactly {0, 2}", seen)
 	}
 }
 
@@ -299,7 +256,7 @@ func TestSchedStoragePrimaryGating(t *testing.T) {
 		PrimaryHold:          100 * time.Millisecond,
 		StorageFallbackAfter: time.Second,
 	}
-	s, err := NewScheduler("img", "self", 4<<16, 16, nil, cfg, clk.Now)
+	s, err := NewScheduler("img", "self", 4*ChunkSize, cfg, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,14 @@ const DefaultRefresh = 250 * time.Millisecond
 // source can deliver.
 const maxChunkAttempts = 16
 
+// workers is a session's fetch parallelism, and dialAttempts how often it
+// dials a peer (with rblock.DefaultBackoff between tries) before the next
+// refresh round retries.
+const (
+	workers      = 4
+	dialAttempts = 3
+)
+
 // Config parameterises a fetch session.
 type Config struct {
 	// Key is the image key — the cache's published name, shared by every
@@ -42,10 +50,6 @@ type Config struct {
 	Self string
 	// Size is the image's virtual size in bytes.
 	Size int64
-	// ChunkBits selects the chunk size (1 << ChunkBits bytes).
-	ChunkBits uint8
-	// Have, when non-nil, marks chunks already locally valid.
-	Have *Map
 	// Origin is the storage-node fallback source.
 	Origin BlockSource
 	// Peers are static peer addresses, used alongside (or instead of) the
@@ -63,18 +67,10 @@ type Config struct {
 	// map polls and chunk reads go to a stable per-node subset, keeping
 	// poll traffic O(N·MaxPeers) instead of O(N²).
 	MaxPeers int
-	// Workers is the fetch parallelism (0 = 4).
-	Workers int
 	// Sched tunes the chunk scheduler.
 	Sched SchedConfig
-	// DialAttempts and DialBackoff shape peer connection retries
-	// (0 attempts = 3, zero backoff = rblock.DefaultBackoff).
-	DialAttempts int
-	DialBackoff  rblock.Backoff
 	// Logf, when non-nil, receives session events.
 	Logf func(format string, args ...any)
-	// Now is the clock (nil = time.Now); tests inject it.
-	Now func() time.Time
 }
 
 // Counts snapshots a session's transfer outcomes. Chunk counts come from the
@@ -134,19 +130,10 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.Refresh <= 0 {
 		cfg.Refresh = DefaultRefresh
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 3
-	}
-	if (cfg.DialBackoff == rblock.Backoff{}) {
-		cfg.DialBackoff = rblock.DefaultBackoff
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	sched, err := NewScheduler(cfg.Key, cfg.Self, cfg.Size, cfg.ChunkBits, cfg.Have, cfg.Sched, cfg.Now)
+	sched, err := NewScheduler(cfg.Key, cfg.Self, cfg.Size, cfg.Sched, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +149,6 @@ func NewSession(cfg Config) (*Session, error) {
 		origin:   cfg.Origin,
 		sched:    sched,
 		sess:     s,
-		cbits:    cfg.ChunkBits,
 		assigned: make(map[int64]PeerID),
 	}
 	return s, nil
@@ -263,12 +249,11 @@ func (s *Session) Run(read func(p []byte, off int64) error) error {
 		return abortErr != nil
 	}
 
-	cs := int64(1) << s.cfg.ChunkBits
-	for w := 0; w < s.cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, cs)
+			buf := make([]byte, ChunkSize)
 			for {
 				select {
 				case <-s.closed:
@@ -436,9 +421,8 @@ func (s *Session) pollPeer(id PeerID) {
 		s.cfg.Logf("swarm: peer %s sent bad map: %v", id, err)
 		return
 	}
-	if m.Size != s.cfg.Size || m.ChunkBits != s.cfg.ChunkBits {
-		s.cfg.Logf("swarm: peer %s map mismatch (size %d bits %d, want %d/%d)",
-			id, m.Size, m.ChunkBits, s.cfg.Size, s.cfg.ChunkBits)
+	if m.Size != s.cfg.Size {
+		s.cfg.Logf("swarm: peer %s map mismatch (size %d, want %d)", id, m.Size, s.cfg.Size)
 		return
 	}
 	s.sched.UpdatePeer(id, m)
@@ -467,7 +451,7 @@ func (s *Session) conn(id PeerID) (*peerConn, error) {
 		pc.err = nil
 		return nil, err
 	}
-	c, err := rblock.DialRetry(string(id), s.cfg.DialAttempts, s.cfg.DialBackoff, nil)
+	c, err := rblock.DialRetry(string(id), dialAttempts, rblock.DefaultBackoff, nil)
 	if err != nil {
 		pc.err = err
 		return nil, err

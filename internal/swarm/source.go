@@ -31,7 +31,6 @@ type Source struct {
 	origin BlockSource
 	sched  *Scheduler
 	sess   *Session
-	cbits  uint8
 
 	mu       sync.Mutex
 	assigned map[int64]PeerID
@@ -68,13 +67,12 @@ func (s *Source) unassign(chunk int64) {
 // within the backing size; spans crossing chunk boundaries are split so each
 // piece uses its own chunk's routing.
 func (s *Source) ReadAt(p []byte, off int64) (int, error) {
-	cs := int64(1) << s.cbits
 	done := 0
 	for done < len(p) {
 		pos := off + int64(done)
-		chunk := pos >> s.cbits
+		chunk := pos >> chunkBits
 		n := len(p) - done
-		if rem := (chunk+1)*cs - pos; int64(n) > rem {
+		if rem := (chunk+1)*ChunkSize - pos; int64(n) > rem {
 			n = int(rem)
 		}
 		if err := s.readChunkPiece(p[done:done+n], pos, chunk); err != nil {
