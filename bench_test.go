@@ -624,69 +624,6 @@ func BenchmarkBootReplayThroughChain(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrefetch measures §7.3's disclosure-based prefetching on
-// the real data path: a boot with think time over a cold cache, with and
-// without a background prefetcher racing the guest to the base. The paper's
-// preliminary result bounds the gain at the read-wait fraction.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	prof := boot.CentOS.Scale(0.002)
-	prof.UncontendedBoot = 300 * time.Millisecond // keep wall time modest
-	w := boot.Generate(prof)
-	disclosure := make([]core.Span, 0, len(w.Ops))
-	for _, s := range w.ReadSpans() {
-		disclosure = append(disclosure, core.Span{Off: s.Off, Len: s.Len})
-	}
-
-	run := func(b *testing.B, prefetch bool) time.Duration {
-		b.Helper()
-		src := slowPatternSource{boot.PatternSource{Seed: 6, N: prof.ImageSize}, 5 * time.Millisecond}
-		cache, err := qcow.Create(backend.NewMemFile(), qcow.CreateOpts{
-			Size: prof.ImageSize, ClusterBits: 9, BackingFile: "b", CacheQuota: prof.ImageSize,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache.SetBacking(src)
-		cow, err := qcow.Create(backend.NewMemFile(), qcow.CreateOpts{
-			Size: prof.ImageSize, ClusterBits: 16, BackingFile: "c",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cow.SetBacking(cache)
-		chain := &core.Chain{Images: []*qcow.Image{cow, cache}}
-		var p *core.Prefetcher
-		if prefetch {
-			p = core.NewPrefetcher(chain, disclosure, 64<<10)
-			p.Start()
-		}
-		start := time.Now()
-		if _, err := boot.Replay(w, chain, boot.ReplayOpts{ThinkScale: 1}); err != nil {
-			b.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if p != nil {
-			p.Stop()
-		}
-		return elapsed
-	}
-
-	for _, prefetch := range []bool{false, true} {
-		prefetch := prefetch
-		name := "off"
-		if prefetch {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var boot time.Duration
-			for i := 0; i < b.N; i++ {
-				boot = run(b, prefetch)
-			}
-			b.ReportMetric(boot.Seconds(), "boot-s")
-		})
-	}
-}
-
 // BenchmarkProfileWarm measures profile-guided prewarming end to end against
 // a latency-bearing base. The timed quantity is the FIRST boot of the guest
 // the profile models:
@@ -817,8 +754,8 @@ func BenchmarkProfileWarm(b *testing.B) {
 	})
 }
 
-// slowPatternSource adds a per-read delay to a pattern source (remote base
-// stand-in for the prefetch ablation).
+// slowPatternSource adds a per-read delay to a pattern source (a remote base
+// stand-in).
 type slowPatternSource struct {
 	boot.PatternSource
 	delay time.Duration
@@ -828,133 +765,6 @@ func (s slowPatternSource) ReadAt(p []byte, off int64) (int, error) {
 	time.Sleep(s.delay)
 	return s.PatternSource.ReadAt(p, off)
 }
-
-// BenchmarkAblationDedupCompress measures the §8 future-work extensions on
-// warm cache images of related VMIs: content-addressed deduplication across
-// a cache pool, and compressed cache transfer (the Fig. 13 wire cost).
-func BenchmarkAblationDedupCompress(b *testing.B) {
-	const (
-		imageSize = 8 << 20
-		nVMIs     = 8
-	)
-	// Build warm caches for nVMIs images derived from one distro: 7/8 of
-	// each image's content is shared, 1/8 is per-VMI.
-	buildCache := func(vmi int64) *backend.MemFile {
-		shared := boot.PatternSource{Seed: 1000, N: imageSize}
-		private := boot.PatternSource{Seed: 2000 + vmi, N: imageSize}
-		content := overlaySource{shared, private, imageSize * 7 / 8}
-		f := backend.NewMemFile()
-		img, err := qcow.Create(backend.NopClose(f), qcow.CreateOpts{
-			Size: imageSize, ClusterBits: 9, BackingFile: "b", CacheQuota: imageSize,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		img.SetBacking(content)
-		buf := make([]byte, 64<<10)
-		// Same boot read set for every derived VMI.
-		for off := int64(0); off < 2<<20; off += int64(len(buf)) {
-			if err := backend.ReadFull(img, buf, off); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := img.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-
-	b.Run("dedup-pool", func(b *testing.B) {
-		var savings float64
-		for i := 0; i < b.N; i++ {
-			// Content-defined chunking across the pool: logical bytes vs
-			// bytes a content-addressed store would actually hold.
-			seen := make(map[dedup.Key]int64)
-			var logical, unique int64
-			for v := int64(0); v < nVMIs; v++ {
-				f := buildCache(v)
-				size, err := f.Size()
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, err = dedup.Build(f, size, func(e dedup.Entry, raw []byte) error {
-					logical += int64(e.Len)
-					if _, ok := seen[e.Hash]; !ok {
-						seen[e.Hash] = int64(e.Len)
-						unique += int64(e.Len)
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			savings = float64(logical-unique) / float64(logical)
-		}
-		b.ReportMetric(savings, "dedup-savings")
-	})
-
-	b.Run("compressed-transfer", func(b *testing.B) {
-		src := backend.NewMemStore()
-		f := buildCache(0)
-		size, _ := f.Size()
-		buf := make([]byte, size)
-		if err := backend.ReadFull(f, buf, 0); err != nil {
-			b.Fatal(err)
-		}
-		out, _ := src.Create("cache")
-		if err := backend.WriteFull(out, buf, 0); err != nil {
-			b.Fatal(err)
-		}
-		var ratio float64
-		for i := 0; i < b.N; i++ {
-			dst := backend.NewMemStore()
-			raw, wire, err := dedup.TransferCompressed(dst, "cache", src, "cache")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ratio = float64(wire) / float64(raw)
-		}
-		b.ReportMetric(ratio, "wire-ratio")
-	})
-}
-
-// overlaySource serves shared content below split and private content above
-// it — VMIs derived from the same OS distribution (§7.3). Bytes are folded
-// into a small alphabet so the content has OS-file-like compressibility.
-type overlaySource struct {
-	shared  boot.PatternSource
-	private boot.PatternSource
-	split   int64
-}
-
-func (o overlaySource) ReadAt(p []byte, off int64) (int, error) {
-	done := 0
-	for done < len(p) {
-		pos := off + int64(done)
-		src := o.shared
-		end := o.split
-		if pos >= o.split {
-			src = o.private
-			end = o.shared.N
-		}
-		want := len(p) - done
-		if avail := end - pos; int64(want) > avail {
-			want = int(avail)
-		}
-		if _, err := src.ReadAt(p[done:done+want], pos); err != nil {
-			return done, err
-		}
-		done += want
-	}
-	// Low-entropy fold: text-like bytes compress like OS files do.
-	for i := range p {
-		p[i] = 'A' + p[i]&0x0f
-	}
-	return len(p), nil
-}
-
-func (o overlaySource) Size() int64 { return o.shared.N }
 
 // BenchmarkExtensionMixedWarmCold measures the mixed warm/cold scenario
 // §5.3.1 discusses qualitatively: cold nodes boot faster as the warm

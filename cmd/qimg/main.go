@@ -289,27 +289,6 @@ func parseSpans(s string) ([]core.Span, error) {
 	return out, nil
 }
 
-// parseSize parses "1073741824", "1G", "512M", "64K".
-func parseSize(s string) (int64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
-	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
-	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	return n * mult, nil
-}
-
 func cmdWarm(args []string) error {
 	fs := flag.NewFlagSet("warm", flag.ExitOnError)
 	dir := fs.String("C", ".", "working directory")

@@ -106,7 +106,7 @@ func TestMemFileSparseness(t *testing.T) {
 	if err := WriteFull(f, []byte{1}, 1<<39); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.AllocatedBytes(); got > 4*memChunkSize {
+	if got := allocatedBytes(f); got > 4*memChunkSize {
 		t.Fatalf("sparse file allocated %d bytes for a 1-byte write", got)
 	}
 }
@@ -208,7 +208,8 @@ func TestOSFileRoundTrip(t *testing.T) {
 
 func TestCountingFileTallies(t *testing.T) {
 	inner := NewMemFile()
-	cf := NewCountingFile(inner, nil)
+	c := &Counters{}
+	cf := NewCountingFile(inner, c)
 	if err := WriteFull(cf, make([]byte, 1000), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,6 @@ func TestCountingFileTallies(t *testing.T) {
 	if err := cf.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	c := cf.Counters()
 	if got := c.WriteBytes.Load(); got != 1000 {
 		t.Fatalf("WriteBytes = %d", got)
 	}
@@ -313,4 +313,11 @@ func TestFaultyFileArming(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allocatedBytes reports how many bytes of chunk storage f has materialised.
+func allocatedBytes(f *MemFile) int64 {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return int64(len(f.chunks)) * memChunkSize
 }

@@ -47,19 +47,10 @@ type CountingFile struct {
 	c     *Counters
 }
 
-// NewCountingFile wraps inner; if c is nil a fresh Counters is allocated.
+// NewCountingFile wraps inner, tallying into c.
 func NewCountingFile(inner File, c *Counters) *CountingFile {
-	if c == nil {
-		c = &Counters{}
-	}
 	return &CountingFile{inner: inner, c: c}
 }
-
-// Counters returns the tally shared by this wrapper.
-func (f *CountingFile) Counters() *Counters { return f.c }
-
-// Inner returns the wrapped file.
-func (f *CountingFile) Inner() File { return f.inner }
 
 // ReadAt counts the bytes actually transferred and forwards.
 func (f *CountingFile) ReadAt(p []byte, off int64) (int, error) {
@@ -116,9 +107,6 @@ type HookFile struct {
 
 // NewHookFile wraps inner with empty hooks.
 func NewHookFile(inner File) *HookFile { return &HookFile{inner: inner} }
-
-// Inner returns the wrapped file.
-func (f *HookFile) Inner() File { return f.inner }
 
 // ReadAt invokes OnRead then forwards.
 func (f *HookFile) ReadAt(p []byte, off int64) (int, error) {

@@ -186,14 +186,6 @@ func (f *MemFile) Close() error {
 	return nil
 }
 
-// AllocatedBytes reports how many bytes of chunk storage are materialised;
-// useful in tests asserting that sparse images stay sparse.
-func (f *MemFile) AllocatedBytes() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return int64(len(f.chunks)) * memChunkSize
-}
-
 func zero(b []byte) {
 	for i := range b {
 		b[i] = 0

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -136,31 +135,6 @@ func (s *MemStore) Stat(name string) (int64, error) {
 		return 0, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
 	return f.Size()
-}
-
-// Names lists stored file names in sorted order.
-func (s *MemStore) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.files))
-	for n := range s.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalBytes sums the sizes of all stored files.
-func (s *MemStore) TotalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for _, f := range s.files {
-		if sz, err := f.Size(); err == nil {
-			total += sz
-		}
-	}
-	return total
 }
 
 // roFile rejects mutation.

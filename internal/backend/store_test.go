@@ -58,12 +58,8 @@ func TestMemStoreLifecycle(t *testing.T) {
 	}
 
 	s.Create("b.img") //nolint:errcheck
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a.img" || names[1] != "b.img" {
-		t.Fatalf("names = %v", names)
-	}
-	if s.TotalBytes() != 5 {
-		t.Fatalf("total = %d", s.TotalBytes())
+	if sz, err := s.Stat("b.img"); err != nil || sz != 0 || len(s.files) != 2 {
+		t.Fatalf("after second create: stat %d %v, %d files", sz, err, len(s.files))
 	}
 	if err := s.Remove("a.img"); err != nil {
 		t.Fatal(err)
@@ -343,7 +339,7 @@ func TestMemStoreRemovedFileKeepsHandles(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := mf.AllocatedBytes(); n != 0 {
+	if n := allocatedBytes(mf); n != 0 {
 		t.Fatalf("removed file with no handle still holds %d bytes", n)
 	}
 	if _, err := r.ReadAt(make([]byte, 8), 0); !errors.Is(err, ErrClosed) {

@@ -94,7 +94,7 @@ func TestGenerateOpsInBounds(t *testing.T) {
 	if writes == 0 || flushes == 0 {
 		t.Fatalf("missing writes (%d) or flushes (%d)", writes, flushes)
 	}
-	if got := w.TotalWriteBytes(); got < p.WriteBytes || got >= p.WriteBytes+512 {
+	if got := totalWriteBytes(w); got < p.WriteBytes || got >= p.WriteBytes+512 {
 		t.Fatalf("write volume = %d, want within one sector above %d", got, p.WriteBytes)
 	}
 }
@@ -103,7 +103,7 @@ func TestThinkBudgetMatchesProfile(t *testing.T) {
 	p := CentOS.Scale(0.05)
 	w := Generate(p)
 	want := time.Duration(float64(p.UncontendedBoot) * (1 - p.ReadWaitFraction))
-	got := w.TotalThink()
+	got := totalThink(w)
 	if math.Abs(float64(got-want)) > float64(want)/100 {
 		t.Fatalf("think budget = %v, want ~%v", got, want)
 	}
@@ -232,8 +232,8 @@ func TestReplayAgainstChainVerified(t *testing.T) {
 		t.Fatal("boot did not warm the cache")
 	}
 	// Guest writes must have landed in the CoW image, not the cache.
-	if cow.Stats().GuestWriteBytes.Load() != w.TotalWriteBytes() {
-		t.Fatalf("cow writes = %d, want %d", cow.Stats().GuestWriteBytes.Load(), w.TotalWriteBytes())
+	if cow.Stats().GuestWriteBytes.Load() != totalWriteBytes(w) {
+		t.Fatalf("cow writes = %d, want %d", cow.Stats().GuestWriteBytes.Load(), totalWriteBytes(w))
 	}
 
 	// Second replay over the warm cache: zero traffic from base.
@@ -284,7 +284,7 @@ func TestReplayThinkScaleSleeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	wantMin := time.Duration(0.25 * float64(w.TotalThink()) * 0.8)
+	wantMin := time.Duration(0.25 * float64(totalThink(w)) * 0.8)
 	if elapsed < wantMin {
 		t.Fatalf("replay too fast: %v < %v (think not honoured)", elapsed, wantMin)
 	}
@@ -333,4 +333,24 @@ func TestReplayTraceRoundTrip(t *testing.T) {
 	if res.FlushOps != int64(rec.WorkingSet().FlushOps) {
 		t.Fatalf("flushes: %d vs %d", res.FlushOps, rec.WorkingSet().FlushOps)
 	}
+}
+
+// totalWriteBytes sums the workload's guest write volume.
+func totalWriteBytes(w *Workload) int64 {
+	var n int64
+	for _, op := range w.Ops {
+		if op.Kind == Write {
+			n += op.Len
+		}
+	}
+	return n
+}
+
+// totalThink sums the workload's think time (guest CPU model).
+func totalThink(w *Workload) time.Duration {
+	var d time.Duration
+	for _, op := range w.Ops {
+		d += op.Think
+	}
+	return d
 }

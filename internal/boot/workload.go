@@ -38,8 +38,6 @@ type Workload struct {
 
 	uniqueReadBytes int64
 	totalReadBytes  int64
-	totalWriteByte  int64
-	totalThink      time.Duration
 }
 
 // UniqueReadBytes reports the unique read volume of the stream (within one
@@ -48,12 +46,6 @@ func (w *Workload) UniqueReadBytes() int64 { return w.uniqueReadBytes }
 
 // TotalReadBytes reports all read bytes including re-reads.
 func (w *Workload) TotalReadBytes() int64 { return w.totalReadBytes }
-
-// TotalWriteBytes reports the guest write volume.
-func (w *Workload) TotalWriteBytes() int64 { return w.totalWriteByte }
-
-// TotalThink reports the summed think time (guest CPU model).
-func (w *Workload) TotalThink() time.Duration { return w.totalThink }
 
 // ReadSpans returns every read operation's byte range, in issue order.
 func (w *Workload) ReadSpans() []Span {
@@ -291,14 +283,10 @@ func Generate(p Profile) *Workload {
 	// Final accounting.
 	var unique trace.IntervalSet
 	for _, op := range w.Ops {
-		switch op.Kind {
-		case Read:
+		if op.Kind == Read {
 			w.totalReadBytes += op.Len
 			unique.Add(op.Off, op.Off+op.Len)
-		case Write:
-			w.totalWriteByte += op.Len
 		}
-		w.totalThink += op.Think
 	}
 	w.uniqueReadBytes = unique.Total()
 	return w

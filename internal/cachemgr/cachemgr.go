@@ -538,9 +538,6 @@ func (m *Manager) registerMetrics(r *metrics.Registry) {
 
 func (m *Manager) logf(format string, args ...any) { m.cfg.Logf(format, args...) }
 
-// Dir reports the managed cache directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // recover scans the cache directory after a (possible) crash: temp files are
 // partially-warmed caches whose publication never happened — discarded, never
 // served. Published files are re-verified; any that fail qcow.Check (torn

@@ -232,7 +232,7 @@ func TestRecoveryDropsCorrupt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pub, err := qcow.Open(rf, qcow.OpenOpts{ReadOnly: true})
+			hdr, err := qcow.ReadHeader(rf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,8 +241,8 @@ func TestRecoveryDropsCorrupt(t *testing.T) {
 			if err := backend.ReadFull(rf, first, 0); err != nil {
 				t.Fatal(err)
 			}
-			off, b := dmg.at(t, pub.Header(), first, size)
-			pub.Close() //nolint:errcheck // read-only
+			off, b := dmg.at(t, *hdr, first, size)
+			rf.Close() //nolint:errcheck // read-only
 			if err := os.Chmod(path, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -58,17 +58,24 @@ func (m *Manager) WrapLocalStores(wrap func(backend.Store) backend.Store) {
 	m.ns.Register(scratchName, wrap(m.scratch))
 }
 
+// Dir reports the managed cache directory.
+func (m *Manager) Dir() string { return m.dir }
+
 // TableSets reports the keys the manager holds a shared table set for and
-// the keys resident in its pool, both sorted.
+// the keys of the cache directory's files resident in its pool, both sorted.
 func (m *Manager) TableSets() (sets, resident []string) {
 	m.mu.Lock()
 	for k := range m.tables {
 		sets = append(sets, k)
 	}
 	m.mu.Unlock()
-	resident = m.pool.Names()
+	files, _ := os.ReadDir(m.dir) //nolint:errcheck // an unreadable dir lists nothing resident
+	for _, f := range files {
+		if m.pool.Contains(f.Name()) {
+			resident = append(resident, f.Name())
+		}
+	}
 	slices.Sort(sets)
-	slices.Sort(resident)
 	return sets, resident
 }
 

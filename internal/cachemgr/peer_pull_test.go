@@ -260,12 +260,12 @@ func TestPeerPullCorruptContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := qcow.Open(f, qcow.OpenOpts{ReadOnly: true})
+	hdr, err := qcow.ReadHeader(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := int64(img.Header().L1TableOffset)
-	img.Close() //nolint:errcheck // read-only
+	l1 := int64(hdr.L1TableOffset)
+	f.Close() //nolint:errcheck // read-only
 	dir, err := backend.NewDirStore(r.a.Dir())
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,7 @@ func (sm swarmMaps) EncodedMap(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	bits, err := img.ValidChunkBitmap(swarm.ChunkSize)
+	bits, err := img.ValidChunkBitmap()
 	if err != nil {
 		return nil, err
 	}

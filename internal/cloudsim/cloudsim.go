@@ -113,14 +113,6 @@ type Result struct {
 	DiskUtilization float64
 }
 
-// String renders a one-line summary.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s/%s aware=%v: %d boots, mean=%.1fs p95=%.1fs (local=%d remote=%d cold=%d, rejected=%d)",
-		r.Params.Scheme, r.Params.Policy, r.Params.CacheAware,
-		r.Completed, r.Boots.Mean(), r.Boots.Quantile(0.95),
-		r.WarmLocal, r.WarmRemote, r.Cold, r.Rejected)
-}
-
 // Run executes the simulation.
 func Run(p Params) (*Result, error) {
 	if p.Nodes <= 0 || p.Rate <= 0 || p.VMIs <= 0 || p.Duration <= 0 {

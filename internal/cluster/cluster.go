@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"vmicache/internal/boot"
-	"vmicache/internal/metrics"
 	"vmicache/internal/qcow"
 	"vmicache/internal/sim"
 	"vmicache/internal/simnet"
@@ -223,24 +222,6 @@ func (r *Result) finish(times []time.Duration) {
 	r.MeanBoot = sum / time.Duration(len(times))
 }
 
-// Sample returns boot times as a metrics sample in seconds.
-func (r *Result) Sample() *metrics.Sample {
-	var s metrics.Sample
-	for _, t := range r.BootTimes {
-		s.Add(t.Seconds())
-	}
-	return &s
-}
-
-// String summarises the run.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s %s %s nodes=%d vmis=%d: boot mean=%.1fs max=%.1fs traffic=%.1fMB",
-		r.Params.Mode, r.Params.Placement, r.Params.Network,
-		r.Params.Nodes, r.Params.VMIs,
-		r.MeanBoot.Seconds(), r.MaxBoot.Seconds(),
-		float64(r.BaseTraffic)/1e6)
-}
-
 // Run executes one experiment and returns its aggregates.
 func Run(p Params) (*Result, error) {
 	if p.Nodes <= 0 {
@@ -295,7 +276,6 @@ func Run(p Params) (*Result, error) {
 
 	res := &Result{Params: p}
 	times := make([]time.Duration, p.Nodes)
-	wg := sim.NewWaitGroup(eng, p.Nodes)
 
 	// One workload per distinct profile; VMI v boots workload v.
 	workloads := make([]*boot.Workload, p.VMIs)
@@ -333,7 +313,6 @@ func Run(p Params) (*Result, error) {
 				panic(err)
 			}
 			times[n.id] = proc.Now() - start
-			wg.Done()
 		})
 	}
 	if err := eng.Run(); err != nil {

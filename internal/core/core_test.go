@@ -521,15 +521,16 @@ func TestPoolUnbounded(t *testing.T) {
 	}
 }
 
-func TestPoolNamesOrder(t *testing.T) {
-	p := NewPool(0)
+func TestPoolRecencyOrder(t *testing.T) {
+	p := NewPool(3)
 	p.Add("a", 1) //nolint:errcheck
 	p.Add("b", 1) //nolint:errcheck
 	p.Add("c", 1) //nolint:errcheck
 	p.Lookup("a") // a -> MRU
-	names := p.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "c" || names[2] != "b" {
-		t.Fatalf("names = %v", names)
+	// Reserving the whole capacity evicts every entry, least recent first.
+	ev := p.Reserve(3)
+	if len(ev) != 3 || ev[0] != "b" || ev[1] != "c" || ev[2] != "a" {
+		t.Fatalf("eviction order = %v, want [b c a]", ev)
 	}
 }
 

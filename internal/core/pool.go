@@ -239,17 +239,6 @@ func (p *Pool) Remove(name string) bool {
 	return true
 }
 
-// Names returns pool contents from most to least recently used.
-func (p *Pool) Names() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for e := p.head; e != nil; e = e.next {
-		out = append(out, e.name)
-	}
-	return out
-}
-
 func (p *Pool) pushFront(e *poolEntry) {
 	e.prev = nil
 	e.next = p.head

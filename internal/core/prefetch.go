@@ -3,10 +3,7 @@ package core
 import (
 	"errors"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"vmicache/internal/backend"
 	"vmicache/internal/qcow"
 )
 
@@ -43,78 +40,3 @@ func Disclosure(cache *qcow.Image) ([]Span, error) {
 	}
 	return spans, nil
 }
-
-// Prefetcher streams a disclosure through a chain on a background
-// goroutine, pulling the boot working set toward the guest ahead of its
-// reads. Reads go through the normal chain path, so they warm whatever
-// cache sits in the chain (useful on a cold cache too: the prefetcher races
-// the guest to the base image and the guest finds warm clusters).
-type Prefetcher struct {
-	chain  *Chain
-	spans  []Span
-	chunk  int64
-	cancel atomic.Bool
-	done   chan struct{}
-	once   sync.Once
-
-	bytes atomic.Int64
-	errV  atomic.Value
-}
-
-// NewPrefetcher prepares (but does not start) a prefetcher. chunk bounds
-// per-request size (0 = 256 KiB).
-func NewPrefetcher(c *Chain, spans []Span, chunk int64) *Prefetcher {
-	if chunk <= 0 {
-		chunk = 256 << 10
-	}
-	return &Prefetcher{chain: c, spans: spans, chunk: chunk, done: make(chan struct{})}
-}
-
-// Start launches the background stream. Safe to call once.
-func (p *Prefetcher) Start() {
-	p.once.Do(func() {
-		go p.run()
-	})
-}
-
-func (p *Prefetcher) run() {
-	defer close(p.done)
-	buf := make([]byte, p.chunk)
-	for _, s := range p.spans {
-		for off := s.Off; off < s.Off+s.Len; off += p.chunk {
-			if p.cancel.Load() {
-				return
-			}
-			n := p.chunk
-			if rem := s.Off + s.Len - off; rem < n {
-				n = rem
-			}
-			if err := backend.ReadFull(p.chain, buf[:n], off); err != nil {
-				p.errV.Store(err)
-				return
-			}
-			p.bytes.Add(n)
-		}
-	}
-}
-
-// Stop cancels the stream and waits for it to exit.
-func (p *Prefetcher) Stop() {
-	p.cancel.Store(true)
-	p.Start() // ensure done gets closed even if never started
-	<-p.done
-}
-
-// Wait blocks until the stream finishes (or is stopped) and reports the
-// bytes prefetched and any error.
-func (p *Prefetcher) Wait() (int64, error) {
-	p.Start()
-	<-p.done
-	if err, ok := p.errV.Load().(error); ok {
-		return p.bytes.Load(), err
-	}
-	return p.bytes.Load(), nil
-}
-
-// BytesPrefetched reports progress so far.
-func (p *Prefetcher) BytesPrefetched() int64 { return p.bytes.Load() }

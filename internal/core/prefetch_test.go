@@ -1,30 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"sync/atomic"
-	"testing"
-	"time"
-
-	"vmicache/internal/backend"
-	"vmicache/internal/qcow"
-)
-
-// slowSource wraps a BlockSource with a per-read delay, standing in for a
-// remote base so prefetch overlap is observable in wall-clock time.
-type slowSource struct {
-	inner qcow.BlockSource
-	delay time.Duration
-	reads atomic.Int64
-}
-
-func (s *slowSource) ReadAt(p []byte, off int64) (int, error) {
-	s.reads.Add(1)
-	time.Sleep(s.delay)
-	return s.inner.ReadAt(p, off)
-}
-
-func (s *slowSource) Size() int64 { return s.inner.Size() }
+import "testing"
 
 func TestDisclosureReflectsFillOrder(t *testing.T) {
 	env := newTestEnv(t, 2*mb)
@@ -79,132 +55,4 @@ func TestDisclosureReflectsFillOrder(t *testing.T) {
 	if _, err := Disclosure(c2.Top()); err == nil {
 		t.Fatal("disclosure of CoW image succeeded")
 	}
-}
-
-func TestPrefetcherWarmsCacheAhead(t *testing.T) {
-	const size = mb
-	// Chain: cold cache over a slow base.
-	src := &slowSource{inner: patternSource(77, size), delay: 200 * time.Microsecond}
-	cache, err := qcow.Create(backend.NewMemFile(), qcow.CreateOpts{
-		Size: size, ClusterBits: 9, BackingFile: "b", CacheQuota: size,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.SetBacking(src)
-	chain := &Chain{Images: []*qcow.Image{cache}}
-
-	spans := []Span{{Off: 0, Len: 256 << 10}}
-	p := NewPrefetcher(chain, spans, 64<<10)
-	p.Start()
-	n, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 256<<10 {
-		t.Fatalf("prefetched %d", n)
-	}
-	// The guest's read now hits warm clusters: no further base reads.
-	before := src.reads.Load()
-	buf := make([]byte, 256<<10)
-	if err := backend.ReadFull(chain, buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if src.reads.Load() != before {
-		t.Fatal("post-prefetch read still hit the base")
-	}
-	if !bytes.Equal(buf[:100], patternSource(77, size).At(0, 100)) {
-		t.Fatal("prefetched content mismatch")
-	}
-}
-
-func TestPrefetcherStopIsPromptAndSafe(t *testing.T) {
-	const size = 4 * mb
-	src := &slowSource{inner: patternSource(5, size), delay: 2 * time.Millisecond}
-	cache, err := qcow.Create(backend.NewMemFile(), qcow.CreateOpts{
-		Size: size, ClusterBits: 9, BackingFile: "b", CacheQuota: size,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.SetBacking(src)
-	chain := &Chain{Images: []*qcow.Image{cache}}
-
-	p := NewPrefetcher(chain, []Span{{Off: 0, Len: size}}, 16<<10)
-	p.Start()
-	time.Sleep(5 * time.Millisecond)
-	p.Stop()
-	done := p.BytesPrefetched()
-	if done == 0 {
-		t.Fatal("nothing prefetched before stop")
-	}
-	if done >= size {
-		t.Fatal("stop did not interrupt the stream")
-	}
-	// Stop on a never-started prefetcher must not hang.
-	p2 := NewPrefetcher(chain, nil, 0)
-	p2.Stop()
-}
-
-func TestPrefetcherConcurrentWithGuestReads(t *testing.T) {
-	// Prefetcher and guest hammer the same chain concurrently; data must
-	// stay correct (the image mutex serialises metadata).
-	const size = 2 * mb
-	src := patternSource(9, size)
-	cache, err := qcow.Create(backend.NewMemFile(), qcow.CreateOpts{
-		Size: size, ClusterBits: 9, BackingFile: "b", CacheQuota: size,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.SetBacking(src)
-	chain := &Chain{Images: []*qcow.Image{cache}}
-
-	p := NewPrefetcher(chain, []Span{{Off: 0, Len: size}}, 32<<10)
-	p.Start()
-	buf := make([]byte, 4096)
-	for off := int64(0); off+int64(len(buf)) <= size; off += 128 << 10 {
-		if err := backend.ReadFull(chain, buf, off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, src.At(off, int64(len(buf)))) {
-			t.Fatalf("mismatch at %d during concurrent prefetch", off)
-		}
-	}
-	if _, err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cache.Check()
-	if err != nil || !res.OK() {
-		t.Fatalf("cache inconsistent after concurrent prefetch: %v %s", err, res)
-	}
-}
-
-// patternSource builds a boot.PatternSource-equivalent without importing
-// boot (avoiding a core->boot dependency in tests).
-type patSrc struct {
-	seed int64
-	n    int64
-}
-
-func patternSource(seed, n int64) patSrc { return patSrc{seed, n} }
-
-func (s patSrc) ReadAt(p []byte, off int64) (int, error) {
-	for i := range p {
-		pos := off + int64(i)
-		x := uint64(s.seed) ^ uint64(pos>>3)*0x9e3779b97f4a7c15
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		p[i] = byte(x >> uint((pos&7)*8))
-	}
-	return len(p), nil
-}
-
-func (s patSrc) Size() int64 { return s.n }
-
-func (s patSrc) At(off, n int64) []byte {
-	out := make([]byte, n)
-	s.ReadAt(out, off) //nolint:errcheck // cannot fail
-	return out
 }

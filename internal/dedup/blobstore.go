@@ -1,7 +1,6 @@
 package dedup
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -194,38 +193,11 @@ func (s *BlobStore) Close() error {
 	return err
 }
 
-// Has reports whether the store holds a blob for k (referenced or staged).
-func (s *BlobStore) Has(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.blobs[k]
-	return ok
-}
-
-// Put stages the blob for k (raw chunk bytes): compress and append to the
-// active pack — skipped entirely when the blob already exists, which is the
-// dedup. A successful Put takes one stage hold on k that pins it against
-// GC until the publisher calls Release, closing the window where a racing
-// eviction could free a chunk between a publisher's existence check and
-// its manifest commit. Callers record each held key and Release them all
-// (after Commit, or on failure) — typically in a defer.
-func (s *BlobStore) Put(k Key, raw []byte) error {
-	if s.Stage(k) {
-		return nil
-	}
-	buf := compBufPool.Get().(*bytes.Buffer)
-	defer compBufPool.Put(buf)
-	if err := encodeWireBlob(buf, raw); err != nil {
-		return err
-	}
-	return s.land(k, buf.Bytes())
-}
-
 // PutBuilt stages an already-encoded wire blob the caller itself produced
 // from verified raw bytes — the BuildParallel compress path, where workers
-// emit the blob alongside the chunk. Unlike PutCompressed there is no
-// decode-verify round trip: the bytes never crossed a network. Takes a
-// stage hold exactly like Put.
+// emit the blob alongside the chunk. Unlike a fetched chunk (putVerified)
+// there is no decode-verify round trip: the bytes never crossed a network.
+// Takes a stage hold on k, which pins it against GC until Release.
 func (s *BlobStore) PutBuilt(k Key, comp []byte, rawLen int64) error {
 	if len(comp) < blobHdrLen || int64(binary.BigEndian.Uint64(comp[:blobHdrLen])) != rawLen {
 		return fmt.Errorf("%w: %s: bad frame", ErrCorruptBlob, k)
@@ -233,22 +205,13 @@ func (s *BlobStore) PutBuilt(k Key, comp []byte, rawLen int64) error {
 	return s.land(k, comp)
 }
 
-// PutCompressed stages an already-compressed wire blob (an OpChunkBatch
+// putVerified stages an already-compressed wire blob (an OpChunkBatch
 // record): the blob is decoded and hash-verified first, in a pooled buffer,
 // so a corrupt transfer surfaces as ErrCorruptBlob and never lands on disk.
-// Takes a stage hold exactly like Put.
-func (s *BlobStore) PutCompressed(k Key, comp []byte) error {
-	raw, _, err := s.putVerified(k, comp)
-	if raw != nil {
-		putChunkBuf(raw)
-	}
-	return err
-}
-
-// putVerified is PutCompressed for a caller that wants the chunk as well: on
-// success the pooled buffer the blob was verified in comes back, the chunk
-// being (*raw)[:n], for the caller to recycle with putChunkBuf. raw is nil
-// for an oversized frame, which no manifest entry can name.
+// It takes a stage hold like PutBuilt. On success the pooled buffer the blob
+// was verified in comes back, the chunk being (*raw)[:n], for the caller to
+// recycle with putChunkBuf. raw is nil for an oversized frame, which no
+// manifest entry can name.
 func (s *BlobStore) putVerified(k Key, comp []byte) (raw *[]byte, n int, err error) {
 	rawLen, err := blobRawLen(k, comp)
 	if err != nil {
@@ -317,8 +280,8 @@ func (s *BlobStore) Stage(k Key) bool {
 	return true
 }
 
-// Release drops the stage holds a publication took via Put/PutCompressed/
-// Stage, GC'ing blobs nothing references. Safe (and usual) to call after
+// Release drops the stage holds a publication took via PutBuilt,
+// putVerified or Stage, GC'ing blobs nothing references. Safe (and usual) to call after
 // Commit: committed manifests hold their chunks by refcount, not by stage.
 func (s *BlobStore) Release(held []Key) {
 	s.mu.Lock()
@@ -500,7 +463,7 @@ func (s *BlobStore) quarantine(m *Manifest) (bad []Key, checked int) {
 // (tmp → fsync → rename → dir fsync) and refcounts shift atomically —
 // replacing an existing manifest of the same name (checksum invalidation)
 // unrefs the old chunk set and frees blobs that drop to zero. Every blob m
-// references must already be Put.
+// references must already be staged.
 func (s *BlobStore) Commit(name string, m *Manifest) error {
 	if strings.ContainsAny(name, "/\\") {
 		return fmt.Errorf("dedup: bad manifest name %q", name)

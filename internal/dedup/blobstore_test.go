@@ -381,3 +381,42 @@ func TestConcurrentPublishEvict(t *testing.T) {
 		t.Fatal("survivors share no chunks")
 	}
 }
+
+// Has reports whether the store holds a blob for k (referenced or staged).
+func (s *BlobStore) Has(k Key) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.blobs[k]
+	return ok
+}
+
+// Put stages the blob for k (raw chunk bytes): compress and append to the
+// active pack — skipped entirely when the blob already exists, which is the
+// dedup. A successful Put takes one stage hold on k that pins it against
+// GC until the publisher calls Release, closing the window where a racing
+// eviction could free a chunk between a publisher's existence check and
+// its manifest commit. Callers record each held key and Release them all
+// (after Commit, or on failure) — typically in a defer.
+func (s *BlobStore) Put(k Key, raw []byte) error {
+	if s.Stage(k) {
+		return nil
+	}
+	buf := compBufPool.Get().(*bytes.Buffer)
+	defer compBufPool.Put(buf)
+	if err := encodeWireBlob(buf, raw); err != nil {
+		return err
+	}
+	return s.land(k, buf.Bytes())
+}
+
+// PutCompressed stages an already-compressed wire blob (an OpChunkBatch
+// record): the blob is decoded and hash-verified first, in a pooled buffer,
+// so a corrupt transfer surfaces as ErrCorruptBlob and never lands on disk.
+// Takes a stage hold exactly like Put.
+func (s *BlobStore) PutCompressed(k Key, comp []byte) error {
+	raw, _, err := s.putVerified(k, comp)
+	if raw != nil {
+		putChunkBuf(raw)
+	}
+	return err
+}

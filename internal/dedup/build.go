@@ -507,7 +507,7 @@ func (p *Materializer) Abort(err error) {
 // Stopped reports whether the pipeline has failed; fetch workers poll it.
 func (p *Materializer) Stopped() bool { return p.stop.Load() }
 
-// Deliver lands a fetched chunk exactly like PutCompressed — inflated and
+// Deliver lands a fetched chunk through putVerified — inflated and
 // hash-verified before the blob reaches the store, stage hold taken — and
 // keeps the verified bytes for the writer, so the chunk is inflated and
 // hashed once. Over budget the buffer is recycled and the chunk is inflated

@@ -73,16 +73,3 @@ func cutPoint(p []byte) int {
 	}
 	return n
 }
-
-// Chunks splits p into content-defined chunks, calling fn with the offset
-// and bytes of each. The subslices alias p. Zero-length input yields zero
-// chunks.
-func Chunks(p []byte, fn func(off int64, chunk []byte)) {
-	var off int64
-	for len(p) > 0 {
-		n := cutPoint(p)
-		fn(off, p[:n])
-		off += int64(n)
-		p = p[n:]
-	}
-}

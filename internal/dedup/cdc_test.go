@@ -270,3 +270,36 @@ func TestMissing(t *testing.T) {
 		t.Fatalf("none-missing: %d entries, need %d", len(none), n3)
 	}
 }
+
+// Chunks splits p into content-defined chunks, calling fn with the offset
+// and bytes of each. The subslices alias p. Zero-length input yields zero
+// chunks.
+func Chunks(p []byte, fn func(off int64, chunk []byte)) {
+	var off int64
+	for len(p) > 0 {
+		n := cutPoint(p)
+		fn(off, p[:n])
+		off += int64(n)
+		p = p[n:]
+	}
+}
+
+// Missing returns the distinct entries of m whose hashes fail the has
+// predicate, plus the raw byte totals: want is the whole image, need the
+// bytes that must actually move. need/want is the delta-transfer ratio the
+// experiments gate on.
+func (m *Manifest) Missing(has func(Key) bool) (missing []Entry, want, need int64) {
+	seen := make(map[Key]bool, len(m.Entries))
+	for _, e := range m.Entries {
+		want += int64(e.Len)
+		if seen[e.Hash] {
+			continue
+		}
+		seen[e.Hash] = true
+		if !has(e.Hash) {
+			missing = append(missing, e)
+			need += int64(e.Len)
+		}
+	}
+	return missing, want, need
+}

@@ -80,8 +80,8 @@ func inflateInto(raw, comp []byte) error {
 	return err
 }
 
-// streamBufPool recycles the 256 KiB copy buffers of the stream codecs
-// (CompressStream/DecompressStream) and the whole-file checksum paths.
+// streamBufPool recycles the 256 KiB read buffers of the whole-file
+// checksum path.
 var streamBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 256<<10)

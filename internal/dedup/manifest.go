@@ -107,23 +107,3 @@ func Build(r io.ReaderAt, length int64, emit func(e Entry, raw []byte) error) (*
 	}
 	return buildSerial(r, length, false, fn)
 }
-
-// Missing returns the distinct entries of m whose hashes fail the has
-// predicate, plus the raw byte totals: want is the whole image, need the
-// bytes that must actually move. need/want is the delta-transfer ratio the
-// experiments gate on.
-func (m *Manifest) Missing(has func(Key) bool) (missing []Entry, want, need int64) {
-	seen := make(map[Key]bool, len(m.Entries))
-	for _, e := range m.Entries {
-		want += int64(e.Len)
-		if seen[e.Hash] {
-			continue
-		}
-		seen[e.Hash] = true
-		if !has(e.Hash) {
-			missing = append(missing, e)
-			need += int64(e.Len)
-		}
-	}
-	return missing, want, need
-}

@@ -32,23 +32,12 @@ func (h *Histogram) Add(v float64) {
 	h.sum += v
 }
 
-// Count reports the number of recorded values.
-func (h *Histogram) Count() int64 { return h.count }
-
 // Mean reports the arithmetic mean of recorded values.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Bucket reports the count in logarithmic bucket i.
-func (h *Histogram) Bucket(i int) int64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
 }
 
 // ApproxQuantile returns an upper bound for the q-th quantile using bucket

@@ -2,71 +2,10 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestWelfordAgainstClosedForm(t *testing.T) {
-	var w Welford
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if got := w.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Mean = %v", got)
-	}
-	// Population variance of this classic set is 4; sample variance is
-	// 32/7.
-	if got := w.Var(); math.Abs(got-32.0/7.0) > 1e-12 {
-		t.Fatalf("Var = %v", got)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordMergeEquivalentToSequential(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	var all, a, b Welford
-	for i := 0; i < 1000; i++ {
-		x := rnd.NormFloat64()*3 + 10
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v != %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Var()-all.Var()) > 1e-9 {
-		t.Fatalf("merged var %v != %v", a.Var(), all.Var())
-	}
-}
-
-func TestWelfordMergeEmptySides(t *testing.T) {
-	var a, b Welford
-	b.Add(3)
-	a.Merge(b) // empty <- non-empty
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatalf("merge into empty: %v", a.String())
-	}
-	var c Welford
-	a.Merge(c) // non-empty <- empty
-	if a.N() != 1 {
-		t.Fatal("merge of empty changed state")
-	}
-}
 
 func TestSampleQuantiles(t *testing.T) {
 	var s Sample
@@ -84,9 +23,6 @@ func TestSampleQuantiles(t *testing.T) {
 	}
 	if got := s.Quantile(0.99); math.Abs(got-99.01) > 1e-9 {
 		t.Fatalf("q99 = %v", got)
-	}
-	if s.Min() != 1 || s.Max() != 100 {
-		t.Fatal("min/max wrong")
 	}
 }
 
@@ -132,13 +68,10 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 		h.Add(10) // bucket 3: [8,16)
 	}
 	h.Add(1000) // bucket 9: [512,1024)
-	if h.Count() != 101 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if got := h.Bucket(3); got != 100 {
+	if got := h.buckets[3]; got != 100 {
 		t.Fatalf("bucket 3 = %d", got)
 	}
-	if got := h.Bucket(9); got != 1 {
+	if got := h.buckets[9]; got != 1 {
 		t.Fatalf("bucket 9 = %d", got)
 	}
 	if got := h.ApproxQuantile(0.5); got != 16 {
@@ -160,11 +93,11 @@ func TestHistogramEdgeValues(t *testing.T) {
 	h.Add(-5) // clamped
 	h.Add(0)
 	h.Add(0.5)
-	if got := h.Bucket(0); got != 3 {
+	if got := h.buckets[0]; got != 3 {
 		t.Fatalf("bucket 0 = %d", got)
 	}
 	h.Add(math.MaxFloat64) // clamped to top bucket
-	if got := h.Bucket(63); got != 1 {
+	if got := h.buckets[63]; got != 1 {
 		t.Fatalf("bucket 63 = %d", got)
 	}
 	var empty Histogram

@@ -55,30 +55,6 @@ func (l Labels) key() string {
 	return b.String()
 }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load reports the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the current value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load reports the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // AtomicHistogram is the concurrent form of Histogram: a base-2 logarithmic
 // histogram over non-negative int64 values (latencies in nanoseconds, sizes
 // in bytes) whose buckets are individually atomic. Observe is lock-free and
@@ -106,9 +82,6 @@ func (h *AtomicHistogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count reports the number of recorded values.
-func (h *AtomicHistogram) Count() int64 { return h.count.Load() }
-
 // Snapshot captures the histogram's current state.
 func (h *AtomicHistogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
@@ -121,18 +94,6 @@ func (h *AtomicHistogram) Snapshot() HistogramSnapshot {
 		}
 	}
 	return s
-}
-
-// Histogram converts the snapshot into the offline Histogram type, for the
-// ASCII rendering and quantile helpers the exit-status printers use.
-func (s HistogramSnapshot) Histogram() Histogram {
-	var h Histogram
-	for _, b := range s.Buckets {
-		h.buckets[b.Exp] = b.Count
-	}
-	h.count = s.Count
-	h.sum = float64(s.Sum)
-	return h
 }
 
 // kind discriminates instrument flavours in snapshots and exposition.
@@ -156,8 +117,7 @@ func (k kind) String() string {
 }
 
 // instrument is one registered metric: a value read function (counter/gauge)
-// or a histogram, plus the owning instrument object for get-or-create
-// re-registration.
+// or a histogram.
 type instrument struct {
 	name   string
 	help   string
@@ -166,7 +126,6 @@ type instrument struct {
 	kind   kind
 	read   func() int64
 	hist   *AtomicHistogram
-	owner  any
 }
 
 // Registry holds named instruments. The zero value is NOT ready; use
@@ -187,10 +146,9 @@ func id(name, lkey string) string { return name + "\x00" + lkey }
 
 // register installs inst, panicking on an identity collision with a
 // different kind (a programming error: two subsystems claiming one name).
-// Re-registering the same identity and kind returns the existing instrument,
-// which gives dynamic registrations (per-image counters) get-or-create
-// semantics.
-func (r *Registry) register(inst *instrument) *instrument {
+// Re-registering the same identity and kind keeps the first instrument,
+// which makes dynamic registrations (per-image counters) idempotent.
+func (r *Registry) register(inst *instrument) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := id(inst.name, inst.lkey)
@@ -199,33 +157,10 @@ func (r *Registry) register(inst *instrument) *instrument {
 			panic(fmt.Sprintf("metrics: %s{%s} re-registered as %s (was %s)",
 				inst.name, inst.lkey, inst.kind, old.kind))
 		}
-		return old
+		return
 	}
 	r.byID[key] = inst
 	r.ins = append(r.ins, inst)
-	return inst
-}
-
-// Counter registers a counter and returns it. Registering the same
-// (name, labels) twice returns the first counter.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c := &Counter{}
-	inst := r.register(&instrument{
-		name: name, help: help, labels: labels, lkey: labels.key(),
-		kind: kindCounter, read: c.Load, owner: c,
-	})
-	return inst.owner.(*Counter)
-}
-
-// Gauge registers a gauge and returns it. Registering the same
-// (name, labels) twice returns the first gauge.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	inst := r.register(&instrument{
-		name: name, help: help, labels: labels, lkey: labels.key(),
-		kind: kindGauge, read: g.Load, owner: g,
-	})
-	return inst.owner.(*Gauge)
 }
 
 // CounterFunc registers a counter whose value is sampled from fn at scrape
@@ -247,22 +182,11 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() int64) 
 	})
 }
 
-// Histogram registers a histogram and returns it. Registering the same
-// (name, labels) twice returns the first histogram.
-func (r *Registry) Histogram(name, help string, labels Labels) *AtomicHistogram {
-	h := &AtomicHistogram{}
-	inst := r.register(&instrument{
-		name: name, help: help, labels: labels, lkey: labels.key(),
-		kind: kindHistogram, hist: h, owner: h,
-	})
-	return inst.owner.(*AtomicHistogram)
-}
-
 // RegisterHistogram exposes an existing histogram (one embedded in a Stats
 // struct) under the given identity.
 func (r *Registry) RegisterHistogram(name, help string, labels Labels, h *AtomicHistogram) {
 	r.register(&instrument{
 		name: name, help: help, labels: labels, lkey: labels.key(),
-		kind: kindHistogram, hist: h, owner: h,
+		kind: kindHistogram, hist: h,
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -19,13 +20,11 @@ import (
 // deterministic values, shared by the golden and round-trip tests.
 func buildRegistry() *Registry {
 	r := NewRegistry()
-	c := r.Counter("vmicache_test_reads_total", "Reads handled.", Labels{"image": "a"})
-	c.Add(41)
-	c.Inc()
-	g := r.Gauge("vmicache_test_inflight", "Requests in flight.", nil)
-	g.Set(7)
+	r.CounterFunc("vmicache_test_reads_total", "Reads handled.", Labels{"image": "a"}, func() int64 { return 42 })
+	r.GaugeFunc("vmicache_test_inflight", "Requests in flight.", nil, func() int64 { return 7 })
 	r.CounterFunc("vmicache_test_fills_total", "Fills performed.", nil, func() int64 { return 3 })
-	h := r.Histogram("vmicache_test_latency_ns", "Request latency.", Labels{"image": "a"})
+	h := &AtomicHistogram{}
+	r.RegisterHistogram("vmicache_test_latency_ns", "Request latency.", Labels{"image": "a"}, h)
 	h.Observe(1) // bucket 0: [1,2)
 	h.Observe(3) // bucket 1: [2,4)
 	h.Observe(3)
@@ -84,20 +83,26 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 
 func TestGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x_total", "", Labels{"k": "v"})
-	b := r.Counter("x_total", "", Labels{"k": "v"})
-	if a != b {
-		t.Error("same identity returned distinct counters")
+	r.CounterFunc("x_total", "", Labels{"k": "v"}, func() int64 { return 1 })
+	r.CounterFunc("x_total", "", Labels{"k": "v"}, func() int64 { return 2 })
+	r.CounterFunc("x_total", "", Labels{"k": "w"}, func() int64 { return 3 })
+	got := r.Gather()
+	if len(got) != 2 {
+		t.Fatalf("gathered %d instruments, want 2 (same identity kept once, distinct labels apart): %+v", len(got), got)
 	}
-	if c := r.Counter("x_total", "", Labels{"k": "w"}); c == a {
-		t.Error("distinct labels returned the same counter")
+	var b strings.Builder
+	if _, err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `x_total{k="v"} 1`) {
+		t.Errorf("re-registration replaced the first function:\n%s", b.String())
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("x_total", "", Labels{"k": "v"})
+	r.GaugeFunc("x_total", "", Labels{"k": "v"}, func() int64 { return 0 })
 }
 
 // TestConcurrentObserveScrape hammers one histogram from 8 goroutines while
@@ -105,8 +110,10 @@ func TestGetOrCreate(t *testing.T) {
 // concurrency contract test.
 func TestConcurrentObserveScrape(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("vmicache_test_hammer_ns", "Hammered.", nil)
-	c := r.Counter("vmicache_test_hammer_total", "Hammered.", nil)
+	h := &AtomicHistogram{}
+	r.RegisterHistogram("vmicache_test_hammer_ns", "Hammered.", nil, h)
+	var c atomic.Int64
+	r.CounterFunc("vmicache_test_hammer_total", "Hammered.", nil, c.Load)
 	const (
 		writers = 8
 		perG    = 2000
@@ -118,7 +125,7 @@ func TestConcurrentObserveScrape(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				h.Observe(seed + int64(i))
-				c.Inc()
+				c.Add(1)
 			}
 		}(int64(w * 1000))
 	}
@@ -139,13 +146,13 @@ func TestConcurrentObserveScrape(t *testing.T) {
 	}()
 	wg.Wait()
 	<-donec
-	if got := h.Count(); got != writers*perG {
-		t.Errorf("histogram count = %d, want %d", got, writers*perG)
+	s := h.Snapshot()
+	if s.Count != writers*perG {
+		t.Errorf("histogram count = %d, want %d", s.Count, writers*perG)
 	}
 	if got := c.Load(); got != writers*perG {
 		t.Errorf("counter = %d, want %d", got, writers*perG)
 	}
-	s := h.Snapshot()
 	var sum int64
 	for _, b := range s.Buckets {
 		sum += b.Count
@@ -319,11 +326,12 @@ func TestSnapshotHistogramConversion(t *testing.T) {
 	ah.Observe(5)
 	ah.Observe(5)
 	ah.Observe(100)
-	h := ah.Snapshot().Histogram()
-	if h.Count() != 3 {
-		t.Errorf("converted count = %d, want 3", h.Count())
+	s := ah.Snapshot()
+	if s.Count != 3 || s.Sum != 110 {
+		t.Errorf("snapshot count, sum = %d, %d, want 3, 110", s.Count, s.Sum)
 	}
-	if got := h.Mean(); got < 36 || got > 37 {
-		t.Errorf("converted mean = %g, want ~36.67", got)
+	want := []BucketCount{{Exp: 2, Count: 2}, {Exp: 6, Count: 1}} // [4,8) and [64,128)
+	if !reflect.DeepEqual(s.Buckets, want) {
+		t.Errorf("snapshot buckets = %+v, want %+v", s.Buckets, want)
 	}
 }

@@ -1,102 +1,12 @@
 // Package metrics provides the small statistics toolkit the evaluation
-// harness uses: online mean/variance (Welford), order statistics,
-// logarithmic histograms, and tabular series printers that emit the rows the
-// paper's figures plot.
+// harness uses: order statistics, logarithmic histograms, and tabular
+// series printers that emit the rows the paper's figures plot.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Welford accumulates mean and variance online without storing samples.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the sample count.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean reports the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var reports the unbiased sample variance (0 for n < 2).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std reports the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min reports the smallest sample (0 when empty).
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.min
-}
-
-// Max reports the largest sample (0 when empty).
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.max
-}
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
-// String summarises the accumulator.
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f",
-		w.n, w.Mean(), w.Std(), w.Min(), w.Max())
-}
 
 // Sample is a stored collection of float64 observations supporting order
 // statistics. The zero value is ready to use.
@@ -110,9 +20,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
-
-// N reports the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
 
 // Mean reports the arithmetic mean (0 when empty).
 func (s *Sample) Mean() float64 {
@@ -157,36 +64,3 @@ func (s *Sample) Quantile(q float64) float64 {
 
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
-
-// Max returns the largest observation (0 when empty).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[len(s.xs)-1]
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[0]
-}
-
-// Std reports the sample standard deviation.
-func (s *Sample) Std() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
-}

@@ -29,13 +29,19 @@ func BenchmarkNBDReplay(b *testing.B) {
 	}
 	defer c.Close() //nolint:errcheck
 
+	moved := w.TotalReadBytes()
+	for _, op := range w.Ops {
+		if op.Kind == boot.Write {
+			moved += op.Len
+		}
+	}
 	for _, bc := range []struct {
 		name string
 		dev  boot.Device
 	}{{"direct", dev}, {"nbd", c}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(w.TotalReadBytes() + w.TotalWriteBytes())
+			b.SetBytes(moved)
 			for i := 0; i < b.N; i++ {
 				if _, err := boot.Replay(w, bc.dev, boot.ReplayOpts{}); err != nil {
 					b.Fatal(err)

@@ -22,7 +22,7 @@ type Client struct {
 	conn     net.Conn
 	br       *bufio.Reader
 	size     int64
-	readOnly bool
+	readOnly bool // the export's read-only transmission flag
 	handle   uint64
 	broken   error // sticky: closed, transport error or malformed reply
 
@@ -104,9 +104,6 @@ func (c *Client) handshake(export string) error {
 
 // Size reports the export's size.
 func (c *Client) Size() int64 { return c.size }
-
-// ReadOnly reports whether the export rejects writes.
-func (c *Client) ReadOnly() bool { return c.readOnly }
 
 // fail marks the client broken: the reply stream is lost or out of step, so
 // every later call returns the same error instead of parsing leftovers.
@@ -200,57 +197,4 @@ func (c *Client) Close() error {
 		c.broken = errors.New("nbd: client closed")
 	}
 	return c.conn.Close()
-}
-
-// List queries the server's export names via NBD_OPT_LIST on a fresh
-// connection.
-func List(addr string) ([]string, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close() //nolint:errcheck // read-only negotiation probe
-	be := binary.BigEndian
-	var greet [18]byte
-	if _, err := io.ReadFull(conn, greet[:]); err != nil {
-		return nil, err
-	}
-	var opt [20]byte // client flags + NBD_OPT_LIST, one write
-	be.PutUint32(opt[0:], flagNoZeroes)
-	be.PutUint64(opt[4:], optMagic)
-	be.PutUint32(opt[12:], optList)
-	if _, err := conn.Write(opt[:]); err != nil {
-		return nil, err
-	}
-	var names []string
-	for {
-		var rep [20]byte
-		if _, err := io.ReadFull(conn, rep[:]); err != nil {
-			return nil, err
-		}
-		if be.Uint64(rep[0:]) != repMagic {
-			return nil, errors.New("nbd: bad option reply magic")
-		}
-		typ := be.Uint32(rep[12:])
-		length := be.Uint32(rep[16:])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return nil, err
-		}
-		switch typ {
-		case repServer:
-			if length < 4 {
-				return nil, errors.New("nbd: short list reply")
-			}
-			n := be.Uint32(payload)
-			if int(n)+4 > len(payload) {
-				return nil, errors.New("nbd: bad list reply")
-			}
-			names = append(names, string(payload[4:4+n]))
-		case repAck:
-			return names, nil
-		default:
-			return nil, fmt.Errorf("nbd: unexpected list reply type %#x", typ)
-		}
-	}
 }

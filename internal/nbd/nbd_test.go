@@ -2,6 +2,11 @@ package nbd
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"sort"
 	"testing"
 
@@ -42,7 +47,7 @@ func TestHandshakeAndIO(t *testing.T) {
 	if c.Size() != 1<<20 {
 		t.Fatalf("size = %d", c.Size())
 	}
-	if c.ReadOnly() {
+	if c.readOnly {
 		t.Fatal("export unexpectedly read-only")
 	}
 	data := []byte("over the wire block data")
@@ -73,7 +78,7 @@ func TestReadOnlyExportRejectsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close() //nolint:errcheck
-	if !c.ReadOnly() {
+	if !c.readOnly {
 		t.Fatal("transmission flags lost read-only bit")
 	}
 	if _, err := c.WriteAt([]byte{1}, 0); err == nil {
@@ -112,7 +117,7 @@ func TestList(t *testing.T) {
 	srv, addr := newTestServer(t)
 	srv.AddExport(Export{Name: "alpha", Device: memDevice{backend.NewMemFileSize(1), 1}})
 	srv.AddExport(Export{Name: "beta", Device: memDevice{backend.NewMemFileSize(1), 1}})
-	names, err := List(addr)
+	names, err := listExports(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestList(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 	srv.RemoveExport("beta")
-	names, err = List(addr)
+	names, err = listExports(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,3 +241,56 @@ func (d chainDevice) ReadAt(p []byte, off int64) (int, error)  { return d.img.Re
 func (d chainDevice) WriteAt(p []byte, off int64) (int, error) { return d.img.WriteAt(p, off) }
 func (d chainDevice) Size() int64                              { return d.img.Size() }
 func (d chainDevice) Sync() error                              { return d.img.Sync() }
+
+// listExports queries the server's export names via NBD_OPT_LIST on a fresh
+// connection.
+func listExports(addr string) ([]string, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close() //nolint:errcheck // read-only negotiation probe
+	be := binary.BigEndian
+	var greet [18]byte
+	if _, err := io.ReadFull(conn, greet[:]); err != nil {
+		return nil, err
+	}
+	var opt [20]byte // client flags + NBD_OPT_LIST, one write
+	be.PutUint32(opt[0:], flagNoZeroes)
+	be.PutUint64(opt[4:], optMagic)
+	be.PutUint32(opt[12:], optList)
+	if _, err := conn.Write(opt[:]); err != nil {
+		return nil, err
+	}
+	var names []string
+	for {
+		var rep [20]byte
+		if _, err := io.ReadFull(conn, rep[:]); err != nil {
+			return nil, err
+		}
+		if be.Uint64(rep[0:]) != repMagic {
+			return nil, errors.New("nbd: bad option reply magic")
+		}
+		typ := be.Uint32(rep[12:])
+		length := be.Uint32(rep[16:])
+		payload := make([]byte, length)
+		if _, err := io.ReadFull(conn, payload); err != nil {
+			return nil, err
+		}
+		switch typ {
+		case repServer:
+			if length < 4 {
+				return nil, errors.New("nbd: short list reply")
+			}
+			n := be.Uint32(payload)
+			if int(n)+4 > len(payload) {
+				return nil, errors.New("nbd: bad list reply")
+			}
+			names = append(names, string(payload[4:4+n]))
+		case repAck:
+			return names, nil
+		default:
+			return nil, fmt.Errorf("nbd: unexpected list reply type %#x", typ)
+		}
+	}
+}

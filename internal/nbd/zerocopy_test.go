@@ -68,7 +68,7 @@ func TestNBDZeroCopyRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close() //nolint:errcheck
-	if !c.ReadOnly() {
+	if !c.readOnly {
 		t.Fatal("export not read-only")
 	}
 	for _, tc := range []struct{ off, n int64 }{

@@ -42,7 +42,8 @@ func newCache(t *testing.T, size, quota int64, clusterBits int, backing BlockSou
 
 func TestCacheCopyOnReadFills(t *testing.T) {
 	base, pat := newPatternedBase(t, testMB, 21)
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 	cache := newCache(t, testMB, testMB, 9, RawSource{R: counted, N: testMB})
 
 	buf := make([]byte, 100)
@@ -54,7 +55,7 @@ func TestCacheCopyOnReadFills(t *testing.T) {
 	}
 	// A 100-byte read at offset 5000 sits inside cluster 9 (4608..5120):
 	// one full 512-byte fill.
-	if got := counted.Counters().ReadBytes.Load(); got != 512 {
+	if got := cnt.ReadBytes.Load(); got != 512 {
 		t.Fatalf("cold traffic = %d, want 512 (one 512 B cluster fill)", got)
 	}
 	if got := cache.Stats().CacheFillOps.Load(); got != 1 {
@@ -64,15 +65,15 @@ func TestCacheCopyOnReadFills(t *testing.T) {
 	if err := backend.ReadFull(cache, buf, 20*512-50); err != nil {
 		t.Fatal(err)
 	}
-	if got := counted.Counters().ReadBytes.Load(); got != 512+1024 {
+	if got := cnt.ReadBytes.Load(); got != 512+1024 {
 		t.Fatalf("straddling traffic total = %d, want 1536", got)
 	}
 	// Second read of the same range: warm, zero base traffic.
-	counted.Counters().Reset()
+	cnt.Reset()
 	if err := backend.ReadFull(cache, buf, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if got := counted.Counters().ReadBytes.Load(); got != 0 {
+	if got := cnt.ReadBytes.Load(); got != 0 {
 		t.Fatalf("warm read hit base: %d bytes", got)
 	}
 	if got := cache.Stats().LocalBytes.Load(); got != 100 {
@@ -84,14 +85,15 @@ func TestCacheClusterAmplification64K(t *testing.T) {
 	// §5.1 / Fig. 9: a cold cache with 64 KiB clusters fetches far more
 	// than the guest asked for.
 	base, _ := newPatternedBase(t, 4*testMB, 22)
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 	cache := newCache(t, 4*testMB, 4*testMB, 16, RawSource{R: counted, N: 4 * testMB})
 
 	buf := make([]byte, 512)
 	if err := backend.ReadFull(cache, buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := counted.Counters().ReadBytes.Load(); got != 64<<10 {
+	if got := cnt.ReadBytes.Load(); got != 64<<10 {
 		t.Fatalf("amplified traffic = %d, want %d", got, 64<<10)
 	}
 }
@@ -171,7 +173,8 @@ func TestCacheTailClusterFill(t *testing.T) {
 	const cs = 64 << 10
 	size := int64(3*cs + 10000)
 	base, pat := newPatternedBase(t, size, 77)
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 	mem := backend.NewMemFile()
 	img, err := Create(backend.NopClose(mem), CreateOpts{
 		Size: size, ClusterBits: 16, BackingFile: "base", CacheQuota: 8 << 20,
@@ -187,7 +190,7 @@ func TestCacheTailClusterFill(t *testing.T) {
 	if !bytes.Equal(tail, pat[3*cs:]) {
 		t.Fatal("tail read mismatch")
 	}
-	if got := counted.Counters().ReadBytes.Load(); got != 10000 {
+	if got := cnt.ReadBytes.Load(); got != 10000 {
 		t.Fatalf("tail fill fetched %d bytes, want the 10000 inside the virtual size", got)
 	}
 	res, err := img.Check()
@@ -218,7 +221,8 @@ func TestCacheTailClusterFill(t *testing.T) {
 
 func TestCacheQuotaSpaceError(t *testing.T) {
 	base, pat := newPatternedBase(t, testMB, 23)
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 	// Quota: initial metadata plus a modest fill budget.
 	probe := newCache(t, testMB, testMB, 9, RawSource{R: base, N: testMB})
 	initial := probe.UsedBytes()
@@ -249,11 +253,11 @@ func TestCacheQuotaSpaceError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And fills genuinely stopped: traffic keeps flowing to base.
-	before := counted.Counters().ReadBytes.Load()
+	before := cnt.ReadBytes.Load()
 	if err := backend.ReadFull(cache, buf, 199*512); err != nil {
 		t.Fatal(err)
 	}
-	if counted.Counters().ReadBytes.Load() == before {
+	if cnt.ReadBytes.Load() == before {
 		t.Fatal("full cache did not pass read through to base")
 	}
 	res, err := cache.Check()
@@ -300,7 +304,7 @@ func TestCacheUsedPersistedOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := re.Header()
+	h := *re.hdr
 	if !h.HasCacheExt || !h.IsCache() {
 		t.Fatal("cache extension lost across reopen")
 	}
@@ -367,7 +371,8 @@ func TestFullChainBaseCacheCow(t *testing.T) {
 	// The paper's deployment chain (Fig. 4): Base <- Cache <- CoW.
 	const size = testMB
 	baseFile, pat := newPatternedBase(t, size, 27)
-	counted := backend.NewCountingFile(baseFile, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(baseFile, cnt)
 
 	cache := newCache(t, size, size, 9, RawSource{R: counted, N: size})
 
@@ -413,11 +418,11 @@ func TestFullChainBaseCacheCow(t *testing.T) {
 	}
 
 	// Re-reading previously warmed data must not touch the base.
-	counted.Counters().Reset()
+	cnt.Reset()
 	if err := backend.ReadFull(cow, buf[:512], 102*512); err != nil {
 		t.Fatal(err)
 	}
-	if counted.Counters().ReadBytes.Load() != 0 {
+	if cnt.ReadBytes.Load() != 0 {
 		t.Fatal("warm chain read reached the base")
 	}
 }
@@ -427,7 +432,8 @@ func TestWarmCacheEliminatesBaseTraffic(t *testing.T) {
 	// cache must produce zero base traffic — the core claim of the paper.
 	const size = 2 * testMB
 	baseFile, _ := newPatternedBase(t, size, 28)
-	counted := backend.NewCountingFile(baseFile, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(baseFile, cnt)
 	cache := newCache(t, size, size, 9, RawSource{R: counted, N: size})
 
 	rnd := rand.New(rand.NewSource(1))
@@ -441,17 +447,17 @@ func TestWarmCacheEliminatesBaseTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cold := counted.Counters().ReadBytes.Load()
+	cold := cnt.ReadBytes.Load()
 	if cold == 0 {
 		t.Fatal("no cold traffic?")
 	}
-	counted.Counters().Reset()
+	cnt.Reset()
 	for _, off := range offs {
 		if err := backend.ReadFull(cache, buf, off); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if warm := counted.Counters().ReadBytes.Load(); warm != 0 {
+	if warm := cnt.ReadBytes.Load(); warm != 0 {
 		t.Fatalf("warm pass traffic = %d, want 0 (cold was %d)", warm, cold)
 	}
 }
@@ -474,7 +480,8 @@ func TestCacheReadOnlyOpenServesWarmMisses(t *testing.T) {
 	snap := snapshot(t, f)
 	img.Close() //nolint:errcheck
 
-	counted := backend.NewCountingFile(baseFile, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(baseFile, cnt)
 	ro, err := Open(snap, OpenOpts{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -486,15 +493,15 @@ func TestCacheReadOnlyOpenServesWarmMisses(t *testing.T) {
 	if err := backend.ReadFull(ro, got, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, pat[:8192]) || counted.Counters().ReadBytes.Load() != 0 {
+	if !bytes.Equal(got, pat[:8192]) || cnt.ReadBytes.Load() != 0 {
 		t.Fatal("warm RO hit wrong")
 	}
 	// Miss: pass-through at request granularity, no fill attempted.
 	if err := backend.ReadFull(ro, got[:100], 500000); err != nil {
 		t.Fatal(err)
 	}
-	if counted.Counters().ReadBytes.Load() != 100 {
-		t.Fatalf("RO miss traffic = %d, want 100", counted.Counters().ReadBytes.Load())
+	if cnt.ReadBytes.Load() != 100 {
+		t.Fatalf("RO miss traffic = %d, want 100", cnt.ReadBytes.Load())
 	}
 	if ro.Stats().CacheFillOps.Load() != 0 {
 		t.Fatal("read-only cache performed a fill")
@@ -565,7 +572,8 @@ func TestRunCoalescingSingleBackingFetch(t *testing.T) {
 	// A 24 KiB guest read over a cold 512 B-cluster cache must reach the
 	// base as ONE request-granularity fetch (48 clusters), not 48 RPCs.
 	base, pat := newPatternedBase(t, testMB, 40)
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 	cache := newCache(t, testMB, testMB, 9, RawSource{R: counted, N: testMB})
 
 	buf := make([]byte, 24<<10)
@@ -575,7 +583,7 @@ func TestRunCoalescingSingleBackingFetch(t *testing.T) {
 	if !bytes.Equal(buf, pat[:24<<10]) {
 		t.Fatal("data mismatch")
 	}
-	c := counted.Counters()
+	c := cnt
 	if c.ReadOps.Load() != 1 {
 		t.Fatalf("backing RPCs = %d, want 1 (coalesced run)", c.ReadOps.Load())
 	}
@@ -587,11 +595,11 @@ func TestRunCoalescingSingleBackingFetch(t *testing.T) {
 	}
 
 	// Re-read with a hole in the middle: allocated clusters split runs.
-	counted.Counters().Reset()
+	cnt.Reset()
 	if err := backend.ReadFull(cache, buf[:1024], 30<<10); err != nil { // warm 2 clusters at 30K
 		t.Fatal(err)
 	}
-	counted.Counters().Reset()
+	cnt.Reset()
 	// Read 28K..34K: cold run [28K,30K), warm [30K,31K), cold [31K,34K).
 	if err := backend.ReadFull(cache, buf[:6<<10], 28<<10); err != nil {
 		t.Fatal(err)
@@ -599,10 +607,10 @@ func TestRunCoalescingSingleBackingFetch(t *testing.T) {
 	if !bytes.Equal(buf[:6<<10], pat[28<<10:34<<10]) {
 		t.Fatal("mixed warm/cold read mismatch")
 	}
-	if got := counted.Counters().ReadOps.Load(); got != 2 {
+	if got := cnt.ReadOps.Load(); got != 2 {
 		t.Fatalf("mixed read backing RPCs = %d, want 2", got)
 	}
-	if got := counted.Counters().ReadBytes.Load(); got != 5<<10 {
+	if got := cnt.ReadBytes.Load(); got != 5<<10 {
 		t.Fatalf("mixed read traffic = %d, want %d", got, 5<<10)
 	}
 }
@@ -611,7 +619,8 @@ func TestCoWPassthroughCoalesced(t *testing.T) {
 	// Plain CoW (no cache): a read spanning several unallocated clusters
 	// issues one exact-size backing read.
 	base, _ := newPatternedBase(t, testMB, 41)
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 	f := backend.NewMemFile()
 	img, err := Create(f, CreateOpts{Size: testMB, ClusterBits: 12, BackingFile: "b"})
 	if err != nil {
@@ -622,7 +631,7 @@ func TestCoWPassthroughCoalesced(t *testing.T) {
 	if err := backend.ReadFull(img, buf, 100); err != nil {
 		t.Fatal(err)
 	}
-	c := counted.Counters()
+	c := cnt
 	if c.ReadOps.Load() != 1 || c.ReadBytes.Load() != 20000 {
 		t.Fatalf("passthrough: ops=%d bytes=%d, want 1 op of 20000",
 			c.ReadOps.Load(), c.ReadBytes.Load())

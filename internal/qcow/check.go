@@ -16,14 +16,16 @@ const maxCheckErrors = 64
 // CheckResult summarises a consistency pass over an image, in the spirit of
 // `qemu-img check`.
 type CheckResult struct {
-	// Errors are fatal inconsistencies (entries pointing outside the
-	// file, a referenced cluster counted below its references): the first
-	// maxCheckErrors of them; ErrorsOmitted counts the rest.
+	// Errors are fatal inconsistencies (entries pointing outside the file
+	// or past what the refcount table indexes, a referenced cluster
+	// counted below its references): the first maxCheckErrors of them;
+	// ErrorsOmitted counts the rest.
 	Errors        []string
 	ErrorsOmitted int
 	// Leaks are clusters counted above their references — with no
 	// referencing structure at all, or with fewer references than their
-	// refcount. Either wastes space; neither can free a live cluster.
+	// refcount — and unreferenced clusters past what the refcount table
+	// indexes. Each wastes space; none can free a live cluster.
 	Leaks int
 	// AllocatedClusters counts reachable clusters of any kind.
 	AllocatedClusters int64
@@ -85,14 +87,15 @@ func (img *Image) Check() (*CheckResult, error) {
 	}
 	cs, rbe := img.ly.clusterSize, img.ly.refBlockEnts
 	totalClusters := ceilDiv(fileSize, cs)
-	// Every allocated cluster has a refcount, so a valid file is never
-	// longer than its refcount table can index. The table was read from
-	// the file; the length is only a number, and is not allocated for.
-	if indexable := int64(len(refTable)) * rbe; totalClusters > indexable {
-		res.errorf("file holds %d clusters, the refcount table indexes %d", totalClusters, indexable)
-		return res, nil
-	}
-	expected := make([]uint32, totalClusters) // cluster -> expected refcount
+	// Every referenced cluster has a refcount, so it lies inside what the
+	// refcount table indexes. Clusters past that reach are allowed only
+	// unreferenced, and count as leaks: a refcount-table growth cut before
+	// its header switch leaves its new table and blocks there. The table
+	// was read from the file; its length is only a number, and is not
+	// allocated for.
+	counted := min(totalClusters, int64(len(refTable))*rbe)
+	res.Leaks = int(totalClusters - counted)
+	expected := make([]uint32, counted) // cluster -> expected refcount
 
 	// ref tallies one reference to the cluster at off; a non-empty return
 	// says why it could not, for the caller to report.
@@ -102,6 +105,9 @@ func (img *Image) Check() (*CheckResult, error) {
 		}
 		if off/cs >= totalClusters {
 			return "lies beyond end of file"
+		}
+		if off/cs >= counted {
+			return "lies past what the refcount table indexes"
 		}
 		expected[off/cs]++
 		return ""
@@ -155,8 +161,8 @@ func (img *Image) Check() (*CheckResult, error) {
 	// Compare against the stored refcounts, one read per refcount block.
 	// An absent block counts 0 for all its clusters.
 	blk := make([]byte, cs)
-	for lo := int64(0); lo < totalClusters; lo += rbe {
-		n := minI64(rbe, totalClusters-lo)
+	for lo := int64(0); lo < counted; lo += rbe {
+		n := minI64(rbe, counted-lo)
 		stored := blk[:n*refcountEntrySz]
 		if off := int64(refTable[lo/rbe] & entryOffsetMask); off == 0 {
 			clear(stored)

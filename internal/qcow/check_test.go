@@ -293,12 +293,14 @@ func TestCheckBoundedOnHostileInput(t *testing.T) {
 		}
 	}
 
-	// A length the refcount table cannot index is rejected, not allocated
-	// for: a petabyte of claimed clusters would be a terabyte of tally.
+	// A length the refcount table cannot index is not allocated for: a
+	// petabyte of claimed clusters would be a terabyte of tally. The
+	// clusters past the table's reach are leaks, and the damaged entries,
+	// which now point inside the file but past that reach, stay errors.
 	if err := mem.Truncate(1 << 50); err != nil {
 		t.Fatal(err)
 	}
-	if res := checkBoth(); res.OK() || !strings.Contains(res.Errors[0], "refcount table indexes") {
+	if res := checkBoth(); res.OK() || res.Leaks == 0 || !strings.Contains(res.Errors[0], "past what the refcount table indexes") {
 		t.Fatalf("oversized container not rejected: %s", res)
 	}
 }

@@ -17,18 +17,21 @@ package qcow
 // only under-fetch, never read a range the serving node would have to fault
 // in from its own backing.
 
-// ValidChunkBitmap reports, for every chunkSize-aligned span of the virtual
+// ChunkBits is the log2 of the chunk map's granularity: 64 KiB spans, the
+// swarm's unit of exchange (internal/swarm's ChunkSize is this constant).
+const ChunkBits = 16
+
+// ChunkSize is the span one chunk-map bit covers.
+const ChunkSize = 1 << ChunkBits
+
+// ValidChunkBitmap reports, for every ChunkSize-aligned span of the virtual
 // disk, whether the span is fully readable from this image's own container.
 // Bit i of the result (bit i&7 of byte i>>3) covers virtual bytes
-// [i*chunkSize, min((i+1)*chunkSize, Size())). chunkSize need not relate to
-// the cluster size; chunks smaller than a cluster inherit their cluster's
-// validity.
-func (img *Image) ValidChunkBitmap(chunkSize int64) ([]byte, error) {
-	if chunkSize <= 0 {
-		return nil, ErrBadChunkSize
-	}
+// [i*ChunkSize, min((i+1)*ChunkSize, Size())). A chunk smaller than a
+// cluster inherits its cluster's validity.
+func (img *Image) ValidChunkBitmap() ([]byte, error) {
 	size := img.Size()
-	nchunks := (size + chunkSize - 1) / chunkSize
+	nchunks := (size + ChunkSize - 1) / ChunkSize
 	bits := make([]byte, (nchunks+7)/8)
 	cs := img.ly.clusterSize
 
@@ -51,8 +54,8 @@ func (img *Image) ValidChunkBitmap(chunkSize int64) ([]byte, error) {
 		if img.clusterLocallyValidLocked(&rl, vc, noBacking) {
 			continue
 		}
-		c0 := vc * cs / chunkSize
-		c1 := (minI64((vc+1)*cs, size) - 1) / chunkSize
+		c0 := vc * cs / ChunkSize
+		c1 := (minI64((vc+1)*cs, size) - 1) / ChunkSize
 		for c := c0; c <= c1; c++ {
 			bits[c>>3] &^= 1 << (c & 7)
 		}

@@ -17,13 +17,13 @@ func chunkValidBits(bits []byte, nchunks int64) []bool {
 }
 
 func TestValidChunkBitmapWholeClusters(t *testing.T) {
-	const size = 8 * 4096 // 8 clusters of 4 KiB
+	const size = 8 * ChunkSize // 8 clusters of one chunk each
 	base, _ := newPatternedBase(t, size, 31)
-	cache := newCache(t, size, 8*testMB, 12, RawSource{R: base, N: size})
+	cache := newCache(t, size, 8*testMB, ChunkBits, RawSource{R: base, N: size})
 	defer cache.Close()
 
 	// Cold: every chunk invalid.
-	bits, err := cache.ValidChunkBitmap(4096)
+	bits, err := cache.ValidChunkBitmap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestValidChunkBitmapWholeClusters(t *testing.T) {
 	// Fill clusters 2 and 5 through copy-on-read.
 	buf := make([]byte, 4096)
 	for _, vc := range []int64{2, 5} {
-		if err := backend.ReadFull(cache, buf, vc*4096); err != nil {
+		if err := backend.ReadFull(cache, buf, vc*ChunkSize); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bits, err = cache.ValidChunkBitmap(4096)
+	bits, err = cache.ValidChunkBitmap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,34 +50,43 @@ func TestValidChunkBitmapWholeClusters(t *testing.T) {
 			t.Fatalf("chunk %d valid=%v, want %v", c, v, want)
 		}
 	}
+}
 
-	// Chunk smaller than a cluster inherits the cluster's validity; chunk
-	// larger than a cluster requires every covered cluster.
-	bits, err = cache.ValidChunkBitmap(2048)
+// A chunk smaller than a cluster inherits the cluster's validity; a chunk
+// larger than a cluster requires every cluster it covers.
+func TestValidChunkBitmapClusterSizes(t *testing.T) {
+	const size = 4 * ChunkSize
+	base, _ := newPatternedBase(t, size, 33)
+	buf := make([]byte, 4096)
+
+	big := newCache(t, size, 8*testMB, ChunkBits+1, RawSource{R: base, N: size})
+	defer big.Close()
+	if err := backend.ReadFull(big, buf, 2*ChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	bits, err := big.ValidChunkBitmap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, v := range chunkValidBits(bits, 16) {
-		want := c == 4 || c == 5 || c == 10 || c == 11
-		if v != want {
-			t.Fatalf("half-cluster chunk %d valid=%v, want %v", c, v, want)
-		}
+	if v := chunkValidBits(bits, 4); v[0] || v[1] || !v[2] || !v[3] {
+		t.Fatalf("half-cluster chunks = %v, want chunks 2+3 (cluster 1)", v)
 	}
-	bits, err = cache.ValidChunkBitmap(8192)
-	if err != nil {
+
+	small := newCache(t, size, 8*testMB, 12, RawSource{R: base, N: size})
+	defer small.Close()
+	if err := backend.ReadFull(small, buf, ChunkSize); err != nil {
 		t.Fatal(err)
 	}
-	for c, v := range chunkValidBits(bits, 4) {
-		if v {
-			t.Fatalf("double-cluster chunk %d valid with half its clusters cold", c)
-		}
+	bits, _ = small.ValidChunkBitmap()
+	if v := chunkValidBits(bits, 4); v[1] {
+		t.Fatal("chunk valid with one of its 16 clusters warm")
 	}
-	if err := backend.ReadFull(cache, buf, 3*4096); err != nil {
+	if err := backend.ReadFull(small, make([]byte, ChunkSize), ChunkSize); err != nil {
 		t.Fatal(err)
 	}
-	bits, _ = cache.ValidChunkBitmap(8192)
+	bits, _ = small.ValidChunkBitmap()
 	if v := chunkValidBits(bits, 4); !v[1] || v[0] || v[2] || v[3] {
-		t.Fatalf("double-cluster chunks = %v, want only chunk 1 (clusters 2+3)", v)
+		t.Fatalf("16-cluster chunks = %v, want only chunk 1", v)
 	}
 }
 
@@ -116,14 +125,8 @@ func TestValidChunkBitmapErrors(t *testing.T) {
 	base, _ := newPatternedBase(t, size, 37)
 	cache := newCache(t, size, 8*testMB, 12, RawSource{R: base, N: size})
 
-	if _, err := cache.ValidChunkBitmap(0); !errors.Is(err, ErrBadChunkSize) {
-		t.Fatalf("chunk size 0: %v", err)
-	}
-	if _, err := cache.ValidChunkBitmap(-5); !errors.Is(err, ErrBadChunkSize) {
-		t.Fatalf("negative chunk size: %v", err)
-	}
 	cache.Close()
-	if _, err := cache.ValidChunkBitmap(4096); !errors.Is(err, ErrClosed) {
+	if _, err := cache.ValidChunkBitmap(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed image: %v", err)
 	}
 	if cache.RangeLocallyValid(0, 100) {
@@ -134,16 +137,16 @@ func TestValidChunkBitmapErrors(t *testing.T) {
 // A tail chunk past a short last cluster must be coverable, and the bitmap's
 // padding bits stay zero so Count-style summaries are exact.
 func TestValidChunkBitmapTailPadding(t *testing.T) {
-	const size = 9*4096 + 100 // 10 clusters (last short), 10 chunks
+	const size = 9*ChunkSize + 100 // 10 chunks, the last short
 	base, _ := newPatternedBase(t, size, 39)
 	cache := newCache(t, size, 8*testMB, 12, RawSource{R: base, N: size})
 	defer cache.Close()
 
 	buf := make([]byte, 100)
-	if err := backend.ReadFull(cache, buf, 9*4096); err != nil {
+	if err := backend.ReadFull(cache, buf, 9*ChunkSize); err != nil {
 		t.Fatal(err)
 	}
-	bits, err := cache.ValidChunkBitmap(4096)
+	bits, err := cache.ValidChunkBitmap()
 	if err != nil {
 		t.Fatal(err)
 	}

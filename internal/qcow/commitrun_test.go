@@ -126,6 +126,14 @@ func TestRunCommitCrashPoints(t *testing.T) {
 		// the header, the old table's counts; then the fill's commit.
 		{name: "refcount-table growth", cb: 9, size: 1 << 20, pad: 16300, quota: 64 << 20,
 			spans: []Span{{100 << 10, 64 << 10}}, writes: 7},
+		// The same growth from a container one cluster short of the old
+		// reach: the new table's second cluster and the block counting it
+		// land past what the old table indexes, so until the header
+		// switch they are unreferenced clusters Check counts as leaks. Growth: the new table and
+		// blocks, the count of the one cluster inside an old block, the
+		// header, the old table's counts; then the fill's commit.
+		{name: "refcount-table growth past the old reach", cb: 9, size: 1 << 20, pad: 16383, quota: 64 << 20,
+			spans: []Span{{100 << 10, 64 << 10}}, writes: 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -371,7 +379,7 @@ func TestGuestWriteOneCommit(t *testing.T) {
 			if int64(len(log.writes)) != tc.writes {
 				t.Errorf("the write took %d container writes (at %v), want %d", len(log.writes), log.writes, tc.writes)
 			}
-			h := img.Header()
+			h := *img.hdr
 			l1Lo, l1Hi := int64(h.L1TableOffset), int64(h.L1TableOffset)+int64(h.L1Size)*l1EntrySize
 			l2Off := int64(img.l1[0] & entryOffsetMask)
 			tableWrites := 0

@@ -166,11 +166,6 @@ func (img *Image) readCompressed(blobOff int64) ([]byte, error) {
 	return out, nil
 }
 
-// CompressionStats reports (clusters, compressedBytes) written compressed.
-func (img *Image) CompressionStats() (int64, int64) {
-	return img.stats.CompressedClusters.Load(), img.stats.CompressedBytes.Load()
-}
-
 // releaseBlobLocked drops one blob reference from its containing cluster
 // after the blob's L2 entry has been replaced (copy-on-write out of a
 // compressed cluster).

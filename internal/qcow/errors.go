@@ -21,8 +21,4 @@ var (
 	ErrBackingMissing  = errors.New("qcow: cluster unallocated and no backing image")
 	ErrBackingNameSize = errors.New("qcow: backing file name does not fit in first cluster")
 	ErrQuotaTooSmall   = errors.New("qcow: cache quota smaller than initial metadata")
-
-	// ErrBadChunkSize rejects non-positive chunk sizes in the chunk-map
-	// export (chunkmap.go).
-	ErrBadChunkSize = errors.New("qcow: chunk size must be positive")
 )

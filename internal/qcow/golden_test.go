@@ -94,7 +94,7 @@ func TestGoldenLayoutOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := img.Header()
+	h := *img.hdr
 	cs := int64(4096)
 	if int64(h.RefTableOffset) != cs {
 		t.Fatalf("refcount table at %d, want %d", h.RefTableOffset, cs)

@@ -276,7 +276,7 @@ func TestUnknownIncompatFeatureRejected(t *testing.T) {
 			if err := backend.ReadFull(img, make([]byte, 64<<10), 0); err != nil {
 				t.Fatal(err)
 			}
-			h := img.Header()
+			h := *img.hdr
 			if err := img.Close(); err != nil {
 				t.Fatal(err)
 			}

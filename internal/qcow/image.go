@@ -431,9 +431,6 @@ func within(off, n uint64, sz int64) bool {
 	return off <= uint64(sz) && n <= uint64(sz)-off
 }
 
-// Header returns a copy of the decoded header.
-func (img *Image) Header() Header { return *img.hdr }
-
 // Size reports the virtual disk size, implementing BlockSource.
 func (img *Image) Size() int64 { return int64(img.hdr.Size) }
 

@@ -3,6 +3,7 @@ package qcow
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -45,7 +46,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	h := got.Header()
+	h := *got.hdr
 	if h.Size != 64*testMB || h.ClusterBits != 16 {
 		t.Fatalf("header: %+v", h)
 	}
@@ -250,7 +251,8 @@ func TestCoWReadPassthroughGranularity(t *testing.T) {
 	if err := backend.WriteFull(base, pat, 0); err != nil {
 		t.Fatal(err)
 	}
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 
 	img, _ := newTestImage(t, 4*testMB, 16)
 	img.SetBacking(RawSource{R: counted, N: 4 * testMB})
@@ -262,7 +264,7 @@ func TestCoWReadPassthroughGranularity(t *testing.T) {
 	if !bytes.Equal(buf, pat[50000:50100]) {
 		t.Fatal("passthrough data mismatch")
 	}
-	if got := counted.Counters().ReadBytes.Load(); got != 100 {
+	if got := cnt.ReadBytes.Load(); got != 100 {
 		t.Fatalf("backing traffic = %d, want exactly 100 (request granularity)", got)
 	}
 	if got := img.Stats().BackingBytes.Load(); got != 100 {
@@ -306,13 +308,14 @@ func TestCoWWriteFillsPartialCluster(t *testing.T) {
 func TestCoWFullClusterWriteSkipsFill(t *testing.T) {
 	base := backend.NewMemFileSize(testMB)
 	img, _ := newTestImage(t, testMB, 12)
-	counted := backend.NewCountingFile(base, nil)
+	cnt := &backend.Counters{}
+	counted := backend.NewCountingFile(base, cnt)
 	img.SetBacking(RawSource{R: counted, N: testMB})
 	full := bytes.Repeat([]byte{9}, 4096)
 	if err := backend.WriteFull(img, full, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if counted.Counters().ReadBytes.Load() != 0 {
+	if cnt.ReadBytes.Load() != 0 {
 		t.Fatal("full-cluster write fetched from base")
 	}
 }
@@ -398,7 +401,7 @@ func TestCheckDetectsCorruptRefcount(t *testing.T) {
 	// Zero the refcount of the header cluster (cluster 0), a count below
 	// its one reference: refblock 0 lives right after the refcount table.
 	// A count above it would be a leak, which Check allows.
-	h := img.Header()
+	h := *img.hdr
 	rbOff := int64(h.RefTableOffset) + int64(h.RefTableClusters)*img.ClusterSize()
 	if err := backend.WriteFull(f, []byte{0, 0}, rbOff); err != nil {
 		t.Fatal(err)
@@ -469,13 +472,13 @@ func TestInfoReportsGeometry(t *testing.T) {
 
 func TestRefTableGrowthRelocation(t *testing.T) {
 	img, _ := newTestImage(t, testMB, 9)
-	before := int64(img.Header().RefTableClusters)
+	before := int64(img.hdr.RefTableClusters)
 	// Force a relocation directly (natural growth needs very large
 	// images thanks to the creation margin).
 	if err := img.growRefTable(int64(len(img.refTable)) + 10); err != nil {
 		t.Fatalf("growRefTable: %v", err)
 	}
-	after := int64(img.Header().RefTableClusters)
+	after := int64(img.hdr.RefTableClusters)
 	if after <= before {
 		t.Fatalf("table did not grow: %d -> %d", before, after)
 	}
@@ -620,4 +623,33 @@ func TestRandomOpsMatchReference(t *testing.T) {
 			t.Fatalf("cb=%d check: %s", cb, res)
 		}
 	}
+}
+
+// Allocated reports whether the cluster containing virtual offset off is
+// materialised in this image (not deferring to backing).
+func (img *Image) Allocated(off int64) (bool, error) {
+	img.mu.RLock()
+	defer img.mu.RUnlock()
+	if img.closed {
+		return false, ErrClosed
+	}
+	if off < 0 || off >= int64(img.hdr.Size) {
+		return false, ErrOutOfRange
+	}
+	m, err := img.lookup(off / img.ly.clusterSize)
+	if err != nil {
+		return false, err
+	}
+	return m.dataOff != 0, nil
+}
+
+// CompressionStats reports (clusters, compressedBytes) written compressed.
+func (img *Image) CompressionStats() (int64, int64) {
+	return img.stats.CompressedClusters.Load(), img.stats.CompressedBytes.Load()
+}
+
+// debugString summarises allocator state for error messages.
+func (img *Image) debugString() string {
+	return fmt.Sprintf("clusters=%d used=%dB l1=%d refTableEntries=%d",
+		img.nextFree, img.usedBytes(), len(img.l1), len(img.refTable))
 }

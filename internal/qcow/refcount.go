@@ -185,9 +185,3 @@ func (img *Image) clustersNeededAt(next, covered, extra int64) int64 {
 func (img *Image) worstCaseFillBytes() int64 {
 	return 3 * img.ly.clusterSize
 }
-
-// debugString summarises allocator state for error messages.
-func (img *Image) debugString() string {
-	return fmt.Sprintf("clusters=%d used=%dB l1=%d refTableEntries=%d",
-		img.nextFree, img.usedBytes(), len(img.l1), len(img.refTable))
-}

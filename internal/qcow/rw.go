@@ -417,24 +417,6 @@ func (img *Image) writeRunLocked(seg []byte, pos int64) (int, error) {
 	return int(end - pos), nil
 }
 
-// Allocated reports whether the cluster containing virtual offset off is
-// materialised in this image (not deferring to backing).
-func (img *Image) Allocated(off int64) (bool, error) {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	if img.closed {
-		return false, ErrClosed
-	}
-	if off < 0 || off >= int64(img.hdr.Size) {
-		return false, ErrOutOfRange
-	}
-	m, err := img.lookup(off / img.ly.clusterSize)
-	if err != nil {
-		return false, err
-	}
-	return m.dataOff != 0, nil
-}
-
 // AllocatedDataClusters counts materialised data clusters (excluding
 // metadata); used by tests and `qimg info`.
 func (img *Image) AllocatedDataClusters() (int64, error) {

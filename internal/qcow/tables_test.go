@@ -257,7 +257,8 @@ func TestL2LoadSingleflight(t *testing.T) {
 func TestReadOnlySyncTouchesNothing(t *testing.T) {
 	mem, _ := patternImage(t)
 	for _, ro := range []bool{true, false} {
-		cf := backend.NewCountingFile(backend.NopClose(mem), nil)
+		cnt := &backend.Counters{}
+		cf := backend.NewCountingFile(backend.NopClose(mem), cnt)
 		img, err := Open(cf, OpenOpts{ReadOnly: ro})
 		if err != nil {
 			t.Fatal(err)
@@ -269,7 +270,7 @@ func TestReadOnlySyncTouchesNothing(t *testing.T) {
 		if ro {
 			want = 0
 		}
-		if s, w := cf.Counters().SyncOps.Load(), cf.Counters().WriteOps.Load(); s != want || ro && w != 0 {
+		if s, w := cnt.SyncOps.Load(), cnt.WriteOps.Load(); s != want || ro && w != 0 {
 			t.Fatalf("read-only=%v: Sync issued %d syncs and %d writes, want %d syncs", ro, s, w, want)
 		}
 		if err := img.Close(); err != nil {

@@ -54,14 +54,13 @@ type VMSpec struct {
 
 // Node is one compute node's scheduling state.
 type Node struct {
-	ID        string
-	CPUCap    int
-	MemCap    int64
-	usedCPU   int
-	usedMem   int64
-	vms       map[string]VMSpec
-	caches    *core.Pool // warm caches present on this node, keyed by VMI
-	extraLoad float64    // external load signal for load-aware placement
+	ID      string
+	CPUCap  int
+	MemCap  int64
+	usedCPU int
+	usedMem int64
+	vms     map[string]VMSpec
+	caches  *core.Pool // warm caches present on this node, keyed by VMI
 }
 
 // NewNode returns a node with the given capacities and cache budget.
@@ -80,8 +79,7 @@ func (n *Node) Fits(vm VMSpec) bool {
 	return n.usedCPU+vm.CPU <= n.CPUCap && n.usedMem+vm.Mem <= n.MemCap
 }
 
-// Load reports the node's utilisation in [0,1+] (max of CPU and memory),
-// plus any external load signal.
+// Load reports the node's utilisation in [0,1+] (max of CPU and memory).
 func (n *Node) Load() float64 {
 	cpu := float64(n.usedCPU) / float64(maxInt(n.CPUCap, 1))
 	mem := float64(n.usedMem) / float64(maxI64(n.MemCap, 1))
@@ -89,12 +87,8 @@ func (n *Node) Load() float64 {
 	if mem > l {
 		l = mem
 	}
-	return l + n.extraLoad
+	return l
 }
-
-// SetExternalLoad feeds a load signal (e.g. host CPU pressure) into
-// load-aware placement.
-func (n *Node) SetExternalLoad(l float64) { n.extraLoad = l }
 
 // VMs reports the number of VMs placed on the node.
 func (n *Node) VMs() int { return len(n.vms) }
@@ -261,12 +255,6 @@ func (s *Scheduler) Release(vmID string) error {
 	return nil
 }
 
-// NodeOf reports where a VM runs.
-func (s *Scheduler) NodeOf(vmID string) (*Node, bool) {
-	n, ok := s.placements[vmID]
-	return n, ok
-}
-
 // RecordWarmCache registers that a node now holds a warm cache of the given
 // size for a VMI (typically after the first boot completes), applying the
 // node's LRU budget.
@@ -274,9 +262,6 @@ func (s *Scheduler) RecordWarmCache(n *Node, vmi string, size int64) (evicted []
 	ev, _ := n.caches.Add(vmi, size)
 	return ev
 }
-
-// Stats reports (warm placements, cold placements).
-func (s *Scheduler) Stats() (warm, cold int64) { return s.warmPlacements, s.coldPlacements }
 
 // WarmRatio reports the fraction of placements that landed on a warm cache.
 func (s *Scheduler) WarmRatio() float64 {

@@ -69,9 +69,9 @@ func TestStripingSpreadsVMs(t *testing.T) {
 
 func TestLoadAwarePicksLeastLoaded(t *testing.T) {
 	s := cluster(t, 3, LoadAware, false)
-	s.Nodes()[0].SetExternalLoad(0.9)
-	s.Nodes()[1].SetExternalLoad(0.5)
-	s.Nodes()[2].SetExternalLoad(0.1)
+	for i, cpu := range []int{7, 4, 1} { // loads 0.875, 0.5, 0.125 of 8 CPUs
+		s.Nodes()[i].usedCPU = cpu
+	}
 	d, err := s.Schedule(spec("vm0", "img"))
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +134,7 @@ func TestCacheAwarePrefersWarmNodes(t *testing.T) {
 	if d2.WarmCache {
 		t.Fatal("warm placement without a cache")
 	}
-	warm, cold := s.Stats()
-	if warm != 1 || cold != 1 {
-		t.Fatalf("stats: %d/%d", warm, cold)
-	}
-	if s.WarmRatio() != 0.5 {
+	if s.WarmRatio() != 0.5 { // one warm and one cold placement
 		t.Fatalf("ratio = %v", s.WarmRatio())
 	}
 }

@@ -12,18 +12,10 @@ package sim
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 )
-
-// ErrDeadlock is returned by Run when the event queue drains while processes
-// are still parked waiting for a signal that can never come.
-var ErrDeadlock = errors.New("sim: deadlock: parked processes but no pending events")
-
-// errAborted terminates process goroutines when the engine shuts down.
-var errAborted = errors.New("sim: process aborted")
 
 type event struct {
 	at  time.Duration
@@ -57,20 +49,15 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 	park   chan struct{} // running process -> engine handoff
-	parked map[*Proc]bool
 	rnd    *rand.Rand
 	err    error
-
-	started   int64
-	completed int64
 }
 
 // New returns an engine at time zero with a deterministic RNG.
 func New(seed int64) *Engine {
 	return &Engine{
-		park:   make(chan struct{}),
-		parked: make(map[*Proc]bool),
-		rnd:    rand.New(rand.NewSource(seed)),
+		park: make(chan struct{}),
+		rnd:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -93,10 +80,9 @@ func (e *Engine) At(d time.Duration, fn func()) {
 // Proc is a simulated process. Its methods must be called from the process's
 // own goroutine (the function passed to Go).
 type Proc struct {
-	eng     *Engine
-	wake    chan struct{}
-	name    string
-	aborted bool
+	eng  *Engine
+	wake chan struct{}
+	name string
 }
 
 // Name reports the process name.
@@ -105,24 +91,15 @@ func (p *Proc) Name() string { return p.name }
 // Now reports the current simulated time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Go spawns a process that starts at the current simulated time.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, wake: make(chan struct{}), name: name}
-	e.started++
 	e.At(0, func() {
 		go func() {
 			defer func() {
-				if r := recover(); r != nil {
-					if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-						// Clean shutdown of an abandoned process.
-					} else if e.err == nil {
-						e.err = fmt.Errorf("sim: process %q panicked: %v", name, r)
-					}
+				if r := recover(); r != nil && e.err == nil {
+					e.err = fmt.Errorf("sim: process %q panicked: %v", name, r)
 				}
-				e.completed++
 				e.park <- struct{}{}
 			}()
 			<-p.wake // wait for the engine to give us the floor
@@ -154,90 +131,22 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	p.Sleep(t - p.eng.now)
 }
 
-// Park suspends the process until another process or callback calls Unpark.
-func (p *Proc) Park() {
-	e := p.eng
-	e.parked[p] = true
-	p.yield()
-}
-
-// Unpark schedules a parked process to resume at the current time. It is a
-// no-op if the process is not parked.
-func (e *Engine) Unpark(p *Proc) {
-	if !e.parked[p] {
-		return
-	}
-	delete(e.parked, p)
-	e.At(0, func() { e.handoff(p) })
-}
-
 // yield returns control to the engine and blocks until resumed.
 func (p *Proc) yield() {
 	e := p.eng
 	e.park <- struct{}{}
 	<-p.wake
-	if p.aborted {
-		panic(errAborted)
-	}
 }
 
-// Run processes events until the queue is empty. It returns ErrDeadlock if
-// parked processes remain (after aborting them), or the first process panic.
+// Run processes events until the queue is empty, or until a process panics,
+// returning the first panic.
 func (e *Engine) Run() error {
-	for len(e.events) > 0 {
+	for len(e.events) > 0 && e.err == nil {
 		ev := heap.Pop(&e.events).(*event)
 		if ev.at > e.now {
 			e.now = ev.at
 		}
 		ev.fn()
-		if e.err != nil {
-			break
-		}
 	}
-	if e.err != nil {
-		e.abortParked()
-		return e.err
-	}
-	if len(e.parked) > 0 {
-		names := make([]string, 0, len(e.parked))
-		for p := range e.parked {
-			names = append(names, p.name)
-		}
-		e.abortParked()
-		return fmt.Errorf("%w: %v", ErrDeadlock, names)
-	}
-	return nil
+	return e.err
 }
-
-// RunFor processes events until the queue drains or simulated time passes
-// limit, whichever is first.
-func (e *Engine) RunFor(limit time.Duration) error {
-	for len(e.events) > 0 {
-		if e.events[0].at > limit {
-			e.now = limit
-			return nil
-		}
-		ev := heap.Pop(&e.events).(*event)
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		ev.fn()
-		if e.err != nil {
-			e.abortParked()
-			return e.err
-		}
-	}
-	return nil
-}
-
-// abortParked unblocks all parked process goroutines so they exit.
-func (e *Engine) abortParked() {
-	for p := range e.parked {
-		delete(e.parked, p)
-		p.aborted = true
-		e.handoff(p)
-	}
-}
-
-// Stats reports (started, completed) process counts.
-func (e *Engine) Stats() (started, completed int64) { return e.started, e.completed }

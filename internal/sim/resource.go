@@ -11,10 +11,7 @@ type FIFO struct {
 	eng       *Engine
 	name      string
 	busyUntil time.Duration
-
-	busyTime time.Duration
-	jobs     int64
-	maxWait  time.Duration
+	busyTime  time.Duration
 }
 
 // NewFIFO returns an idle FIFO resource.
@@ -37,21 +34,8 @@ func (q *FIFO) Use(p *Proc, service time.Duration) time.Duration {
 	wait := start - now
 	q.busyUntil = start + service
 	q.busyTime += service
-	q.jobs++
-	if wait > q.maxWait {
-		q.maxWait = wait
-	}
 	p.SleepUntil(q.busyUntil)
 	return wait
-}
-
-// Peek returns the queueing delay a job arriving now would experience,
-// without enqueuing anything.
-func (q *FIFO) Peek() time.Duration {
-	if q.busyUntil <= q.eng.now {
-		return 0
-	}
-	return q.busyUntil - q.eng.now
 }
 
 // Utilization reports the fraction of simulated time the server was busy.
@@ -60,82 +44,4 @@ func (q *FIFO) Utilization() float64 {
 		return 0
 	}
 	return float64(q.busyTime) / float64(q.eng.now)
-}
-
-// Jobs reports the number of jobs served.
-func (q *FIFO) Jobs() int64 { return q.jobs }
-
-// MaxWait reports the worst queueing delay observed.
-func (q *FIFO) MaxWait() time.Duration { return q.maxWait }
-
-// Semaphore is a counting semaphore over parked processes.
-type Semaphore struct {
-	eng     *Engine
-	count   int
-	waiters []*Proc
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(eng *Engine, n int) *Semaphore {
-	return &Semaphore{eng: eng, count: n}
-}
-
-// Acquire takes a permit, parking the process until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.count > 0 {
-		s.count--
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.Park()
-}
-
-// Release returns a permit, waking the longest-waiting process if any. Safe
-// to call from either process context or event callbacks.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		p := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.eng.Unpark(p)
-		return
-	}
-	s.count++
-}
-
-// Waiting reports how many processes are parked on the semaphore.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
-
-// WaitGroup joins a set of processes: workers call Done, joiners Wait.
-type WaitGroup struct {
-	eng     *Engine
-	pending int
-	waiters []*Proc
-}
-
-// NewWaitGroup returns a WaitGroup expecting n Done calls.
-func NewWaitGroup(eng *Engine, n int) *WaitGroup {
-	return &WaitGroup{eng: eng, pending: n}
-}
-
-// Add increases the expected Done count.
-func (w *WaitGroup) Add(n int) { w.pending += n }
-
-// Done marks one completion, releasing waiters at zero.
-func (w *WaitGroup) Done() {
-	w.pending--
-	if w.pending <= 0 {
-		for _, p := range w.waiters {
-			w.eng.Unpark(p)
-		}
-		w.waiters = nil
-	}
-}
-
-// Wait parks the process until the count reaches zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.pending <= 0 {
-		return
-	}
-	w.waiters = append(w.waiters, p)
-	p.Park()
 }

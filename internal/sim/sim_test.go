@@ -91,41 +91,6 @@ func TestInterleavedProcsDeterministic(t *testing.T) {
 	}
 }
 
-func TestParkUnpark(t *testing.T) {
-	e := New(1)
-	var got time.Duration
-	var waiter *Proc
-	waiter = e.Go("waiter", func(p *Proc) {
-		p.Park()
-		got = p.Now()
-	})
-	e.Go("signaler", func(p *Proc) {
-		p.Sleep(42 * time.Millisecond)
-		p.Engine().Unpark(waiter)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 42*time.Millisecond {
-		t.Fatalf("waiter resumed at %v", got)
-	}
-}
-
-func TestDeadlockDetection(t *testing.T) {
-	e := New(1)
-	e.Go("stuck", func(p *Proc) { p.Park() })
-	err := e.Run()
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v", err)
-	}
-	// The aborted process must still be counted as completed (goroutine
-	// released).
-	started, completed := e.Stats()
-	if started != 1 || completed != 1 {
-		t.Fatalf("stats: %d/%d", started, completed)
-	}
-}
-
 func TestProcPanicPropagates(t *testing.T) {
 	e := New(1)
 	e.Go("boom", func(p *Proc) {
@@ -135,28 +100,6 @@ func TestProcPanicPropagates(t *testing.T) {
 	err := e.Run()
 	if err == nil || !errors.Is(err, err) || err.Error() == "" {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRunForStopsAtLimit(t *testing.T) {
-	e := New(1)
-	fired := 0
-	e.At(time.Second, func() { fired++ })
-	e.At(time.Minute, func() { fired++ })
-	if err := e.RunFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d", fired)
-	}
-	if e.Now() != 10*time.Second {
-		t.Fatalf("now = %v", e.Now())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired after full run = %d", fired)
 	}
 }
 
@@ -184,12 +127,6 @@ func TestFIFOQueueing(t *testing.T) {
 	if waits[0] != 0 || waits[1] != 10*time.Millisecond || waits[2] != 20*time.Millisecond {
 		t.Fatalf("waits = %v", waits)
 	}
-	if q.Jobs() != 3 {
-		t.Fatalf("jobs = %d", q.Jobs())
-	}
-	if q.MaxWait() != 20*time.Millisecond {
-		t.Fatalf("maxWait = %v", q.MaxWait())
-	}
 	if u := q.Utilization(); u < 0.99 || u > 1.01 {
 		t.Fatalf("utilization = %v", u)
 	}
@@ -207,73 +144,6 @@ func TestFIFOIdleGapsLowerUtilization(t *testing.T) {
 	}
 	if u := q.Utilization(); u < 0.09 || u > 0.11 {
 		t.Fatalf("utilization = %v", u)
-	}
-	if q.Peek() != 0 {
-		t.Fatalf("peek on idle = %v", q.Peek())
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := New(1)
-	sem := NewSemaphore(e, 2)
-	var concurrent, peak int
-	for i := 0; i < 6; i++ {
-		e.Go("worker", func(p *Proc) {
-			sem.Acquire(p)
-			concurrent++
-			if concurrent > peak {
-				peak = concurrent
-			}
-			p.Sleep(10 * time.Millisecond)
-			concurrent--
-			sem.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if e.Now() != 30*time.Millisecond {
-		t.Fatalf("makespan = %v, want 30ms", e.Now())
-	}
-	if sem.Waiting() != 0 {
-		t.Fatal("waiters left behind")
-	}
-}
-
-func TestWaitGroupJoins(t *testing.T) {
-	e := New(1)
-	wg := NewWaitGroup(e, 3)
-	var joined time.Duration
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i) * 10 * time.Millisecond
-		e.Go("w", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Go("joiner", func(p *Proc) {
-		wg.Wait(p)
-		joined = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != 30*time.Millisecond {
-		t.Fatalf("joined at %v", joined)
-	}
-	// Wait on a drained group returns immediately.
-	e2 := New(1)
-	wg2 := NewWaitGroup(e2, 0)
-	ran := false
-	e2.Go("j", func(p *Proc) { wg2.Wait(p); ran = true })
-	if err := e2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("waiter on empty group stuck")
 	}
 }
 

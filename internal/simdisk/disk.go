@@ -137,9 +137,6 @@ func (m *Mem) Access(p *sim.Proc, n int64) {
 	m.q.Use(p, t)
 }
 
-// Queue exposes the underlying FIFO.
-func (m *Mem) Queue() *sim.FIFO { return m.q }
-
 // ReadBatch blocks the process for a batch of ops random reads totalling n
 // bytes, queued as one work-conserving FIFO job (equivalent to issuing them
 // back to back). Used by coarse-grained simulations that charge a whole

@@ -71,26 +71,8 @@ func (c *PageCache) Touch(file string, off, n int64) (hit, miss int64) {
 	return hit, miss
 }
 
-// Contains reports whether the page holding off is resident (no LRU touch).
-func (c *PageCache) Contains(file string, off int64) bool {
-	_, ok := c.pages[pageKey{file, off / c.pageSize}]
-	return ok
-}
-
 // Len reports the number of resident pages.
 func (c *PageCache) Len() int { return len(c.pages) }
-
-// Drop evicts every page of the named file (e.g. the file was rewritten).
-func (c *PageCache) Drop(file string) {
-	for e := c.head; e != nil; {
-		next := e.next
-		if e.key.file == file {
-			c.unlink(e)
-			delete(c.pages, e.key)
-		}
-		e = next
-	}
-}
 
 func (c *PageCache) insert(k pageKey) {
 	e := &pageEntry{key: k}

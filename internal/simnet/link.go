@@ -76,9 +76,6 @@ func NewLink(eng *sim.Engine, p LinkParams) *Link {
 	return &Link{p: p, q: sim.NewFIFO(eng, p.Name)}
 }
 
-// Params returns the link's parameters.
-func (l *Link) Params() LinkParams { return l.p }
-
 // goodput returns the effective shared rate in bytes/second.
 func (l *Link) goodput() float64 {
 	return float64(l.p.Bandwidth) * l.p.Efficiency
@@ -101,13 +98,6 @@ func (l *Link) Transfer(p *sim.Proc, n int64) time.Duration {
 	l.q.Use(p, service)
 	p.Sleep(l.p.PerRequest)
 	return p.Now() - start
-}
-
-// RequestOnly charges a data-less round trip (e.g. a metadata request or a
-// write acknowledgement) without occupying the shared pipe.
-func (l *Link) RequestOnly(p *sim.Proc) {
-	l.Requests++
-	p.Sleep(l.p.PerRequest)
 }
 
 // Queue exposes the underlying FIFO for utilization statistics.

@@ -105,25 +105,6 @@ func TestLatencyOverlapsAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestRequestOnly(t *testing.T) {
-	eng := sim.New(1)
-	l := NewLink(eng, GbE())
-	var elapsed time.Duration
-	eng.Go("x", func(p *sim.Proc) {
-		l.RequestOnly(p)
-		elapsed = p.Now()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed != GbE().PerRequest {
-		t.Fatalf("request-only = %v", elapsed)
-	}
-	if l.Bytes != 0 {
-		t.Fatal("request-only moved bytes")
-	}
-}
-
 func TestPresetSanity(t *testing.T) {
 	g, ib := GbE(), IB()
 	if g.Bandwidth >= ib.Bandwidth {

@@ -24,15 +24,17 @@ package swarm
 import (
 	"encoding/binary"
 	"errors"
-	"math/bits"
+
+	"vmicache/internal/qcow"
 )
 
-// ChunkSize is the unit of exchange: 64 KiB of virtual address space. Every
-// node of a swarm uses it; the map's wire header still names it, so a peer
-// with another size is refused rather than misread.
-const ChunkSize = 1 << chunkBits
+// ChunkSize is the unit of exchange: 64 KiB of virtual address space, the
+// granularity of qcow's chunk map. Every node of a swarm uses it; the map's
+// wire header still names it, so a peer with another size is refused rather
+// than misread.
+const ChunkSize = qcow.ChunkSize
 
-const chunkBits = 16
+const chunkBits = qcow.ChunkBits
 
 // Map errors.
 var (
@@ -49,16 +51,6 @@ type Map struct {
 	Bits []byte // one bit per chunk, (NumChunks()+7)/8 bytes
 }
 
-// NewMap returns an all-invalid map for a size-byte image.
-func NewMap(size int64) (*Map, error) {
-	if size <= 0 {
-		return nil, ErrBadSize
-	}
-	m := &Map{Size: size}
-	m.Bits = make([]byte, (m.NumChunks()+7)/8)
-	return m, nil
-}
-
 // NumChunks reports how many chunks cover the image.
 func (m *Map) NumChunks() int64 { return numChunks(m.Size) }
 
@@ -71,26 +63,6 @@ func (m *Map) Has(c int64) bool {
 	}
 	return m.Bits[c>>3]&(1<<(c&7)) != 0
 }
-
-// Set marks chunk c valid.
-func (m *Map) Set(c int64) {
-	if c >= 0 && c < m.NumChunks() {
-		m.Bits[c>>3] |= 1 << (c & 7)
-	}
-}
-
-// Count reports how many chunks are valid.
-func (m *Map) Count() int64 {
-	var n int64
-	for _, b := range m.Bits {
-		n += int64(bits.OnesCount8(b))
-	}
-	return n
-}
-
-// ChunkSpan reports the virtual byte span of chunk c, clamped to the image
-// size (the last chunk may be short).
-func (m *Map) ChunkSpan(c int64) (off, n int64) { return chunkSpan(m.Size, c) }
 
 func chunkSpan(size, c int64) (off, n int64) {
 	off = c << chunkBits

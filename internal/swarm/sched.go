@@ -392,13 +392,6 @@ func (s *Scheduler) Finished() bool {
 	return s.todo == 0
 }
 
-// Remaining reports how many chunks are not yet done.
-func (s *Scheduler) Remaining() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.todo
-}
-
 // Counts snapshots the outcome counters.
 func (s *Scheduler) Counts() SchedCounts {
 	s.mu.Lock()

@@ -29,16 +29,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // mapOf builds a map over n 64 KiB chunks with the listed chunks valid.
-func mapOf(n int64, valid ...int64) *Map {
-	m, err := NewMap(n * ChunkSize)
-	if err != nil {
-		panic(err)
-	}
-	for _, c := range valid {
-		m.Set(c)
-	}
-	return m
-}
+func mapOf(n int64, valid ...int64) *Map { return testMap(n*ChunkSize, valid...) }
 
 func newSched(t *testing.T, nchunks int64, cfg SchedConfig, clk *fakeClock) *Scheduler {
 	t.Helper()
@@ -53,7 +44,7 @@ func mustNext(t *testing.T, s *Scheduler) Assignment {
 	t.Helper()
 	a, ok, _ := s.Next()
 	if !ok {
-		t.Fatalf("Next: nothing assignable (remaining %d)", s.Remaining())
+		t.Fatalf("Next: nothing assignable (remaining %d)", s.todo)
 	}
 	return a
 }

@@ -158,9 +158,6 @@ func NewSession(cfg Config) (*Session, error) {
 // image.
 func (s *Session) Source() *Source { return s.src }
 
-// Scheduler exposes the underlying scheduler (tests and status).
-func (s *Session) Scheduler() *Scheduler { return s.sched }
-
 // Counts snapshots the session's outcomes.
 func (s *Session) Counts() Counts {
 	sc := s.sched.Counts()

@@ -142,11 +142,6 @@ func (c *TrackerClient) Announce(key, addr string, chunks int64) ([]PeerInfo, er
 	return c.get(u)
 }
 
-// Peers queries the live peer list without announcing.
-func (c *TrackerClient) Peers(key string) ([]PeerInfo, error) {
-	return c.get(fmt.Sprintf("%s/peers?key=%s", c.Base, url.QueryEscape(key)))
-}
-
 func (c *TrackerClient) get(u string) ([]PeerInfo, error) {
 	hc := c.HTTP
 	if hc == nil {

@@ -66,7 +66,7 @@ func TestTrackerHTTP(t *testing.T) {
 	if len(peers) != 1 || peers[0].Addr != "10.0.0.1:7000" || peers[0].Chunks != 12 {
 		t.Fatalf("announce reply = %+v", peers)
 	}
-	peers, err = c.Peers("img.vmic")
+	peers, err = c.get(srv.URL + "/peers?key=img.vmic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTrackerHTTP(t *testing.T) {
 	if _, err := c.Announce("", "x", 0); err == nil {
 		t.Fatal("announce without key succeeded")
 	}
-	if _, err := c.Peers(""); err == nil {
+	if _, err := c.get(srv.URL + "/peers?key="); err == nil {
 		t.Fatal("peers without key succeeded")
 	}
 }

@@ -107,10 +107,3 @@ func (s *IntervalSet) Each(fn func(start, end int64)) {
 		fn(s.starts[i], s.ends[i])
 	}
 }
-
-// Reset empties the set.
-func (s *IntervalSet) Reset() {
-	s.starts = s.starts[:0]
-	s.ends = s.ends[:0]
-	s.total = 0
-}

@@ -158,7 +158,6 @@ func Load(r io.Reader) (*Trace, error) {
 type Recorder struct {
 	KeepRecords bool
 	start       time.Time
-	nowFn       func() time.Duration
 	trace       Trace
 	reads       IntervalSet
 	ws          WorkingSet
@@ -170,16 +169,7 @@ func NewRecorder() *Recorder {
 	return r
 }
 
-// NewRecorderClock returns a Recorder stamping records with the supplied
-// clock (used under simulated time).
-func NewRecorderClock(now func() time.Duration) *Recorder {
-	return &Recorder{KeepRecords: true, nowFn: now}
-}
-
 func (r *Recorder) now() time.Duration {
-	if r.nowFn != nil {
-		return r.nowFn()
-	}
 	return time.Since(r.start)
 }
 

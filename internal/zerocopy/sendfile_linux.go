@@ -5,7 +5,6 @@ package zerocopy
 import (
 	"io"
 	"net"
-	"os"
 	"syscall"
 )
 
@@ -16,15 +15,6 @@ const Supported = true
 // around 2 GiB per call anyway, and resuming in bounded chunks keeps the
 // short-return arithmetic honest.
 const maxSendfileChunk = 1 << 30
-
-// Send transfers f[off:off+n) to conn without copying the bytes through
-// user space; it is SendExtents of one extent.
-func Send(conn net.Conn, f *os.File, off, n int64) (int64, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	return SendExtents(conn, []FileExtent{{F: f, Off: off, Len: n}})
-}
 
 // SendExtents transfers exts to conn in order without copying the bytes
 // through user space, under one hold of the socket's write side. The

@@ -79,7 +79,7 @@ func TestSendOverTCP(t *testing.T) {
 			defer wg.Done()
 			io.Copy(&got, cl) //nolint:errcheck // bounded by the close below
 		}()
-		sent, err := Send(srv, f, tc.off, tc.n)
+		sent, err := send(srv, f, tc.off, tc.n)
 		if err != nil {
 			t.Fatalf("Send(off=%d, n=%d): %v", tc.off, tc.n, err)
 		}
@@ -138,7 +138,7 @@ func TestSendSlowReader(t *testing.T) {
 			var err error
 			if len(tc.exts) == 1 {
 				e := tc.exts[0]
-				sent, err = Send(srv, e.F, e.Off, e.Len)
+				sent, err = send(srv, e.F, e.Off, e.Len)
 			} else {
 				sent, err = SendExtents(srv, tc.exts)
 			}
@@ -160,7 +160,7 @@ func TestSendFileShorterThanPromised(t *testing.T) {
 	f, _ := writeTemp(t, 4096)
 	cl, srv := loopback(t)
 	go io.Copy(io.Discard, cl) //nolint:errcheck // drain
-	if _, err := Send(srv, f, 0, 8192); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := send(srv, f, 0, 8192); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
 	}
 }
@@ -234,7 +234,7 @@ func TestSendNonSocket(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := Send(srv, f, 0, 64<<10); err != nil {
+	if _, err := send(srv, f, 0, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -283,7 +283,7 @@ func TestSendAfterUnlink(t *testing.T) {
 		defer wg.Done()
 		io.Copy(&got, cl) //nolint:errcheck
 	}()
-	if sent, err := Send(srv, f, 0, 1<<20); err != nil || sent != 1<<20 {
+	if sent, err := send(srv, f, 0, 1<<20); err != nil || sent != 1<<20 {
 		t.Fatalf("Send after unlink: sent=%d err=%v", sent, err)
 	}
 	srv.Close() //nolint:errcheck
@@ -291,4 +291,9 @@ func TestSendAfterUnlink(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), data) {
 		t.Fatal("post-unlink stream mismatch")
 	}
+}
+
+// send transfers f[off:off+n) to conn as one extent.
+func send(conn net.Conn, f *os.File, off, n int64) (int64, error) {
+	return SendExtents(conn, []FileExtent{{F: f, Off: off, Len: n}})
 }

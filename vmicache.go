@@ -41,7 +41,6 @@ import (
 	"vmicache/internal/cloudsim"
 	"vmicache/internal/cluster"
 	"vmicache/internal/core"
-	"vmicache/internal/dedup"
 	"vmicache/internal/metrics"
 	"vmicache/internal/nbd"
 	"vmicache/internal/qcow"
@@ -335,26 +334,11 @@ func NewNBDServer(logf func(string, ...any)) *NBDServer { return nbd.NewServer(l
 // DialNBD attaches to an NBD export.
 func DialNBD(addr, export string) (*nbd.Client, error) { return nbd.Dial(addr, export) }
 
-// ---- Extensions (§7.3 prefetching, §8 dedup & compression) ----
-
-// Prefetcher streams a cache's inferred disclosure through a chain ahead of
-// the guest (§7.3).
-type Prefetcher = core.Prefetcher
+// ---- Extensions (§7.3 disclosure) ----
 
 // Disclosure extracts a cache image's inferred future-access list: its
 // allocated extents in fill order.
 func Disclosure(cache *Image) ([]Span, error) { return core.Disclosure(cache) }
-
-// NewPrefetcher prepares a background prefetch of spans through the chain.
-func NewPrefetcher(c *Chain, spans []Span, chunk int64) *Prefetcher {
-	return core.NewPrefetcher(c, spans, chunk)
-}
-
-// TransferCacheCompressed copies a cache image between stores through a
-// deflate stream, returning (rawBytes, wireBytes).
-func TransferCacheCompressed(dst Store, dstName string, src Store, srcName string) (raw, wire int64, err error) {
-	return dedup.TransferCompressed(dst, dstName, src, srcName)
-}
 
 // ---- Cloud-scale simulation (integration of §3.4 + §6) ----
 

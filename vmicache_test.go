@@ -151,34 +151,6 @@ func TestFacadeTransferAndPool(t *testing.T) {
 	}
 }
 
-func TestFacadeDedupAndCompressedTransfer(t *testing.T) {
-	src := NewMemStore()
-	f, _ := src.Create("cache")
-	content := make([]byte, 256<<10)
-	for i := range content {
-		content[i] = 'a' + byte(i%13)
-	}
-	if err := backend.WriteFull(f, content, 0); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewMemStore()
-	raw, wire, err := TransferCacheCompressed(dst, "cache", src, "cache")
-	if err != nil || wire >= raw {
-		t.Fatalf("compressed transfer: raw=%d wire=%d err=%v", raw, wire, err)
-	}
-	out, err := dst.Open("cache", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(content))
-	if err := backend.ReadFull(out, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(content) {
-		t.Fatal("transferred cache mismatch")
-	}
-}
-
 func TestFacadeCloudAndExtensions(t *testing.T) {
 	r, err := RunCloud(CloudParams{
 		Seed: 2, Nodes: 4, NodeCPU: 8, NodeMem: 24 << 30, NodeCache: 1 << 30,
